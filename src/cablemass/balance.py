@@ -78,14 +78,26 @@ class ReducedSystem:
 def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     """Controllability and observability Gramians of the linear part.
 
+    Both Lyapunov equations are solved on one real Schur factor of A.
+
     Raises
     ------
     linalg.UnstableSystem
         If A has an eigenvalue with nonnegative real part.
+    linalg.SingularBlock, linalg.LyapunovResidual
+        As for linalg.solve_lyapunov.
     """
-    p = linalg.solve_lyapunov(sys.a, sys.b @ sys.b.T)
-    q = linalg.solve_lyapunov(sys.a.T, sys.c.T @ sys.c)
+    form = linalg.real_schur(sys.a)
+    p = linalg._lyapunov_on_schur(sys.a, form, sys.b @ sys.b.T)
+    q = linalg._lyapunov_on_schur(sys.a, form, sys.c.T @ sys.c, trans=True)
     return p, q
+
+
+def _hankel_svd(p, q):
+    """Factors P = U U^T, Q = L L^T and the SVD of L^T U."""
+    u = linalg.psd_factor(p)
+    l = linalg.psd_factor(q)
+    return u, l, linalg.svd(l.T @ u)
 
 
 def hankel_values(p, q) -> np.ndarray:
@@ -98,9 +110,7 @@ def hankel_values(p, q) -> np.ndarray:
     linalg.NotPsd
         If either Gramian fails the PSD check.
     """
-    u = linalg.psd_factor(p)
-    l = linalg.psd_factor(q)
-    return linalg.svd(l.T @ u).sigma
+    return _hankel_svd(p, q)[2].sigma
 
 
 def square_root_transform(p, q, r: int,
@@ -117,9 +127,7 @@ def square_root_transform(p, q, r: int,
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    u = linalg.psd_factor(p)
-    l = linalg.psd_factor(q)
-    res = linalg.svd(l.T @ u)
+    u, l, res = _hankel_svd(p, q)
     sig = res.sigma
     if sig.size == 0 or sig[0] == 0.0:
         raise RankDeficient("Hankel product is numerically zero")

@@ -2,9 +2,11 @@
 
 Factorizations (real Schur, SVD, symmetric eigendecomposition) are
 delegated to LAPACK through scipy/numpy.  The continuous Lyapunov
-equation is solved here directly by Bartels-Stewart: reduce the
-coefficient matrix to real Schur form, then back-substitute over the
-1x1/2x2 diagonal blocks of the quasi-triangular factor.
+equation is solved by the Bartels-Stewart method (R. H. Bartels and
+G. W. Stewart, "Solution of the matrix equation AX + XB = C", Comm. ACM
+15(9), 1972): reduce the coefficient matrix to real Schur form, then
+solve the quasi-triangular Sylvester equation with LAPACK ``xTRSYL``.
+Both Gramians of a system share one Schur factor.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrsyl
 
 
 class NonConvergence(RuntimeError):
@@ -28,13 +31,19 @@ class UnstableSystem(ValueError):
 
 
 class SingularBlock(RuntimeError):
-    """A diagonal block pair in the Lyapunov back-substitution is singular."""
+    """LAPACK had to perturb a near-singular eigenvalue sum T_ii + T_jj."""
+
+
+class LyapunovResidual(RuntimeError):
+    """A Lyapunov solution misses the backward-error contract."""
 
 
 # Relative eigenvalue threshold below which psd_factor drops a mode.
 PSD_RANK_DROP = 1e-12
 # Most negative eigenvalue tolerated by psd_factor, relative to the largest.
 PSD_NEG_TOL = 1e-8
+# Largest backward error of a Lyapunov solution (see solve_lyapunov).
+LYAP_BACKWARD_TOL = 1e-12
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -180,49 +189,53 @@ def psd_factor(p) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
-def _solve_small_sylvester(tpp, tqq, rhs):
-    """Solve T_pp Y + Y T_qq^T = rhs for a block pair of size <= 2x2."""
-    ps, qs = rhs.shape
-    m = np.kron(np.eye(qs), tpp) + np.kron(tqq, np.eye(ps))
-    try:
-        y = np.linalg.solve(m, rhs.ravel(order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlock("degenerate Schur block pair") from exc
-    return y.reshape((ps, qs), order="F")
+def _lyapunov_on_schur(a: np.ndarray, form: SchurForm, w: np.ndarray,
+                       trans: bool = False) -> np.ndarray:
+    """Solve op(A) P + P op(A)^T + W = 0 given A = Q T Q^T.
 
-
-def _quasi_triangular_lyapunov(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve T Y + Y T^T + W = 0 with T quasi-upper-triangular.
-
-    Block back-substitution: columns are processed last to first, rows
-    bottom to top, so every off-block contribution on the right-hand
-    side has already been computed.
+    op(A) is A, or A^T when trans, so both Gramians share one factor.
     """
-    n = t.shape[0]
-    blocks = _schur_blocks(t)
-    y = np.zeros_like(w)
-    for q0, qs in reversed(blocks):
-        qsl = slice(q0, q0 + qs)
-        qe = q0 + qs
-        for p0, ps in reversed(blocks):
-            psl = slice(p0, p0 + ps)
-            pe = p0 + ps
-            rhs = -w[psl, qsl].copy()
-            if pe < n:
-                rhs -= t[psl, pe:] @ y[pe:, qsl]
-            if qe < n:
-                rhs -= y[psl, qe:] @ t[qsl, qe:].T
-            y[psl, qsl] = _solve_small_sylvester(t[psl, psl], t[qsl, qsl], rhs)
-    return y
+    eigs = _block_eigenvalues(form.t)
+    if eigs.size and eigs.real.max() >= 0.0:
+        raise UnstableSystem(
+            f"eigenvalue with real part {eigs.real.max():.3e} >= 0")
+    q = form.q
+    t = np.asfortranarray(form.t)
+    trana, tranb = ("T", "N") if trans else ("N", "T")
+    op_a = a.T if trans else a
+    wnorm = np.linalg.norm(w)
+    p = np.zeros_like(w)
+    resid = w
+    for _ in range(3):
+        y, scale, info = dtrsyl(t, t, q.T @ resid @ q, trana, tranb)
+        if info < 0:
+            raise ValueError(f"dtrsyl: argument {-info} is invalid")
+        if info == 1:
+            raise SingularBlock(
+                "near-singular eigenvalue sum T_ii + T_jj in dtrsyl")
+        p -= q @ (y / scale) @ q.T
+        p += p.T
+        p *= 0.5
+        # P is symmetric, so op(A) P + P op(A)^T = X + X^T with X = op(A) P.
+        resid = op_a @ p
+        resid += resid.T
+        resid += w
+        rnorm = np.linalg.norm(resid)
+        if rnorm <= 1e-11 * max(wnorm, 1e-300):
+            break
+    denom = 2.0 * np.linalg.norm(a) * np.linalg.norm(p) + wnorm
+    if rnorm > LYAP_BACKWARD_TOL * denom:
+        raise LyapunovResidual(f"backward error {rnorm / denom:.3e} exceeds "
+                               f"{LYAP_BACKWARD_TOL:.0e}")
+    return p
 
 
 def solve_lyapunov(a, w) -> np.ndarray:
     """Solve A P + P A^T + W = 0 for stable A and symmetric PSD W.
 
-    Bartels-Stewart: one real Schur decomposition of A, then block
-    back-substitution.  A residual-correction pass reuses the Schur
-    factors whenever the first solve is not already at the 1e-10
-    relative residual contract.
+    Bartels-Stewart with LAPACK ``dtrsyl``.  Residual-correction passes
+    reuse the Schur factor while the residual exceeds 1e-11 relative to
+    ||W|| (three solves at most).
 
     Raises
     ------
@@ -230,27 +243,13 @@ def solve_lyapunov(a, w) -> np.ndarray:
         If any eigenvalue of A has nonnegative real part (the Gramian
         does not exist).
     SingularBlock
-        On a degenerate block pair during back-substitution.
+        If ``dtrsyl`` meets a near-singular sum of two eigenvalues.
+    LyapunovResidual
+        If the normwise backward error ||A P + P A^T + W|| /
+        (2 ||A|| ||P|| + ||W||) (Frobenius norms) exceeds LYAP_BACKWARD_TOL.
     """
     a = _as_square(a, "A")
     w = _as_square(w, "W")
     if a.shape != w.shape:
         raise ValueError(f"shape mismatch: A {a.shape} vs W {w.shape}")
-    form = real_schur(a)
-    eigs = _block_eigenvalues(form.t)
-    if eigs.size and eigs.real.max() >= 0.0:
-        raise UnstableSystem(
-            f"eigenvalue with real part {eigs.real.max():.3e} >= 0"
-        )
-    q, t = form.q, form.t
-    wnorm = np.linalg.norm(w)
-    p = np.zeros_like(w)
-    resid = w.copy()
-    for _ in range(3):
-        y = _quasi_triangular_lyapunov(t, q.T @ resid @ q)
-        p += q @ y @ q.T
-        p = 0.5 * (p + p.T)
-        resid = a @ p + p @ a.T + w
-        if np.linalg.norm(resid) <= 1e-11 * max(wnorm, 1e-300):
-            break
-    return p
+    return _lyapunov_on_schur(a, real_schur(a), w)

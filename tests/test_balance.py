@@ -8,6 +8,7 @@ from cablemass.balance import (PlateauSplit, RankDeficient, SingularShift,
                                error_bound, gramians, hankel_values, reduce,
                                square_root_transform, suggest_r,
                                transfer_function)
+from cablemass.cli import get_preset
 from cablemass.model import DimensionMismatch, build_system
 from conftest import EXAMPLE1
 
@@ -60,6 +61,25 @@ class TestGramians:
                               c=np.array([[1.0]]))
         with pytest.raises(linalg.UnstableSystem):
             gramians(sys)
+
+    def test_shared_schur_matches_separate_solves(self, example1_n20):
+        sys, p, q = example1_n20
+        p_ref = linalg.solve_lyapunov(sys.a, sys.b @ sys.b.T)
+        q_ref = linalg.solve_lyapunov(sys.a.T, sys.c.T @ sys.c)
+        assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
+        assert np.linalg.norm(q - q_ref) <= 1e-10 * np.linalg.norm(q_ref)
+
+    def test_near_marginal_backward_error(self):
+        # spectral abscissa about -7e-10: the residual relative to ||W|| is
+        # about 9 for P, so only the backward error is a meaningful contract
+        sys = build_system(get_preset("small_stiff_ex5_in4").params, 100)
+        p, q = gramians(sys)
+        for a, gram, w in ((sys.a, p, sys.b @ sys.b.T),
+                           (sys.a.T, q, sys.c.T @ sys.c)):
+            resid = np.linalg.norm(a @ gram + gram @ a.T + w)
+            scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(gram) \
+                + np.linalg.norm(w)
+            assert resid <= 1e-12 * scale
 
 
 class TestHankelValues:

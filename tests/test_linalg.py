@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cablemass import linalg
 from conftest import random_stable
+
+
+def lightly_damped_oscillators(rng):
+    """Damping 0.01 on three oscillators, in random orthogonal coordinates."""
+    blocks = [np.array([[-0.01, w], [-w, -0.01]]) for w in (1.0, 3.0, 7.0)]
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    return q @ scipy.linalg.block_diag(*blocks) @ q.T
 
 
 class TestRealSchur:
@@ -175,3 +183,26 @@ class TestSolveLyapunov:
     def test_zero_rhs(self):
         p = linalg.solve_lyapunov(np.diag([-1.0, -2.0]), np.zeros((2, 2)))
         np.testing.assert_allclose(p, np.zeros((2, 2)), atol=1e-15)
+
+    @pytest.mark.parametrize("make_a", [
+        lambda rng: random_stable(rng, 4), lambda rng: random_stable(rng, 7),
+        lambda rng: random_stable(rng, 12), lightly_damped_oscillators],
+        ids=["n4", "n7", "n12", "lightly_damped"])
+    def test_matches_scipy(self, rng, make_a):
+        a = make_a(rng)
+        g = rng.standard_normal((a.shape[0], 2))
+        w = g @ g.T
+        ref = scipy.linalg.solve_continuous_lyapunov(a, -w)
+        p = linalg.solve_lyapunov(a, w)
+        assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_near_singular_eigenvalue_sum(self):
+        # T_11 + T_11 = -2e-20: dtrsyl perturbs it and reports info = 1
+        with pytest.raises(linalg.SingularBlock):
+            linalg.solve_lyapunov(np.diag([-1e-20, -1.0]), np.eye(2))
+
+    def test_backward_error_contract_enforced(self, rng, monkeypatch):
+        a = random_stable(rng, 5)
+        monkeypatch.setattr(linalg, "LYAP_BACKWARD_TOL", 0.0)
+        with pytest.raises(linalg.LyapunovResidual):
+            linalg.solve_lyapunov(a, np.eye(5))
