@@ -19,13 +19,25 @@ state is x = [d; v] and the system reads
 where F is zero except for the cubic term -(k3/ml) d_n^3 in the
 right-mass velocity equation, and y picks out the position and
 velocity of the right mass.
+
+Every stencil couples only neighbouring nodes, so on the interleaved
+ordering [d1, v1, d2, v2, ...] the Jacobian A + F'(x) is a band with
+BAND_KL = 5 subdiagonals (the right oscillator's one-sided stencil) and
+BAND_KU = 4 superdiagonals (the left one's).  fom_jacobian returns it in
+that form for the integrator's banded linear solves; [d; v] stays the
+public ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .ode import BandedJacobian
+
+BAND_KL, BAND_KU = 5, 4
 
 
 class InvalidParams(ValueError):
@@ -118,6 +130,23 @@ class StateSpaceSystem:
     nl_target_index: int
     params: PhysicalParams
     grid: Grid
+
+    @cached_property
+    def a_band(self) -> BandedJacobian:
+        """A on the interleaved ordering, in LAPACK band storage.
+
+        Built on first use and kept: the Gramians and the spectrum need
+        only the dense A, the full-order simulations only this band.
+        """
+        m = 2 * self.n
+        perm = np.empty(m, dtype=int)
+        perm[0::2] = np.arange(self.n)  # d_i at 2i
+        perm[1::2] = np.arange(self.n, m)  # v_i at 2i + 1
+        ap = self.a[np.ix_(perm, perm)]
+        ab = np.zeros((BAND_KL + BAND_KU + 1, m))
+        for k in range(-BAND_KL, BAND_KU + 1):
+            ab[BAND_KU - k, max(k, 0):m + min(k, 0)] = np.diagonal(ap, k)
+        return BandedJacobian(ab=ab, kl=BAND_KL, ku=BAND_KU, perm=perm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +259,20 @@ def fom_rhs(sys: StateSpaceSystem, x, u: float) -> np.ndarray:
     return out
 
 
-def fom_jacobian(sys: StateSpaceSystem, x) -> np.ndarray:
-    """State Jacobian: A plus the single cubic derivative entry."""
+def fom_jacobian(sys: StateSpaceSystem, x) -> BandedJacobian:
+    """State Jacobian: A plus the single cubic derivative entry, banded.
+
+    The cubic entry d(v_n')/d(d_n) sits one below the diagonal of the
+    interleaved band (v_n at 2n-1, d_n at 2n-2), i.e. at band row
+    BAND_KU + 1, column 2n-2.  ``.dense()`` gives the [d; v] matrix.
+    """
     x = _check_state(sys, x)
-    jac = sys.a.copy()
-    jac[sys.nl_target_index, sys.nl_state_index] += (
+    band = sys.a_band
+    ab = band.ab.copy()
+    ab[BAND_KU + 1, 2 * sys.n - 2] += (
         3.0 * sys.nl_coeff * x[sys.nl_state_index] ** 2
     )
-    return jac
+    return BandedJacobian(ab=ab, kl=band.kl, ku=band.ku, perm=band.perm)
 
 
 def sample_initial_data(params: PhysicalParams, n: int, pos, vel) -> np.ndarray:

@@ -7,6 +7,13 @@ W = I - h d J once and performs three triangular solves, so the cost
 per step is one Jacobian, one LU, and three or four right-hand-side
 evaluations.  Accepted nodes store the state derivative, which gives a
 free cubic Hermite interpolant for dense output.
+
+The Jacobian's type picks the factorisation.  A ``BandedJacobian`` is
+factored in LAPACK band storage (``dgbtrf``/``dgbtrs``) on its own state
+ordering, at O(m (kl + ku)^2) per step instead of O(m^3): the full-order
+cable-mass model is banded with kl = 5, ku = 4 once its state is
+interleaved as [d1, v1, d2, v2, ...].  Any other Jacobian (the reduced
+model's small dense matrix) is factored densely with ``lu_factor``.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 _D = 1.0 / (2.0 + math.sqrt(2.0))
 _E32 = 6.0 + math.sqrt(2.0)
@@ -46,6 +54,33 @@ class IntegratorStats:
     n_rhs: int = 0
     n_jac: int = 0
     n_lu: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class BandedJacobian:
+    """A Jacobian J in LAPACK band storage, on a permuted state ordering.
+
+    With Jp = J[perm][:, perm] banded (kl subdiagonals, ku
+    superdiagonals), ab has shape (kl + ku + 1, m) and holds
+    ab[ku + i - j, j] = Jp[i, j].  The integrator keeps the caller's
+    state ordering and applies perm only inside its linear solves.
+    """
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+    perm: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """J as a dense matrix in the caller's state ordering."""
+        m = self.ab.shape[1]
+        jp = np.zeros((m, m))
+        for k in range(-self.kl, self.ku + 1):
+            i = np.arange(max(0, -k), min(m, m - k))
+            jp[i, i + k] = self.ab[self.ku - k, i + k]
+        jac = np.empty((m, m))
+        jac[np.ix_(self.perm, self.perm)] = jp
+        return jac
 
 
 @dataclass(eq=False)
@@ -88,6 +123,73 @@ def _initial_step(rhs, t0, y0, f0, tf, rtol, atol, stats):
     return min(100.0 * h0, h1, span)
 
 
+def _check_iteration_matrix(w, t):
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteState(f"jacobian not finite at t={t}")
+
+
+def _factor(jac, hd: float, t: float):
+    """Factor W = I - hd*J; return a solver for W z = b, or None if singular.
+
+    This is the one place where the Jacobian's type matters.  A
+    BandedJacobian is factored in band storage by dgbtrf, and each solve
+    permutes the right-hand side into the band's ordering and the
+    solution back out; any other Jacobian is factored densely.
+    """
+    if isinstance(jac, BandedJacobian):
+        kl, ku, perm = jac.kl, jac.ku, jac.perm
+        # dgbtrf keeps the fill-in from row interchanges in kl extra rows
+        w = np.zeros((2 * kl + ku + 1, jac.ab.shape[1]), order="F")
+        w[kl:] = jac.ab * -hd
+        w[kl + ku] += 1.0
+        _check_iteration_matrix(w, t)
+        lu, piv, info = dgbtrf(w, kl, ku, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"dgbtrf: argument {-info} is invalid")
+        if info > 0:
+            return None
+
+        def solve(b):
+            z, _ = dgbtrs(lu, kl, ku, b[perm], piv)
+            out = np.empty_like(z)
+            out[perm] = z
+            return out
+
+        return solve
+
+    jac = np.asarray(jac, dtype=float)
+    w = np.eye(jac.shape[0]) - hd * jac
+    _check_iteration_matrix(w, t)
+    try:
+        lu = lu_factor(w, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    return lambda b: lu_solve(lu, b, check_finite=False)
+
+
+def _stages(rhs, t, y, f0, ft, h, solve, stats):
+    """The three Rosenbrock stages of a step of size h.
+
+    Returns (x(t+h), f(t+h, x(t+h)), local error estimate), or None
+    when a stage right-hand side is not finite, which the caller treats
+    as a rejected step.
+    """
+    hdt = (h * _D) * ft
+    k1 = solve(f0 + hdt)
+    f1 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k1))
+    stats.n_rhs += 1
+    if not np.all(np.isfinite(f1)):
+        return None
+    k2 = solve(f1 - k1) + k1
+    ynew = y + h * k2
+    f2 = np.asarray(rhs(t + h, ynew))
+    stats.n_rhs += 1
+    if not np.all(np.isfinite(f2)):
+        return None
+    k3 = solve(f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0) + hdt)
+    return ynew, f2, (h / 6.0) * (k1 - 2.0 * k2 + k3)
+
+
 def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
               atol: float = 1e-6, jacobian=None, first_step: float | None = None,
               max_steps: int = 1_000_000) -> Trajectory:
@@ -104,8 +206,9 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     rtol, atol : float
         Local error is controlled to atol + rtol*|x| componentwise.
         Defaults match the tolerances the experiments were run with.
-    jacobian : callable(t, x) -> matrix, optional
-        State Jacobian.  Approximated by forward differences when
+    jacobian : callable(t, x) -> matrix or BandedJacobian, optional
+        State Jacobian.  A BandedJacobian is factored in band storage,
+        a matrix densely.  Approximated by forward differences when
         absent.
     first_step : float, optional
         Override the automatic starting step.
@@ -116,7 +219,8 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         When stiffness or an unresolvable discontinuity drives the step
         below 16*eps*max(|t|, |tf|).
     NonFiniteState
-        When the state or right-hand side blows up.
+        When the state, the Jacobian or the right-hand side blows up,
+        including a non-finite stage that no smaller step avoids.
     """
     if not (tf > t0):
         raise ValueError(f"need tf > t0, got [{t0}, {tf}]")
@@ -148,13 +252,10 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         remaining = tf - t
 
         if jacobian is not None:
-            jac = np.asarray(jacobian(t, y), dtype=float)
-            stats.n_jac += 1
+            jac = jacobian(t, y)
         else:
             jac = _fd_jacobian(rhs, t, y, f0, thresh, stats)
-            stats.n_jac += 1
-        if not np.all(np.isfinite(jac)):
-            raise NonFiniteState(f"jacobian not finite at t={t}")
+        stats.n_jac += 1
 
         # numerical df/dt, needed by the Rosenbrock formulas for
         # non-autonomous systems
@@ -176,24 +277,14 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
                 raise StepSizeUnderflow(f"step size {h_use:.3e} below "
                                         f"{hmin:.3e} at t={t}")
 
-            w = np.eye(y.size) - (h_use * _D) * jac
-            try:
-                lu = lu_factor(w)
-            except np.linalg.LinAlgError:
-                lu = None
+            solve = _factor(jac, h_use * _D, t)
             stats.n_lu += 1
-            if lu is None:
+            step = None if solve is None else _stages(
+                rhs, t, y, f0, ft, h_use, solve, stats)
+            if step is None:
                 errnorm = math.inf
             else:
-                hdt = (h_use * _D) * ft
-                k1 = lu_solve(lu, f0 + hdt)
-                f1 = np.asarray(rhs(t + 0.5 * h_use, y + (0.5 * h_use) * k1))
-                k2 = lu_solve(lu, f1 - k1) + k1
-                ynew = y + h_use * k2
-                f2 = np.asarray(rhs(t + h_use, ynew))
-                k3 = lu_solve(lu, f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0) + hdt)
-                stats.n_rhs += 2
-                err = (h_use / 6.0) * (k1 - 2.0 * k2 + k3)
+                ynew, f2, err = step
                 scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
                 with np.errstate(invalid="ignore"):
                     errnorm = float(np.max(np.abs(err) / scale))
@@ -205,8 +296,6 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
                 t = tf if clamped else t + h_use
                 y = ynew
                 f0 = f2
-                if not np.all(np.isfinite(f0)):
-                    raise NonFiniteState(f"rhs not finite at t={t}")
                 times.append(t)
                 states.append(y.copy())
                 derivs.append(f0.copy())

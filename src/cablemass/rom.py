@@ -24,11 +24,15 @@ from .signals import InputSpec, eval_input
 
 @dataclass(frozen=True, eq=False)
 class OutputSeries:
-    """Output samples y(t) on a uniform grid, plus the raw trajectory."""
+    """Output samples y(t) on a uniform grid, plus the integrator counters.
+
+    The adaptive trajectory itself is dropped once sampled: at n = 200
+    it holds about 20 MB of states and derivatives.
+    """
 
     times: np.ndarray
     values: np.ndarray
-    trajectory: ode.Trajectory
+    stats: ode.IntegratorStats
 
 
 def _check_reduced_state(red: ReducedSystem, a) -> np.ndarray:
@@ -75,7 +79,8 @@ def simulate_rom(red: ReducedSystem, spec: InputSpec, t0: float = 0.0,
                          jacobian=jac)
     grid = np.linspace(t0, tf, sample_count)
     states = ode.sample(traj, grid)
-    return OutputSeries(times=grid, values=states @ red.cr.T, trajectory=traj)
+    return OutputSeries(times=grid, values=states @ red.cr.T,
+                        stats=traj.stats)
 
 
 def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
@@ -93,4 +98,5 @@ def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
                          atol=atol, jacobian=jac)
     grid = np.linspace(t0, tf, sample_count)
     states = ode.sample(traj, grid)
-    return OutputSeries(times=grid, values=states @ sys.c.T, trajectory=traj)
+    return OutputSeries(times=grid, values=states @ sys.c.T,
+                        stats=traj.stats)

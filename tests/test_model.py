@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cablemass import linalg, model
+from cablemass import linalg, model, ode
 from cablemass.model import (GridTooCoarse, InvalidParams, PhysicalParams,
                              build_system, eval_nonlinearity, fom_jacobian,
                              fom_rhs, make_grid, quadratic_forms,
@@ -163,7 +163,7 @@ class TestFomRhs:
     def test_jacobian_matches_finite_differences(self, rng):
         sys = build_system(EXAMPLE1, 5)
         x = rng.standard_normal(10)
-        jac = fom_jacobian(sys, x)
+        jac = fom_jacobian(sys, x).dense()
         eps = 1e-6
         fd = np.empty((10, 10))
         for j in range(10):
@@ -172,6 +172,52 @@ class TestFomRhs:
             xm[j] -= eps
             fd[:, j] = (fom_rhs(sys, xp, 0.0) - fom_rhs(sys, xm, 0.0)) / (2 * eps)
         np.testing.assert_allclose(jac, fd, atol=1e-5)
+
+
+def dense_jacobian(sys, x):
+    """A plus the cubic entry, assembled on the [d; v] ordering."""
+    jac = sys.a.copy()
+    jac[sys.nl_target_index, sys.nl_state_index] += (
+        3.0 * sys.nl_coeff * x[sys.nl_state_index] ** 2)
+    return jac
+
+
+class TestBandedJacobian:
+    # n = 3 is the smallest grid, where the two boundary stencils overlap
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_band_widths(self, n, rng):
+        sys = build_system(EXAMPLE1, n)
+        band = fom_jacobian(sys, rng.standard_normal(2 * n))
+        assert (band.kl, band.ku) == (5, 4)
+        assert band.ab.shape == (10, 2 * n)
+        # the outermost diagonals are occupied, so neither width can shrink
+        assert np.count_nonzero(band.ab[0]) > 0
+        assert np.count_nonzero(band.ab[-1]) > 0
+        # and every nonzero of A lies inside the band
+        assert np.count_nonzero(sys.a_band.ab) == np.count_nonzero(sys.a)
+
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_dense_form_exact(self, n, rng):
+        sys = build_system(EXAMPLE1, n)
+        x = rng.standard_normal(2 * n)
+        np.testing.assert_array_equal(fom_jacobian(sys, x).dense(),
+                                      dense_jacobian(sys, x))
+
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_banded_solve_matches_dense(self, n, rng):
+        sys = build_system(EXAMPLE1, n)
+        x = rng.standard_normal(2 * n)
+        b = rng.standard_normal(2 * n)
+        hd = 1e-3  # h d for a step h of about 3.4e-3
+        solve = ode._factor(fom_jacobian(sys, x), hd, 0.0)
+        ref = np.linalg.solve(np.eye(2 * n) - hd * dense_jacobian(sys, x), b)
+        assert np.linalg.norm(solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_band_built_lazily(self):
+        sys = build_system(EXAMPLE1, 10)
+        assert "a_band" not in vars(sys)
+        fom_jacobian(sys, np.zeros(20))
+        assert sys.a_band is vars(sys)["a_band"]
 
 
 class TestInitialData:

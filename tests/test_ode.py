@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cablemass import ode
+from cablemass.model import PhysicalParams, build_system, fom_jacobian, fom_rhs
 from cablemass.signals import square_wave
 
 
@@ -96,6 +97,26 @@ class TestIntegrate:
         with pytest.raises((ode.NonFiniteState, ode.StepSizeUnderflow)):
             ode.integrate(lambda t, x: x ** 2, np.array([1.0]), 0.0, 2.0,
                           rtol=1e-6, atol=1e-9)
+
+    def test_nonfinite_stage_dense(self):
+        # a NaN inside a step is a rejected step, not a LAPACK ValueError
+        def rhs(t, x):
+            return np.array([np.nan]) if t > 0.3 else -x
+
+        with pytest.raises(ode.NonFiniteState):
+            ode.integrate(rhs, np.array([1.0]), 0.0, 1.0,
+                          jacobian=lambda t, x: [[-1.0]])
+
+    def test_nonfinite_stage_banded(self):
+        sys = build_system(PhysicalParams(gamma=0.1, alphal=0.1), 4)
+
+        def rhs(t, x):
+            out = fom_rhs(sys, x, 1.0)
+            return out * np.nan if t > 0.3 else out
+
+        with pytest.raises(ode.NonFiniteState):
+            ode.integrate(rhs, np.zeros(8), 0.0, 1.0,
+                          jacobian=lambda t, x: fom_jacobian(sys, x))
 
     def test_bad_span(self):
         with pytest.raises(ValueError):

@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cablemass import analysis, balance, rom
+from cablemass import analysis, balance, ode, rom
+from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import DimensionMismatch, PhysicalParams, build_system, \
-    eval_nonlinearity
-from cablemass.signals import input_preset
+    eval_nonlinearity, fom_jacobian, fom_rhs
+from cablemass.signals import eval_input, input_preset, resolve_input
 from conftest import EXAMPLE1
 
 
@@ -141,3 +142,48 @@ class TestSimulate:
         assert series.times.shape == (321,)
         assert series.values.shape == (321, 2)
         assert series.times[0] == 0.0 and series.times[-1] == 10.0
+
+
+def _fom_outputs(sys, u, x0, tf, rtol, atol, dense):
+    """FOM outputs on 1000 samples, through the banded or the dense solve."""
+    def jac(t, x):
+        band = fom_jacobian(sys, x)
+        return band.dense() if dense else band
+
+    traj = ode.integrate(lambda t, x: fom_rhs(sys, x, u(t)), x0, 0.0, tf,
+                         rtol=rtol, atol=atol, jacobian=jac)
+    return ode.sample(traj, np.linspace(0.0, tf, 1000)) @ sys.c.T
+
+
+class TestBandedFomPath:
+    """The banded FOM solve against the dense one on smooth runs.
+
+    Both factor the same W = I - h d J, so the solutions differ only by
+    rounding, and on smooth runs the step controller takes the same
+    steps.  Square-wave inputs (input4) are left out on purpose: at each
+    jump the controller's accept/reject decision sits at the rtol level,
+    so rounding can flip a few of them (553 against 550 rejections on
+    small_damp_ex5_in4 at n = 200) and the outputs then differ by about
+    2e-3.
+    """
+
+    @staticmethod
+    def _rel_l2(band, dense):
+        return np.linalg.norm(band - dense) / np.linalg.norm(dense)
+
+    def test_energy_decay_run(self):
+        preset = PRESETS["exp_stab_Ex1"]
+        sys = build_system(preset.params, 40)
+        x0 = _energy_initial_data(preset.params, 40)
+        runs = [_fom_outputs(sys, lambda t: 0.0, x0, preset.tf, 1e-6, 1e-9,
+                             dense) for dense in (False, True)]
+        assert self._rel_l2(*runs) <= 1e-10
+
+    def test_smooth_input_run(self):
+        preset = PRESETS["small_damp_ex1_in2"]
+        sys = build_system(preset.params, 40)
+        spec = resolve_input(input_preset(preset.input_name), sys)
+        runs = [_fom_outputs(sys, lambda t: eval_input(spec, t),
+                             np.zeros(80), preset.tf, 1e-3, 1e-6, dense)
+                for dense in (False, True)]
+        assert self._rel_l2(*runs) <= 1e-10
