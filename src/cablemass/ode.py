@@ -13,7 +13,11 @@ factored in LAPACK band storage (``dgbtrf``/``dgbtrs``) on its own state
 ordering, at O(m (kl + ku)^2) per step instead of O(m^3): the full-order
 cable-mass model is banded with kl = 5, ku = 4 once its state is
 interleaved as [d1, v1, d2, v2, ...].  Any other Jacobian (the reduced
-model's small dense matrix) is factored densely with ``lu_factor``.
+model's small dense matrix) is factored densely by ``lu_factor`` and
+``lu_solve``, thin wrappers of LAPACK ``dgetrf``/``dgetrs``: at r <= 8 a
+step costs call overhead, not arithmetic, and the argument handling of
+``scipy.linalg.lu_factor``/``lu_solve`` takes several times longer than
+the LAPACK calls themselves.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 _D = 1.0 / (2.0 + math.sqrt(2.0))
 _E32 = 6.0 + math.sqrt(2.0)
@@ -123,8 +126,31 @@ def _initial_step(rhs, t0, y0, f0, tf, rtol, atol, stats):
     return min(100.0 * h0, h1, span)
 
 
+def lu_factor(w: np.ndarray):
+    """LU factors of the square matrix w by LAPACK dgetrf (w may be overwritten).
+
+    Returns (lu, piv) in the form of ``scipy.linalg.lu_factor``, or None
+    when w is exactly singular.
+    """
+    lu, piv, info = dgetrf(w, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dgetrf: argument {-info} is invalid")
+    if info > 0:
+        return None
+    return lu, piv
+
+
+def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
+    """Solve W z = b from the (lu, piv) factors of ``lu_factor``, by dgetrs."""
+    lu, piv = lu_and_piv
+    z, info = dgetrs(lu, piv, b)
+    if info < 0:
+        raise ValueError(f"dgetrs: argument {-info} is invalid")
+    return z
+
+
 def _check_iteration_matrix(w, t):
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NonFiniteState(f"jacobian not finite at t={t}")
 
 
@@ -157,14 +183,13 @@ def _factor(jac, hd: float, t: float):
 
         return solve
 
-    jac = np.asarray(jac, dtype=float)
-    w = np.eye(jac.shape[0]) - hd * jac
+    w = np.asarray(jac, dtype=float) * -hd
+    w.flat[:: w.shape[0] + 1] += 1.0
     _check_iteration_matrix(w, t)
-    try:
-        lu = lu_factor(w, check_finite=False)
-    except np.linalg.LinAlgError:
+    factors = lu_factor(w)
+    if factors is None:
         return None
-    return lambda b: lu_solve(lu, b, check_finite=False)
+    return lambda b: lu_solve(factors, b)
 
 
 def _stages(rhs, t, y, f0, ft, h, solve, stats):
@@ -178,13 +203,13 @@ def _stages(rhs, t, y, f0, ft, h, solve, stats):
     k1 = solve(f0 + hdt)
     f1 = np.asarray(rhs(t + 0.5 * h, y + (0.5 * h) * k1))
     stats.n_rhs += 1
-    if not np.all(np.isfinite(f1)):
+    if not np.isfinite(f1).all():
         return None
     k2 = solve(f1 - k1) + k1
     ynew = y + h * k2
     f2 = np.asarray(rhs(t + h, ynew))
     stats.n_rhs += 1
-    if not np.all(np.isfinite(f2)):
+    if not np.isfinite(f2).all():
         return None
     k3 = solve(f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0) + hdt)
     return ynew, f2, (h / 6.0) * (k1 - 2.0 * k2 + k3)
@@ -211,7 +236,7 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         a matrix densely.  Approximated by forward differences when
         absent.
     first_step : float, optional
-        Override the automatic starting step.
+        Override the automatic starting step; must be finite and > 0.
 
     Raises
     ------
@@ -226,8 +251,12 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         raise ValueError(f"need tf > t0, got [{t0}, {tf}]")
     if rtol <= 0.0 or atol <= 0.0:
         raise ValueError("rtol and atol must be positive")
+    if first_step is not None and not (math.isfinite(first_step)
+                                       and first_step > 0.0):
+        raise ValueError(f"first_step must be finite and positive, "
+                         f"got {first_step}")
     y = np.array(x0, dtype=float).ravel()
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
 
     stats = IntegratorStats()
@@ -235,7 +264,7 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     t = t0
     f0 = np.asarray(rhs(t, y), dtype=float)
     stats.n_rhs += 1
-    if not np.all(np.isfinite(f0)):
+    if not np.isfinite(f0).all():
         raise NonFiniteState(f"rhs not finite at t={t}")
 
     h = first_step if first_step is not None else _initial_step(
@@ -262,7 +291,7 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         tdelta = math.sqrt(_EPS) * max(abs(t), abs(h))
         ft = (np.asarray(rhs(t + tdelta, y)) - f0) / tdelta
         stats.n_rhs += 1
-        if not np.all(np.isfinite(ft)):
+        if not np.isfinite(ft).all():
             raise NonFiniteState(f"rhs not finite near t={t}")
 
         rejected_here = False

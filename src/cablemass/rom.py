@@ -43,17 +43,20 @@ def _check_reduced_state(red: ReducedSystem, a) -> np.ndarray:
     return a
 
 
-def rom_nonlinear(red: ReducedSystem, a) -> np.ndarray:
-    """Projected cubic term, evaluated in O(r)."""
-    a = _check_reduced_state(red, a)
+def _cubic(red: ReducedSystem, a: np.ndarray) -> np.ndarray:
     s = red.nl_in_weights @ a
     return (red.nl_coeff * s**3) * red.nl_out_weights
+
+
+def rom_nonlinear(red: ReducedSystem, a) -> np.ndarray:
+    """Projected cubic term, evaluated in O(r)."""
+    return _cubic(red, _check_reduced_state(red, a))
 
 
 def rom_rhs(red: ReducedSystem, a, u: float) -> np.ndarray:
     """Right-hand side A_r a + B_r u + S_r F(T_r a)."""
     a = _check_reduced_state(red, a)
-    return red.ar @ a + red.br[:, 0] * u + rom_nonlinear(red, a)
+    return red.ar @ a + red.br[:, 0] * u + _cubic(red, a)
 
 
 def rom_jacobian(red: ReducedSystem, a) -> np.ndarray:

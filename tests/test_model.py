@@ -152,6 +152,22 @@ class TestFomRhs:
         expected = sys.a @ x + sys.b[:, 0] * u
         np.testing.assert_allclose(fom_rhs(sys, x, u), expected, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 4, 50, 200])
+    def test_sparse_product_matches_dense(self, n, rng):
+        sys = build_system(PhysicalParams(k3=2.0, gamma=0.1, alphal=0.1), n)
+        x = rng.standard_normal(2 * n)
+        u = rng.standard_normal()
+        expected = sys.a @ x + sys.b[:, 0] * u + eval_nonlinearity(sys, x)
+        out = fom_rhs(sys, x, u)
+        assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_sparse_a_built_lazily(self):
+        sys = build_system(EXAMPLE1, 10)
+        assert "a_csr" not in vars(sys)
+        fom_rhs(sys, np.zeros(20), 0.0)
+        assert sys.a_csr is vars(sys)["a_csr"]
+        np.testing.assert_array_equal(sys.a_csr.toarray(), sys.a)
+
     def test_linearity_property(self, rng):
         sys = build_system(PhysicalParams(k3=0.0, gamma=0.1, alphal=0.1), 8)
         x1, x2 = rng.standard_normal((2, 16))

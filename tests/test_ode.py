@@ -130,6 +130,44 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             ode.integrate(decay, np.array([1.0]), 0.0, 1.0, rtol=0.0)
 
+    @pytest.mark.parametrize("first_step", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_first_step(self, first_step):
+        with pytest.raises(ValueError, match="first_step"):
+            ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
+                          first_step=first_step)
+
+
+class TestDenseFactor:
+    # the identity must land on the diagonal whatever the memory layout
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("r", [1, 2, 8])
+    def test_solve_matches_numpy(self, r, order, rng):
+        jac = np.asarray(rng.standard_normal((r, r)) - 2.0 * np.eye(r),
+                         order=order)
+        b = rng.standard_normal(r)
+        hd = 0.1
+        solve = ode._factor(jac, hd, 0.0)
+        ref = np.linalg.solve(np.eye(r) - hd * jac, b)
+        assert np.linalg.norm(solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_exactly_singular(self):
+        hd = 0.25
+        jac = np.eye(2) / hd  # W = I - hd*J = 0
+        assert ode.lu_factor(np.eye(2) - hd * jac) is None
+        assert ode._factor(jac, hd, 0.0) is None
+
+    def test_solve_takes_scipy_tuple_form(self, rng):
+        w = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+        b = rng.standard_normal(4)
+        lu, piv = ode.lu_factor(w.copy())
+        assert lu.shape == (4, 4)  # what a tracer reads as args[0][0].shape
+        np.testing.assert_allclose(ode.lu_solve((lu, piv), b),
+                                   np.linalg.solve(w, b), rtol=1e-12)
+
+    def test_nonfinite_iteration_matrix(self):
+        with pytest.raises(ode.NonFiniteState):
+            ode._factor(np.array([[np.inf]]), 0.1, 0.0)
+
 
 class TestSample:
     def test_stored_node_exact(self):
