@@ -5,8 +5,13 @@ delegated to LAPACK through scipy/numpy.  The continuous Lyapunov
 equation is solved by the Bartels-Stewart method (R. H. Bartels and
 G. W. Stewart, "Solution of the matrix equation AX + XB = C", Comm. ACM
 15(9), 1972): reduce the coefficient matrix to real Schur form, then
-solve the quasi-triangular Sylvester equation with LAPACK ``xTRSYL``.
-Both Gramians of a system share one Schur factor.
+solve the quasi-triangular Lyapunov equation.  That solve is recursive
+and blocked (I. Jonsson and B. Kagstrom, "Recursive blocked algorithms
+for solving triangular systems - Part I: one-sided and coupled Sylvester-
+type matrix equations", ACM TOMS 28(4), 2002): it halves the triangular
+factor until the blocks are small enough for LAPACK ``xTRSYL``, so most
+of the work runs as matrix products.  Both Gramians of a system share
+one Schur factor.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ class NonConvergence(RuntimeError):
 
 class NotPsd(ValueError):
     """A symmetric matrix has a negative eigenvalue beyond tolerance."""
+
+
+class NotSymmetric(NotPsd):
+    """A matrix that must be symmetric is not, to 1e-10 relative."""
 
 
 class UnstableSystem(ValueError):
@@ -44,6 +53,8 @@ PSD_RANK_DROP = 1e-12
 PSD_NEG_TOL = 1e-8
 # Largest backward error of a Lyapunov solution (see solve_lyapunov).
 LYAP_BACKWARD_TOL = 1e-12
+# Largest order that the recursive Lyapunov solver hands to dtrsyl whole.
+_TRSYL_LEAF = 64
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -172,13 +183,12 @@ def psd_factor(p) -> np.ndarray:
     Raises
     ------
     NotPsd
-        If P is not symmetric to 1e-10 (relative) or has a negative
-        eigenvalue beyond ``PSD_NEG_TOL`` times the largest magnitude.
+        If P is not symmetric to 1e-10 (relative; raised as the subclass
+        NotSymmetric) or has a negative eigenvalue beyond
+        ``PSD_NEG_TOL`` times the largest magnitude.
     """
     p = _as_square(p, "P")
-    pnorm = np.linalg.norm(p)
-    if pnorm > 0 and np.linalg.norm(p - p.T) > 1e-10 * pnorm:
-        raise NotPsd("matrix is not symmetric")
+    _check_symmetric(p, "P")
     w, v = np.linalg.eigh(0.5 * (p + p.T))
     scale = np.max(np.abs(w)) if w.size else 0.0
     if scale == 0.0:
@@ -189,11 +199,74 @@ def psd_factor(p) -> np.ndarray:
     return v[:, keep] * np.sqrt(w[keep])
 
 
+def _check_symmetric(m: np.ndarray, name: str) -> None:
+    """Raise NotSymmetric unless ||M - M^T|| <= 1e-10 ||M|| (Frobenius)."""
+    mnorm = np.linalg.norm(m)
+    if mnorm > 0 and np.linalg.norm(m - m.T) > 1e-10 * mnorm:
+        raise NotSymmetric(f"{name} is not symmetric")
+
+
+def _trsyl(a: np.ndarray, b: np.ndarray, c: np.ndarray, trana: str,
+           tranb: str) -> np.ndarray:
+    """LAPACK dtrsyl: X with op(A) X + X op(B) = C, its scale divided out."""
+    x, scale, info = dtrsyl(a, b, c, trana, tranb)
+    if info < 0:
+        raise ValueError(f"dtrsyl: argument {-info} is invalid")
+    if info == 1:
+        raise SingularBlock(
+            "near-singular eigenvalue sum T_ii + T_jj in dtrsyl")
+    if scale != 1.0:
+        x /= scale
+    return x
+
+
+def _trlyap(t: np.ndarray, c: np.ndarray, trans: bool) -> None:
+    """Overwrite symmetric C with Y solving op(T) Y + Y op(T)^T = C.
+
+    T is quasi-triangular and op(T) is T, or T^T when trans.  Recursive
+    blocked Bartels-Stewart (Jonsson and Kagstrom 2002): split T between
+    two diagonal blocks, solve the two half-size Lyapunov equations
+    recursively and the Sylvester equation for Y12 with one dtrsyl, and
+    apply the coupling terms as matrix products.  Orders up to
+    ``_TRSYL_LEAF`` go to dtrsyl whole.
+    """
+    n = t.shape[0]
+    if n <= _TRSYL_LEAF:
+        c[...] = _trsyl(t, t, c, *(("T", "N") if trans else ("N", "T")))
+        return
+    k = n // 2
+    if t[k, k - 1] != 0.0:  # never split a 2x2 block
+        k += 1
+    t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
+    c11, c12, c22 = c[:k, :k], c[:k, k:], c[k:, k:]
+    if trans:
+        # T11^T Y11 + Y11 T11 = C11 first, then Y12, then Y22.
+        _trlyap(t11, c11, True)
+        c12 -= c11 @ t12
+        c12[...] = _trsyl(t11, t22, c12, "T", "N")
+        x = t12.T @ c12
+        c22 -= x
+        c22 -= x.T
+        _trlyap(t22, c22, True)
+    else:
+        # T22 Y22 + Y22 T22^T = C22 first, then Y12, then Y11.
+        _trlyap(t22, c22, False)
+        c12 -= t12 @ c22
+        c12[...] = _trsyl(t11, t22, c12, "N", "T")
+        x = t12 @ c12.T
+        c11 -= x
+        c11 -= x.T
+        _trlyap(t11, c11, False)
+    c[k:, :k] = c12.T
+
+
 def _lyapunov_on_schur(a: np.ndarray, form: SchurForm, w: np.ndarray,
                        trans: bool = False) -> np.ndarray:
     """Solve op(A) P + P op(A)^T + W = 0 given A = Q T Q^T.
 
     op(A) is A, or A^T when trans, so both Gramians share one factor.
+    W must be symmetric: the recursive solve fills the lower off-diagonal
+    blocks of the solution by symmetry.
     """
     eigs = _block_eigenvalues(form.t)
     if eigs.size and eigs.real.max() >= 0.0:
@@ -201,19 +274,14 @@ def _lyapunov_on_schur(a: np.ndarray, form: SchurForm, w: np.ndarray,
             f"eigenvalue with real part {eigs.real.max():.3e} >= 0")
     q = form.q
     t = np.asfortranarray(form.t)
-    trana, tranb = ("T", "N") if trans else ("N", "T")
     op_a = a.T if trans else a
     wnorm = np.linalg.norm(w)
     p = np.zeros_like(w)
     resid = w
     for _ in range(3):
-        y, scale, info = dtrsyl(t, t, q.T @ resid @ q, trana, tranb)
-        if info < 0:
-            raise ValueError(f"dtrsyl: argument {-info} is invalid")
-        if info == 1:
-            raise SingularBlock(
-                "near-singular eigenvalue sum T_ii + T_jj in dtrsyl")
-        p -= q @ (y / scale) @ q.T
+        y = q.T @ resid @ q
+        _trlyap(t, y, trans)
+        p -= q @ y @ q.T
         p += p.T
         p *= 0.5
         # P is symmetric, so op(A) P + P op(A)^T = X + X^T with X = op(A) P.
@@ -233,12 +301,19 @@ def _lyapunov_on_schur(a: np.ndarray, form: SchurForm, w: np.ndarray,
 def solve_lyapunov(a, w) -> np.ndarray:
     """Solve A P + P A^T + W = 0 for stable A and symmetric PSD W.
 
-    Bartels-Stewart with LAPACK ``dtrsyl``.  Residual-correction passes
-    reuse the Schur factor while the residual exceeds 1e-11 relative to
-    ||W|| (three solves at most).
+    Bartels-Stewart on the real Schur factor of A.  The quasi-triangular
+    equation is solved by the recursive blocked method of Jonsson and
+    Kagstrom (ACM TOMS 28(4), 2002): the factor is split between two
+    diagonal blocks, the halves are solved recursively, the coupling
+    block by one LAPACK ``dtrsyl`` call, and the remaining terms by
+    matrix products; blocks of order up to 64 go to ``dtrsyl`` whole.
+    Residual-correction passes reuse the Schur factor while the residual
+    exceeds 1e-11 relative to ||W|| (three solves at most).
 
     Raises
     ------
+    NotSymmetric
+        If W is not symmetric to 1e-10 (relative, Frobenius norms).
     UnstableSystem
         If any eigenvalue of A has nonnegative real part (the Gramian
         does not exist).
@@ -252,4 +327,5 @@ def solve_lyapunov(a, w) -> np.ndarray:
     w = _as_square(w, "W")
     if a.shape != w.shape:
         raise ValueError(f"shape mismatch: A {a.shape} vs W {w.shape}")
+    _check_symmetric(w, "W")
     return _lyapunov_on_schur(a, real_schur(a), w)

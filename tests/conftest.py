@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cablemass import linalg
 from cablemass.model import PhysicalParams
 
 # Damping scenarios used throughout (fixed parameters l=1, m0=1,
@@ -21,3 +22,16 @@ def random_stable(rng, n, margin=0.5):
     a = rng.standard_normal((n, n))
     shift = np.linalg.eigvals(a).real.max() + margin
     return a - shift * np.eye(n)
+
+
+def record_dtrsyl(monkeypatch):
+    """Patch linalg.dtrsyl to log the orders (m, n) of its A and B."""
+    calls = []
+    real = linalg.dtrsyl
+
+    def recording(a, b, *args):
+        calls.append((a.shape[0], b.shape[0]))
+        return real(a, b, *args)
+
+    monkeypatch.setattr(linalg, "dtrsyl", recording)
+    return calls

@@ -10,7 +10,7 @@ from cablemass.balance import (PlateauSplit, RankDeficient, SingularShift,
                                transfer_function)
 from cablemass.cli import get_preset
 from cablemass.model import DimensionMismatch, build_system
-from conftest import EXAMPLE1
+from conftest import EXAMPLE1, record_dtrsyl
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +74,19 @@ class TestGramians:
         # about 9 for P, so only the backward error is a meaningful contract
         sys = build_system(get_preset("small_stiff_ex5_in4").params, 100)
         p, q = gramians(sys)
+        for a, gram, w in ((sys.a, p, sys.b @ sys.b.T),
+                           (sys.a.T, q, sys.c.T @ sys.c)):
+            resid = np.linalg.norm(a @ gram + gram @ a.T + w)
+            scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(gram) \
+                + np.linalg.norm(w)
+            assert resid <= 1e-12 * scale
+
+    def test_recursive_solver_taken(self, monkeypatch):
+        # at 400 states no dtrsyl call may see the whole Schur factor
+        sys = build_system(get_preset("small_damp_ex5_in4").params, 200)
+        calls = record_dtrsyl(monkeypatch)
+        p, q = gramians(sys)
+        assert calls and max(max(c) for c in calls) < 400
         for a, gram, w in ((sys.a, p, sys.b @ sys.b.T),
                            (sys.a.T, q, sys.c.T @ sys.c)):
             resid = np.linalg.norm(a @ gram + gram @ a.T + w)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from cablemass import linalg
-from conftest import random_stable
+from conftest import random_stable, record_dtrsyl
 
 
 def lightly_damped_oscillators(rng):
@@ -206,3 +206,51 @@ class TestSolveLyapunov:
         monkeypatch.setattr(linalg, "LYAP_BACKWARD_TOL", 0.0)
         with pytest.raises(linalg.LyapunovResidual):
             linalg.solve_lyapunov(a, np.eye(5))
+
+    def test_rejects_asymmetric_rhs(self, rng):
+        a = random_stable(rng, 5)
+        with pytest.raises(linalg.NotSymmetric):
+            linalg.solve_lyapunov(a, rng.standard_normal((5, 5)))
+
+
+class TestRecursiveLyapunov:
+    """Orders above the dtrsyl leaf take the recursive blocked path."""
+
+    @pytest.mark.parametrize("n", [70, 129, 200])
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_matches_scipy(self, rng, n, trans):
+        # a shifted Gaussian matrix: most eigenvalues are complex pairs
+        a = random_stable(rng, n)
+        g = rng.standard_normal((n, 2))
+        w = g @ g.T
+        op_a = a.T if trans else a
+        ref = scipy.linalg.solve_continuous_lyapunov(op_a, -w)
+        p = linalg._lyapunov_on_schur(a, linalg.real_schur(a), w, trans)
+        assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_split_outside_2x2_block(self, rng, monkeypatch, trans):
+        # 2x2 blocks on rows (0, 1), (2, 3), ...: the midpoint 65 of
+        # order 130 falls inside the block on rows (64, 65)
+        n = 130
+        t = np.triu(rng.standard_normal((n, n)), 2) / np.sqrt(n)
+        for i in range(0, n, 2):
+            d = -1.0 - i / n
+            t[i:i + 2, i:i + 2] = [[d, 2.0], [-0.5, d]]
+        g = rng.standard_normal((n, n))
+        c = g @ g.T
+        calls = record_dtrsyl(monkeypatch)
+        y = c.copy()
+        linalg._trlyap(np.asfortranarray(t), y, trans)
+        # the top-level coupling solve sees T11 of order 66, T22 of 64
+        assert [call for call in calls if sum(call) == n] == [(66, 64)]
+        op_t = t.T if trans else t
+        resid = op_t @ y + y @ op_t.T - c
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(c)
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_near_singular_eigenvalue_sum(self, where):
+        eigs = -np.linspace(1.0, 2.0, 100)
+        eigs[where] = -1e-20
+        with pytest.raises(linalg.SingularBlock):
+            linalg.solve_lyapunov(np.diag(eigs), np.eye(100))
