@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, ode
+from . import linalg
 from .model import (DimensionMismatch, PhysicalParams, QuadraticForms,
                     StateSpaceSystem, fom_jacobian, fom_rhs)
-from .rom import OutputSeries
+from .rom import OutputSeries, _integrate_sampled
+from .signals import InputSpec
 
 
 class GridMismatch(ValueError):
@@ -87,15 +88,15 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     [fit_skip*tf, tf] (the initial transient is skipped).
     """
 
-    def rhs(t, x):
-        return fom_rhs(sys, x, 0.0)
+    def f(x, u):
+        return fom_rhs(sys, x, u)
 
     def jac(t, x):
         return fom_jacobian(sys, x)
 
-    traj = ode.integrate(rhs, x0, 0.0, tf, rtol=rtol, atol=atol, jacobian=jac)
-    times = np.linspace(0.0, tf, sample_count)
-    states = ode.sample(traj, times)
+    times, states, _ = _integrate_sampled(
+        f, jac, sys.b[:, 0], InputSpec(kind="zero"), x0, 0.0, tf,
+        sample_count, rtol, atol)
 
     ek = np.empty(sample_count)
     ep = np.empty(sample_count)

@@ -278,7 +278,7 @@ def _lyapunov_on_schur(a: np.ndarray, form: SchurForm, w: np.ndarray,
     wnorm = np.linalg.norm(w)
     p = np.zeros_like(w)
     resid = w
-    for _ in range(3):
+    for _ in range(2):
         y = q.T @ resid @ q
         _trlyap(t, y, trans)
         p -= q @ y @ q.T
@@ -307,8 +307,9 @@ def solve_lyapunov(a, w) -> np.ndarray:
     diagonal blocks, the halves are solved recursively, the coupling
     block by one LAPACK ``dtrsyl`` call, and the remaining terms by
     matrix products; blocks of order up to 64 go to ``dtrsyl`` whole.
-    Residual-correction passes reuse the Schur factor while the residual
-    exceeds 1e-11 relative to ||W|| (three solves at most).
+    One residual-correction pass reuses the Schur factor when the
+    residual exceeds 1e-11 relative to ||W|| (two solves at most: a
+    third never lowered the residual).
 
     Raises
     ------

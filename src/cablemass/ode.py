@@ -4,9 +4,11 @@ This is the modified Rosenbrock method of Shampine and Reichelt (the
 method class behind MATLAB's ode23s): an L-stable second-order step
 with an embedded third-order error estimate.  Each step factors
 W = I - h d J once and performs three triangular solves, so the cost
-per step is one Jacobian, one LU, and three or four right-hand-side
-evaluations.  Accepted nodes store the state derivative, which gives a
-free cubic Hermite interpolant for dense output.
+per step is one Jacobian, one LU, and two right-hand-side evaluations,
+plus one more when the time derivative df/dt is not supplied and is
+approximated by a forward difference.  Accepted nodes store the state
+derivative, which gives a free cubic Hermite interpolant for dense
+output.
 
 The Jacobian's type picks the factorisation.  A ``BandedJacobian`` is
 factored in LAPACK band storage (``dgbtrf``/``dgbtrs``) on its own state
@@ -23,7 +25,7 @@ the LAPACK calls themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
@@ -57,6 +59,10 @@ class IntegratorStats:
     n_rhs: int = 0
     n_jac: int = 0
     n_lu: int = 0
+
+    def __add__(self, other: IntegratorStats) -> IntegratorStats:
+        return IntegratorStats(*(a + b for a, b in zip(astuple(self),
+                                                       astuple(other))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +223,7 @@ def _stages(rhs, t, y, f0, ft, h, solve, stats):
 
 def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
               atol: float = 1e-6, jacobian=None, first_step: float | None = None,
-              max_steps: int = 1_000_000) -> Trajectory:
+              max_steps: int = 1_000_000, dfdt=None) -> Trajectory:
     """Integrate x' = rhs(t, x) from t0 to tf with embedded error control.
 
     Parameters
@@ -237,6 +243,12 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         absent.
     first_step : float, optional
         Override the automatic starting step; must be finite and > 0.
+    dfdt : callable(t, x) -> array, optional
+        Partial time derivative of rhs, which the Rosenbrock formulas
+        need for a non-autonomous system.  Approximated by a forward
+        difference, at one extra rhs call per step, when absent.  rhs
+        must be smooth on [t0, tf]: integrate a discontinuous forcing
+        piece by piece between its jumps.
 
     Raises
     ------
@@ -286,13 +298,14 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
             jac = _fd_jacobian(rhs, t, y, f0, thresh, stats)
         stats.n_jac += 1
 
-        # numerical df/dt, needed by the Rosenbrock formulas for
-        # non-autonomous systems
-        tdelta = math.sqrt(_EPS) * max(abs(t), abs(h))
-        ft = (np.asarray(rhs(t + tdelta, y)) - f0) / tdelta
-        stats.n_rhs += 1
+        if dfdt is not None:
+            ft = np.asarray(dfdt(t, y), dtype=float)
+        else:
+            tdelta = math.sqrt(_EPS) * max(abs(t), abs(h))
+            ft = (np.asarray(rhs(t + tdelta, y)) - f0) / tdelta
+            stats.n_rhs += 1
         if not np.isfinite(ft).all():
-            raise NonFiniteState(f"rhs not finite near t={t}")
+            raise NonFiniteState(f"df/dt not finite near t={t}")
 
         rejected_here = False
         nonfinite_seen = False

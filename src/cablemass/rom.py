@@ -8,6 +8,13 @@ displacement row of T_r and the cubic-force column of S_r:
 so a ROM step costs O(r) regardless of the full order.  FOM and ROM
 trajectories are integrated from zero initial data with the analytic
 Jacobian and sampled onto a uniform comparison grid.
+
+Both models are autonomous apart from the input term B u(t), so the
+integrator gets the exact df/dt = B u'(t).  The span is cut at the
+input's breakpoints (the square wave's jumps) and each piece is
+integrated from the end state of the one before, with the square wave
+held at its constant value on that piece; no right-hand side is ever
+evaluated on a jump.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import numpy as np
 from . import ode
 from .balance import ReducedSystem
 from .model import DimensionMismatch, StateSpaceSystem, fom_jacobian, fom_rhs
-from .signals import InputSpec, eval_input
+from .signals import (PIECEWISE_CONSTANT, InputSpec, breakpoints, eval_input,
+                      eval_input_derivative)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,23 +75,68 @@ def rom_jacobian(red: ReducedSystem, a) -> np.ndarray:
         red.nl_out_weights, red.nl_in_weights)
 
 
+def _integrate_sampled(f, jac, b: np.ndarray, spec: InputSpec, x0,
+                       t0: float, tf: float, sample_count: int, rtol: float,
+                       atol: float):
+    """Integrate x' = f(x, u(t)) from x(t0) = x0; sample x uniformly.
+
+    jac(t, x) is the state Jacobian and b the input column, so df/dt =
+    b u'(t).  Each piece between the input's breakpoints is one
+    ``ode.integrate`` call, sampled at the grid points it covers and
+    then dropped; a grid point on a breakpoint gets the stored state.
+    Returns the grid of sample_count points on [t0, tf], the sampled
+    states and the integrator counters summed over the pieces.
+    """
+    grid = np.linspace(t0, tf, sample_count)
+    cuts = breakpoints(spec, t0, tf)
+    # plain floats: the integrator's time arithmetic is scalar Python
+    edges = [float(t0), *cuts.tolist(), float(tf)]
+    first = [0, *np.searchsorted(grid, cuts, side="right").tolist(),
+             grid.size]
+    x = np.asarray(x0, dtype=float)
+    parts = []
+    stats = ode.IntegratorStats()
+    zero = np.zeros(x.size)
+    for k in range(len(edges) - 1):
+        a, c = edges[k], edges[k + 1]
+        if spec.kind in PIECEWISE_CONSTANT:
+            u = eval_input(spec, 0.5 * (a + c))
+
+            def rhs(t, x):
+                return f(x, u)
+
+            def dfdt(t, x):
+                return zero
+        else:
+            def rhs(t, x):
+                return f(x, eval_input(spec, t))
+
+            def dfdt(t, x):
+                return b * eval_input_derivative(spec, t)
+
+        traj = ode.integrate(rhs, x, a, c, rtol=rtol, atol=atol,
+                             jacobian=jac, dfdt=dfdt)
+        parts.append(ode.sample(traj, grid[first[k]:first[k + 1]]))
+        stats = stats + traj.stats
+        x = traj.states[-1]
+    return grid, np.concatenate(parts), stats
+
+
 def simulate_rom(red: ReducedSystem, spec: InputSpec, t0: float = 0.0,
                  tf: float = 100.0, rtol: float = 1e-3, atol: float = 1e-6,
                  sample_count: int = 1000) -> OutputSeries:
     """Integrate the nonlinear ROM from a(0) = 0; return y_r = C_r a."""
 
-    def rhs(t, a):
-        return rom_rhs(red, a, eval_input(spec, t))
+    def f(a, u):
+        return rom_rhs(red, a, u)
 
     def jac(t, a):
         return rom_jacobian(red, a)
 
-    traj = ode.integrate(rhs, np.zeros(red.r), t0, tf, rtol=rtol, atol=atol,
-                         jacobian=jac)
-    grid = np.linspace(t0, tf, sample_count)
-    states = ode.sample(traj, grid)
-    return OutputSeries(times=grid, values=states @ red.cr.T,
-                        stats=traj.stats)
+    grid, states, stats = _integrate_sampled(
+        f, jac, red.br[:, 0], spec, np.zeros(red.r), t0, tf, sample_count,
+        rtol, atol)
+    return OutputSeries(times=grid, values=states @ red.cr.T, stats=stats)
 
 
 def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
@@ -91,15 +144,13 @@ def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
                  sample_count: int = 1000) -> OutputSeries:
     """Integrate the full-order model from x(0) = 0; return y = C x."""
 
-    def rhs(t, x):
-        return fom_rhs(sys, x, eval_input(spec, t))
+    def f(x, u):
+        return fom_rhs(sys, x, u)
 
     def jac(t, x):
         return fom_jacobian(sys, x)
 
-    traj = ode.integrate(rhs, np.zeros(2 * sys.n), t0, tf, rtol=rtol,
-                         atol=atol, jacobian=jac)
-    grid = np.linspace(t0, tf, sample_count)
-    states = ode.sample(traj, grid)
-    return OutputSeries(times=grid, values=states @ sys.c.T,
-                        stats=traj.stats)
+    grid, states, stats = _integrate_sampled(
+        f, jac, sys.b[:, 0], spec, np.zeros(2 * sys.n), t0, tf,
+        sample_count, rtol, atol)
+    return OutputSeries(times=grid, values=states @ sys.c.T, stats=stats)

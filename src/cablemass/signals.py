@@ -11,6 +11,11 @@ Four oscillating input families drive the left mass:
 plus the zero input for unforced energy studies.  The square wave is
 +1 where sin > 0, -1 where sin < 0 and 0 at the crossings, so input4
 takes values in {+0.1, 0, -0.1} exactly.
+
+``eval_input_derivative`` gives u'(t) in closed form, which the
+integrator needs for df/dt = B u'(t).  The square wave jumps at its
+``breakpoints`` t = 5k and is constant in between, so its u' is 0; a
+simulation integrates it segment by segment, never across a jump.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ import numpy as np
 from . import linalg
 
 KINDS = ("sine1", "eig_cos2", "sin_cos3", "square4", "zero")
+
+#: Kinds whose input is constant between its breakpoints.
+PIECEWISE_CONSTANT = ("square4", "zero")
+
+# Half period of the square wave: input4 jumps at t = 5k.
+_SQUARE_HALF_PERIOD = 5.0
 
 #: Mapping of config-facing preset names to input kinds.
 INPUT_PRESETS = {
@@ -82,24 +93,65 @@ def square_wave(s):
     return np.sign(np.sin(s))
 
 
+def _check_resolved(spec: InputSpec) -> None:
+    if spec.a is None or spec.b is None:
+        raise ValueError("eig_cos2 frequencies are unresolved; call "
+                         "input2_frequencies against a system first")
+
+
+def _zeros_like(t):
+    if np.isscalar(t):
+        return 0.0
+    return np.zeros_like(np.asarray(t, dtype=float))
+
+
 def eval_input(spec: InputSpec, t):
     """Evaluate the input at time t (scalar or array)."""
     if spec.kind == "sine1":
         value = 0.1 * np.sin(0.2 * np.pi * t)
     elif spec.kind == "eig_cos2":
-        if spec.a is None or spec.b is None:
-            raise ValueError("eig_cos2 frequencies are unresolved; call "
-                             "input2_frequencies against a system first")
+        _check_resolved(spec)
         value = 0.02 * np.cos(spec.a * t) + 0.03 * np.cos(spec.b * t)
     elif spec.kind == "sin_cos3":
         value = spec.c1 * np.sin(spec.m * t) + spec.c2 * np.cos(spec.nfreq * t)
     elif spec.kind == "square4":
         value = 0.1 * square_wave(0.2 * np.pi * t)
     else:  # zero
-        value = np.zeros_like(np.asarray(t, dtype=float))
-        if np.isscalar(t):
-            value = 0.0
+        value = _zeros_like(t)
     return spec.scale * value
+
+
+def eval_input_derivative(spec: InputSpec, t):
+    """u'(t) in closed form, scaled like ``eval_input`` (scalar or array).
+
+    The square wave's derivative is 0 between its breakpoints; at a
+    breakpoint it does not exist and 0 is returned as well.
+    """
+    if spec.kind == "sine1":
+        value = 0.1 * 0.2 * np.pi * np.cos(0.2 * np.pi * t)
+    elif spec.kind == "eig_cos2":
+        _check_resolved(spec)
+        value = (-0.02 * spec.a * np.sin(spec.a * t)
+                 - 0.03 * spec.b * np.sin(spec.b * t))
+    elif spec.kind == "sin_cos3":
+        value = (spec.c1 * spec.m * np.cos(spec.m * t)
+                 - spec.c2 * spec.nfreq * np.sin(spec.nfreq * t))
+    else:  # square4 between its jumps, zero
+        value = _zeros_like(t)
+    return spec.scale * value
+
+
+def breakpoints(spec: InputSpec, t0: float, tf: float) -> np.ndarray:
+    """Times strictly inside (t0, tf) where the input jumps.
+
+    Only the square wave has any: t = 5k.  The endpoints are never
+    listed, even when they sit on a jump.
+    """
+    if spec.kind != "square4":
+        return np.empty(0)
+    k = np.arange(np.floor(t0 / _SQUARE_HALF_PERIOD) + 1.0,
+                  np.ceil(tf / _SQUARE_HALF_PERIOD))
+    return _SQUARE_HALF_PERIOD * k
 
 
 def _system_matrix(sys_or_matrix) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cablemass import linalg
+from cablemass import linalg, ode
 from cablemass.model import PhysicalParams
 
 # Damping scenarios used throughout (fixed parameters l=1, m0=1,
@@ -34,4 +34,18 @@ def record_dtrsyl(monkeypatch):
         return real(a, b, *args)
 
     monkeypatch.setattr(linalg, "dtrsyl", recording)
+    return calls
+
+
+def record_integrate(monkeypatch):
+    """Patch ode.integrate to log (t0, tf, trajectory) of every call."""
+    calls = []
+    real = ode.integrate
+
+    def recording(rhs, x0, t0, tf, **kwargs):
+        traj = real(rhs, x0, t0, tf, **kwargs)
+        calls.append((t0, tf, traj))
+        return traj
+
+    monkeypatch.setattr(ode, "integrate", recording)
     return calls

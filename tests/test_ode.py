@@ -137,6 +137,61 @@ class TestIntegrate:
                           first_step=first_step)
 
 
+class TestTimeDerivative:
+    """integrate(dfdt=...) against the forward-difference df/dt."""
+
+    A = np.array([[-0.05, 1.0], [-4.0, -0.05]])
+    B = np.array([0.0, 1.0])
+    W = 3.0
+
+    def _forced(self, dfdt):
+        # lightly damped oscillator driven by sin(3t)
+        def rhs(t, x):
+            return self.A @ x + self.B * math.sin(self.W * t)
+
+        def exact(t, x):
+            return self.B * (self.W * math.cos(self.W * t))
+
+        return ode.integrate(rhs, np.array([1.0, 0.0]), 0.0, 20.0,
+                             rtol=1e-6, atol=1e-9,
+                             jacobian=lambda t, x: self.A,
+                             dfdt=exact if dfdt else None)
+
+    def test_two_rhs_calls_per_attempt(self):
+        stats = self._forced(dfdt=True).stats
+        assert stats.n_rejected > 0
+        # f0 and the start-step probe, then two stages per attempt
+        assert stats.n_rhs == 2 + 2 * (stats.n_steps + stats.n_rejected)
+
+    def test_agrees_with_forward_difference(self):
+        exact, fd = self._forced(dfdt=True), self._forced(dfdt=False)
+        q = np.linspace(0.0, 20.0, 401)
+        np.testing.assert_allclose(ode.sample(exact, q), ode.sample(fd, q),
+                                   rtol=0.0, atol=1e-8)
+        assert fd.stats.n_rhs - exact.stats.n_rhs == fd.stats.n_jac
+
+    def test_autonomous_bitwise(self):
+        # the forward difference of an autonomous rhs is exactly 0
+        def rhs(t, x):
+            return np.array([x[1], -x[0] - 0.5 * x[1] - x[0] ** 3])
+
+        def jac(t, x):
+            return np.array([[0.0, 1.0], [-1.0 - 3.0 * x[0] ** 2, -0.5]])
+
+        runs = [ode.integrate(rhs, np.array([1.0, 0.0]), 0.0, 10.0,
+                              rtol=1e-5, atol=1e-9, jacobian=jac, dfdt=dfdt)
+                for dfdt in (None, lambda t, x: np.zeros(2))]
+        for name in ("times", "states", "derivs"):
+            np.testing.assert_array_equal(getattr(runs[0], name),
+                                          getattr(runs[1], name))
+        assert runs[0].stats.n_rhs - runs[1].stats.n_rhs == runs[1].stats.n_jac
+
+    def test_nonfinite_dfdt(self):
+        with pytest.raises(ode.NonFiniteState):
+            ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
+                          dfdt=lambda t, x: np.array([math.nan]))
+
+
 class TestDenseFactor:
     # the identity must land on the diagonal whatever the memory layout
     @pytest.mark.parametrize("order", ["C", "F"])

@@ -8,7 +8,7 @@ from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import DimensionMismatch, PhysicalParams, build_system, \
     eval_nonlinearity, fom_jacobian, fom_rhs
 from cablemass.signals import eval_input, input_preset, resolve_input
-from conftest import EXAMPLE1
+from conftest import EXAMPLE1, record_integrate
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +142,58 @@ class TestSimulate:
         assert series.times.shape == (321,)
         assert series.values.shape == (321, 2)
         assert series.times[0] == 0.0 and series.times[-1] == 10.0
+
+
+class TestPiecewise:
+    """Simulations integrate between the input's breakpoints."""
+
+    def test_square_wave_segments(self, reduced_n20, monkeypatch):
+        _, _, red = reduced_n20
+        calls = record_integrate(monkeypatch)
+        rom.simulate_rom(red, input_preset("input4"), 0.0, 100.0)
+        assert [(t0, tf) for t0, tf, _ in calls] == \
+            [(5.0 * k, 5.0 * k + 5.0) for k in range(20)]
+        # each piece starts from the end state of the one before
+        for (_, _, before), (_, _, after) in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(before.states[-1], after.states[0])
+        # and holds the input at the square wave's value on that piece
+        for k, (_, _, traj) in enumerate(calls):
+            push = traj.derivs[0] - rom.rom_rhs(red, traj.states[0], 0.0)
+            np.testing.assert_allclose(push, red.br[:, 0] * 0.1 * (-1) ** k,
+                                       rtol=1e-9, atol=1e-12)
+
+    def test_smooth_input_one_call(self, reduced_n20, monkeypatch):
+        sys, _, red = reduced_n20
+        calls = record_integrate(monkeypatch)
+        rom.simulate_rom(red, resolve_input(input_preset("input2"), sys),
+                         0.0, 100.0)
+        assert [(t0, tf) for t0, tf, _ in calls] == [(0.0, 100.0)]
+
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_stats_summed(self, reduced_n20, monkeypatch, model):
+        sys, _, red = reduced_n20
+        calls = record_integrate(monkeypatch)
+        if model == "rom":
+            series = rom.simulate_rom(red, input_preset("input4"), 0.0, 30.0)
+        else:
+            series = rom.simulate_fom(sys, input_preset("input4"), 0.0, 30.0)
+        assert len(calls) == 6
+        total = ode.IntegratorStats()
+        for _, _, traj in calls:
+            total = total + traj.stats
+        assert series.stats == total
+
+    def test_breakpoint_samples_are_stored_states(self, reduced_n20,
+                                                  monkeypatch):
+        _, _, red = reduced_n20
+        calls = record_integrate(monkeypatch)
+        # the grid 0, 5, ..., 100 puts a sample on every breakpoint
+        series = rom.simulate_rom(red, input_preset("input4"), 0.0, 100.0,
+                                  sample_count=21)
+        assert not np.isnan(series.values).any()
+        stored = np.array([traj.states[0] for _, _, traj in calls]
+                          + [calls[-1][2].states[-1]])
+        np.testing.assert_array_equal(series.values, stored @ red.cr.T)
 
 
 def _fom_outputs(sys, u, x0, tf, rtol, atol, dense):

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cablemass import signals
 from cablemass.model import build_system
-from cablemass.signals import (InputSpec, dominant_modes, eval_input,
+from cablemass.signals import (InputSpec, breakpoints, dominant_modes,
+                               eval_input, eval_input_derivative,
                                input2_frequencies, input_preset, resolve_input,
                                square_wave)
 from conftest import EXAMPLE1
@@ -70,6 +73,74 @@ class TestEvalInput:
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
             InputSpec(kind="sin_cos3", m=-1.0)
+
+
+# one spec per kind, each with a non-unit scale
+SPECS = (
+    InputSpec(kind="sine1", scale=0.7),
+    InputSpec(kind="eig_cos2", a=0.3, b=1.7, scale=1.3),
+    InputSpec(kind="sin_cos3", c1=0.2, c2=-0.3, m=1.7, nfreq=0.4, scale=2.0),
+    InputSpec(kind="square4", scale=0.5),
+    InputSpec(kind="zero", scale=3.0),
+)
+
+
+class TestInputDerivative:
+    # smooth points: none on a square-wave jump (t = 5k)
+    T = np.array([0.3, 1.7, 3.2, 7.1, 13.9, 42.2, 88.8])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_matches_central_difference(self, spec):
+        h = 1e-5
+        fd = (eval_input(spec, self.T + h) - eval_input(spec, self.T - h)) \
+            / (2.0 * h)
+        np.testing.assert_allclose(eval_input_derivative(spec, self.T), fd,
+                                   rtol=1e-6, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_scale_applied(self, spec):
+        unit = eval_input_derivative(replace(spec, scale=1.0), self.T)
+        np.testing.assert_array_equal(eval_input_derivative(spec, self.T),
+                                      spec.scale * unit)
+
+    def test_scalar_zero(self):
+        assert eval_input_derivative(input_preset("zero"), 3.3) == 0.0
+        assert eval_input_derivative(input_preset("input4"), 2.5) == 0.0
+
+    def test_input2_requires_resolution(self):
+        with pytest.raises(ValueError):
+            eval_input_derivative(input_preset("input2"), 1.0)
+
+
+class TestBreakpoints:
+    SQUARE = input_preset("input4")
+
+    def test_square_wave_jumps(self):
+        np.testing.assert_array_equal(breakpoints(self.SQUARE, 0.0, 100.0),
+                                      5.0 * np.arange(1, 20))
+
+    def test_late_start(self):
+        np.testing.assert_array_equal(breakpoints(self.SQUARE, 12.0, 33.0),
+                                      [15.0, 20.0, 25.0, 30.0])
+
+    def test_endpoints_on_jumps_not_listed(self):
+        np.testing.assert_array_equal(breakpoints(self.SQUARE, 10.0, 30.0),
+                                      [15.0, 20.0, 25.0])
+        np.testing.assert_array_equal(breakpoints(self.SQUARE, 7.0, 25.0),
+                                      [10.0, 15.0, 20.0])
+        assert breakpoints(self.SQUARE, 5.0, 10.0).size == 0
+
+    def test_jumps_are_sign_changes(self):
+        cuts = breakpoints(self.SQUARE, 0.0, 100.0)
+        left = eval_input(self.SQUARE, cuts - 1e-9)
+        right = eval_input(self.SQUARE, cuts + 1e-9)
+        np.testing.assert_array_equal(left, -right)
+        assert np.all(left != 0.0)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_only_the_square_wave_jumps(self, spec):
+        expected = 19 if spec.kind == "square4" else 0
+        assert breakpoints(spec, 0.0, 100.0).size == expected
 
 
 class TestDominantModes:
