@@ -121,8 +121,11 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
 
 
 def stability_margin(sys: StateSpaceSystem) -> float:
-    """Largest real part over the eigenvalues of A (negative = stable)."""
-    return float(linalg.eigenvalues(sys.a).real.max())
+    """Largest real part over the eigenvalues of A (negative = stable).
+
+    Read off the system's shared Schur factor (``linalg.system_schur``).
+    """
+    return float(linalg.system_schur(sys).eigenvalues.real.max())
 
 
 def _series_values(series) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,10 @@ SVD  L^T U = Z S Y^T,  and builds the Petrov-Galerkin pair
 with S_r T_r = I_r.  The diagonal of S holds the Hankel singular
 values, and truncating after r of them bounds the transfer-function
 error in the H-infinity norm by twice the discarded tail.
+
+Both Gramians are solved on the system's one real Schur factor of A,
+the same read-only factor its spectrum is read from; stability is
+checked once for the pair, on that factor's eigenvalues.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ class ReducedSystem:
 def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     """Controllability and observability Gramians of the linear part.
 
-    Both Lyapunov equations are solved on one real Schur factor of A.
+    Both Lyapunov equations are solved on the system's one real Schur
+    factor of A (``linalg.system_schur``), which the spectrum shares.
 
     Raises
     ------
@@ -87,7 +92,8 @@ def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     linalg.SingularBlock, linalg.LyapunovResidual
         As for linalg.solve_lyapunov.
     """
-    form = linalg.real_schur(sys.a)
+    form = linalg.system_schur(sys)
+    linalg.check_stable(form)
     p = linalg._lyapunov_on_schur(sys.a, form, sys.b @ sys.b.T)
     q = linalg._lyapunov_on_schur(sys.a, form, sys.c.T @ sys.c, trans=True)
     return p, q

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis, balance, linalg, rom, signals
+from . import analysis, balance, rom, signals
 from .model import (InvalidParams, PhysicalParams, build_system,
                     quadratic_forms, sample_initial_data)
 from .signals import InputSpec
@@ -373,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> dict:
     sys_ = build_system(cfg.params, cfg.n)
     log(f"built system: n={cfg.n}, state dim {2 * cfg.n}, h={sys_.grid.h:.6g}")
 
-    eigs = linalg.eigenvalues(sys_.a)
+    eigs = sys_.schur.eigenvalues
     path = os.path.join(cfg.out_dir, "eigs.csv")
     write_eigs_csv(path, eigs)
     artifacts["eigs"] = path
@@ -427,7 +427,7 @@ def _cmd_build(cfg, log):
 
 def _cmd_eigs(cfg, log):
     sys_ = build_system(cfg.params, cfg.n)
-    eigs = linalg.eigenvalues(sys_.a)
+    eigs = sys_.schur.eigenvalues
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "eigs.csv")
     write_eigs_csv(path, eigs)

@@ -10,13 +10,19 @@ and blocked (I. Jonsson and B. Kagstrom, "Recursive blocked algorithms
 for solving triangular systems - Part I: one-sided and coupled Sylvester-
 type matrix equations", ACM TOMS 28(4), 2002): it halves the triangular
 factor until the blocks are small enough for LAPACK ``xTRSYL``, so most
-of the work runs as matrix products.  Both Gramians of a system share
-one Schur factor.
+of the work runs as matrix products.
+
+A system is factored once: ``system_schur`` hands out the factor that
+``StateSpaceSystem.schur`` caches, and the spectrum, both Gramians and
+the input-2 frequencies are all read off it.  The factor's Q, T and
+eigenvalues are read-only.  ``eigenvalues`` and ``solve_lyapunov`` take
+a bare matrix and factor it afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -79,11 +85,23 @@ class SchurForm:
     """Real Schur decomposition A = Q T Q^T.
 
     Q is orthogonal and T is quasi-upper-triangular with 1x1 blocks for
-    real eigenvalues and 2x2 blocks for complex-conjugate pairs.
+    real eigenvalues and 2x2 blocks for complex-conjugate pairs.  Both
+    are read-only: one factor is shared by every consumer of a system's
+    spectrum, so a reordering (``dtrsen``) must work on a copy.
     """
 
     q: np.ndarray
     t: np.ndarray
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A in the order of the blocks of T (read-only).
+
+        Read off T once per factor and kept.
+        """
+        eigs = _block_eigenvalues(self.t)
+        eigs.flags.writeable = False
+        return eigs
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,47 +130,42 @@ def real_schur(a) -> SchurForm:
         t, q = scipy.linalg.schur(a, output="real")
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK budget
         raise NonConvergence(str(exc)) from exc
+    q.flags.writeable = False
+    t.flags.writeable = False
     return SchurForm(q=q, t=t)
 
 
-def _schur_blocks(t: np.ndarray) -> list[tuple[int, int]]:
-    """Partition a quasi-triangular matrix into (start, size) diagonal blocks."""
-    n = t.shape[0]
-    blocks = []
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
-    return blocks
-
-
 def _block_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues read off the diagonal blocks of a real Schur factor."""
-    eigs = []
-    for start, size in _schur_blocks(t):
-        if size == 1:
-            eigs.append(complex(t[start, start]))
-        else:
-            a, b = t[start, start], t[start, start + 1]
-            c, d = t[start + 1, start], t[start + 1, start + 1]
-            mu = 0.5 * (a + d)
-            disc = 0.25 * (a - d) ** 2 + b * c
-            if disc < 0.0:
-                w = np.sqrt(-disc)
-                eigs.extend([complex(mu, w), complex(mu, -w)])
-            else:
-                w = np.sqrt(disc)
-                eigs.extend([complex(mu + w), complex(mu - w)])
-    return np.array(eigs)
+    """Eigenvalues read off the diagonal blocks of a real Schur factor.
+
+    LAPACK standardizes each 2x2 block to [[a, b], [c, a]] with b c < 0,
+    so its pair is a +- i sqrt(-b c), in the order of the blocks on the
+    diagonal of T.
+    """
+    eigs = np.diagonal(t).astype(complex)
+    starts = np.flatnonzero(np.diagonal(t, -1))
+    w = np.sqrt(-t[starts, starts + 1] * t[starts + 1, starts])
+    eigs.imag[starts] = w
+    eigs.imag[starts + 1] = -w
+    return eigs
 
 
 def eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a square real matrix, via the real Schur form."""
-    return _block_eigenvalues(real_schur(a).t)
+    return real_schur(a).eigenvalues
+
+
+def system_schur(sys_or_matrix) -> SchurForm:
+    """The real Schur factor of a system's A, or of a bare square matrix.
+
+    A system that caches its factor (``StateSpaceSystem.schur``) hands
+    that one out; any other object with an ``a`` attribute, or a matrix,
+    is factored afresh.
+    """
+    form = getattr(sys_or_matrix, "schur", None)
+    if form is not None:
+        return form
+    return real_schur(getattr(sys_or_matrix, "a", sys_or_matrix))
 
 
 def svd(m) -> SvdResult:
@@ -260,18 +273,23 @@ def _trlyap(t: np.ndarray, c: np.ndarray, trans: bool) -> None:
     c[k:, :k] = c12.T
 
 
+def check_stable(form: SchurForm) -> None:
+    """Raise UnstableSystem unless every eigenvalue has negative real part."""
+    eigs = form.eigenvalues
+    if eigs.size and eigs.real.max() >= 0.0:
+        raise UnstableSystem(
+            f"eigenvalue with real part {eigs.real.max():.3e} >= 0")
+
+
 def _lyapunov_on_schur(a: np.ndarray, form: SchurForm, w: np.ndarray,
                        trans: bool = False) -> np.ndarray:
     """Solve op(A) P + P op(A)^T + W = 0 given A = Q T Q^T.
 
     op(A) is A, or A^T when trans, so both Gramians share one factor.
     W must be symmetric: the recursive solve fills the lower off-diagonal
-    blocks of the solution by symmetry.
+    blocks of the solution by symmetry.  The caller checks stability
+    (``check_stable``), once for all solves on the factor.
     """
-    eigs = _block_eigenvalues(form.t)
-    if eigs.size and eigs.real.max() >= 0.0:
-        raise UnstableSystem(
-            f"eigenvalue with real part {eigs.real.max():.3e} >= 0")
     q = form.q
     t = np.asfortranarray(form.t)
     op_a = a.T if trans else a
@@ -329,4 +347,6 @@ def solve_lyapunov(a, w) -> np.ndarray:
     if a.shape != w.shape:
         raise ValueError(f"shape mismatch: A {a.shape} vs W {w.shape}")
     _check_symmetric(w, "W")
-    return _lyapunov_on_schur(a, real_schur(a), w)
+    form = real_schur(a)
+    check_stable(form)
+    return _lyapunov_on_schur(a, form, w)

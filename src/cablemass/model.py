@@ -27,6 +27,11 @@ BAND_KU = 4 superdiagonals (the left one's).  fom_jacobian returns it in
 that form for the integrator's banded linear solves; [d; v] stays the
 public ordering.  fom_rhs multiplies by a cached CSR copy of A, O(n) per
 call instead of the dense product's O(n^2).
+
+A system's real Schur factor (``StateSpaceSystem.schur``) is computed
+once and shared by the spectrum, the Gramians and the input-2
+frequencies.  A is read-only, so the band, the CSR copy and the factor
+derived from it cannot go stale.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .ode import BandedJacobian
 
 BAND_KL, BAND_KU = 5, 4
@@ -120,6 +126,10 @@ class StateSpaceSystem:
     nl_coeff * x[nl_state_index]**3 added to row nl_target_index.
     Keeping the descriptor explicit is what makes the exact low-order
     evaluation in the reduced model possible.
+
+    A is read-only (``build_system`` marks it so): a_band, a_csr and
+    schur are derived from it once and kept, and an in-place write would
+    leave them stale.
     """
 
     n: int
@@ -161,6 +171,16 @@ class StateSpaceSystem:
 
         return csr_array(self.a)
 
+    @cached_property
+    def schur(self) -> linalg.SchurForm:
+        """The real Schur factor of A, computed on first use and kept.
+
+        The one factor of this system: the spectrum, both Gramians and
+        the input-2 frequencies are read off it (``linalg.system_schur``).
+        Its Q, T and eigenvalues are read-only.
+        """
+        return linalg.real_schur(self.a)
+
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForms:
@@ -199,17 +219,19 @@ def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
     g = params.gamma
 
     a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
+    nodes = np.arange(n)
+    a[nodes, n + nodes] = 1.0
 
-    # interior centered differences
-    for i in range(1, n - 1):
-        row = n + i
-        a[row, i - 1] += b2 / h**2
-        a[row, i] += -2.0 * b2 / h**2
-        a[row, i + 1] += b2 / h**2
-        a[row, n + i - 1] += g / h**2
-        a[row, n + i] += -2.0 * g / h**2 - params.alpha
-        a[row, n + i + 1] += g / h**2
+    # interior centered differences, all rows at once; += on the zero
+    # entries keeps each a signed +0.0 where a coefficient is -0.0
+    i = nodes[1:-1]
+    row = n + i
+    a[row, i - 1] += b2 / h**2
+    a[row, i] += -2.0 * b2 / h**2
+    a[row, i + 1] += b2 / h**2
+    a[row, n + i - 1] += g / h**2
+    a[row, n + i] += -2.0 * g / h**2 - params.alpha
+    a[row, n + i + 1] += g / h**2
 
     # left oscillator: m0 v1' = -k0 d1 - alpha0 v1 + trace force + u
     row = n
@@ -235,6 +257,7 @@ def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
     c = np.zeros((2, 2 * n))
     c[0, n - 1] = 1.0  # right-mass position
     c[1, 2 * n - 1] = 1.0  # right-mass velocity
+    a.flags.writeable = False
 
     return StateSpaceSystem(
         n=n,

@@ -328,8 +328,7 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
             else:
                 ynew, f2, err = step
                 scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
-                with np.errstate(invalid="ignore"):
-                    errnorm = float(np.max(np.abs(err) / scale))
+                errnorm = float((np.abs(err) / scale).max())
                 if not math.isfinite(errnorm):
                     errnorm = math.inf
 

@@ -4,7 +4,8 @@ Four oscillating input families drive the left mass:
 
     input1: u(t) = 0.1 sin(0.2 pi t)
     input2: u(t) = 0.02 cos(a t) + 0.03 cos(b t), frequencies taken
-            from the two slowest-decaying eigenvalue pairs of A
+            from the two slowest-decaying eigenvalue pairs of A, read
+            off the system's shared Schur factor
     input3: u(t) = c1 sin(m t) + c2 cos(nfreq t)
     input4: u(t) = 0.1 square(0.2 pi t)
 
@@ -154,17 +155,15 @@ def breakpoints(spec: InputSpec, t0: float, tf: float) -> np.ndarray:
     return _SQUARE_HALF_PERIOD * k
 
 
-def _system_matrix(sys_or_matrix) -> np.ndarray:
-    return getattr(sys_or_matrix, "a", sys_or_matrix)
-
-
 def dominant_modes(sys_or_matrix, count: int = 2) -> np.ndarray:
     """Eigenvalues with the largest real parts, one per conjugate pair.
 
     Real eigenvalues and the upper-half-plane member of each complex
-    pair are kept, sorted by decreasing real part.
+    pair are kept, sorted by decreasing real part.  A system's shared
+    Schur factor is reused (``linalg.system_schur``); a bare matrix is
+    factored.
     """
-    eigs = linalg.eigenvalues(_system_matrix(sys_or_matrix))
+    eigs = linalg.system_schur(sys_or_matrix).eigenvalues
     reps = eigs[eigs.imag >= 0.0]
     order = np.lexsort((-np.abs(reps.imag), -reps.real))
     return reps[order][:count]

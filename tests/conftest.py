@@ -37,6 +37,19 @@ def record_dtrsyl(monkeypatch):
     return calls
 
 
+def record_real_schur(monkeypatch):
+    """Patch linalg.real_schur to log the order of every matrix it factors."""
+    calls = []
+    real = linalg.real_schur
+
+    def recording(a):
+        calls.append(np.shape(a)[0])
+        return real(a)
+
+    monkeypatch.setattr(linalg, "real_schur", recording)
+    return calls
+
+
 def record_integrate(monkeypatch):
     """Patch ode.integrate to log (t0, tf, trajectory) of every call."""
     calls = []

@@ -3,14 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cablemass import balance, linalg
+from cablemass import balance, linalg, signals
 from cablemass.balance import (PlateauSplit, RankDeficient, SingularShift,
                                error_bound, gramians, hankel_values, reduce,
                                square_root_transform, suggest_r,
                                transfer_function)
 from cablemass.cli import get_preset
 from cablemass.model import DimensionMismatch, build_system
-from conftest import EXAMPLE1, record_dtrsyl
+from conftest import EXAMPLE1, record_dtrsyl, record_real_schur
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,13 @@ class TestGramians:
                               c=np.array([[1.0]]))
         with pytest.raises(linalg.UnstableSystem):
             gramians(sys)
+
+    def test_shares_the_system_factor(self, monkeypatch):
+        sys = build_system(EXAMPLE1, 10)
+        calls = record_real_schur(monkeypatch)
+        gramians(sys)
+        signals.resolve_input(signals.input_preset("input2"), sys)
+        assert calls == [20]
 
     def test_shared_schur_matches_separate_solves(self, example1_n20):
         sys, p, q = example1_n20

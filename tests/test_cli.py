@@ -7,6 +7,7 @@ from cablemass.cli import (DEFAULT_PARAMS, PRESETS, ExperimentConfig,
                            load_config, main, run_experiment)
 from cablemass.model import PhysicalParams
 from cablemass.signals import eval_input
+from conftest import record_real_schur
 
 
 # preset parameter sets, frozen (fixed params l=1, m0=1, ml=1.5,
@@ -229,6 +230,16 @@ class TestRunExperiment:
             first = open(out / f"{name}.csv", "rb").read()
             second = open(paths2[name], "rb").read()
             assert first == second, name
+
+    def test_one_schur_factor(self, tmp_path, monkeypatch):
+        # eigs.csv, the Gramians and the input-2 frequencies share it
+        calls = record_real_schur(monkeypatch)
+        cfg = ExperimentConfig(
+            params=PRESETS["small_damp_ex1_in2"].params,
+            input=cli.signals.input_preset("input2"),
+            n=10, r=4, tf=2.0, sample_count=20, out_dir=str(tmp_path))
+        run_experiment(cfg)
+        assert calls == [20]
 
     def test_energy_study(self, tmp_path):
         cfg = ExperimentConfig(

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 
 from cablemass import linalg
+from cablemass.cli import PRESETS
+from cablemass.model import build_system
 from conftest import random_stable, record_dtrsyl
 
 
@@ -73,6 +75,77 @@ class TestEigenvalues:
             plain = sorted(eigs, key=key)
             conj = sorted(np.conj(eigs), key=key)
             np.testing.assert_allclose(plain, conj, atol=1e-10)
+
+
+def loop_eigenvalues(t):
+    """Reference read-off: walk the diagonal blocks of T one at a time."""
+    eigs = []
+    i, n = 0, t.shape[0]
+    while i < n:
+        if i + 1 < n and t[i + 1, i] != 0.0:
+            a, b = t[i, i], t[i, i + 1]
+            c, d = t[i + 1, i], t[i + 1, i + 1]
+            mu = 0.5 * (a + d)
+            disc = 0.25 * (a - d) ** 2 + b * c
+            if disc < 0.0:
+                w = np.sqrt(-disc)
+                eigs.extend([complex(mu, w), complex(mu, -w)])
+            else:
+                w = np.sqrt(disc)
+                eigs.extend([complex(mu + w), complex(mu - w)])
+            i += 2
+        else:
+            eigs.append(complex(t[i, i]))
+            i += 1
+    return np.array(eigs)
+
+
+def standardized_t(rng, blocks):
+    """Quasi-triangular T with LAPACK-standardized diagonal blocks.
+
+    blocks lists block sizes; a 2x2 block is [[d, b], [c, d]], b c < 0.
+    """
+    n = sum(blocks)
+    t = np.triu(rng.standard_normal((n, n)), 1)
+    i = 0
+    for size in blocks:
+        d = -rng.uniform(0.1, 2.0)
+        if size == 1:
+            t[i, i] = d
+        else:
+            b = rng.uniform(0.5, 3.0)
+            t[i:i + 2, i:i + 2] = [[d, b], [-rng.uniform(0.1, 2.0) / b, d]]
+        i += size
+    return t
+
+
+class TestBlockEigenvalues:
+    """The vectorised read-off equals the block-by-block loop bitwise."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("n", [8, 20, 50])
+    def test_presets_bitwise(self, name, n):
+        sys = build_system(PRESETS[name].params, n)
+        t = sys.schur.t
+        assert np.array_equal(linalg._block_eigenvalues(t),
+                              loop_eigenvalues(t))
+        # a fresh factor of the bare matrix reads the same spectrum
+        assert np.array_equal(linalg.eigenvalues(sys.a),
+                              sys.schur.eigenvalues)
+
+    @pytest.mark.parametrize("blocks", [[1] * 7, [2] * 4, [1, 2, 2, 1, 1, 2]],
+                             ids=["1x1", "2x2", "mixed"])
+    def test_hand_built_bitwise(self, rng, blocks):
+        t = standardized_t(rng, blocks)
+        eigs = linalg._block_eigenvalues(t)
+        assert np.array_equal(eigs, loop_eigenvalues(t))
+        assert np.count_nonzero(eigs.imag) == 2 * blocks.count(2)
+
+    def test_read_once_per_factor(self):
+        form = linalg.real_schur(np.diag([-1.0, -2.0]))
+        assert form.eigenvalues is form.eigenvalues
+        with pytest.raises(ValueError):
+            form.eigenvalues[0] = 0.0
 
 
 class TestSvd:

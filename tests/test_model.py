@@ -40,7 +40,35 @@ class TestGrid:
             make_grid(1.0, 2)
 
 
+def loop_interior_rows(params, n):
+    """Reference: the interior stencil of A assembled row by row."""
+    h = params.l / (n - 1)
+    b2, g = params.beta**2, params.gamma
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    for i in range(1, n - 1):
+        row = n + i
+        a[row, i - 1] += b2 / h**2
+        a[row, i] += -2.0 * b2 / h**2
+        a[row, i + 1] += b2 / h**2
+        a[row, n + i - 1] += g / h**2
+        a[row, n + i] += -2.0 * g / h**2 - params.alpha
+        a[row, n + i + 1] += g / h**2
+    return a
+
+
 class TestBuildSystem:
+    @pytest.mark.parametrize("params", [EXAMPLE1, EXAMPLE2_SMALL, EXAMPLE3,
+                                        PhysicalParams(l=2.5, beta=0.7)],
+                             ids=["example1", "example2", "example3", "l2.5"])
+    @pytest.mark.parametrize("n", [3, 4, 20, 101])
+    def test_interior_rows_match_loop(self, params, n):
+        # bitwise, signed zeros included: gamma = 0 gives -0.0 coefficients
+        a = build_system(params, n).a
+        ref = loop_interior_rows(params, n)
+        rows = np.r_[0:n, n + 1:2 * n - 1]
+        assert a[rows].tobytes() == ref[rows].tobytes()
+
     def test_interior_stencil_n3(self):
         # n=3, l=1: h=1/2, beta^2/h^2 = 4
         sys = build_system(PhysicalParams(gamma=0.0), 3)
@@ -93,6 +121,22 @@ class TestBuildSystem:
         assert sys.nl_coeff == pytest.approx(-2.0 / 1.5)
         assert sys.nl_state_index == 6
         assert sys.nl_target_index == 13
+
+    def test_cached_inputs_read_only(self):
+        # a_band, a_csr and schur are derived from A once and kept
+        sys = build_system(EXAMPLE1, 5)
+        with pytest.raises(ValueError):
+            sys.a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sys.schur.q[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            sys.schur.t[0, 0] = 1.0
+
+    def test_schur_factored_once(self):
+        sys = build_system(EXAMPLE1, 5)
+        assert sys.schur is sys.schur
+        rel = np.linalg.norm(sys.schur.q @ sys.schur.t @ sys.schur.q.T - sys.a)
+        assert rel <= 1e-12 * np.linalg.norm(sys.a)
 
     def test_too_few_nodes(self):
         with pytest.raises(GridTooCoarse):
