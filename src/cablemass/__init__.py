@@ -12,8 +12,6 @@ from .analysis import (EnergyReport, ErrorMetrics, compute_energy,
 from .balance import (BalanceResult, ReducedSystem, error_bound, gramians,
                       hankel_values, reduce, square_root_transform,
                       suggest_r, transfer_function)
-from .cli import (PRESETS, ExperimentConfig, Preset, get_preset, load_config,
-                  run_experiment)
 from .model import (Grid, PhysicalParams, QuadraticForms, StateSpaceSystem,
                     build_system, eval_nonlinearity, fom_jacobian, fom_rhs,
                     quadratic_forms, sample_initial_data)
@@ -23,6 +21,20 @@ from .rom import (OutputSeries, rom_jacobian, rom_nonlinear, rom_rhs,
 from .signals import InputSpec, eval_input, input2_frequencies, input_preset
 
 __version__ = "0.1.0"
+
+# Loaded on first access (PEP 562): importing cli here would put
+# cablemass.cli in sys.modules before ``python -m cablemass.cli`` runs it
+# as __main__, and runpy warns about that on every run.
+_CLI_NAMES = frozenset({"PRESETS", "ExperimentConfig", "Preset", "get_preset",
+                        "load_config", "run_experiment"})
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BalanceResult", "EnergyReport", "ErrorMetrics", "ExperimentConfig",

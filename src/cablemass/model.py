@@ -20,18 +20,22 @@ where F is zero except for the cubic term -(k3/ml) d_n^3 in the
 right-mass velocity equation, and y picks out the position and
 velocity of the right mass.
 
-Every stencil couples only neighbouring nodes, so on the interleaved
-ordering [d1, v1, d2, v2, ...] the Jacobian A + F'(x) is a band with
-BAND_KL = 5 subdiagonals (the right oscillator's one-sided stencil) and
-BAND_KU = 4 superdiagonals (the left one's).  fom_jacobian returns it in
-that form for the integrator's banded linear solves; [d; v] stays the
-public ordering.  fom_rhs multiplies by a cached CSR copy of A, O(n) per
-call instead of the dense product's O(n^2).
+The model is second order: A = [[0, I], [K, G]], and F'(x) adds one
+entry to the diagonal of K.  Every stencil couples only neighbouring
+nodes except the two one-sided boundary stencils, which reach a third
+node.  Adding h/(2 m0) times the second velocity row to the first, and
+h/(2 ml) times the second-to-last to the last, cancels that third
+coefficient in the beta^2 part and the gamma part alike, so P K and P G
+are tridiagonal.  fom_jacobian returns the Jacobian in that form, an
+``ode.SecondOrderJacobian``, and the integrator solves each Rosenbrock
+system through its tridiagonal velocity Schur complement in the [d; v]
+ordering.  fom_rhs multiplies by a cached CSR copy of A, O(n) per call
+instead of the dense product's O(n^2).
 
 A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
-frequencies.  A is read-only, so the band, the CSR copy and the factor
-derived from it cannot go stale.
+frequencies.  A is read-only, so the tridiagonal pieces, the CSR copy
+and the factor derived from it cannot go stale.
 """
 
 from __future__ import annotations
@@ -42,9 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .ode import BandedJacobian
-
-BAND_KL, BAND_KU = 5, 4
+from .ode import SecondOrderJacobian
 
 
 class InvalidParams(ValueError):
@@ -127,9 +129,9 @@ class StateSpaceSystem:
     Keeping the descriptor explicit is what makes the exact low-order
     evaluation in the reduced model possible.
 
-    A is read-only (``build_system`` marks it so): a_band, a_csr and
-    schur are derived from it once and kept, and an in-place write would
-    leave them stale.
+    A is read-only (``build_system`` marks it so): a_second_order, a_csr
+    and schur are derived from it once and kept, and an in-place write
+    would leave them stale.
     """
 
     n: int
@@ -143,29 +145,42 @@ class StateSpaceSystem:
     grid: Grid
 
     @cached_property
-    def a_band(self) -> BandedJacobian:
-        """A on the interleaved ordering, in LAPACK band storage.
+    def a_second_order(self) -> SecondOrderJacobian:
+        """A as the integrator's SecondOrderJacobian (delta = 0).
 
         Built on first use and kept: the Gramians and the spectrum need
-        only the dense A, the full-order simulations only this band.
+        only the dense A, the full-order simulations only this.  With
+        K = A[n:, :n] and G = A[n:, n:], row 0 of each gains h/(2 m0)
+        times row 1 and row n-1 gains h/(2 ml) times row n-2; the
+        third stencil coefficients this cancels are dropped, leaving
+        P K and P G tridiagonal.
         """
-        m = 2 * self.n
-        perm = np.empty(m, dtype=int)
-        perm[0::2] = np.arange(self.n)  # d_i at 2i
-        perm[1::2] = np.arange(self.n, m)  # v_i at 2i + 1
-        ap = self.a[np.ix_(perm, perm)]
-        ab = np.zeros((BAND_KL + BAND_KU + 1, m))
-        for k in range(-BAND_KL, BAND_KU + 1):
-            ab[BAND_KU - k, max(k, 0):m + min(k, 0)] = np.diagonal(ap, k)
-        return BandedJacobian(ab=ab, kl=BAND_KL, ku=BAND_KU, perm=perm)
+        n = self.n
+        p0 = self.grid.h / (2.0 * self.params.m0)
+        p1 = self.grid.h / (2.0 * self.params.ml)
+
+        def combined_band(m):
+            pm = m.copy()
+            pm[0] += p0 * m[1]
+            pm[-1] += p1 * m[-2]
+            band = np.zeros((3, n), order="F")  # as dgbmv reads it
+            band[0, 1:] = np.diagonal(pm, 1)
+            band[1] = np.diagonal(pm)
+            band[2, :-1] = np.diagonal(pm, -1)
+            return band
+
+        return SecondOrderJacobian(linear=self.a,
+                                   p=combined_band(np.eye(n)),
+                                   pk=combined_band(self.a[n:, :n]),
+                                   pg=combined_band(self.a[n:, n:]))
 
     @cached_property
     def a_csr(self):
         """A on the [d; v] ordering as a CSR sparse matrix, for fom_rhs.
 
-        Built on first use and kept, like a_band; scipy.sparse is imported
-        here, so runs that never evaluate the full-order right-hand side
-        never load it.
+        Built on first use and kept, like a_second_order; scipy.sparse is
+        imported here, so runs that never evaluate the full-order
+        right-hand side never load it.
         """
         from scipy.sparse import csr_array
 
@@ -295,20 +310,17 @@ def fom_rhs(sys: StateSpaceSystem, x, u: float) -> np.ndarray:
     return out
 
 
-def fom_jacobian(sys: StateSpaceSystem, x) -> BandedJacobian:
-    """State Jacobian: A plus the single cubic derivative entry, banded.
+def fom_jacobian(sys: StateSpaceSystem, x) -> SecondOrderJacobian:
+    """State Jacobian: A plus the single cubic derivative entry.
 
-    The cubic entry d(v_n')/d(d_n) sits one below the diagonal of the
-    interleaved band (v_n at 2n-1, d_n at 2n-2), i.e. at band row
-    BAND_KU + 1, column 2n-2.  ``.dense()`` gives the [d; v] matrix.
+    The cubic entry d(v_n')/d(d_n) is the SecondOrderJacobian's delta,
+    on the diagonal of K.  ``.dense()`` gives the [d; v] matrix.
     """
     x = _check_state(sys, x)
-    band = sys.a_band
-    ab = band.ab.copy()
-    ab[BAND_KU + 1, 2 * sys.n - 2] += (
-        3.0 * sys.nl_coeff * x[sys.nl_state_index] ** 2
-    )
-    return BandedJacobian(ab=ab, kl=band.kl, ku=band.ku, perm=band.perm)
+    base = sys.a_second_order
+    return SecondOrderJacobian(
+        base.linear, base.p, base.pk, base.pg,
+        delta=3.0 * sys.nl_coeff * x[sys.nl_state_index] ** 2)
 
 
 def sample_initial_data(params: PhysicalParams, n: int, pos, vel) -> np.ndarray:

@@ -3,18 +3,22 @@
 This is the modified Rosenbrock method of Shampine and Reichelt (the
 method class behind MATLAB's ode23s): an L-stable second-order step
 with an embedded third-order error estimate.  Each step factors
-W = I - h d J once and performs three triangular solves, so the cost
-per step is one Jacobian, one LU, and two right-hand-side evaluations,
-plus one more when the time derivative df/dt is not supplied and is
-approximated by a forward difference.  Accepted nodes store the state
-derivative, which gives a free cubic Hermite interpolant for dense
-output.
+W = I - h d J once and performs three linear solves, so the cost per
+step is one Jacobian, one factorisation, and two right-hand-side
+evaluations, plus one more when the time derivative df/dt is not
+supplied and is approximated by a forward difference.  Accepted nodes
+store the state derivative, which gives a free cubic Hermite
+interpolant for dense output.
 
-The Jacobian's type picks the factorisation.  A ``BandedJacobian`` is
-factored in LAPACK band storage (``dgbtrf``/``dgbtrs``) on its own state
-ordering, at O(m (kl + ku)^2) per step instead of O(m^3): the full-order
-cable-mass model is banded with kl = 5, ku = 4 once its state is
-interleaved as [d1, v1, d2, v2, ...].  Any other Jacobian (the reduced
+The Jacobian's type picks the factorisation.  A ``SecondOrderJacobian``
+belongs to a second-order system x = [d; v] with d' = v, so
+J = [[0, I], [K, G]] and W z = b reduces exactly to the n x n velocity
+Schur complement (I - hd G - hd^2 K) z_v = b_v + hd K b_d, with
+z_d = b_d + hd z_v (Hairer and Wanner, Solving ODEs II, on second-order
+problems).  Its velocity rows come combined by a fixed P that makes P K
+and P G tridiagonal, so each step factors P (I - hd G - hd^2 K) with
+LAPACK ``dgttrf`` and each solve costs one ``dgbmv`` and one ``dgttrs``,
+O(n) in the caller's [d; v] ordering.  Any other Jacobian (the reduced
 model's small dense matrix) is factored densely by ``lu_factor`` and
 ``lu_solve``, thin wrappers of LAPACK ``dgetrf``/``dgetrs``: at r <= 8 a
 step costs call overhead, not arithmetic, and the argument handling of
@@ -28,7 +32,8 @@ import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 _D = 1.0 / (2.0 + math.sqrt(2.0))
 _E32 = 6.0 + math.sqrt(2.0)
@@ -66,29 +71,31 @@ class IntegratorStats:
 
 
 @dataclass(frozen=True, eq=False)
-class BandedJacobian:
-    """A Jacobian J in LAPACK band storage, on a permuted state ordering.
+class SecondOrderJacobian:
+    """The Jacobian of a second-order system, in tridiagonal pieces.
 
-    With Jp = J[perm][:, perm] banded (kl subdiagonals, ku
-    superdiagonals), ab has shape (kl + ku + 1, m) and holds
-    ab[ku + i - j, j] = Jp[i, j].  The integrator keeps the caller's
-    state ordering and applies perm only inside its linear solves.
+    With x = [d; v] and d' = v, J = [[0, I], [K + delta E, G]], where
+    E = e_{n-1} e_{n-1}^T carries a state-dependent diagonal entry.
+    P = I + p0 e_0 e_1^T + p1 e_{n-1} e_{n-2}^T combines the first and
+    last velocity rows with their neighbours so that P K and P G are
+    tridiagonal; P leaves delta E where it is.  p, pk and pg hold P,
+    P K and P G in LAPACK band storage of shape (3, n),
+    ab[1 + i - j, j] = M[i, j]: row 0 the superdiagonal, row 1 the
+    diagonal, row 2 the subdiagonal.  ``linear`` is the dense
+    [[0, I], [K, G]], kept only for ``dense``.
     """
 
-    ab: np.ndarray
-    kl: int
-    ku: int
-    perm: np.ndarray
+    linear: np.ndarray
+    p: np.ndarray
+    pk: np.ndarray
+    pg: np.ndarray
+    delta: float = 0.0
 
     def dense(self) -> np.ndarray:
-        """J as a dense matrix in the caller's state ordering."""
-        m = self.ab.shape[1]
-        jp = np.zeros((m, m))
-        for k in range(-self.kl, self.ku + 1):
-            i = np.arange(max(0, -k), min(m, m - k))
-            jp[i, i + k] = self.ab[self.ku - k, i + k]
-        jac = np.empty((m, m))
-        jac[np.ix_(self.perm, self.perm)] = jp
+        """J as a dense matrix in the [d; v] ordering."""
+        n = self.pk.shape[1]
+        jac = self.linear.copy()
+        jac[2 * n - 1, n - 1] += self.delta
         return jac
 
 
@@ -164,28 +171,39 @@ def _factor(jac, hd: float, t: float):
     """Factor W = I - hd*J; return a solver for W z = b, or None if singular.
 
     This is the one place where the Jacobian's type matters.  A
-    BandedJacobian is factored in band storage by dgbtrf, and each solve
-    permutes the right-hand side into the band's ordering and the
-    solution back out; any other Jacobian is factored densely.
+    SecondOrderJacobian is factored through its tridiagonal velocity
+    Schur complement P (I - hd G - hd^2 (K + delta E)) by dgttrf, which is
+    singular exactly when W is (det P = 1); any other Jacobian is factored
+    densely.
     """
-    if isinstance(jac, BandedJacobian):
-        kl, ku, perm = jac.kl, jac.ku, jac.perm
-        # dgbtrf keeps the fill-in from row interchanges in kl extra rows
-        w = np.zeros((2 * kl + ku + 1, jac.ab.shape[1]), order="F")
-        w[kl:] = jac.ab * -hd
-        w[kl + ku] += 1.0
-        _check_iteration_matrix(w, t)
-        lu, piv, info = dgbtrf(w, kl, ku, overwrite_ab=1)
+    if isinstance(jac, SecondOrderJacobian):
+        p, pk = jac.p, jac.pk
+        n = pk.shape[1]
+        hd2 = hd * hd
+        s = jac.pg * -hd
+        s -= hd2 * pk
+        s += p
+        s[1, n - 1] -= hd2 * jac.delta
+        _check_iteration_matrix(s, t)
+        dl, d, du, du2, ipiv, info = dgttrf(
+            s[2, :-1], s[1], s[0, 1:],
+            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info < 0:
-            raise ValueError(f"dgbtrf: argument {-info} is invalid")
+            raise ValueError(f"dgttrf: argument {-info} is invalid")
         if info > 0:
             return None
+        p0, p1, hdd = p[0, 1], p[2, n - 2], hd * jac.delta
 
         def solve(b):
-            z, _ = dgbtrs(lu, kl, ku, b[perm], piv)
-            out = np.empty_like(z)
-            out[perm] = z
-            return out
+            # y = [b_d; P b_v + hd (P K + delta E) b_d]: one dgbmv for
+            # b_v + hd P K b_d (positional incx, offx, beta, y, incy, offy:
+            # keywords cost more than the product), then P and delta E
+            y = dgbmv(n, n, 1, 1, hd, pk, b, 1, 0, 1.0, b, 1, n)
+            y[n] += p0 * b[n + 1]
+            y[-1] += p1 * b[-2] + hdd * b[n - 1]
+            zv, _ = dgttrs(dl, d, du, du2, ipiv, y[n:], overwrite_b=1)
+            y[:n] += hd * zv  # zv is y[n:], solved in place
+            return y
 
         return solve
 
@@ -237,10 +255,10 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     rtol, atol : float
         Local error is controlled to atol + rtol*|x| componentwise.
         Defaults match the tolerances the experiments were run with.
-    jacobian : callable(t, x) -> matrix or BandedJacobian, optional
-        State Jacobian.  A BandedJacobian is factored in band storage,
-        a matrix densely.  Approximated by forward differences when
-        absent.
+    jacobian : callable(t, x) -> matrix or SecondOrderJacobian, optional
+        State Jacobian.  A SecondOrderJacobian is factored through its
+        tridiagonal velocity Schur complement, a matrix densely.
+        Approximated by forward differences when absent.
     first_step : float, optional
         Override the automatic starting step; must be finite and > 0.
     dfdt : callable(t, x) -> array, optional

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -307,6 +312,22 @@ class TestMain:
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["build", "--config", str(tmp_path / "absent.ini")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_module_run_is_silent(self, tmp_path):
+        # the package must not import cli itself, or runpy warns that
+        # cablemass.cli was already in sys.modules before running it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "cablemass.cli", "build", "--preset", "exp_stab_Ex1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        assert "preset: exp_stab_Ex1" in run.stdout
 
     def test_flag_beats_preset_tf(self, tmp_path):
         cfg = load_config(None, cli_overrides={"preset": "small_stiff_ex5_in4",

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from cablemass import linalg, model, ode
+from cablemass.cli import PRESETS
 from cablemass.model import (GridTooCoarse, InvalidParams, PhysicalParams,
                              build_system, eval_nonlinearity, fom_jacobian,
                              fom_rhs, make_grid, quadratic_forms,
@@ -123,7 +126,7 @@ class TestBuildSystem:
         assert sys.nl_target_index == 13
 
     def test_cached_inputs_read_only(self):
-        # a_band, a_csr and schur are derived from A once and kept
+        # a_second_order, a_csr and schur are derived from A once and kept
         sys = build_system(EXAMPLE1, 5)
         with pytest.raises(ValueError):
             sys.a[0, 0] = 1.0
@@ -242,19 +245,48 @@ def dense_jacobian(sys, x):
     return jac
 
 
-class TestBandedJacobian:
+def velocity_row_combination(sys):
+    """P: h/(2 m0) times velocity row 1 onto row 0, h/(2 ml) times row n-2
+    onto row n-1, built from the parameters rather than the stored band."""
+    n, h = sys.n, sys.grid.h
+    p = np.eye(n)
+    p[0, 1] = h / (2.0 * sys.params.m0)
+    p[n - 1, n - 2] = h / (2.0 * sys.params.ml)
+    return p
+
+
+def unband(ab):
+    """The dense tridiagonal matrix of a (3, n) LAPACK band."""
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+def backward_error(w, z, b):
+    """||W z - b|| / (||W|| ||z|| + ||b||), all in the 1-norm."""
+    return (np.linalg.norm(w @ z - b, 1)
+            / (np.linalg.norm(w, 1) * np.linalg.norm(z, 1)
+               + np.linalg.norm(b, 1)))
+
+
+class TestSecondOrderJacobian:
     # n = 3 is the smallest grid, where the two boundary stencils overlap
-    @pytest.mark.parametrize("n", [3, 50])
-    def test_band_widths(self, n, rng):
-        sys = build_system(EXAMPLE1, n)
-        band = fom_jacobian(sys, rng.standard_normal(2 * n))
-        assert (band.kl, band.ku) == (5, 4)
-        assert band.ab.shape == (10, 2 * n)
-        # the outermost diagonals are occupied, so neither width can shrink
-        assert np.count_nonzero(band.ab[0]) > 0
-        assert np.count_nonzero(band.ab[-1]) > 0
-        # and every nonzero of A lies inside the band
-        assert np.count_nonzero(sys.a_band.ab) == np.count_nonzero(sys.a)
+    @pytest.mark.parametrize("n", [3, 50, 400])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_velocity_blocks_tridiagonal(self, name, n):
+        sys = build_system(PRESETS[name].params, n)
+        p = velocity_row_combination(sys)
+        structured = sys.a_second_order
+        for block, band in ((sys.a[n:, :n], structured.pk),
+                            (sys.a[n:, n:], structured.pg)):
+            pm = p @ block
+            tol = 4.0 * np.finfo(float).eps * np.abs(block).max()
+            # everything off the three diagonals cancels to rounding ...
+            assert np.abs(np.triu(pm, 2)).max(initial=0.0) <= tol
+            assert np.abs(np.tril(pm, -2)).max(initial=0.0) <= tol
+            # ... and the band holds the three diagonals that remain
+            np.testing.assert_allclose(unband(band),
+                                       np.triu(np.tril(pm, 1), -1),
+                                       rtol=0.0, atol=tol)
+        np.testing.assert_array_equal(unband(structured.p), p)
 
     @pytest.mark.parametrize("n", [3, 50])
     def test_dense_form_exact(self, n, rng):
@@ -264,7 +296,7 @@ class TestBandedJacobian:
                                       dense_jacobian(sys, x))
 
     @pytest.mark.parametrize("n", [3, 50])
-    def test_banded_solve_matches_dense(self, n, rng):
+    def test_solve_matches_dense(self, n, rng):
         sys = build_system(EXAMPLE1, n)
         x = rng.standard_normal(2 * n)
         b = rng.standard_normal(2 * n)
@@ -273,11 +305,54 @@ class TestBandedJacobian:
         ref = np.linalg.solve(np.eye(2 * n) - hd * dense_jacobian(sys, x), b)
         assert np.linalg.norm(solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_band_built_lazily(self):
+    @pytest.mark.parametrize("hd", [1e-6, 1e-3, 0.1, 1.0, 30.0])
+    @pytest.mark.parametrize("n", [3, 100, 400])
+    @pytest.mark.parametrize("name", ["small_stiff_ex5_in4", "exp_stab_Ex1",
+                                      "small_damp_ex5_in4"])
+    def test_solve_backward_stable(self, name, n, hd, rng):
+        sys = build_system(PRESETS[name].params, n)
+        x = rng.standard_normal(2 * n)
+        b = rng.standard_normal(2 * n)
+        z = ode._factor(fom_jacobian(sys, x), hd, 0.0)(b)
+        w = np.eye(2 * n) - hd * dense_jacobian(sys, x)
+        assert backward_error(w, z, b) <= 1e-14
+
+    def test_solve_keeps_its_input(self, rng):
         sys = build_system(EXAMPLE1, 10)
-        assert "a_band" not in vars(sys)
-        fom_jacobian(sys, np.zeros(20))
-        assert sys.a_band is vars(sys)["a_band"]
+        b = rng.standard_normal(20)
+        kept = b.copy()
+        ode._factor(fom_jacobian(sys, np.ones(20)), 0.1, 0.0)(b)
+        np.testing.assert_array_equal(b, kept)
+
+    def test_singular(self):
+        # K = 16 I, G = 0: at hd = 0.25 the Schur complement I - hd^2 K is 0
+        n, hd = 4, 0.25
+        band = np.zeros((3, n), order="F")
+        band[1] = 16.0
+        eye = np.zeros((3, n), order="F")
+        eye[1] = 1.0
+        linear = np.block([[np.zeros((n, n)), np.eye(n)],
+                           [16.0 * np.eye(n), np.zeros((n, n))]])
+        jac = ode.SecondOrderJacobian(linear=linear, p=eye, pk=band,
+                                      pg=np.zeros((3, n), order="F"))
+        assert np.linalg.matrix_rank(np.eye(2 * n) - hd * jac.dense()) < 2 * n
+        assert ode._factor(jac, hd, 0.0) is None
+
+    @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_jacobian(self, delta):
+        sys = build_system(EXAMPLE1, 10)
+        jac = replace(sys.a_second_order, delta=delta)
+        with pytest.raises(ode.NonFiniteState):
+            ode._factor(jac, 0.1, 0.0)
+
+    def test_built_lazily(self):
+        sys = build_system(EXAMPLE1, 10)
+        assert "a_second_order" not in vars(sys)
+        jac = fom_jacobian(sys, np.zeros(20))
+        assert sys.a_second_order is vars(sys)["a_second_order"]
+        # a step shares the system's pieces; only delta is its own
+        assert jac.pk is sys.a_second_order.pk
+        assert jac.pg is sys.a_second_order.pg
 
 
 class TestInitialData:
