@@ -19,8 +19,10 @@ import numpy as np
 
 from . import linalg
 from .model import (DimensionMismatch, PhysicalParams, QuadraticForms,
-                    StateSpaceSystem, fom_jacobian, fom_rhs)
-from .rom import OutputSeries, _integrate_sampled
+                    StateSpaceSystem)
+# looked up here by name by the benchmark's tracer (perfbench/tracing.py)
+from .model import fom_jacobian, fom_rhs  # noqa: F401
+from .rom import OutputSeries, _fom_functions, _integrate_sampled
 from .signals import InputSpec
 
 
@@ -83,17 +85,11 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
                  fit_skip: float = 0.1) -> EnergyReport:
     """Unforced energy history and exponential decay-rate fit.
 
-    Integrates the full-order model with zero input, samples the energy
-    on a uniform grid, and fits log E by least squares over
-    [fit_skip*tf, tf] (the initial transient is skipped).
+    Integrates the full-order model with zero input, sampling only the
+    uniform grid (no trajectory is held), and fits log E by least
+    squares over [fit_skip*tf, tf] (the initial transient is skipped).
     """
-
-    def f(x, u):
-        return fom_rhs(sys, x, u)
-
-    def jac(t, x):
-        return fom_jacobian(sys, x)
-
+    f, jac = _fom_functions(sys)
     times, states, _ = _integrate_sampled(
         f, jac, sys.b[:, 0], InputSpec(kind="zero"), x0, 0.0, tf,
         sample_count, rtol, atol)

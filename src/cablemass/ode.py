@@ -6,9 +6,13 @@ with an embedded third-order error estimate.  Each step factors
 W = I - h d J once and performs three linear solves, so the cost per
 step is one Jacobian, one factorisation, and two right-hand-side
 evaluations, plus one more when the time derivative df/dt is not
-supplied and is approximated by a forward difference.  Accepted nodes
-store the state derivative, which gives a free cubic Hermite
-interpolant for dense output.
+supplied and is approximated by a forward difference.  Both ends of
+an accepted step carry the state and its derivative, which gives a free
+cubic Hermite interpolant for dense output.  ``integrate`` either keeps
+every node (a ``Trajectory``, which ``sample`` interpolates later) or,
+given query times ``t_eval``, writes the interpolant at the queries a
+step covers as the step is accepted and keeps nothing else, so its
+memory grows with the number of queries, not with the number of steps.
 
 The Jacobian's type picks the factorisation.  A ``SecondOrderJacobian``
 belongs to a second-order system x = [d; v] with d' = v, so
@@ -29,6 +33,7 @@ the LAPACK calls themselves.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -107,6 +112,20 @@ class Trajectory:
     states: np.ndarray
     derivs: np.ndarray
     stats: IntegratorStats = field(default_factory=IntegratorStats)
+
+
+@dataclass(eq=False)
+class Samples:
+    """Dense output of one run at its query times, and the run's end state.
+
+    states[i] is the state at times[i]; end_state is the state at tf
+    exactly, the one a following run starts from.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    end_state: np.ndarray
+    stats: IntegratorStats
 
 
 def _fd_jacobian(rhs, t, y, f0, thresh, stats):
@@ -208,7 +227,9 @@ def _factor(jac, hd: float, t: float):
         return solve
 
     w = np.asarray(jac, dtype=float) * -hd
-    w.flat[:: w.shape[0] + 1] += 1.0
+    # w is fresh and contiguous, so its memory-order ravel is a view; the
+    # diagonal has stride n + 1 in either order
+    w.ravel("K")[:: w.shape[0] + 1] += 1.0
     _check_iteration_matrix(w, t)
     factors = lu_factor(w)
     if factors is None:
@@ -239,9 +260,39 @@ def _stages(rhs, t, y, f0, ft, h, solve, stats):
     return ynew, f2, (h / 6.0) * (k1 - 2.0 * k2 + k3)
 
 
+def _hermite(s, hseg, y0, f0, y1, f1):
+    """Cubic Hermite interpolant of a step of length hseg at fractions s.
+
+    (y0, f0) and (y1, f1) are the state and derivative at the step's two
+    ends.  s is a float (one query) or an array of shape (k, 1) (k
+    queries, with hseg a float or of shape (k, 1) and the end data of
+    shape (dim,) or (k, dim)).  Both forms do the same operations in the
+    same order, so they agree bitwise, and s = 0 returns y0 exactly.
+    """
+    s2 = s * s
+    s3 = s2 * s
+    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
+    h10 = s3 - 2.0 * s2 + s
+    h01 = -2.0 * s3 + 3.0 * s2
+    h11 = s3 - s2
+    return h00 * y0 + (hseg * h10) * f0 + h01 * y1 + (hseg * h11) * f1
+
+
+def _query_times(t_eval, t0: float, tf: float) -> np.ndarray:
+    q = np.asarray(t_eval, dtype=float)
+    if q.ndim != 1:
+        raise ValueError(f"t_eval must be one-dimensional, got shape {q.shape}")
+    # written so that a NaN query fails too
+    if q.size and not (t0 <= q[0] and q[-1] <= tf
+                       and (q[1:] >= q[:-1]).all()):
+        raise OutOfRange(f"t_eval must be sorted and lie in [{t0}, {tf}]")
+    return q
+
+
 def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
               atol: float = 1e-6, jacobian=None, first_step: float | None = None,
-              max_steps: int = 1_000_000, dfdt=None) -> Trajectory:
+              max_steps: int = 1_000_000, dfdt=None, t_eval=None,
+              out: np.ndarray | None = None) -> Trajectory | Samples:
     """Integrate x' = rhs(t, x) from t0 to tf with embedded error control.
 
     Parameters
@@ -267,9 +318,25 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         difference, at one extra rhs call per step, when absent.  rhs
         must be smooth on [t0, tf]: integrate a discontinuous forcing
         piece by piece between its jumps.
+    t_eval : array, optional
+        Sorted query times in [t0, tf].  Each accepted step writes the
+        dense output at the queries it covers, [t, t + h) and, for the
+        last step, tf itself, and no node is kept.  The samples equal
+        ``sample(integrate(...), t_eval)`` bitwise.
+    out : array of shape (len(t_eval), len(x0)), optional
+        Where the t_eval samples are written; allocated when absent.
+
+    Returns
+    -------
+    Trajectory
+        Without t_eval: every accepted node, for ``sample``.
+    Samples
+        With t_eval: the states at t_eval and the end state.
 
     Raises
     ------
+    OutOfRange
+        When t_eval is unsorted or leaves [t0, tf].
     StepSizeUnderflow
         When stiffness or an unresolvable discontinuity drives the step
         below 16*eps*max(|t|, |tf|).
@@ -288,6 +355,17 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     y = np.array(x0, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
+    if t_eval is not None:
+        q = _query_times(t_eval, t0, tf)
+        if out is None:
+            out = np.empty((q.size, y.size))
+        elif out.shape != (q.size, y.size):
+            raise ValueError(f"out must have shape {(q.size, y.size)}, "
+                             f"got {out.shape}")
+        tq = q.tolist()  # scalar time arithmetic stays in Python floats
+        qi, nq = 0, q.size
+    elif out is not None:
+        raise ValueError("out needs t_eval")
 
     stats = IntegratorStats()
     thresh = atol / rtol
@@ -300,9 +378,11 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     h = first_step if first_step is not None else _initial_step(
         rhs, t0, y, f0, tf, rtol, atol, stats)
 
-    times = [t]
-    states = [y.copy()]
-    derivs = [f0.copy()]
+    if t_eval is None:
+        times = [t]
+        states = [y.copy()]
+        derivs = [f0.copy()]
+    ay = np.abs(y)
 
     while t < tf:
         if stats.n_steps + stats.n_rejected >= max_steps:
@@ -345,19 +425,32 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
                 errnorm = math.inf
             else:
                 ynew, f2, err = step
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
+                aynew = np.abs(ynew)
+                scale = atol + rtol * np.maximum(ay, aynew)
                 errnorm = float((np.abs(err) / scale).max())
                 if not math.isfinite(errnorm):
                     errnorm = math.inf
 
             if errnorm <= 1.0:
                 stats.n_steps += 1
-                t = tf if clamped else t + h_use
-                y = ynew
-                f0 = f2
-                times.append(t)
-                states.append(y.copy())
-                derivs.append(f0.copy())
+                tnew = tf if clamped else t + h_use
+                if t_eval is None:
+                    times.append(tnew)
+                    states.append(ynew.copy())
+                    derivs.append(f2.copy())
+                elif qi < nq:
+                    # the queries in [t, tnew), and at the end tf too
+                    qj = bisect_left(tq, tnew, qi) if tnew < tf else nq
+                    hseg = tnew - t
+                    if qj == qi + 1:
+                        out[qi] = _hermite((tq[qi] - t) / hseg, hseg,
+                                           y, f0, ynew, f2)
+                    elif qj > qi:
+                        s = (q[qi:qj] - t) / hseg
+                        out[qi:qj] = _hermite(s[:, None], hseg,
+                                              y, f0, ynew, f2)
+                    qi = qj
+                t, y, f0, ay = tnew, ynew, f2, aynew
                 if errnorm == 0.0:
                     factor = _MAX_FACTOR
                 else:
@@ -377,6 +470,8 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
                 factor = min(0.9, max(0.1, _SAFETY * errnorm ** (-1.0 / 3.0)))
             h = h_use * factor
 
+    if t_eval is not None:
+        return Samples(times=q, states=out, end_state=y, stats=stats)
     return Trajectory(times=np.array(times), states=np.array(states),
                       derivs=np.array(derivs), stats=stats)
 
@@ -385,7 +480,8 @@ def sample(traj: Trajectory, query_times) -> np.ndarray:
     """States at the query times, by cubic Hermite interpolation.
 
     Queries must lie within the integrated span; a query at a stored
-    node returns the stored state exactly.
+    node returns the stored state exactly.  ``integrate(t_eval=...)``
+    gives the same values without keeping the trajectory.
     """
     q = np.atleast_1d(np.asarray(query_times, dtype=float))
     dim = traj.states.shape[1]
@@ -399,13 +495,6 @@ def sample(traj: Trajectory, query_times) -> np.ndarray:
     tl = t[idx]
     hseg = t[idx + 1] - tl
     s = (q - tl) / hseg
-    s2 = s * s
-    s3 = s2 * s
-    h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-    h10 = s3 - 2.0 * s2 + s
-    h01 = -2.0 * s3 + 3.0 * s2
-    h11 = s3 - s2
-    return (h00[:, None] * traj.states[idx]
-            + (hseg * h10)[:, None] * traj.derivs[idx]
-            + h01[:, None] * traj.states[idx + 1]
-            + (hseg * h11)[:, None] * traj.derivs[idx + 1])
+    return _hermite(s[:, None], hseg[:, None], traj.states[idx],
+                    traj.derivs[idx], traj.states[idx + 1],
+                    traj.derivs[idx + 1])

@@ -1,3 +1,5 @@
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pytest
 
@@ -50,15 +52,24 @@ def record_real_schur(monkeypatch):
     return calls
 
 
+class IntegrateCall(NamedTuple):
+    t0: float
+    tf: float
+    x0: np.ndarray
+    rhs: Callable
+    result: ode.Trajectory | ode.Samples
+
+
 def record_integrate(monkeypatch):
-    """Patch ode.integrate to log (t0, tf, trajectory) of every call."""
+    """Patch ode.integrate to log an IntegrateCall for every call."""
     calls = []
     real = ode.integrate
 
     def recording(rhs, x0, t0, tf, **kwargs):
-        traj = real(rhs, x0, t0, tf, **kwargs)
-        calls.append((t0, tf, traj))
-        return traj
+        x0 = np.array(x0)  # the caller's start state, as passed
+        result = real(rhs, x0, t0, tf, **kwargs)
+        calls.append(IntegrateCall(t0, tf, x0, rhs, result))
+        return result
 
     monkeypatch.setattr(ode, "integrate", recording)
     return calls

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from cablemass import analysis
 from cablemass.analysis import (GridMismatch, accurate_prefix, compute_energy,
                                 energy_decay, local_maxima, output_error,
                                 stability_margin)
-from cablemass.cli import _energy_initial_data
+from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import (DimensionMismatch, PhysicalParams, build_system,
                              quadratic_forms)
 from conftest import EXAMPLE1, EXAMPLE2_SMALL
@@ -89,6 +90,24 @@ class TestEnergyDecay:
         assert local_maxima(report.e).size > 0
         assert report.e[-1] < report.e[0]
         assert report.fitted_rate < 0.0
+
+
+    def test_memory_grows_with_samples_not_steps(self):
+        # exp_stab_Ex1 at n = 100 takes ~4700 steps to tf = 50; a kept
+        # trajectory of states and derivatives would be ~15 MB, while
+        # the 1000 x 200 sampled states are 1.53 MB
+        preset = PRESETS["exp_stab_Ex1"]
+        sys = build_system(preset.params, 100)
+        forms = quadratic_forms(preset.params, 100)
+        x0 = _energy_initial_data(preset.params, 100)
+        energy_decay(sys, forms, x0, 50.0, rtol=1e-6)  # warm caches
+        tracemalloc.start()
+        try:
+            energy_decay(sys, forms, x0, 50.0, rtol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 1000 * 200 * 8
 
 
 class TestStabilityMargin:

@@ -266,3 +266,61 @@ class TestSample:
         states = ode.sample(traj, grid)
         exact = np.cos(2.0 * grid)
         np.testing.assert_allclose(states[:, 0], exact, atol=2e-5)
+
+
+def assert_bitwise(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestStreamedSamples:
+    """integrate(t_eval=...) against sample(integrate(...), t_eval)."""
+
+    A = np.array([[0.0, 1.0], [-4.0, -0.1]])
+
+    def _run(self, **kwargs):
+        return ode.integrate(lambda t, x: self.A @ x, np.array([1.0, 0.0]),
+                             0.0, 3.0, rtol=1e-5, atol=1e-9,
+                             jacobian=lambda t, x: self.A, **kwargs)
+
+    def test_bitwise_equal_to_sample(self):
+        nodes = self._run()
+        # t0, tf, every node, and several queries inside each step
+        q = np.unique(np.concatenate([
+            nodes.times, np.linspace(0.0, 3.0, 7 * len(nodes.times))]))
+        streamed = self._run(t_eval=q)
+        assert_bitwise(streamed.states, ode.sample(nodes, q))
+        # a query at a node returns the stored state
+        at_nodes = streamed.states[np.searchsorted(q, nodes.times)]
+        np.testing.assert_array_equal(at_nodes, nodes.states)
+        assert_bitwise(streamed.end_state, nodes.states[-1])
+        assert streamed.stats == nodes.stats
+        assert_bitwise(streamed.times, q)
+
+    @pytest.mark.parametrize("q", [[], [1.5], [0.0, 0.0, 3.0, 3.0],
+                                   [0.1, 0.1000001, 2.9]])
+    def test_sparse_and_repeated_queries(self, q):
+        # most steps cover no query; a repeated query is written twice
+        nodes = self._run()
+        streamed = self._run(t_eval=q)
+        assert_bitwise(streamed.states, ode.sample(nodes, q).reshape(-1, 2))
+        assert_bitwise(streamed.end_state, nodes.states[-1])
+
+    @pytest.mark.parametrize("q", [[-0.1], [3.0000001], [1.0, 0.5],
+                                   [0.5, math.nan]])
+    def test_out_of_range(self, q):
+        with pytest.raises(ode.OutOfRange):
+            self._run(t_eval=q)
+
+    def test_writes_into_out(self):
+        q = np.linspace(0.0, 3.0, 11)
+        out = np.full((11, 2), np.nan)
+        streamed = self._run(t_eval=q, out=out)
+        assert streamed.states is out
+        assert_bitwise(out, ode.sample(self._run(), q))
+
+    def test_bad_out(self):
+        with pytest.raises(ValueError, match="shape"):
+            self._run(t_eval=[0.0, 1.0], out=np.empty((3, 2)))
+        with pytest.raises(ValueError, match="t_eval"):
+            self._run(out=np.empty((2, 2)))

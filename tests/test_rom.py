@@ -151,23 +151,25 @@ class TestPiecewise:
         _, _, red = reduced_n20
         calls = record_integrate(monkeypatch)
         rom.simulate_rom(red, input_preset("input4"), 0.0, 100.0)
-        assert [(t0, tf) for t0, tf, _ in calls] == \
+        assert [(c.t0, c.tf) for c in calls] == \
             [(5.0 * k, 5.0 * k + 5.0) for k in range(20)]
-        # each piece starts from the end state of the one before
-        for (_, _, before), (_, _, after) in zip(calls, calls[1:]):
-            np.testing.assert_array_equal(before.states[-1], after.states[0])
+        # each piece starts from the exact end state of the one before
+        for before, after in zip(calls, calls[1:]):
+            np.testing.assert_array_equal(after.x0, before.result.end_state)
         # and holds the input at the square wave's value on that piece
-        for k, (_, _, traj) in enumerate(calls):
-            push = traj.derivs[0] - rom.rom_rhs(red, traj.states[0], 0.0)
-            np.testing.assert_allclose(push, red.br[:, 0] * 0.1 * (-1) ** k,
-                                       rtol=1e-9, atol=1e-12)
+        for k, call in enumerate(calls):
+            for t, x in ((call.t0, call.x0), (call.tf, call.result.end_state)):
+                push = call.rhs(t, x) - rom.rom_rhs(red, x, 0.0)
+                np.testing.assert_allclose(push,
+                                           red.br[:, 0] * 0.1 * (-1) ** k,
+                                           rtol=1e-9, atol=1e-12)
 
     def test_smooth_input_one_call(self, reduced_n20, monkeypatch):
         sys, _, red = reduced_n20
         calls = record_integrate(monkeypatch)
         rom.simulate_rom(red, resolve_input(input_preset("input2"), sys),
                          0.0, 100.0)
-        assert [(t0, tf) for t0, tf, _ in calls] == [(0.0, 100.0)]
+        assert [(c.t0, c.tf) for c in calls] == [(0.0, 100.0)]
 
     @pytest.mark.parametrize("model", ["rom", "fom"])
     def test_stats_summed(self, reduced_n20, monkeypatch, model):
@@ -179,8 +181,8 @@ class TestPiecewise:
             series = rom.simulate_fom(sys, input_preset("input4"), 0.0, 30.0)
         assert len(calls) == 6
         total = ode.IntegratorStats()
-        for _, _, traj in calls:
-            total = total + traj.stats
+        for call in calls:
+            total = total + call.result.stats
         assert series.stats == total
 
     def test_breakpoint_samples_are_stored_states(self, reduced_n20,
@@ -191,9 +193,73 @@ class TestPiecewise:
         series = rom.simulate_rom(red, input_preset("input4"), 0.0, 100.0,
                                   sample_count=21)
         assert not np.isnan(series.values).any()
-        stored = np.array([traj.states[0] for _, _, traj in calls]
-                          + [calls[-1][2].states[-1]])
+        stored = np.array([call.x0 for call in calls]
+                          + [calls[-1].result.end_state])
         np.testing.assert_array_equal(series.values, stored @ red.cr.T)
+
+
+def _sample_from_nodes(monkeypatch):
+    """Make ode.integrate keep the nodes and sample them when it is done."""
+    real = ode.integrate
+
+    def by_nodes(rhs, x0, t0, tf, t_eval, out, **kwargs):
+        traj = real(rhs, x0, t0, tf, **kwargs)
+        out[:] = ode.sample(traj, t_eval)
+        return ode.Samples(times=t_eval, states=out,
+                           end_state=traj.states[-1], stats=traj.stats)
+
+    monkeypatch.setattr(ode, "integrate", by_nodes)
+
+
+class TestStreamedSampling:
+    """The grid samples of a run are those of its node trajectories.
+
+    On [0, 30], 1000 samples put several queries in one step, 7 samples
+    put one on every square-wave breakpoint, and with 4 samples most
+    square-wave pieces cover no query.  t0 and tf are always queried.
+    """
+
+    @pytest.mark.parametrize("count", [1000, 7, 4])
+    @pytest.mark.parametrize("input_name", ["input1", "input2", "input4",
+                                            "zero"])
+    @pytest.mark.parametrize("model", ["fom", "rom"])
+    def test_bitwise_equal_to_node_sampling(self, reduced_n20, monkeypatch,
+                                            model, input_name, count):
+        sys, _, red = reduced_n20
+        spec = resolve_input(input_preset(input_name), sys)
+        if model == "fom":
+            f, jac = rom._fom_functions(sys)
+            b, x0 = sys.b[:, 0], _energy_initial_data(sys.params, sys.n)
+        else:
+            f, jac = rom._rom_functions(red)
+            b, x0 = red.br[:, 0], np.linspace(-0.1, 0.1, red.r)
+        args = (f, jac, b, spec, x0, 0.0, 30.0, count, 1e-3, 1e-6)
+        grid, streamed, stats = rom._integrate_sampled(*args)
+        _sample_from_nodes(monkeypatch)
+        ref_grid, ref, ref_stats = rom._integrate_sampled(*args)
+        assert streamed.shape == ref.shape == (count, x0.size)
+        assert streamed.tobytes() == ref.tobytes()
+        assert stats == ref_stats
+        np.testing.assert_array_equal(grid, ref_grid)
+        if count == 1000:
+            assert stats.n_steps < count  # some step covers several queries
+
+    def test_fom_functions_match_public(self, reduced_n20, rng):
+        sys, _, _ = reduced_n20
+        f, jac = rom._fom_functions(sys)
+        x = rng.standard_normal(2 * sys.n)
+        assert f(x, sys.b[:, 0] * 0.3).tobytes() == \
+            fom_rhs(sys, x, 0.3).tobytes()
+        assert jac(0.0, x).dense().tobytes() == \
+            fom_jacobian(sys, x).dense().tobytes()
+
+    def test_rom_functions_match_public(self, reduced_n20, rng):
+        _, _, red = reduced_n20
+        f, jac = rom._rom_functions(red)
+        a = rng.standard_normal(red.r)
+        assert f(a, red.br[:, 0] * 0.3).tobytes() == \
+            rom.rom_rhs(red, a, 0.3).tobytes()
+        assert jac(0.0, a).tobytes() == rom.rom_jacobian(red, a).tobytes()
 
 
 def _fom_outputs(sys, u, x0, tf, rtol, atol, dense):
