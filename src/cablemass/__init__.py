@@ -40,9 +40,9 @@ __all__ = [
     "BalanceResult", "EnergyReport", "ErrorMetrics", "ExperimentConfig",
     "Grid", "InputSpec", "OutputSeries", "PRESETS", "PhysicalParams",
     "Preset", "QuadraticForms", "ReducedSystem", "Samples",
-    "StateSpaceSystem", "Trajectory", "build_system", "compute_energy", "energy_decay",
-    "error_bound", "eval_input", "eval_nonlinearity", "fom_jacobian",
-    "fom_rhs", "get_preset", "gramians", "hankel_values",
+    "StateSpaceSystem", "Trajectory", "build_system", "compute_energy",
+    "energy_decay", "error_bound", "eval_input", "eval_nonlinearity",
+    "fom_jacobian", "fom_rhs", "get_preset", "gramians", "hankel_values",
     "input2_frequencies", "input_preset", "integrate", "load_config",
     "output_error", "quadratic_forms", "reduce", "rom_jacobian",
     "rom_nonlinear", "rom_rhs", "run_experiment", "sample",

@@ -19,10 +19,8 @@ import numpy as np
 
 from . import linalg
 from .model import (DimensionMismatch, PhysicalParams, QuadraticForms,
-                    StateSpaceSystem)
-# looked up here by name by the benchmark's tracer (perfbench/tracing.py)
-from .model import fom_jacobian, fom_rhs  # noqa: F401
-from .rom import OutputSeries, _fom_functions, _integrate_sampled
+                    StateSpaceSystem, fom_jacobian, fom_rhs)
+from .rom import OutputSeries, _integrate_sampled
 from .signals import InputSpec
 
 
@@ -89,7 +87,13 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     uniform grid (no trajectory is held), and fits log E by least
     squares over [fit_skip*tf, tf] (the initial transient is skipped).
     """
-    f, jac = _fom_functions(sys)
+
+    def f(x, u):
+        return fom_rhs(sys, x, u)
+
+    def jac(t, x):
+        return fom_jacobian(sys, x)
+
     times, states, _ = _integrate_sampled(
         f, jac, sys.b[:, 0], InputSpec(kind="zero"), x0, 0.0, tf,
         sample_count, rtol, atol)

@@ -118,11 +118,11 @@ class Trajectory:
 class Samples:
     """Dense output of one run at its query times, and the run's end state.
 
-    states[i] is the state at times[i]; end_state is the state at tf
-    exactly, the one a following run starts from.
+    states[i] is the state at t_eval[i] (states is the caller's ``out``);
+    end_state is the state at tf exactly, the one a following run starts
+    from.
     """
 
-    times: np.ndarray
     states: np.ndarray
     end_state: np.ndarray
     stats: IntegratorStats
@@ -281,7 +281,8 @@ def _hermite(s, hseg, y0, f0, y1, f1):
 def _query_times(t_eval, t0: float, tf: float) -> np.ndarray:
     q = np.asarray(t_eval, dtype=float)
     if q.ndim != 1:
-        raise ValueError(f"t_eval must be one-dimensional, got shape {q.shape}")
+        raise ValueError(
+            f"t_eval must be one-dimensional, got shape {q.shape}")
     # written so that a NaN query fails too
     if q.size and not (t0 <= q[0] and q[-1] <= tf
                        and (q[1:] >= q[:-1]).all()):
@@ -324,7 +325,8 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         last step, tf itself, and no node is kept.  The samples equal
         ``sample(integrate(...), t_eval)`` bitwise.
     out : array of shape (len(t_eval), len(x0)), optional
-        Where the t_eval samples are written; allocated when absent.
+        Where the t_eval samples are written; given exactly when t_eval
+        is.
 
     Returns
     -------
@@ -355,17 +357,15 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     y = np.array(x0, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
+    if (t_eval is None) != (out is None):
+        raise ValueError("t_eval and out must be given together")
     if t_eval is not None:
         q = _query_times(t_eval, t0, tf)
-        if out is None:
-            out = np.empty((q.size, y.size))
-        elif out.shape != (q.size, y.size):
+        if out.shape != (q.size, y.size):
             raise ValueError(f"out must have shape {(q.size, y.size)}, "
                              f"got {out.shape}")
         tq = q.tolist()  # scalar time arithmetic stays in Python floats
         qi, nq = 0, q.size
-    elif out is not None:
-        raise ValueError("out needs t_eval")
 
     stats = IntegratorStats()
     thresh = atol / rtol
@@ -471,7 +471,7 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
             h = h_use * factor
 
     if t_eval is not None:
-        return Samples(times=q, states=out, end_state=y, stats=stats)
+        return Samples(states=out, end_state=y, stats=stats)
     return Trajectory(times=np.array(times), states=np.array(states),
                       derivs=np.array(derivs), stats=stats)
 

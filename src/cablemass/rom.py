@@ -9,9 +9,7 @@ so a ROM step costs O(r) regardless of the full order.  FOM and ROM
 runs are integrated from zero initial data with the analytic Jacobian,
 and the integrator writes the dense output straight onto a uniform
 comparison grid: no run holds its adaptive trajectory, so memory grows
-with the sample count, not with the step count.  The right-hand side
-and Jacobian closures of a run are built once and skip the shape
-checks of the public ``fom_rhs``, ``rom_rhs`` and ``rom_jacobian``.
+with the sample count, not with the step count.
 
 Both models are autonomous apart from the input term B u(t), so the
 integrator gets the exact df/dt = B u'(t).  The span is cut at the
@@ -29,9 +27,7 @@ import numpy as np
 
 from . import ode
 from .balance import ReducedSystem
-from .model import DimensionMismatch, StateSpaceSystem
-# looked up here by name by the benchmark's tracer (perfbench/tracing.py)
-from .model import fom_jacobian, fom_rhs  # noqa: F401
+from .model import DimensionMismatch, StateSpaceSystem, fom_jacobian, fom_rhs
 from .signals import (PIECEWISE_CONSTANT, InputSpec, breakpoints, eval_input,
                       eval_input_derivative)
 
@@ -82,50 +78,10 @@ def rom_jacobian(red: ReducedSystem, a) -> np.ndarray:
         red.nl_out_weights, red.nl_in_weights)
 
 
-def _rom_functions(red: ReducedSystem):
-    """f(a, bu) = A_r a + bu + S_r F(T_r a) and its Jacobian, unchecked.
-
-    bu is the input term B_r u.  Both give bitwise the values of
-    rom_rhs and rom_jacobian, which check the state's shape first.
-    """
-    ar, w_in, coeff = red.ar, red.nl_in_weights, red.nl_coeff
-    w_out = red.nl_out_weights
-    outer = np.outer(w_out, w_in)
-
-    def f(a, bu):
-        return ar @ a + bu + (coeff * (w_in @ a) ** 3) * w_out
-
-    def jac(t, a):
-        return ar + (3.0 * coeff * (w_in @ a) ** 2) * outer
-
-    return f, jac
-
-
-def _fom_functions(sys: StateSpaceSystem):
-    """f(x, bu) = A x + bu + F(x) and its Jacobian, unchecked.
-
-    bu is the input term B u.  Both give bitwise the values of fom_rhs
-    and fom_jacobian, which check the state's shape first.
-    """
-    a_csr, base = sys.a_csr, sys.a_second_order
-    coeff, src, dst = sys.nl_coeff, sys.nl_state_index, sys.nl_target_index
-
-    def f(x, bu):
-        out = a_csr @ x + bu
-        out[dst] += coeff * x[src] ** 3
-        return out
-
-    def jac(t, x):
-        return ode.SecondOrderJacobian(base.linear, base.p, base.pk, base.pg,
-                                       delta=3.0 * coeff * x[src] ** 2)
-
-    return f, jac
-
-
 def _integrate_sampled(f, jac, b: np.ndarray, spec: InputSpec, x0,
                        t0: float, tf: float, sample_count: int, rtol: float,
                        atol: float):
-    """Integrate x' = f(x, b u(t)) from x(t0) = x0; sample x uniformly.
+    """Integrate x' = f(x, u(t)) from x(t0) = x0; sample x uniformly.
 
     jac(t, x) is the state Jacobian and b the input column, so df/dt =
     b u'(t).  Each piece between the input's breakpoints is one
@@ -148,16 +104,16 @@ def _integrate_sampled(f, jac, b: np.ndarray, spec: InputSpec, x0,
     for k in range(len(edges) - 1):
         a, c = edges[k], edges[k + 1]
         if spec.kind in PIECEWISE_CONSTANT:
-            bu = b * eval_input(spec, 0.5 * (a + c))
+            u = eval_input(spec, 0.5 * (a + c))
 
-            def rhs(t, x, bu=bu):  # bound now: this piece's input term
-                return f(x, bu)
+            def rhs(t, x, u=u):  # bound now: this piece's input value
+                return f(x, u)
 
             def dfdt(t, x):
                 return zero
         else:
             def rhs(t, x):
-                return f(x, b * eval_input(spec, t))
+                return f(x, eval_input(spec, t))
 
             def dfdt(t, x):
                 return b * eval_input_derivative(spec, t)
@@ -175,7 +131,13 @@ def simulate_rom(red: ReducedSystem, spec: InputSpec, t0: float = 0.0,
                  tf: float = 100.0, rtol: float = 1e-3, atol: float = 1e-6,
                  sample_count: int = 1000) -> OutputSeries:
     """Integrate the nonlinear ROM from a(0) = 0; return y_r = C_r a."""
-    f, jac = _rom_functions(red)
+
+    def f(a, u):
+        return rom_rhs(red, a, u)
+
+    def jac(t, a):
+        return rom_jacobian(red, a)
+
     grid, states, stats = _integrate_sampled(
         f, jac, red.br[:, 0], spec, np.zeros(red.r), t0, tf, sample_count,
         rtol, atol)
@@ -186,7 +148,13 @@ def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
                  tf: float = 100.0, rtol: float = 1e-3, atol: float = 1e-6,
                  sample_count: int = 1000) -> OutputSeries:
     """Integrate the full-order model from x(0) = 0; return y = C x."""
-    f, jac = _fom_functions(sys)
+
+    def f(x, u):
+        return fom_rhs(sys, x, u)
+
+    def jac(t, x):
+        return fom_jacobian(sys, x)
+
     grid, states, stats = _integrate_sampled(
         f, jac, sys.b[:, 0], spec, np.zeros(2 * sys.n), t0, tf,
         sample_count, rtol, atol)

@@ -205,8 +205,8 @@ def _sample_from_nodes(monkeypatch):
     def by_nodes(rhs, x0, t0, tf, t_eval, out, **kwargs):
         traj = real(rhs, x0, t0, tf, **kwargs)
         out[:] = ode.sample(traj, t_eval)
-        return ode.Samples(times=t_eval, states=out,
-                           end_state=traj.states[-1], stats=traj.stats)
+        return ode.Samples(states=out, end_state=traj.states[-1],
+                           stats=traj.stats)
 
     monkeypatch.setattr(ode, "integrate", by_nodes)
 
@@ -228,10 +228,20 @@ class TestStreamedSampling:
         sys, _, red = reduced_n20
         spec = resolve_input(input_preset(input_name), sys)
         if model == "fom":
-            f, jac = rom._fom_functions(sys)
+            def f(x, u):
+                return fom_rhs(sys, x, u)
+
+            def jac(t, x):
+                return fom_jacobian(sys, x)
+
             b, x0 = sys.b[:, 0], _energy_initial_data(sys.params, sys.n)
         else:
-            f, jac = rom._rom_functions(red)
+            def f(a, u):
+                return rom.rom_rhs(red, a, u)
+
+            def jac(t, a):
+                return rom.rom_jacobian(red, a)
+
             b, x0 = red.br[:, 0], np.linspace(-0.1, 0.1, red.r)
         args = (f, jac, b, spec, x0, 0.0, 30.0, count, 1e-3, 1e-6)
         grid, streamed, stats = rom._integrate_sampled(*args)
@@ -243,23 +253,6 @@ class TestStreamedSampling:
         np.testing.assert_array_equal(grid, ref_grid)
         if count == 1000:
             assert stats.n_steps < count  # some step covers several queries
-
-    def test_fom_functions_match_public(self, reduced_n20, rng):
-        sys, _, _ = reduced_n20
-        f, jac = rom._fom_functions(sys)
-        x = rng.standard_normal(2 * sys.n)
-        assert f(x, sys.b[:, 0] * 0.3).tobytes() == \
-            fom_rhs(sys, x, 0.3).tobytes()
-        assert jac(0.0, x).dense().tobytes() == \
-            fom_jacobian(sys, x).dense().tobytes()
-
-    def test_rom_functions_match_public(self, reduced_n20, rng):
-        _, _, red = reduced_n20
-        f, jac = rom._rom_functions(red)
-        a = rng.standard_normal(red.r)
-        assert f(a, red.br[:, 0] * 0.3).tobytes() == \
-            rom.rom_rhs(red, a, 0.3).tobytes()
-        assert jac(0.0, a).tobytes() == rom.rom_jacobian(red, a).tobytes()
 
 
 def _fom_outputs(sys, u, x0, tf, rtol, atol, dense):

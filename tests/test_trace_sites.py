@@ -36,7 +36,8 @@ def test_integrate_result_carries_traced_stats():
     # the tracer reads result.stats of every ode.integrate call, with and
     # without t_eval
     info = _load_tracing()._INFO["ode.integrate"]
-    for kwargs in ({}, {"t_eval": np.linspace(0.0, 1.0, 5)}):
+    for kwargs in ({}, {"t_eval": np.linspace(0.0, 1.0, 5),
+                        "out": np.empty((5, 1))}):
         result = ode.integrate(lambda t, x: -x, np.array([1.0]), 0.0, 1.0,
                                **kwargs)
         s = result.stats
