@@ -87,16 +87,9 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     uniform grid (no trajectory is held), and fits log E by least
     squares over [fit_skip*tf, tf] (the initial transient is skipped).
     """
-
-    def f(x, u):
-        return fom_rhs(sys, x, u)
-
-    def jac(t, x):
-        return fom_jacobian(sys, x)
-
     times, states, _ = _integrate_sampled(
-        f, jac, sys.b[:, 0], InputSpec(kind="zero"), x0, 0.0, tf,
-        sample_count, rtol, atol)
+        fom_rhs, fom_jacobian, sys, sys.b[:, 0], InputSpec(kind="zero"), x0,
+        0.0, tf, sample_count, rtol, atol)
 
     ek = np.empty(sample_count)
     ep = np.empty(sample_count)

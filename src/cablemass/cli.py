@@ -5,13 +5,17 @@ damping/stiffness parameter set plus its input, order and horizon).  A
 run writes flat CSV artifacts:
 
     eigs.csv     re,im of every eigenvalue of A
-    hsv.csv      Hankel singular values and the cumulative error bound
+    hsv.csv      Hankel singular values up to the numerical rank, and
+                 the cumulative error bound
     outputs.csv  FOM and ROM outputs on the comparison grid
     error.csv    relative L2/Linf error per channel and combined
     energy.csv   unforced energy history (energy studies only)
 
-Floats are written with 17 significant digits so runs with identical
-configs produce byte-identical files.
+Every subcommand runs one pipeline: build, spectrum, Gramians + balance
++ reduce, FOM + ROM, error, energy.  ``SUBCOMMANDS`` names the artifacts
+each writes, and it runs only the stages those need (so ``balance``
+checks r as ``compare`` does).  Floats are written with 17 significant
+digits so runs with identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -361,129 +365,84 @@ def _energy_initial_data(params, n):
         vel=np.cos)
 
 
-def run_experiment(cfg: ExperimentConfig, log=None) -> dict:
-    """Run the full experiment and write the artifact set.
+#: Subcommand -> (help text, artifacts it writes).  ``compare`` also
+#: writes "energy" when the config asks for the energy study.
+SUBCOMMANDS = {
+    "build": ("validate the config and report system dimensions", ()),
+    "eigs": ("write the eigenvalues of A (eigs.csv)", ("eigs",)),
+    "balance": ("write the Hankel singular values (hsv.csv)", ("hsv",)),
+    "simulate": ("write FOM and ROM outputs (outputs.csv)", ("outputs",)),
+    "compare": ("run the full experiment (all artifacts)",
+                ("eigs", "hsv", "outputs", "error")),
+    "energy": ("write the unforced energy history (energy.csv)", ("energy",)),
+}
 
-    Returns a dict mapping artifact names to file paths.
+
+def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
+    """Run the stages a subcommand's artifacts need, in pipeline order.
+
+    Each stage logs one line.  The output directory is made only when
+    there is an artifact to write.  Returns a dict mapping artifact
+    names to file paths, in stage order.
     """
     log = log or (lambda msg: None)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    artifacts = {}
+    wanted = set(SUBCOMMANDS[command][1])
+    if command == "compare" and cfg.energy_study:
+        wanted.add("energy")
+    if wanted:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    written = {}
 
-    sys_ = build_system(cfg.params, cfg.n)
-    log(f"built system: n={cfg.n}, state dim {2 * cfg.n}, h={sys_.grid.h:.6g}")
+    def write(name, writer, *data):
+        if name in wanted:
+            written[name] = os.path.join(cfg.out_dir, f"{name}.csv")
+            writer(written[name], *data)
 
-    eigs = sys_.schur.eigenvalues
-    path = os.path.join(cfg.out_dir, "eigs.csv")
-    write_eigs_csv(path, eigs)
-    artifacts["eigs"] = path
-    log(f"stability margin: {eigs.real.max():.6g}")
-
-    p, q = balance.gramians(sys_)
-    bal = balance.square_root_transform(p, q, cfg.r)
-    red = balance.reduce(sys_, bal)
-    path = os.path.join(cfg.out_dir, "hsv.csv")
-    write_hsv_csv(path, bal.hsv)
-    artifacts["hsv"] = path
-    log(f"retained r={cfg.r}, error bound {balance.error_bound(bal.hsv, cfg.r):.6g}")
-
-    spec = signals.resolve_input(cfg.input, sys_, mode=cfg.input2_mode)
-    fom_series = rom.simulate_fom(sys_, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
-                                  atol=cfg.atol, sample_count=cfg.sample_count)
-    rom_series = rom.simulate_rom(red, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
-                                  atol=cfg.atol, sample_count=cfg.sample_count)
-    path = os.path.join(cfg.out_dir, "outputs.csv")
-    write_outputs_csv(path, fom_series, rom_series)
-    artifacts["outputs"] = path
-
-    metrics = analysis.output_error(fom_series, rom_series)
-    path = os.path.join(cfg.out_dir, "error.csv")
-    write_error_csv(path, metrics)
-    artifacts["error"] = path
-    log(f"FOM vs ROM rel_l2={metrics.rel_l2:.6g} rel_linf={metrics.rel_linf:.6g}")
-
-    if cfg.energy_study:
-        forms = quadratic_forms(cfg.params, cfg.n)
-        x0 = _energy_initial_data(cfg.params, cfg.n)
-        report = analysis.energy_decay(sys_, forms, x0, cfg.tf,
-                                       rtol=min(cfg.rtol, 1e-6),
-                                       atol=min(cfg.atol, 1e-9),
-                                       sample_count=cfg.sample_count)
-        path = os.path.join(cfg.out_dir, "energy.csv")
-        write_energy_csv(path, report)
-        artifacts["energy"] = path
-        log(f"fitted decay rate {report.fitted_rate:.6g} (R2={report.fit_r2:.4f})")
-
-    return artifacts
-
-
-def _cmd_build(cfg, log):
     sys_ = build_system(cfg.params, cfg.n)
     log(f"preset: {cfg.preset or '(none)'}")
     log(f"nodes n={cfg.n}, spacing h={sys_.grid.h:.6g}, state dim {2 * cfg.n}")
     log(f"input kind: {cfg.input.kind}, r={cfg.r}, horizon [{cfg.t0}, {cfg.tf}]")
-    return {}
+
+    if "eigs" in wanted:
+        eigs = sys_.schur.eigenvalues
+        write("eigs", write_eigs_csv, eigs)
+        log(f"stability margin: {eigs.real.max():.6g}")
+
+    if wanted & {"hsv", "outputs", "error"}:
+        p, q = balance.gramians(sys_)
+        bal = balance.square_root_transform(p, q, cfg.r)
+        red = balance.reduce(sys_, bal)
+        write("hsv", write_hsv_csv, bal.hsv)
+        log(f"retained r={cfg.r}, error bound {balance.error_bound(bal.hsv, cfg.r):.6g}")
+
+    if wanted & {"outputs", "error"}:
+        spec = signals.resolve_input(cfg.input, sys_, mode=cfg.input2_mode)
+        fom_series = rom.simulate_fom(sys_, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
+                                      atol=cfg.atol, sample_count=cfg.sample_count)
+        rom_series = rom.simulate_rom(red, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
+                                      atol=cfg.atol, sample_count=cfg.sample_count)
+        write("outputs", write_outputs_csv, fom_series, rom_series)
+
+    if "error" in wanted:
+        metrics = analysis.output_error(fom_series, rom_series)
+        write("error", write_error_csv, metrics)
+        log(f"FOM vs ROM rel_l2={metrics.rel_l2:.6g} rel_linf={metrics.rel_linf:.6g}")
+
+    if "energy" in wanted:
+        forms = quadratic_forms(cfg.params, cfg.n)
+        x0 = _energy_initial_data(cfg.params, cfg.n)
+        report = analysis.energy_decay(
+            sys_, forms, x0, cfg.tf, rtol=min(cfg.rtol, 1e-6),
+            atol=min(cfg.atol, 1e-9), sample_count=cfg.sample_count)
+        write("energy", write_energy_csv, report)
+        log(f"fitted decay rate {report.fitted_rate:.6g} (R2={report.fit_r2:.4f})")
+
+    return written
 
 
-def _cmd_eigs(cfg, log):
-    sys_ = build_system(cfg.params, cfg.n)
-    eigs = sys_.schur.eigenvalues
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "eigs.csv")
-    write_eigs_csv(path, eigs)
-    log(f"stability margin: {eigs.real.max():.6g}")
-    return {"eigs": path}
-
-
-def _cmd_balance(cfg, log):
-    sys_ = build_system(cfg.params, cfg.n)
-    p, q = balance.gramians(sys_)
-    hsv = balance.hankel_values(p, q)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "hsv.csv")
-    write_hsv_csv(path, hsv)
-    log(f"leading Hankel values: {np.array2string(hsv[:min(6, len(hsv))], precision=4)}")
-    return {"hsv": path}
-
-
-def _cmd_simulate(cfg, log):
-    sys_ = build_system(cfg.params, cfg.n)
-    p, q = balance.gramians(sys_)
-    red = balance.reduce(sys_, balance.square_root_transform(p, q, cfg.r))
-    spec = signals.resolve_input(cfg.input, sys_, mode=cfg.input2_mode)
-    fom_series = rom.simulate_fom(sys_, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
-                                  atol=cfg.atol, sample_count=cfg.sample_count)
-    rom_series = rom.simulate_rom(red, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
-                                  atol=cfg.atol, sample_count=cfg.sample_count)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "outputs.csv")
-    write_outputs_csv(path, fom_series, rom_series)
-    return {"outputs": path}
-
-
-def _cmd_energy(cfg, log):
-    sys_ = build_system(cfg.params, cfg.n)
-    forms = quadratic_forms(cfg.params, cfg.n)
-    x0 = _energy_initial_data(cfg.params, cfg.n)
-    report = analysis.energy_decay(sys_, forms, x0, cfg.tf,
-                                   rtol=min(cfg.rtol, 1e-6),
-                                   atol=min(cfg.atol, 1e-9),
-                                   sample_count=cfg.sample_count)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "energy.csv")
-    write_energy_csv(path, report)
-    log(f"fitted decay rate {report.fitted_rate:.6g} (R2={report.fit_r2:.4f})")
-    return {"energy": path}
-
-
-_COMMANDS = {
-    "build": _cmd_build,
-    "eigs": _cmd_eigs,
-    "balance": _cmd_balance,
-    "simulate": _cmd_simulate,
-    "compare": run_experiment,
-    "energy": _cmd_energy,
-}
+def run_experiment(cfg: ExperimentConfig, log=None) -> dict:
+    """Run ``compare``; returns a dict mapping artifact names to paths."""
+    return run_command("compare", cfg, log)
 
 
 def main(argv=None) -> int:
@@ -504,13 +463,7 @@ def main(argv=None) -> int:
         epilog="Flags may also be given as environment variables with the "
                f"{ENV_PREFIX} prefix (e.g. {ENV_PREFIX}PRESET).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("build", "validate the config and report system dimensions"),
-            ("eigs", "write the eigenvalues of A (eigs.csv)"),
-            ("balance", "write the Hankel singular values (hsv.csv)"),
-            ("simulate", "write FOM and ROM outputs (outputs.csv)"),
-            ("compare", "run the full experiment (all artifacts)"),
-            ("energy", "write the unforced energy history (energy.csv)")):
+    for name, (help_text, _) in SUBCOMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
 
     args = parser.parse_args(argv)
@@ -524,9 +477,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(config_path, cli_overrides=overrides)
-        handler = _COMMANDS[args.command]
-        artifacts = handler(cfg, log=log)
-        for name, path in (artifacts or {}).items():
+        artifacts = run_command(args.command, cfg, log)
+        for name, path in artifacts.items():
             log(f"wrote {name}: {path}")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)

@@ -78,13 +78,15 @@ def rom_jacobian(red: ReducedSystem, a) -> np.ndarray:
         red.nl_out_weights, red.nl_in_weights)
 
 
-def _integrate_sampled(f, jac, b: np.ndarray, spec: InputSpec, x0,
-                       t0: float, tf: float, sample_count: int, rtol: float,
-                       atol: float):
-    """Integrate x' = f(x, u(t)) from x(t0) = x0; sample x uniformly.
+def _integrate_sampled(rhs_fn, jac_fn, model, b: np.ndarray, spec: InputSpec,
+                       x0, t0: float, tf: float, sample_count: int,
+                       rtol: float, atol: float):
+    """Integrate x' = rhs_fn(model, x, u(t)) from x(t0) = x0; sample x.
 
-    jac(t, x) is the state Jacobian and b the input column, so df/dt =
-    b u'(t).  Each piece between the input's breakpoints is one
+    jac_fn(model, x) is the state Jacobian and b the input column, so
+    df/dt = b u'(t).  Callers pass the model functions as their own
+    module looks them up at call time, so a wrapper patched onto those
+    names (``perfbench/tracing.py``) sees every call.  Each piece between the input's breakpoints is one
     ``ode.integrate`` call that writes the grid points it covers straight
     into the rows of one preallocated array, and the next piece starts
     from its exact end state; a grid point on a breakpoint gets that
@@ -101,19 +103,23 @@ def _integrate_sampled(f, jac, b: np.ndarray, spec: InputSpec, x0,
     states = np.empty((grid.size, x.size))
     stats = ode.IntegratorStats()
     zero = np.zeros(x.size)
+
+    def jac(t, x):
+        return jac_fn(model, x)
+
     for k in range(len(edges) - 1):
         a, c = edges[k], edges[k + 1]
         if spec.kind in PIECEWISE_CONSTANT:
             u = eval_input(spec, 0.5 * (a + c))
 
             def rhs(t, x, u=u):  # bound now: this piece's input value
-                return f(x, u)
+                return rhs_fn(model, x, u)
 
             def dfdt(t, x):
                 return zero
         else:
             def rhs(t, x):
-                return f(x, eval_input(spec, t))
+                return rhs_fn(model, x, eval_input(spec, t))
 
             def dfdt(t, x):
                 return b * eval_input_derivative(spec, t)
@@ -131,16 +137,9 @@ def simulate_rom(red: ReducedSystem, spec: InputSpec, t0: float = 0.0,
                  tf: float = 100.0, rtol: float = 1e-3, atol: float = 1e-6,
                  sample_count: int = 1000) -> OutputSeries:
     """Integrate the nonlinear ROM from a(0) = 0; return y_r = C_r a."""
-
-    def f(a, u):
-        return rom_rhs(red, a, u)
-
-    def jac(t, a):
-        return rom_jacobian(red, a)
-
     grid, states, stats = _integrate_sampled(
-        f, jac, red.br[:, 0], spec, np.zeros(red.r), t0, tf, sample_count,
-        rtol, atol)
+        rom_rhs, rom_jacobian, red, red.br[:, 0], spec, np.zeros(red.r), t0,
+        tf, sample_count, rtol, atol)
     return OutputSeries(times=grid, values=states @ red.cr.T, stats=stats)
 
 
@@ -148,14 +147,7 @@ def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
                  tf: float = 100.0, rtol: float = 1e-3, atol: float = 1e-6,
                  sample_count: int = 1000) -> OutputSeries:
     """Integrate the full-order model from x(0) = 0; return y = C x."""
-
-    def f(x, u):
-        return fom_rhs(sys, x, u)
-
-    def jac(t, x):
-        return fom_jacobian(sys, x)
-
     grid, states, stats = _integrate_sampled(
-        f, jac, sys.b[:, 0], spec, np.zeros(2 * sys.n), t0, tf,
-        sample_count, rtol, atol)
+        fom_rhs, fom_jacobian, sys, sys.b[:, 0], spec, np.zeros(2 * sys.n),
+        t0, tf, sample_count, rtol, atol)
     return OutputSeries(times=grid, values=states @ sys.c.T, stats=stats)

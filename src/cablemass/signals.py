@@ -21,7 +21,7 @@ simulation integrates it segment by segment, never across a jump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,5 +195,4 @@ def resolve_input(spec: InputSpec, sys_or_matrix, mode: str = "literal") -> Inpu
     if spec.kind != "eig_cos2" or (spec.a is not None and spec.b is not None):
         return spec
     a, b = input2_frequencies(sys_or_matrix, mode=mode)
-    return InputSpec(kind=spec.kind, c1=spec.c1, c2=spec.c2, m=spec.m,
-                     nfreq=spec.nfreq, a=a, b=b, scale=spec.scale)
+    return replace(spec, a=a, b=b)

@@ -278,7 +278,50 @@ class TestRunExperiment:
         assert np.linalg.norm(diff) <= bound * np.linalg.norm(u) + 1e-4
 
 
+@pytest.fixture(scope="module")
+def compare_dirs(tmp_path_factory):
+    """compare's artifacts at n = 20, energy study on, one dir per preset."""
+    dirs = {}
+    for preset in ("exp_stab_Ex1", "small_damp_ex1_in2"):
+        root = tmp_path_factory.mktemp(preset)
+        cfg_path = root / "cfg.ini"
+        cfg_path.write_text(tiny_config(root / "run", preset=preset,
+                                        extra="energy_study = true"))
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        dirs[preset] = root / "run"
+    return dirs
+
+
 class TestMain:
+    @pytest.mark.parametrize("command,files", [
+        ("eigs", {"eigs.csv"}), ("balance", {"hsv.csv"}),
+        ("simulate", {"outputs.csv"}), ("energy", {"energy.csv"})])
+    @pytest.mark.parametrize("preset", ["exp_stab_Ex1", "small_damp_ex1_in2"])
+    def test_subcommand_writes_compare_files(self, compare_dirs, tmp_path,
+                                             capsys, preset, command, files):
+        # each subcommand writes exactly its own artifacts, byte for byte
+        # the files compare writes for the same config
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(tiny_config(tmp_path / "run", preset=preset,
+                                        extra="energy_study = true"))
+        assert main([command, "--config", str(cfg_path)]) == 0
+        assert {f.name for f in (tmp_path / "run").iterdir()} == files
+        for name in files:
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (compare_dirs[preset] / name).read_bytes(), name
+        assert "nodes n=20" in capsys.readouterr().out
+
+    def test_build_writes_nothing(self, tmp_path):
+        assert main(["build", "--preset", "exp_stab_Ex1", "--n", "20",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_balance_checks_r(self, tmp_path, capsys):
+        # exp_stab_Ex1 at n = 20 has Hankel rank 18
+        assert main(["balance", "--preset", "exp_stab_Ex1", "--n", "20",
+                     "--r", "30", "--out", str(tmp_path)]) == 1
+        assert "exceeds numerical rank" in capsys.readouterr().err
+
     def test_eigs_subcommand(self, tmp_path, capsys):
         code = main(["eigs", "--preset", "exp_stab_Ex1", "--n", "20",
                      "--out", str(tmp_path)])

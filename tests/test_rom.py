@@ -228,22 +228,12 @@ class TestStreamedSampling:
         sys, _, red = reduced_n20
         spec = resolve_input(input_preset(input_name), sys)
         if model == "fom":
-            def f(x, u):
-                return fom_rhs(sys, x, u)
-
-            def jac(t, x):
-                return fom_jacobian(sys, x)
-
-            b, x0 = sys.b[:, 0], _energy_initial_data(sys.params, sys.n)
+            fns = (fom_rhs, fom_jacobian, sys, sys.b[:, 0])
+            x0 = _energy_initial_data(sys.params, sys.n)
         else:
-            def f(a, u):
-                return rom.rom_rhs(red, a, u)
-
-            def jac(t, a):
-                return rom.rom_jacobian(red, a)
-
-            b, x0 = red.br[:, 0], np.linspace(-0.1, 0.1, red.r)
-        args = (f, jac, b, spec, x0, 0.0, 30.0, count, 1e-3, 1e-6)
+            fns = (rom.rom_rhs, rom.rom_jacobian, red, red.br[:, 0])
+            x0 = np.linspace(-0.1, 0.1, red.r)
+        args = (*fns, spec, x0, 0.0, 30.0, count, 1e-3, 1e-6)
         grid, streamed, stats = rom._integrate_sampled(*args)
         _sample_from_nodes(monkeypatch)
         ref_grid, ref, ref_stats = rom._integrate_sampled(*args)
