@@ -29,8 +29,9 @@ coefficient in the beta^2 part and the gamma part alike, so P K and P G
 are tridiagonal.  fom_jacobian returns the Jacobian in that form, an
 ``ode.SecondOrderJacobian``, and the integrator solves each Rosenbrock
 system through its tridiagonal velocity Schur complement in the [d; v]
-ordering.  fom_rhs multiplies by a cached CSR copy of A, O(n) per call
-instead of the dense product's O(n^2).
+ordering.  fom_rhs multiplies by a cached CSR copy of A through
+scipy.sparse's kernel, O(n) per call instead of the dense product's
+O(n^2).
 
 A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
@@ -41,7 +42,7 @@ and the factor derived from it cannot go stale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -129,9 +130,9 @@ class StateSpaceSystem:
     Keeping the descriptor explicit is what makes the exact low-order
     evaluation in the reduced model possible.
 
-    A is read-only (``build_system`` marks it so): a_second_order, a_csr
-    and schur are derived from it once and kept, and an in-place write
-    would leave them stale.
+    A is read-only (``build_system`` marks it so): a_second_order,
+    a_csr, a_matvec and schur are derived from it once and kept, and an
+    in-place write would leave them stale.
     """
 
     n: int
@@ -185,6 +186,19 @@ class StateSpaceSystem:
         from scipy.sparse import csr_array
 
         return csr_array(self.a)
+
+    @cached_property
+    def a_matvec(self):
+        """y += A x for float arrays x, y of length 2n, for fom_rhs.
+
+        scipy.sparse's CSR kernel on a_csr's arrays, the call that
+        ``a_csr @ x`` ends in, without the dispatch around it, which at
+        these sizes costs more than the product.
+        """
+        from scipy.sparse._sparsetools import csr_matvec
+
+        a, dim = self.a_csr, 2 * self.n
+        return partial(csr_matvec, dim, dim, a.indptr, a.indices, a.data)
 
     @cached_property
     def schur(self) -> linalg.SchurForm:
@@ -303,9 +317,15 @@ def eval_nonlinearity(sys: StateSpaceSystem, x) -> np.ndarray:
 
 
 def fom_rhs(sys: StateSpaceSystem, x, u: float) -> np.ndarray:
-    """Right-hand side A x + F(x) + B u of the full-order model."""
+    """Right-hand side A x + F(x) + B u of the full-order model.
+
+    A x goes through ``sys.a_matvec``, the kernel ``sys.a_csr @ x``
+    ends in, so it equals that product bitwise.
+    """
     x = _check_state(sys, x)
-    out = sys.a_csr @ x + sys.b[:, 0] * u
+    ax = np.zeros(x.size)
+    sys.a_matvec(x, ax)
+    out = ax + sys.b[:, 0] * u
     out[sys.nl_target_index] += sys.nl_coeff * x[sys.nl_state_index] ** 3
     return out
 

@@ -21,6 +21,7 @@ evaluated on a jump.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +81,17 @@ def rom_jacobian(red: ReducedSystem, a) -> np.ndarray:
 
 def _integrate_sampled(rhs_fn, jac_fn, model, b: np.ndarray, spec: InputSpec,
                        x0, t0: float, tf: float, sample_count: int,
-                       rtol: float, atol: float):
+                       rtol: float, atol: float,
+                       method: ode.Method = ode.ROS23,
+                       max_step: float = math.inf):
     """Integrate x' = rhs_fn(model, x, u(t)) from x(t0) = x0; sample x.
 
     jac_fn(model, x) is the state Jacobian and b the input column, so
     df/dt = b u'(t).  Callers pass the model functions as their own
     module looks them up at call time, so a wrapper patched onto those
-    names (``perfbench/tracing.py``) sees every call.  Each piece between the input's breakpoints is one
-    ``ode.integrate`` call that writes the grid points it covers straight
+    names (``perfbench/tracing.py``) sees every call.  Each piece between
+    the input's breakpoints is one ``ode.integrate`` call, with the given
+    method and step cap, that writes the grid points it covers straight
     into the rows of one preallocated array, and the next piece starts
     from its exact end state; a grid point on a breakpoint gets that
     state.  Returns the grid of sample_count points on [t0, tf], the
@@ -127,7 +131,8 @@ def _integrate_sampled(rhs_fn, jac_fn, model, b: np.ndarray, spec: InputSpec,
         rows = slice(first[k], first[k + 1])
         piece = ode.integrate(rhs, x, a, c, rtol=rtol, atol=atol,
                               jacobian=jac, dfdt=dfdt, t_eval=grid[rows],
-                              out=states[rows])
+                              out=states[rows], method=method,
+                              max_step=max_step)
         stats = stats + piece.stats
         x = piece.end_state
     return grid, states, stats

@@ -1,3 +1,4 @@
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,6 +59,8 @@ class IntegrateCall(NamedTuple):
     x0: np.ndarray
     rhs: Callable
     result: ode.Trajectory | ode.Samples
+    method: ode.Method
+    max_step: float
 
 
 def record_integrate(monkeypatch):
@@ -68,7 +71,9 @@ def record_integrate(monkeypatch):
     def recording(rhs, x0, t0, tf, **kwargs):
         x0 = np.array(x0)  # the caller's start state, as passed
         result = real(rhs, x0, t0, tf, **kwargs)
-        calls.append(IntegrateCall(t0, tf, x0, rhs, result))
+        calls.append(IntegrateCall(
+            t0, tf, x0, rhs, result, kwargs.get("method", ode.ROS23),
+            kwargs.get("max_step", math.inf)))
         return result
 
     monkeypatch.setattr(ode, "integrate", recording)

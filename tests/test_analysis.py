@@ -4,14 +4,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cablemass import analysis
+from scipy.integrate import solve_ivp
+
+from cablemass import analysis, ode
 from cablemass.analysis import (GridMismatch, accurate_prefix, compute_energy,
                                 energy_decay, local_maxima, output_error,
                                 stability_margin)
 from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import (DimensionMismatch, PhysicalParams, build_system,
-                             quadratic_forms)
-from conftest import EXAMPLE1, EXAMPLE2_SMALL
+                             fom_jacobian, fom_rhs, quadratic_forms)
+from cablemass.rom import _integrate_sampled
+from cablemass.signals import InputSpec
+from conftest import EXAMPLE1, EXAMPLE2_SMALL, record_integrate
 
 
 def series(times, values):
@@ -91,6 +95,47 @@ class TestEnergyDecay:
         assert report.e[-1] < report.e[0]
         assert report.fitted_rate < 0.0
 
+
+    def test_rodas4_with_step_cap(self, monkeypatch):
+        sys = build_system(EXAMPLE1, 10)
+        forms = quadratic_forms(EXAMPLE1, 10)
+        x0 = _energy_initial_data(EXAMPLE1, 10)
+        calls = record_integrate(monkeypatch)
+        report = energy_decay(sys, forms, x0, 5.0, sample_count=101)
+        assert [(c.method, c.max_step) for c in calls] == \
+            [(ode.RODAS4, 4 * 5.0 / 100)]
+        assert report.stats == calls[0].result.stats
+        assert report.stats.n_steps > 0
+
+    def test_closer_to_reference_than_2_3_pair(self):
+        # energies of an rtol-1e-11 Radau run against those of the 2(3)
+        # pair at the study's rtol 1e-6 (49x farther at this size)
+        preset = PRESETS["exp_stab_Ex1"]
+        n, tf, count, rtol, atol = 20, preset.tf, 1000, 1e-6, 1e-9
+        sys = build_system(preset.params, n)
+        forms = quadratic_forms(preset.params, n)
+        x0 = _energy_initial_data(preset.params, n)
+
+        def energies(states):
+            return np.array([compute_energy(forms, preset.params, x)[0]
+                             for x in states])
+
+        grid = np.linspace(0.0, tf, count)
+        ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
+                        method="Radau", t_eval=grid, rtol=1e-11, atol=1e-12,
+                        jac=lambda t, x: fom_jacobian(sys, x).dense())
+        e_ref = energies(ref.y.T)
+        _, states, _ = _integrate_sampled(
+            fom_rhs, fom_jacobian, sys, sys.b[:, 0], InputSpec(kind="zero"),
+            x0, 0.0, tf, count, rtol, atol, method=ode.ROS23)
+        e_ros23 = energies(states)
+        report = energy_decay(sys, forms, x0, tf, rtol=rtol, atol=atol,
+                              sample_count=count)
+
+        assert np.abs(report.e - e_ref).max() * 10.0 <= \
+            np.abs(e_ros23 - e_ref).max()
+        rate_ref, _ = analysis._decay_fit(grid, e_ref, 0.1 * tf)
+        assert report.fitted_rate == pytest.approx(rate_ref, rel=1e-4)
 
     def test_memory_grows_with_samples_not_steps(self):
         # exp_stab_Ex1 at n = 100 takes ~4700 steps to tf = 50; a kept

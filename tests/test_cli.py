@@ -348,6 +348,37 @@ class TestMain:
         assert main(["energy", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "run" / "energy.csv").exists()
 
+    def test_energy_logs_integrator(self, tmp_path, capsys):
+        assert main(["energy", "--preset", "exp_stab_Ex1", "--n", "20",
+                     "--tf", "5", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rate = next(i for i, line in enumerate(lines)
+                    if line.startswith("fitted decay rate"))
+        words = lines[rate + 1].split()
+        assert words[:3] == ["energy", "integrator", "Rodas4:"]
+        steps, rejected, lus = (int(words[i]) for i in (3, 5, 7))
+        assert steps > 0 and lus == steps + rejected
+
+    @pytest.mark.parametrize("preset,rtol,warns", [
+        ("small_stiff_ex5_in4", 1e-3, True),
+        ("small_stiff_ex5_in4", 1e-6, False),
+        ("small_damp_ex1_in2", 1e-3, False)])
+    def test_near_marginal_warning(self, tmp_path, capsys, preset, rtol,
+                                   warns):
+        # small_stiff_ex5_in4's abscissa is -6.85e-10 at n = 20
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(tiny_config(tmp_path / "run", preset=preset,
+                                        tf=2.0).replace(
+            "rtol = 1e-4", f"rtol = {rtol}"))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("warning:")]
+        if warns:
+            assert len(warnings) == 1
+            assert "-6.85e-10" in warnings[0] and "0.001" in warnings[0]
+        else:
+            assert warnings == []
+
     def test_bad_preset_fails(self, capsys):
         assert main(["eigs", "--preset", "nonsense"]) == 1
         assert "error" in capsys.readouterr().err

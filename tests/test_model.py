@@ -208,6 +208,19 @@ class TestFomRhs:
         out = fom_rhs(sys, x, u)
         assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("n", [3, 50, 100, 400])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_kernel_bitwise_equal_to_sparse_product(self, preset, n, rng):
+        # fom_rhs calls the kernel behind a_csr @ x: the same result, bit
+        # for bit, also for a strided state
+        sys = build_system(PRESETS[preset].params, n)
+        x = rng.standard_normal(4 * n)[::2]
+        u = rng.standard_normal()
+        expected = sys.a_csr @ x + sys.b[:, 0] * u
+        expected[sys.nl_target_index] += \
+            sys.nl_coeff * x[sys.nl_state_index] ** 3
+        assert fom_rhs(sys, x, u).tobytes() == expected.tobytes()
+
     def test_sparse_a_built_lazily(self):
         sys = build_system(EXAMPLE1, 10)
         assert "a_csr" not in vars(sys)

@@ -1,15 +1,30 @@
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from cablemass import ode
 from cablemass.model import PhysicalParams, build_system, fom_jacobian, fom_rhs
 from cablemass.signals import square_wave
 
+BOTH = (ode.ROS23, ode.RODAS4)
+METHODS = pytest.mark.parametrize("method", BOTH, ids=lambda m: m.name)
+
 
 def decay(t, x):
     return -x
+
+
+@contextlib.contextmanager
+def raises_quietly(error):
+    """pytest.raises(error), with any RuntimeWarning turned into a failure."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            yield
 
 
 class TestIntegrate:
@@ -94,18 +109,31 @@ class TestIntegrate:
         assert traj.stats.n_jac >= traj.stats.n_steps
 
     def test_blowup_detected(self):
-        with pytest.raises((ode.NonFiniteState, ode.StepSizeUnderflow)):
-            ode.integrate(lambda t, x: x ** 2, np.array([1.0]), 0.0, 2.0,
-                          rtol=1e-6, atol=1e-9)
+        for method in BOTH:
+            with raises_quietly((ode.NonFiniteState, ode.StepSizeUnderflow)):
+                ode.integrate(lambda t, x: x ** 2, np.array([1.0]), 0.0,
+                              2.0, rtol=1e-6, atol=1e-9, method=method)
+
+    @METHODS
+    def test_unresolvable_jump_underflows(self, method):
+        # no step across a jump of 1e12 meets atol 1e-9 above hmin
+        def rhs(t, x):
+            return np.array([0.0 if t < 1.0 / 3.0 else 1e12])
+
+        with raises_quietly(ode.StepSizeUnderflow):
+            ode.integrate(rhs, np.array([0.0]), 0.0, 1.0, rtol=1e-6,
+                          atol=1e-9, jacobian=lambda t, x: [[0.0]],
+                          dfdt=lambda t, x: np.zeros(1), method=method)
 
     def test_nonfinite_stage_dense(self):
         # a NaN inside a step is a rejected step, not a LAPACK ValueError
         def rhs(t, x):
             return np.array([np.nan]) if t > 0.3 else -x
 
-        with pytest.raises(ode.NonFiniteState):
-            ode.integrate(rhs, np.array([1.0]), 0.0, 1.0,
-                          jacobian=lambda t, x: [[-1.0]])
+        for method in BOTH:
+            with raises_quietly(ode.NonFiniteState):
+                ode.integrate(rhs, np.array([1.0]), 0.0, 1.0,
+                              jacobian=lambda t, x: [[-1.0]], method=method)
 
     def test_nonfinite_stage_banded(self):
         sys = build_system(PhysicalParams(gamma=0.1, alphal=0.1), 4)
@@ -114,9 +142,11 @@ class TestIntegrate:
             out = fom_rhs(sys, x, 1.0)
             return out * np.nan if t > 0.3 else out
 
-        with pytest.raises(ode.NonFiniteState):
-            ode.integrate(rhs, np.zeros(8), 0.0, 1.0,
-                          jacobian=lambda t, x: fom_jacobian(sys, x))
+        for method in BOTH:
+            with raises_quietly(ode.NonFiniteState):
+                ode.integrate(rhs, np.zeros(8), 0.0, 1.0,
+                              jacobian=lambda t, x: fom_jacobian(sys, x),
+                              method=method)
 
     def test_bad_span(self):
         with pytest.raises(ValueError):
@@ -135,6 +165,93 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="first_step"):
             ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
                           first_step=first_step)
+
+    @pytest.mark.parametrize("max_step", [0.0, -0.1, math.nan])
+    def test_bad_max_step(self, max_step):
+        with pytest.raises(ValueError, match="max_step"):
+            ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
+                          max_step=max_step)
+
+    @METHODS
+    def test_max_step_caps_and_ends_on_tf(self, method):
+        # 0.3 does not divide 2: the capped steps split the rest evenly
+        # instead of leaving a last step below the underflow limit
+        traj = ode.integrate(decay, np.array([1.0]), 0.0, 2.0, rtol=1e-2,
+                             atol=1e-4, max_step=0.3, method=method)
+        steps = np.diff(traj.times)
+        assert steps.max() <= 0.3
+        assert traj.times[-1] == 2.0
+        np.testing.assert_allclose(steps[-4:], steps[-1], rtol=1e-12)
+        assert steps[-1] > 0.25
+
+
+class TestRodas4:
+    """Order, L-stability and cost of the fourth-order method."""
+
+    # a forced Duffing oscillator: nonlinear and non-autonomous, so the
+    # stage times c_i and the df/dt weights d_i all enter the error
+    @staticmethod
+    def rhs(t, x):
+        return np.array([x[1], -x[0] - 0.5 * x[1] - x[0] ** 3
+                         + math.cos(2.0 * t)])
+
+    @staticmethod
+    def jac(t, x):
+        return np.array([[0.0, 1.0], [-1.0 - 3.0 * x[0] ** 2, -0.5]])
+
+    @staticmethod
+    def dfdt(t, x):
+        return np.array([0.0, -2.0 * math.sin(2.0 * t)])
+
+    def _fixed_step_slope(self, method):
+        # loose tolerances accept every step, and max_step holds it at h
+        # (powers of two: the steps end on tf exactly)
+        x0, tf = np.array([1.0, 0.0]), 4.0
+        ref = solve_ivp(self.rhs, (0.0, tf), x0, method="DOP853",
+                        rtol=1e-13, atol=1e-15).y[:, -1]
+        steps = [2.0 ** -k for k in range(2, 8)]
+        errors = []
+        for h in steps:
+            traj = ode.integrate(self.rhs, x0, 0.0, tf, rtol=1e3, atol=1e3,
+                                 jacobian=self.jac, dfdt=self.dfdt,
+                                 first_step=h, max_step=h, method=method)
+            assert traj.stats.n_rejected == 0
+            errors.append(np.abs(traj.states[-1] - ref).max())
+        return np.polyfit(np.log(steps), np.log(errors), 1)[0]
+
+    def test_fourth_order(self):
+        assert self._fixed_step_slope(ode.RODAS4) >= 4.0
+        # the same problem tells the 2(3) pair's order apart
+        assert 1.8 <= self._fixed_step_slope(ode.ROS23) <= 2.5
+
+    def test_steps_grow_like_rtol_to_the_quarter(self):
+        # the controller's -1/4 exponent: 100x tighter, ~100^(1/4) x steps
+        x0 = np.array([1.0, 0.0])
+        counts = [ode.integrate(self.rhs, x0, 0.0, 4.0, rtol=rtol,
+                                atol=rtol * 1e-3, jacobian=self.jac,
+                                dfdt=self.dfdt,
+                                method=ode.RODAS4).stats.n_steps
+                  for rtol in (1e-5, 1e-7, 1e-9)]
+        for coarse, fine in zip(counts, counts[1:]):
+            assert 2.0 <= fine / coarse <= 5.0
+
+    def test_l_stable(self):
+        # one step of h = 1 with h lambda = -1e8 damps by at least 1e6
+        traj = ode.integrate(lambda t, x: -1e8 * x, np.array([1.0]), 0.0,
+                             1.0, rtol=1.0, atol=1.0,
+                             jacobian=lambda t, x: [[-1e8]], first_step=1.0,
+                             method=ode.RODAS4)
+        assert traj.stats.n_steps == 1
+        assert abs(traj.states[-1, 0]) <= 1e-6
+
+    def test_six_rhs_calls_per_attempt(self):
+        stats = ode.integrate(self.rhs, np.array([1.0, 0.0]), 0.0, 4.0,
+                              rtol=1e-6, atol=1e-9, jacobian=self.jac,
+                              dfdt=self.dfdt, method=ode.RODAS4).stats
+        attempts = stats.n_steps + stats.n_rejected
+        # f0 and the start-step probe, then six per attempt, one LU each
+        assert stats.n_rhs == 2 + 6 * attempts
+        assert stats.n_lu == attempts
 
 
 class TestTimeDerivative:
@@ -313,6 +430,14 @@ class TestStreamedSamples:
     def test_out_of_range(self, q):
         with pytest.raises(ode.OutOfRange):
             self._stream(q)
+
+    def test_rodas4_bitwise_equal_to_sample(self):
+        nodes = self._run(method=ode.RODAS4)
+        q = np.linspace(0.0, 3.0, 301)
+        streamed = self._run(t_eval=q, out=np.empty((301, 2)),
+                             method=ode.RODAS4)
+        assert_bitwise(streamed.states, ode.sample(nodes, q))
+        assert streamed.stats == nodes.stats
 
     def test_writes_into_out(self):
         q = np.linspace(0.0, 3.0, 11)

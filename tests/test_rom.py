@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -185,6 +186,20 @@ class TestPiecewise:
             total = total + call.result.stats
         assert series.stats == total
 
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_forced_runs_take_the_2_3_pair(self, reduced_n20, monkeypatch,
+                                           model):
+        # outputs.csv and error.csv are made by the 2(3) pair, uncapped
+        sys, _, red = reduced_n20
+        calls = record_integrate(monkeypatch)
+        if model == "rom":
+            rom.simulate_rom(red, input_preset("input4"), 0.0, 20.0)
+        else:
+            rom.simulate_fom(sys, input_preset("input4"), 0.0, 20.0)
+        assert calls
+        assert all(c.method is ode.ROS23 for c in calls)
+        assert all(c.max_step == math.inf for c in calls)
+
     def test_breakpoint_samples_are_stored_states(self, reduced_n20,
                                                   monkeypatch):
         _, _, red = reduced_n20
@@ -245,14 +260,14 @@ class TestStreamedSampling:
             assert stats.n_steps < count  # some step covers several queries
 
 
-def _fom_outputs(sys, u, x0, tf, rtol, atol, dense):
+def _fom_outputs(sys, u, x0, tf, rtol, atol, dense, method=ode.ROS23):
     """FOM outputs on 1000 samples, through the structured or dense solve."""
     def jac(t, x):
         structured = fom_jacobian(sys, x)
         return structured.dense() if dense else structured
 
     traj = ode.integrate(lambda t, x: fom_rhs(sys, x, u(t)), x0, 0.0, tf,
-                         rtol=rtol, atol=atol, jacobian=jac)
+                         rtol=rtol, atol=atol, jacobian=jac, method=method)
     return ode.sample(traj, np.linspace(0.0, tf, 1000)) @ sys.c.T
 
 
@@ -276,9 +291,11 @@ class TestSecondOrderFomPath:
         preset = PRESETS["exp_stab_Ex1"]
         sys = build_system(preset.params, 40)
         x0 = _energy_initial_data(preset.params, 40)
-        runs = [_fom_outputs(sys, lambda t: 0.0, x0, preset.tf, 1e-6, 1e-9,
-                             dense) for dense in (False, True)]
-        assert self._rel_l2(*runs) <= 1e-10
+        for method in (ode.ROS23, ode.RODAS4):
+            runs = [_fom_outputs(sys, lambda t: 0.0, x0, preset.tf, 1e-6,
+                                 1e-9, dense, method)
+                    for dense in (False, True)]
+            assert self._rel_l2(*runs) <= 1e-10, method.name
 
     def test_smooth_input_run(self):
         preset = PRESETS["small_damp_ex1_in2"]
