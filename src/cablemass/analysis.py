@@ -102,7 +102,10 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     energy of that decaying run rises between two samples by
     2.4e-6 E(0); capped at 0.2 it falls by at least 1.1e-5 E(0) from
     each sample to the next.  At rtol 1e-6 the cap does not bind.
+    sample_count must be >= 2, since the cap needs a sample interval.
     """
+    if sample_count < 2:
+        raise ValueError(f"sample_count must be >= 2, got {sample_count}")
     interval = tf / (sample_count - 1)
     times, states, stats = _integrate_sampled(
         fom_rhs, fom_jacobian, sys, sys.b[:, 0], InputSpec(kind="zero"), x0,

@@ -16,15 +16,20 @@ Every subcommand runs one pipeline: build, spectrum, Gramians + balance
 each writes, and it runs only the stages those need (so ``balance``
 checks r as ``compare`` does).  Floats are written with 17 significant
 digits so runs with identical configs produce byte-identical files.
+
+``load_config`` merges a preset, an INI file, CABLEMASS_* variables and
+flags through one table of [experiment] keys, ``_EXPERIMENT``; the
+[params] and [input] keys are the PhysicalParams and InputSpec fields.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -118,9 +123,10 @@ PRESET_ALIASES = {
     "example1_input2_smalldamp": "small_damp_ex1_in2",
 }
 
-#: Parameters used when no preset and no [params] section are given
-#: (the stability-study scenario).
+#: A config without a preset starts from the stability-study parameters
+#: (DEFAULT_PARAMS) and input1.
 DEFAULT_PARAMS = PRESETS["exp_stab_Ex1"].params
+_NO_PRESET = Preset(name="", params=DEFAULT_PARAMS, input_name="input1")
 
 
 def get_preset(name: str) -> Preset:
@@ -150,37 +156,41 @@ class ExperimentConfig:
     preset: str | None = None
 
 
-_PARAM_FIELDS = ("l", "m0", "ml", "k0", "kl", "k3", "beta",
-                 "gamma", "alpha", "alpha0", "alphal")
-_INPUT_FIELDS = ("kind", "scale", "c1", "c2", "m", "nfreq", "a", "b")
-_EXPERIMENT_FIELDS = ("preset", "n", "r", "t0", "tf", "rtol", "atol",
-                      "sample_count", "out", "input2_mode", "energy_study")
+def _parser(convert, kind):
+    """A parser(field, raw) that names the field when convert fails."""
+    def parse(field, raw):
+        try:
+            return convert(raw)
+        except (TypeError, ValueError, KeyError):
+            raise ValidationError(
+                field, f"{field!r} must be {kind}, got {raw!r}") from None
+    return parse
 
 
-def _parse_float(field, raw):
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(field, f"{field!r} must be a number, got {raw!r}")
+_parse_str = _parser(str, "a string")
+_parse_int = _parser(int, "an integer")
+_parse_float = _parser(float, "a number")
+_parse_bool = _parser(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[
+    str(raw).strip().lower()], "a boolean")
+
+#: [experiment] key or override -> (ExperimentConfig attribute, parser).
+_EXPERIMENT = {
+    "preset": ("preset", _parse_str),
+    "n": ("n", _parse_int),
+    "r": ("r", _parse_int),
+    "t0": ("t0", _parse_float),
+    "tf": ("tf", _parse_float),
+    "rtol": ("rtol", _parse_float),
+    "atol": ("atol", _parse_float),
+    "sample_count": ("sample_count", _parse_int),
+    "out": ("out_dir", _parse_str),
+    "input2_mode": ("input2_mode", _parse_str),
+    "energy_study": ("energy_study", _parse_bool),
+}
 
 
-def _parse_int(field, raw):
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(field, f"{field!r} must be an integer, got {raw!r}")
-
-
-def _parse_bool(field, raw):
-    text = str(raw).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(field, f"{field!r} must be a boolean, got {raw!r}")
-
-
-def _read_ini(path):
+def _read_ini(path) -> dict[str, dict[str, str]]:
+    """The config file as {section: {key: raw value}}, keys checked."""
     parser = configparser.ConfigParser()
     try:
         with open(path, "r") as handle:
@@ -190,15 +200,16 @@ def _read_ini(path):
         if line is None and getattr(exc, "errors", None):
             line = exc.errors[0][0]
         raise ParseError(str(exc).splitlines()[0], line=line) from exc
-    known = {"experiment": _EXPERIMENT_FIELDS, "params": _PARAM_FIELDS,
-             "input": _INPUT_FIELDS}
+    known = {"experiment": set(_EXPERIMENT),
+             "params": {f.name for f in fields(PhysicalParams)},
+             "input": {f.name for f in fields(InputSpec)}}
     for section in parser.sections():
         if section not in known:
             raise ValidationError(section, f"unknown section [{section}]")
         for key in parser[section]:
             if key not in known[section]:
                 raise ValidationError(key, f"unknown key {key!r} in [{section}]")
-    return parser
+    return {section: dict(parser[section]) for section in parser.sections()}
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -206,12 +217,14 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ValidationError("n", f"n must be >= 3, got {cfg.n}")
     if cfg.r < 1:
         raise ValidationError("r", f"r must be >= 1, got {cfg.r}")
-    if not cfg.tf > cfg.t0:
-        raise ValidationError("tf", f"need tf > t0, got [{cfg.t0}, {cfg.tf}]")
-    if cfg.rtol <= 0.0:
-        raise ValidationError("rtol", "rtol must be positive")
-    if cfg.atol <= 0.0:
-        raise ValidationError("atol", "atol must be positive")
+    if not math.isfinite(cfg.t0):
+        raise ValidationError("t0", f"t0 must be finite, got {cfg.t0}")
+    if not cfg.t0 < cfg.tf < math.inf:
+        raise ValidationError("tf", f"need finite tf > t0, "
+                                    f"got [{cfg.t0}, {cfg.tf}]")
+    for field in ("rtol", "atol"):
+        if not 0.0 < getattr(cfg, field) < math.inf:
+            raise ValidationError(field, f"{field} must be finite and positive")
     if cfg.sample_count < 2:
         raise ValidationError("sample_count", "sample_count must be >= 2")
     if cfg.input2_mode not in ("imag", "literal"):
@@ -225,7 +238,8 @@ def load_config(path=None, cli_overrides=None, env=None) -> ExperimentConfig:
     """Build a validated ExperimentConfig.
 
     Precedence, lowest to highest: package defaults, named preset,
-    config file, CABLEMASS_* environment variables, CLI flags.
+    config file, CABLEMASS_* environment variables, CLI flags.  The
+    file is ``path``, else the ``config`` flag, else CABLEMASS_CONFIG.
 
     Raises
     ------
@@ -234,85 +248,52 @@ def load_config(path=None, cli_overrides=None, env=None) -> ExperimentConfig:
     ValidationError
         On an unknown key or an invalid value (named field).
     """
-    cli_overrides = dict(cli_overrides or {})
     env = os.environ if env is None else env
-    env_overrides = {}
-    for key in ENV_KEYS:
-        value = env.get(ENV_PREFIX + key.upper())
-        if value is not None:
-            env_overrides[key] = value
-
-    parser = _read_ini(path) if path is not None else None
-    exp = dict(parser["experiment"]) if parser and parser.has_section(
-        "experiment") else {}
-
-    # resolve the preset first: flags beat env beats file
-    preset_name = cli_overrides.get("preset") or env_overrides.get("preset") \
-        or exp.get("preset")
-    preset = get_preset(preset_name) if preset_name else None
-
-    cfg = ExperimentConfig(
-        params=preset.params if preset else DEFAULT_PARAMS,
-        input=signals.input_preset(preset.input_name) if preset
-        else signals.input_preset("input1"),
-        preset=preset.name if preset else None,
-    )
-    if preset:
-        cfg.r = preset.r
-        cfg.tf = preset.tf
-        cfg.energy_study = preset.energy_study
-
-    if parser and parser.has_section("params"):
-        raw = dict(parser["params"])
-        values = {f: getattr(cfg.params, f) for f in _PARAM_FIELDS}
-        values.update({f: _parse_float(f, raw[f]) for f in raw})
-        try:
-            cfg.params = PhysicalParams(**values)
-        except InvalidParams as exc:
-            raise ValidationError(exc.field, str(exc)) from exc
-
-    if parser and parser.has_section("input"):
-        raw = dict(parser["input"])
-        kind_name = raw.pop("kind", None)
-        if kind_name is not None:
-            try:
-                cfg.input = signals.input_preset(kind_name)
-            except ValueError as exc:
-                raise ValidationError("kind", str(exc)) from exc
-        updates = {f: _parse_float(f, raw[f]) for f in raw}
-        try:
-            cfg.input = replace(cfg.input, **updates)
-        except ValueError as exc:
-            field = next(iter(updates), "input")
-            raise ValidationError(field, str(exc)) from exc
-
-    for key, raw in exp.items():
-        if key == "preset":
-            continue
-        if key in ("n", "r", "sample_count"):
-            setattr(cfg, key, _parse_int(key, raw))
-        elif key in ("t0", "tf", "rtol", "atol"):
-            setattr(cfg, key, _parse_float(key, raw))
-        elif key == "energy_study":
-            cfg.energy_study = _parse_bool(key, raw)
-        elif key == "out":
-            cfg.out_dir = raw
-        elif key == "input2_mode":
-            cfg.input2_mode = raw
-
-    for source in (env_overrides, cli_overrides):
-        for key, raw in source.items():
-            if raw is None or key in ("preset", "config"):
-                continue
-            if key in ("n", "r"):
-                setattr(cfg, key, _parse_int(key, raw))
-            elif key == "tf":
-                cfg.tf = _parse_float(key, raw)
-            elif key == "out":
-                cfg.out_dir = str(raw)
-            else:
+    overrides = {key: env[ENV_PREFIX + key.upper()] for key in ENV_KEYS
+                 if env.get(ENV_PREFIX + key.upper()) is not None}
+    for key, raw in (cli_overrides or {}).items():
+        if raw is not None:
+            if key not in ENV_KEYS:
                 raise ValidationError(key, f"unknown override {key!r}")
+            overrides[key] = raw
 
+    config = overrides.pop("config", None)
+    path = config if path is None else path
+    sections = _read_ini(path) if path else {}
+    exp = sections.get("experiment", {})
+
+    # flag beats env beats file; the preset's values lie under all else
+    file_preset = exp.pop("preset", None)
+    name = overrides.pop("preset", None) or file_preset
+    preset = get_preset(name) if name else _NO_PRESET
+    cfg = ExperimentConfig(
+        params=preset.params, input=signals.input_preset(preset.input_name),
+        r=preset.r, tf=preset.tf, energy_study=preset.energy_study,
+        preset=preset.name if name else None)
+
+    try:
+        cfg.params = replace(cfg.params, **{
+            f: _parse_float(f, raw)
+            for f, raw in sections.get("params", {}).items()})
+    except InvalidParams as exc:
+        raise ValidationError(exc.field, str(exc)) from exc
+
+    given = sections.get("input", {})
+    if "kind" in given:
+        try:
+            cfg.input = signals.input_preset(given.pop("kind"))
+        except ValueError as exc:
+            raise ValidationError("kind", str(exc)) from exc
+    updates = {f: _parse_float(f, raw) for f, raw in given.items()}
+    try:
+        cfg.input = replace(cfg.input, **updates)
+    except ValueError as exc:
+        raise ValidationError(next(iter(updates), "input"), str(exc)) from exc
+
+    # a bad file value fails even where a flag overrides it
+    for key, raw in [*exp.items(), *overrides.items()]:
+        attr, parse = _EXPERIMENT[key]
+        setattr(cfg, attr, parse(key, raw))
     return _validate(cfg)
 
 
@@ -485,19 +466,13 @@ def main(argv=None) -> int:
         sub.add_parser(name, parents=[common], help=help_text)
 
     args = parser.parse_args(argv)
-    overrides = {key: getattr(args, key) for key in ENV_KEYS
-                 if getattr(args, key, None) is not None}
-    config_path = overrides.pop("config", None) \
-        or os.environ.get(ENV_PREFIX + "CONFIG")
-
-    def log(message):
-        print(message)
+    overrides = {key: getattr(args, key) for key in ENV_KEYS}
 
     try:
-        cfg = load_config(config_path, cli_overrides=overrides)
-        artifacts = run_command(args.command, cfg, log)
+        cfg = load_config(cli_overrides=overrides)
+        artifacts = run_command(args.command, cfg, print)
         for name, path in artifacts.items():
-            log(f"wrote {name}: {path}")
+            print(f"wrote {name}: {path}")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

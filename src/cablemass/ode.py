@@ -65,6 +65,8 @@ _EPS = float(np.finfo(float).eps)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# Attempts (accepted and rejected steps) before integrate gives up.
+_MAX_STEPS = 1_000_000
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -84,7 +86,6 @@ class IntegratorStats:
     n_steps: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
-    n_jac: int = 0
     n_lu: int = 0
 
     def __add__(self, other: IntegratorStats) -> IntegratorStats:
@@ -389,8 +390,8 @@ def _query_times(t_eval, t0: float, tf: float) -> np.ndarray:
 
 def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
               atol: float = 1e-6, jacobian=None, first_step: float | None = None,
-              max_steps: int = 1_000_000, dfdt=None, t_eval=None,
-              out: np.ndarray | None = None, method: Method = ROS23,
+              dfdt=None, t_eval=None, out: np.ndarray | None = None,
+              method: Method = ROS23,
               max_step: float = math.inf) -> Trajectory | Samples:
     """Integrate x' = rhs(t, x) from t0 to tf with embedded error control.
 
@@ -403,8 +404,9 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     t0, tf : float
         Time span, tf > t0.
     rtol, atol : float
-        Local error is controlled to atol + rtol*|x| componentwise.
-        Defaults match the tolerances the experiments were run with.
+        Local error is controlled to atol + rtol*|x| componentwise;
+        both must be finite and > 0.  Defaults match the tolerances the
+        experiments were run with.
     jacobian : callable(t, x) -> matrix or SecondOrderJacobian, optional
         State Jacobian.  A SecondOrderJacobian is factored through its
         tridiagonal velocity Schur complement, a matrix densely.
@@ -451,8 +453,9 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     """
     if not (tf > t0):
         raise ValueError(f"need tf > t0, got [{t0}, {tf}]")
-    if rtol <= 0.0 or atol <= 0.0:
-        raise ValueError("rtol and atol must be positive")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise ValueError(f"rtol and atol must be finite and positive, "
+                         f"got {rtol}, {atol}")
     if first_step is not None and not (math.isfinite(first_step)
                                        and first_step > 0.0):
         raise ValueError(f"first_step must be finite and positive, "
@@ -490,8 +493,8 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     ay = np.abs(y)
 
     while t < tf:
-        if stats.n_steps + stats.n_rejected >= max_steps:
-            raise RuntimeError(f"exceeded {max_steps} steps at t={t}")
+        if stats.n_steps + stats.n_rejected >= _MAX_STEPS:
+            raise RuntimeError(f"exceeded {_MAX_STEPS} steps at t={t}")
         hmin = 16.0 * _EPS * max(abs(t), abs(tf))
         remaining = tf - t
 
@@ -499,7 +502,6 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
             jac = jacobian(t, y)
         else:
             jac = _fd_jacobian(rhs, t, y, f0, thresh, stats)
-        stats.n_jac += 1
 
         if dfdt is not None:
             ft = np.asarray(dfdt(t, y), dtype=float)

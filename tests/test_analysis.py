@@ -69,6 +69,15 @@ class TestEnergyDecay:
         assert report.fitted_rate == 0.0
         np.testing.assert_array_equal(report.e, np.zeros(50))
 
+    @pytest.mark.parametrize("sample_count", [1, 0])
+    def test_needs_two_samples(self, sample_count):
+        # the step cap is a multiple of the sample interval
+        sys = build_system(EXAMPLE1, 10)
+        forms = quadratic_forms(EXAMPLE1, 10)
+        x0 = _energy_initial_data(EXAMPLE1, 10)
+        with pytest.raises(ValueError, match="sample_count"):
+            energy_decay(sys, forms, x0, 5.0, sample_count=sample_count)
+
     @pytest.mark.parametrize("rtol", [1e-3, 1e-6])
     def test_example1_monotone_decay(self, rtol):
         # the slack absorbs integrator noise at any sane tolerance;

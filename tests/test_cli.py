@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,10 @@ from cablemass.cli import (DEFAULT_PARAMS, PRESETS, ExperimentConfig,
                            ParseError, ValidationError, get_preset,
                            load_config, main, run_experiment)
 from cablemass.model import PhysicalParams
-from cablemass.signals import eval_input
+from cablemass.signals import InputSpec, eval_input
 from conftest import record_real_schur
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 # preset parameter sets, frozen (fixed params l=1, m0=1, ml=1.5,
@@ -156,12 +160,16 @@ class TestLoadConfig:
             load_config(path, env={})
         assert err.value.field == "kind"
 
-    def test_invariant_checks(self, tmp_path):
+    @pytest.mark.parametrize("field,value", [
+        ("n", "2"), ("t0", "nan"), ("t0", "-inf"), ("tf", "inf"),
+        ("tf", "nan"), ("rtol", "nan"), ("rtol", "inf"), ("atol", "nan"),
+        ("atol", "inf")])
+    def test_invariant_checks(self, tmp_path, field, value):
         path = tmp_path / "c.ini"
-        path.write_text("[experiment]\nn = 2\n")
+        path.write_text(f"[experiment]\n{field} = {value}\n")
         with pytest.raises(ValidationError) as err:
             load_config(path, env={})
-        assert err.value.field == "n"
+        assert err.value.field == field
 
     def test_precedence_env_over_file_cli_over_env(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -178,6 +186,69 @@ class TestLoadConfig:
     def test_process_environment_is_default(self, monkeypatch):
         monkeypatch.setenv("CABLEMASS_N", "37")
         assert load_config(None).n == 37
+
+    @pytest.mark.parametrize("key,attr,values", [
+        # default, preset small_stiff_ex5_in4, file, env, flag
+        ("n", "n", [100, 100, 50, 60, 70]),
+        ("tf", "tf", [100.0, 300.0, 40.0, 50.0, 60.0]),
+        ("out", "out_dir", ["out", "out", "file", "env", "flag"]),
+        ("preset", "preset", [None, "small_stiff_ex5_in4", "exp_stab_Ex1",
+                              "exp_stability2", "small_damp_ex1_in2"])])
+    def test_flag_env_file_preset_default(self, tmp_path, key, attr, values):
+        path = tmp_path / "c.ini"
+        for top, expected in enumerate(values):
+            exp = {"preset": "small_stiff_ex5_in4"} if top >= 1 else {}
+            if top >= 2:
+                exp[key] = values[2]
+            path.write_text("[experiment]\n" + "".join(
+                f"{k} = {v}\n" for k, v in exp.items()))
+            env = {f"CABLEMASS_{key.upper()}": str(values[3])} \
+                if top >= 3 else {}
+            flags = {key: values[4]} if top >= 4 else {}
+            cfg = load_config(path, cli_overrides=flags, env=env)
+            assert getattr(cfg, attr) == expected, top
+
+    def test_bad_file_value_raises_under_override(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[experiment]\nn = abc\n")
+        with pytest.raises(ValidationError) as err:
+            load_config(path, cli_overrides={"n": 20},
+                        env={"CABLEMASS_N": "30"})
+        assert err.value.field == "n"
+
+    def test_config_path_from_env_and_flag(self, tmp_path):
+        env_file, flag_file = tmp_path / "env.ini", tmp_path / "flag.ini"
+        env_file.write_text("[experiment]\nn = 40\n")
+        flag_file.write_text("[experiment]\nn = 45\n")
+        env = {"CABLEMASS_CONFIG": str(env_file)}
+        assert load_config(None, env=env).n == 40
+        assert load_config(None, cli_overrides={"config": str(flag_file)},
+                           env=env).n == 45
+        # an explicit path beats both
+        assert load_config(env_file, cli_overrides={
+            "config": str(flag_file)}, env=env).n == 40
+
+    def test_unknown_override(self):
+        with pytest.raises(ValidationError) as err:
+            load_config(None, cli_overrides={"rtol": 1e-6}, env={})
+        assert err.value.field == "rtol"
+
+    def test_readme_example_loads(self, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(),
+                          re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        cfg = load_config(path, env={})
+        assert cfg.preset == "small_damp_ex1_in2"
+        assert (cfg.n, cfg.r, cfg.sample_count) == (100, 4, 1000)
+        assert cfg.out_dir == "results" and not cfg.energy_study
+        assert cfg.params.gamma == 0.1 and cfg.input.kind == "sine1"
+        # the example sets every [experiment] and [params] key
+        sections = cli._read_ini(path)
+        assert set(sections["experiment"]) == set(cli._EXPERIMENT)
+        assert set(sections["params"]) == {
+            f.name for f in fields(PhysicalParams)}
+        assert set(sections["input"]) <= {f.name for f in fields(InputSpec)}
 
     def test_input_section(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -382,6 +453,14 @@ class TestMain:
     def test_bad_preset_fails(self, capsys):
         assert main(["eigs", "--preset", "nonsense"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_config_from_process_environment(self, tmp_path, monkeypatch,
+                                             capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[experiment]\nn = 12\n")
+        monkeypatch.setenv("CABLEMASS_CONFIG", str(path))
+        assert main(["build"]) == 0
+        assert "nodes n=12" in capsys.readouterr().out
 
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["build", "--config", str(tmp_path / "absent.ini")]) == 1
