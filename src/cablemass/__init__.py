@@ -11,7 +11,7 @@ from .analysis import (EnergyReport, ErrorMetrics, compute_energy,
                        energy_decay, output_error, stability_margin)
 from .balance import (BalanceResult, ReducedSystem, error_bound, gramians,
                       hankel_values, reduce, square_root_transform,
-                      suggest_r, transfer_function)
+                      transfer_function)
 from .model import (Grid, PhysicalParams, QuadraticForms, StateSpaceSystem,
                     build_system, eval_nonlinearity, fom_jacobian, fom_rhs,
                     quadratic_forms, sample_initial_data)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 # cablemass.cli in sys.modules before ``python -m cablemass.cli`` runs it
 # as __main__, and runpy warns about that on every run.
 _CLI_NAMES = frozenset({"PRESETS", "ExperimentConfig", "Preset", "get_preset",
-                        "load_config", "run_experiment"})
+                        "load_config"})
 
 
 def __getattr__(name):
@@ -45,8 +45,7 @@ __all__ = [
     "fom_jacobian", "fom_rhs", "get_preset", "gramians", "hankel_values",
     "input2_frequencies", "input_preset", "integrate", "load_config",
     "output_error", "quadratic_forms", "reduce", "rom_jacobian",
-    "rom_nonlinear", "rom_rhs", "run_experiment", "sample",
-    "sample_initial_data", "simulate_fom", "simulate_rom",
-    "square_root_transform", "stability_margin", "suggest_r",
-    "transfer_function",
+    "rom_nonlinear", "rom_rhs", "sample", "sample_initial_data",
+    "simulate_fom", "simulate_rom", "square_root_transform",
+    "stability_margin", "transfer_function",
 ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, ode
+from . import ode
 from .model import (DimensionMismatch, PhysicalParams, QuadraticForms,
                     StateSpaceSystem, fom_jacobian, fom_rhs)
 from .rom import OutputSeries, _integrate_sampled
@@ -31,6 +31,8 @@ class GridMismatch(ValueError):
 #: The energy study's integrator, and its step cap in sample intervals.
 ENERGY_METHOD = ode.RODAS4
 _ENERGY_STEP_CAP = 4
+# Share of the horizon skipped as initial transient by the decay-rate fit.
+_FIT_SKIP = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,13 +87,12 @@ def compute_energy(forms: QuadraticForms, params: PhysicalParams,
 
 def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
                  tf: float, rtol: float = 1e-6, atol: float = 1e-9,
-                 sample_count: int = 1000,
-                 fit_skip: float = 0.1) -> EnergyReport:
+                 sample_count: int = 1000) -> EnergyReport:
     """Unforced energy history and exponential decay-rate fit.
 
     Integrates the full-order model with zero input, sampling only the
     uniform grid (no trajectory is held), and fits log E by least
-    squares over [fit_skip*tf, tf] (the initial transient is skipped).
+    squares over [_FIT_SKIP * tf, tf] (the initial transient is skipped).
 
     The study runs at tight tolerances, so it takes the fourth-order
     Rodas4 (``ENERGY_METHOD``), not the 2(3) pair of the forced runs,
@@ -118,7 +119,7 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
         _, ek[i], ep[i] = compute_energy(forms, sys.params, states[i])
     e = ek + ep
 
-    fit = _decay_fit(times, e, fit_skip * tf)
+    fit = _decay_fit(times, e, _FIT_SKIP * tf)
     if fit is None:
         return EnergyReport(times=times, e=e, ek=ek, ep=ep, fitted_rate=0.0,
                             fit_r2=0.0, degenerate=True, stats=stats)
@@ -149,9 +150,9 @@ def _decay_fit(times, e, t_start: float) -> tuple[float, float] | None:
 def stability_margin(sys: StateSpaceSystem) -> float:
     """Largest real part over the eigenvalues of A (negative = stable).
 
-    Read off the system's shared Schur factor (``linalg.system_schur``).
+    Read off the system's shared Schur factor (``sys.schur``).
     """
-    return float(linalg.system_schur(sys).eigenvalues.real.max())
+    return float(sys.schur.eigenvalues.real.max())
 
 
 def _series_values(series) -> tuple[np.ndarray, np.ndarray]:

@@ -83,7 +83,7 @@ def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     """Controllability and observability Gramians of the linear part.
 
     Both Lyapunov equations are solved on the system's one real Schur
-    factor of A (``linalg.system_schur``), which the spectrum shares.
+    factor of A (``sys.schur``), which the spectrum shares.
 
     Raises
     ------
@@ -92,7 +92,7 @@ def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     linalg.SingularBlock, linalg.LyapunovResidual
         As for linalg.solve_lyapunov.
     """
-    form = linalg.system_schur(sys)
+    form = sys.schur
     linalg.check_stable(form)
     p = linalg._lyapunov_on_schur(sys.a, form, sys.b @ sys.b.T)
     q = linalg._lyapunov_on_schur(sys.a, form, sys.c.T @ sys.c, trans=True)
@@ -119,8 +119,7 @@ def hankel_values(p, q) -> np.ndarray:
     return _hankel_svd(p, q)[2].sigma
 
 
-def square_root_transform(p, q, r: int,
-                          allow_plateau_split: bool = False) -> BalanceResult:
+def square_root_transform(p, q, r: int) -> BalanceResult:
     """Balancing projection of order r from the Gramian pair.
 
     Raises
@@ -128,8 +127,7 @@ def square_root_transform(p, q, r: int,
     RankDeficient
         If r exceeds the numerical rank of L^T U.
     PlateauSplit
-        If sigma_r and sigma_{r+1} coincide numerically; pass
-        allow_plateau_split=True to force the cut anyway.
+        If sigma_r and sigma_{r+1} coincide numerically.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -140,12 +138,10 @@ def square_root_transform(p, q, r: int,
     rank = int(np.count_nonzero(sig > RANK_TOL * sig[0]))
     if r < 1 or r > rank:
         raise RankDeficient(f"order {r} exceeds numerical rank {rank}")
-    if r < sig.size and (sig[r - 1] - sig[r]) <= PLATEAU_TOL * sig[r - 1] \
-            and not allow_plateau_split:
+    if r < sig.size and (sig[r - 1] - sig[r]) <= PLATEAU_TOL * sig[r - 1]:
         raise PlateauSplit(
             f"sigma_{r} == sigma_{r + 1} = {sig[r]:.6e}; truncation inside a "
-            "Hankel plateau is ill-defined (pass allow_plateau_split=True "
-            "to override)")
+            "Hankel plateau is ill-defined")
     inv_sqrt = 1.0 / np.sqrt(sig[:r])
     tr = u @ (res.v[:, :r] * inv_sqrt)
     sr = (inv_sqrt[:, None] * res.u[:, :r].T) @ l.T
@@ -179,15 +175,6 @@ def error_bound(hsv, r: int) -> float:
     if r < 0 or r > hsv.size:
         raise ValueError(f"r must lie in [0, {hsv.size}], got {r}")
     return float(2.0 * np.sum(hsv[r:]))
-
-
-def suggest_r(hsv, tol: float) -> int:
-    """Smallest order whose error bound does not exceed tol."""
-    hsv = np.asarray(hsv, dtype=float)
-    for r in range(hsv.size + 1):
-        if error_bound(hsv, r) <= tol:
-            return r
-    return int(hsv.size)
 
 
 def transfer_function(a, b, c, s: complex) -> np.ndarray:

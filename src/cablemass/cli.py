@@ -36,7 +36,7 @@ import numpy as np
 from . import analysis, balance, rom, signals
 from .model import (InvalidParams, PhysicalParams, build_system,
                     quadratic_forms, sample_initial_data)
-from .signals import InputSpec
+from .signals import InputSpec, InvalidInput
 
 ENV_PREFIX = "CABLEMASS_"
 #: Flags that may also be supplied as CABLEMASS_<NAME> environment variables.
@@ -271,24 +271,17 @@ def load_config(path=None, cli_overrides=None, env=None) -> ExperimentConfig:
         r=preset.r, tf=preset.tf, energy_study=preset.energy_study,
         preset=preset.name if name else None)
 
+    given = sections.get("input", {})
     try:
         cfg.params = replace(cfg.params, **{
             f: _parse_float(f, raw)
             for f, raw in sections.get("params", {}).items()})
-    except InvalidParams as exc:
-        raise ValidationError(exc.field, str(exc)) from exc
-
-    given = sections.get("input", {})
-    if "kind" in given:
-        try:
+        if "kind" in given:
             cfg.input = signals.input_preset(given.pop("kind"))
-        except ValueError as exc:
-            raise ValidationError("kind", str(exc)) from exc
-    updates = {f: _parse_float(f, raw) for f, raw in given.items()}
-    try:
-        cfg.input = replace(cfg.input, **updates)
-    except ValueError as exc:
-        raise ValidationError(next(iter(updates), "input"), str(exc)) from exc
+        cfg.input = replace(cfg.input, **{
+            f: _parse_float(f, raw) for f, raw in given.items()})
+    except (InvalidParams, InvalidInput) as exc:
+        raise ValidationError(exc.field, str(exc)) from exc
 
     # a bad file value fails even where a flag overrides it
     for key, raw in [*exp.items(), *overrides.items()]:
@@ -437,11 +430,6 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
             f"{stats.n_lu} LU factorisations")
 
     return written
-
-
-def run_experiment(cfg: ExperimentConfig, log=None) -> dict:
-    """Run ``compare``; returns a dict mapping artifact names to paths."""
-    return run_command("compare", cfg, log)
 
 
 def main(argv=None) -> int:

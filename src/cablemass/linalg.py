@@ -12,11 +12,9 @@ type matrix equations", ACM TOMS 28(4), 2002): it halves the triangular
 factor until the blocks are small enough for LAPACK ``xTRSYL``, so most
 of the work runs as matrix products.
 
-A system is factored once: ``system_schur`` hands out the factor that
-``StateSpaceSystem.schur`` caches, and the spectrum, both Gramians and
-the input-2 frequencies are all read off it.  The factor's Q, T and
-eigenvalues are read-only.  ``eigenvalues`` and ``solve_lyapunov`` take
-a bare matrix and factor it afresh.
+A system is factored once: ``StateSpaceSystem.schur`` caches a read-only
+factor, and the spectrum, both Gramians and the input-2 frequencies all
+read it.  ``eigenvalues`` and ``solve_lyapunov`` factor a bare matrix.
 """
 
 from __future__ import annotations
@@ -153,19 +151,6 @@ def _block_eigenvalues(t: np.ndarray) -> np.ndarray:
 def eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a square real matrix, via the real Schur form."""
     return real_schur(a).eigenvalues
-
-
-def system_schur(sys_or_matrix) -> SchurForm:
-    """The real Schur factor of a system's A, or of a bare square matrix.
-
-    A system that caches its factor (``StateSpaceSystem.schur``) hands
-    that one out; any other object with an ``a`` attribute, or a matrix,
-    is factored afresh.
-    """
-    form = getattr(sys_or_matrix, "schur", None)
-    if form is not None:
-        return form
-    return real_schur(getattr(sys_or_matrix, "a", sys_or_matrix))
 
 
 def svd(m) -> SvdResult:

@@ -205,7 +205,7 @@ class StateSpaceSystem:
         """The real Schur factor of A, computed on first use and kept.
 
         The one factor of this system: the spectrum, both Gramians and
-        the input-2 frequencies are read off it (``linalg.system_schur``).
+        the input-2 frequencies are read off it.
         Its Q, T and eigenvalues are read-only.
         """
         return linalg.real_schur(self.a)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg
+from .model import StateSpaceSystem
 
 KINDS = ("sine1", "eig_cos2", "sin_cos3", "square4", "zero")
 
@@ -43,6 +43,14 @@ INPUT_PRESETS = {
     "input4": "square4",
     "zero": "zero",
 }
+
+
+class InvalidInput(ValueError):
+    """An input field is out of range; carries the field name."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -67,17 +75,17 @@ class InputSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown input kind {self.kind!r}")
+            raise InvalidInput("kind", f"unknown input kind {self.kind!r}")
         for name in ("c1", "c2", "m", "nfreq", "scale"):
             if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise InvalidInput(name, f"{name} must be finite")
         for name in ("m", "nfreq"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise InvalidInput(name, f"{name} must be nonnegative")
         for name in ("a", "b"):
             value = getattr(self, name)
             if value is not None and (not np.isfinite(value) or value < 0.0):
-                raise ValueError(f"{name} must be finite and nonnegative")
+                raise InvalidInput(name, f"{name} must be finite and nonnegative")
 
 
 def input_preset(name: str) -> InputSpec:
@@ -85,7 +93,7 @@ def input_preset(name: str) -> InputSpec:
     try:
         kind = INPUT_PRESETS[name]
     except KeyError:
-        raise ValueError(f"unknown input preset {name!r}") from None
+        raise InvalidInput("kind", f"unknown input preset {name!r}") from None
     return InputSpec(kind=kind)
 
 
@@ -155,21 +163,21 @@ def breakpoints(spec: InputSpec, t0: float, tf: float) -> np.ndarray:
     return _SQUARE_HALF_PERIOD * k
 
 
-def dominant_modes(sys_or_matrix, count: int = 2) -> np.ndarray:
+def dominant_modes(sys: StateSpaceSystem, count: int = 2) -> np.ndarray:
     """Eigenvalues with the largest real parts, one per conjugate pair.
 
     Real eigenvalues and the upper-half-plane member of each complex
-    pair are kept, sorted by decreasing real part.  A system's shared
-    Schur factor is reused (``linalg.system_schur``); a bare matrix is
-    factored.
+    pair are kept, sorted by decreasing real part.  They are read off
+    the system's shared Schur factor (``sys.schur``).
     """
-    eigs = linalg.system_schur(sys_or_matrix).eigenvalues
+    eigs = sys.schur.eigenvalues
     reps = eigs[eigs.imag >= 0.0]
     order = np.lexsort((-np.abs(reps.imag), -reps.real))
     return reps[order][:count]
 
 
-def input2_frequencies(sys_or_matrix, mode: str = "literal") -> tuple[float, float]:
+def input2_frequencies(sys: StateSpaceSystem,
+                       mode: str = "literal") -> tuple[float, float]:
     """Forcing frequencies (a, b) for the eig_cos2 input.
 
     mode="literal" (default) reads the frequencies off the two largest
@@ -182,7 +190,7 @@ def input2_frequencies(sys_or_matrix, mode: str = "literal") -> tuple[float, flo
     """
     if mode not in ("imag", "literal"):
         raise ValueError(f"input2_mode must be 'imag' or 'literal', got {mode!r}")
-    modes = dominant_modes(sys_or_matrix, count=2)
+    modes = dominant_modes(sys, count=2)
     if modes.size < 2:
         raise ValueError("system has fewer than two eigenvalue pairs")
     if mode == "imag":
@@ -190,9 +198,10 @@ def input2_frequencies(sys_or_matrix, mode: str = "literal") -> tuple[float, flo
     return float(abs(modes[0].real)), float(abs(modes[1].real))
 
 
-def resolve_input(spec: InputSpec, sys_or_matrix, mode: str = "literal") -> InputSpec:
+def resolve_input(spec: InputSpec, sys: StateSpaceSystem,
+                  mode: str = "literal") -> InputSpec:
     """Fill in the eig_cos2 frequencies of spec from a concrete system."""
     if spec.kind != "eig_cos2" or (spec.a is not None and spec.b is not None):
         return spec
-    a, b = input2_frequencies(sys_or_matrix, mode=mode)
+    a, b = input2_frequencies(sys, mode=mode)
     return replace(spec, a=a, b=b)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,6 +26,17 @@ def random_stable(rng, n, margin=0.5):
     a = rng.standard_normal((n, n))
     shift = np.linalg.eigvals(a).real.max() + margin
     return a - shift * np.eye(n)
+
+
+def schur_system(a, **matrices):
+    """A stand-in system: A, its real Schur factor and any other matrices.
+
+    Carries what ``StateSpaceSystem`` gives the spectrum and Gramian
+    readers, ``a`` and ``schur``, for a matrix no finite-difference
+    model produces.
+    """
+    a = np.asarray(a, dtype=float)
+    return SimpleNamespace(a=a, schur=linalg.real_schur(a), **matrices)
 
 
 def record_dtrsyl(monkeypatch):

@@ -15,7 +15,7 @@ from cablemass.model import (DimensionMismatch, PhysicalParams, build_system,
                              fom_jacobian, fom_rhs, quadratic_forms)
 from cablemass.rom import _integrate_sampled
 from cablemass.signals import InputSpec
-from conftest import EXAMPLE1, EXAMPLE2_SMALL, record_integrate
+from conftest import EXAMPLE1, EXAMPLE2_SMALL, record_integrate, schur_system
 
 
 def series(times, values):
@@ -166,7 +166,7 @@ class TestEnergyDecay:
 
 class TestStabilityMargin:
     def test_diagonal(self):
-        sys = SimpleNamespace(a=np.diag([-1.0, -2.0]))
+        sys = schur_system(np.diag([-1.0, -2.0]))
         assert stability_margin(sys) == pytest.approx(-1.0)
 
     def test_example1_n100_stable(self):

@@ -1,16 +1,13 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from cablemass import balance, linalg, signals
 from cablemass.balance import (PlateauSplit, RankDeficient, SingularShift,
                                error_bound, gramians, hankel_values, reduce,
-                               square_root_transform, suggest_r,
-                               transfer_function)
+                               square_root_transform, transfer_function)
 from cablemass.cli import get_preset
 from cablemass.model import DimensionMismatch, build_system
-from conftest import EXAMPLE1, record_dtrsyl, record_real_schur
+from conftest import EXAMPLE1, record_dtrsyl, record_real_schur, schur_system
 
 
 @pytest.fixture(scope="module")
@@ -26,21 +23,21 @@ def random_full_rank_system(seed=7, n=10):
     a -= (np.linalg.eigvals(a).real.max() + 0.8) * np.eye(n)
     b = rng.standard_normal((n, 1))
     c = rng.standard_normal((2, n))
-    return SimpleNamespace(a=a, b=b, c=c, nl_state_index=0,
-                           nl_target_index=n - 1, nl_coeff=0.0)
+    return schur_system(a, b=b, c=c, nl_state_index=0,
+                        nl_target_index=n - 1, nl_coeff=0.0)
 
 
 class TestGramians:
     def test_scalar_system(self):
-        sys = SimpleNamespace(a=np.array([[-1.0]]), b=np.array([[1.0]]),
-                              c=np.array([[1.0]]))
+        sys = schur_system([[-1.0]], b=np.array([[1.0]]),
+                           c=np.array([[1.0]]))
         p, q = gramians(sys)
         np.testing.assert_allclose(p, [[0.5]], atol=1e-14)
         np.testing.assert_allclose(q, [[0.5]], atol=1e-14)
 
     def test_unforced_controllability(self):
-        sys = SimpleNamespace(a=np.diag([-1.0, -2.0]), b=np.zeros((2, 1)),
-                              c=np.array([[1.0, 1.0]]))
+        sys = schur_system(np.diag([-1.0, -2.0]), b=np.zeros((2, 1)),
+                           c=np.array([[1.0, 1.0]]))
         p, _ = gramians(sys)
         np.testing.assert_allclose(p, np.zeros((2, 2)), atol=1e-15)
 
@@ -57,8 +54,8 @@ class TestGramians:
             assert np.linalg.eigvalsh(gram).min() >= -1e-10 * np.linalg.norm(gram)
 
     def test_unstable_rejected(self):
-        sys = SimpleNamespace(a=np.array([[1.0]]), b=np.array([[1.0]]),
-                              c=np.array([[1.0]]))
+        sys = schur_system([[1.0]], b=np.array([[1.0]]),
+                           c=np.array([[1.0]]))
         with pytest.raises(linalg.UnstableSystem):
             gramians(sys)
 
@@ -165,12 +162,9 @@ class TestSquareRootTransform:
         bal = square_root_transform(p, q, 6)
         np.testing.assert_allclose(bal.hsv, hsv[:len(bal.hsv)], atol=1e-9)
 
-    def test_plateau_refused_then_forced(self):
+    def test_plateau_refused(self):
         with pytest.raises(PlateauSplit):
             square_root_transform(np.eye(2), np.eye(2), 1)
-        bal = square_root_transform(np.eye(2), np.eye(2), 1,
-                                    allow_plateau_split=True)
-        np.testing.assert_allclose(bal.sr @ bal.tr, [[1.0]], atol=1e-12)
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
@@ -219,12 +213,6 @@ class TestErrorBound:
         bounds = [error_bound(hsv, r) for r in range(len(hsv) + 1)]
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
         assert all(b1 > b2 for b1, b2 in zip(bounds[:10], bounds[1:11]))
-
-    def test_suggest_r(self):
-        hsv = [2.0, 1.0, 0.5]
-        assert suggest_r(hsv, 3.0) == 1
-        assert suggest_r(hsv, 1.0) == 2
-        assert suggest_r(hsv, 0.0) == 3
 
 
 class TestTransferFunction:

@@ -11,7 +11,7 @@ import pytest
 from cablemass import cli
 from cablemass.cli import (DEFAULT_PARAMS, PRESETS, ExperimentConfig,
                            ParseError, ValidationError, get_preset,
-                           load_config, main, run_experiment)
+                           load_config, main, run_command)
 from cablemass.model import PhysicalParams
 from cablemass.signals import InputSpec, eval_input
 from conftest import record_real_schur
@@ -160,6 +160,19 @@ class TestLoadConfig:
             load_config(path, env={})
         assert err.value.field == "kind"
 
+    @pytest.mark.parametrize("text,field", [
+        ("kind = input3\nc1 = 0.1\nm = -1\n", "m"),
+        ("c2 = 0.2\nnfreq = -2\n", "nfreq"),
+        ("c1 = 0.1\nscale = inf\n", "scale")],
+        ids=["m", "nfreq", "scale"])
+    def test_bad_input_value_named(self, tmp_path, text, field):
+        path = tmp_path / "c.ini"
+        path.write_text("[input]\n" + text)
+        with pytest.raises(ValidationError) as err:
+            load_config(path, env={})
+        assert err.value.field == field
+        assert str(err.value).startswith(field)
+
     @pytest.mark.parametrize("field,value", [
         ("n", "2"), ("t0", "nan"), ("t0", "-inf"), ("tf", "inf"),
         ("tf", "nan"), ("rtol", "nan"), ("rtol", "inf"), ("atol", "nan"),
@@ -267,10 +280,11 @@ def artifacts(tmp_path_factory):
         input=cli.signals.input_preset("input2"),
         n=20, r=4, tf=5.0, rtol=1e-4, atol=1e-7, sample_count=60,
         out_dir=str(out))
-    return run_experiment(cfg), out, cfg
+    return run_command("compare", cfg), out, cfg
 
 
 class TestRunExperiment:
+    """Artifacts of one full ``compare`` run."""
 
     def test_artifact_files_exist(self, artifacts):
         paths, out, _ = artifacts
@@ -301,7 +315,7 @@ class TestRunExperiment:
     def test_determinism(self, artifacts, tmp_path):
         _, out, cfg = artifacts
         cfg2 = ExperimentConfig(**{**cfg.__dict__, "out_dir": str(tmp_path)})
-        paths2 = run_experiment(cfg2)
+        paths2 = run_command("compare", cfg2)
         for name in ("eigs", "hsv", "outputs", "error"):
             first = open(out / f"{name}.csv", "rb").read()
             second = open(paths2[name], "rb").read()
@@ -314,7 +328,7 @@ class TestRunExperiment:
             params=PRESETS["small_damp_ex1_in2"].params,
             input=cli.signals.input_preset("input2"),
             n=10, r=4, tf=2.0, sample_count=20, out_dir=str(tmp_path))
-        run_experiment(cfg)
+        run_command("compare", cfg)
         assert calls == [20]
 
     def test_energy_study(self, tmp_path):
@@ -322,7 +336,7 @@ class TestRunExperiment:
             params=DEFAULT_PARAMS, input=cli.signals.input_preset("zero"),
             n=20, r=4, tf=5.0, rtol=1e-4, atol=1e-7, sample_count=80,
             out_dir=str(tmp_path), energy_study=True)
-        paths = run_experiment(cfg)
+        paths = run_command("compare", cfg)
         assert "energy" in paths
         data = np.genfromtxt(paths["energy"], delimiter=",", names=True)
         assert len(data) == 80
@@ -339,7 +353,7 @@ class TestRunExperiment:
             params=params, input=cli.signals.input_preset("input1"),
             n=30, r=4, tf=20.0, rtol=1e-6, atol=1e-9, sample_count=400,
             out_dir=str(tmp_path))
-        paths = run_experiment(cfg)
+        paths = run_command("compare", cfg)
         hsv = np.genfromtxt(paths["hsv"], delimiter=",", names=True)
         bound = float(hsv["bound"][cfg.r - 1])
         out = np.genfromtxt(paths["outputs"], delimiter=",", names=True)

@@ -10,7 +10,7 @@ from cablemass.signals import (InputSpec, breakpoints, dominant_modes,
                                eval_input, eval_input_derivative,
                                input2_frequencies, input_preset, resolve_input,
                                square_wave)
-from conftest import EXAMPLE1
+from conftest import EXAMPLE1, schur_system
 
 
 class TestEvalInput:
@@ -145,7 +145,8 @@ class TestBreakpoints:
 
 class TestDominantModes:
     def test_real_spectrum(self):
-        modes = dominant_modes(np.diag([-1.0, -2.0, -3.0]), count=2)
+        modes = dominant_modes(schur_system(np.diag([-1.0, -2.0, -3.0])),
+                               count=2)
         np.testing.assert_allclose(sorted(modes.real), [-2.0, -1.0], atol=1e-12)
 
     def test_complex_pair_ordering(self):
@@ -153,7 +154,7 @@ class TestDominantModes:
         a = scipy.linalg.block_diag(
             np.array([[-0.1, 2.0], [-2.0, -0.1]]),
             np.array([[-0.5, 7.0], [-7.0, -0.5]]))
-        modes = dominant_modes(a, count=2)
+        modes = dominant_modes(schur_system(a), count=2)
         assert modes[0] == pytest.approx(-0.1 + 2.0j, abs=1e-12)
         assert modes[1] == pytest.approx(-0.5 + 7.0j, abs=1e-12)
 
@@ -161,7 +162,7 @@ class TestDominantModes:
         a = scipy.linalg.block_diag(
             np.array([[-0.1, 2.0], [-2.0, -0.1]]),
             np.array([[-0.5, 7.0], [-7.0, -0.5]]))
-        assert dominant_modes(a, count=4).size == 2
+        assert dominant_modes(schur_system(a), count=4).size == 2
 
 
 class TestInput2Frequencies:
@@ -169,14 +170,16 @@ class TestInput2Frequencies:
         a = scipy.linalg.block_diag(
             np.array([[-0.1, 2.0], [-2.0, -0.1]]),
             np.array([[-0.5, 7.0], [-7.0, -0.5]]))
-        assert input2_frequencies(a, mode="literal") == \
+        sys = schur_system(a)
+        assert input2_frequencies(sys, mode="literal") == \
             (pytest.approx(0.1), pytest.approx(0.5))
-        assert input2_frequencies(a, mode="imag") == \
+        assert input2_frequencies(sys, mode="imag") == \
             (pytest.approx(2.0), pytest.approx(7.0))
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            input2_frequencies(np.diag([-1.0, -2.0]), mode="largest")
+            input2_frequencies(schur_system(np.diag([-1.0, -2.0])),
+                               mode="largest")
 
     def test_example1_deterministic(self):
         sys = build_system(EXAMPLE1, 100)
