@@ -18,7 +18,8 @@ from .model import (Grid, PhysicalParams, QuadraticForms, StateSpaceSystem,
 from .ode import Samples, Trajectory, integrate, sample
 from .rom import (OutputSeries, rom_jacobian, rom_nonlinear, rom_rhs,
                   simulate_fom, simulate_rom)
-from .signals import InputSpec, eval_input, input2_frequencies, input_preset
+from .signals import (InputSpec, eval_input, input2_frequencies, input_preset,
+                      resolve_input)
 
 __version__ = "0.1.0"
 
@@ -44,8 +45,8 @@ __all__ = [
     "energy_decay", "error_bound", "eval_input", "eval_nonlinearity",
     "fom_jacobian", "fom_rhs", "get_preset", "gramians", "hankel_values",
     "input2_frequencies", "input_preset", "integrate", "load_config",
-    "output_error", "quadratic_forms", "reduce", "rom_jacobian",
-    "rom_nonlinear", "rom_rhs", "sample", "sample_initial_data",
-    "simulate_fom", "simulate_rom", "square_root_transform",
-    "stability_margin", "transfer_function",
+    "output_error", "quadratic_forms", "reduce", "resolve_input",
+    "rom_jacobian", "rom_nonlinear", "rom_rhs", "sample",
+    "sample_initial_data", "simulate_fom", "simulate_rom",
+    "square_root_transform", "stability_margin", "transfer_function",
 ]

@@ -155,12 +155,23 @@ def stability_margin(sys: StateSpaceSystem) -> float:
     return float(sys.schur.eigenvalues.real.max())
 
 
-def _series_values(series) -> tuple[np.ndarray, np.ndarray]:
-    times = np.asarray(series.times, dtype=float)
-    values = np.asarray(series.values, dtype=float)
-    if values.ndim == 1:
-        values = values[:, None]
-    return times, values
+def _paired_values(y_ref, y_test):
+    """(times, reference values, test values) of two series on one grid.
+
+    One-channel values come as a column.  Raises GridMismatch unless the
+    time grids are identical and the value arrays have one shape.
+    """
+    t_ref = np.asarray(y_ref.times, dtype=float)
+    if not np.array_equal(t_ref, np.asarray(y_test.times, dtype=float)):
+        raise GridMismatch("output series use different time grids")
+    v_ref, v_test = (np.asarray(y.values, dtype=float) for y in (y_ref, y_test))
+    if v_ref.ndim == 1:
+        v_ref = v_ref[:, None]
+    if v_test.ndim == 1:
+        v_test = v_test[:, None]
+    if v_ref.shape != v_test.shape:
+        raise GridMismatch(f"output shapes differ: {v_ref.shape} vs {v_test.shape}")
+    return t_ref, v_ref, v_test
 
 
 def output_error(y_ref, y_test) -> ErrorMetrics:
@@ -169,14 +180,10 @@ def output_error(y_ref, y_test) -> ErrorMetrics:
     Raises
     ------
     GridMismatch
-        If the two series do not share an identical time grid.
+        If the two series do not share an identical time grid and
+        output shape.
     """
-    t_ref, v_ref = _series_values(y_ref)
-    t_test, v_test = _series_values(y_test)
-    if t_ref.shape != t_test.shape or not np.array_equal(t_ref, t_test):
-        raise GridMismatch("output series use different time grids")
-    if v_ref.shape != v_test.shape:
-        raise GridMismatch(f"output shapes differ: {v_ref.shape} vs {v_test.shape}")
+    _, v_ref, v_test = _paired_values(y_ref, y_test)
 
     diff = v_test - v_ref
     fallback = False
@@ -218,12 +225,9 @@ def accurate_prefix(y_ref: OutputSeries, y_test: OutputSeries,
     output magnitude max_t ||y(t)||_2, which keeps the measure finite
     through zero crossings.  Returns the last grid time before the
     normalized error first exceeds the threshold (the full horizon if
-    it never does).
+    it never does).  Raises GridMismatch as ``output_error`` does.
     """
-    t_ref, v_ref = _series_values(y_ref)
-    t_test, v_test = _series_values(y_test)
-    if t_ref.shape != t_test.shape or not np.array_equal(t_ref, t_test):
-        raise GridMismatch("output series use different time grids")
+    t_ref, v_ref, v_test = _paired_values(y_ref, y_test)
     scale = np.max(np.linalg.norm(v_ref, axis=1))
     if scale == 0.0:
         return float(t_ref[-1])

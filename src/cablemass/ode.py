@@ -22,13 +22,13 @@ step's first stage.  A step costs about twice what a ROS23 step does;
 on the exp_stab_Ex1 energy study at rtol 1e-6 it takes about a fifth
 of the steps.
 
-Both methods evaluate one more right-hand side per Jacobian when the
-time derivative df/dt is not supplied and is approximated by a forward
-difference.  ``integrate`` either keeps every node (a ``Trajectory``,
-which ``sample`` interpolates later) or, given query times ``t_eval``,
-writes the interpolant at the queries a step covers as the step is
-accepted and keeps nothing else, so its memory grows with the number
-of queries, not with the number of steps.
+The caller supplies the exact state Jacobian J and time derivative
+df/dt, which the Rosenbrock formulas are written with; both models here
+have them in closed form.  ``integrate`` either keeps every node (a
+``Trajectory``, which ``sample`` interpolates later) or, given query
+times ``t_eval``, writes the interpolant at the queries a step covers as
+the step is accepted and keeps nothing else, so its memory grows with
+the number of queries, not with the number of steps.
 
 The Jacobian's type picks the factorisation.  A ``SecondOrderJacobian``
 belongs to a second-order system x = [d; v] with d' = v, so
@@ -144,18 +144,6 @@ class Samples:
     states: np.ndarray
     end_state: np.ndarray
     stats: IntegratorStats
-
-
-def _fd_jacobian(rhs, t, y, f0, thresh, stats):
-    n = y.size
-    jac = np.empty((n, n))
-    dy = math.sqrt(_EPS) * np.maximum(np.abs(y), thresh)
-    for j in range(n):
-        yp = y.copy()
-        yp[j] += dy[j]
-        jac[:, j] = (np.asarray(rhs(t, yp)) - f0) / dy[j]
-        stats.n_rhs += 1
-    return jac
 
 
 def _initial_step(rhs, t0, y0, f0, tf, rtol, atol, stats):
@@ -389,9 +377,8 @@ def _query_times(t_eval, t0: float, tf: float) -> np.ndarray:
 
 
 def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
-              atol: float = 1e-6, jacobian=None, first_step: float | None = None,
-              dfdt=None, t_eval=None, out: np.ndarray | None = None,
-              method: Method = ROS23,
+              atol: float = 1e-6, *, jacobian, dfdt, t_eval=None,
+              out: np.ndarray | None = None, method: Method = ROS23,
               max_step: float = math.inf) -> Trajectory | Samples:
     """Integrate x' = rhs(t, x) from t0 to tf with embedded error control.
 
@@ -407,18 +394,14 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         Local error is controlled to atol + rtol*|x| componentwise;
         both must be finite and > 0.  Defaults match the tolerances the
         experiments were run with.
-    jacobian : callable(t, x) -> matrix or SecondOrderJacobian, optional
-        State Jacobian.  A SecondOrderJacobian is factored through its
-        tridiagonal velocity Schur complement, a matrix densely.
-        Approximated by forward differences when absent.
-    first_step : float, optional
-        Override the automatic starting step; must be finite and > 0.
-    dfdt : callable(t, x) -> array, optional
-        Partial time derivative of rhs, which the Rosenbrock formulas
-        need for a non-autonomous system.  Approximated by a forward
-        difference, at one extra rhs call per step, when absent.  rhs
-        must be smooth on [t0, tf]: integrate a discontinuous forcing
-        piece by piece between its jumps.
+    jacobian : callable(t, x) -> matrix or SecondOrderJacobian
+        Exact state Jacobian of rhs.  A SecondOrderJacobian is factored
+        through its tridiagonal velocity Schur complement, a matrix
+        densely.
+    dfdt : callable(t, x) -> array
+        Exact partial time derivative of rhs (zeros for an autonomous
+        system).  rhs must be smooth on [t0, tf]: integrate a
+        discontinuous forcing piece by piece between its jumps.
     t_eval : array, optional
         Sorted query times in [t0, tf].  Each accepted step writes the
         dense output at the queries it covers, [t, t + h) and, for the
@@ -456,10 +439,6 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError(f"rtol and atol must be finite and positive, "
                          f"got {rtol}, {atol}")
-    if first_step is not None and not (math.isfinite(first_step)
-                                       and first_step > 0.0):
-        raise ValueError(f"first_step must be finite and positive, "
-                         f"got {first_step}")
     if not max_step > 0.0:
         raise ValueError(f"max_step must be positive, got {max_step}")
     y = np.array(x0, dtype=float).ravel()
@@ -476,15 +455,13 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         qi, nq = 0, q.size
 
     stats = IntegratorStats()
-    thresh = atol / rtol
     t = t0
     f0 = np.asarray(rhs(t, y), dtype=float)
     stats.n_rhs += 1
     if not np.isfinite(f0).all():
         raise NonFiniteState(f"rhs not finite at t={t}")
 
-    h = first_step if first_step is not None else _initial_step(
-        rhs, t0, y, f0, tf, rtol, atol, stats)
+    h = _initial_step(rhs, t0, y, f0, tf, rtol, atol, stats)
 
     if t_eval is None:
         times = [t]
@@ -498,19 +475,10 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         hmin = 16.0 * _EPS * max(abs(t), abs(tf))
         remaining = tf - t
 
-        if jacobian is not None:
-            jac = jacobian(t, y)
-        else:
-            jac = _fd_jacobian(rhs, t, y, f0, thresh, stats)
-
-        if dfdt is not None:
-            ft = np.asarray(dfdt(t, y), dtype=float)
-        else:
-            tdelta = math.sqrt(_EPS) * max(abs(t), abs(h))
-            ft = (np.asarray(rhs(t + tdelta, y)) - f0) / tdelta
-            stats.n_rhs += 1
+        jac = jacobian(t, y)
+        ft = np.asarray(dfdt(t, y), dtype=float)
         if not np.isfinite(ft).all():
-            raise NonFiniteState(f"df/dt not finite near t={t}")
+            raise NonFiniteState(f"df/dt not finite at t={t}")
 
         rejected_here = False
         nonfinite_seen = False

@@ -65,6 +65,17 @@ def record_real_schur(monkeypatch):
     return calls
 
 
+def linear_derivatives(a):
+    """The exact derivatives of x' = A x, as ``ode.integrate`` keywords.
+
+    Returns {"jacobian": J, "dfdt": df/dt} with J(t, x) = A and
+    df/dt = 0; a scalar a stands for the 1 x 1 matrix [[a]].
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    zero = np.zeros(a.shape[0])
+    return {"jacobian": lambda t, x: a, "dfdt": lambda t, x: zero}
+
+
 class IntegrateCall(NamedTuple):
     t0: float
     tf: float

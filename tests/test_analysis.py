@@ -241,3 +241,12 @@ class TestAccuratePrefix:
         short = accurate_prefix(series(t, vals), series(t, drift), 0.05)
         longer = accurate_prefix(series(t, vals), series(t, drift), 0.1)
         assert longer > short
+
+    def test_mismatch_raises(self):
+        # a one-channel series must not broadcast against a two-channel one
+        t = np.linspace(0.0, 10.0, 11)
+        two = series(t, np.ones((11, 2)))
+        with pytest.raises(GridMismatch, match="shapes"):
+            accurate_prefix(series(t, np.ones(11)), two, 0.05)
+        with pytest.raises(GridMismatch, match="grids"):
+            accurate_prefix(series(t + 1.0, np.ones((11, 2))), two, 0.05)

@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 from cablemass import ode
 from cablemass.model import PhysicalParams, build_system, fom_jacobian, fom_rhs
 from cablemass.signals import square_wave
+from conftest import linear_derivatives
 
 BOTH = (ode.ROS23, ode.RODAS4)
 METHODS = pytest.mark.parametrize("method", BOTH, ids=lambda m: m.name)
@@ -18,12 +19,27 @@ def decay(t, x):
     return -x
 
 
+DECAY = linear_derivatives(-1.0)  # decay's exact J and df/dt
+
+
+def fixed_steps(rhs, jac, dfdt, x0, h, n, method):
+    """n attempts of size h from t = 0, each accepted: no error control."""
+    y = np.asarray(x0, dtype=float)
+    f = rhs(0.0, y)
+    stats = ode.IntegratorStats()
+    for i in range(n):
+        t = i * h
+        solve = ode._factor(jac(t, y), h * method.gamma, t)
+        y, f, _ = method.stages(rhs, t, y, f, dfdt(t, y), h, solve, stats)
+    return y
+
+
 @contextlib.contextmanager
-def raises_quietly(error):
+def raises_quietly(error, match=None):
     """pytest.raises(error), with any RuntimeWarning turned into a failure."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             yield
 
 
@@ -31,7 +47,7 @@ class TestIntegrate:
     def test_scalar_exponential(self):
         rtol = 1e-3
         traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                             rtol=rtol, atol=1e-8)
+                             rtol=rtol, atol=1e-8, **DECAY)
         assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 10.0 * rtol
 
     def test_stiff_diagonal(self):
@@ -40,7 +56,7 @@ class TestIntegrate:
         rtol = 1e-5
         traj = ode.integrate(lambda t, x: a @ x, np.array([1.0, 1.0]),
                              0.0, 1.0, rtol=rtol, atol=1e-10,
-                             jacobian=lambda t, x: a)
+                             **linear_derivatives(a))
         exact = np.array([math.exp(-1.0), math.exp(-1000.0)])
         assert np.all(np.abs(traj.states[-1] - exact) <= 10.0 * rtol)
         assert traj.stats.n_steps < 2000  # no creep through the fast layer
@@ -49,7 +65,7 @@ class TestIntegrate:
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         traj = ode.integrate(lambda t, x: a @ x, np.array([1.0, 0.0]),
                              0.0, 2.0 * math.pi, rtol=1e-6, atol=1e-9,
-                             jacobian=lambda t, x: a)
+                             **linear_derivatives(a))
         energy = 0.5 * np.sum(traj.states[-1] ** 2)
         assert abs(energy - 0.5) <= 1e-3
 
@@ -59,7 +75,7 @@ class TestIntegrate:
         for k in range(4):
             rtol = 1e-3 * 2.0 ** (-k)
             traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                                 rtol=rtol, atol=1e-14)
+                                 rtol=rtol, atol=1e-14, **DECAY)
             errors.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 1.5
@@ -70,10 +86,11 @@ class TestIntegrate:
         def rhs(t, x):
             return -x + 0.1 * square_wave(0.2 * math.pi * t)
 
+        # df/dt is 0 between the jumps, and J the decay's
         traj = ode.integrate(rhs, np.array([0.0]), 0.0, 30.0,
-                             rtol=rtol, atol=1e-9)
+                             rtol=rtol, atol=1e-9, **DECAY)
         ref = ode.integrate(rhs, np.array([0.0]), 0.0, 30.0,
-                            rtol=1e-10, atol=1e-14)
+                            rtol=1e-10, atol=1e-14, **DECAY)
         assert abs(traj.states[-1, 0] - ref.states[-1, 0]) <= 100.0 * rtol
 
     def test_nonautonomous_forcing(self):
@@ -82,25 +99,17 @@ class TestIntegrate:
             return -x + np.array([math.sin(t)])
 
         traj = ode.integrate(rhs, np.array([0.5]), 0.0, 2.0,
-                             rtol=1e-6, atol=1e-10)
+                             rtol=1e-6, atol=1e-10,
+                             jacobian=lambda t, x: [[-1.0]],
+                             dfdt=lambda t, x: np.array([math.cos(t)]))
         t = 2.0
         exact = 0.5 * (math.sin(t) - math.cos(t)) + math.exp(-t)
         assert abs(traj.states[-1, 0] - exact) <= 1e-4
 
-    def test_finite_difference_jacobian_path(self):
-        a = np.array([[-2.0, 1.0], [0.0, -0.5]])
-        with_jac = ode.integrate(lambda t, x: a @ x, np.array([1.0, -1.0]),
-                                 0.0, 2.0, rtol=1e-6, atol=1e-10,
-                                 jacobian=lambda t, x: a)
-        without = ode.integrate(lambda t, x: a @ x, np.array([1.0, -1.0]),
-                                0.0, 2.0, rtol=1e-6, atol=1e-10)
-        np.testing.assert_allclose(with_jac.states[-1], without.states[-1],
-                                   atol=1e-5)
-        assert without.stats.n_rhs > with_jac.stats.n_rhs
-
     def test_trajectory_contract(self):
         traj = ode.integrate(decay, np.array([1.0, 2.0]), 0.5, 3.5,
-                             rtol=1e-4, atol=1e-8)
+                             rtol=1e-4, atol=1e-8,
+                             **linear_derivatives(-np.eye(2)))
         assert traj.times[0] == 0.5
         assert traj.times[-1] == 3.5
         assert np.all(np.diff(traj.times) > 0.0)
@@ -112,7 +121,9 @@ class TestIntegrate:
         for method in BOTH:
             with raises_quietly((ode.NonFiniteState, ode.StepSizeUnderflow)):
                 ode.integrate(lambda t, x: x ** 2, np.array([1.0]), 0.0,
-                              2.0, rtol=1e-6, atol=1e-9, method=method)
+                              2.0, rtol=1e-6, atol=1e-9,
+                              jacobian=lambda t, x: [[2.0 * x[0]]],
+                              dfdt=lambda t, x: np.zeros(1), method=method)
 
     @METHODS
     def test_unresolvable_jump_underflows(self, method):
@@ -126,14 +137,15 @@ class TestIntegrate:
                           dfdt=lambda t, x: np.zeros(1), method=method)
 
     def test_nonfinite_stage_dense(self):
-        # a NaN inside a step is a rejected step, not a LAPACK ValueError
+        # a NaN inside a step is a rejected step, not a LAPACK ValueError;
+        # the steps shrink onto t = 0.3 until they underflow
         def rhs(t, x):
             return np.array([np.nan]) if t > 0.3 else -x
 
         for method in BOTH:
-            with raises_quietly(ode.NonFiniteState):
-                ode.integrate(rhs, np.array([1.0]), 0.0, 1.0,
-                              jacobian=lambda t, x: [[-1.0]], method=method)
+            with raises_quietly(ode.NonFiniteState, match="blew up"):
+                ode.integrate(rhs, np.array([1.0]), 0.0, 1.0, **DECAY,
+                              method=method)
 
     def test_nonfinite_stage_banded(self):
         sys = build_system(PhysicalParams(gamma=0.1, alphal=0.1), 4)
@@ -143,36 +155,35 @@ class TestIntegrate:
             return out * np.nan if t > 0.3 else out
 
         for method in BOTH:
-            with raises_quietly(ode.NonFiniteState):
+            with raises_quietly(ode.NonFiniteState, match="blew up"):
                 ode.integrate(rhs, np.zeros(8), 0.0, 1.0,
                               jacobian=lambda t, x: fom_jacobian(sys, x),
-                              method=method)
+                              dfdt=lambda t, x: np.zeros(8), method=method)
+
+    def test_derivatives_required(self):
+        with pytest.raises(TypeError, match="jacobian.*dfdt"):
+            ode.integrate(decay, np.array([1.0]), 0.0, 1.0)
 
     def test_bad_span(self):
         with pytest.raises(ValueError):
-            ode.integrate(decay, np.array([1.0]), 1.0, 1.0)
+            ode.integrate(decay, np.array([1.0]), 1.0, 1.0, **DECAY)
 
     def test_bad_initial_state(self):
         with pytest.raises(ValueError):
-            ode.integrate(decay, np.array([np.nan]), 0.0, 1.0)
+            ode.integrate(decay, np.array([np.nan]), 0.0, 1.0, **DECAY)
 
     @pytest.mark.parametrize("name,value", [
         ("rtol", 0.0), ("rtol", math.nan), ("rtol", math.inf),
         ("atol", -1e-9), ("atol", math.nan), ("atol", math.inf)])
     def test_bad_tolerances(self, name, value):
         with pytest.raises(ValueError, match="rtol and atol"):
-            ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **{name: value})
-
-    @pytest.mark.parametrize("first_step", [0.0, -0.1, math.nan, math.inf])
-    def test_bad_first_step(self, first_step):
-        with pytest.raises(ValueError, match="first_step"):
-            ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                          first_step=first_step)
+            ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY,
+                          **{name: value})
 
     @pytest.mark.parametrize("max_step", [0.0, -0.1, math.nan])
     def test_bad_max_step(self, max_step):
         with pytest.raises(ValueError, match="max_step"):
-            ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
+            ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY,
                           max_step=max_step)
 
     @METHODS
@@ -180,7 +191,7 @@ class TestIntegrate:
         # 0.3 does not divide 2: the capped steps split the rest evenly
         # instead of leaving a last step below the underflow limit
         traj = ode.integrate(decay, np.array([1.0]), 0.0, 2.0, rtol=1e-2,
-                             atol=1e-4, max_step=0.3, method=method)
+                             atol=1e-4, **DECAY, max_step=0.3, method=method)
         steps = np.diff(traj.times)
         assert steps.max() <= 0.3
         assert traj.times[-1] == 2.0
@@ -207,19 +218,16 @@ class TestRodas4:
         return np.array([0.0, -2.0 * math.sin(2.0 * t)])
 
     def _fixed_step_slope(self, method):
-        # loose tolerances accept every step, and max_step holds it at h
-        # (powers of two: the steps end on tf exactly)
+        # powers of two: the steps end on tf exactly
         x0, tf = np.array([1.0, 0.0]), 4.0
         ref = solve_ivp(self.rhs, (0.0, tf), x0, method="DOP853",
                         rtol=1e-13, atol=1e-15).y[:, -1]
         steps = [2.0 ** -k for k in range(2, 8)]
         errors = []
         for h in steps:
-            traj = ode.integrate(self.rhs, x0, 0.0, tf, rtol=1e3, atol=1e3,
-                                 jacobian=self.jac, dfdt=self.dfdt,
-                                 first_step=h, max_step=h, method=method)
-            assert traj.stats.n_rejected == 0
-            errors.append(np.abs(traj.states[-1] - ref).max())
+            end = fixed_steps(self.rhs, self.jac, self.dfdt, x0, h,
+                              round(tf / h), method)
+            errors.append(np.abs(end - ref).max())
         return np.polyfit(np.log(steps), np.log(errors), 1)[0]
 
     def test_fourth_order(self):
@@ -240,12 +248,10 @@ class TestRodas4:
 
     def test_l_stable(self):
         # one step of h = 1 with h lambda = -1e8 damps by at least 1e6
-        traj = ode.integrate(lambda t, x: -1e8 * x, np.array([1.0]), 0.0,
-                             1.0, rtol=1.0, atol=1.0,
-                             jacobian=lambda t, x: [[-1e8]], first_step=1.0,
-                             method=ode.RODAS4)
-        assert traj.stats.n_steps == 1
-        assert abs(traj.states[-1, 0]) <= 1e-6
+        stiff = linear_derivatives(-1e8)
+        end = fixed_steps(lambda t, x: -1e8 * x, stiff["jacobian"],
+                          stiff["dfdt"], np.array([1.0]), 1.0, 1, ode.RODAS4)
+        assert abs(end[0]) <= 1e-6
 
     def test_six_rhs_calls_per_attempt(self):
         stats = ode.integrate(self.rhs, np.array([1.0, 0.0]), 0.0, 4.0,
@@ -258,58 +264,34 @@ class TestRodas4:
 
 
 class TestTimeDerivative:
-    """integrate(dfdt=...) against the forward-difference df/dt."""
+    """The exact df/dt a caller passes: its cost and its finiteness check."""
 
     A = np.array([[-0.05, 1.0], [-4.0, -0.05]])
     B = np.array([0.0, 1.0])
     W = 3.0
 
-    def _forced(self, dfdt):
+    def _forced(self):
         # lightly damped oscillator driven by sin(3t)
         def rhs(t, x):
             return self.A @ x + self.B * math.sin(self.W * t)
 
-        def exact(t, x):
+        def dfdt(t, x):
             return self.B * (self.W * math.cos(self.W * t))
 
         return ode.integrate(rhs, np.array([1.0, 0.0]), 0.0, 20.0,
                              rtol=1e-6, atol=1e-9,
-                             jacobian=lambda t, x: self.A,
-                             dfdt=exact if dfdt else None)
+                             jacobian=lambda t, x: self.A, dfdt=dfdt)
 
     def test_two_rhs_calls_per_attempt(self):
-        stats = self._forced(dfdt=True).stats
+        stats = self._forced().stats
         assert stats.n_rejected > 0
         # f0 and the start-step probe, then two stages per attempt
         assert stats.n_rhs == 2 + 2 * (stats.n_steps + stats.n_rejected)
 
-    def test_agrees_with_forward_difference(self):
-        exact, fd = self._forced(dfdt=True), self._forced(dfdt=False)
-        q = np.linspace(0.0, 20.0, 401)
-        np.testing.assert_allclose(ode.sample(exact, q), ode.sample(fd, q),
-                                   rtol=0.0, atol=1e-8)
-        assert fd.stats.n_rhs - exact.stats.n_rhs == fd.stats.n_steps
-
-    def test_autonomous_bitwise(self):
-        # the forward difference of an autonomous rhs is exactly 0
-        def rhs(t, x):
-            return np.array([x[1], -x[0] - 0.5 * x[1] - x[0] ** 3])
-
-        def jac(t, x):
-            return np.array([[0.0, 1.0], [-1.0 - 3.0 * x[0] ** 2, -0.5]])
-
-        runs = [ode.integrate(rhs, np.array([1.0, 0.0]), 0.0, 10.0,
-                              rtol=1e-5, atol=1e-9, jacobian=jac, dfdt=dfdt)
-                for dfdt in (None, lambda t, x: np.zeros(2))]
-        for name in ("times", "states", "derivs"):
-            np.testing.assert_array_equal(getattr(runs[0], name),
-                                          getattr(runs[1], name))
-        assert (runs[0].stats.n_rhs - runs[1].stats.n_rhs
-                == runs[1].stats.n_steps)
-
     def test_nonfinite_dfdt(self):
         with pytest.raises(ode.NonFiniteState):
             ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
+                          jacobian=lambda t, x: [[-1.0]],
                           dfdt=lambda t, x: np.array([math.nan]))
 
 
@@ -348,7 +330,7 @@ class TestDenseFactor:
 class TestSample:
     def test_stored_node_exact(self):
         traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                             rtol=1e-4, atol=1e-8)
+                             rtol=1e-4, atol=1e-8, **DECAY)
         k = len(traj.times) // 2
         out = ode.sample(traj, [traj.times[k]])
         assert out[0, 0] == traj.states[k, 0]
@@ -356,23 +338,24 @@ class TestSample:
     def test_midpoint_oracle(self):
         rtol = 1e-5
         traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                             rtol=rtol, atol=1e-12)
+                             rtol=rtol, atol=1e-12, **DECAY)
         value = ode.sample(traj, [0.5])[0, 0]
         assert abs(value - math.exp(-0.5)) <= 10.0 * rtol
 
     def test_empty_query(self):
-        traj = ode.integrate(decay, np.array([1.0, 1.0]), 0.0, 1.0)
+        traj = ode.integrate(decay, np.array([1.0, 1.0]), 0.0, 1.0,
+                             **linear_derivatives(-np.eye(2)))
         out = ode.sample(traj, [])
         assert out.shape == (0, 2)
 
     def test_endpoints(self):
-        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0)
+        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY)
         out = ode.sample(traj, [0.0, 1.0])
         assert out[0, 0] == traj.states[0, 0]
         assert out[1, 0] == traj.states[-1, 0]
 
     def test_out_of_range(self):
-        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0)
+        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY)
         with pytest.raises(ode.OutOfRange):
             ode.sample(traj, [1.000001])
         with pytest.raises(ode.OutOfRange):
@@ -382,7 +365,7 @@ class TestSample:
         a = np.array([[0.0, 1.0], [-4.0, 0.0]])
         traj = ode.integrate(lambda t, x: a @ x, np.array([1.0, 0.0]),
                              0.0, 2.0, rtol=1e-7, atol=1e-11,
-                             jacobian=lambda t, x: a)
+                             **linear_derivatives(a))
         grid = np.linspace(0.0, 2.0, 41)
         states = ode.sample(traj, grid)
         exact = np.cos(2.0 * grid)
@@ -402,7 +385,7 @@ class TestStreamedSamples:
     def _run(self, **kwargs):
         return ode.integrate(lambda t, x: self.A @ x, np.array([1.0, 0.0]),
                              0.0, 3.0, rtol=1e-5, atol=1e-9,
-                             jacobian=lambda t, x: self.A, **kwargs)
+                             **linear_derivatives(self.A), **kwargs)
 
     def _stream(self, q):
         return self._run(t_eval=q, out=np.empty((len(q), 2)))

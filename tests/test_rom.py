@@ -8,7 +8,8 @@ from cablemass import analysis, balance, ode, rom
 from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import DimensionMismatch, PhysicalParams, build_system, \
     eval_nonlinearity, fom_jacobian, fom_rhs
-from cablemass.signals import eval_input, input_preset, resolve_input
+from cablemass.signals import eval_input, eval_input_derivative, \
+    input_preset, resolve_input
 from conftest import EXAMPLE1, record_integrate
 
 
@@ -260,14 +261,18 @@ class TestStreamedSampling:
             assert stats.n_steps < count  # some step covers several queries
 
 
-def _fom_outputs(sys, u, x0, tf, rtol, atol, dense, method=ode.ROS23):
-    """FOM outputs on 1000 samples, through the structured or dense solve."""
+def _fom_outputs(sys, u, du, x0, tf, rtol, atol, dense, method=ode.ROS23):
+    """FOM outputs on 1000 samples, through the structured or dense solve.
+
+    u is the input and du its time derivative.
+    """
     def jac(t, x):
         structured = fom_jacobian(sys, x)
         return structured.dense() if dense else structured
 
     traj = ode.integrate(lambda t, x: fom_rhs(sys, x, u(t)), x0, 0.0, tf,
-                         rtol=rtol, atol=atol, jacobian=jac, method=method)
+                         rtol=rtol, atol=atol, jacobian=jac,
+                         dfdt=lambda t, x: sys.b[:, 0] * du(t), method=method)
     return ode.sample(traj, np.linspace(0.0, tf, 1000)) @ sys.c.T
 
 
@@ -292,8 +297,8 @@ class TestSecondOrderFomPath:
         sys = build_system(preset.params, 40)
         x0 = _energy_initial_data(preset.params, 40)
         for method in (ode.ROS23, ode.RODAS4):
-            runs = [_fom_outputs(sys, lambda t: 0.0, x0, preset.tf, 1e-6,
-                                 1e-9, dense, method)
+            runs = [_fom_outputs(sys, lambda t: 0.0, lambda t: 0.0, x0,
+                                 preset.tf, 1e-6, 1e-9, dense, method)
                     for dense in (False, True)]
             assert self._rel_l2(*runs) <= 1e-10, method.name
 
@@ -302,6 +307,7 @@ class TestSecondOrderFomPath:
         sys = build_system(preset.params, 40)
         spec = resolve_input(input_preset(preset.input_name), sys)
         runs = [_fom_outputs(sys, lambda t: eval_input(spec, t),
+                             lambda t: eval_input_derivative(spec, t),
                              np.zeros(80), preset.tf, 1e-3, 1e-6, dense)
                 for dense in (False, True)]
         assert self._rel_l2(*runs) <= 1e-10

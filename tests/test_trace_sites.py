@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from cablemass import ode
+from conftest import linear_derivatives
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,7 +40,7 @@ def test_integrate_result_carries_traced_stats():
     for kwargs in ({}, {"t_eval": np.linspace(0.0, 1.0, 5),
                         "out": np.empty((5, 1))}):
         result = ode.integrate(lambda t, x: -x, np.array([1.0]), 0.0, 1.0,
-                               **kwargs)
+                               **linear_derivatives(-1.0), **kwargs)
         s = result.stats
         assert info((), result) == {"steps": s.n_steps,
                                     "rejected": s.n_rejected,
