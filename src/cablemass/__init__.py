@@ -15,7 +15,7 @@ from .balance import (BalanceResult, ReducedSystem, error_bound, gramians,
 from .model import (Grid, PhysicalParams, QuadraticForms, StateSpaceSystem,
                     build_system, eval_nonlinearity, fom_jacobian, fom_rhs,
                     quadratic_forms, sample_initial_data)
-from .ode import Samples, Trajectory, integrate, sample
+from .ode import Samples, integrate
 from .rom import (OutputSeries, rom_jacobian, rom_nonlinear, rom_rhs,
                   simulate_fom, simulate_rom)
 from .signals import (InputSpec, eval_input, input2_frequencies, input_preset,
@@ -41,12 +41,12 @@ __all__ = [
     "BalanceResult", "EnergyReport", "ErrorMetrics", "ExperimentConfig",
     "Grid", "InputSpec", "OutputSeries", "PRESETS", "PhysicalParams",
     "Preset", "QuadraticForms", "ReducedSystem", "Samples",
-    "StateSpaceSystem", "Trajectory", "build_system", "compute_energy",
-    "energy_decay", "error_bound", "eval_input", "eval_nonlinearity",
-    "fom_jacobian", "fom_rhs", "get_preset", "gramians", "hankel_values",
+    "StateSpaceSystem", "build_system", "compute_energy", "energy_decay",
+    "error_bound", "eval_input", "eval_nonlinearity", "fom_jacobian",
+    "fom_rhs", "get_preset", "gramians", "hankel_values",
     "input2_frequencies", "input_preset", "integrate", "load_config",
     "output_error", "quadratic_forms", "reduce", "resolve_input",
-    "rom_jacobian", "rom_nonlinear", "rom_rhs", "sample",
-    "sample_initial_data", "simulate_fom", "simulate_rom",
-    "square_root_transform", "stability_margin", "transfer_function",
+    "rom_jacobian", "rom_nonlinear", "rom_rhs", "sample_initial_data",
+    "simulate_fom", "simulate_rom", "square_root_transform",
+    "stability_margin", "transfer_function",
 ]

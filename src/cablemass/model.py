@@ -131,7 +131,7 @@ class StateSpaceSystem:
     evaluation in the reduced model possible.
 
     A is read-only (``build_system`` marks it so): a_second_order,
-    a_csr, a_matvec and schur are derived from it once and kept, and an
+    a_matvec and schur are derived from it once and kept, and an
     in-place write would leave them stale.
     """
 
@@ -176,28 +176,20 @@ class StateSpaceSystem:
                                    pg=combined_band(self.a[n:, n:]))
 
     @cached_property
-    def a_csr(self):
-        """A on the [d; v] ordering as a CSR sparse matrix, for fom_rhs.
+    def a_matvec(self):
+        """y += A x for float arrays x, y of length 2n, for fom_rhs.
 
-        Built on first use and kept, like a_second_order; scipy.sparse is
+        scipy.sparse's CSR kernel on the CSR arrays of A, the call that
+        ``csr_array(A) @ x`` ends in, without the dispatch around it,
+        which at these sizes costs more than the product.  Built on
+        first use and kept, like a_second_order; scipy.sparse is
         imported here, so runs that never evaluate the full-order
         right-hand side never load it.
         """
         from scipy.sparse import csr_array
-
-        return csr_array(self.a)
-
-    @cached_property
-    def a_matvec(self):
-        """y += A x for float arrays x, y of length 2n, for fom_rhs.
-
-        scipy.sparse's CSR kernel on a_csr's arrays, the call that
-        ``a_csr @ x`` ends in, without the dispatch around it, which at
-        these sizes costs more than the product.
-        """
         from scipy.sparse._sparsetools import csr_matvec
 
-        a, dim = self.a_csr, 2 * self.n
+        a, dim = csr_array(self.a), 2 * self.n
         return partial(csr_matvec, dim, dim, a.indptr, a.indices, a.data)
 
     @cached_property
@@ -319,8 +311,9 @@ def eval_nonlinearity(sys: StateSpaceSystem, x) -> np.ndarray:
 def fom_rhs(sys: StateSpaceSystem, x, u: float) -> np.ndarray:
     """Right-hand side A x + F(x) + B u of the full-order model.
 
-    A x goes through ``sys.a_matvec``, the kernel ``sys.a_csr @ x``
-    ends in, so it equals that product bitwise.
+    A x goes through ``sys.a_matvec``, the kernel
+    ``scipy.sparse.csr_array(sys.a) @ x`` ends in, so it equals that
+    product bitwise.
     """
     x = _check_state(sys, x)
     ax = np.zeros(x.size)

@@ -24,11 +24,11 @@ of the steps.
 
 The caller supplies the exact state Jacobian J and time derivative
 df/dt, which the Rosenbrock formulas are written with; both models here
-have them in closed form.  ``integrate`` either keeps every node (a
-``Trajectory``, which ``sample`` interpolates later) or, given query
-times ``t_eval``, writes the interpolant at the queries a step covers as
-the step is accepted and keeps nothing else, so its memory grows with
-the number of queries, not with the number of steps.
+have them in closed form.  ``integrate`` takes the caller's query times
+``t_eval`` and, as it accepts each step, writes the step's interpolant
+(``sample``) at the queries the step covers into the caller's array; it
+keeps no node, so its memory grows with the number of queries, not with
+the number of steps.
 
 The Jacobian's type picks the factorisation.  A ``SecondOrderJacobian``
 belongs to a second-order system x = [d; v] with d' = v, so
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -120,16 +120,6 @@ class SecondOrderJacobian:
         jac = self.linear.copy()
         jac[2 * n - 1, n - 1] += self.delta
         return jac
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Adaptive-step solution: states and derivatives at accepted nodes."""
-
-    times: np.ndarray
-    states: np.ndarray
-    derivs: np.ndarray
-    stats: IntegratorStats = field(default_factory=IntegratorStats)
 
 
 @dataclass(eq=False)
@@ -346,14 +336,19 @@ ROS23 = Method("Ros2(3)", _stages, _D, -1.0 / 3.0)
 RODAS4 = Method("Rodas4", _stages_rodas4, _R4_GAMMA, -0.25)
 
 
-def _hermite(s, hseg, y0, f0, y1, f1):
+def sample(s, hseg, y0, f0, y1, f1):
     """Cubic Hermite interpolant of a step of length hseg at fractions s.
 
-    (y0, f0) and (y1, f1) are the state and derivative at the step's two
-    ends.  s is a float (one query) or an array of shape (k, 1) (k
-    queries, with hseg a float or of shape (k, 1) and the end data of
-    shape (dim,) or (k, dim)).  Both forms do the same operations in the
-    same order, so they agree bitwise, and s = 0 returns y0 exactly.
+    The dense output of ``integrate``: every sample it returns is formed
+    here.  (y0, f0) and (y1, f1) are the state and derivative at the
+    step's two ends.  s is a float (one query) or an array of shape
+    (k, 1) (k queries, with hseg a float or of shape (k, 1) and the end
+    data of shape (dim,) or (k, dim)).  Both forms do the same
+    operations in the same order, so they agree bitwise, and s = 0
+    returns y0 exactly.
+
+    ``integrate`` looks this function up at call time, so a wrapper
+    patched onto ``ode.sample`` sees every call.
     """
     s2 = s * s
     s3 = s2 * s
@@ -377,9 +372,9 @@ def _query_times(t_eval, t0: float, tf: float) -> np.ndarray:
 
 
 def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
-              atol: float = 1e-6, *, jacobian, dfdt, t_eval=None,
-              out: np.ndarray | None = None, method: Method = ROS23,
-              max_step: float = math.inf) -> Trajectory | Samples:
+              atol: float = 1e-6, *, jacobian, dfdt, t_eval,
+              out: np.ndarray, method: Method = ROS23,
+              max_step: float = math.inf) -> Samples:
     """Integrate x' = rhs(t, x) from t0 to tf with embedded error control.
 
     Parameters
@@ -402,14 +397,13 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         Exact partial time derivative of rhs (zeros for an autonomous
         system).  rhs must be smooth on [t0, tf]: integrate a
         discontinuous forcing piece by piece between its jumps.
-    t_eval : array, optional
-        Sorted query times in [t0, tf].  Each accepted step writes the
-        dense output at the queries it covers, [t, t + h) and, for the
-        last step, tf itself, and no node is kept.  The samples equal
-        ``sample(integrate(...), t_eval)`` bitwise.
-    out : array of shape (len(t_eval), len(x0)), optional
-        Where the t_eval samples are written; given exactly when t_eval
-        is.
+    t_eval : array
+        Sorted query times in [t0, tf], possibly empty or repeated.
+        Each accepted step writes its interpolant (``sample``) at the
+        queries it covers, [t, t + h) and, for the last step, tf itself;
+        no node is kept.  The queries never change the steps taken.
+    out : array of shape (len(t_eval), len(x0))
+        Where the t_eval samples are written.
     method : Method
         ROS23 (the default) or RODAS4.
     max_step : float
@@ -418,10 +412,10 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
 
     Returns
     -------
-    Trajectory
-        Without t_eval: every accepted node, for ``sample``.
     Samples
-        With t_eval: the states at t_eval and the end state.
+        ``out`` filled with the states at t_eval, the state at tf and
+        the counters.  A query at t0 returns x0, and one at tf the end
+        state, bitwise.
 
     Raises
     ------
@@ -444,15 +438,12 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     y = np.array(x0, dtype=float).ravel()
     if not np.isfinite(y).all():
         raise ValueError("initial state has non-finite entries")
-    if (t_eval is None) != (out is None):
-        raise ValueError("t_eval and out must be given together")
-    if t_eval is not None:
-        q = _query_times(t_eval, t0, tf)
-        if out.shape != (q.size, y.size):
-            raise ValueError(f"out must have shape {(q.size, y.size)}, "
-                             f"got {out.shape}")
-        tq = q.tolist()  # scalar time arithmetic stays in Python floats
-        qi, nq = 0, q.size
+    q = _query_times(t_eval, t0, tf)
+    if out.shape != (q.size, y.size):
+        raise ValueError(f"out must have shape {(q.size, y.size)}, "
+                         f"got {out.shape}")
+    tq = q.tolist()  # scalar time arithmetic stays in Python floats
+    qi, nq = 0, q.size
 
     stats = IntegratorStats()
     t = t0
@@ -462,11 +453,6 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         raise NonFiniteState(f"rhs not finite at t={t}")
 
     h = _initial_step(rhs, t0, y, f0, tf, rtol, atol, stats)
-
-    if t_eval is None:
-        times = [t]
-        states = [y.copy()]
-        derivs = [f0.copy()]
     ay = np.abs(y)
 
     while t < tf:
@@ -513,21 +499,17 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
             if errnorm <= 1.0:
                 stats.n_steps += 1
                 tnew = tf if clamped else t + h_use
-                if t_eval is None:
-                    times.append(tnew)
-                    states.append(ynew.copy())
-                    derivs.append(f2.copy())
-                elif qi < nq:
+                if qi < nq:
                     # the queries in [t, tnew), and at the end tf too
                     qj = bisect_left(tq, tnew, qi) if tnew < tf else nq
                     hseg = tnew - t
                     if qj == qi + 1:
-                        out[qi] = _hermite((tq[qi] - t) / hseg, hseg,
-                                           y, f0, ynew, f2)
+                        out[qi] = sample((tq[qi] - t) / hseg, hseg,
+                                         y, f0, ynew, f2)
                     elif qj > qi:
                         s = (q[qi:qj] - t) / hseg
-                        out[qi:qj] = _hermite(s[:, None], hseg,
-                                              y, f0, ynew, f2)
+                        out[qi:qj] = sample(s[:, None], hseg,
+                                            y, f0, ynew, f2)
                     qi = qj
                 t, y, f0, ay = tnew, ynew, f2, aynew
                 if errnorm == 0.0:
@@ -550,31 +532,4 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
                     0.1, _SAFETY * errnorm ** method.exponent))
             h = h_use * factor
 
-    if t_eval is not None:
-        return Samples(states=out, end_state=y, stats=stats)
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      derivs=np.array(derivs), stats=stats)
-
-
-def sample(traj: Trajectory, query_times) -> np.ndarray:
-    """States at the query times, by cubic Hermite interpolation.
-
-    Queries must lie within the integrated span; a query at a stored
-    node returns the stored state exactly.  ``integrate(t_eval=...)``
-    gives the same values without keeping the trajectory.
-    """
-    q = np.atleast_1d(np.asarray(query_times, dtype=float))
-    dim = traj.states.shape[1]
-    if q.size == 0:
-        return np.empty((0, dim))
-    t = traj.times
-    if q.min() < t[0] or q.max() > t[-1]:
-        raise OutOfRange(f"queries must lie in [{t[0]}, {t[-1]}]")
-
-    idx = np.clip(np.searchsorted(t, q, side="right") - 1, 0, len(t) - 2)
-    tl = t[idx]
-    hseg = t[idx + 1] - tl
-    s = (q - tl) / hseg
-    return _hermite(s[:, None], hseg[:, None], traj.states[idx],
-                    traj.derivs[idx], traj.states[idx + 1],
-                    traj.derivs[idx + 1])
+    return Samples(states=out, end_state=y, stats=stats)

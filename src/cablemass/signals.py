@@ -59,9 +59,9 @@ class InputSpec:
 
     c1, c2, m, nfreq parameterize the sin_cos3 kind (the model study
     never pinned these constants; the defaults here are just a mild
-    two-tone signal).  a, b are the eig_cos2 frequencies; they stay
-    None until resolved against a concrete system.  scale multiplies
-    the whole signal.
+    two-tone signal).  a, b are the eig_cos2 frequencies, given both or
+    neither; unset, they stay None until resolved against a concrete
+    system.  scale multiplies the whole signal.
     """
 
     kind: str = "sine1"
@@ -86,6 +86,10 @@ class InputSpec:
             value = getattr(self, name)
             if value is not None and (not np.isfinite(value) or value < 0.0):
                 raise InvalidInput(name, f"{name} must be finite and nonnegative")
+        if (self.a is None) != (self.b is None):
+            unset = "a" if self.a is None else "b"
+            raise InvalidInput(unset, f"{unset} is unset: give the input2 "
+                                      "frequencies a and b both or neither")
 
 
 def input_preset(name: str) -> InputSpec:
@@ -103,7 +107,7 @@ def square_wave(s):
 
 
 def _check_resolved(spec: InputSpec) -> None:
-    if spec.a is None or spec.b is None:
+    if spec.a is None:
         raise ValueError("eig_cos2 frequencies are unresolved; call "
                          "input2_frequencies against a system first")
 
@@ -201,7 +205,7 @@ def input2_frequencies(sys: StateSpaceSystem,
 def resolve_input(spec: InputSpec, sys: StateSpaceSystem,
                   mode: str = "literal") -> InputSpec:
     """Fill in the eig_cos2 frequencies of spec from a concrete system."""
-    if spec.kind != "eig_cos2" or (spec.a is not None and spec.b is not None):
+    if spec.kind != "eig_cos2" or spec.a is not None:
         return spec
     a, b = input2_frequencies(sys, mode=mode)
     return replace(spec, a=a, b=b)

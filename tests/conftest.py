@@ -81,7 +81,7 @@ class IntegrateCall(NamedTuple):
     tf: float
     x0: np.ndarray
     rhs: Callable
-    result: ode.Trajectory | ode.Samples
+    result: ode.Samples
     method: ode.Method
     max_step: float
 
@@ -101,3 +101,46 @@ def record_integrate(monkeypatch):
 
     monkeypatch.setattr(ode, "integrate", recording)
     return calls
+
+
+_INTEGRATE = ode.integrate  # as imported, whatever a test patches later
+
+
+def node_sampled(rhs, x0, t0, tf, t_eval, out, *, jacobian, **kwargs):
+    """ode.integrate's samples, formed from its accepted nodes afterwards.
+
+    Runs integrate with no queries and records every accepted node: the
+    state the step from it starts with (integrate passes it to jacobian),
+    its derivative (the last rhs value before that), and at tf the end
+    state with the last rhs value.  The nodes are then interpolated at
+    t_eval by the step that starts at or before each query, so this
+    oracle shares only ``ode.sample`` with the streamed path.  Same call
+    and result as ode.integrate.
+    """
+    times, states, marks, derivs = [], [], [], []
+
+    def logged_rhs(t, x):
+        derivs.append(rhs(t, x))
+        return derivs[-1]
+
+    def logged_jacobian(t, x):
+        times.append(t)
+        states.append(np.array(x))
+        marks.append(len(derivs))
+        return jacobian(t, x)
+
+    run = _INTEGRATE(logged_rhs, x0, t0, tf, t_eval=[],
+                     out=np.empty((0, np.size(x0))),
+                     jacobian=logged_jacobian, **kwargs)
+    # node 0's derivative is rhs(t0, x0), called before the start-step probe
+    t = np.array([*times, tf])
+    y = np.array([*states, run.end_state])
+    f = np.array([derivs[0], *(derivs[m - 1] for m in marks[1:]),
+                  derivs[-1]])
+    q = np.asarray(t_eval, dtype=float)
+    idx = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.size - 2)
+    hseg = t[idx + 1] - t[idx]
+    s = (q - t[idx]) / hseg
+    out[:] = ode.sample(s[:, None], hseg[:, None], y[idx], f[idx],
+                        y[idx + 1], f[idx + 1])
+    return ode.Samples(states=out, end_state=run.end_state, stats=run.stats)

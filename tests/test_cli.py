@@ -163,8 +163,9 @@ class TestLoadConfig:
     @pytest.mark.parametrize("text,field", [
         ("kind = input3\nc1 = 0.1\nm = -1\n", "m"),
         ("c2 = 0.2\nnfreq = -2\n", "nfreq"),
-        ("c1 = 0.1\nscale = inf\n", "scale")],
-        ids=["m", "nfreq", "scale"])
+        ("c1 = 0.1\nscale = inf\n", "scale"),
+        ("kind = input2\na = 0.3\n", "b")],
+        ids=["m", "nfreq", "scale", "a_without_b"])
     def test_bad_input_value_named(self, tmp_path, text, field):
         path = tmp_path / "c.ini"
         path.write_text("[input]\n" + text)

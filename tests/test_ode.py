@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from cablemass import ode
 from cablemass.model import PhysicalParams, build_system, fom_jacobian, fom_rhs
 from cablemass.signals import square_wave
-from conftest import linear_derivatives
+from conftest import linear_derivatives, node_sampled
 
 BOTH = (ode.ROS23, ode.RODAS4)
 METHODS = pytest.mark.parametrize("method", BOTH, ids=lambda m: m.name)
@@ -20,6 +20,28 @@ def decay(t, x):
 
 
 DECAY = linear_derivatives(-1.0)  # decay's exact J and df/dt
+
+
+def run(rhs, x0, t0, tf, t_eval=(), **kwargs):
+    """ode.integrate with the queries t_eval, none by default."""
+    q = np.asarray(t_eval, dtype=float)
+    return ode.integrate(rhs, x0, t0, tf, t_eval=q,
+                         out=np.empty((q.size, np.size(x0))), **kwargs)
+
+
+def step_ends(rhs, x0, t0, tf, *, jacobian, **kwargs):
+    """t0 and the end of every accepted step of a run.
+
+    integrate evaluates the Jacobian once at the start of each step.
+    """
+    starts = []
+
+    def logged(t, x):
+        starts.append(t)
+        return jacobian(t, x)
+
+    run(rhs, x0, t0, tf, jacobian=logged, **kwargs)
+    return np.array([*starts, tf])
 
 
 def fixed_steps(rhs, jac, dfdt, x0, h, n, method):
@@ -46,27 +68,26 @@ def raises_quietly(error, match=None):
 class TestIntegrate:
     def test_scalar_exponential(self):
         rtol = 1e-3
-        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                             rtol=rtol, atol=1e-8, **DECAY)
-        assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 10.0 * rtol
+        end = run(decay, np.array([1.0]), 0.0, 1.0,
+                  rtol=rtol, atol=1e-8, **DECAY).end_state
+        assert abs(end[0] - math.exp(-1.0)) <= 10.0 * rtol
 
     def test_stiff_diagonal(self):
         # fast mode decays instantly; steps must not collapse
         a = np.diag([-1.0, -1000.0])
         rtol = 1e-5
-        traj = ode.integrate(lambda t, x: a @ x, np.array([1.0, 1.0]),
-                             0.0, 1.0, rtol=rtol, atol=1e-10,
-                             **linear_derivatives(a))
+        result = run(lambda t, x: a @ x, np.array([1.0, 1.0]), 0.0, 1.0,
+                     rtol=rtol, atol=1e-10, **linear_derivatives(a))
         exact = np.array([math.exp(-1.0), math.exp(-1000.0)])
-        assert np.all(np.abs(traj.states[-1] - exact) <= 10.0 * rtol)
-        assert traj.stats.n_steps < 2000  # no creep through the fast layer
+        assert np.all(np.abs(result.end_state - exact) <= 10.0 * rtol)
+        assert result.stats.n_steps < 2000  # no creep through the fast layer
 
     def test_harmonic_oscillator_energy(self):
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        traj = ode.integrate(lambda t, x: a @ x, np.array([1.0, 0.0]),
-                             0.0, 2.0 * math.pi, rtol=1e-6, atol=1e-9,
-                             **linear_derivatives(a))
-        energy = 0.5 * np.sum(traj.states[-1] ** 2)
+        end = run(lambda t, x: a @ x, np.array([1.0, 0.0]), 0.0,
+                  2.0 * math.pi, rtol=1e-6, atol=1e-9,
+                  **linear_derivatives(a)).end_state
+        energy = 0.5 * np.sum(end ** 2)
         assert abs(energy - 0.5) <= 1e-3
 
     def test_tolerance_convergence(self):
@@ -74,9 +95,9 @@ class TestIntegrate:
         errors = []
         for k in range(4):
             rtol = 1e-3 * 2.0 ** (-k)
-            traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                                 rtol=rtol, atol=1e-14, **DECAY)
-            errors.append(abs(traj.states[-1, 0] - math.exp(-1.0)))
+            end = run(decay, np.array([1.0]), 0.0, 1.0,
+                      rtol=rtol, atol=1e-14, **DECAY).end_state
+            errors.append(abs(end[0] - math.exp(-1.0)))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 1.5
 
@@ -87,43 +108,45 @@ class TestIntegrate:
             return -x + 0.1 * square_wave(0.2 * math.pi * t)
 
         # df/dt is 0 between the jumps, and J the decay's
-        traj = ode.integrate(rhs, np.array([0.0]), 0.0, 30.0,
-                             rtol=rtol, atol=1e-9, **DECAY)
-        ref = ode.integrate(rhs, np.array([0.0]), 0.0, 30.0,
-                            rtol=1e-10, atol=1e-14, **DECAY)
-        assert abs(traj.states[-1, 0] - ref.states[-1, 0]) <= 100.0 * rtol
+        end = run(rhs, np.array([0.0]), 0.0, 30.0,
+                  rtol=rtol, atol=1e-9, **DECAY).end_state
+        ref = run(rhs, np.array([0.0]), 0.0, 30.0,
+                  rtol=1e-10, atol=1e-14, **DECAY).end_state
+        assert abs(end[0] - ref[0]) <= 100.0 * rtol
 
     def test_nonautonomous_forcing(self):
         # x' = -x + sin t has closed form through (sin t - cos t)/2 + c e^-t
         def rhs(t, x):
             return -x + np.array([math.sin(t)])
 
-        traj = ode.integrate(rhs, np.array([0.5]), 0.0, 2.0,
-                             rtol=1e-6, atol=1e-10,
-                             jacobian=lambda t, x: [[-1.0]],
-                             dfdt=lambda t, x: np.array([math.cos(t)]))
+        end = run(rhs, np.array([0.5]), 0.0, 2.0, rtol=1e-6, atol=1e-10,
+                  jacobian=lambda t, x: [[-1.0]],
+                  dfdt=lambda t, x: np.array([math.cos(t)])).end_state
         t = 2.0
         exact = 0.5 * (math.sin(t) - math.cos(t)) + math.exp(-t)
-        assert abs(traj.states[-1, 0] - exact) <= 1e-4
+        assert abs(end[0] - exact) <= 1e-4
 
     def test_trajectory_contract(self):
-        traj = ode.integrate(decay, np.array([1.0, 2.0]), 0.5, 3.5,
-                             rtol=1e-4, atol=1e-8,
-                             **linear_derivatives(-np.eye(2)))
-        assert traj.times[0] == 0.5
-        assert traj.times[-1] == 3.5
-        assert np.all(np.diff(traj.times) > 0.0)
-        assert np.all(np.isfinite(traj.states))
-        assert traj.stats.n_steps == len(traj.times) - 1
-        assert traj.stats.n_lu == traj.stats.n_steps + traj.stats.n_rejected
+        derivatives = linear_derivatives(-np.eye(2))
+        times = step_ends(decay, np.array([1.0, 2.0]), 0.5, 3.5,
+                          rtol=1e-4, atol=1e-8, **derivatives)
+        result = run(decay, np.array([1.0, 2.0]), 0.5, 3.5, times,
+                     rtol=1e-4, atol=1e-8, **derivatives)
+        assert times[0] == 0.5
+        assert times[-1] == 3.5
+        assert np.all(np.diff(times) > 0.0)
+        assert np.all(np.isfinite(result.states))
+        assert result.stats.n_steps == len(times) - 1
+        assert result.stats.n_lu == (result.stats.n_steps
+                                     + result.stats.n_rejected)
 
     def test_blowup_detected(self):
         for method in BOTH:
             with raises_quietly((ode.NonFiniteState, ode.StepSizeUnderflow)):
-                ode.integrate(lambda t, x: x ** 2, np.array([1.0]), 0.0,
-                              2.0, rtol=1e-6, atol=1e-9,
-                              jacobian=lambda t, x: [[2.0 * x[0]]],
-                              dfdt=lambda t, x: np.zeros(1), method=method)
+                run(lambda t, x: x ** 2, np.array([1.0]), 0.0, 2.0,
+                    rtol=1e-6, atol=1e-9,
+                    jacobian=lambda t, x: [[2.0 * x[0]]],
+                    dfdt=lambda t, x: np.zeros(1), method=method)
 
     @METHODS
     def test_unresolvable_jump_underflows(self, method):
@@ -132,9 +155,9 @@ class TestIntegrate:
             return np.array([0.0 if t < 1.0 / 3.0 else 1e12])
 
         with raises_quietly(ode.StepSizeUnderflow):
-            ode.integrate(rhs, np.array([0.0]), 0.0, 1.0, rtol=1e-6,
-                          atol=1e-9, jacobian=lambda t, x: [[0.0]],
-                          dfdt=lambda t, x: np.zeros(1), method=method)
+            run(rhs, np.array([0.0]), 0.0, 1.0, rtol=1e-6, atol=1e-9,
+                jacobian=lambda t, x: [[0.0]],
+                dfdt=lambda t, x: np.zeros(1), method=method)
 
     def test_nonfinite_stage_dense(self):
         # a NaN inside a step is a rejected step, not a LAPACK ValueError;
@@ -144,8 +167,7 @@ class TestIntegrate:
 
         for method in BOTH:
             with raises_quietly(ode.NonFiniteState, match="blew up"):
-                ode.integrate(rhs, np.array([1.0]), 0.0, 1.0, **DECAY,
-                              method=method)
+                run(rhs, np.array([1.0]), 0.0, 1.0, **DECAY, method=method)
 
     def test_nonfinite_stage_banded(self):
         sys = build_system(PhysicalParams(gamma=0.1, alphal=0.1), 4)
@@ -156,45 +178,48 @@ class TestIntegrate:
 
         for method in BOTH:
             with raises_quietly(ode.NonFiniteState, match="blew up"):
-                ode.integrate(rhs, np.zeros(8), 0.0, 1.0,
-                              jacobian=lambda t, x: fom_jacobian(sys, x),
-                              dfdt=lambda t, x: np.zeros(8), method=method)
+                run(rhs, np.zeros(8), 0.0, 1.0,
+                    jacobian=lambda t, x: fom_jacobian(sys, x),
+                    dfdt=lambda t, x: np.zeros(8), method=method)
 
     def test_derivatives_required(self):
         with pytest.raises(TypeError, match="jacobian.*dfdt"):
             ode.integrate(decay, np.array([1.0]), 0.0, 1.0)
 
+    def test_queries_required(self):
+        with pytest.raises(TypeError, match="t_eval.*out"):
+            ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY)
+
     def test_bad_span(self):
         with pytest.raises(ValueError):
-            ode.integrate(decay, np.array([1.0]), 1.0, 1.0, **DECAY)
+            run(decay, np.array([1.0]), 1.0, 1.0, **DECAY)
 
     def test_bad_initial_state(self):
         with pytest.raises(ValueError):
-            ode.integrate(decay, np.array([np.nan]), 0.0, 1.0, **DECAY)
+            run(decay, np.array([np.nan]), 0.0, 1.0, **DECAY)
 
     @pytest.mark.parametrize("name,value", [
         ("rtol", 0.0), ("rtol", math.nan), ("rtol", math.inf),
         ("atol", -1e-9), ("atol", math.nan), ("atol", math.inf)])
     def test_bad_tolerances(self, name, value):
         with pytest.raises(ValueError, match="rtol and atol"):
-            ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY,
-                          **{name: value})
+            run(decay, np.array([1.0]), 0.0, 1.0, **DECAY, **{name: value})
 
     @pytest.mark.parametrize("max_step", [0.0, -0.1, math.nan])
     def test_bad_max_step(self, max_step):
         with pytest.raises(ValueError, match="max_step"):
-            ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY,
-                          max_step=max_step)
+            run(decay, np.array([1.0]), 0.0, 1.0, **DECAY,
+                max_step=max_step)
 
     @METHODS
     def test_max_step_caps_and_ends_on_tf(self, method):
         # 0.3 does not divide 2: the capped steps split the rest evenly
         # instead of leaving a last step below the underflow limit
-        traj = ode.integrate(decay, np.array([1.0]), 0.0, 2.0, rtol=1e-2,
-                             atol=1e-4, **DECAY, max_step=0.3, method=method)
-        steps = np.diff(traj.times)
+        times = step_ends(decay, np.array([1.0]), 0.0, 2.0, rtol=1e-2,
+                          atol=1e-4, **DECAY, max_step=0.3, method=method)
+        steps = np.diff(times)
         assert steps.max() <= 0.3
-        assert traj.times[-1] == 2.0
+        assert times[-1] == 2.0
         np.testing.assert_allclose(steps[-4:], steps[-1], rtol=1e-12)
         assert steps[-1] > 0.25
 
@@ -238,10 +263,9 @@ class TestRodas4:
     def test_steps_grow_like_rtol_to_the_quarter(self):
         # the controller's -1/4 exponent: 100x tighter, ~100^(1/4) x steps
         x0 = np.array([1.0, 0.0])
-        counts = [ode.integrate(self.rhs, x0, 0.0, 4.0, rtol=rtol,
-                                atol=rtol * 1e-3, jacobian=self.jac,
-                                dfdt=self.dfdt,
-                                method=ode.RODAS4).stats.n_steps
+        counts = [run(self.rhs, x0, 0.0, 4.0, rtol=rtol, atol=rtol * 1e-3,
+                      jacobian=self.jac, dfdt=self.dfdt,
+                      method=ode.RODAS4).stats.n_steps
                   for rtol in (1e-5, 1e-7, 1e-9)]
         for coarse, fine in zip(counts, counts[1:]):
             assert 2.0 <= fine / coarse <= 5.0
@@ -254,9 +278,9 @@ class TestRodas4:
         assert abs(end[0]) <= 1e-6
 
     def test_six_rhs_calls_per_attempt(self):
-        stats = ode.integrate(self.rhs, np.array([1.0, 0.0]), 0.0, 4.0,
-                              rtol=1e-6, atol=1e-9, jacobian=self.jac,
-                              dfdt=self.dfdt, method=ode.RODAS4).stats
+        stats = run(self.rhs, np.array([1.0, 0.0]), 0.0, 4.0, rtol=1e-6,
+                    atol=1e-9, jacobian=self.jac, dfdt=self.dfdt,
+                    method=ode.RODAS4).stats
         attempts = stats.n_steps + stats.n_rejected
         # f0 and the start-step probe, then six per attempt, one LU each
         assert stats.n_rhs == 2 + 6 * attempts
@@ -278,9 +302,8 @@ class TestTimeDerivative:
         def dfdt(t, x):
             return self.B * (self.W * math.cos(self.W * t))
 
-        return ode.integrate(rhs, np.array([1.0, 0.0]), 0.0, 20.0,
-                             rtol=1e-6, atol=1e-9,
-                             jacobian=lambda t, x: self.A, dfdt=dfdt)
+        return run(rhs, np.array([1.0, 0.0]), 0.0, 20.0, rtol=1e-6,
+                   atol=1e-9, jacobian=lambda t, x: self.A, dfdt=dfdt)
 
     def test_two_rhs_calls_per_attempt(self):
         stats = self._forced().stats
@@ -290,9 +313,9 @@ class TestTimeDerivative:
 
     def test_nonfinite_dfdt(self):
         with pytest.raises(ode.NonFiniteState):
-            ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                          jacobian=lambda t, x: [[-1.0]],
-                          dfdt=lambda t, x: np.array([math.nan]))
+            run(decay, np.array([1.0]), 0.0, 1.0,
+                jacobian=lambda t, x: [[-1.0]],
+                dfdt=lambda t, x: np.array([math.nan]))
 
 
 class TestDenseFactor:
@@ -328,46 +351,56 @@ class TestDenseFactor:
 
 
 class TestSample:
+    """The dense output ``integrate`` writes at its query times."""
+
+    # 2**-6 lies below the first step the controller picks on [0, 1], so
+    # every step is capped to exactly 1/64 and ends on a dyadic time
+    CAP = 2.0 ** -6
+
     def test_stored_node_exact(self):
-        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                             rtol=1e-4, atol=1e-8, **DECAY)
-        k = len(traj.times) // 2
-        out = ode.sample(traj, [traj.times[k]])
-        assert out[0, 0] == traj.states[k, 0]
+        # a query at a step end returns the state the run that stops
+        # there ends with, bitwise
+        for method in BOTH:
+            kwargs = dict(rtol=1e-3, atol=1e-8, **DECAY, max_step=self.CAP,
+                          method=method)
+            ends = step_ends(decay, np.array([1.0]), 0.0, 1.0, **kwargs)
+            np.testing.assert_array_equal(ends, np.arange(65) * self.CAP)
+            q = ends[[1, 17, 40, 63]]
+            states = run(decay, np.array([1.0]), 0.0, 1.0, q,
+                         **kwargs).states
+            for tk, state in zip(q, states):
+                end = run(decay, np.array([1.0]), 0.0, tk,
+                          **kwargs).end_state
+                assert_bitwise(state, end)
 
     def test_midpoint_oracle(self):
         rtol = 1e-5
-        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0,
-                             rtol=rtol, atol=1e-12, **DECAY)
-        value = ode.sample(traj, [0.5])[0, 0]
-        assert abs(value - math.exp(-0.5)) <= 10.0 * rtol
+        out = run(decay, np.array([1.0]), 0.0, 1.0, [0.5],
+                  rtol=rtol, atol=1e-12, **DECAY).states
+        assert abs(out[0, 0] - math.exp(-0.5)) <= 10.0 * rtol
 
     def test_empty_query(self):
-        traj = ode.integrate(decay, np.array([1.0, 1.0]), 0.0, 1.0,
-                             **linear_derivatives(-np.eye(2)))
-        out = ode.sample(traj, [])
+        out = run(decay, np.array([1.0, 1.0]), 0.0, 1.0, [],
+                  **linear_derivatives(-np.eye(2))).states
         assert out.shape == (0, 2)
 
     def test_endpoints(self):
-        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY)
-        out = ode.sample(traj, [0.0, 1.0])
-        assert out[0, 0] == traj.states[0, 0]
-        assert out[1, 0] == traj.states[-1, 0]
-
-    def test_out_of_range(self):
-        traj = ode.integrate(decay, np.array([1.0]), 0.0, 1.0, **DECAY)
-        with pytest.raises(ode.OutOfRange):
-            ode.sample(traj, [1.000001])
-        with pytest.raises(ode.OutOfRange):
-            ode.sample(traj, [-0.1])
+        # a query at t0 returns x0, one at tf the end state, bitwise;
+        # alone or sharing a step with other queries
+        x0 = np.array([1.0, -2.0])
+        for method in BOTH:
+            for q in ([0.0, 1.0], np.linspace(0.0, 1.0, 101)):
+                result = run(decay, x0, 0.0, 1.0, q, method=method,
+                             **linear_derivatives(-np.eye(2)))
+                assert_bitwise(result.states[0], x0)
+                assert_bitwise(result.states[-1], result.end_state)
 
     def test_vector_states(self):
         a = np.array([[0.0, 1.0], [-4.0, 0.0]])
-        traj = ode.integrate(lambda t, x: a @ x, np.array([1.0, 0.0]),
-                             0.0, 2.0, rtol=1e-7, atol=1e-11,
-                             **linear_derivatives(a))
         grid = np.linspace(0.0, 2.0, 41)
-        states = ode.sample(traj, grid)
+        states = run(lambda t, x: a @ x, np.array([1.0, 0.0]), 0.0, 2.0,
+                     grid, rtol=1e-7, atol=1e-11,
+                     **linear_derivatives(a)).states
         exact = np.cos(2.0 * grid)
         np.testing.assert_allclose(states[:, 0], exact, atol=2e-5)
 
@@ -378,65 +411,81 @@ def assert_bitwise(actual, expected):
 
 
 class TestStreamedSamples:
-    """integrate(t_eval=...) against sample(integrate(...), t_eval)."""
+    """The samples integrate writes as it goes, against its nodes.
+
+    ``node_sampled`` records the accepted nodes of a run without queries
+    and interpolates them afterwards.
+    """
 
     A = np.array([[0.0, 1.0], [-4.0, -0.1]])
 
-    def _run(self, **kwargs):
-        return ode.integrate(lambda t, x: self.A @ x, np.array([1.0, 0.0]),
-                             0.0, 3.0, rtol=1e-5, atol=1e-9,
-                             **linear_derivatives(self.A), **kwargs)
+    def _run(self, q=(), **kwargs):
+        return run(lambda t, x: self.A @ x, np.array([1.0, 0.0]), 0.0, 3.0,
+                   q, rtol=1e-5, atol=1e-9, **linear_derivatives(self.A),
+                   **kwargs)
 
-    def _stream(self, q):
-        return self._run(t_eval=q, out=np.empty((len(q), 2)))
+    def _nodes(self, q, **kwargs):
+        q = np.asarray(q, dtype=float)
+        return node_sampled(lambda t, x: self.A @ x, np.array([1.0, 0.0]),
+                            0.0, 3.0, q, np.empty((q.size, 2)), rtol=1e-5,
+                            atol=1e-9, **linear_derivatives(self.A),
+                            **kwargs)
 
     def test_bitwise_equal_to_sample(self):
-        nodes = self._run()
+        times = step_ends(lambda t, x: self.A @ x, np.array([1.0, 0.0]),
+                          0.0, 3.0, rtol=1e-5, atol=1e-9,
+                          **linear_derivatives(self.A))
         # t0, tf, every node, and several queries inside each step
         q = np.unique(np.concatenate([
-            nodes.times, np.linspace(0.0, 3.0, 7 * len(nodes.times))]))
-        streamed = self._stream(q)
-        assert_bitwise(streamed.states, ode.sample(nodes, q))
-        # a query at a node returns the stored state
-        at_nodes = streamed.states[np.searchsorted(q, nodes.times)]
-        np.testing.assert_array_equal(at_nodes, nodes.states)
-        assert_bitwise(streamed.end_state, nodes.states[-1])
-        assert streamed.stats == nodes.stats
+            times, np.linspace(0.0, 3.0, 7 * len(times))]))
+        streamed = self._run(q)
+        reference = self._nodes(q)
+        assert_bitwise(streamed.states, reference.states)
+        assert_bitwise(streamed.end_state, reference.end_state)
+        assert streamed.stats == reference.stats
 
     @pytest.mark.parametrize("q", [[], [1.5], [0.0, 0.0, 3.0, 3.0],
                                    [0.1, 0.1000001, 2.9]])
     def test_sparse_and_repeated_queries(self, q):
         # most steps cover no query; a repeated query is written twice
-        nodes = self._run()
-        streamed = self._stream(q)
-        assert_bitwise(streamed.states, ode.sample(nodes, q).reshape(-1, 2))
-        assert_bitwise(streamed.end_state, nodes.states[-1])
+        assert_bitwise(self._run(q).states, self._nodes(q).states)
 
     @pytest.mark.parametrize("q", [[-0.1], [3.0000001], [1.0, 0.5],
                                    [0.5, math.nan]])
     def test_out_of_range(self, q):
         with pytest.raises(ode.OutOfRange):
-            self._stream(q)
+            self._run(q)
 
     def test_rodas4_bitwise_equal_to_sample(self):
-        nodes = self._run(method=ode.RODAS4)
         q = np.linspace(0.0, 3.0, 301)
-        streamed = self._run(t_eval=q, out=np.empty((301, 2)),
-                             method=ode.RODAS4)
-        assert_bitwise(streamed.states, ode.sample(nodes, q))
-        assert streamed.stats == nodes.stats
+        streamed = self._run(q, method=ode.RODAS4)
+        reference = self._nodes(q, method=ode.RODAS4)
+        assert_bitwise(streamed.states, reference.states)
+        assert streamed.stats == reference.stats
+
+    @METHODS
+    def test_queries_keep_the_steps(self, method):
+        # the steps, and so the counters and the end state, are the same
+        # for no, sparse, repeated and dense queries
+        runs = [self._run(q, method=method)
+                for q in ([], [1.5], [0.0, 0.0, 3.0, 3.0],
+                          np.linspace(0.0, 3.0, 3001))]
+        for other in runs[1:]:
+            assert other.stats == runs[0].stats
+            assert_bitwise(other.end_state, runs[0].end_state)
 
     def test_writes_into_out(self):
         q = np.linspace(0.0, 3.0, 11)
         out = np.full((11, 2), np.nan)
-        streamed = self._run(t_eval=q, out=out)
+        streamed = ode.integrate(lambda t, x: self.A @ x,
+                                 np.array([1.0, 0.0]), 0.0, 3.0, rtol=1e-5,
+                                 atol=1e-9, **linear_derivatives(self.A),
+                                 t_eval=q, out=out)
         assert streamed.states is out
-        assert_bitwise(out, ode.sample(self._run(), q))
+        assert_bitwise(out, self._nodes(q).states)
 
     def test_bad_out(self):
         with pytest.raises(ValueError, match="shape"):
-            self._run(t_eval=[0.0, 1.0], out=np.empty((3, 2)))
-        with pytest.raises(ValueError, match="together"):
-            self._run(out=np.empty((2, 2)))
-        with pytest.raises(ValueError, match="together"):
-            self._run(t_eval=[0.0, 1.0])
+            ode.integrate(lambda t, x: self.A @ x, np.array([1.0, 0.0]),
+                          0.0, 3.0, **linear_derivatives(self.A),
+                          t_eval=[0.0, 1.0], out=np.empty((3, 2)))

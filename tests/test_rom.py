@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from cablemass.model import DimensionMismatch, PhysicalParams, build_system, \
     eval_nonlinearity, fom_jacobian, fom_rhs
 from cablemass.signals import eval_input, eval_input_derivative, \
     input_preset, resolve_input
-from conftest import EXAMPLE1, record_integrate
+from conftest import EXAMPLE1, node_sampled, record_integrate
 
 
 @pytest.fixture(scope="module")
@@ -214,33 +215,17 @@ class TestPiecewise:
         np.testing.assert_array_equal(series.values, stored @ red.cr.T)
 
 
-def _sample_from_nodes(monkeypatch):
-    """Make ode.integrate keep the nodes and sample them when it is done."""
-    real = ode.integrate
-
-    def by_nodes(rhs, x0, t0, tf, t_eval, out, **kwargs):
-        traj = real(rhs, x0, t0, tf, **kwargs)
-        out[:] = ode.sample(traj, t_eval)
-        return ode.Samples(states=out, end_state=traj.states[-1],
-                           stats=traj.stats)
-
-    monkeypatch.setattr(ode, "integrate", by_nodes)
-
-
 class TestStreamedSampling:
-    """The grid samples of a run are those of its node trajectories.
+    """The grid samples of a run are those of its nodes.
 
     On [0, 30], 1000 samples put several queries in one step, 7 samples
     put one on every square-wave breakpoint, and with 4 samples most
     square-wave pieces cover no query.  t0 and tf are always queried.
     """
 
-    @pytest.mark.parametrize("count", [1000, 7, 4])
-    @pytest.mark.parametrize("input_name", ["input1", "input2", "input4",
-                                            "zero"])
-    @pytest.mark.parametrize("model", ["fom", "rom"])
-    def test_bitwise_equal_to_node_sampling(self, reduced_n20, monkeypatch,
-                                            model, input_name, count):
+    @staticmethod
+    def _args(reduced_n20, model, input_name, count):
+        """_integrate_sampled's arguments for a run on [0, 30]."""
         sys, _, red = reduced_n20
         spec = resolve_input(input_preset(input_name), sys)
         if model == "fom":
@@ -249,9 +234,18 @@ class TestStreamedSampling:
         else:
             fns = (rom.rom_rhs, rom.rom_jacobian, red, red.br[:, 0])
             x0 = np.linspace(-0.1, 0.1, red.r)
-        args = (*fns, spec, x0, 0.0, 30.0, count, 1e-3, 1e-6)
+        return (*fns, spec, x0, 0.0, 30.0, count, 1e-3, 1e-6)
+
+    @pytest.mark.parametrize("count", [1000, 7, 4])
+    @pytest.mark.parametrize("input_name", ["input1", "input2", "input4",
+                                            "zero"])
+    @pytest.mark.parametrize("model", ["fom", "rom"])
+    def test_bitwise_equal_to_node_sampling(self, reduced_n20, monkeypatch,
+                                            model, input_name, count):
+        args = self._args(reduced_n20, model, input_name, count)
+        x0 = args[5]
         grid, streamed, stats = rom._integrate_sampled(*args)
-        _sample_from_nodes(monkeypatch)
+        monkeypatch.setattr(ode, "integrate", node_sampled)
         ref_grid, ref, ref_stats = rom._integrate_sampled(*args)
         assert streamed.shape == ref.shape == (count, x0.size)
         assert streamed.tobytes() == ref.tobytes()
@@ -259,6 +253,26 @@ class TestStreamedSampling:
         np.testing.assert_array_equal(grid, ref_grid)
         if count == 1000:
             assert stats.n_steps < count  # some step covers several queries
+
+    @pytest.mark.parametrize("input_name", ["input1", "input2", "input4",
+                                            "zero"])
+    @pytest.mark.parametrize("model", ["fom", "rom"])
+    def test_shared_grid_times_agree_bitwise(self, reduced_n20, model,
+                                             input_name):
+        # the grid never changes the steps: every sample count gives the
+        # same counters and the same samples at the times grids share
+        runs = [rom._integrate_sampled(
+                    *self._args(reduced_n20, model, input_name, count))
+                for count in (1000, 7, 4)]
+        for (grid, states, stats), (other_grid, other, other_stats) in \
+                itertools.combinations(runs, 2):
+            assert other_stats == stats
+            shared, i, j = np.intersect1d(grid, other_grid,
+                                          return_indices=True)
+            assert shared.size >= 2  # t0 and tf at least
+            assert states[i].tobytes() == other[j].tobytes()
+        # 7 and 4 samples share t = 0, 10, 20, 30
+        assert np.intersect1d(runs[1][0], runs[2][0]).size == 4
 
 
 def _fom_outputs(sys, u, du, x0, tf, rtol, atol, dense, method=ode.ROS23):
@@ -270,10 +284,13 @@ def _fom_outputs(sys, u, du, x0, tf, rtol, atol, dense, method=ode.ROS23):
         structured = fom_jacobian(sys, x)
         return structured.dense() if dense else structured
 
-    traj = ode.integrate(lambda t, x: fom_rhs(sys, x, u(t)), x0, 0.0, tf,
-                         rtol=rtol, atol=atol, jacobian=jac,
-                         dfdt=lambda t, x: sys.b[:, 0] * du(t), method=method)
-    return ode.sample(traj, np.linspace(0.0, tf, 1000)) @ sys.c.T
+    grid = np.linspace(0.0, tf, 1000)
+    states = ode.integrate(lambda t, x: fom_rhs(sys, x, u(t)), x0, 0.0, tf,
+                           rtol=rtol, atol=atol, jacobian=jac,
+                           dfdt=lambda t, x: sys.b[:, 0] * du(t),
+                           t_eval=grid, out=np.empty((grid.size, x0.size)),
+                           method=method).states
+    return states @ sys.c.T
 
 
 class TestSecondOrderFomPath:

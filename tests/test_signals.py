@@ -6,8 +6,8 @@ import scipy.linalg
 
 from cablemass import signals
 from cablemass.model import build_system
-from cablemass.signals import (InputSpec, breakpoints, dominant_modes,
-                               eval_input, eval_input_derivative,
+from cablemass.signals import (InputSpec, InvalidInput, breakpoints,
+                               dominant_modes, eval_input, eval_input_derivative,
                                input2_frequencies, input_preset, resolve_input,
                                square_wave)
 from conftest import EXAMPLE1, schur_system
@@ -73,6 +73,15 @@ class TestEvalInput:
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
             InputSpec(kind="sin_cos3", m=-1.0)
+
+    @pytest.mark.parametrize("given,unset", [({"a": 0.3}, "b"),
+                                             ({"b": 1.7}, "a")],
+                             ids=["a_only", "b_only"])
+    def test_one_input2_frequency_rejected(self, given, unset):
+        # resolve_input would otherwise overwrite the one that was set
+        with pytest.raises(InvalidInput) as err:
+            InputSpec(kind="eig_cos2", **given)
+        assert err.value.field == unset
 
 
 # one spec per kind, each with a non-unit scale

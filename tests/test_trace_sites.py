@@ -34,15 +34,13 @@ def test_every_trace_site_resolves():
 
 
 def test_integrate_result_carries_traced_stats():
-    # the tracer reads result.stats of every ode.integrate call, with and
-    # without t_eval
+    # the tracer reads result.stats of every ode.integrate call
     info = _load_tracing()._INFO["ode.integrate"]
-    for kwargs in ({}, {"t_eval": np.linspace(0.0, 1.0, 5),
-                        "out": np.empty((5, 1))}):
-        result = ode.integrate(lambda t, x: -x, np.array([1.0]), 0.0, 1.0,
-                               **linear_derivatives(-1.0), **kwargs)
-        s = result.stats
-        assert info((), result) == {"steps": s.n_steps,
-                                    "rejected": s.n_rejected,
-                                    "rhs": s.n_rhs, "lu": s.n_lu}
-        assert s.n_steps > 0 and s.n_rhs > 0 and s.n_lu > 0
+    result = ode.integrate(lambda t, x: -x, np.array([1.0]), 0.0, 1.0,
+                           **linear_derivatives(-1.0),
+                           t_eval=np.linspace(0.0, 1.0, 5),
+                           out=np.empty((5, 1)))
+    s = result.stats
+    assert info((), result) == {"steps": s.n_steps, "rejected": s.n_rejected,
+                                "rhs": s.n_rhs, "lu": s.n_lu}
+    assert s.n_steps > 0 and s.n_rhs > 0 and s.n_lu > 0
