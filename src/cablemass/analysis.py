@@ -9,28 +9,44 @@ form applied to the displacements plus the quartic boundary term
 For a dissipative parameter set the unforced energy is nonincreasing,
 and its logarithm decays asymptotically linearly; the fitted slope is
 reported as the decay rate.
+
+The unforced study (``energy_decay``) steps the full-order model
+x' = A x + w c (v . x)^3 with fixed-step ETDRK4 in the eigenvector
+coordinates of A (``StateSpaceSystem.modes``), where e^(hA) is diagonal
+and a step costs O(n).  Each step size h = interval / k ends every k-th
+step on a sample, so no dense output is needed, and k is chosen by
+comparing the runs at h and 2h at every sample against rtol and atol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ode
 from .model import (DimensionMismatch, PhysicalParams, QuadraticForms,
-                    StateSpaceSystem, fom_jacobian, fom_rhs)
-from .rom import OutputSeries, _integrate_sampled
-from .signals import InputSpec
+                    StateSpaceSystem, _check_state)
+# Not called here any more: perfbench's tracer still patches these names
+# (its sites ("cablemass.analysis", "fom_rhs") and ("cablemass.analysis",
+# "fom_jacobian")), so they stay importable until the benchmark drops them.
+from .model import fom_jacobian, fom_rhs  # noqa: F401
+from .rom import OutputSeries
 
 
 class GridMismatch(ValueError):
     """Two output series do not share the same time grid."""
 
 
-#: The energy study's integrator, and its step cap in sample intervals.
-ENERGY_METHOD = ode.RODAS4
-_ENERGY_STEP_CAP = 4
+class EnergyStepBudget(RuntimeError):
+    """The energy study ran out of steps before a run passed its check."""
+
+
+# ETDRK4 steps (every run, every k tried) energy_decay may take.
+_ENERGY_STEP_BUDGET = 1_000_000
+# Samples energy_decay converts from modal to real coordinates at a time.
+_SAMPLE_BLOCK = 64
 # Share of the horizon skipped as initial transient by the decay-rate fit.
 _FIT_SKIP = 0.1
 
@@ -42,7 +58,11 @@ class EnergyReport:
     fitted_rate is the least-squares slope of log E over the fit
     window; fit_r2 is the coefficient of determination of that fit.
     degenerate flags a run whose energy was identically zero (rate
-    reported as 0).  stats holds the integrator counters of the run.
+    reported as 0).  The samples come from ETDRK4 steps of
+    h = step, steps_per_sample to a sample interval; error_estimate is
+    the estimate of their error in the energy norm from the run at 2h,
+    n_steps the ETDRK4 steps taken over every step size tried, and
+    cond_v the estimated condition number of A's eigenvector matrix.
     """
 
     times: np.ndarray
@@ -52,7 +72,11 @@ class EnergyReport:
     fitted_rate: float
     fit_r2: float
     degenerate: bool
-    stats: ode.IntegratorStats
+    step: float
+    steps_per_sample: int
+    n_steps: int
+    error_estimate: float
+    cond_v: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,17 +96,79 @@ class ErrorMetrics:
     absolute_fallback: bool
 
 
-def compute_energy(forms: QuadraticForms, params: PhysicalParams,
-                   x) -> tuple[float, float, float]:
-    """Total, kinetic and potential energy of one state vector."""
+def _quadratic_energies(forms: QuadraticForms, x: np.ndarray):
+    """1/2 v^T M_H v and 1/2 d^T K_V d of a state, or of each row of x."""
+    n = forms.m_h.shape[0]
+    d, v = x[..., :n], x[..., n:]
+    return (0.5 * np.einsum("...i,...i->...", v @ forms.m_h, v),
+            0.5 * np.einsum("...i,...i->...", d @ forms.k_v, d))
+
+
+def compute_energy(forms: QuadraticForms, params: PhysicalParams, x):
+    """Total, kinetic and potential energy of one state or a block of states.
+
+    x is one state of shape (2n,), which gives three numbers, or a block
+    of shape (k, 2n) with one state per row, which gives three arrays
+    of length k.
+    """
     x = np.asarray(x, dtype=float)
     n = forms.m_h.shape[0]
-    if x.shape != (2 * n,):
-        raise DimensionMismatch(f"state must have shape ({2 * n},), got {x.shape}")
-    d, v = x[:n], x[n:]
-    ek = 0.5 * v @ forms.m_h @ v
-    ep = 0.5 * d @ forms.k_v @ d + 0.25 * params.k3 * d[-1] ** 4
+    if x.ndim not in (1, 2) or x.shape[-1] != 2 * n:
+        raise DimensionMismatch(
+            f"states must have shape ({2 * n},) or (k, {2 * n}), "
+            f"got {x.shape}")
+    ek, ep = _quadratic_energies(forms, x)
+    ep = ep + 0.25 * params.k3 * x[..., n - 1] ** 4
     return ek + ep, ek, ep
+
+
+def _etdrk4_run(modes, row, g, y0, k: int, interval: float,
+                forms: QuadraticForms, states: np.ndarray, compare: bool):
+    """One ETDRK4 run of k steps per sample interval; its error estimate.
+
+    The run starts from the modal state y0 and writes its real state at
+    each sample over states[1:], _SAMPLE_BLOCK samples at a time (one
+    GEMM with V each).  With compare set, states[1:] holds the samples
+    of the run at twice this step, and each is measured against the new
+    one in the energy norm ||x||_E^2 = 1/2 v^T M_H v + 1/2 d^T K_V d
+    before it is overwritten.  Returns the largest difference over 15
+    (2^4 - 1, Richardson for a fourth-order method), or inf without
+    compare, and the largest ||x||_E over this run's samples.
+
+    Raises ode.NonFiniteState when a stage or a sample is not finite;
+    states[1:] may then hold samples of both runs.
+    """
+    step = ode.cubic_etdrk4(modes.eigenvalues, row, g, interval / k).step
+    # Re(V y) = Re V Re y - Im V Im y: one real GEMM of the block, read
+    # with its real and imaginary parts interleaved, by [Re V^T; -Im V^T]
+    # interleaved the same way, at half the cost of the complex product
+    m = y0.size
+    real_v = np.empty((2 * m, m))
+    real_v[0::2] = modes.v.real.T
+    real_v[1::2] = -modes.v.imag.T
+    count = states.shape[0] - 1
+    block = np.empty((min(_SAMPLE_BLOCK, count), m), dtype=complex)
+    y = y0
+    ek, ep = _quadratic_energies(forms, states[0])
+    diff2, norm2 = 0.0, ek + ep
+    for start in range(1, count + 1, _SAMPLE_BLOCK):
+        rows = min(_SAMPLE_BLOCK, count + 1 - start)
+        for i in range(rows):
+            for _ in range(k):
+                y = step(y)
+            block[i] = y
+        x = block[:rows].view(float) @ real_v
+        if not np.isfinite(x).all():
+            raise ode.NonFiniteState("ETDRK4 sample not finite")
+        kept = states[start:start + rows]
+        if compare:
+            ek, ep = _quadratic_energies(forms, x - kept)
+            diff2 = max(diff2, float((ek + ep).max()))
+        ek, ep = _quadratic_energies(forms, x)
+        norm2 = max(norm2, float((ek + ep).max()))
+        kept[...] = x
+    est = math.sqrt(diff2) / 15.0 if compare else math.inf
+    return est, math.sqrt(norm2)
 
 
 def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
@@ -90,42 +176,76 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
                  sample_count: int = 1000) -> EnergyReport:
     """Unforced energy history and exponential decay-rate fit.
 
-    Integrates the full-order model with zero input, sampling only the
-    uniform grid (no trajectory is held), and fits log E by least
-    squares over [_FIT_SKIP * tf, tf] (the initial transient is skipped).
+    Integrates the full-order model with zero input on the uniform grid
+    of sample_count points on [0, tf] (sample_count >= 2), holding only
+    the sampled states, and fits log E by least squares over
+    [_FIT_SKIP * tf, tf] (the initial transient is skipped).
 
-    The study runs at tight tolerances, so it takes the fourth-order
-    Rodas4 (``ENERGY_METHOD``), not the 2(3) pair of the forced runs,
-    and caps every step at 4 sample intervals.  The samples come from
-    the cubic Hermite interpolant of each step, whose error grows like
-    h^4 whatever the tolerance.  Uncapped at rtol 1e-3, Rodas4 takes
-    steps of up to 0.56 on ``exp_stab_Ex1`` at n = 20, and the sampled
-    energy of that decaying run rises between two samples by
-    2.4e-6 E(0); capped at 0.2 it falls by at least 1.1e-5 E(0) from
-    each sample to the next.  At rtol 1e-6 the cap does not bind.
-    sample_count must be >= 2, since the cap needs a sample interval.
+    In y = V^-1 x (``sys.modes``) the model reads
+    y' = diag(lambda) y + g (Re row . y)^3 with g = V^-1 e_target
+    nl_coeff and row = V[nl_state_index], and fixed-step ETDRK4
+    (``ode.cubic_etdrk4``) integrates it with h = interval / k, so every
+    k-th step ends on a sample.  Runs are made at k = 1, 2, 4, ...; each
+    is compared at every sample with the run before it
+    (``_etdrk4_run``), and the first whose estimate is at most
+    rtol * max ||x_h||_E + atol is kept.  So at least two runs are made,
+    and no sample is kept unchecked.  A run whose state blows up is
+    dropped, and the next one is compared with none.
+
+    Raises
+    ------
+    linalg.IllConditionedModes
+        When A is too close to defective for its modal factor.
+    EnergyStepBudget
+        When the next k would take the steps past _ENERGY_STEP_BUDGET.
     """
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
+    if not tf > 0.0:
+        raise ValueError(f"need tf > 0, got {tf}")
+    x0 = _check_state(sys, x0)
+    if not np.isfinite(x0).all():
+        raise ValueError("initial state has non-finite entries")
+    modes = sys.modes
+    target = np.zeros(x0.size)
+    target[sys.nl_target_index] = sys.nl_coeff
+    y0, g = modes.solve(np.column_stack([x0, target])).T
+    row = modes.v[sys.nl_state_index]
     interval = tf / (sample_count - 1)
-    times, states, stats = _integrate_sampled(
-        fom_rhs, fom_jacobian, sys, sys.b[:, 0], InputSpec(kind="zero"), x0,
-        0.0, tf, sample_count, rtol, atol, method=ENERGY_METHOD,
-        max_step=_ENERGY_STEP_CAP * interval)
+    states = np.empty((sample_count, x0.size))
+    states[0] = x0
 
-    ek = np.empty(sample_count)
-    ep = np.empty(sample_count)
-    for i in range(sample_count):
-        _, ek[i], ep[i] = compute_energy(forms, sys.params, states[i])
-    e = ek + ep
+    k, n_steps, compare = 1, 0, False
+    while True:
+        steps = k * (sample_count - 1)
+        if n_steps + steps > _ENERGY_STEP_BUDGET:
+            raise EnergyStepBudget(
+                f"{k} steps per sample would exceed {_ENERGY_STEP_BUDGET} "
+                f"ETDRK4 steps (after {n_steps})")
+        n_steps += steps
+        try:
+            est, scale = _etdrk4_run(modes, row, g, y0, k, interval, forms,
+                                     states, compare)
+        except ode.NonFiniteState:
+            compare = False
+        else:
+            if est <= rtol * scale + atol:
+                break
+            compare = True
+        k *= 2
 
+    times = np.linspace(0.0, tf, sample_count)
+    e, ek, ep = compute_energy(forms, sys.params, states)
+    integration = dict(step=interval / k, steps_per_sample=k,
+                       n_steps=n_steps, error_estimate=est,
+                       cond_v=modes.cond)
     fit = _decay_fit(times, e, _FIT_SKIP * tf)
     if fit is None:
         return EnergyReport(times=times, e=e, ek=ek, ep=ep, fitted_rate=0.0,
-                            fit_r2=0.0, degenerate=True, stats=stats)
+                            fit_r2=0.0, degenerate=True, **integration)
     rate, r2 = fit
     return EnergyReport(times=times, e=e, ek=ek, ep=ep, fitted_rate=rate,
-                        fit_r2=r2, degenerate=False, stats=stats)
+                        fit_r2=r2, degenerate=False, **integration)
 
 
 def _decay_fit(times, e, t_start: float) -> tuple[float, float] | None:

@@ -424,10 +424,10 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
             atol=min(cfg.atol, 1e-9), sample_count=cfg.sample_count)
         write("energy", write_energy_csv, report)
         log(f"fitted decay rate {report.fitted_rate:.6g} (R2={report.fit_r2:.4f})")
-        stats = report.stats
-        log(f"energy integrator {analysis.ENERGY_METHOD.name}: "
-            f"{stats.n_steps} steps, {stats.n_rejected} rejected, "
-            f"{stats.n_lu} LU factorisations")
+        log(f"energy integrator ETDRK4: h={report.step:.6g} "
+            f"({report.steps_per_sample} per sample), {report.n_steps} steps, "
+            f"error estimate {report.error_estimate:.3g}, "
+            f"cond(V) {report.cond_v:.3g}")
 
     return written
 

@@ -35,8 +35,10 @@ O(n^2).
 
 A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
-frequencies.  A is read-only, so the tridiagonal pieces, the CSR copy
-and the factor derived from it cannot go stale.
+frequencies; its modal factor (``StateSpaceSystem.modes``) is computed
+once for the energy study's exponential integrator.  A is read-only, so
+the tridiagonal pieces, the CSR copy and the factors derived from it
+cannot go stale.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class StateSpaceSystem:
     evaluation in the reduced model possible.
 
     A is read-only (``build_system`` marks it so): a_second_order,
-    a_matvec and schur are derived from it once and kept, and an
+    a_matvec, schur and modes are derived from it once and kept, and an
     in-place write would leave them stale.
     """
 
@@ -201,6 +203,16 @@ class StateSpaceSystem:
         Its Q, T and eigenvalues are read-only.
         """
         return linalg.real_schur(self.a)
+
+    @cached_property
+    def modes(self) -> linalg.ModalForm:
+        """The eigendecomposition of A, computed on first use and kept.
+
+        Only the energy study steps in modal coordinates, so the
+        balancing and the forced runs never pay for it.  Raises
+        ``linalg.IllConditionedModes`` where A is nearly defective.
+        """
+        return linalg.modal_factor(self.a)
 
 
 @dataclass(frozen=True, eq=False)

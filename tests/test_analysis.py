@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from scipy.integrate import solve_ivp
 
-from cablemass import analysis, ode
+from cablemass import analysis, linalg
 from cablemass.analysis import (GridMismatch, accurate_prefix, compute_energy,
                                 energy_decay, local_maxima, output_error,
                                 stability_margin)
@@ -56,8 +57,18 @@ class TestComputeEnergy:
 
     def test_dimension_mismatch(self):
         forms = quadratic_forms(EXAMPLE1, 10)
-        with pytest.raises(DimensionMismatch):
-            compute_energy(forms, EXAMPLE1, np.zeros(19))
+        for shape in [(19,), (3, 19), (2, 3, 20), ()]:
+            with pytest.raises(DimensionMismatch):
+                compute_energy(forms, EXAMPLE1, np.zeros(shape))
+
+    def test_block_equals_rows(self, rng):
+        forms = quadratic_forms(EXAMPLE1, 25)
+        block = rng.standard_normal((7, 50))
+        parts = compute_energy(forms, EXAMPLE1, block)
+        for i, x in enumerate(block):
+            for part, value in zip(parts, compute_energy(forms, EXAMPLE1, x)):
+                assert part.shape == (7,)
+                assert abs(part[i] - value) <= 1e-14 * abs(value)
 
 
 class TestEnergyDecay:
@@ -71,7 +82,7 @@ class TestEnergyDecay:
 
     @pytest.mark.parametrize("sample_count", [1, 0])
     def test_needs_two_samples(self, sample_count):
-        # the step cap is a multiple of the sample interval
+        # the step is a fraction of the sample interval
         sys = build_system(EXAMPLE1, 10)
         forms = quadratic_forms(EXAMPLE1, 10)
         x0 = _energy_initial_data(EXAMPLE1, 10)
@@ -105,16 +116,88 @@ class TestEnergyDecay:
         assert report.fitted_rate < 0.0
 
 
-    def test_rodas4_with_step_cap(self, monkeypatch):
+    def test_fixed_etdrk4_steps(self, monkeypatch):
+        # no adaptive run: k ETDRK4 steps per sample interval for
+        # k = 1, 2, ..., and the run at k = 1 is never kept
         sys = build_system(EXAMPLE1, 10)
         forms = quadratic_forms(EXAMPLE1, 10)
         x0 = _energy_initial_data(EXAMPLE1, 10)
         calls = record_integrate(monkeypatch)
         report = energy_decay(sys, forms, x0, 5.0, sample_count=101)
-        assert [(c.method, c.max_step) for c in calls] == \
-            [(ode.RODAS4, 4 * 5.0 / 100)]
-        assert report.stats == calls[0].result.stats
-        assert report.stats.n_steps > 0
+        assert calls == []
+        assert report.steps_per_sample == 2
+        assert report.step == pytest.approx(5.0 / 200, rel=1e-15)
+        assert report.n_steps == 100 + 200
+        # ||x||_E^2 <= E <= E(0): the default rtol and atol bound it
+        assert 0.0 < report.error_estimate <= \
+            1e-6 * np.sqrt(report.e[0]) + 1e-9
+        assert report.cond_v == sys.modes.cond
+
+    def test_large_amplitude_halves_the_step(self):
+        # at 5x the study's initial data the cubic term sets the step:
+        # the check rejects k = 2, which the study's data passes at this
+        # grid, and the energies still match an rtol-1e-11 Radau run
+        preset = PRESETS["exp_stab_Ex1"]
+        n, tf, count = 20, 10.0, 100
+        sys = build_system(preset.params, n)
+        forms = quadratic_forms(preset.params, n)
+        x0 = 5.0 * _energy_initial_data(preset.params, n)
+        report = energy_decay(sys, forms, x0, tf, sample_count=count)
+        assert report.steps_per_sample >= 4
+        ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
+                        method="Radau", t_eval=report.times, rtol=1e-11,
+                        atol=1e-12,
+                        jac=lambda t, x: fom_jacobian(sys, x).dense())
+        e_ref, _, _ = compute_energy(forms, preset.params, ref.y.T)
+        assert np.abs(report.e - e_ref).max() <= 1e-6 * e_ref[0]
+        assert np.all(np.diff(report.e) <= 0.0)
+
+    def test_every_sample_checked(self):
+        # one sample interval at 5x the study's initial data: a single
+        # ETDRK4 step over it is 0.25 E0 off, so the sample at tf must
+        # be compared with a run at half the step before it is accepted
+        preset = PRESETS["exp_stab_Ex1"]
+        n, tf = 20, 1.0
+        sys = build_system(preset.params, n)
+        forms = quadratic_forms(preset.params, n)
+        x0 = 5.0 * _energy_initial_data(preset.params, n)
+        report = energy_decay(sys, forms, x0, tf, sample_count=2)
+        assert report.steps_per_sample >= 2
+        assert report.error_estimate > 0.0
+        ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
+                        method="Radau", t_eval=[tf], rtol=1e-11, atol=1e-12,
+                        jac=lambda t, x: fom_jacobian(sys, x).dense())
+        e_ref, _, _ = compute_energy(forms, preset.params, ref.y[:, -1])
+        assert abs(report.e[-1] - e_ref) <= 1e-6 * report.e[0]
+
+    def test_step_budget(self, monkeypatch):
+        # rtol 1e-15 is never met: k doubles until the budget runs out
+        monkeypatch.setattr(analysis, "_ENERGY_STEP_BUDGET", 5000)
+        sys = build_system(EXAMPLE1, 10)
+        forms = quadratic_forms(EXAMPLE1, 10)
+        x0 = _energy_initial_data(EXAMPLE1, 10)
+        with pytest.raises(analysis.EnergyStepBudget):
+            energy_decay(sys, forms, x0, 5.0, rtol=1e-15, atol=1e-30,
+                         sample_count=101)
+
+    def test_near_defective_a_refused(self):
+        # distinct eigenvalues 1e-9 apart on a Jordan-like chain: the
+        # eigenvectors are nearly parallel
+        sys = build_system(EXAMPLE1, 5)
+        a = (-np.eye(10) + np.diag(np.ones(9), 1)
+             + np.diag(1e-9 * np.arange(10)))
+        near = replace(sys, a=a)
+        with pytest.raises(linalg.IllConditionedModes):
+            energy_decay(near, quadratic_forms(EXAMPLE1, 5),
+                         _energy_initial_data(EXAMPLE1, 5), 5.0)
+
+    def test_bad_initial_state(self):
+        sys = build_system(EXAMPLE1, 10)
+        forms = quadratic_forms(EXAMPLE1, 10)
+        with pytest.raises(DimensionMismatch):
+            energy_decay(sys, forms, np.zeros(19), 5.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            energy_decay(sys, forms, np.full(20, np.nan), 5.0)
 
     def test_closer_to_reference_than_2_3_pair(self):
         # energies of an rtol-1e-11 Radau run against those of the 2(3)
@@ -126,8 +209,7 @@ class TestEnergyDecay:
         x0 = _energy_initial_data(preset.params, n)
 
         def energies(states):
-            return np.array([compute_energy(forms, preset.params, x)[0]
-                             for x in states])
+            return compute_energy(forms, preset.params, states)[0]
 
         grid = np.linspace(0.0, tf, count)
         ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
@@ -136,7 +218,7 @@ class TestEnergyDecay:
         e_ref = energies(ref.y.T)
         _, states, _ = _integrate_sampled(
             fom_rhs, fom_jacobian, sys, sys.b[:, 0], InputSpec(kind="zero"),
-            x0, 0.0, tf, count, rtol, atol, method=ode.ROS23)
+            x0, 0.0, tf, count, rtol, atol)
         e_ros23 = energies(states)
         report = energy_decay(sys, forms, x0, tf, rtol=rtol, atol=atol,
                               sample_count=count)
@@ -147,9 +229,9 @@ class TestEnergyDecay:
         assert report.fitted_rate == pytest.approx(rate_ref, rel=1e-4)
 
     def test_memory_grows_with_samples_not_steps(self):
-        # exp_stab_Ex1 at n = 100 takes ~4700 steps to tf = 50; a kept
-        # trajectory of states and derivatives would be ~15 MB, while
-        # the 1000 x 200 sampled states are 1.53 MB
+        # exp_stab_Ex1 at n = 100 takes 999 steps to tf = 50 at k = 1
+        # and 1998 at k = 2; the kept run's modal trajectory would be
+        # ~6.4 MB, while the 1000 x 200 sampled states are 1.53 MB
         preset = PRESETS["exp_stab_Ex1"]
         sys = build_system(preset.params, 100)
         forms = quadratic_forms(preset.params, 100)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cablemass import cli
+from cablemass import cli, linalg
 from cablemass.cli import (DEFAULT_PARAMS, PRESETS, ExperimentConfig,
                            ParseError, ValidationError, get_preset,
                            load_config, main, run_command)
@@ -440,10 +440,18 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         rate = next(i for i, line in enumerate(lines)
                     if line.startswith("fitted decay rate"))
-        words = lines[rate + 1].split()
-        assert words[:3] == ["energy", "integrator", "Rodas4:"]
-        steps, rejected, lus = (int(words[i]) for i in (3, 5, 7))
-        assert steps > 0 and lus == steps + rejected
+        match = re.fullmatch(
+            r"energy integrator ETDRK4: h=(\S+) \((\d+) per sample\), "
+            r"(\d+) steps, error estimate (\S+), cond\(V\) (\S+)",
+            lines[rate + 1])
+        assert match, lines[rate + 1]
+        h, est, cond = (float(match[i]) for i in (1, 4, 5))
+        k, steps = int(match[2]), int(match[3])
+        # 1000 samples on [0, 5]: k steps per interval in the kept run,
+        # and one run at each smaller k = 1, 2, ... before it
+        assert h == pytest.approx(5.0 / 999 / k, rel=1e-5)
+        assert k >= 2 and steps == 999 * (2 * k - 1)
+        assert est > 0.0 and 1.0 <= cond <= linalg.MODAL_COND_MAX
 
     @pytest.mark.parametrize("preset,rtol,warns", [
         ("small_stiff_ex5_in4", 1e-3, True),

@@ -327,3 +327,48 @@ class TestRecursiveLyapunov:
         eigs[where] = -1e-20
         with pytest.raises(linalg.SingularBlock):
             linalg.solve_lyapunov(np.diag(eigs), np.eye(100))
+
+
+class TestModalFactor:
+    def test_reconstruction_and_solve(self, rng):
+        a = random_stable(rng, 8)
+        form = linalg.modal_factor(a)
+        v, lam = form.v, form.eigenvalues
+        rebuilt = v @ np.diag(lam) @ np.linalg.inv(v)
+        assert np.abs(rebuilt - a).max() <= 1e-12 * np.abs(a).max()
+        b = rng.standard_normal((8, 2))
+        np.testing.assert_allclose(form.solve(b), np.linalg.solve(v, b),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_condition_estimate(self, rng):
+        # zgecon estimates the 1-norm condition number from below, to
+        # within a small factor
+        form = linalg.modal_factor(random_stable(rng, 12))
+        exact = np.linalg.cond(form.v, 1)
+        assert exact / 3.0 <= form.cond <= exact * (1.0 + 1e-12)
+
+    def test_real_state_maps_to_conjugate_pairs(self, rng):
+        form = linalg.modal_factor(lightly_damped_oscillators(rng))
+        y = form.solve(rng.standard_normal(6))
+        # each eigenvalue's conjugate carries the conjugate coordinate
+        order = np.argsort(form.eigenvalues.imag)
+        np.testing.assert_allclose(y[order], y[order[::-1]].conj(),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("split", [0.0, 1e-9])
+    def test_defective_refused(self, split):
+        # a Jordan block, exact or split by 1e-9
+        a = -np.eye(6) + np.diag(np.ones(5), 1) + np.diag(split * np.arange(6))
+        with pytest.raises(linalg.IllConditionedModes):
+            linalg.modal_factor(a)
+
+    def test_read_only(self, rng):
+        form = linalg.modal_factor(random_stable(rng, 4))
+        for arr in (form.eigenvalues, form.v, form.lu, form.piv):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("name", ["exp_stab_Ex1", "exp_stability2"])
+    def test_energy_presets_well_conditioned(self, name):
+        form = build_system(PRESETS[name].params, 100).modes
+        assert form.cond <= 1e5

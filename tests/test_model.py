@@ -142,6 +142,16 @@ class TestBuildSystem:
         rel = np.linalg.norm(sys.schur.q @ sys.schur.t @ sys.schur.q.T - sys.a)
         assert rel <= 1e-12 * np.linalg.norm(sys.a)
 
+    def test_modes_factored_once_and_lazily(self):
+        # only the energy study needs the modal factor
+        sys = build_system(EXAMPLE1, 5)
+        sys.schur, sys.a_second_order, sys.a_matvec
+        assert "modes" not in vars(sys)
+        assert sys.modes is sys.modes
+        v, lam = sys.modes.v, sys.modes.eigenvalues
+        rel = np.linalg.norm(v @ np.diag(lam) @ np.linalg.inv(v) - sys.a)
+        assert rel <= 1e-12 * np.linalg.norm(sys.a)
+
     def test_too_few_nodes(self):
         with pytest.raises(GridTooCoarse):
             build_system(EXAMPLE1, 2)

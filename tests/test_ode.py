@@ -2,6 +2,7 @@ import contextlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -10,10 +11,6 @@ from cablemass import ode
 from cablemass.model import PhysicalParams, build_system, fom_jacobian, fom_rhs
 from cablemass.signals import square_wave
 from conftest import linear_derivatives, node_sampled
-
-BOTH = (ode.ROS23, ode.RODAS4)
-METHODS = pytest.mark.parametrize("method", BOTH, ids=lambda m: m.name)
-
 
 def decay(t, x):
     return -x
@@ -44,16 +41,30 @@ def step_ends(rhs, x0, t0, tf, *, jacobian, **kwargs):
     return np.array([*starts, tf])
 
 
-def fixed_steps(rhs, jac, dfdt, x0, h, n, method):
-    """n attempts of size h from t = 0, each accepted: no error control."""
+def fixed_steps(rhs, jac, dfdt, x0, h, n):
+    """n Ros2(3) attempts of size h from t = 0, each accepted."""
     y = np.asarray(x0, dtype=float)
     f = rhs(0.0, y)
     stats = ode.IntegratorStats()
     for i in range(n):
         t = i * h
-        solve = ode._factor(jac(t, y), h * method.gamma, t)
-        y, f, _ = method.stages(rhs, t, y, f, dfdt(t, y), h, solve, stats)
+        solve = ode._factor(jac(t, y), h * ode._D, t)
+        y, f, _ = ode._stages(rhs, t, y, f, dfdt(t, y), h, solve, stats)
     return y
+
+
+# a forced Duffing oscillator: nonlinear and non-autonomous, so the stage
+# times and the df/dt terms all enter the error
+def duffing(t, x):
+    return np.array([x[1], -x[0] - 0.5 * x[1] - x[0] ** 3 + math.cos(2.0 * t)])
+
+
+def duffing_jacobian(t, x):
+    return np.array([[0.0, 1.0], [-1.0 - 3.0 * x[0] ** 2, -0.5]])
+
+
+def duffing_dfdt(t, x):
+    return np.array([0.0, -2.0 * math.sin(2.0 * t)])
 
 
 @contextlib.contextmanager
@@ -140,16 +151,26 @@ class TestIntegrate:
         assert result.stats.n_lu == (result.stats.n_steps
                                      + result.stats.n_rejected)
 
-    def test_blowup_detected(self):
-        for method in BOTH:
-            with raises_quietly((ode.NonFiniteState, ode.StepSizeUnderflow)):
-                run(lambda t, x: x ** 2, np.array([1.0]), 0.0, 2.0,
-                    rtol=1e-6, atol=1e-9,
-                    jacobian=lambda t, x: [[2.0 * x[0]]],
-                    dfdt=lambda t, x: np.zeros(1), method=method)
+    def test_fixed_step_second_order(self):
+        # powers of two: the steps end on tf exactly
+        x0, tf = np.array([1.0, 0.0]), 4.0
+        ref = solve_ivp(duffing, (0.0, tf), x0, method="DOP853",
+                        rtol=1e-13, atol=1e-15).y[:, -1]
+        steps = [2.0 ** -k for k in range(2, 8)]
+        errors = [np.abs(fixed_steps(duffing, duffing_jacobian, duffing_dfdt,
+                                     x0, h, round(tf / h)) - ref).max()
+                  for h in steps]
+        slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+        assert 1.8 <= slope <= 2.5
 
-    @METHODS
-    def test_unresolvable_jump_underflows(self, method):
+    def test_blowup_detected(self):
+        with raises_quietly((ode.NonFiniteState, ode.StepSizeUnderflow)):
+            run(lambda t, x: x ** 2, np.array([1.0]), 0.0, 2.0,
+                rtol=1e-6, atol=1e-9,
+                jacobian=lambda t, x: [[2.0 * x[0]]],
+                dfdt=lambda t, x: np.zeros(1))
+
+    def test_unresolvable_jump_underflows(self):
         # no step across a jump of 1e12 meets atol 1e-9 above hmin
         def rhs(t, x):
             return np.array([0.0 if t < 1.0 / 3.0 else 1e12])
@@ -157,7 +178,7 @@ class TestIntegrate:
         with raises_quietly(ode.StepSizeUnderflow):
             run(rhs, np.array([0.0]), 0.0, 1.0, rtol=1e-6, atol=1e-9,
                 jacobian=lambda t, x: [[0.0]],
-                dfdt=lambda t, x: np.zeros(1), method=method)
+                dfdt=lambda t, x: np.zeros(1))
 
     def test_nonfinite_stage_dense(self):
         # a NaN inside a step is a rejected step, not a LAPACK ValueError;
@@ -165,9 +186,8 @@ class TestIntegrate:
         def rhs(t, x):
             return np.array([np.nan]) if t > 0.3 else -x
 
-        for method in BOTH:
-            with raises_quietly(ode.NonFiniteState, match="blew up"):
-                run(rhs, np.array([1.0]), 0.0, 1.0, **DECAY, method=method)
+        with raises_quietly(ode.NonFiniteState, match="blew up"):
+            run(rhs, np.array([1.0]), 0.0, 1.0, **DECAY)
 
     def test_nonfinite_stage_banded(self):
         sys = build_system(PhysicalParams(gamma=0.1, alphal=0.1), 4)
@@ -176,11 +196,10 @@ class TestIntegrate:
             out = fom_rhs(sys, x, 1.0)
             return out * np.nan if t > 0.3 else out
 
-        for method in BOTH:
-            with raises_quietly(ode.NonFiniteState, match="blew up"):
-                run(rhs, np.zeros(8), 0.0, 1.0,
-                    jacobian=lambda t, x: fom_jacobian(sys, x),
-                    dfdt=lambda t, x: np.zeros(8), method=method)
+        with raises_quietly(ode.NonFiniteState, match="blew up"):
+            run(rhs, np.zeros(8), 0.0, 1.0,
+                jacobian=lambda t, x: fom_jacobian(sys, x),
+                dfdt=lambda t, x: np.zeros(8))
 
     def test_derivatives_required(self):
         with pytest.raises(TypeError, match="jacobian.*dfdt"):
@@ -204,87 +223,6 @@ class TestIntegrate:
     def test_bad_tolerances(self, name, value):
         with pytest.raises(ValueError, match="rtol and atol"):
             run(decay, np.array([1.0]), 0.0, 1.0, **DECAY, **{name: value})
-
-    @pytest.mark.parametrize("max_step", [0.0, -0.1, math.nan])
-    def test_bad_max_step(self, max_step):
-        with pytest.raises(ValueError, match="max_step"):
-            run(decay, np.array([1.0]), 0.0, 1.0, **DECAY,
-                max_step=max_step)
-
-    @METHODS
-    def test_max_step_caps_and_ends_on_tf(self, method):
-        # 0.3 does not divide 2: the capped steps split the rest evenly
-        # instead of leaving a last step below the underflow limit
-        times = step_ends(decay, np.array([1.0]), 0.0, 2.0, rtol=1e-2,
-                          atol=1e-4, **DECAY, max_step=0.3, method=method)
-        steps = np.diff(times)
-        assert steps.max() <= 0.3
-        assert times[-1] == 2.0
-        np.testing.assert_allclose(steps[-4:], steps[-1], rtol=1e-12)
-        assert steps[-1] > 0.25
-
-
-class TestRodas4:
-    """Order, L-stability and cost of the fourth-order method."""
-
-    # a forced Duffing oscillator: nonlinear and non-autonomous, so the
-    # stage times c_i and the df/dt weights d_i all enter the error
-    @staticmethod
-    def rhs(t, x):
-        return np.array([x[1], -x[0] - 0.5 * x[1] - x[0] ** 3
-                         + math.cos(2.0 * t)])
-
-    @staticmethod
-    def jac(t, x):
-        return np.array([[0.0, 1.0], [-1.0 - 3.0 * x[0] ** 2, -0.5]])
-
-    @staticmethod
-    def dfdt(t, x):
-        return np.array([0.0, -2.0 * math.sin(2.0 * t)])
-
-    def _fixed_step_slope(self, method):
-        # powers of two: the steps end on tf exactly
-        x0, tf = np.array([1.0, 0.0]), 4.0
-        ref = solve_ivp(self.rhs, (0.0, tf), x0, method="DOP853",
-                        rtol=1e-13, atol=1e-15).y[:, -1]
-        steps = [2.0 ** -k for k in range(2, 8)]
-        errors = []
-        for h in steps:
-            end = fixed_steps(self.rhs, self.jac, self.dfdt, x0, h,
-                              round(tf / h), method)
-            errors.append(np.abs(end - ref).max())
-        return np.polyfit(np.log(steps), np.log(errors), 1)[0]
-
-    def test_fourth_order(self):
-        assert self._fixed_step_slope(ode.RODAS4) >= 4.0
-        # the same problem tells the 2(3) pair's order apart
-        assert 1.8 <= self._fixed_step_slope(ode.ROS23) <= 2.5
-
-    def test_steps_grow_like_rtol_to_the_quarter(self):
-        # the controller's -1/4 exponent: 100x tighter, ~100^(1/4) x steps
-        x0 = np.array([1.0, 0.0])
-        counts = [run(self.rhs, x0, 0.0, 4.0, rtol=rtol, atol=rtol * 1e-3,
-                      jacobian=self.jac, dfdt=self.dfdt,
-                      method=ode.RODAS4).stats.n_steps
-                  for rtol in (1e-5, 1e-7, 1e-9)]
-        for coarse, fine in zip(counts, counts[1:]):
-            assert 2.0 <= fine / coarse <= 5.0
-
-    def test_l_stable(self):
-        # one step of h = 1 with h lambda = -1e8 damps by at least 1e6
-        stiff = linear_derivatives(-1e8)
-        end = fixed_steps(lambda t, x: -1e8 * x, stiff["jacobian"],
-                          stiff["dfdt"], np.array([1.0]), 1.0, 1, ode.RODAS4)
-        assert abs(end[0]) <= 1e-6
-
-    def test_six_rhs_calls_per_attempt(self):
-        stats = run(self.rhs, np.array([1.0, 0.0]), 0.0, 4.0, rtol=1e-6,
-                    atol=1e-9, jacobian=self.jac, dfdt=self.dfdt,
-                    method=ode.RODAS4).stats
-        attempts = stats.n_steps + stats.n_rejected
-        # f0 and the start-step probe, then six per attempt, one LU each
-        assert stats.n_rhs == 2 + 6 * attempts
-        assert stats.n_lu == attempts
 
 
 class TestTimeDerivative:
@@ -353,25 +291,23 @@ class TestDenseFactor:
 class TestSample:
     """The dense output ``integrate`` writes at its query times."""
 
-    # 2**-6 lies below the first step the controller picks on [0, 1], so
-    # every step is capped to exactly 1/64 and ends on a dyadic time
-    CAP = 2.0 ** -6
-
     def test_stored_node_exact(self):
-        # a query at a step end returns the state the run that stops
-        # there ends with, bitwise
-        for method in BOTH:
-            kwargs = dict(rtol=1e-3, atol=1e-8, **DECAY, max_step=self.CAP,
-                          method=method)
-            ends = step_ends(decay, np.array([1.0]), 0.0, 1.0, **kwargs)
-            np.testing.assert_array_equal(ends, np.arange(65) * self.CAP)
-            q = ends[[1, 17, 40, 63]]
-            states = run(decay, np.array([1.0]), 0.0, 1.0, q,
-                         **kwargs).states
-            for tk, state in zip(q, states):
-                end = run(decay, np.array([1.0]), 0.0, tk,
-                          **kwargs).end_state
-                assert_bitwise(state, end)
+        # a query at a step end returns the state the next step starts
+        # from (integrate passes it to the Jacobian), bitwise
+        starts, nodes = [], []
+
+        def logged(t, x):
+            starts.append(t)
+            nodes.append(np.array(x))
+            return DECAY["jacobian"](t, x)
+
+        kwargs = dict(rtol=1e-3, atol=1e-8, dfdt=DECAY["dfdt"])
+        run(decay, np.array([1.0]), 0.0, 1.0, jacobian=logged, **kwargs)
+        assert len(starts) >= 5
+        states = run(decay, np.array([1.0]), 0.0, 1.0, starts,
+                     jacobian=DECAY["jacobian"], **kwargs).states
+        for state, node in zip(states, nodes):
+            assert_bitwise(state, node)
 
     def test_midpoint_oracle(self):
         rtol = 1e-5
@@ -388,12 +324,11 @@ class TestSample:
         # a query at t0 returns x0, one at tf the end state, bitwise;
         # alone or sharing a step with other queries
         x0 = np.array([1.0, -2.0])
-        for method in BOTH:
-            for q in ([0.0, 1.0], np.linspace(0.0, 1.0, 101)):
-                result = run(decay, x0, 0.0, 1.0, q, method=method,
-                             **linear_derivatives(-np.eye(2)))
-                assert_bitwise(result.states[0], x0)
-                assert_bitwise(result.states[-1], result.end_state)
+        for q in ([0.0, 1.0], np.linspace(0.0, 1.0, 101)):
+            result = run(decay, x0, 0.0, 1.0, q,
+                         **linear_derivatives(-np.eye(2)))
+            assert_bitwise(result.states[0], x0)
+            assert_bitwise(result.states[-1], result.end_state)
 
     def test_vector_states(self):
         a = np.array([[0.0, 1.0], [-4.0, 0.0]])
@@ -456,18 +391,10 @@ class TestStreamedSamples:
         with pytest.raises(ode.OutOfRange):
             self._run(q)
 
-    def test_rodas4_bitwise_equal_to_sample(self):
-        q = np.linspace(0.0, 3.0, 301)
-        streamed = self._run(q, method=ode.RODAS4)
-        reference = self._nodes(q, method=ode.RODAS4)
-        assert_bitwise(streamed.states, reference.states)
-        assert streamed.stats == reference.stats
-
-    @METHODS
-    def test_queries_keep_the_steps(self, method):
+    def test_queries_keep_the_steps(self):
         # the steps, and so the counters and the end state, are the same
         # for no, sparse, repeated and dense queries
-        runs = [self._run(q, method=method)
+        runs = [self._run(q)
                 for q in ([], [1.5], [0.0, 0.0, 3.0, 3.0],
                           np.linspace(0.0, 3.0, 3001))]
         for other in runs[1:]:
@@ -489,3 +416,75 @@ class TestStreamedSamples:
             ode.integrate(lambda t, x: self.A @ x, np.array([1.0, 0.0]),
                           0.0, 3.0, **linear_derivatives(self.A),
                           t_eval=[0.0, 1.0], out=np.empty((3, 2)))
+
+
+class TestEtdWeights:
+    """ETDRK4's phi-function coefficients against 50-digit references."""
+
+    @staticmethod
+    def reference(z):
+        with mpmath.workdps(50):
+            z = mpmath.mpc(z)
+            if z == 0:
+                return [0.5, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0]
+            e = mpmath.exp(z)
+            return [complex(v) for v in (
+                (mpmath.exp(z / 2) - 1) / z,
+                (-4 - z + e * (4 - 3 * z + z**2)) / z**3,
+                (2 + z + e * (z - 2)) / z**3,
+                (-4 - 3 * z - z**2 + e * (4 - z)) / z**3)]
+
+    @pytest.mark.parametrize("z", [
+        0.0, 1e-8, -1e-8, 1e-8j, 1e-8 * np.exp(2j),
+        # |z| near 1, where the contour and the closed forms meet
+        1.0, -1.0, 1j, -1j, 0.999, 1.001, -0.999, -1.001j, np.exp(2.1j),
+        0.999 * np.exp(-0.7j), 1.001 * np.exp(2.5j),
+        -4000.0 * 0.05, -3.0, 5j, 30j, 0.5j,
+        -0.01 + 5j, -1e-3 + 1j, -1e-3 + 0.5j, -0.01 + 30j])
+    def test_matches_50_digits(self, z):
+        got = ode.etd_weights(np.array([z]))
+        for value, ref in zip(got, self.reference(z)):
+            assert abs(value[0] - ref) <= 1e-13 * abs(ref)
+
+    def test_keeps_shape(self):
+        z = np.array([[0.0, -1.0], [2j, -200.0]])
+        for value in ode.etd_weights(z):
+            assert value.shape == (2, 2)
+
+
+class TestCubicEtdrk4:
+    """The fixed-step kernel on y' = lambda y + g (Re row . y)^3."""
+
+    @staticmethod
+    def exact(t, y0=1.0):
+        # y' = -y - y^3: 1/y^2 + 1 grows like e^(2t)
+        return y0 * math.exp(-t) / math.sqrt(1.0 + y0**2
+                                             * (1.0 - math.exp(-2.0 * t)))
+
+    def run(self, h, tf=2.0):
+        kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
+                                  np.array([-1.0]), h)
+        y = np.array([1.0 + 0j])
+        for _ in range(round(tf / h)):
+            y = kernel.step(y)
+        return y[0]
+
+    def test_fourth_order(self):
+        errors = [abs(self.run(h) - self.exact(2.0))
+                  for h in (0.5, 0.25, 0.125, 0.0625)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 12.0
+
+    def test_linear_part_exact(self, rng):
+        # without the cubic term a step multiplies by e^(h lambda)
+        lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
+        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), 0.3)
+        np.testing.assert_allclose(kernel.step(y), np.exp(0.3 * lam) * y,
+                                   rtol=1e-15)
+
+    def test_overflowing_stage_raises(self):
+        kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
+                                  np.array([-1.0]), 0.5)
+        with raises_quietly(ode.NonFiniteState):
+            kernel.step(np.array([1e120 + 0j]))
