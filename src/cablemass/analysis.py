@@ -39,10 +39,6 @@ class GridMismatch(ValueError):
     """Two output series do not share the same time grid."""
 
 
-class EnergyStepBudget(RuntimeError):
-    """The energy study ran out of steps before a run passed its check."""
-
-
 # ETDRK4 steps (every run, every k tried) energy_decay may take.
 _ENERGY_STEP_BUDGET = 1_000_000
 # Samples energy_decay converts from modal to real coordinates at a time.
@@ -185,9 +181,9 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     y' = diag(lambda) y + g (Re row . y)^3 with g = V^-1 e_target
     nl_coeff and row = V[nl_state_index], and fixed-step ETDRK4
     (``ode.cubic_etdrk4``) integrates it with h = interval / k, so every
-    k-th step ends on a sample.  Runs are made at k = 1, 2, 4, ...; each
-    is compared at every sample with the run before it
-    (``_etdrk4_run``), and the first whose estimate is at most
+    k-th step ends on a sample.  Runs are made at k = 1, 2, 4, ...
+    (``ode.step_doubling``); each is compared at every sample with the
+    run before it (``_etdrk4_run``), and the first whose estimate is at most
     rtol * max ||x_h||_E + atol is kept.  So at least two runs are made,
     and no sample is kept unchecked.  A run whose state blows up is
     dropped, and the next one is compared with none.
@@ -196,7 +192,7 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     ------
     linalg.IllConditionedModes
         When A is too close to defective for its modal factor.
-    EnergyStepBudget
+    ode.StepBudget
         When the next k would take the steps past _ENERGY_STEP_BUDGET.
     """
     if sample_count < 2:
@@ -215,25 +211,13 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     states = np.empty((sample_count, x0.size))
     states[0] = x0
 
-    k, n_steps, compare = 1, 0, False
-    while True:
-        steps = k * (sample_count - 1)
-        if n_steps + steps > _ENERGY_STEP_BUDGET:
-            raise EnergyStepBudget(
-                f"{k} steps per sample would exceed {_ENERGY_STEP_BUDGET} "
-                f"ETDRK4 steps (after {n_steps})")
-        n_steps += steps
-        try:
-            est, scale = _etdrk4_run(modes, row, g, y0, k, interval, forms,
-                                     states, compare)
-        except ode.NonFiniteState:
-            compare = False
-        else:
-            if est <= rtol * scale + atol:
-                break
-            compare = True
-        k *= 2
+    def run(k, compare):
+        est, scale = _etdrk4_run(modes, row, g, y0, k, interval, forms,
+                                 states, compare)
+        return est, est <= rtol * scale + atol
 
+    k, n_steps, est = ode.step_doubling(run, sample_count - 1,
+                                        _ENERGY_STEP_BUDGET)
     times = np.linspace(0.0, tf, sample_count)
     e, ek, ep = compute_energy(forms, sys.params, states)
     integration = dict(step=interval / k, steps_per_sample=k,

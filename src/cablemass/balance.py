@@ -22,6 +22,7 @@ checked once for the pair, on that factor's eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,9 @@ class ReducedSystem:
     cubic force distributes over the reduced equations), so the
     nonlinear term can be evaluated in O(r) without ever forming a
     full-order vector.
+
+    A_r is read-only (``reduce`` marks it so): modes is derived from it
+    once and kept, and an in-place write would leave it stale.
     """
 
     ar: np.ndarray
@@ -77,6 +81,16 @@ class ReducedSystem:
     nl_in_weights: np.ndarray
     nl_coeff: float
     r: int
+
+    @cached_property
+    def modes(self) -> linalg.ModalForm:
+        """The eigendecomposition of A_r, computed on first use and kept.
+
+        Only the forced runs step in modal coordinates, so ``reduce``
+        never pays for it.  Raises ``linalg.IllConditionedModes`` where
+        A_r is nearly defective.
+        """
+        return linalg.modal_factor(self.ar)
 
 
 def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -158,8 +172,10 @@ def reduce(sys: StateSpaceSystem, bal: BalanceResult) -> ReducedSystem:
     if bal.tr.shape[0] != two_n or bal.sr.shape[1] != two_n:
         raise DimensionMismatch(
             f"projection is {bal.tr.shape[0]}-state, system is {two_n}-state")
+    ar = bal.sr @ sys.a @ bal.tr
+    ar.flags.writeable = False
     return ReducedSystem(
-        ar=bal.sr @ sys.a @ bal.tr,
+        ar=ar,
         br=bal.sr @ sys.b,
         cr=sys.c @ bal.tr,
         nl_out_weights=bal.sr[:, sys.nl_target_index].copy(),

@@ -27,16 +27,19 @@ node.  Adding h/(2 m0) times the second velocity row to the first, and
 h/(2 ml) times the second-to-last to the last, cancels that third
 coefficient in the beta^2 part and the gamma part alike, so P K and P G
 are tridiagonal.  fom_jacobian returns the Jacobian in that form, an
-``ode.SecondOrderJacobian``, and the integrator solves each Rosenbrock
-system through its tridiagonal velocity Schur complement in the [d; v]
-ordering.  fom_rhs multiplies by a cached CSR copy of A through
+``ode.SecondOrderJacobian``, and the Rosenbrock integrator solves each
+of its systems through the tridiagonal velocity Schur complement in the
+[d; v] ordering.  fom_rhs multiplies by a cached CSR copy of A through
 scipy.sparse's kernel, O(n) per call instead of the dense product's
-O(n^2).
+O(n^2).  The library's own runs step in modal coordinates instead
+(``modes``), so fom_rhs and fom_jacobian serve the tests' Rosenbrock
+reference runs.
 
 A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
 frequencies; its modal factor (``StateSpaceSystem.modes``) is computed
-once for the energy study's exponential integrator.  A is read-only, so
+once for the exponential integrator of the energy study and the forced
+runs.  A is read-only, so
 the tridiagonal pieces, the CSR copy and the factors derived from it
 cannot go stale.
 """
@@ -208,8 +211,8 @@ class StateSpaceSystem:
     def modes(self) -> linalg.ModalForm:
         """The eigendecomposition of A, computed on first use and kept.
 
-        Only the energy study steps in modal coordinates, so the
-        balancing and the forced runs never pay for it.  Raises
+        The energy study and the forced runs step in modal
+        coordinates; the balancing never pays for it.  Raises
         ``linalg.IllConditionedModes`` where A is nearly defective.
         """
         return linalg.modal_factor(self.a)

@@ -1,17 +1,32 @@
-"""Stiff integrators: an adaptive Rosenbrock method and fixed-step ETDRK4.
+"""Stiff integrators: fixed-step ETDRK4 and an adaptive Rosenbrock method.
+
+``CubicEtdrk4`` is the fourth-order exponential time-differencing
+Runge-Kutta method of Cox and Matthews (2002, J. Comput. Phys. 176) for
+y' = diag(lambda) y + bm u(t) + g (Re row . y)^3: a model in the
+eigenvector coordinates of A (``linalg.modal_factor``), with an optional
+input column bm.  The linear part is integrated exactly, so a step costs
+O(n) whatever the stiffness; its stiff order is discussed by Hochbruck
+and Ostermann (2010, Acta Numerica).  It has no error estimate of its
+own: ``step_doubling`` makes runs at k = 1, 2, 4, ... steps per sample
+interval until one agrees with the run before it to the caller's
+tolerance.  ``etd_weights`` evaluates its phi-function coefficients
+(Kassam and Trefethen 2005, SIAM J. Sci. Comput. 26(4)).  The energy
+study and the forced FOM and ROM runs all step this way.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
 implicit, L-stable second-order step with an embedded third-order error
-estimate, built for crude tolerances.  An attempt factors
+estimate, built for crude tolerances.  No library run calls it any
+more: the tests keep it as an independent adaptive reference, and the
+benchmark's tracer still names it.  An attempt factors
 W = I - h d J (d = 1/(2 + sqrt 2)) once and costs one factorisation,
 three solves and two right-hand-side evaluations.  An accepted step
 carries the state and its derivative at both ends, which gives a free
 cubic Hermite interpolant for dense output.
 
 The caller supplies the exact state Jacobian J and time derivative
-df/dt, which the Rosenbrock formulas are written with; both models here
-have them in closed form.  ``integrate`` takes the caller's query times
+df/dt, which the Rosenbrock formulas are written with; both models have
+them in closed form.  ``integrate`` takes the caller's query times
 ``t_eval`` and, as it accepts each step, writes the step's interpolant
 (``sample``) at the queries the step covers into the caller's array; it
 keeps no node, so its memory grows with the number of queries, not with
@@ -31,15 +46,6 @@ model's small dense matrix) is factored densely by ``lu_factor`` and
 step costs call overhead, not arithmetic, and the argument handling of
 ``scipy.linalg.lu_factor``/``lu_solve`` takes several times longer than
 the LAPACK calls themselves.
-
-``CubicEtdrk4`` is the fourth-order exponential time-differencing
-Runge-Kutta method of Cox and Matthews (2002, J. Comput. Phys. 176) for
-y' = diag(lambda) y + g (Re row . y)^3, the unforced model in the
-eigenvector coordinates of A (``linalg.modal_factor``).  The linear part
-is integrated exactly, so a step costs O(n) whatever the stiffness; it
-has no error estimate of its own, and its caller checks the step by step
-doubling.  ``etd_weights`` evaluates its phi-function coefficients
-(Kassam and Trefethen 2005, SIAM J. Sci. Comput. 26(4)).
 """
 
 from __future__ import annotations
@@ -77,6 +83,10 @@ class NonFiniteState(RuntimeError):
 
 class OutOfRange(ValueError):
     """A query time lies outside the integrated span."""
+
+
+class StepBudget(RuntimeError):
+    """Step doubling ran out of steps before a run passed its check."""
 
 
 @dataclass
@@ -495,18 +505,20 @@ def etd_weights(z) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class CubicEtdrk4:
-    """ETDRK4 steps of one size h for y' = diag(lam) y + g (Re row . y)^3.
+    """ETDRK4 steps of one size h for y' = diag(lam) y + bm u(t) + g s(y)^3.
 
-    The cubic term is the fixed column g times the cube of one scalar,
-    so each stage needs that scalar only: with s(y) = Re row . y, the
-    stage scalars of a step from y follow from the three dot products in
-    ``rows`` @ y, and the step itself is e^(h lam) y plus the columns of
-    ``w`` weighted by the stage cubes.  Build it with ``cubic_etdrk4``.
+    Here s(y) = Re row . y.  The cubic term is the fixed column g times
+    the cube of one scalar, and the input term the fixed column bm times
+    u(t), so each stage needs that scalar only: the stage scalars of a
+    step from y follow from the three dot products in ``rows`` @ y, and
+    the step itself is e^(h lam) y plus the rows of ``w`` weighted by the
+    stage cubes and the input values.  Build it with ``cubic_etdrk4``.
 
     e : e^(h lam).  rows : (3, m), row, row e^(h lam / 2) and
-    row e^(h lam).  w : (3, m), h f1 g, 2 h f2 g and h f3 g
-    (``etd_weights``).  alpha, beta : Re row . (h q g) and
-    Re row . (e^(h lam / 2) h q g).
+    row e^(h lam).  w : h f1 g, 2 h f2 g and h f3 g (``etd_weights``),
+    followed, when there is an input column, by h f1 bm, 2 h f2 bm and
+    h f3 bm.  alpha, beta : Re row . (h q g) and
+    Re row . (e^(h lam / 2) h q g); gamma, delta : the same with bm.
     """
 
     e: np.ndarray
@@ -514,47 +526,98 @@ class CubicEtdrk4:
     w: np.ndarray
     alpha: float
     beta: float
+    gamma: float = 0.0
+    delta: float = 0.0
 
-    def step(self, y: np.ndarray) -> np.ndarray:
+    def step(self, y: np.ndarray, u0: float = 0.0, uh: float = 0.0,
+             u1: float = 0.0) -> np.ndarray:
         """The state one step of h after y (Cox and Matthews 2002).
 
-        With the stage states a = e^(hL/2) y + h q N(y),
-        b = e^(hL/2) y + h q N(a) and
-        c = e^(hL/2) a + h q (2 N(b) - N(y)), the step is
-        e^(hL) y + h f1 N(y) + 2 h f2 (N(a) + N(b)) + h f3 N(c).
+        u0, uh and u1 are the input at the step's start, middle and end.
+        With N(y, t) = g s(y)^3 + bm u(t) and the stage states
+        a = e^(hL/2) y + h q N(y, t),
+        b = e^(hL/2) y + h q N(a, t + h/2) and
+        c = e^(hL/2) a + h q (2 N(b, t + h/2) - N(y, t)), the step is
+        e^(hL) y + h f1 N(y, t) + 2 h f2 (N(a, t + h/2) + N(b, t + h/2))
+        + h f3 N(c, t + h).  Without an input column gamma and delta
+        are 0 and w has no input rows, so the input takes no part.
 
         Raises NonFiniteState when a stage value is not finite, which a
         step too long for the cubic term can cause.
         """
         s_y, p, r = (self.rows @ y).real.tolist()
-        alpha = self.alpha
+        alpha, gamma = self.alpha, self.gamma
         # Python floats: a product that overflows gives inf, not an error
         c_y = s_y * s_y * s_y
-        s_a = p + alpha * c_y
+        s_a = p + alpha * c_y + gamma * u0
         c_a = s_a * s_a * s_a
-        s_b = p + alpha * c_a
+        s_b = p + alpha * c_a + gamma * uh
         c_b = s_b * s_b * s_b
-        s_c = r + self.beta * c_y + alpha * (2.0 * c_b - c_y)
+        s_c = (r + self.beta * c_y + self.delta * u0
+               + alpha * (2.0 * c_b - c_y) + gamma * (2.0 * uh - u0))
         c_c = s_c * s_c * s_c
         if not math.isfinite(c_c):
             raise NonFiniteState("ETDRK4 stage value not finite")
         out = self.e * y
-        out += np.array([c_y, c_a + c_b, c_c]) @ self.w
+        # the input's three weights only where w has the input's rows
+        out += np.array([c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1][:len(self.w)]
+                        ) @ self.w
         return out
 
 
-def cubic_etdrk4(lam, row, g, h: float) -> CubicEtdrk4:
-    """The ETDRK4 step of size h for y' = diag(lam) y + g (Re row . y)^3.
+def cubic_etdrk4(lam, row, g, h: float, bm=None) -> CubicEtdrk4:
+    """The ETDRK4 step of size h for y' = diag(lam) y + bm u + g (Re row . y)^3.
 
-    lam, row and g are complex vectors of one length; the coefficients
-    are computed here, once per h.
+    lam, row, g and the input column bm are complex vectors of one
+    length; without bm the system is unforced.  The coefficients are
+    computed here, once per h.
     """
     z = h * np.asarray(lam, dtype=complex)
     q, f1, f2, f3 = etd_weights(z)
     half = np.exp(0.5 * z)
     e = np.exp(z)
     hqg = h * q * g
+    cols = [f1 * g, 2.0 * f2 * g, f3 * g]
+    gamma = delta = 0.0
+    if bm is not None:
+        cols += [f1 * bm, 2.0 * f2 * bm, f3 * bm]
+        hqb = h * q * bm
+        gamma = float((row @ hqb).real)
+        delta = float((row @ (half * hqb)).real)
     return CubicEtdrk4(
-        e=e, rows=np.array([row, row * half, row * e]),
-        w=h * np.array([f1 * g, 2.0 * f2 * g, f3 * g]),
-        alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real))
+        e=e, rows=np.array([row, row * half, row * e]), w=h * np.array(cols),
+        alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real),
+        gamma=gamma, delta=delta)
+
+
+def step_doubling(run, steps_per_k: int, budget: int):
+    """Runs at k = 1, 2, 4, ... steps per unit until one passes its check.
+
+    run(k, compare) makes the run of k steps per unit, steps_per_k * k
+    steps in all, and returns (est, ok): its error estimate and whether
+    that passes the caller's tolerance.  With compare set, the run is
+    checked against the last one made before it; without, there is
+    nothing to check it against and ok must be false.  A run that raises
+    NonFiniteState is dropped, and the next one is made without compare.
+    Returns (k, n_steps, est) of the first run that passes, where
+    n_steps counts every run made.
+
+    Raises StepBudget when the next run would take the steps past
+    budget.
+    """
+    k, n_steps, compare = 1, 0, False
+    while True:
+        steps = k * steps_per_k
+        if n_steps + steps > budget:
+            raise StepBudget(f"{k} steps per unit would exceed {budget} "
+                             f"ETDRK4 steps (after {n_steps})")
+        n_steps += steps
+        try:
+            est, ok = run(k, compare)
+        except NonFiniteState:
+            compare = False
+        else:
+            if ok:
+                return k, n_steps, est
+            compare = True
+        k *= 2

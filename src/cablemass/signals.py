@@ -13,10 +13,12 @@ plus the zero input for unforced energy studies.  The square wave is
 +1 where sin > 0, -1 where sin < 0 and 0 at the crossings, so input4
 takes values in {+0.1, 0, -0.1} exactly.
 
-``eval_input_derivative`` gives u'(t) in closed form, which the
-integrator needs for df/dt = B u'(t).  The square wave jumps at its
-``breakpoints`` t = 5k and is constant in between, so its u' is 0; a
-simulation integrates it segment by segment, never across a jump.
+The square wave jumps at its ``breakpoints`` t = 5k and is constant in
+between; a simulation ends a step on every jump, never steps across one.
+``eval_input_derivative`` gives u'(t) in closed form (0 for the square
+wave between its jumps), which the Rosenbrock integrator
+(``ode.integrate``) needs for df/dt = B u'(t); no library run calls it
+any more.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ import pytest
 
 from cablemass import linalg, ode
 from cablemass.model import PhysicalParams
+from cablemass.signals import (PIECEWISE_CONSTANT, breakpoints, eval_input,
+                               eval_input_derivative)
 
 # Damping scenarios used throughout (fixed parameters l=1, m0=1,
 # ml=1.5, k3=1, beta=1 are the dataclass defaults).
@@ -139,3 +141,57 @@ def node_sampled(rhs, x0, t0, tf, t_eval, out, *, jacobian, **kwargs):
     out[:] = ode.sample(s[:, None], hseg[:, None], y[idx], f[idx],
                         y[idx + 1], f[idx + 1])
     return ode.Samples(states=out, end_state=run.end_state, stats=run.stats)
+
+
+def integrate_sampled(rhs_fn, jac_fn, model, b, spec, x0, t0, tf,
+                      sample_count, rtol, atol):
+    """An adaptive ``ode.integrate`` run of a model, sampled on a grid.
+
+    Integrates x' = rhs_fn(model, x, u(t)) from x(t0) = x0 with the
+    Ros2(3) pair; jac_fn(model, x) is the state Jacobian and b the input
+    column, so df/dt = b u'(t).  Each piece between the input's
+    breakpoints is one ``ode.integrate`` call that writes the grid
+    points it covers into the rows of one array, with a square wave held
+    at its value on that piece, and the next piece starts from its exact
+    end state.  Returns the grid of sample_count points on [t0, tf], the
+    sampled states and the counters summed over the pieces.  The
+    independent reference for the library's ETDRK4 runs, and the
+    model-driven exercise of ``ode.integrate``.
+    """
+    grid = np.linspace(t0, tf, sample_count)
+    cuts = breakpoints(spec, t0, tf)
+    edges = [float(t0), *cuts.tolist(), float(tf)]
+    first = [0, *np.searchsorted(grid, cuts, side="right").tolist(),
+             grid.size]
+    x = np.asarray(x0, dtype=float)
+    states = np.empty((grid.size, x.size))
+    stats = ode.IntegratorStats()
+    zero = np.zeros(x.size)
+
+    def jac(t, x):
+        return jac_fn(model, x)
+
+    for k in range(len(edges) - 1):
+        a, c = edges[k], edges[k + 1]
+        if spec.kind in PIECEWISE_CONSTANT:
+            u = eval_input(spec, 0.5 * (a + c))
+
+            def rhs(t, x, u=u):
+                return rhs_fn(model, x, u)
+
+            def dfdt(t, x):
+                return zero
+        else:
+            def rhs(t, x):
+                return rhs_fn(model, x, eval_input(spec, t))
+
+            def dfdt(t, x):
+                return b * eval_input_derivative(spec, t)
+
+        rows = slice(first[k], first[k + 1])
+        piece = ode.integrate(rhs, x, a, c, rtol=rtol, atol=atol,
+                              jacobian=jac, dfdt=dfdt, t_eval=grid[rows],
+                              out=states[rows])
+        stats = stats + piece.stats
+        x = piece.end_state
+    return grid, states, stats

@@ -7,16 +7,16 @@ import pytest
 
 from scipy.integrate import solve_ivp
 
-from cablemass import analysis, linalg
+from cablemass import analysis, linalg, ode
 from cablemass.analysis import (GridMismatch, accurate_prefix, compute_energy,
                                 energy_decay, local_maxima, output_error,
                                 stability_margin)
 from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import (DimensionMismatch, PhysicalParams, build_system,
                              fom_jacobian, fom_rhs, quadratic_forms)
-from cablemass.rom import _integrate_sampled
 from cablemass.signals import InputSpec
-from conftest import EXAMPLE1, EXAMPLE2_SMALL, record_integrate, schur_system
+from conftest import (EXAMPLE1, EXAMPLE2_SMALL, integrate_sampled,
+                      record_integrate, schur_system)
 
 
 def series(times, values):
@@ -176,7 +176,7 @@ class TestEnergyDecay:
         sys = build_system(EXAMPLE1, 10)
         forms = quadratic_forms(EXAMPLE1, 10)
         x0 = _energy_initial_data(EXAMPLE1, 10)
-        with pytest.raises(analysis.EnergyStepBudget):
+        with pytest.raises(ode.StepBudget):
             energy_decay(sys, forms, x0, 5.0, rtol=1e-15, atol=1e-30,
                          sample_count=101)
 
@@ -216,7 +216,7 @@ class TestEnergyDecay:
                         method="Radau", t_eval=grid, rtol=1e-11, atol=1e-12,
                         jac=lambda t, x: fom_jacobian(sys, x).dense())
         e_ref = energies(ref.y.T)
-        _, states, _ = _integrate_sampled(
+        _, states, _ = integrate_sampled(
             fom_rhs, fom_jacobian, sys, sys.b[:, 0], InputSpec(kind="zero"),
             x0, 0.0, tf, count, rtol, atol)
         e_ros23 = energies(states)

@@ -187,6 +187,28 @@ class TestReduce:
                                    bal.sr[:, sys.nl_target_index], atol=0)
         assert red.nl_coeff == sys.nl_coeff
 
+    def test_modes_factored_once_and_lazily(self, example1_n20, monkeypatch):
+        # reduce leaves the modal factor to the forced runs, which
+        # factor A_r once and share read-only arrays
+        sys, p, q = example1_n20
+        shapes = []
+        real = linalg.modal_factor
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(linalg, "modal_factor", recording)
+        red = reduce(sys, square_root_transform(p, q, 4))
+        assert shapes == [] and "modes" not in vars(red)
+        modes = red.modes
+        assert red.modes is modes and shapes == [(4, 4)]
+        for arr in (red.ar, modes.eigenvalues, modes.v, modes.lu, modes.piv):
+            assert not arr.flags.writeable
+        v, lam = modes.v, modes.eigenvalues
+        rel = np.linalg.norm(v @ np.diag(lam) @ np.linalg.inv(v) - red.ar)
+        assert rel <= 1e-12 * np.linalg.norm(red.ar)
+
     def test_reduced_matrix_stable(self, example1_n20):
         sys, p, q = example1_n20
         red = reduce(sys, square_root_transform(p, q, 4))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -284,6 +285,52 @@ def artifacts(tmp_path_factory):
     return run_command("compare", cfg), out, cfg
 
 
+def _fmt(value) -> str:
+    """The reference formatting of one CSV value, a value at a time."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+class TestCsvFormat:
+    """Rows formatted by one template equal the value-at-a-time reference."""
+
+    VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, -1e-300,
+              5e-324, 1e300, 0.1, -1.0 / 3.0, 123456789.0, 1.0, -7.0]
+
+    def test_floats(self, tmp_path, rng):
+        values = np.array(self.VALUES + rng.standard_normal(40).tolist()
+                          + (10.0 ** rng.uniform(-300, 300, 40)).tolist())
+        rows = values.reshape(-1, 5)
+        path = tmp_path / "f.csv"
+        cli._write_csv(path, ("a", "b", "c", "d", "e"), rows.tolist())
+        expected = "a,b,c,d,e\n" + "".join(
+            ",".join(_fmt(x) for x in row) + "\n" for row in rows)
+        assert path.read_text() == expected
+
+    def test_hsv_index_and_error_labels(self, tmp_path):
+        hsv = np.array([2.0, 1e-300, 5e-324, 0.0])
+        path = tmp_path / "hsv.csv"
+        cli.write_hsv_csv(path, hsv)
+        expected = "index,sigma,bound\n" + "".join(
+            ",".join(_fmt(x) for x in (i + 1, hsv[i],
+                                       cli.balance.error_bound(hsv, i + 1)))
+            + "\n" for i in range(hsv.size))
+        assert path.read_text() == expected
+        metrics = SimpleNamespace(
+            rel_l2_per_channel=np.array([-0.0, np.nan]),
+            rel_linf_per_channel=np.array([np.inf, 1e-300]),
+            rel_l2=0.1, rel_linf=3)
+        path = tmp_path / "error.csv"
+        cli.write_error_csv(path, metrics)
+        rows = [("y1", -0.0, np.inf), ("y2", np.nan, 1e-300),
+                ("combined", 0.1, 3)]
+        assert path.read_text() == "channel,rel_l2,rel_linf\n" + "".join(
+            ",".join(_fmt(x) for x in row) + "\n" for row in rows)
+
+
 class TestRunExperiment:
     """Artifacts of one full ``compare`` run."""
 
@@ -453,25 +500,24 @@ class TestMain:
         assert k >= 2 and steps == 999 * (2 * k - 1)
         assert est > 0.0 and 1.0 <= cond <= linalg.MODAL_COND_MAX
 
-    @pytest.mark.parametrize("preset,rtol,warns", [
-        ("small_stiff_ex5_in4", 1e-3, True),
-        ("small_stiff_ex5_in4", 1e-6, False),
-        ("small_damp_ex1_in2", 1e-3, False)])
-    def test_near_marginal_warning(self, tmp_path, capsys, preset, rtol,
-                                   warns):
-        # small_stiff_ex5_in4's abscissa is -6.85e-10 at n = 20
-        cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(tiny_config(tmp_path / "run", preset=preset,
-                                        tf=2.0).replace(
-            "rtol = 1e-4", f"rtol = {rtol}"))
-        assert main(["simulate", "--config", str(cfg_path)]) == 0
-        warnings = [line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("warning:")]
-        if warns:
-            assert len(warnings) == 1
-            assert "-6.85e-10" in warnings[0] and "0.001" in warnings[0]
-        else:
-            assert warnings == []
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_forced_runs_log_integrator(self, tmp_path, capsys, command):
+        assert main([command, "--preset", "small_damp_ex5_in4", "--n", "20",
+                     "--r", "4", "--tf", "20", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for label in ("FOM", "ROM"):
+            match = next(filter(None, (re.fullmatch(
+                label + r" integrator ETDRK4: h=(\S+) \((\d+) per sample\), "
+                r"(\d+) steps, error estimate (\S+), cond\(V\) (\S+)", line)
+                for line in lines)))
+            h, est, cond = (float(match[i]) for i in (1, 4, 5))
+            k, steps = int(match[2]), int(match[3])
+            # 999 sample intervals on [0, 20], 3 of them cut by a jump
+            # (t = 5, 10, 15), k steps each in the kept run and one run
+            # at each smaller k = 1, 2, ... before it
+            assert h == pytest.approx(20.0 / 999 / k, rel=1e-5)
+            assert k >= 2 and steps == 1002 * (2 * k - 1)
+            assert est > 0.0 and 1.0 <= cond <= linalg.MODAL_COND_MAX
 
     def test_bad_preset_fails(self, capsys):
         assert main(["eigs", "--preset", "nonsense"]) == 1

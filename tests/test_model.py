@@ -143,7 +143,7 @@ class TestBuildSystem:
         assert rel <= 1e-12 * np.linalg.norm(sys.a)
 
     def test_modes_factored_once_and_lazily(self):
-        # only the energy study needs the modal factor
+        # only the ETDRK4 runs need the modal factor
         sys = build_system(EXAMPLE1, 5)
         sys.schur, sys.a_second_order, sys.a_matvec
         assert "modes" not in vars(sys)

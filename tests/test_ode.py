@@ -483,6 +483,46 @@ class TestCubicEtdrk4:
         np.testing.assert_allclose(kernel.step(y), np.exp(0.3 * lam) * y,
                                    rtol=1e-15)
 
+    def test_constant_input_exact(self, rng):
+        # y' = lambda y + bm u with u constant: h (f1 + 4 f2 + f3) is
+        # h phi_1, so a step is exact
+        lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
+        bm = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        h, u = 0.3, 0.7
+        kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), h, bm)
+        e = np.exp(h * lam)
+        np.testing.assert_allclose(kernel.step(y, u, u, u),
+                                   e * y + (e - 1.0) / lam * bm * u,
+                                   rtol=1e-14)
+
+    def test_smooth_input_fourth_order(self):
+        # y' = -y - y^3 + u(t) with u chosen so that y = sin(t) / 2
+        def u(t):
+            y = 0.5 * math.sin(t)
+            return 0.5 * math.cos(t) + y + y**3
+
+        errors = []
+        for h in (0.5, 0.25, 0.125, 0.0625):
+            kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
+                                      np.array([-1.0]), h, np.array([1.0]))
+            y = np.array([0j])
+            for i in range(round(2.0 / h)):
+                y = kernel.step(y, u(i * h), u((i + 0.5) * h), u((i + 1) * h))
+            errors.append(abs(y[0] - 0.5 * math.sin(2.0)))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 12.0
+
+    def test_zero_input_is_unforced(self, rng):
+        # with an input column and u = 0 a step is the unforced one
+        lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
+        row, g, bm, y = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
+                         for _ in range(4))
+        unforced = ode.cubic_etdrk4(lam, row, g, 0.3)
+        forced = ode.cubic_etdrk4(lam, row, g, 0.3, bm)
+        np.testing.assert_allclose(forced.step(y), unforced.step(y),
+                                   rtol=1e-14)
+
     def test_overflowing_stage_raises(self):
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                   np.array([-1.0]), 0.5)

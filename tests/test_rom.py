@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,8 @@ from cablemass.model import DimensionMismatch, PhysicalParams, build_system, \
     eval_nonlinearity, fom_jacobian, fom_rhs
 from cablemass.signals import eval_input, eval_input_derivative, \
     input_preset, resolve_input
-from conftest import EXAMPLE1, node_sampled, record_integrate
+from conftest import (EXAMPLE1, integrate_sampled, node_sampled,
+                      record_integrate)
 
 
 @pytest.fixture(scope="module")
@@ -146,75 +148,223 @@ class TestSimulate:
         assert series.times[0] == 0.0 and series.times[-1] == 10.0
 
 
-class TestPiecewise:
-    """Simulations integrate between the input's breakpoints."""
+def fixed_k(monkeypatch, k):
+    """Make the forced runs keep the run at k, checked against k / 2."""
+    def doubling(run, steps_per_k, budget):
+        if k > 1:
+            run(k // 2, False)
+        est, _ = run(k, k > 1)
+        return k, steps_per_k * (k + k // 2), est
 
-    def test_square_wave_segments(self, reduced_n20, monkeypatch):
-        _, _, red = reduced_n20
-        calls = record_integrate(monkeypatch)
-        rom.simulate_rom(red, input_preset("input4"), 0.0, 100.0)
-        assert [(c.t0, c.tf) for c in calls] == \
-            [(5.0 * k, 5.0 * k + 5.0) for k in range(20)]
-        # each piece starts from the exact end state of the one before
-        for before, after in zip(calls, calls[1:]):
-            np.testing.assert_array_equal(after.x0, before.result.end_state)
-        # and holds the input at the square wave's value on that piece
-        for k, call in enumerate(calls):
-            for t, x in ((call.t0, call.x0), (call.tf, call.result.end_state)):
-                push = call.rhs(t, x) - rom.rom_rhs(red, x, 0.0)
-                np.testing.assert_allclose(push,
-                                           red.br[:, 0] * 0.1 * (-1) ** k,
-                                           rtol=1e-9, atol=1e-12)
+    monkeypatch.setattr(ode, "step_doubling", doubling)
+
+
+class TestPiecewise:
+    """Simulations step between the input's breakpoints."""
+
+    def test_square_wave_segments(self):
+        # every jump of input4 on [0, 100] ends one interval and starts
+        # the next, and each interval's steps hold the square wave's
+        # value on it
+        spec = input_preset("input4")
+        interval = 100.0 / 999
+        starts, lengths, paths = rom._intervals(
+            spec, np.linspace(0.0, 100.0, 1000), interval)
+        jumps = 5.0 * np.arange(1, 20)
+        assert np.isin(jumps, starts).all()
+        inside = (jumps[:, None] > starts) & \
+            (jumps[:, None] < starts + lengths)
+        assert not inside.any()
+        # no jump falls on a grid time, so 19 sample intervals are cut
+        # in two, and those pieces are the only other step sizes
+        assert len(paths) == 999
+        cut = [path for path in paths if path != (None,)]
+        assert len(cut) == 19 and all(len(path) == 2 for path in cut)
+        assert sum(len(path) for path in paths) == starts.size == 1018
+        np.testing.assert_array_equal(lengths[lengths != interval],
+                                      [p for path in cut for p in path])
+        for k in (1, 4):
+            held = np.array(rom._stage_inputs(spec, starts, lengths, k))
+            value = 0.1 * (-1.0) ** np.floor(starts / 5.0)
+            np.testing.assert_array_equal(
+                held, np.repeat(value, 3 * k).reshape(-1, 3))
 
     def test_smooth_input_one_call(self, reduced_n20, monkeypatch):
+        # one eval_input call per run, at every stage time of the run
         sys, _, red = reduced_n20
-        calls = record_integrate(monkeypatch)
-        rom.simulate_rom(red, resolve_input(input_preset("input2"), sys),
-                         0.0, 100.0)
-        assert [(c.t0, c.tf) for c in calls] == [(0.0, 100.0)]
+        calls = []
+
+        def recording(spec, t):
+            calls.append(np.array(t))
+            return eval_input(spec, t)
+
+        monkeypatch.setattr(rom, "eval_input", recording)
+        series = rom.simulate_rom(
+            red, resolve_input(input_preset("input2"), sys), 0.0, 100.0)
+        k = series.stats.steps_per_sample
+        assert len(calls) == k.bit_length()  # the runs at 1, 2, ..., k
+        for i, times in enumerate(calls):
+            h = (100.0 / 999) / 2**i
+            assert times.shape == (999, 2 * 2**i + 1)
+            np.testing.assert_allclose(
+                times, series.times[:-1, None] + 0.5 * h
+                * np.arange(2 * 2**i + 1), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("model", ["rom", "fom"])
-    def test_stats_summed(self, reduced_n20, monkeypatch, model):
+    def test_stats_summed(self, reduced_n20, model):
+        # n_steps counts the steps of every run made: k per interval at
+        # k = 1, 2, ... up to the kept run's k
         sys, _, red = reduced_n20
-        calls = record_integrate(monkeypatch)
+        spec = input_preset("input4")
         if model == "rom":
-            series = rom.simulate_rom(red, input_preset("input4"), 0.0, 30.0)
+            series = rom.simulate_rom(red, spec, 0.0, 30.0)
         else:
-            series = rom.simulate_fom(sys, input_preset("input4"), 0.0, 30.0)
-        assert len(calls) == 6
-        total = ode.IntegratorStats()
-        for call in calls:
-            total = total + call.result.stats
-        assert series.stats == total
+            series = rom.simulate_fom(sys, spec, 0.0, 30.0)
+        starts, _, _ = rom._intervals(spec, series.times, 30.0 / 999)
+        s = series.stats
+        assert s.steps_per_sample >= 2
+        assert s.n_steps == starts.size * (2 * s.steps_per_sample - 1)
+        assert s.step == 30.0 / 999 / s.steps_per_sample
 
-    @pytest.mark.parametrize("model", ["rom", "fom"])
-    def test_forced_runs_take_the_2_3_pair(self, reduced_n20, monkeypatch,
-                                           model):
-        # outputs.csv and error.csv are made by the adaptive 2(3) pair:
-        # two right-hand sides per attempt, after f0 and the start-step
-        # probe of each piece
-        sys, _, red = reduced_n20
-        calls = record_integrate(monkeypatch)
-        if model == "rom":
-            rom.simulate_rom(red, input_preset("input4"), 0.0, 20.0)
-        else:
-            rom.simulate_fom(sys, input_preset("input4"), 0.0, 20.0)
-        assert calls
-        for call in calls:
-            s = call.result.stats
-            assert s.n_rhs == 2 + 2 * (s.n_steps + s.n_rejected)
-
-    def test_breakpoint_samples_are_stored_states(self, reduced_n20,
-                                                  monkeypatch):
+    def test_breakpoint_samples_are_stored_states(self, reduced_n20):
+        # the grid 0, 5, ..., 100 puts a sample on every breakpoint: no
+        # interval is cut, and the samples agree with those of a run on
+        # the grid 0, 0.5, ..., 100 at the shared times
         _, _, red = reduced_n20
+        spec = input_preset("input4")
+        starts, _, paths = rom._intervals(
+            spec, np.linspace(0.0, 100.0, 21), 5.0)
+        assert starts.size == 20 and set(paths) == {(None,)}
+        coarse = rom.simulate_rom(red, spec, 0.0, 100.0, sample_count=21)
+        fine = rom.simulate_rom(red, spec, 0.0, 100.0, sample_count=201)
+        np.testing.assert_array_equal(fine.times[::10], coarse.times)
+        scale = np.abs(fine.values).max(axis=0)
+        assert (np.abs(coarse.values - fine.values[::10]).max(axis=0)
+                <= 1e-3 * scale).all()
+
+
+class TestEtdrk4Runs:
+    """The forced runs: fixed-step ETDRK4 checked by step doubling."""
+
+    @pytest.fixture(params=["rom", "fom"])
+    def simulate(self, request, reduced_n20):
+        sys, _, red = reduced_n20
+        model = red if request.param == "rom" else sys
+        fn = rom.simulate_rom if request.param == "rom" else rom.simulate_fom
+        return lambda spec, **kw: fn(model, spec, 0.0, 20.0, **kw)
+
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_forced_runs_take_etdrk4(self, reduced_n20, monkeypatch, model):
+        # no adaptive run, and the kept run meets rtol and atol per
+        # channel by its estimate
+        sys, _, red = reduced_n20
         calls = record_integrate(monkeypatch)
-        # the grid 0, 5, ..., 100 puts a sample on every breakpoint
-        series = rom.simulate_rom(red, input_preset("input4"), 0.0, 100.0,
-                                  sample_count=21)
-        assert not np.isnan(series.values).any()
-        stored = np.array([call.x0 for call in calls]
-                          + [calls[-1].result.end_state])
-        np.testing.assert_array_equal(series.values, stored @ red.cr.T)
+        spec = input_preset("input4")
+        if model == "rom":
+            series = rom.simulate_rom(red, spec, 0.0, 20.0)
+        else:
+            series = rom.simulate_fom(sys, spec, 0.0, 20.0)
+        assert calls == []
+        s = series.stats
+        assert s.steps_per_sample >= 2
+        scale = np.abs(series.values).max(axis=0)
+        assert 0.0 < s.error_estimate <= (1e-3 * scale + 1e-6).min()
+        modes = red.modes if model == "rom" else sys.modes
+        assert s.cond_v == modes.cond
+
+    @pytest.mark.parametrize("input_name", ["input1", "input4"])
+    def test_estimate_tracks_true_error(self, simulate, monkeypatch,
+                                        input_name):
+        # est from the runs at k and k / 2 against the error of the run
+        # at k from the one at k = 32, at 10x the input
+        spec = replace(input_preset(input_name), scale=10.0)
+        fixed_k(monkeypatch, 32)
+        ref = simulate(spec, sample_count=101).values
+        for k in (2, 4, 8):
+            fixed_k(monkeypatch, k)
+            series = simulate(spec, sample_count=101)
+            error = np.abs(series.values - ref).max()
+            assert series.stats.error_estimate == \
+                pytest.approx(error, rel=0.2)
+
+    @pytest.mark.parametrize("input_name", ["input1", "input4"])
+    def test_fourth_order(self, simulate, monkeypatch, input_name):
+        # the error against the run at k = 32 falls >= 10x per halving
+        spec = replace(input_preset(input_name), scale=10.0)
+        errors = []
+        for k in (32, 1, 2, 4, 8):
+            fixed_k(monkeypatch, k)
+            values = simulate(spec, sample_count=101).values
+            if k == 32:
+                ref = values
+            else:
+                errors.append(np.abs(values - ref).max())
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse >= 10.0 * fine
+
+    def test_blowup_dropped(self, reduced_n20, monkeypatch):
+        # 10x the square wave over 5-s sample intervals: one step per
+        # interval overflows, so the run at k = 1 is dropped and the run
+        # at k = 2 is compared with none
+        _, _, red = reduced_n20
+        spec = replace(input_preset("input4"), scale=10.0)
+        made = []
+        real = ode.step_doubling
+
+        def logged(run, steps_per_k, budget):
+            def run_logged(k, compare):
+                made.append((k, compare))
+                return run(k, compare)
+            return real(run_logged, steps_per_k, budget)
+
+        monkeypatch.setattr(ode, "step_doubling", logged)
+        series = rom.simulate_rom(red, spec, 0.0, 20.0, sample_count=5)
+        k = series.stats.steps_per_sample
+        assert made[:2] == [(1, False), (2, False)]
+        assert made[2:] == [(2**i, True) for i in range(2, k.bit_length())]
+        assert series.stats.n_steps == 4 * (2 * k - 1)
+        assert np.isfinite(series.values).all()
+        monkeypatch.setattr(ode, "step_doubling", real)
+        fixed_k(monkeypatch, 4 * k)
+        ref = rom.simulate_rom(red, spec, 0.0, 20.0, sample_count=5).values
+        scale = np.abs(ref).max(axis=0)
+        assert (np.abs(series.values - ref).max(axis=0)
+                <= 1e-3 * scale + 1e-6).all()
+
+    def test_step_budget(self, reduced_n20, monkeypatch):
+        # rtol 1e-15 is never met: k doubles until the budget runs out
+        _, _, red = reduced_n20
+        monkeypatch.setattr(rom, "_STEP_BUDGET", 20_000)
+        with pytest.raises(ode.StepBudget):
+            rom.simulate_rom(red, input_preset("input1"), 0.0, 20.0,
+                             rtol=1e-15, atol=1e-30)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(tf=0.0), dict(rtol=0.0), dict(atol=np.inf),
+        dict(sample_count=1)])
+    def test_bad_arguments(self, reduced_n20, kwargs):
+        _, _, red = reduced_n20
+        with pytest.raises(ValueError):
+            rom.simulate_rom(red, input_preset("input1"),
+                             **{"t0": 0.0, "tf": 5.0, **kwargs})
+
+    def test_memory_grows_with_outputs_not_states(self):
+        # small_damp_ex5_in4 at n = 200 on [0, 20]: 1000 more samples
+        # held as (samples, 2n) real states would take 3.2 MB more; the
+        # runs hold their outputs and the input at each step instead
+        preset = PRESETS["small_damp_ex5_in4"]
+        sys = build_system(preset.params, 200)
+        spec = input_preset(preset.input_name)
+        peaks = []
+        for count in (1000, 2000):
+            rom.simulate_fom(sys, spec, 0.0, 20.0, sample_count=count)
+            tracemalloc.start()
+            try:
+                rom.simulate_fom(sys, spec, 0.0, 20.0, sample_count=count)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1000 * 400 * 8 / 4
 
 
 class TestStreamedSampling:
@@ -227,7 +377,7 @@ class TestStreamedSampling:
 
     @staticmethod
     def _args(reduced_n20, model, input_name, count):
-        """_integrate_sampled's arguments for a run on [0, 30]."""
+        """integrate_sampled's arguments for a run on [0, 30]."""
         sys, _, red = reduced_n20
         spec = resolve_input(input_preset(input_name), sys)
         if model == "fom":
@@ -246,9 +396,9 @@ class TestStreamedSampling:
                                             model, input_name, count):
         args = self._args(reduced_n20, model, input_name, count)
         x0 = args[5]
-        grid, streamed, stats = rom._integrate_sampled(*args)
+        grid, streamed, stats = integrate_sampled(*args)
         monkeypatch.setattr(ode, "integrate", node_sampled)
-        ref_grid, ref, ref_stats = rom._integrate_sampled(*args)
+        ref_grid, ref, ref_stats = integrate_sampled(*args)
         assert streamed.shape == ref.shape == (count, x0.size)
         assert streamed.tobytes() == ref.tobytes()
         assert stats == ref_stats
@@ -263,7 +413,7 @@ class TestStreamedSampling:
                                              input_name):
         # the grid never changes the steps: every sample count gives the
         # same counters and the same samples at the times grids share
-        runs = [rom._integrate_sampled(
+        runs = [integrate_sampled(
                     *self._args(reduced_n20, model, input_name, count))
                 for count in (1000, 7, 4)]
         for (grid, states, stats), (other_grid, other, other_stats) in \
