@@ -2,7 +2,9 @@
 
 A 1D damped wave equation with second-order oscillator dynamic boundary
 conditions is discretized by finite differences, reduced by square-root
-balanced truncation, and simulated with a stiff Rosenbrock integrator.
+balanced truncation, and simulated by fixed-step ETDRK4 in the
+eigenvector coordinates of each model's linear part, checked by step
+doubling.
 The right-boundary cubic spring survives the reduction exactly through
 an O(r) evaluation of the projected nonlinearity.
 """

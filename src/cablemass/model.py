@@ -225,7 +225,9 @@ class QuadraticForms:
     m_h : mass form (trapezoid weights plus the boundary masses),
     k_v : potential form (beta^2 cell-difference stiffness plus the
     boundary springs), d_sig2 : damping form (gamma-stiffness plus
-    alpha-mass plus boundary dampings).  All symmetric PSD.
+    alpha-mass plus boundary dampings).  All symmetric PSD; m_h is
+    diagonal and k_v and d_sig2 tridiagonal, and the energy norms read
+    only those bands.
     """
 
     m_h: np.ndarray

@@ -9,9 +9,12 @@ O(n) whatever the stiffness; its stiff order is discussed by Hochbruck
 and Ostermann (2010, Acta Numerica).  It has no error estimate of its
 own: ``step_doubling`` makes runs at k = 1, 2, 4, ... steps per sample
 interval until one agrees with the run before it to the caller's
-tolerance.  ``etd_weights`` evaluates its phi-function coefficients
-(Kassam and Trefethen 2005, SIAM J. Sci. Comput. 26(4)).  The energy
-study and the forced FOM and ROM runs all step this way.
+tolerance.  ``CubicEtdrk4.advance`` makes many steps in one call, and
+``etd_weights`` evaluates its phi-function coefficients: the closed
+forms where |h lambda| >= 1, and below that their Taylor series, whose
+coefficients are exact rationals (on evaluating phi-functions see
+Skaflestad and Wright 2009, Appl. Numer. Math. 59).  The energy study
+and the forced FOM and ROM runs all step this way.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
@@ -50,6 +53,7 @@ the LAPACK calls themselves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import astuple, dataclass
@@ -451,15 +455,32 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
     return Samples(states=out, end_state=y, stats=stats)
 
 
-# etd_weights takes the closed forms at |z| >= _ETD_NEAR and the contour
-# mean below it, over _ETD_NODES points on a circle of radius _ETD_RADIUS
-# about z.  Every node then lies at least 1 from 0, where the closed forms
-# lose at most a few hundred eps to cancellation; Kassam and Trefethen's
-# radius 1 puts a node within 0.05 of 0 when |z| is near 1, and measured
-# 2e-11 relative error there against 50-digit references.
+# etd_weights takes the closed forms at |z| >= _ETD_NEAR and their Taylor
+# series below it.  At |z| >= 1 the closed forms lose up to about a
+# hundred eps to cancellation (72 measured on |z| = 1); at |z| < 1 the
+# series' terms fall at least as fast as 1/j!, so _TAYLOR_TERMS of them
+# leave a remainder below 1e-22.
 _ETD_NEAR = 1.0
-_ETD_RADIUS = 2.0
-_ETD_NODES = 32
+_TAYLOR_TERMS = 22
+
+
+def _taylor_table() -> np.ndarray:
+    """Row j: the z^j coefficients of q, f1, f2 and f3, rounded once.
+
+    With phi_k(z) = sum_j z^j / (j + k)!, the combinations of
+    ``etd_weights`` have the z^j coefficients 1 / (2^(j+1) (j + 1)!),
+    (j + 1)^2 / (j + 3)!, (j + 1) / (j + 3)! and (1 - j) / (j + 3)!:
+    exact rationals, which Python's int / int rounds correctly.
+    """
+    rows = []
+    for j in range(_TAYLOR_TERMS):
+        f3 = math.factorial(j + 3)
+        rows.append([1 / (2 ** (j + 1) * math.factorial(j + 1)),
+                     (j + 1) ** 2 / f3, (j + 1) / f3, (1 - j) / f3])
+    return np.array(rows)
+
+
+_TAYLOR = _taylor_table()
 
 
 def _etd_closed_forms(z):
@@ -485,22 +506,22 @@ def etd_weights(z) -> tuple[np.ndarray, ...]:
     that is q = phi_1(z/2)/2, f1 = phi_1 - 3 phi_2 + 4 phi_3,
     f2 = phi_2 - 2 phi_3 and f3 = 4 phi_3 - phi_2, with the limits 1/2
     and 1/6 at z = 0.  The closed forms cancel catastrophically near 0,
-    so where |z| < 1 each value is the mean of its closed form over a
-    full circle of points about z (Kassam and Trefethen 2005): the
-    Cauchy integral by the trapezoid rule, exact to rounding for these
-    entire functions.  A half circle and a real part would do only for
-    real z.
+    so where |z| < 1 the four series are summed instead: the powers
+    z^0 ... z^21 by one cumulative product, then one real GEMM of the
+    coefficient table with their real and imaginary parts.
     """
     z = np.asarray(z, dtype=complex)
     near = np.abs(z) < _ETD_NEAR
-    out = tuple(np.empty(z.shape, dtype=complex) for _ in range(4))
-    for o, value in zip(out, _etd_closed_forms(z[~near])):
-        o[~near] = value
-    theta = (2.0 * math.pi / _ETD_NODES) * (np.arange(_ETD_NODES) + 0.5)
-    nodes = z[near][:, None] + _ETD_RADIUS * np.exp(1j * theta)
-    for o, value in zip(out, _etd_closed_forms(nodes)):
-        o[near] = value.mean(axis=1)
-    return out
+    far = ~near
+    out = np.empty((4,) + z.shape, dtype=complex)
+    for o, value in zip(out, _etd_closed_forms(z[far])):
+        o[far] = value
+    powers = np.empty((_TAYLOR_TERMS, np.count_nonzero(near)), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = z[near]
+    np.cumprod(powers, axis=0, out=powers)
+    out[:, near] = (_TAYLOR.T @ powers.view(float)).view(complex)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,7 +533,8 @@ class CubicEtdrk4:
     u(t), so each stage needs that scalar only: the stage scalars of a
     step from y follow from the three dot products in ``rows`` @ y, and
     the step itself is e^(h lam) y plus the rows of ``w`` weighted by the
-    stage cubes and the input values.  Build it with ``cubic_etdrk4``.
+    stage cubes and the input values.  Build it with ``cubic_etdrk4``
+    and step it with ``advance``.
 
     e : e^(h lam).  rows : (3, m), row, row e^(h lam / 2) and
     row e^(h lam).  w : h f1 g, 2 h f2 g and h f3 g (``etd_weights``),
@@ -529,40 +551,69 @@ class CubicEtdrk4:
     gamma: float = 0.0
     delta: float = 0.0
 
-    def step(self, y: np.ndarray, u0: float = 0.0, uh: float = 0.0,
-             u1: float = 0.0) -> np.ndarray:
-        """The state one step of h after y (Cox and Matthews 2002).
+    def advance(self, y: np.ndarray, out: np.ndarray, k: int,
+                inputs=None) -> np.ndarray:
+        """Make k steps per row of out from y; write each row's end state.
 
-        u0, uh and u1 are the input at the step's start, middle and end.
+        Row i of out receives the state after (i + 1) k steps, and the
+        last of them is returned.  inputs gives (u0, uh, u1), the input
+        at a step's start, middle and end, for each of the k len(out)
+        steps in turn; an iterator is advanced by exactly that many.
+        Without inputs the input is 0.
+
         With N(y, t) = g s(y)^3 + bm u(t) and the stage states
         a = e^(hL/2) y + h q N(y, t),
         b = e^(hL/2) y + h q N(a, t + h/2) and
-        c = e^(hL/2) a + h q (2 N(b, t + h/2) - N(y, t)), the step is
+        c = e^(hL/2) a + h q (2 N(b, t + h/2) - N(y, t)), a step is
         e^(hL) y + h f1 N(y, t) + 2 h f2 (N(a, t + h/2) + N(b, t + h/2))
-        + h f3 N(c, t + h).  Without an input column gamma and delta
-        are 0 and w has no input rows, so the input takes no part.
+        + h f3 N(c, t + h) (Cox and Matthews 2002).  Without an input
+        column gamma and delta are 0 and w has no input rows, so the
+        input takes no part.
 
         Raises NonFiniteState when a stage value is not finite, which a
-        step too long for the cubic term can cause.
+        step too long for the cubic term can cause; the rows completed
+        before the failing step are written.
         """
-        s_y, p, r = (self.rows @ y).real.tolist()
-        alpha, gamma = self.alpha, self.gamma
-        # Python floats: a product that overflows gives inf, not an error
-        c_y = s_y * s_y * s_y
-        s_a = p + alpha * c_y + gamma * u0
-        c_a = s_a * s_a * s_a
-        s_b = p + alpha * c_a + gamma * uh
-        c_b = s_b * s_b * s_b
-        s_c = (r + self.beta * c_y + self.delta * u0
-               + alpha * (2.0 * c_b - c_y) + gamma * (2.0 * uh - u0))
-        c_c = s_c * s_c * s_c
-        if not math.isfinite(c_c):
-            raise NonFiniteState("ETDRK4 stage value not finite")
-        out = self.e * y
-        # the input's three weights only where w has the input's rows
-        out += np.array([c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1][:len(self.w)]
-                        ) @ self.w
-        return out
+        rows, e, dot, isfinite = self.rows, self.e, np.dot, math.isfinite
+        alpha, beta, gamma, delta = (self.alpha, self.beta, self.gamma,
+                                     self.delta)
+        # w's real and imaginary parts interleaved: a real product with
+        # the step's weights, read back as complex
+        w = self.w.view(float)
+        nw = len(w)
+        inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
+                  else iter(inputs))
+        for i in range(len(out)):
+            for _ in range(k):
+                u0, uh, u1 = next(inputs)
+                s_y, p, r = dot(rows, y).real.tolist()
+                # Python floats: a product that overflows gives inf, not an
+                # error
+                c_y = s_y * s_y * s_y
+                s_a = p + alpha * c_y + gamma * u0
+                c_a = s_a * s_a * s_a
+                s_b = p + alpha * c_a + gamma * uh
+                c_b = s_b * s_b * s_b
+                s_c = (r + beta * c_y + delta * u0
+                       + alpha * (2.0 * c_b - c_y) + gamma * (2.0 * uh - u0))
+                c_c = s_c * s_c * s_c
+                if not isfinite(c_c):
+                    raise NonFiniteState("ETDRK4 stage value not finite")
+                # the input's three weights only where w has the input's rows
+                y = e * y + dot([c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1][:nw],
+                                w).view(complex)
+            out[i] = y
+        return y
+
+    def step(self, y: np.ndarray, u0: float = 0.0, uh: float = 0.0,
+             u1: float = 0.0) -> np.ndarray:
+        """The state one step of h after y: ``advance`` by one step.
+
+        u0, uh and u1 are the input at the step's start, middle and end.
+        Raises NonFiniteState as ``advance`` does.
+        """
+        return self.advance(y, np.empty((1, y.size), dtype=complex), 1,
+                            ((u0, uh, u1),))
 
 
 def cubic_etdrk4(lam, row, g, h: float, bm=None) -> CubicEtdrk4:

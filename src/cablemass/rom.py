@@ -21,8 +21,10 @@ input do.  A step costs O(dim).
 Every step ends on a grid sample or on one of the input's breakpoints
 (the square wave's jumps): each interval between them takes k steps of
 its length / k, with the square wave held at its value on that
-interval, so no step crosses a jump.  A smooth input is read at every
-stage time of a run in one ``eval_input`` call.  Runs are made at
+interval, so no step crosses a jump.  A stretch of whole sample
+intervals is stepped by one ``CubicEtdrk4.advance`` call, and so is each
+piece that a jump cuts.  A smooth input is read at every stage time of
+a run in one ``eval_input`` call.  Runs are made at
 k = 1, 2, 4, ... (``ode.step_doubling``); each is compared with the run
 before it at every sample, and the first whose estimate passes rtol and
 atol is kept.  Each sample is projected to the outputs as it is made,
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -186,7 +189,7 @@ def _simulate(modes, b, g, row, c, spec: InputSpec, t0: float, tf: float,
     block = np.empty((min(_SAMPLE_BLOCK, len(paths)), m), dtype=complex)
 
     def kernel(h):
-        return ode.cubic_etdrk4(modes.eigenvalues, row, gm, h, bm).step
+        return ode.cubic_etdrk4(modes.eigenvalues, row, gm, h, bm)
 
     def run(k, compare):
         # the sample interval's coefficients serve every whole interval;
@@ -198,12 +201,18 @@ def _simulate(modes, b, g, row, c, spec: InputSpec, t0: float, tf: float,
         scale = np.zeros(cv.shape[0])
         for first in range(1, sample_count, _SAMPLE_BLOCK):
             rows = min(_SAMPLE_BLOCK, sample_count - first)
-            for i in range(rows):
-                for piece in paths[first - 1 + i]:
-                    step = whole if piece is None else kernel(piece / k)
-                    for _ in range(k):
-                        y = step(y, *next(inputs))
-                block[i] = y
+            i = 0
+            for pieces, same in groupby(paths[first - 1:first - 1 + rows]):
+                count = sum(1 for _ in same)
+                if pieces == (None,):
+                    y = whole.advance(y, block[i:i + count], k, inputs)
+                else:
+                    # every piece writes the row; the last one ends on it
+                    for j in range(i, i + count):
+                        for piece in pieces:
+                            y = kernel(piece / k).advance(
+                                y, block[j:j + 1], k, inputs)
+                i += count
             out = block[:rows].view(float) @ real_cv
             if not np.isfinite(out).all():
                 raise ode.NonFiniteState("ETDRK4 sample not finite")

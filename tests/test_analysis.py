@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,6 +70,44 @@ class TestComputeEnergy:
             for part, value in zip(parts, compute_energy(forms, EXAMPLE1, x)):
                 assert part.shape == (7,)
                 assert abs(part[i] - value) <= 1e-14 * abs(value)
+
+    @pytest.mark.parametrize("n", [3, 50, 400])
+    @pytest.mark.parametrize("preset", ["exp_stab_Ex1", "small_damp_ex5_in4",
+                                        "small_stiff_ex5_in4"])
+    def test_banded_norms_match_dense(self, rng, preset, n):
+        # the norms read M_H's diagonal and K_V's three bands, which are
+        # all the forms have
+        forms = quadratic_forms(PRESETS[preset].params, n)
+        assert np.array_equal(forms.m_h, np.diag(np.diagonal(forms.m_h)))
+        assert not np.triu(forms.k_v, 2).any()
+        assert np.array_equal(forms.k_v, forms.k_v.T)
+        x = rng.standard_normal((8, 2 * n))
+        d, v = x[:, :n], x[:, n:]
+        dense = (0.5 * np.einsum("ki,ki->k", v @ forms.m_h, v),
+                 0.5 * np.einsum("ki,ki->k", d @ forms.k_v, d))
+        for got, want in zip(analysis._quadratic_energies(forms, x), dense):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        for got, want in zip(analysis._quadratic_energies(forms, x[0]),
+                             dense):
+            assert abs(got - want[0]) <= 1e-14 * abs(want[0])
+
+    @pytest.mark.parametrize("n", [3, 50, 400])
+    @pytest.mark.parametrize("preset", ["exp_stab_Ex1", "small_damp_ex5_in4",
+                                        "small_stiff_ex5_in4"])
+    def test_smooth_potential_energy(self, preset, n):
+        # the study's smooth initial data, where each row of K_V d nearly
+        # cancels (a dense product loses up to 3e-14 here), against the
+        # exact sum over the bands of the same floats
+        params = PRESETS[preset].params
+        forms = quadratic_forms(params, n)
+        d = _energy_initial_data(params, n)[:n]
+        exact = sum(Fraction(d[i]) * Fraction(forms.k_v[i, j])
+                    * Fraction(d[j])
+                    for i in range(n) for j in range(max(0, i - 1),
+                                                     min(n, i + 2))) / 2
+        _, ep = analysis._quadratic_energies(forms, np.concatenate(
+            [d, np.zeros(n)]))
+        assert abs(ep - float(exact)) <= 1e-15 * float(exact)
 
 
 class TestEnergyDecay:

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -446,6 +447,39 @@ class TestEtdWeights:
         for value, ref in zip(got, self.reference(z)):
             assert abs(value[0] - ref) <= 1e-13 * abs(ref)
 
+    def test_taylor_table_is_exact(self):
+        # each entry is the exact rational combination of the phi_k
+        # coefficients 1 / (j + k)!, rounded once
+        for j, row in enumerate(ode._TAYLOR.tolist()):
+            p1, p2, p3 = (Fraction(1, math.factorial(j + k))
+                          for k in (1, 2, 3))
+            assert row == [float(p1 / 2 ** (j + 1)),
+                           float(p1 - 3 * p2 + 4 * p3),
+                           float(p2 - 2 * p3), float(4 * p3 - p2)]
+
+    def test_taylor_branch_matches_50_digits(self):
+        # seeded points inside the unit disc, where the series is summed:
+        # 200 uniform in area and 40 in the annulus next to the seam
+        rng = np.random.default_rng(20260421)
+        radius = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 200)),
+                                 rng.uniform(0.95, 1.0, 40)])
+        z = radius * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 240))
+        assert (np.abs(z) < 1.0).all()
+        self.check(z)
+
+    def test_seam_matches_50_digits(self):
+        # |z| = 1 -+ 1e-12: the series just inside, the closed forms just
+        # outside
+        theta = 2.0 * math.pi * (np.arange(24) + 0.25) / 24
+        for radius in (1.0 - 1e-12, 1.0 + 1e-12):
+            self.check(radius * np.exp(1j * theta))
+
+    def check(self, z):
+        got = ode.etd_weights(z)
+        for i, zi in enumerate(z.tolist()):
+            for value, ref in zip(got, self.reference(zi)):
+                assert abs(value[i] - ref) <= 1e-13 * abs(ref), zi
+
     def test_keeps_shape(self):
         z = np.array([[0.0, -1.0], [2j, -200.0]])
         for value in ode.etd_weights(z):
@@ -528,3 +562,59 @@ class TestCubicEtdrk4:
                                   np.array([-1.0]), 0.5)
         with raises_quietly(ode.NonFiniteState):
             kernel.step(np.array([1e120 + 0j]))
+
+
+class TestAdvance:
+    """Many ETDRK4 steps in one call, against one step per call."""
+
+    @staticmethod
+    def kernel(rng, forced):
+        lam = -rng.uniform(0.5, 5.0, 6) + 1j * rng.uniform(-20.0, 20.0, 6)
+        row, g, bm = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
+                      for _ in range(3))
+        return ode.cubic_etdrk4(lam, row, 0.1 * g, 0.3,
+                                bm if forced else None)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_matches_repeated_steps(self, rng, k, forced):
+        kernel = self.kernel(rng, forced)
+        y0 = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        inputs = rng.standard_normal((5 * k, 3)).tolist() if forced else None
+        out = np.full((5, 6), np.nan, dtype=complex)
+        end = kernel.advance(y0, out, k, inputs)
+        y = y0
+        for i in range(5 * k):
+            y = kernel.step(y, *inputs[i]) if forced else kernel.step(y)
+            if i % k == k - 1:
+                np.testing.assert_allclose(out[i // k], y, rtol=1e-15)
+        assert_bitwise(end, out[-1])
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_fills_exactly_its_rows(self, rng, k, forced):
+        # three rows of a five-row array, and 3k inputs of a longer stream
+        kernel = self.kernel(rng, forced)
+        y0 = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        out = np.full((5, 6), np.nan, dtype=complex)
+        inputs = iter(rng.standard_normal((3 * k + 1, 3)).tolist())
+        kernel.advance(y0, out[:3], k, inputs if forced else None)
+        assert np.isfinite(out[:3]).all()
+        assert np.isnan(out[3:]).all()
+        if forced:
+            assert len(list(inputs)) == 1
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_overflow_partway_raises(self, k, forced):
+        # y' = -y + y^3 (+ 1) from 1.5 blows up near t = 0.29: the steps
+        # of h = 0.05 overflow a stage a few rows into a 50-row stretch
+        kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
+                                  np.array([1.0]), 0.05,
+                                  np.array([1.0]) if forced else None)
+        out = np.full((50, 1), np.nan, dtype=complex)
+        inputs = [(1.0, 1.0, 1.0)] * (50 * k) if forced else None
+        with raises_quietly(ode.NonFiniteState):
+            kernel.advance(np.array([1.5 + 0j]), out, k, inputs)
+        assert np.isfinite(out[0]).all()
+        assert np.isnan(out[-1]).all()
