@@ -28,6 +28,7 @@ import numpy as np
 
 from . import linalg
 from .model import DimensionMismatch, StateSpaceSystem
+from .ode import Etdrk4Table
 
 # Singular values below this fraction of the largest count as rank-deficient.
 RANK_TOL = 1e-12
@@ -70,8 +71,9 @@ class ReducedSystem:
     nonlinear term can be evaluated in O(r) without ever forming a
     full-order vector.
 
-    A_r is read-only (``reduce`` marks it so): modes is derived from it
-    once and kept, and an in-place write would leave it stale.
+    A_r, B_r, C_r and both weight vectors are read-only (``reduce``
+    marks them so): modes and etdrk4 are derived from them once and
+    kept, and an in-place write would leave them stale.
     """
 
     ar: np.ndarray
@@ -91,6 +93,18 @@ class ReducedSystem:
         A_r is nearly defective.
         """
         return linalg.modal_factor(self.ar)
+
+    @cached_property
+    def etdrk4(self) -> Etdrk4Table:
+        """The forced runs' ETDRK4 steps on ``modes``, built on first use.
+
+        ``rom.simulate_rom`` steps through it: each step size's
+        coefficients are built once and kept for every later query.
+        """
+        modes = self.modes
+        return Etdrk4Table(modes, self.br[:, 0],
+                           self.nl_coeff * self.nl_out_weights,
+                           self.nl_in_weights @ modes.v, self.cr)
 
 
 def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -172,17 +186,13 @@ def reduce(sys: StateSpaceSystem, bal: BalanceResult) -> ReducedSystem:
     if bal.tr.shape[0] != two_n or bal.sr.shape[1] != two_n:
         raise DimensionMismatch(
             f"projection is {bal.tr.shape[0]}-state, system is {two_n}-state")
-    ar = bal.sr @ sys.a @ bal.tr
-    ar.flags.writeable = False
-    return ReducedSystem(
-        ar=ar,
-        br=bal.sr @ sys.b,
-        cr=sys.c @ bal.tr,
-        nl_out_weights=bal.sr[:, sys.nl_target_index].copy(),
-        nl_in_weights=bal.tr[sys.nl_state_index, :].copy(),
-        nl_coeff=sys.nl_coeff,
-        r=bal.r,
-    )
+    arrays = dict(ar=bal.sr @ sys.a @ bal.tr, br=bal.sr @ sys.b,
+                  cr=sys.c @ bal.tr,
+                  nl_out_weights=bal.sr[:, sys.nl_target_index].copy(),
+                  nl_in_weights=bal.tr[sys.nl_state_index, :].copy())
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return ReducedSystem(**arrays, nl_coeff=sys.nl_coeff, r=bal.r)
 
 
 def error_bound(hsv, r: int) -> float:

@@ -360,6 +360,12 @@ def _integrator_line(label: str, stats) -> str:
             f"cond(V) {stats.cond_v:.3g}")
 
 
+def _forced_line(label: str, stats) -> str:
+    """A forced run's integrator line, with the coefficient sets it built."""
+    return (f"{_integrator_line(label, stats)}, "
+            f"{stats.sets_built} coefficient sets built")
+
+
 def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
     """Run the stages a subcommand's artifacts need, in pipeline order.
 
@@ -401,10 +407,10 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
         spec = signals.resolve_input(cfg.input, sys_, mode=cfg.input2_mode)
         fom_series = rom.simulate_fom(sys_, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
                                       atol=cfg.atol, sample_count=cfg.sample_count)
-        log(_integrator_line("FOM", fom_series.stats))
+        log(_forced_line("FOM", fom_series.stats))
         rom_series = rom.simulate_rom(red, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
                                       atol=cfg.atol, sample_count=cfg.sample_count)
-        log(_integrator_line("ROM", rom_series.stats))
+        log(_forced_line("ROM", rom_series.stats))
         write("outputs", write_outputs_csv, fom_series, rom_series)
 
     if "error" in wanted:

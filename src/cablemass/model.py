@@ -39,9 +39,10 @@ A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
 frequencies; its modal factor (``StateSpaceSystem.modes``) is computed
 once for the exponential integrator of the energy study and the forced
-runs.  A is read-only, so
-the tridiagonal pieces, the CSR copy and the factors derived from it
-cannot go stale.
+runs, and the forced runs' ETDRK4 table (``StateSpaceSystem.etdrk4``)
+once on that factor.  A, b and c are read-only, so the tridiagonal
+pieces, the CSR copy and the factors and table derived from them cannot
+go stale.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import linalg
-from .ode import SecondOrderJacobian
+from .ode import Etdrk4Table, SecondOrderJacobian
 
 
 class InvalidParams(ValueError):
@@ -135,9 +136,9 @@ class StateSpaceSystem:
     Keeping the descriptor explicit is what makes the exact low-order
     evaluation in the reduced model possible.
 
-    A is read-only (``build_system`` marks it so): a_second_order,
-    a_matvec, schur and modes are derived from it once and kept, and an
-    in-place write would leave them stale.
+    A, b and c are read-only (``build_system`` marks them so):
+    a_second_order, a_matvec, schur, modes and etdrk4 are derived from
+    them once and kept, and an in-place write would leave them stale.
     """
 
     n: int
@@ -217,6 +218,19 @@ class StateSpaceSystem:
         """
         return linalg.modal_factor(self.a)
 
+    @cached_property
+    def etdrk4(self) -> Etdrk4Table:
+        """The forced runs' ETDRK4 steps on ``modes``, built on first use.
+
+        ``rom.simulate_fom`` steps through it: each step size's
+        coefficients are built once and kept for every later run.
+        """
+        modes = self.modes
+        target = np.zeros(2 * self.n)
+        target[self.nl_target_index] = self.nl_coeff
+        return Etdrk4Table(modes, self.b[:, 0], target,
+                           modes.v[self.nl_state_index], self.c)
+
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForms:
@@ -295,7 +309,8 @@ def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
     c = np.zeros((2, 2 * n))
     c[0, n - 1] = 1.0  # right-mass position
     c[1, 2 * n - 1] = 1.0  # right-mass velocity
-    a.flags.writeable = False
+    for arr in (a, b, c):
+        arr.flags.writeable = False
 
     return StateSpaceSystem(
         n=n,

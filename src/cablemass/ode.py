@@ -14,7 +14,9 @@ tolerance.  ``CubicEtdrk4.advance`` makes many steps in one call, and
 forms where |h lambda| >= 1, and below that their Taylor series, whose
 coefficients are exact rationals (on evaluating phi-functions see
 Skaflestad and Wright 2009, Appl. Numer. Math. 59).  The energy study
-and the forced FOM and ROM runs all step this way.
+and the forced FOM and ROM runs all step this way; a forced system
+keeps its steps in an ``Etdrk4Table``, which builds the coefficients of
+each step size once for all of the system's runs and queries.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
@@ -620,8 +622,9 @@ def cubic_etdrk4(lam, row, g, h: float, bm=None) -> CubicEtdrk4:
     """The ETDRK4 step of size h for y' = diag(lam) y + bm u + g (Re row . y)^3.
 
     lam, row, g and the input column bm are complex vectors of one
-    length; without bm the system is unforced.  The coefficients are
-    computed here, once per h.
+    length; without bm the system is unforced.  Every call computes the
+    coefficients afresh; ``Etdrk4Table`` keeps those of a forced system,
+    one set per h.  The kernel's e, rows and w are read-only.
     """
     z = h * np.asarray(lam, dtype=complex)
     q, f1, f2, f3 = etd_weights(z)
@@ -635,10 +638,66 @@ def cubic_etdrk4(lam, row, g, h: float, bm=None) -> CubicEtdrk4:
         hqb = h * q * bm
         gamma = float((row @ hqb).real)
         delta = float((row @ (half * hqb)).real)
+    rows, w = np.array([row, row * half, row * e]), h * np.array(cols)
+    for arr in (e, rows, w):
+        arr.flags.writeable = False
     return CubicEtdrk4(
-        e=e, rows=np.array([row, row * half, row * e]), w=h * np.array(cols),
+        e=e, rows=rows, w=w,
         alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real),
         gamma=gamma, delta=delta)
+
+
+# Coefficient sets an Etdrk4Table keeps; past it the oldest is dropped.
+# One square-wave system's queries meet about 62 step sizes (the sample
+# interval's and the jump pieces', at k = 1 and 2).  A set holds
+# 10 dim complex numbers (e, three rows, six columns of w): 128 KB at
+# n = 400 (dim 800), so a table holds at most 16 MB there.
+_TABLE_SETS = 128
+
+
+class Etdrk4Table:
+    """The ETDRK4 steps of one forced system, built once per step size.
+
+    The system is x' = A x + b u(t) + g (row_x . x)^3 with outputs c x,
+    and modes is A's modal factor A = V diag(lam) V^-1 (a
+    ``linalg.ModalForm``); row is row_x V.  The table keeps the modal
+    vectors every run steps with: lam, row, gm = V^-1 g, bm = V^-1 b,
+    and ``out_map``, which sends a block of states y, read as floats
+    with their real and imaginary parts interleaved, to Re(c V y) in
+    one real GEMM.  All of them are read-only.
+
+    ``kernel(h)`` returns the ``CubicEtdrk4`` of step h.  Its
+    coefficients depend on h lam and these vectors only, not on the
+    input, so they are built (by ``cubic_etdrk4``) the first time h is
+    asked for and kept for every later run and query of the system.  At
+    most _TABLE_SETS sets are kept, the oldest dropped first; ``built``
+    counts the sets ever built.
+    """
+
+    def __init__(self, modes, b, g, row, c):
+        self.lam = modes.eigenvalues
+        self.bm, self.gm = modes.solve(np.column_stack([b, g])).T
+        self.row = row
+        # Re(c V y) = Re(cV) Re y - Im(cV) Im y
+        cv = c @ modes.v
+        self.out_map = np.empty((2 * cv.shape[1], cv.shape[0]))
+        self.out_map[0::2] = cv.real.T
+        self.out_map[1::2] = -cv.imag.T
+        for arr in (self.bm, self.gm, self.row, self.out_map):
+            arr.flags.writeable = False
+        self.built = 0
+        self._sets = {}
+
+    def kernel(self, h: float) -> CubicEtdrk4:
+        """The ETDRK4 step of size h, built on first use and kept."""
+        kernel = self._sets.get(h)
+        if kernel is None:
+            if len(self._sets) >= _TABLE_SETS:
+                del self._sets[next(iter(self._sets))]
+            kernel = cubic_etdrk4(self.lam, self.row, self.gm, h, self.bm)
+            self._sets[h] = kernel
+            self.built += 1
+        return kernel
 
 
 def step_doubling(run, steps_per_k: int, budget: int):

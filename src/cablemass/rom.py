@@ -14,7 +14,7 @@ v and written along one column g (the FOM's nl_state_index and
 nl_target_index, the ROM's nl_in_weights and nl_out_weights).  In the
 eigenvector coordinates y = V^-1 x of A (``StateSpaceSystem.modes``,
 ``ReducedSystem.modes``) e^(hA) is diagonal, and fixed-step ETDRK4
-(``ode.cubic_etdrk4``) integrates the linear part exactly, so A's stiff
+(``ode.CubicEtdrk4``) integrates the linear part exactly, so A's stiff
 and nearly undamped modes do not set the step; the cubic term and the
 input do.  A step costs O(dim).
 
@@ -29,6 +29,16 @@ k = 1, 2, 4, ... (``ode.step_doubling``); each is compared with the run
 before it at every sample, and the first whose estimate passes rtol and
 atol is kept.  Each sample is projected to the outputs as it is made,
 so a run holds samples x outputs numbers, not samples x states.
+
+A step's coefficients depend on h and the model only, not on the input,
+so each model keeps them in one ``ode.Etdrk4Table``
+(``StateSpaceSystem.etdrk4``, ``ReducedSystem.etdrk4``), with the modal
+vectors every run uses: a step size is built once for all of the
+model's runs and queries, and a query that differs from an earlier one
+only in the input's amplitude builds none.  A coefficient set holds
+10 dim complex numbers, 160 dim bytes (128 KB at n = 400, dim 800),
+and a table keeps at most ``ode._TABLE_SETS`` (128) of them, the oldest
+dropped first: at most 16 MB at n = 400.
 """
 
 from __future__ import annotations
@@ -64,7 +74,9 @@ class Etdrk4Stats:
     steps_per_sample).  error_estimate is the largest difference of an
     output sample from the run at twice the step, over 15; n_steps
     counts the steps of every run made; cond_v is the estimated
-    condition number of the model's eigenvector matrix.
+    condition number of the model's eigenvector matrix.  sets_built
+    counts the ETDRK4 coefficient sets (one per step size) the call
+    added to the model's table, 0 when the table held them all.
     """
 
     step: float
@@ -72,6 +84,7 @@ class Etdrk4Stats:
     n_steps: int
     error_estimate: float
     cond_v: float
+    sets_built: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,14 +171,15 @@ def _stage_inputs(spec: InputSpec, starts, lengths, k: int) -> list:
                     axis=-1).reshape(-1, 3).tolist()
 
 
-def _simulate(modes, b, g, row, c, spec: InputSpec, t0: float, tf: float,
-              rtol: float, atol: float, sample_count: int) -> OutputSeries:
+def _simulate(system, spec: InputSpec, t0: float, tf: float, rtol: float,
+              atol: float, sample_count: int) -> OutputSeries:
     """Outputs c x of x' = A x + b u(t) + g (row_x . x)^3 from x(t0) = 0.
 
-    modes is A's modal factor, and row = row_x V is the cubic term's
-    functional in modal coordinates.  Each run writes its outputs over
-    those of the run before, _SAMPLE_BLOCK samples at a time (one GEMM
-    with c V each), after measuring the difference.
+    system is a ``StateSpaceSystem`` or a ``ReducedSystem``; its
+    ``etdrk4`` table gives the steps and the output map.  Each run
+    writes its outputs over those of the run before, _SAMPLE_BLOCK
+    samples at a time (one GEMM with the output map each), after
+    measuring the difference.
     """
     if not tf > t0:
         raise ValueError(f"need tf > t0, got [{t0}, {tf}]")
@@ -177,28 +191,21 @@ def _simulate(modes, b, g, row, c, spec: InputSpec, t0: float, tf: float,
     grid = np.linspace(t0, tf, sample_count)
     interval = (tf - t0) / (sample_count - 1)
     starts, lengths, paths = _intervals(spec, grid, interval)
-    bm, gm = modes.solve(np.column_stack([b, g])).T
-    # Re(c V y) = Re(cV) Re y - Im(cV) Im y: one real GEMM of a block of
-    # samples, read with their real and imaginary parts interleaved
-    cv = c @ modes.v
-    m = cv.shape[1]
-    real_cv = np.empty((2 * m, cv.shape[0]))
-    real_cv[0::2] = cv.real.T
-    real_cv[1::2] = -cv.imag.T
-    values = np.zeros((sample_count, cv.shape[0]))
+    table = system.etdrk4
+    built = table.built
+    m, outputs = table.lam.size, table.out_map.shape[1]
+    values = np.zeros((sample_count, outputs))
     block = np.empty((min(_SAMPLE_BLOCK, len(paths)), m), dtype=complex)
 
-    def kernel(h):
-        return ode.cubic_etdrk4(modes.eigenvalues, row, gm, h, bm)
-
     def run(k, compare):
-        # the sample interval's coefficients serve every whole interval;
-        # each piece cut by a jump is met once, so its own are made there
-        whole = kernel(interval / k)
+        # the sample interval's steps serve every whole interval and a
+        # piece cut by a jump takes those of its length; the table builds
+        # each step size once for all runs and queries of the system
+        whole = table.kernel(interval / k)
         inputs = iter(_stage_inputs(spec, starts, lengths, k))
         y = np.zeros(m, dtype=complex)
-        diff = np.zeros(cv.shape[0])
-        scale = np.zeros(cv.shape[0])
+        diff = np.zeros(outputs)
+        scale = np.zeros(outputs)
         for first in range(1, sample_count, _SAMPLE_BLOCK):
             rows = min(_SAMPLE_BLOCK, sample_count - first)
             i = 0
@@ -210,10 +217,10 @@ def _simulate(modes, b, g, row, c, spec: InputSpec, t0: float, tf: float,
                     # every piece writes the row; the last one ends on it
                     for j in range(i, i + count):
                         for piece in pieces:
-                            y = kernel(piece / k).advance(
+                            y = table.kernel(piece / k).advance(
                                 y, block[j:j + 1], k, inputs)
                 i += count
-            out = block[:rows].view(float) @ real_cv
+            out = block[:rows].view(float) @ table.out_map
             if not np.isfinite(out).all():
                 raise ode.NonFiniteState("ETDRK4 sample not finite")
             kept = values[first:first + rows]
@@ -229,7 +236,8 @@ def _simulate(modes, b, g, row, c, spec: InputSpec, t0: float, tf: float,
     k, n_steps, est = ode.step_doubling(run, len(starts), _STEP_BUDGET)
     stats = Etdrk4Stats(step=interval / k, steps_per_sample=k,
                         n_steps=n_steps, error_estimate=est,
-                        cond_v=modes.cond)
+                        cond_v=system.modes.cond,
+                        sets_built=table.built - built)
     return OutputSeries(times=grid, values=values, stats=stats)
 
 
@@ -248,10 +256,7 @@ def simulate_rom(red: ReducedSystem, spec: InputSpec, t0: float = 0.0,
     ode.StepBudget
         When no run within _STEP_BUDGET steps passes the check.
     """
-    modes = red.modes
-    return _simulate(modes, red.br[:, 0], red.nl_coeff * red.nl_out_weights,
-                     red.nl_in_weights @ modes.v, red.cr, spec, t0, tf, rtol,
-                     atol, sample_count)
+    return _simulate(red, spec, t0, tf, rtol, atol, sample_count)
 
 
 def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
@@ -261,9 +266,4 @@ def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
 
     Checked and raising as ``simulate_rom``, on A's modal factor.
     """
-    modes = sys.modes
-    target = np.zeros(2 * sys.n)
-    target[sys.nl_target_index] = sys.nl_coeff
-    return _simulate(modes, sys.b[:, 0], target,
-                     modes.v[sys.nl_state_index], sys.c, spec, t0, tf, rtol,
-                     atol, sample_count)
+    return _simulate(sys, spec, t0, tf, rtol, atol, sample_count)

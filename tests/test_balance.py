@@ -209,6 +209,15 @@ class TestReduce:
         rel = np.linalg.norm(v @ np.diag(lam) @ np.linalg.inv(v) - red.ar)
         assert rel <= 1e-12 * np.linalg.norm(red.ar)
 
+    def test_reduced_arrays_read_only(self, example1_n20):
+        # the ETDRK4 table is derived from them once and kept
+        sys, p, q = example1_n20
+        red = reduce(sys, square_root_transform(p, q, 4))
+        for arr in (red.ar, red.br, red.cr, red.nl_in_weights,
+                    red.nl_out_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_reduced_matrix_stable(self, example1_n20):
         sys, p, q = example1_n20
         red = reduce(sys, square_root_transform(p, q, 4))

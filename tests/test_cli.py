@@ -9,12 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cablemass import cli, linalg
+from cablemass import cli, linalg, rom
 from cablemass.cli import (DEFAULT_PARAMS, PRESETS, ExperimentConfig,
                            ParseError, ValidationError, get_preset,
                            load_config, main, run_command)
 from cablemass.model import PhysicalParams
-from cablemass.signals import InputSpec, eval_input
+from cablemass.signals import InputSpec, eval_input, input_preset
 from conftest import record_real_schur
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -508,16 +508,26 @@ class TestMain:
         for label in ("FOM", "ROM"):
             match = next(filter(None, (re.fullmatch(
                 label + r" integrator ETDRK4: h=(\S+) \((\d+) per sample\), "
-                r"(\d+) steps, error estimate (\S+), cond\(V\) (\S+)", line)
+                r"(\d+) steps, error estimate (\S+), cond\(V\) (\S+), "
+                r"(\d+) coefficient sets built", line)
                 for line in lines)))
             h, est, cond = (float(match[i]) for i in (1, 4, 5))
-            k, steps = int(match[2]), int(match[3])
+            k, steps, built = (int(match[i]) for i in (2, 3, 6))
             # 999 sample intervals on [0, 20], 3 of them cut by a jump
             # (t = 5, 10, 15), k steps each in the kept run and one run
             # at each smaller k = 1, 2, ... before it
             assert h == pytest.approx(20.0 / 999 / k, rel=1e-5)
             assert k >= 2 and steps == 1002 * (2 * k - 1)
             assert est > 0.0 and 1.0 <= cond <= linalg.MODAL_COND_MAX
+            # a fresh model builds one coefficient set per distinct step
+            # size of the runs at k = 1, 2, ..., the kept k: the sample
+            # interval's and the jump pieces' over k
+            _, lengths, _ = rom._intervals(
+                input_preset("input4"), np.linspace(0.0, 20.0, 1000),
+                20.0 / 999)
+            sizes = {length / 2**i for length in lengths.tolist()
+                     for i in range(k.bit_length())}
+            assert built == len(sizes)
 
     def test_bad_preset_fails(self, capsys):
         assert main(["eigs", "--preset", "nonsense"]) == 1

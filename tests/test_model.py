@@ -127,10 +127,12 @@ class TestBuildSystem:
         assert sys.nl_target_index == 13
 
     def test_cached_inputs_read_only(self):
-        # a_second_order, a_matvec and schur are derived from A once and kept
+        # a_second_order, a_matvec and schur are derived from A once and
+        # kept, and the ETDRK4 table from A, b and c
         sys = build_system(EXAMPLE1, 5)
-        with pytest.raises(ValueError):
-            sys.a[0, 0] = 1.0
+        for arr in (sys.a, sys.b, sys.c):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
         with pytest.raises(ValueError):
             sys.schur.q[0, 0] = 1.0
         with pytest.raises(ValueError):

@@ -563,6 +563,14 @@ class TestCubicEtdrk4:
         with raises_quietly(ode.NonFiniteState):
             kernel.step(np.array([1e120 + 0j]))
 
+    def test_coefficients_read_only(self, rng):
+        # a table hands one kernel to every run of its step size
+        kernel = ode.cubic_etdrk4(-rng.uniform(0.5, 5.0, 3), np.ones(3),
+                                  np.ones(3), 0.3, np.ones(3))
+        for arr in (kernel.e, kernel.rows, kernel.w):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
 
 class TestAdvance:
     """Many ETDRK4 steps in one call, against one step per call."""

@@ -367,6 +367,87 @@ class TestEtdrk4Runs:
         assert peaks[1] - peaks[0] <= 1000 * 400 * 8 / 4
 
 
+class TestEtdrk4Table:
+    """Each model builds a step size's ETDRK4 coefficients once.
+
+    Every test builds its own models: the module-scoped ones share their
+    tables across tests.
+    """
+
+    @staticmethod
+    def fresh(model):
+        """A new model and its simulate function."""
+        sys = build_system(EXAMPLE1, 10)
+        if model == "fom":
+            return sys, rom.simulate_fom
+        p, q = balance.gramians(sys)
+        return (balance.reduce(sys, balance.square_root_transform(p, q, 4)),
+                rom.simulate_rom)
+
+    @staticmethod
+    def record_builds(monkeypatch, table):
+        """Patch ode.cubic_etdrk4 to log h and the table's size per call."""
+        calls = []
+        real = ode.cubic_etdrk4
+
+        def recording(lam, row, g, h, bm=None):
+            calls.append((h, len(table._sets)))
+            return real(lam, row, g, h, bm)
+
+        monkeypatch.setattr(ode, "cubic_etdrk4", recording)
+        return calls
+
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_queries_reuse_coefficients(self, monkeypatch, model):
+        # square-wave queries that differ only in amplitude build each
+        # step size once, and give the outputs of a fresh model bitwise
+        spec = input_preset("input4")
+        scales = (1.0, 0.5, 2.0, 1.0)
+        refs = []
+        for scale in scales:
+            other, simulate = self.fresh(model)
+            refs.append(simulate(other, replace(spec, scale=scale), 0.0, 20.0))
+        system, simulate = self.fresh(model)
+        calls = self.record_builds(monkeypatch, system.etdrk4)
+        built = []
+        for scale, ref in zip(scales, refs):
+            before = len(calls)
+            series = simulate(system, replace(spec, scale=scale), 0.0, 20.0)
+            built.append(series.stats.sets_built)
+            assert built[-1] == len(calls) - before
+            assert series.values.tobytes() == ref.values.tobytes()
+            assert series.stats == replace(ref.stats, sets_built=built[-1])
+        steps = [h for h, _ in calls]
+        assert len(steps) == len(set(steps)) == system.etdrk4.built
+        assert built[0] == refs[0].stats.sets_built > 0 and built[-1] == 0
+
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_bounded(self, monkeypatch, model):
+        # 3 sets kept, fewer than one run's step sizes (the sample
+        # interval's and the pieces of 3 jumps): the oldest are dropped
+        # and rebuilt, and the outputs stay bitwise those of a fresh,
+        # unbounded model
+        spec = input_preset("input4")
+        ks = (1, 2, 4, 2, 1)
+        refs = []
+        for k in ks:
+            fixed_k(monkeypatch, k)
+            other, simulate = self.fresh(model)
+            refs.append(simulate(other, spec, 0.0, 20.0).values)
+        monkeypatch.setattr(ode, "_TABLE_SETS", 3)
+        system, simulate = self.fresh(model)
+        table = system.etdrk4
+        calls = self.record_builds(monkeypatch, table)
+        for k, ref in zip(ks, refs):
+            fixed_k(monkeypatch, k)
+            values = simulate(system, spec, 0.0, 20.0).values
+            assert len(table._sets) == 3
+            assert values.tobytes() == ref.tobytes()
+        # each build sees at most 2 sets: the oldest went to make room
+        assert max(size for _, size in calls) == 2
+        assert len(calls) > len({h for h, _ in calls})
+
+
 class TestStreamedSampling:
     """The grid samples of a run are those of its nodes.
 
