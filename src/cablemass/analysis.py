@@ -13,36 +13,34 @@ reported as the decay rate.
 The unforced study (``energy_decay``) steps the full-order model
 x' = A x + w c (v . x)^3 with fixed-step ETDRK4 in the eigenvector
 coordinates of A (``StateSpaceSystem.modes``), where e^(hA) is diagonal
-and a step costs O(n).  Each step size h = interval / k ends every k-th
-step on a sample, so no dense output is needed, and k is chosen by
-comparing the runs at h and 2h at every sample against rtol and atol.
+and a step costs O(n).  It runs the forced runs' loop (``rom._simulate``)
+with zero input from a given state.  Each step size h = interval / k ends
+every k-th step on a sample, so no dense output is needed, and k is
+chosen by comparing the runs at h and 2h at every sample against rtol
+and atol.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ode
+from . import ode, rom
 from .model import (DimensionMismatch, PhysicalParams, QuadraticForms,
                     StateSpaceSystem, _check_state)
 # Not called here any more: perfbench's tracer still patches these names
 # (its sites ("cablemass.analysis", "fom_rhs") and ("cablemass.analysis",
 # "fom_jacobian")), so they stay importable until the benchmark drops them.
 from .model import fom_jacobian, fom_rhs  # noqa: F401
-from .rom import OutputSeries
+from .rom import Etdrk4Stats, OutputSeries
+from .signals import InputSpec
 
 
 class GridMismatch(ValueError):
     """Two output series do not share the same time grid."""
 
 
-# ETDRK4 steps (every run, every k tried) energy_decay may take.
-_ENERGY_STEP_BUDGET = 1_000_000
-# Samples energy_decay converts from modal to real coordinates at a time.
-_SAMPLE_BLOCK = 64
 # Share of the horizon skipped as initial transient by the decay-rate fit.
 _FIT_SKIP = 0.1
 
@@ -54,11 +52,8 @@ class EnergyReport:
     fitted_rate is the least-squares slope of log E over the fit
     window; fit_r2 is the coefficient of determination of that fit.
     degenerate flags a run whose energy was identically zero (rate
-    reported as 0).  The samples come from ETDRK4 steps of
-    h = step, steps_per_sample to a sample interval; error_estimate is
-    the estimate of their error in the energy norm from the run at 2h,
-    n_steps the ETDRK4 steps taken over every step size tried, and
-    cond_v the estimated condition number of A's eigenvector matrix.
+    reported as 0).  stats tells how the samples were integrated; its
+    error_estimate is in the energy norm.
     """
 
     times: np.ndarray
@@ -68,11 +63,7 @@ class EnergyReport:
     fitted_rate: float
     fit_r2: float
     degenerate: bool
-    step: float
-    steps_per_sample: int
-    n_steps: int
-    error_estimate: float
-    cond_v: float
+    stats: Etdrk4Stats
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,53 +126,6 @@ def compute_energy(forms: QuadraticForms, params: PhysicalParams, x):
     return ek + ep, ek, ep
 
 
-def _etdrk4_run(modes, row, g, y0, k: int, interval: float,
-                forms: QuadraticForms, states: np.ndarray, compare: bool):
-    """One ETDRK4 run of k steps per sample interval; its error estimate.
-
-    The run starts from the modal state y0 and writes its real state at
-    each sample over states[1:], _SAMPLE_BLOCK samples at a time (one
-    ``CubicEtdrk4.advance`` call and one GEMM with V each).  With compare
-    set, states[1:] holds the samples of the run at twice this step, and
-    each is measured against the new one in the energy norm
-    ||x||_E^2 = 1/2 v^T M_H v + 1/2 d^T K_V d before it is overwritten.
-    Returns the largest difference over 15 (2^4 - 1, Richardson for a
-    fourth-order method), or inf without compare, and the largest
-    ||x||_E over this run's samples.
-
-    Raises ode.NonFiniteState when a stage or a sample is not finite;
-    states[1:] may then hold samples of both runs.
-    """
-    kernel = ode.cubic_etdrk4(modes.eigenvalues, row, g, interval / k)
-    # Re(V y) = Re V Re y - Im V Im y: one real GEMM of the block, read
-    # with its real and imaginary parts interleaved, by [Re V^T; -Im V^T]
-    # interleaved the same way, at half the cost of the complex product
-    m = y0.size
-    real_v = np.empty((2 * m, m))
-    real_v[0::2] = modes.v.real.T
-    real_v[1::2] = -modes.v.imag.T
-    count = states.shape[0] - 1
-    block = np.empty((min(_SAMPLE_BLOCK, count), m), dtype=complex)
-    y = y0
-    ek, ep = _quadratic_energies(forms, states[0])
-    diff2, norm2 = 0.0, ek + ep
-    for start in range(1, count + 1, _SAMPLE_BLOCK):
-        rows = min(_SAMPLE_BLOCK, count + 1 - start)
-        y = kernel.advance(y, block[:rows], k)
-        x = block[:rows].view(float) @ real_v
-        if not np.isfinite(x).all():
-            raise ode.NonFiniteState("ETDRK4 sample not finite")
-        kept = states[start:start + rows]
-        if compare:
-            ek, ep = _quadratic_energies(forms, x - kept)
-            diff2 = max(diff2, float((ek + ep).max()))
-        ek, ep = _quadratic_energies(forms, x)
-        norm2 = max(norm2, float((ek + ep).max()))
-        kept[...] = x
-    est = math.sqrt(diff2) / 15.0 if compare else math.inf
-    return est, math.sqrt(norm2)
-
-
 def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
                  tf: float, rtol: float = 1e-6, atol: float = 1e-9,
                  sample_count: int = 1000) -> EnergyReport:
@@ -193,58 +137,41 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     [_FIT_SKIP * tf, tf] (the initial transient is skipped).
 
     In y = V^-1 x (``sys.modes``) the model reads
-    y' = diag(lambda) y + g (Re row . y)^3 with g = V^-1 e_target
-    nl_coeff and row = V[nl_state_index], and fixed-step ETDRK4
-    (``ode.cubic_etdrk4``) integrates it with h = interval / k, so every
-    k-th step ends on a sample.  Runs are made at k = 1, 2, 4, ...
-    (``ode.step_doubling``); each is compared at every sample with the
-    run before it (``_etdrk4_run``), and the first whose estimate is at most
-    rtol * max ||x_h||_E + atol is kept.  So at least two runs are made,
-    and no sample is kept unchecked.  A run whose state blows up is
-    dropped, and the next one is compared with none.
+    y' = diag(lambda) y + g (Re row . y)^3, and the forced runs' loop
+    (``rom._simulate``) steps it from V^-1 x0 with zero input, through
+    ``sys.etdrk4``, with h = interval / k, so every k-th step ends on a
+    sample.  Runs are made at k = 1, 2, 4, ... (``ode.step_doubling``);
+    each is compared at every sample with the run before it in the
+    energy norm ||x||_E^2 = 1/2 v^T M_H v + 1/2 d^T K_V d, and the first
+    whose estimate is at most rtol * max ||x_h||_E + atol is kept.  So
+    at least two runs are made, and no sample is kept unchecked.  A run
+    whose state blows up is dropped, and the next one is compared with
+    none.  The settings are checked as the forced runs' are.
 
     Raises
     ------
     linalg.IllConditionedModes
         When A is too close to defective for its modal factor.
     ode.StepBudget
-        When the next k would take the steps past _ENERGY_STEP_BUDGET.
+        When no run within rom._STEP_BUDGET steps passes the check.
     """
-    if sample_count < 2:
-        raise ValueError(f"sample_count must be >= 2, got {sample_count}")
-    if not tf > 0.0:
-        raise ValueError(f"need tf > 0, got {tf}")
+    times = rom._sample_grid(0.0, tf, rtol, atol, sample_count)
     x0 = _check_state(sys, x0)
     if not np.isfinite(x0).all():
         raise ValueError("initial state has non-finite entries")
     modes = sys.modes
-    target = np.zeros(x0.size)
-    target[sys.nl_target_index] = sys.nl_coeff
-    y0, g = modes.solve(np.column_stack([x0, target])).T
-    row = modes.v[sys.nl_state_index]
-    interval = tf / (sample_count - 1)
-    states = np.empty((sample_count, x0.size))
-    states[0] = x0
-
-    def run(k, compare):
-        est, scale = _etdrk4_run(modes, row, g, y0, k, interval, forms,
-                                 states, compare)
-        return est, est <= rtol * scale + atol
-
-    k, n_steps, est = ode.step_doubling(run, sample_count - 1,
-                                        _ENERGY_STEP_BUDGET)
-    times = np.linspace(0.0, tf, sample_count)
-    e, ek, ep = compute_energy(forms, sys.params, states)
-    integration = dict(step=interval / k, steps_per_sample=k,
-                       n_steps=n_steps, error_estimate=est,
-                       cond_v=modes.cond)
+    # V^-1 x0 by the several-column solve: the one-column path rounds
+    # differently, and this one keeps the recorded histories bitwise
+    y0 = modes.solve(np.column_stack([x0, x0]))[:, 0]
+    run = rom._simulate(
+        sys, InputSpec(kind="zero"), times, rtol, atol, y0, x0,
+        ode.real_map(modes.v),
+        lambda x: np.sqrt(np.add(*_quadratic_energies(forms, x))))
+    e, ek, ep = compute_energy(forms, sys.params, run.values)
     fit = _decay_fit(times, e, _FIT_SKIP * tf)
-    if fit is None:
-        return EnergyReport(times=times, e=e, ek=ek, ep=ep, fitted_rate=0.0,
-                            fit_r2=0.0, degenerate=True, **integration)
-    rate, r2 = fit
+    rate, r2 = (0.0, 0.0) if fit is None else fit
     return EnergyReport(times=times, e=e, ek=ek, ep=ep, fitted_rate=rate,
-                        fit_r2=r2, degenerate=False, **integration)
+                        fit_r2=r2, degenerate=fit is None, stats=run.stats)
 
 
 def _decay_fit(times, e, t_start: float) -> tuple[float, float] | None:

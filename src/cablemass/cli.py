@@ -353,16 +353,11 @@ SUBCOMMANDS = {
 
 
 def _integrator_line(label: str, stats) -> str:
-    """The log line of an ETDRK4 run: its step, k, steps, estimate, cond(V)."""
+    """An ETDRK4 run's log line: step, k, steps, estimate, cond(V), sets."""
     return (f"{label} integrator ETDRK4: h={stats.step:.6g} "
             f"({stats.steps_per_sample} per sample), {stats.n_steps} steps, "
             f"error estimate {stats.error_estimate:.3g}, "
-            f"cond(V) {stats.cond_v:.3g}")
-
-
-def _forced_line(label: str, stats) -> str:
-    """A forced run's integrator line, with the coefficient sets it built."""
-    return (f"{_integrator_line(label, stats)}, "
+            f"cond(V) {stats.cond_v:.3g}, "
             f"{stats.sets_built} coefficient sets built")
 
 
@@ -407,10 +402,10 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
         spec = signals.resolve_input(cfg.input, sys_, mode=cfg.input2_mode)
         fom_series = rom.simulate_fom(sys_, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
                                       atol=cfg.atol, sample_count=cfg.sample_count)
-        log(_forced_line("FOM", fom_series.stats))
+        log(_integrator_line("FOM", fom_series.stats))
         rom_series = rom.simulate_rom(red, spec, cfg.t0, cfg.tf, rtol=cfg.rtol,
                                       atol=cfg.atol, sample_count=cfg.sample_count)
-        log(_forced_line("ROM", rom_series.stats))
+        log(_integrator_line("ROM", rom_series.stats))
         write("outputs", write_outputs_csv, fom_series, rom_series)
 
     if "error" in wanted:
@@ -426,7 +421,7 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
             atol=min(cfg.atol, 1e-9), sample_count=cfg.sample_count)
         write("energy", write_energy_csv, report)
         log(f"fitted decay rate {report.fitted_rate:.6g} (R2={report.fit_r2:.4f})")
-        log(_integrator_line("energy", report))
+        log(_integrator_line("energy", report.stats))
 
     return written
 

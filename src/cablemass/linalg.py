@@ -17,8 +17,9 @@ factor, and the spectrum, both Gramians and the input-2 frequencies all
 read it.  ``eigenvalues`` and ``solve_lyapunov`` factor a bare matrix.
 
 ``modal_factor`` diagonalises A = V diag(lambda) V^-1 for the exponential
-integrator of the energy study, which steps in the coordinates y = V^-1 x
-(``StateSpaceSystem.modes`` caches it).  V is kept as its LU factors, and
+integrator of the energy study and the forced FOM and ROM runs, which
+step in the coordinates y = V^-1 x (``StateSpaceSystem.modes`` and
+``ReducedSystem.modes`` cache it).  V is kept as its LU factors, and
 its condition number is estimated from them by LAPACK ``zgecon``.
 """
 

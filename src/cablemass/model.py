@@ -39,7 +39,7 @@ A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
 frequencies; its modal factor (``StateSpaceSystem.modes``) is computed
 once for the exponential integrator of the energy study and the forced
-runs, and the forced runs' ETDRK4 table (``StateSpaceSystem.etdrk4``)
+runs, and the ETDRK4 table both step through (``StateSpaceSystem.etdrk4``)
 once on that factor.  A, b and c are read-only, so the tridiagonal
 pieces, the CSR copy and the factors and table derived from them cannot
 go stale.
@@ -220,10 +220,11 @@ class StateSpaceSystem:
 
     @cached_property
     def etdrk4(self) -> Etdrk4Table:
-        """The forced runs' ETDRK4 steps on ``modes``, built on first use.
+        """The ETDRK4 steps on ``modes``, built on first use.
 
-        ``rom.simulate_fom`` steps through it: each step size's
-        coefficients are built once and kept for every later run.
+        ``rom.simulate_fom`` and ``analysis.energy_decay`` step through
+        it: each step size's coefficients are built once and kept for
+        every later run of either.
         """
         modes = self.modes
         target = np.zeros(2 * self.n)

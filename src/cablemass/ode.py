@@ -3,8 +3,8 @@
 ``CubicEtdrk4`` is the fourth-order exponential time-differencing
 Runge-Kutta method of Cox and Matthews (2002, J. Comput. Phys. 176) for
 y' = diag(lambda) y + bm u(t) + g (Re row . y)^3: a model in the
-eigenvector coordinates of A (``linalg.modal_factor``), with an optional
-input column bm.  The linear part is integrated exactly, so a step costs
+eigenvector coordinates of A (``linalg.modal_factor``) with the input
+column bm.  The linear part is integrated exactly, so a step costs
 O(n) whatever the stiffness; its stiff order is discussed by Hochbruck
 and Ostermann (2010, Acta Numerica).  It has no error estimate of its
 own: ``step_doubling`` makes runs at k = 1, 2, 4, ... steps per sample
@@ -14,9 +14,9 @@ tolerance.  ``CubicEtdrk4.advance`` makes many steps in one call, and
 forms where |h lambda| >= 1, and below that their Taylor series, whose
 coefficients are exact rationals (on evaluating phi-functions see
 Skaflestad and Wright 2009, Appl. Numer. Math. 59).  The energy study
-and the forced FOM and ROM runs all step this way; a forced system
-keeps its steps in an ``Etdrk4Table``, which builds the coefficients of
-each step size once for all of the system's runs and queries.
+and the forced FOM and ROM runs all step this way, and a system keeps
+its steps in an ``Etdrk4Table``, which builds the coefficients of each
+step size once for all of the system's runs and queries.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
@@ -540,9 +540,9 @@ class CubicEtdrk4:
 
     e : e^(h lam).  rows : (3, m), row, row e^(h lam / 2) and
     row e^(h lam).  w : h f1 g, 2 h f2 g and h f3 g (``etd_weights``),
-    followed, when there is an input column, by h f1 bm, 2 h f2 bm and
-    h f3 bm.  alpha, beta : Re row . (h q g) and
-    Re row . (e^(h lam / 2) h q g); gamma, delta : the same with bm.
+    followed by h f1 bm, 2 h f2 bm and h f3 bm.  alpha, beta :
+    Re row . (h q g) and Re row . (e^(h lam / 2) h q g); gamma, delta :
+    the same with bm.
     """
 
     e: np.ndarray
@@ -550,8 +550,8 @@ class CubicEtdrk4:
     w: np.ndarray
     alpha: float
     beta: float
-    gamma: float = 0.0
-    delta: float = 0.0
+    gamma: float
+    delta: float
 
     def advance(self, y: np.ndarray, out: np.ndarray, k: int,
                 inputs=None) -> np.ndarray:
@@ -561,16 +561,15 @@ class CubicEtdrk4:
         last of them is returned.  inputs gives (u0, uh, u1), the input
         at a step's start, middle and end, for each of the k len(out)
         steps in turn; an iterator is advanced by exactly that many.
-        Without inputs the input is 0.
+        Without inputs the input is 0 and takes no part: a step adds
+        only the three cubic rows of w.
 
         With N(y, t) = g s(y)^3 + bm u(t) and the stage states
         a = e^(hL/2) y + h q N(y, t),
         b = e^(hL/2) y + h q N(a, t + h/2) and
         c = e^(hL/2) a + h q (2 N(b, t + h/2) - N(y, t)), a step is
         e^(hL) y + h f1 N(y, t) + 2 h f2 (N(a, t + h/2) + N(b, t + h/2))
-        + h f3 N(c, t + h) (Cox and Matthews 2002).  Without an input
-        column gamma and delta are 0 and w has no input rows, so the
-        input takes no part.
+        + h f3 N(c, t + h) (Cox and Matthews 2002).
 
         Raises NonFiniteState when a stage value is not finite, which a
         step too long for the cubic term can cause; the rows completed
@@ -582,9 +581,11 @@ class CubicEtdrk4:
         # w's real and imaginary parts interleaved: a real product with
         # the step's weights, read back as complex
         w = self.w.view(float)
+        if inputs is None:
+            w, inputs = w[:3], itertools.repeat((0.0, 0.0, 0.0))
+        else:
+            inputs = iter(inputs)
         nw = len(w)
-        inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
-                  else iter(inputs))
         for i in range(len(out)):
             for _ in range(k):
                 u0, uh, u1 = next(inputs)
@@ -601,7 +602,7 @@ class CubicEtdrk4:
                 c_c = s_c * s_c * s_c
                 if not isfinite(c_c):
                     raise NonFiniteState("ETDRK4 stage value not finite")
-                # the input's three weights only where w has the input's rows
+                # the input's three weights only where it takes part
                 y = e * y + dot([c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1][:nw],
                                 w).view(complex)
             out[i] = y
@@ -618,33 +619,41 @@ class CubicEtdrk4:
                             ((u0, uh, u1),))
 
 
-def cubic_etdrk4(lam, row, g, h: float, bm=None) -> CubicEtdrk4:
+def cubic_etdrk4(lam, row, g, h: float, bm) -> CubicEtdrk4:
     """The ETDRK4 step of size h for y' = diag(lam) y + bm u + g (Re row . y)^3.
 
     lam, row, g and the input column bm are complex vectors of one
-    length; without bm the system is unforced.  Every call computes the
-    coefficients afresh; ``Etdrk4Table`` keeps those of a forced system,
-    one set per h.  The kernel's e, rows and w are read-only.
+    length.  Every call computes the coefficients afresh;
+    ``Etdrk4Table`` keeps those of a system, one set per h.  The
+    kernel's e, rows and w are read-only.
     """
     z = h * np.asarray(lam, dtype=complex)
     q, f1, f2, f3 = etd_weights(z)
     half = np.exp(0.5 * z)
     e = np.exp(z)
-    hqg = h * q * g
-    cols = [f1 * g, 2.0 * f2 * g, f3 * g]
-    gamma = delta = 0.0
-    if bm is not None:
-        cols += [f1 * bm, 2.0 * f2 * bm, f3 * bm]
-        hqb = h * q * bm
-        gamma = float((row @ hqb).real)
-        delta = float((row @ (half * hqb)).real)
-    rows, w = np.array([row, row * half, row * e]), h * np.array(cols)
+    hqg, hqb = h * q * g, h * q * bm
+    rows = np.array([row, row * half, row * e])
+    w = h * np.array([f1 * g, 2.0 * f2 * g, f3 * g,
+                      f1 * bm, 2.0 * f2 * bm, f3 * bm])
     for arr in (e, rows, w):
         arr.flags.writeable = False
     return CubicEtdrk4(
         e=e, rows=rows, w=w,
         alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real),
-        gamma=gamma, delta=delta)
+        gamma=float((row @ hqb).real), delta=float((row @ (half * hqb)).real))
+
+
+def real_map(m: np.ndarray) -> np.ndarray:
+    """The real map that takes a block of vectors y, one per row, to Re(m y).
+
+    The block is read as floats, real and imaginary parts interleaved;
+    Re(m y) = Re m Re y - Im m Im y, so one real GEMM with Re m^T and
+    -Im m^T interleaved the same way does it, at half the complex cost.
+    """
+    out = np.empty((2 * m.shape[1], m.shape[0]))
+    out[0::2] = m.real.T
+    out[1::2] = -m.imag.T
+    return out
 
 
 # Coefficient sets an Etdrk4Table keeps; past it the oldest is dropped.
@@ -656,33 +665,28 @@ _TABLE_SETS = 128
 
 
 class Etdrk4Table:
-    """The ETDRK4 steps of one forced system, built once per step size.
+    """The ETDRK4 steps of one system, built once per step size.
 
     The system is x' = A x + b u(t) + g (row_x . x)^3 with outputs c x,
     and modes is A's modal factor A = V diag(lam) V^-1 (a
     ``linalg.ModalForm``); row is row_x V.  The table keeps the modal
     vectors every run steps with: lam, row, gm = V^-1 g, bm = V^-1 b,
-    and ``out_map``, which sends a block of states y, read as floats
-    with their real and imaginary parts interleaved, to Re(c V y) in
-    one real GEMM.  All of them are read-only.
+    and ``out_map``, the ``real_map`` of c V.  All of them are
+    read-only.  The forced runs and the energy study step through it.
 
     ``kernel(h)`` returns the ``CubicEtdrk4`` of step h.  Its
     coefficients depend on h lam and these vectors only, not on the
-    input, so they are built (by ``cubic_etdrk4``) the first time h is
-    asked for and kept for every later run and query of the system.  At
-    most _TABLE_SETS sets are kept, the oldest dropped first; ``built``
-    counts the sets ever built.
+    input or the initial state, so they are built (by ``cubic_etdrk4``)
+    the first time h is asked for and kept for every later run and
+    query of the system.  At most _TABLE_SETS sets are kept, the oldest
+    dropped first; ``built`` counts the sets ever built.
     """
 
     def __init__(self, modes, b, g, row, c):
         self.lam = modes.eigenvalues
         self.bm, self.gm = modes.solve(np.column_stack([b, g])).T
         self.row = row
-        # Re(c V y) = Re(cV) Re y - Im(cV) Im y
-        cv = c @ modes.v
-        self.out_map = np.empty((2 * cv.shape[1], cv.shape[0]))
-        self.out_map[0::2] = cv.real.T
-        self.out_map[1::2] = -cv.imag.T
+        self.out_map = real_map(c @ modes.v)
         for arr in (self.bm, self.gm, self.row, self.out_map):
             arr.flags.writeable = False
         self.built = 0

@@ -1,4 +1,4 @@
-"""Forced full-order and reduced-order runs, by ETDRK4 on the modal factor.
+"""Sampled full-order and reduced-order runs, by ETDRK4 on the modal factor.
 
 The projected nonlinearity S_r F(T_r a) needs only the right-mass
 displacement row of T_r and the cubic-force column of S_r:
@@ -28,10 +28,12 @@ a run in one ``eval_input`` call.  Runs are made at
 k = 1, 2, 4, ... (``ode.step_doubling``); each is compared with the run
 before it at every sample, and the first whose estimate passes rtol and
 atol is kept.  Each sample is projected to the outputs as it is made,
-so a run holds samples x outputs numbers, not samples x states.
+so a run holds samples x outputs numbers, not samples x states.  The
+energy study (``analysis.energy_decay``) is this loop's unforced case
+from a given state, sampling the state itself in the energy norm.
 
-A step's coefficients depend on h and the model only, not on the input,
-so each model keeps them in one ``ode.Etdrk4Table``
+A step's coefficients depend on h and the model only, not on the input
+or the initial state, so each model keeps them in one ``ode.Etdrk4Table``
 (``StateSpaceSystem.etdrk4``, ``ReducedSystem.etdrk4``), with the modal
 vectors every run uses: a step size is built once for all of the
 model's runs and queries, and a query that differs from an earlier one
@@ -58,25 +60,26 @@ from .model import DimensionMismatch, StateSpaceSystem
 from .model import fom_jacobian, fom_rhs  # noqa: F401
 from .signals import PIECEWISE_CONSTANT, InputSpec, breakpoints, eval_input
 
-# ETDRK4 steps (every run, every k tried) a forced run may take.
+# ETDRK4 steps (every run, every k tried) a sampled run may take.
 _STEP_BUDGET = 1_000_000
-# Samples projected from modal coordinates to the outputs at a time.
+# Samples projected from modal to real coordinates at a time.
 _SAMPLE_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class Etdrk4Stats:
-    """How a forced run was integrated.
+    """How a sampled run (forced, or the energy study's) was integrated.
 
     The kept run took steps_per_sample ETDRK4 steps per sample
     interval, each of size step (an interval cut by an input jump takes
     as many steps per piece, each of the piece's length over
-    steps_per_sample).  error_estimate is the largest difference of an
-    output sample from the run at twice the step, over 15; n_steps
-    counts the steps of every run made; cond_v is the estimated
-    condition number of the model's eigenvector matrix.  sets_built
-    counts the ETDRK4 coefficient sets (one per step size) the call
-    added to the model's table, 0 when the table held them all.
+    steps_per_sample).  error_estimate is the largest difference of a
+    sample from the run at twice the step, over 15, in the caller's
+    norm (per output, or the energy norm); n_steps counts the steps of
+    every run made; cond_v is the estimated condition number of the
+    model's eigenvector matrix.  sets_built counts the ETDRK4
+    coefficient sets (one per step size) the call added to the model's
+    table, 0 when the table held them all.
     """
 
     step: float
@@ -171,45 +174,59 @@ def _stage_inputs(spec: InputSpec, starts, lengths, k: int) -> list:
                     axis=-1).reshape(-1, 3).tolist()
 
 
-def _simulate(system, spec: InputSpec, t0: float, tf: float, rtol: float,
-              atol: float, sample_count: int) -> OutputSeries:
-    """Outputs c x of x' = A x + b u(t) + g (row_x . x)^3 from x(t0) = 0.
+def _sample_grid(t0: float, tf: float, rtol: float, atol: float,
+                 sample_count: int) -> np.ndarray:
+    """The grid of a sampled run, after checking the run's settings.
 
-    system is a ``StateSpaceSystem`` or a ``ReducedSystem``; its
-    ``etdrk4`` table gives the steps and the output map.  Each run
-    writes its outputs over those of the run before, _SAMPLE_BLOCK
-    samples at a time (one GEMM with the output map each), after
-    measuring the difference.
+    Every run is checked here before any work: a finite t0 < tf, finite
+    positive rtol and atol and two samples or more, else ValueError.
     """
-    if not tf > t0:
-        raise ValueError(f"need tf > t0, got [{t0}, {tf}]")
+    if not (math.isfinite(t0) and math.isfinite(tf) and t0 < tf):
+        raise ValueError(f"need finite t0 < tf, got [{t0}, {tf}]")
     if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
         raise ValueError(f"rtol and atol must be finite and positive, "
                          f"got {rtol}, {atol}")
     if sample_count < 2:
         raise ValueError(f"sample_count must be >= 2, got {sample_count}")
-    grid = np.linspace(t0, tf, sample_count)
-    interval = (tf - t0) / (sample_count - 1)
+    return np.linspace(t0, tf, sample_count)
+
+
+def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
+              atol: float, y0: np.ndarray, first: np.ndarray,
+              out_map: np.ndarray, norm) -> OutputSeries:
+    """Samples of x' = A x + b u(t) + g (row_x . x)^3 on grid from V^-1 x = y0.
+
+    system is a ``StateSpaceSystem`` or a ``ReducedSystem``; its
+    ``etdrk4`` table gives the steps.  The first sample is the caller's,
+    each later one Re(M y) with out_map the ``ode.real_map`` of M (c V
+    for the outputs, V for the state).  Each run writes its samples over
+    those of the run before, _SAMPLE_BLOCK at a time, after measuring
+    the difference in norm: per channel (np.abs) or one number per
+    sample.  It passes where that over 15 is at most rtol * scale + atol,
+    scale the largest norm of a sample, the first's included.
+    """
+    interval = (grid[-1] - grid[0]) / (grid.size - 1)
     starts, lengths, paths = _intervals(spec, grid, interval)
     table = system.etdrk4
     built = table.built
-    m, outputs = table.lam.size, table.out_map.shape[1]
-    values = np.zeros((sample_count, outputs))
-    block = np.empty((min(_SAMPLE_BLOCK, len(paths)), m), dtype=complex)
+    values = np.empty((grid.size, first.size))
+    values[0] = first
+    block = np.empty((min(_SAMPLE_BLOCK, len(paths)), y0.size), complex)
 
     def run(k, compare):
         # the sample interval's steps serve every whole interval and a
         # piece cut by a jump takes those of its length; the table builds
         # each step size once for all runs and queries of the system
         whole = table.kernel(interval / k)
-        inputs = iter(_stage_inputs(spec, starts, lengths, k))
-        y = np.zeros(m, dtype=complex)
-        diff = np.zeros(outputs)
-        scale = np.zeros(outputs)
-        for first in range(1, sample_count, _SAMPLE_BLOCK):
-            rows = min(_SAMPLE_BLOCK, sample_count - first)
+        # one stream through every advance; the zero input takes no part
+        inputs = (None if spec.kind == "zero"
+                  else iter(_stage_inputs(spec, starts, lengths, k)))
+        y, scale = y0, norm(first)
+        diff = np.zeros_like(scale)
+        for start in range(1, grid.size, _SAMPLE_BLOCK):
+            rows = min(_SAMPLE_BLOCK, grid.size - start)
             i = 0
-            for pieces, same in groupby(paths[first - 1:first - 1 + rows]):
+            for pieces, same in groupby(paths[start - 1:start - 1 + rows]):
                 count = sum(1 for _ in same)
                 if pieces == (None,):
                     y = whole.advance(y, block[i:i + count], k, inputs)
@@ -220,13 +237,13 @@ def _simulate(system, spec: InputSpec, t0: float, tf: float, rtol: float,
                             y = table.kernel(piece / k).advance(
                                 y, block[j:j + 1], k, inputs)
                 i += count
-            out = block[:rows].view(float) @ table.out_map
+            out = block[:rows].view(float) @ out_map
             if not np.isfinite(out).all():
                 raise ode.NonFiniteState("ETDRK4 sample not finite")
-            kept = values[first:first + rows]
+            kept = values[start:start + rows]
             if compare:
-                np.maximum(diff, np.abs(out - kept).max(axis=0), out=diff)
-            np.maximum(scale, np.abs(out).max(axis=0), out=scale)
+                diff = np.maximum(diff, norm(out - kept).max(axis=0))
+            scale = np.maximum(scale, norm(out).max(axis=0))
             kept[...] = out
         if not compare:
             return math.inf, False
@@ -239,6 +256,16 @@ def _simulate(system, spec: InputSpec, t0: float, tf: float, rtol: float,
                         cond_v=system.modes.cond,
                         sets_built=table.built - built)
     return OutputSeries(times=grid, values=values, stats=stats)
+
+
+def _forced(system, spec: InputSpec, t0: float, tf: float, rtol: float,
+            atol: float, sample_count: int) -> OutputSeries:
+    """Outputs c x of a run from x(t0) = 0, checked per channel."""
+    grid = _sample_grid(t0, tf, rtol, atol, sample_count)
+    table = system.etdrk4
+    return _simulate(system, spec, grid, rtol, atol,
+                     np.zeros(table.lam.size, dtype=complex),
+                     np.zeros(table.out_map.shape[1]), table.out_map, np.abs)
 
 
 def simulate_rom(red: ReducedSystem, spec: InputSpec, t0: float = 0.0,
@@ -256,7 +283,7 @@ def simulate_rom(red: ReducedSystem, spec: InputSpec, t0: float = 0.0,
     ode.StepBudget
         When no run within _STEP_BUDGET steps passes the check.
     """
-    return _simulate(red, spec, t0, tf, rtol, atol, sample_count)
+    return _forced(red, spec, t0, tf, rtol, atol, sample_count)
 
 
 def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
@@ -266,4 +293,4 @@ def simulate_fom(sys: StateSpaceSystem, spec: InputSpec, t0: float = 0.0,
 
     Checked and raising as ``simulate_rom``, on A's modal factor.
     """
-    return _simulate(sys, spec, t0, tf, rtol, atol, sample_count)
+    return _forced(sys, spec, t0, tf, rtol, atol, sample_count)

@@ -8,7 +8,7 @@ import pytest
 
 from scipy.integrate import solve_ivp
 
-from cablemass import analysis, linalg, ode
+from cablemass import analysis, linalg, ode, rom
 from cablemass.analysis import (GridMismatch, accurate_prefix, compute_energy,
                                 energy_decay, local_maxima, output_error,
                                 stability_margin)
@@ -164,13 +164,16 @@ class TestEnergyDecay:
         calls = record_integrate(monkeypatch)
         report = energy_decay(sys, forms, x0, 5.0, sample_count=101)
         assert calls == []
-        assert report.steps_per_sample == 2
-        assert report.step == pytest.approx(5.0 / 200, rel=1e-15)
-        assert report.n_steps == 100 + 200
+        stats = report.stats
+        assert stats.steps_per_sample == 2
+        assert stats.step == pytest.approx(5.0 / 200, rel=1e-15)
+        assert stats.n_steps == 100 + 200
         # ||x||_E^2 <= E <= E(0): the default rtol and atol bound it
-        assert 0.0 < report.error_estimate <= \
+        assert 0.0 < stats.error_estimate <= \
             1e-6 * np.sqrt(report.e[0]) + 1e-9
-        assert report.cond_v == sys.modes.cond
+        assert stats.cond_v == sys.modes.cond
+        # one coefficient set per step size tried, h and h / 2
+        assert stats.sets_built == 2
 
     def test_large_amplitude_halves_the_step(self):
         # at 5x the study's initial data the cubic term sets the step:
@@ -182,7 +185,7 @@ class TestEnergyDecay:
         forms = quadratic_forms(preset.params, n)
         x0 = 5.0 * _energy_initial_data(preset.params, n)
         report = energy_decay(sys, forms, x0, tf, sample_count=count)
-        assert report.steps_per_sample >= 4
+        assert report.stats.steps_per_sample >= 4
         ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
                         method="Radau", t_eval=report.times, rtol=1e-11,
                         atol=1e-12,
@@ -201,8 +204,8 @@ class TestEnergyDecay:
         forms = quadratic_forms(preset.params, n)
         x0 = 5.0 * _energy_initial_data(preset.params, n)
         report = energy_decay(sys, forms, x0, tf, sample_count=2)
-        assert report.steps_per_sample >= 2
-        assert report.error_estimate > 0.0
+        assert report.stats.steps_per_sample >= 2
+        assert report.stats.error_estimate > 0.0
         ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
                         method="Radau", t_eval=[tf], rtol=1e-11, atol=1e-12,
                         jac=lambda t, x: fom_jacobian(sys, x).dense())
@@ -211,13 +214,48 @@ class TestEnergyDecay:
 
     def test_step_budget(self, monkeypatch):
         # rtol 1e-15 is never met: k doubles until the budget runs out
-        monkeypatch.setattr(analysis, "_ENERGY_STEP_BUDGET", 5000)
+        monkeypatch.setattr(rom, "_STEP_BUDGET", 5000)
         sys = build_system(EXAMPLE1, 10)
         forms = quadratic_forms(EXAMPLE1, 10)
         x0 = _energy_initial_data(EXAMPLE1, 10)
         with pytest.raises(ode.StepBudget):
             energy_decay(sys, forms, x0, 5.0, rtol=1e-15, atol=1e-30,
                          sample_count=101)
+
+    @pytest.mark.parametrize("tol", [
+        dict(rtol=0.0), dict(rtol=-1e-6), dict(rtol=np.nan),
+        dict(rtol=np.inf), dict(atol=np.nan), dict(rtol=0.0, atol=0.0)])
+    def test_bad_tolerances(self, tol):
+        # no run could pass them: refused before any step is taken
+        sys = build_system(EXAMPLE1, 10)
+        forms = quadratic_forms(EXAMPLE1, 10)
+        x0 = _energy_initial_data(EXAMPLE1, 10)
+        with pytest.raises(ValueError, match="rtol and atol"):
+            energy_decay(sys, forms, x0, 5.0, **tol)
+        assert "modes" not in vars(sys)
+
+    @pytest.mark.parametrize("tf", [np.inf, np.nan, 0.0, -1.0])
+    def test_bad_horizon(self, tf):
+        sys = build_system(EXAMPLE1, 10)
+        forms = quadratic_forms(EXAMPLE1, 10)
+        x0 = _energy_initial_data(EXAMPLE1, 10)
+        with pytest.raises(ValueError, match="t0 < tf"):
+            energy_decay(sys, forms, x0, tf)
+        assert "modes" not in vars(sys)
+
+    def test_repeated_calls_build_nothing(self):
+        # the second study on a system steps through the coefficient
+        # sets the first one built, to the same samples bitwise
+        sys = build_system(EXAMPLE1, 20)
+        forms = quadratic_forms(EXAMPLE1, 20)
+        x0 = _energy_initial_data(EXAMPLE1, 20)
+        first, again = (energy_decay(sys, forms, x0, 5.0, sample_count=200)
+                        for _ in range(2))
+        assert first.stats.sets_built > 0
+        assert again.stats.sets_built == 0
+        assert again.stats == replace(first.stats, sets_built=0)
+        for name in ("e", "ek", "ep"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
 
     def test_near_defective_a_refused(self):
         # distinct eigenvalues 1e-9 apart on a Jordan-like chain: the

@@ -489,16 +489,18 @@ class TestMain:
                     if line.startswith("fitted decay rate"))
         match = re.fullmatch(
             r"energy integrator ETDRK4: h=(\S+) \((\d+) per sample\), "
-            r"(\d+) steps, error estimate (\S+), cond\(V\) (\S+)",
-            lines[rate + 1])
+            r"(\d+) steps, error estimate (\S+), cond\(V\) (\S+), "
+            r"(\d+) coefficient sets built", lines[rate + 1])
         assert match, lines[rate + 1]
         h, est, cond = (float(match[i]) for i in (1, 4, 5))
-        k, steps = int(match[2]), int(match[3])
+        k, steps, built = (int(match[i]) for i in (2, 3, 6))
         # 1000 samples on [0, 5]: k steps per interval in the kept run,
-        # and one run at each smaller k = 1, 2, ... before it
+        # and one run at each smaller k = 1, 2, ... before it, each with
+        # its own step size on a fresh model
         assert h == pytest.approx(5.0 / 999 / k, rel=1e-5)
         assert k >= 2 and steps == 999 * (2 * k - 1)
         assert est > 0.0 and 1.0 <= cond <= linalg.MODAL_COND_MAX
+        assert built == k.bit_length()
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_forced_runs_log_integrator(self, tmp_path, capsys, command):

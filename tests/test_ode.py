@@ -497,7 +497,7 @@ class TestCubicEtdrk4:
 
     def run(self, h, tf=2.0):
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
-                                  np.array([-1.0]), h)
+                                  np.array([-1.0]), h, np.zeros(1))
         y = np.array([1.0 + 0j])
         for _ in range(round(tf / h)):
             y = kernel.step(y)
@@ -513,7 +513,8 @@ class TestCubicEtdrk4:
         # without the cubic term a step multiplies by e^(h lambda)
         lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), 0.3)
+        kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), 0.3,
+                                  np.zeros(6))
         np.testing.assert_allclose(kernel.step(y), np.exp(0.3 * lam) * y,
                                    rtol=1e-15)
 
@@ -548,18 +549,22 @@ class TestCubicEtdrk4:
             assert coarse / fine >= 12.0
 
     def test_zero_input_is_unforced(self, rng):
-        # with an input column and u = 0 a step is the unforced one
+        # with an input column and u = 0 a step is the one without an
+        # input column; without inputs the input rows take no part
         lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
         row, g, bm, y = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
                          for _ in range(4))
-        unforced = ode.cubic_etdrk4(lam, row, g, 0.3)
+        unforced = ode.cubic_etdrk4(lam, row, g, 0.3, np.zeros(6))
         forced = ode.cubic_etdrk4(lam, row, g, 0.3, bm)
         np.testing.assert_allclose(forced.step(y), unforced.step(y),
                                    rtol=1e-14)
+        no_inputs = np.empty((1, 6), dtype=complex)
+        assert_bitwise(forced.advance(y, no_inputs, 1),
+                       unforced.advance(y, no_inputs, 1))
 
     def test_overflowing_stage_raises(self):
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
-                                  np.array([-1.0]), 0.5)
+                                  np.array([-1.0]), 0.5, np.zeros(1))
         with raises_quietly(ode.NonFiniteState):
             kernel.step(np.array([1e120 + 0j]))
 
@@ -581,7 +586,7 @@ class TestAdvance:
         row, g, bm = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
                       for _ in range(3))
         return ode.cubic_etdrk4(lam, row, 0.1 * g, 0.3,
-                                bm if forced else None)
+                                bm if forced else np.zeros(6))
 
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -619,7 +624,7 @@ class TestAdvance:
         # of h = 0.05 overflow a stage a few rows into a 50-row stretch
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                   np.array([1.0]), 0.05,
-                                  np.array([1.0]) if forced else None)
+                                  np.array([1.0]) if forced else np.zeros(1))
         out = np.full((50, 1), np.nan, dtype=complex)
         inputs = [(1.0, 1.0, 1.0)] * (50 * k) if forced else None
         with raises_quietly(ode.NonFiniteState):

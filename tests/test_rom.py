@@ -348,6 +348,17 @@ class TestEtdrk4Runs:
             rom.simulate_rom(red, input_preset("input1"),
                              **{"t0": 0.0, "tf": 5.0, **kwargs})
 
+    @pytest.mark.parametrize("span", [(0.0, np.inf), (-np.inf, 5.0),
+                                      (np.nan, 5.0), (0.0, np.nan)])
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_non_finite_horizon(self, reduced_n20, model, span):
+        # refused by the settings check, before any step or warning
+        sys, _, red = reduced_n20
+        simulate, system = ((rom.simulate_rom, red) if model == "rom"
+                            else (rom.simulate_fom, sys))
+        with pytest.raises(ValueError, match="t0 < tf"):
+            simulate(system, input_preset("input1"), *span)
+
     def test_memory_grows_with_outputs_not_states(self):
         # small_damp_ex5_in4 at n = 200 on [0, 20]: 1000 more samples
         # held as (samples, 2n) real states would take 3.2 MB more; the
@@ -390,7 +401,7 @@ class TestEtdrk4Table:
         calls = []
         real = ode.cubic_etdrk4
 
-        def recording(lam, row, g, h, bm=None):
+        def recording(lam, row, g, h, bm):
             calls.append((h, len(table._sets)))
             return real(lam, row, g, h, bm)
 
