@@ -160,11 +160,8 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     if not np.isfinite(x0).all():
         raise ValueError("initial state has non-finite entries")
     modes = sys.modes
-    # V^-1 x0 by the several-column solve: the one-column path rounds
-    # differently, and this one keeps the recorded histories bitwise
-    y0 = modes.solve(np.column_stack([x0, x0]))[:, 0]
     run = rom._simulate(
-        sys, InputSpec(kind="zero"), times, rtol, atol, y0, x0,
+        sys, InputSpec(kind="zero"), times, rtol, atol, modes.solve(x0), x0,
         ode.real_map(modes.v),
         lambda x: np.sqrt(np.add(*_quadratic_energies(forms, x))))
     e, ek, ep = compute_energy(forms, sys.params, run.values)

@@ -16,7 +16,10 @@ coefficients are exact rationals (on evaluating phi-functions see
 Skaflestad and Wright 2009, Appl. Numer. Math. 59).  The energy study
 and the forced FOM and ROM runs all step this way, and a system keeps
 its steps in an ``Etdrk4Table``, which builds the coefficients of each
-step size once for all of the system's runs and queries.
+step size once for all of the system's runs and queries.  A model of at
+most _DENSE_DIM modes, where numpy's per-call cost outweighs the
+arithmetic, steps by one real matrix-vector product instead of the O(n)
+update.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
@@ -526,6 +529,17 @@ def etd_weights(z) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+# Coefficient sets of at most this dimension also hold the dense real
+# step matrix of ``CubicEtdrk4``: one matrix-vector product per step in
+# place of five or more numpy calls.  At small dimension a step costs
+# call overhead, not arithmetic.  Forced steps measured dense against
+# diagonal at 4.0/7.3 us (medians) at dimension 8, 5.5/8.9 at 32 and
+# 7.8/9.4 at 64 (one BLAS thread, 2-core Xeon): the gain narrows as the
+# O(dim^2) product grows, while the matrix grows as dim^2 (37 KB at 32,
+# 140 KB at 64).
+_DENSE_DIM = 32
+
+
 @dataclass(frozen=True, eq=False)
 class CubicEtdrk4:
     """ETDRK4 steps of one size h for y' = diag(lam) y + bm u(t) + g s(y)^3.
@@ -542,7 +556,13 @@ class CubicEtdrk4:
     row e^(h lam).  w : h f1 g, 2 h f2 g and h f3 g (``etd_weights``),
     followed by h f1 bm, 2 h f2 bm and h f3 bm.  alpha, beta :
     Re row . (h q g) and Re row . (e^(h lam / 2) h q g); gamma, delta :
-    the same with bm.
+    the same with bm.  dense : for m <= _DENSE_DIM, the real
+    (2m + 3, 2m + 6) matrix that takes [y; weights], y's real and
+    imaginary parts interleaved and the six weights of w, to the next
+    state, interleaved the same way, and its three stage scalars
+    Re rows . y.  Its top 2m rows are [E | w^T], E the 2 x 2 blocks of
+    e^(h lam) acting on interleaved pairs, and its last 3 the real map
+    of ``rows`` times those.  None above _DENSE_DIM.
     """
 
     e: np.ndarray
@@ -552,30 +572,36 @@ class CubicEtdrk4:
     beta: float
     gamma: float
     delta: float
+    dense: np.ndarray | None = None
 
     def advance(self, y: np.ndarray, out: np.ndarray, k: int,
                 inputs=None) -> np.ndarray:
         """Make k steps per row of out from y; write each row's end state.
 
         Row i of out receives the state after (i + 1) k steps, and the
-        last of them is returned.  inputs gives (u0, uh, u1), the input
-        at a step's start, middle and end, for each of the k len(out)
-        steps in turn; an iterator is advanced by exactly that many.
-        Without inputs the input is 0 and takes no part: a step adds
-        only the three cubic rows of w.
+        last of them is returned (y itself when out has no rows).  inputs
+        gives (u0, uh, u1), the input at a step's start, middle and end,
+        for each of the k len(out) steps in turn; an iterator is advanced
+        by exactly that many.  Without inputs the input is 0 and takes no
+        part: a step adds only the three cubic rows of w.
 
         With N(y, t) = g s(y)^3 + bm u(t) and the stage states
         a = e^(hL/2) y + h q N(y, t),
         b = e^(hL/2) y + h q N(a, t + h/2) and
         c = e^(hL/2) a + h q (2 N(b, t + h/2) - N(y, t)), a step is
         e^(hL) y + h f1 N(y, t) + 2 h f2 (N(a, t + h/2) + N(b, t + h/2))
-        + h f3 N(c, t + h) (Cox and Matthews 2002).
+        + h f3 N(c, t + h) (Cox and Matthews 2002).  The stage arithmetic
+        runs on the three stage scalars; the linear update that follows
+        is one real product with ``dense`` where the kernel has it, else
+        e^(h lam) y plus a real product with w, then rows @ y for the
+        next step's scalars.
 
         Raises NonFiniteState when a stage value is not finite, which a
         step too long for the cubic term can cause; the rows completed
         before the failing step are written.
         """
-        rows, e, dot, isfinite = self.rows, self.e, np.dot, math.isfinite
+        rows, e, dense = self.rows, self.e, self.dense
+        dot, isfinite = np.dot, math.isfinite
         alpha, beta, gamma, delta = (self.alpha, self.beta, self.gamma,
                                      self.delta)
         # w's real and imaginary parts interleaved: a real product with
@@ -586,10 +612,21 @@ class CubicEtdrk4:
         else:
             inputs = iter(inputs)
         nw = len(w)
+        if dense is not None:
+            # v = [y; weights] in two buffers that take turns: the product
+            # with one writes the next state and its stage scalars into
+            # the other, whose weights the next step then fills in
+            m2 = 2 * e.size
+            dense = dense[:, :m2 + nw]
+            bufs = np.empty((2, m2 + 6))
+            bufs[0, :m2].view(complex)[:] = y
+            turn, other = ((v[:m2 + nw], v[m2:m2 + nw], to[:m2 + 3],
+                            to[m2:m2 + 3], to[:m2].view(complex))
+                           for v, to in (bufs, bufs[::-1]))
+        s_y, p, r = dot(rows, y).real.tolist()
         for i in range(len(out)):
             for _ in range(k):
                 u0, uh, u1 = next(inputs)
-                s_y, p, r = dot(rows, y).real.tolist()
                 # Python floats: a product that overflows gives inf, not an
                 # error
                 c_y = s_y * s_y * s_y
@@ -603,8 +640,16 @@ class CubicEtdrk4:
                 if not isfinite(c_c):
                     raise NonFiniteState("ETDRK4 stage value not finite")
                 # the input's three weights only where it takes part
-                y = e * y + dot([c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1][:nw],
-                                w).view(complex)
+                weights = (c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1)[:nw]
+                if dense is None:
+                    y = e * y + dot(weights, w).view(complex)
+                    s_y, p, r = dot(rows, y).real.tolist()
+                else:
+                    v, v_weights, to, to_scalars, y = turn
+                    v_weights[:] = weights
+                    dot(dense, v, out=to)
+                    s_y, p, r = to_scalars.tolist()
+                    turn, other = other, turn
             out[i] = y
         return y
 
@@ -624,8 +669,9 @@ def cubic_etdrk4(lam, row, g, h: float, bm) -> CubicEtdrk4:
 
     lam, row, g and the input column bm are complex vectors of one
     length.  Every call computes the coefficients afresh;
-    ``Etdrk4Table`` keeps those of a system, one set per h.  The
-    kernel's e, rows and w are read-only.
+    ``Etdrk4Table`` keeps those of a system, one set per h.  Up to
+    _DENSE_DIM modes the kernel also holds ``dense``, assembled from its
+    e, rows and w.  The kernel's arrays are read-only.
     """
     z = h * np.asarray(lam, dtype=complex)
     q, f1, f2, f3 = etd_weights(z)
@@ -635,12 +681,27 @@ def cubic_etdrk4(lam, row, g, h: float, bm) -> CubicEtdrk4:
     rows = np.array([row, row * half, row * e])
     w = h * np.array([f1 * g, 2.0 * f2 * g, f3 * g,
                       f1 * bm, 2.0 * f2 * bm, f3 * bm])
-    for arr in (e, rows, w):
-        arr.flags.writeable = False
+    dense = _dense_step(e, rows, w) if e.size <= _DENSE_DIM else None
+    for arr in (e, rows, w, dense):
+        if arr is not None:
+            arr.flags.writeable = False
     return CubicEtdrk4(
         e=e, rows=rows, w=w,
         alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real),
-        gamma=float((row @ hqb).real), delta=float((row @ (half * hqb)).real))
+        gamma=float((row @ hqb).real), delta=float((row @ (half * hqb)).real),
+        dense=dense)
+
+
+def _dense_step(e, rows, w) -> np.ndarray:
+    """``CubicEtdrk4.dense`` from the kernel's e, rows and w."""
+    m2 = 2 * e.size
+    top = np.zeros((m2, m2 + 6))
+    j = np.arange(0, m2, 2)
+    top[j, j] = top[j + 1, j + 1] = e.real
+    top[j, j + 1] = -e.imag
+    top[j + 1, j] = e.imag
+    top[:, m2:] = w.view(float).T
+    return np.vstack([top, real_map(rows).T @ top])
 
 
 def real_map(m: np.ndarray) -> np.ndarray:
@@ -660,7 +721,10 @@ def real_map(m: np.ndarray) -> np.ndarray:
 # One square-wave system's queries meet about 62 step sizes (the sample
 # interval's and the jump pieces', at k = 1 and 2).  A set holds
 # 10 dim complex numbers (e, three rows, six columns of w): 128 KB at
-# n = 400 (dim 800), so a table holds at most 16 MB there.
+# n = 400 (dim 800), so a table holds at most 16 MB there.  A set of at
+# most _DENSE_DIM modes also holds its (2 dim + 3, 2 dim + 6) dense step,
+# about 37 KB at dim 32, so a ROM's table holds at most 5.5 MB; the FOMs'
+# sets hold none.
 _TABLE_SETS = 128
 
 

@@ -16,7 +16,11 @@ eigenvector coordinates y = V^-1 x of A (``StateSpaceSystem.modes``,
 ``ReducedSystem.modes``) e^(hA) is diagonal, and fixed-step ETDRK4
 (``ode.CubicEtdrk4``) integrates the linear part exactly, so A's stiff
 and nearly undamped modes do not set the step; the cubic term and the
-input do.  A step costs O(dim).
+input do.  A step costs O(dim), and a model of at most ``ode._DENSE_DIM``
+modes (every ROM here) steps by one real (2 dim + 3) x (2 dim + 6)
+matrix-vector product instead: O(dim^2) arithmetic, but one numpy call
+where the O(dim) update takes five or more, and at such sizes the calls
+cost more than the arithmetic.
 
 Every step ends on a grid sample or on one of the input's breakpoints
 (the square wave's jumps): each interval between them takes k steps of
@@ -40,7 +44,9 @@ model's runs and queries, and a query that differs from an earlier one
 only in the input's amplitude builds none.  A coefficient set holds
 10 dim complex numbers, 160 dim bytes (128 KB at n = 400, dim 800),
 and a table keeps at most ``ode._TABLE_SETS`` (128) of them, the oldest
-dropped first: at most 16 MB at n = 400.
+dropped first: at most 16 MB at n = 400.  A set of at most
+``ode._DENSE_DIM`` modes also holds its dense step matrix, about 37 KB
+at dim 32.
 """
 
 from __future__ import annotations

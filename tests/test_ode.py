@@ -548,19 +548,24 @@ class TestCubicEtdrk4:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
 
-    def test_zero_input_is_unforced(self, rng):
+    def test_zero_input_is_unforced(self, rng, monkeypatch):
         # with an input column and u = 0 a step is the one without an
-        # input column; without inputs the input rows take no part
+        # input column; without inputs the input rows take no part.  Both
+        # forms: the dense step of this small kernel, and the diagonal
+        # update of one above _DENSE_DIM
         lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
         row, g, bm, y = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
                          for _ in range(4))
-        unforced = ode.cubic_etdrk4(lam, row, g, 0.3, np.zeros(6))
-        forced = ode.cubic_etdrk4(lam, row, g, 0.3, bm)
-        np.testing.assert_allclose(forced.step(y), unforced.step(y),
-                                   rtol=1e-14)
-        no_inputs = np.empty((1, 6), dtype=complex)
-        assert_bitwise(forced.advance(y, no_inputs, 1),
-                       unforced.advance(y, no_inputs, 1))
+        for dense_dim in (ode._DENSE_DIM, 0):
+            monkeypatch.setattr(ode, "_DENSE_DIM", dense_dim)
+            unforced = ode.cubic_etdrk4(lam, row, g, 0.3, np.zeros(6))
+            forced = ode.cubic_etdrk4(lam, row, g, 0.3, bm)
+            assert (forced.dense is None) == (dense_dim == 0)
+            np.testing.assert_allclose(forced.step(y), unforced.step(y),
+                                       rtol=1e-14)
+            no_inputs = np.empty((1, 6), dtype=complex)
+            assert_bitwise(forced.advance(y, no_inputs, 1),
+                           unforced.advance(y, no_inputs, 1))
 
     def test_overflowing_stage_raises(self):
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
@@ -572,7 +577,7 @@ class TestCubicEtdrk4:
         # a table hands one kernel to every run of its step size
         kernel = ode.cubic_etdrk4(-rng.uniform(0.5, 5.0, 3), np.ones(3),
                                   np.ones(3), 0.3, np.ones(3))
-        for arr in (kernel.e, kernel.rows, kernel.w):
+        for arr in (kernel.e, kernel.rows, kernel.w, kernel.dense):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -631,3 +636,59 @@ class TestAdvance:
             kernel.advance(np.array([1.5 + 0j]), out, k, inputs)
         assert np.isfinite(out[0]).all()
         assert np.isnan(out[-1]).all()
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_empty_out_returns_y(self, rng, forced):
+        kernel = self.kernel(rng, forced)
+        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        inputs = iter([(1.0, 1.0, 1.0)])
+        end = kernel.advance(y, np.empty((0, 6), dtype=complex), 2,
+                             inputs if forced else None)
+        assert_bitwise(end, y)
+        if forced:
+            assert len(list(inputs)) == 1
+
+
+class TestAdvanceDiagonal(TestAdvance):
+    """The same on the diagonal update, which kernels above _DENSE_DIM take.
+
+    TestAdvance's kernels have 6 modes and 1, so they step densely.
+    """
+
+    @pytest.fixture(autouse=True)
+    def diagonal(self, monkeypatch):
+        monkeypatch.setattr(ode, "_DENSE_DIM", 0)
+
+
+class TestStepForms:
+    """The dense step matrix against the diagonal update of one kernel."""
+
+    @staticmethod
+    def coefficients(rng, m):
+        lam = -rng.uniform(0.05, 2.0, m) + 1j * rng.uniform(-20.0, 20.0, m)
+        row, g, bm = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                      for _ in range(3))
+        return lam, row, 0.1 * g, 0.05, bm
+
+    @pytest.mark.parametrize("m", [1, 2, ode._DENSE_DIM])
+    def test_forms_agree(self, rng, monkeypatch, m):
+        # 200 forced steps: the two sum the same terms in another order
+        args = self.coefficients(rng, m)
+        dense = ode.cubic_etdrk4(*args)
+        monkeypatch.setattr(ode, "_DENSE_DIM", 0)
+        diagonal = ode.cubic_etdrk4(*args)
+        assert dense.dense.shape == (2 * m + 3, 2 * m + 6)
+        assert diagonal.dense is None
+        y0 = 0.5 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        inputs = rng.standard_normal((200, 3)).tolist()
+        outs = [np.full((200, m), np.nan, dtype=complex) for _ in range(2)]
+        ends = [kernel.advance(y0, out, 1, inputs)
+                for kernel, out in zip((dense, diagonal), outs)]
+        scale = np.abs(outs[1]).max()
+        assert np.abs(outs[0] - outs[1]).max() <= 1e-13 * scale
+        assert_bitwise(ends[0], outs[0][-1])
+
+    def test_dense_only_up_to_its_dimension(self, rng):
+        dim = ode._DENSE_DIM
+        assert ode.cubic_etdrk4(*self.coefficients(rng, dim)).dense is not None
+        assert ode.cubic_etdrk4(*self.coefficients(rng, dim + 1)).dense is None

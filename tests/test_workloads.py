@@ -38,3 +38,27 @@ def test_pass_meets_its_checks(workloads, name, tmp_path):
     assert checks
     assert [label for label, ok in checks if not ok] == []
     assert any(tmp_path.iterdir())
+
+
+def test_step_forms(workloads, tmp_path):
+    # online's ROM queries step with the dense sets of small models, and
+    # its FOMs and the energy study with the diagonal update of large
+    # ones (ode._DENSE_DIM), so the benchmark times both forms
+    def forms(system):
+        sets = system.etdrk4._sets.values()
+        assert sets
+        return {kernel.dense is not None for kernel in sets}
+
+    online = workloads.WORKLOADS["online"]
+    state = online.setup(online.make_inputs(0))
+    online.run_pass(state, str(tmp_path))
+    roms = [entry["red"] for entry in state["roms"].values()]
+    assert sorted(red.r for red in roms) == [4, 8]
+    assert all(forms(red) == {True} for red in roms)
+    foms = state["systems"]
+    assert sorted({n for _, n in foms}) == [100, 200]
+    assert all(forms(system) == {False} for system in foms.values())
+    energy = workloads.WORKLOADS["energy"]
+    state = energy.setup(energy.make_inputs(0))
+    energy.run_pass(state, str(tmp_path))
+    assert forms(state["sys"]) == {False}
