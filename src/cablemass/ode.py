@@ -16,10 +16,12 @@ coefficients are exact rationals (on evaluating phi-functions see
 Skaflestad and Wright 2009, Appl. Numer. Math. 59).  The energy study
 and the forced FOM and ROM runs all step this way, and a system keeps
 its steps in an ``Etdrk4Table``, which builds the coefficients of each
-step size once for all of the system's runs and queries.  A model of at
-most _DENSE_DIM modes, where numpy's per-call cost outweighs the
-arithmetic, steps by one real matrix-vector product instead of the O(n)
-update.
+step size once for all of the system's runs and queries.  A run keeps
+its state, input stream and buffers in one ``Etdrk4Run``, set up once,
+which steps through any of the system's kernels and allocates nothing
+per step: the O(n) update is four numpy calls in place, and a model of
+at most _DENSE_DIM modes, where numpy's per-call cost outweighs the
+arithmetic, steps by one real matrix-vector product instead.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from bisect import bisect_left
 from dataclasses import astuple, dataclass
 
@@ -531,12 +534,14 @@ def etd_weights(z) -> tuple[np.ndarray, ...]:
 
 # Coefficient sets of at most this dimension also hold the dense real
 # step matrix of ``CubicEtdrk4``: one matrix-vector product per step in
-# place of five or more numpy calls.  At small dimension a step costs
-# call overhead, not arithmetic.  Forced steps measured dense against
-# diagonal at 4.0/7.3 us (medians) at dimension 8, 5.5/8.9 at 32 and
-# 7.8/9.4 at 64 (one BLAS thread, 2-core Xeon): the gain narrows as the
-# O(dim^2) product grows, while the matrix grows as dim^2 (37 KB at 32,
-# 140 KB at 64).
+# place of the diagonal update's four numpy calls.  At small dimension a
+# step costs call overhead, not arithmetic.  Forced steps of an
+# ``Etdrk4Run`` measured dense against diagonal at 3.0-3.4/5.8-6.5 us
+# (medians of three runs) at dimension 8, 3.9-4.2/5.8-6.1 at 32,
+# 5.2-5.4/5.8-6.5 at 48 and 7.0-7.2/6.0-6.9 at 64 (one BLAS thread,
+# 2-core Xeon): the gain narrows as the O(dim^2) product grows and is
+# gone near 60, while the matrix grows as dim^2 (37 KB at 32, 140 KB at
+# 64).
 _DENSE_DIM = 32
 
 
@@ -550,7 +555,7 @@ class CubicEtdrk4:
     step from y follow from the three dot products in ``rows`` @ y, and
     the step itself is e^(h lam) y plus the rows of ``w`` weighted by the
     stage cubes and the input values.  Build it with ``cubic_etdrk4``
-    and step it with ``advance``.
+    and step it with ``advance`` or an ``Etdrk4Run``.
 
     e : e^(h lam).  rows : (3, m), row, row e^(h lam / 2) and
     row e^(h lam).  w : h f1 g, 2 h f2 g and h f3 g (``etd_weights``),
@@ -578,12 +583,14 @@ class CubicEtdrk4:
                 inputs=None) -> np.ndarray:
         """Make k steps per row of out from y; write each row's end state.
 
-        Row i of out receives the state after (i + 1) k steps, and the
-        last of them is returned (y itself when out has no rows).  inputs
-        gives (u0, uh, u1), the input at a step's start, middle and end,
-        for each of the k len(out) steps in turn; an iterator is advanced
-        by exactly that many.  Without inputs the input is 0 and takes no
-        part: a step adds only the three cubic rows of w.
+        Row i of out receives the state after (i + 1) k steps, and a copy
+        of the last of them is returned (of y when out has no rows); y is
+        not written.  inputs gives (u0, uh, u1), the input at a step's
+        start, middle and end, for each of the k len(out) steps in turn;
+        an iterator is advanced by exactly that many.  Without inputs the
+        input is 0 and takes no part: a step adds only the three cubic
+        rows of w.  The call makes one ``Etdrk4Run``; a run that steps
+        through several kernels keeps one ``Etdrk4Run`` instead.
 
         With N(y, t) = g s(y)^3 + bm u(t) and the stage states
         a = e^(hL/2) y + h q N(y, t),
@@ -592,66 +599,18 @@ class CubicEtdrk4:
         e^(hL) y + h f1 N(y, t) + 2 h f2 (N(a, t + h/2) + N(b, t + h/2))
         + h f3 N(c, t + h) (Cox and Matthews 2002).  The stage arithmetic
         runs on the three stage scalars; the linear update that follows
-        is one real product with ``dense`` where the kernel has it, else
-        e^(h lam) y plus a real product with w, then rows @ y for the
-        next step's scalars.
+        is one real product with ``dense`` where the kernel has it, which
+        also gives the next step's scalars, else e^(h lam) y plus a real
+        product with w, in place, and rows @ y for the next step's
+        scalars.
 
         Raises NonFiniteState when a stage value is not finite, which a
         step too long for the cubic term can cause; the rows completed
         before the failing step are written.
         """
-        rows, e, dense = self.rows, self.e, self.dense
-        dot, isfinite = np.dot, math.isfinite
-        alpha, beta, gamma, delta = (self.alpha, self.beta, self.gamma,
-                                     self.delta)
-        # w's real and imaginary parts interleaved: a real product with
-        # the step's weights, read back as complex
-        w = self.w.view(float)
-        if inputs is None:
-            w, inputs = w[:3], itertools.repeat((0.0, 0.0, 0.0))
-        else:
-            inputs = iter(inputs)
-        nw = len(w)
-        if dense is not None:
-            # v = [y; weights] in two buffers that take turns: the product
-            # with one writes the next state and its stage scalars into
-            # the other, whose weights the next step then fills in
-            m2 = 2 * e.size
-            dense = dense[:, :m2 + nw]
-            bufs = np.empty((2, m2 + 6))
-            bufs[0, :m2].view(complex)[:] = y
-            turn, other = ((v[:m2 + nw], v[m2:m2 + nw], to[:m2 + 3],
-                            to[m2:m2 + 3], to[:m2].view(complex))
-                           for v, to in (bufs, bufs[::-1]))
-        s_y, p, r = dot(rows, y).real.tolist()
-        for i in range(len(out)):
-            for _ in range(k):
-                u0, uh, u1 = next(inputs)
-                # Python floats: a product that overflows gives inf, not an
-                # error
-                c_y = s_y * s_y * s_y
-                s_a = p + alpha * c_y + gamma * u0
-                c_a = s_a * s_a * s_a
-                s_b = p + alpha * c_a + gamma * uh
-                c_b = s_b * s_b * s_b
-                s_c = (r + beta * c_y + delta * u0
-                       + alpha * (2.0 * c_b - c_y) + gamma * (2.0 * uh - u0))
-                c_c = s_c * s_c * s_c
-                if not isfinite(c_c):
-                    raise NonFiniteState("ETDRK4 stage value not finite")
-                # the input's three weights only where it takes part
-                weights = (c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1)[:nw]
-                if dense is None:
-                    y = e * y + dot(weights, w).view(complex)
-                    s_y, p, r = dot(rows, y).real.tolist()
-                else:
-                    v, v_weights, to, to_scalars, y = turn
-                    v_weights[:] = weights
-                    dot(dense, v, out=to)
-                    s_y, p, r = to_scalars.tolist()
-                    turn, other = other, turn
-            out[i] = y
-        return y
+        run = Etdrk4Run(y, inputs)
+        run.advance(self, out, k)
+        return run.state()
 
     def step(self, y: np.ndarray, u0: float = 0.0, uh: float = 0.0,
              u1: float = 0.0) -> np.ndarray:
@@ -662,6 +621,133 @@ class CubicEtdrk4:
         """
         return self.advance(y, np.empty((1, y.size), dtype=complex), 1,
                             ((u0, uh, u1),))
+
+
+# The six step weights of ``Etdrk4Run``, written into a buffer in one call
+_pack_weights = struct.Struct("6d").pack_into
+
+
+class Etdrk4Run:
+    """One ETDRK4 run: its state, stepped by the kernels of one system.
+
+    y0 is the initial state, copied; inputs gives one (u0, uh, u1) per
+    step for the whole run, as in ``CubicEtdrk4.advance``, or is None
+    for the zero input, which then takes no part.  ``advance(kernel,
+    out, k)`` makes the run's next k len(out) steps with any kernel of
+    the system (of y0's dimension), so a run steps whole sample
+    intervals and the pieces an input jump cuts with one state, one
+    input stream and one set of buffers.  A kernel switch costs the new
+    kernel's rows @ y, which every ``advance`` starts with.
+
+    The buffers are set up here, O(dim), and a step allocates nothing:
+    the stage scalars are read and the six weights written through
+    memoryviews.  Two buffers [y; weights], y's real and imaginary
+    parts interleaved, take turns: a dense step's product with one
+    writes the next state and its stage scalars into the other, whose
+    weights the next step then fills in.  A diagonal
+    step updates the state in place where it is.  ``state()`` returns a
+    copy of the state; after a NonFiniteState it is the state before
+    the failing step.
+    """
+
+    def __init__(self, y0, inputs=None):
+        m2 = 2 * np.size(y0)
+        self._nw = 3 if inputs is None else 6
+        self._inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
+                        else iter(inputs))
+        bufs = np.zeros((2, m2 + 6))
+        ys = [buf[:m2].view(complex) for buf in bufs]
+        ys[0][:] = y0
+        # per buffer: the product's input, its weights, and where the
+        # product goes, its scalars and the state it writes
+        self._turns = [(v[:m2 + self._nw], memoryview(v[m2:]), to[:m2 + 3],
+                        memoryview(to[m2:m2 + 3]), y_to)
+                       for v, to, y_to in ((bufs[0], bufs[1], ys[1]),
+                                           (bufs[1], bufs[0], ys[0]))]
+        self._turn = 0
+        self._y = ys[0]
+        self._unforced = {}
+        # the diagonal step's weights, their product with w and the stage
+        # scalars rows @ y
+        weights = np.zeros(6)
+        self._weights = weights[:self._nw]
+        self._weights_mv = memoryview(weights)
+        self._lin = np.empty(m2)
+        self._lin_c = self._lin.view(complex)
+        self._scalars = np.empty(3, dtype=complex)
+        self._scalars_mv = memoryview(self._scalars.view(float)[::2])
+
+    def state(self) -> np.ndarray:
+        """A copy of the run's state."""
+        return self._y.copy()
+
+    def advance(self, kernel: CubicEtdrk4, out: np.ndarray, k: int) -> None:
+        """Make k steps of kernel per row of out; write each row's end state.
+
+        Row i of out receives the state after (i + 1) k steps; the
+        input stream is advanced by k len(out).  Raises NonFiniteState
+        as ``CubicEtdrk4.advance`` does.
+        """
+        rows, e, dense = kernel.rows, kernel.e, kernel.dense
+        dot, multiply, pack, isfinite = (np.dot, np.multiply, _pack_weights,
+                                         math.isfinite)
+        alpha, beta, gamma, delta = (kernel.alpha, kernel.beta, kernel.gamma,
+                                     kernel.delta)
+        inputs, nw, y = self._inputs, self._nw, self._y
+        weights, weights_mv = self._weights, self._weights_mv
+        lin, lin_c = self._lin, self._lin_c
+        scalars, scalars_mv = self._scalars, self._scalars_mv
+        turns, turn = self._turns, self._turn
+        if dense is None:
+            # w's real and imaginary parts interleaved: a real product
+            # with the step's weights, read back as complex
+            w = kernel.w.view(float)[:nw]
+        elif nw == 3:
+            # without the input's columns: a contiguous copy, which numpy
+            # would otherwise make of the column slice at every product
+            if kernel not in self._unforced:
+                self._unforced[kernel] = np.ascontiguousarray(
+                    dense[:, :2 * e.size + 3])
+            dense = self._unforced[kernel]
+        dot(rows, y, out=scalars)
+        s_y, p, r = scalars_mv
+        try:
+            for i in range(len(out)):
+                for _ in range(k):
+                    u0, uh, u1 = next(inputs)
+                    # Python floats: a product that overflows gives inf,
+                    # not an error
+                    c_y = s_y * s_y * s_y
+                    s_a = p + alpha * c_y + gamma * u0
+                    c_a = s_a * s_a * s_a
+                    s_b = p + alpha * c_a + gamma * uh
+                    c_b = s_b * s_b * s_b
+                    s_c = (r + beta * c_y + delta * u0
+                           + alpha * (2.0 * c_b - c_y)
+                           + gamma * (2.0 * uh - u0))
+                    c_c = s_c * s_c * s_c
+                    if not isfinite(c_c):
+                        raise NonFiniteState("ETDRK4 stage value not finite")
+                    # all six weights; the input's three take part only
+                    # in a forced run
+                    if dense is None:
+                        pack(weights_mv, 0, c_y, c_a + c_b, c_c,
+                             u0, 2.0 * uh, u1)
+                        dot(weights, w, out=lin)
+                        multiply(e, y, out=y)
+                        y += lin_c
+                        dot(rows, y, out=scalars)
+                        s_y, p, r = scalars_mv
+                    else:
+                        v, v_weights, to, to_scalars, y_to = turns[turn]
+                        pack(v_weights, 0, c_y, c_a + c_b, c_c,
+                             u0, 2.0 * uh, u1)
+                        dot(dense, v, out=to)
+                        s_y, p, r = to_scalars
+                        y, turn = y_to, 1 - turn
+                out[i] = y
+        finally:
+            self._turn, self._y = turn, y
 
 
 def cubic_etdrk4(lam, row, g, h: float, bm) -> CubicEtdrk4:

@@ -19,16 +19,19 @@ and nearly undamped modes do not set the step; the cubic term and the
 input do.  A step costs O(dim), and a model of at most ``ode._DENSE_DIM``
 modes (every ROM here) steps by one real (2 dim + 3) x (2 dim + 6)
 matrix-vector product instead: O(dim^2) arithmetic, but one numpy call
-where the O(dim) update takes five or more, and at such sizes the calls
-cost more than the arithmetic.
+where the O(dim) update takes four, and at such sizes the calls cost
+more than the arithmetic.
 
 Every step ends on a grid sample or on one of the input's breakpoints
 (the square wave's jumps): each interval between them takes k steps of
 its length / k, with the square wave held at its value on that
-interval, so no step crosses a jump.  A stretch of whole sample
-intervals is stepped by one ``CubicEtdrk4.advance`` call, and so is each
-piece that a jump cuts.  A smooth input is read at every stage time of
-a run in one ``eval_input`` call.  Runs are made at
+interval, so no step crosses a jump.  These intervals depend on the
+jump times and the grid only, so they are built once per jump set and
+grid.  A run keeps one ``ode.Etdrk4Run``, its state, input stream and
+buffers: a stretch of whole sample intervals is stepped by one
+``Etdrk4Run.advance`` call, and so is each piece that a jump cuts, with
+that piece's kernel.  A smooth input is read at every stage time of a
+run in one ``eval_input`` call.  Runs are made at
 k = 1, 2, 4, ... (``ode.step_doubling``); each is compared with the run
 before it at every sample, and the first whose estimate passes rtol and
 atol is kept.  Each sample is projected to the outputs as it is made,
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -70,6 +74,10 @@ from .signals import PIECEWISE_CONSTANT, InputSpec, breakpoints, eval_input
 _STEP_BUDGET = 1_000_000
 # Samples projected from modal to real coordinates at a time.
 _SAMPLE_BLOCK = 64
+# Interval sets (one per jump set and grid) that _intervals keeps, the
+# least recently used dropped first.  A set of 1000 samples holds about
+# 85 KB (tracemalloc), so the cache at most 0.7 MB.
+_INTERVAL_SETS = 8
 
 
 @dataclass(frozen=True)
@@ -147,8 +155,24 @@ def _intervals(spec: InputSpec, grid: np.ndarray, interval: float):
     intervals that lead to it from the grid time before, one entry each:
     None for a whole sample interval, else the piece's length (two
     pieces where a jump falls in between).
+
+    grid is a uniform grid np.linspace(t0, tf, count), as
+    ``_sample_grid`` makes.  The result depends on the input's jump
+    times, t0, tf and count only, not on the input's amplitude, so it
+    is built once per jump set and grid and kept; its arrays are
+    read-only.
     """
-    knots = np.union1d(grid, breakpoints(spec, grid[0], grid[-1]))
+    t0, tf = grid[0], grid[-1]
+    return _grid_intervals(tuple(breakpoints(spec, t0, tf).tolist()),
+                           float(t0), float(tf), grid.size, float(interval))
+
+
+@lru_cache(maxsize=_INTERVAL_SETS)
+def _grid_intervals(jumps: tuple, t0: float, tf: float, count: int,
+                    interval: float):
+    """``_intervals`` of the grid np.linspace(t0, tf, count) and jumps."""
+    grid = np.linspace(t0, tf, count)
+    knots = np.union1d(grid, jumps)
     on_grid = np.isin(knots, grid)
     lengths = np.diff(knots)
     whole = on_grid[:-1] & on_grid[1:]
@@ -160,7 +184,10 @@ def _intervals(spec: InputSpec, grid: np.ndarray, interval: float):
         if ends_on_sample:
             paths.append(tuple(path))
             path = []
-    return knots[:-1], lengths, paths
+    starts = knots[:-1]
+    for arr in (starts, lengths):
+        arr.flags.writeable = False
+    return starts, lengths, tuple(paths)
 
 
 def _stage_inputs(spec: InputSpec, starts, lengths, k: int) -> list:
@@ -224,10 +251,12 @@ def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
         # piece cut by a jump takes those of its length; the table builds
         # each step size once for all runs and queries of the system
         whole = table.kernel(interval / k)
-        # one stream through every advance; the zero input takes no part
-        inputs = (None if spec.kind == "zero"
-                  else iter(_stage_inputs(spec, starts, lengths, k)))
-        y, scale = y0, norm(first)
+        # one state and one input stream through every kernel of the run;
+        # the zero input takes no part
+        steps = ode.Etdrk4Run(
+            y0, None if spec.kind == "zero"
+            else _stage_inputs(spec, starts, lengths, k))
+        scale = norm(first)
         diff = np.zeros_like(scale)
         for start in range(1, grid.size, _SAMPLE_BLOCK):
             rows = min(_SAMPLE_BLOCK, grid.size - start)
@@ -235,13 +264,13 @@ def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
             for pieces, same in groupby(paths[start - 1:start - 1 + rows]):
                 count = sum(1 for _ in same)
                 if pieces == (None,):
-                    y = whole.advance(y, block[i:i + count], k, inputs)
+                    steps.advance(whole, block[i:i + count], k)
                 else:
                     # every piece writes the row; the last one ends on it
                     for j in range(i, i + count):
                         for piece in pieces:
-                            y = table.kernel(piece / k).advance(
-                                y, block[j:j + 1], k, inputs)
+                            steps.advance(table.kernel(piece / k),
+                                          block[j:j + 1], k)
                 i += count
             out = block[:rows].view(float) @ out_map
             if not np.isfinite(out).all():

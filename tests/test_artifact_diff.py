@@ -1,0 +1,70 @@
+import importlib.util
+import math
+from pathlib import Path
+
+from cablemass import cli
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_diff.py"
+spec = importlib.util.spec_from_file_location("artifact_diff", TOOL)
+artifact_diff = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(artifact_diff)
+
+
+def write(path, text):
+    path.write_text(text)
+    return path
+
+
+def test_identical_bytes(tmp_path):
+    text = "t,y\n0,1.5\n1,2.5\n"
+    old = write(tmp_path / "old.csv", text)
+    new = write(tmp_path / "new.csv", text)
+    assert artifact_diff.diff_csv(old, new) == {"identical": True}
+
+
+def test_column_moves(tmp_path):
+    # the moves are taken per column, relative to the old column's
+    # largest magnitude; a text column counts its changed entries
+    old = write(tmp_path / "old.csv", "t,y,label\n0,-4,a\n1,2,b\n2,0,c\n")
+    new = write(tmp_path / "new.csv", "t,y,label\n0,-4,a\n1,2.5,b\n2,0,d\n")
+    moves = artifact_diff.diff_csv(old, new)["columns"]
+    assert moves["t"] == {"max_abs": 0.0, "max_rel": 0.0}
+    assert moves["y"] == {"max_abs": 0.5, "max_rel": 0.125}
+    assert moves["label"] == {"text_changed": 1}
+    zero = write(tmp_path / "zero.csv", "t,y,label\n0,0,a\n1,0,b\n2,0,c\n")
+    assert math.isinf(
+        artifact_diff.diff_csv(zero, new)["columns"]["y"]["max_rel"])
+
+
+def test_shape_change(tmp_path):
+    old = write(tmp_path / "old.csv", "t,y\n0,1\n")
+    new = write(tmp_path / "new.csv", "t,y\n0,1\n1,2\n")
+    assert artifact_diff.diff_csv(old, new) == {"identical": False,
+                                               "shape_changed": True}
+
+
+def test_changed_log_lines_and_summary():
+    old = ["preset: p", "FOM integrator ETDRK4: h=0.1", "wrote outputs"]
+    new = ["preset: p", "FOM integrator ETDRK4: h=0.05", "wrote outputs"]
+    changes = artifact_diff.diff_lines(old, new)
+    assert changes == [{"old": [old[1]], "new": [new[1]]}]
+    report = {"run": {"csv": {"a.csv": {"identical": True}},
+                      "csv_only_old": [], "csv_only_new": [],
+                      "log_changes": changes}}
+    lines, same = artifact_diff.summary(report)
+    assert not same
+    assert lines[0] == "1 of 1 CSVs byte-identical, 2 log lines changed"
+    report["run"]["log_changes"] = []
+    assert artifact_diff.summary(report) == (
+        ["1 of 1 CSVs byte-identical, 0 log lines changed"], True)
+
+
+def test_runs():
+    # compare on every preset at n = 100, energy on two presets at n = 100
+    # and 200: 9 x 4 CSVs, two energy.csv from compare, and 4 more
+    assert artifact_diff.PRESETS == tuple(cli.PRESETS)
+    assert set(artifact_diff.ENERGY_PRESETS) == {
+        name for name, preset in cli.PRESETS.items() if preset.energy_study}
+    commands = [args[0] for _, args in artifact_diff.RUNS]
+    assert commands.count("compare") == 9 and commands.count("energy") == 4
+    assert len({name for name, _ in artifact_diff.RUNS}) == 13

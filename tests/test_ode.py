@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -75,6 +76,45 @@ def raises_quietly(error, match=None):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error, match=match):
             yield
+
+
+def allocating_advance(kernel, y, out, k, inputs=None):
+    """``CubicEtdrk4.advance`` written with allocating numpy expressions.
+
+    The reference for the allocation-free step loop: each step builds
+    its weights as a tuple, makes fresh arrays for the update and reads
+    the stage scalars back by .tolist().  Returns the last state.
+    """
+    nw = 3 if inputs is None else 6
+    inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
+              else iter(inputs))
+    m2 = 2 * y.size
+    w = kernel.w.view(float)[:nw]
+    dense = None if kernel.dense is None else kernel.dense[:, :m2 + nw]
+    s_y, p, r = np.dot(kernel.rows, y).real.tolist()
+    alpha, beta, gamma, delta = (kernel.alpha, kernel.beta, kernel.gamma,
+                                 kernel.delta)
+    for i in range(len(out)):
+        for _ in range(k):
+            u0, uh, u1 = next(inputs)
+            c_y = s_y * s_y * s_y
+            s_a = p + alpha * c_y + gamma * u0
+            c_a = s_a * s_a * s_a
+            s_b = p + alpha * c_a + gamma * uh
+            c_b = s_b * s_b * s_b
+            s_c = (r + beta * c_y + delta * u0
+                   + alpha * (2.0 * c_b - c_y) + gamma * (2.0 * uh - u0))
+            c_c = s_c * s_c * s_c
+            weights = (c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1)[:nw]
+            if dense is None:
+                y = kernel.e * y + np.dot(weights, w).view(complex)
+                s_y, p, r = np.dot(kernel.rows, y).real.tolist()
+            else:
+                to = np.dot(dense, np.concatenate([y.view(float), weights]))
+                y = to[:m2].view(complex)
+                s_y, p, r = to[m2:].tolist()
+        out[i] = y
+    return y
 
 
 class TestIntegrate:
@@ -647,6 +687,82 @@ class TestAdvance:
         assert_bitwise(end, y)
         if forced:
             assert len(list(inputs)) == 1
+
+
+    @staticmethod
+    def kernels(rng, forced, sizes):
+        """Kernels of one 6-mode system, one per step size."""
+        lam = -rng.uniform(0.5, 5.0, 6) + 1j * rng.uniform(-20.0, 20.0, 6)
+        row, g, bm = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
+                      for _ in range(3))
+        return [ode.cubic_etdrk4(lam, row, 0.1 * g, h,
+                                 bm if forced else np.zeros(6))
+                for h in sizes]
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_matches_allocating_reference(self, rng, k, forced):
+        # bitwise: the same operations on the same values, in place
+        kernel = self.kernel(rng, forced)
+        y0 = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        inputs = rng.standard_normal((5 * k, 3)).tolist() if forced else None
+        outs = [np.full((5, 6), np.nan, dtype=complex) for _ in range(2)]
+        end = kernel.advance(y0, outs[0], k, inputs)
+        ref = allocating_advance(kernel, y0, outs[1], k, inputs)
+        assert_bitwise(outs[0], outs[1])
+        assert_bitwise(end, ref)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_kernel_switches_match_call_per_piece(self, rng, k, forced):
+        # as at square-wave jumps: whole intervals of one step size, each
+        # jump's interval in two pieces of their own sizes, one input
+        # stream and one state through all of them
+        whole, first, second = self.kernels(rng, forced, (0.3, 0.1, 0.2))
+        plan = [(whole, 3), (first, 1), (second, 1), (whole, 2),
+                (first, 1), (second, 1), (whole, 1)]
+        rows = sum(count for _, count in plan)
+        y0 = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        stream = rng.standard_normal((rows * k, 3)).tolist()
+        outs = [np.full((rows, 6), np.nan, dtype=complex) for _ in range(2)]
+        steps = ode.Etdrk4Run(y0, stream if forced else None)
+        y, inputs, i = y0, iter(stream) if forced else None, 0
+        for kernel, count in plan:
+            steps.advance(kernel, outs[0][i:i + count], k)
+            y = allocating_advance(kernel, y, outs[1][i:i + count], k, inputs)
+            i += count
+        assert_bitwise(outs[0], outs[1])
+        assert_bitwise(steps.state(), y)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_state_belongs_to_caller(self, rng, forced):
+        # advance writes neither y nor, later, the state it returned
+        kernel, other = self.kernels(rng, forced, (0.3, 0.1))
+        y = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        y_kept = y.copy()
+        out = np.empty((3, 6), dtype=complex)
+        inputs = ([(0.5, 0.5, 0.5)] * 6) if forced else None
+        end = kernel.advance(y, out, 2, inputs)
+        assert not np.shares_memory(end, out)
+        end_kept = end.copy()
+        for model_kernel in (kernel, other, kernel):
+            model_kernel.advance(end, out, 2, inputs)
+            model_kernel.advance(y, out, 2, inputs)
+        assert_bitwise(y, y_kept)
+        assert_bitwise(end, end_kept)
+        assert_bitwise(kernel.advance(y, out, 2, inputs), end_kept)
+
+    def test_run_keeps_state_before_failing_step(self):
+        # y' = -y + y^3 from 1.5 blows up near t = 0.29; the run's state
+        # stays the last row written
+        kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
+                                  np.array([1.0]), 0.05, np.zeros(1))
+        steps = ode.Etdrk4Run(np.array([1.5 + 0j]))
+        out = np.full((50, 1), np.nan, dtype=complex)
+        with raises_quietly(ode.NonFiniteState):
+            steps.advance(kernel, out, 1)
+        last = np.flatnonzero(np.isfinite(out[:, 0]))[-1]
+        assert_bitwise(steps.state(), out[last])
 
 
 class TestAdvanceDiagonal(TestAdvance):

@@ -189,6 +189,23 @@ class TestPiecewise:
             np.testing.assert_array_equal(
                 held, np.repeat(value, 3 * k).reshape(-1, 3))
 
+    def test_intervals_kept_per_jump_set_and_grid(self):
+        # queries that differ in amplitude share one read-only set, and
+        # another grid or jump set gets its own
+        spec = input_preset("input4")
+        grid = np.linspace(0.0, 100.0, 1000)
+        kept = rom._intervals(spec, grid, 100.0 / 999)
+        assert rom._intervals(replace(spec, scale=2.5), grid,
+                              100.0 / 999) is kept
+        smooth = rom._intervals(input_preset("input1"), grid, 100.0 / 999)
+        assert smooth[0].size == 999 and set(smooth[2]) == {(None,)}
+        coarse = rom._intervals(spec, np.linspace(0.0, 100.0, 112),
+                                100.0 / 111)
+        assert coarse is not kept and len(coarse[2]) == 111
+        for arr in (*kept[:2], *smooth[:2]):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_smooth_input_one_call(self, reduced_n20, monkeypatch):
         # one eval_input call per run, at every stage time of the run
         sys, _, red = reduced_n20
