@@ -11,11 +11,13 @@ and its logarithm decays asymptotically linearly; the fitted slope is
 reported as the decay rate.
 
 The unforced study (``energy_decay``) steps the full-order model
-x' = A x + w c (v . x)^3 with fixed-step ETDRK4 in the eigenvector
-coordinates of A (``StateSpaceSystem.modes``), where e^(hA) is diagonal
-and a step costs O(n).  It runs the forced runs' loop (``rom._simulate``)
-with zero input from a given state.  Each step size h = interval / k ends
-every k-th step on a sample, so no dense output is needed, and k is
+x' = A x + w c (v . x)^3 with fixed-step ETDRK4 in the real eigenvector
+coordinates of A (``StateSpaceSystem.modes``, folded by the system's
+``etdrk4`` table to one mode per real eigenvalue and one per conjugate
+pair), where e^(hA) is diagonal and a step costs O(n).  It runs the
+forced runs' loop (``rom._simulate``) with zero input from a given
+state.  Each step size h = interval / k ends every k-th step on a
+sample, so no dense output is needed, and k is
 chosen by comparing the runs at h and 2h at every sample against rtol
 and atol.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ode, rom
+from . import rom
 from .model import (DimensionMismatch, PhysicalParams, QuadraticForms,
                     StateSpaceSystem, _check_state)
 # Not called here any more: perfbench's tracer still patches these names
@@ -86,9 +88,10 @@ class ErrorMetrics:
 def _quadratic_energies(forms: QuadraticForms, x: np.ndarray):
     """1/2 v^T M_H v and 1/2 d^T K_V d of a state, or of each row of x.
 
-    Read off the bands the forms have: the diagonal of M_H and the
-    diagonal and first off-diagonal of the symmetric K_V, so a state
-    costs O(n).  With K_V's off-diagonal o and row sums s,
+    Read off the bands the forms have (``QuadraticForms.energy_bands``,
+    kept per forms): the diagonal of M_H and the diagonal and first
+    off-diagonal of the symmetric K_V, so a state costs O(n).  With
+    K_V's off-diagonal o and row sums s,
 
         d^T K_V d = sum_i s_i d_i^2 - sum_i o_i (d_(i+1) - d_i)^2,
 
@@ -97,13 +100,12 @@ def _quadratic_energies(forms: QuadraticForms, x: np.ndarray):
     full accuracy.  The interior row sums are computed exactly (Sterbenz's
     lemma), so their rounding adds no spurious term.
     """
-    m_h, k_v = forms.m_h, forms.k_v
-    n = m_h.shape[0]
+    mass, row_sums, off = forms.energy_bands
+    n = mass.size
     d, v = x[..., :n], x[..., n:]
-    off = np.diagonal(k_v, 1)
-    row_sums = np.diagonal(k_v) + np.append(off, 0.0) + np.append(0.0, off)
-    cells = np.diff(d)
-    return (0.5 * np.einsum("...i,i,...i->...", v, np.diagonal(m_h), v),
+    # np.diff's subtraction, without its per-call overhead
+    cells = d[..., 1:] - d[..., :-1]
+    return (0.5 * np.einsum("...i,i,...i->...", v, mass, v),
             0.5 * (np.einsum("...i,i,...i->...", d, row_sums, d)
                    - np.einsum("...i,i,...i->...", cells, off, cells)))
 
@@ -138,10 +140,13 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
 
     In y = V^-1 x (``sys.modes``) the model reads
     y' = diag(lambda) y + g (Re row . y)^3, and the forced runs' loop
-    (``rom._simulate``) steps it from V^-1 x0 with zero input, through
-    ``sys.etdrk4``, with h = interval / k, so every k-th step ends on a
-    sample.  Runs are made at k = 1, 2, 4, ... (``ode.step_doubling``);
-    each is compared at every sample with the run before it in the
+    (``rom._simulate``) steps it with zero input, through
+    ``sys.etdrk4``, from V^-1 x0 folded onto the table's real modes
+    (``modal_state``), with h = interval / k, so every k-th step ends on
+    a sample, and samples x through the table's real modal basis
+    (``state_map``, built once per system).  Runs are made at
+    k = 1, 2, 4, ... (``ode.step_doubling``); each is compared at every
+    sample with the run before it in the
     energy norm ||x||_E^2 = 1/2 v^T M_H v + 1/2 d^T K_V d, and the first
     whose estimate is at most rtol * max ||x_h||_E + atol is kept.  So
     at least two runs are made, and no sample is kept unchecked.  A run
@@ -159,10 +164,10 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     x0 = _check_state(sys, x0)
     if not np.isfinite(x0).all():
         raise ValueError("initial state has non-finite entries")
-    modes = sys.modes
+    table = sys.etdrk4
     run = rom._simulate(
-        sys, InputSpec(kind="zero"), times, rtol, atol, modes.solve(x0), x0,
-        ode.real_map(modes.v),
+        sys, InputSpec(kind="zero"), times, rtol, atol, table.modal_state(x0),
+        x0, table.state_map,
         lambda x: np.sqrt(np.add(*_quadratic_energies(forms, x))))
     e, ek, ep = compute_energy(forms, sys.params, run.values)
     fit = _decay_fit(times, e, _FIT_SKIP * tf)

@@ -98,6 +98,9 @@ class ReducedSystem:
     def etdrk4(self) -> Etdrk4Table:
         """The forced runs' ETDRK4 steps on ``modes``, built on first use.
 
+        In real modal coordinates, r reals of state (one per real
+        eigenvalue of A_r, two per conjugate pair), so each of its steps
+        is one real (r + 3) x (r + 6) matrix-vector product.
         ``rom.simulate_rom`` steps through it: each step size's
         coefficients are built once and kept for every later query.
         """

@@ -14,13 +14,15 @@ of the work runs as matrix products.
 
 A system is factored once: ``StateSpaceSystem.schur`` caches a read-only
 factor, and the spectrum, both Gramians and the input-2 frequencies all
-read it.  ``eigenvalues`` and ``solve_lyapunov`` factor a bare matrix.
+read it.  ``solve_lyapunov`` factors a bare matrix, and ``eigenvalues``
+computes the triangular factor T of one without its Schur vectors.
 
 ``modal_factor`` diagonalises A = V diag(lambda) V^-1 for the exponential
 integrator of the energy study and the forced FOM and ROM runs, which
-step in the coordinates y = V^-1 x (``StateSpaceSystem.modes`` and
-``ReducedSystem.modes`` cache it).  V is kept as its LU factors, and
-its condition number is estimated from them by LAPACK ``zgecon``.
+step in the coordinates y = V^-1 x, folded to real ones
+(``StateSpaceSystem.modes`` and ``ReducedSystem.modes`` cache it).  V is
+kept as its LU factors, and its condition number is estimated from them
+by LAPACK ``zgecon``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dtrsyl, zgecon, zgetrf, zgetrs
+from scipy.linalg.lapack import dgees, dtrsyl, zgecon, zgetrf, zgetrs
 
 
 class NonConvergence(RuntimeError):
@@ -139,7 +141,10 @@ class ModalForm:
     LAPACK ``zgetrf`` form), from which ``solve`` applies V^-1; cond is
     the ``zgecon`` estimate of its 1-norm condition number.  The arrays
     are read-only.  Complex-conjugate eigenvalues come with conjugate
-    eigenvectors, so V^-1 x of a real x is conjugate-symmetric.
+    eigenvectors, so V^-1 x of a real x is conjugate-symmetric.  V stays
+    complex, with a column for every mode: ``ode.Etdrk4Table`` folds it
+    onto real modal coordinates, one mode per real eigenvalue and one per
+    conjugate pair.
     """
 
     eigenvalues: np.ndarray
@@ -225,9 +230,35 @@ def _block_eigenvalues(t: np.ndarray) -> np.ndarray:
     return eigs
 
 
+def _no_select(re, im):
+    """dgees's eigenvalue selector, unused: nothing is reordered."""
+    return None
+
+
 def eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a square real matrix, via the real Schur form."""
-    return real_schur(a).eigenvalues
+    """Eigenvalues of a square real matrix, read off its real Schur form.
+
+    LAPACK ``dgees`` computes T alone (no Schur vectors) at the
+    workspace its own query returns, the workspace ``real_schur`` runs
+    at: at that size T is bitwise the T of ``real_schur``, so the two
+    read the same spectrum.  At dgees's default minimal workspace it is
+    not.
+
+    Raises
+    ------
+    NonConvergence
+        If the QR iteration fails to converge (pathological input).
+    """
+    a = _as_square(a)
+    if a.size == 0:
+        return np.empty(0, dtype=complex)
+    lwork = dgees(_no_select, a, compute_v=0, lwork=-1)[-2][0]
+    t, *_, info = dgees(_no_select, a, compute_v=0, lwork=int(lwork))
+    if info < 0:
+        raise ValueError(f"dgees: argument {-info} is invalid")
+    if info > 0:  # pragma: no cover - LAPACK budget
+        raise NonConvergence("dgees: the QR iteration did not converge")
+    return _block_eigenvalues(t)
 
 
 def svd(m) -> SvdResult:

@@ -220,11 +220,14 @@ class StateSpaceSystem:
 
     @cached_property
     def etdrk4(self) -> Etdrk4Table:
-        """The ETDRK4 steps on ``modes``, built on first use.
+        """The ETDRK4 steps on ``modes``, in real modal coordinates.
 
-        ``rom.simulate_fom`` and ``analysis.energy_decay`` step through
-        it: each step size's coefficients are built once and kept for
-        every later run of either.
+        Built on first use: 2n reals of state, one per real eigenvalue
+        of A and two per conjugate pair.  ``rom.simulate_fom`` and
+        ``analysis.energy_decay`` step through it: each step size's
+        coefficients are built once and kept for every later run of
+        either, and so are the output map and, once the energy study
+        asks for it, the real modal basis it samples the state through.
         """
         modes = self.modes
         target = np.zeros(2 * self.n)
@@ -242,12 +245,28 @@ class QuadraticForms:
     boundary springs), d_sig2 : damping form (gamma-stiffness plus
     alpha-mass plus boundary dampings).  All symmetric PSD; m_h is
     diagonal and k_v and d_sig2 tridiagonal, and the energy norms read
-    only those bands.
+    only those bands (``energy_bands``).  The forms are read-only
+    (``quadratic_forms`` marks them so), so the bands read off them
+    once cannot go stale.
     """
 
     m_h: np.ndarray
     k_v: np.ndarray
     d_sig2: np.ndarray
+
+    @cached_property
+    def energy_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(diagonal of m_h, row sums of k_v, first off-diagonal of k_v).
+
+        Read off the forms on first use and kept, read-only: the energy
+        norms (``analysis.compute_energy``) need only these.
+        """
+        off = np.diagonal(self.k_v, 1)
+        row_sums = (np.diagonal(self.k_v) + np.append(off, 0.0)
+                    + np.append(0.0, off))
+        row_sums.flags.writeable = False
+        # np.diagonal's views of the read-only forms are read-only
+        return np.diagonal(self.m_h), row_sums, off
 
 
 def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
@@ -416,5 +435,7 @@ def quadratic_forms(params: PhysicalParams, n: int) -> QuadraticForms:
     d_sig2 = params.gamma * stiffness + params.alpha * np.diag(trap)
     d_sig2[0, 0] += params.alpha0
     d_sig2[-1, -1] += params.alphal
+    for arr in (m_h, k_v, d_sig2):
+        arr.flags.writeable = False
 
     return QuadraticForms(m_h=m_h, k_v=k_v, d_sig2=d_sig2)

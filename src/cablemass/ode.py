@@ -4,7 +4,12 @@
 Runge-Kutta method of Cox and Matthews (2002, J. Comput. Phys. 176) for
 y' = diag(lambda) y + bm u(t) + g (Re row . y)^3: a model in the
 eigenvector coordinates of A (``linalg.modal_factor``) with the input
-column bm.  The linear part is integrated exactly, so a step costs
+column bm.  A is real, so those coordinates of a real state are real at
+each real eigenvalue and conjugate within each pair: a state keeps each
+real mode once, as a float, and one mode per conjugate pair, weighted 2,
+the modes ordered [real | pairs], so it is exactly n reals, one float
+vector whose tail is viewed as complex, and the real modes step in real
+arithmetic.  The linear part is integrated exactly, so a step costs
 O(n) whatever the stiffness; its stiff order is discussed by Hochbruck
 and Ostermann (2010, Acta Numerica).  It has no error estimate of its
 own: ``step_doubling`` makes runs at k = 1, 2, 4, ... steps per sample
@@ -15,13 +20,15 @@ forms where |h lambda| >= 1, and below that their Taylor series, whose
 coefficients are exact rationals (on evaluating phi-functions see
 Skaflestad and Wright 2009, Appl. Numer. Math. 59).  The energy study
 and the forced FOM and ROM runs all step this way, and a system keeps
-its steps in an ``Etdrk4Table``, which builds the coefficients of each
-step size once for all of the system's runs and queries.  A run keeps
+its steps in an ``Etdrk4Table``, which folds the modal factor onto
+those modes once, with the real maps its runs sample through, and
+builds the coefficients of each step size once for all of the system's
+runs and queries.  A run keeps
 its state, input stream and buffers in one ``Etdrk4Run``, set up once,
 which steps through any of the system's kernels and allocates nothing
-per step: the O(n) update is four numpy calls in place, and a model of
-at most _DENSE_DIM modes, where numpy's per-call cost outweighs the
-arithmetic, steps by one real matrix-vector product instead.
+per step: the O(n) update is at most four calls in place, and a model
+of at most _DENSE_DIM reals of state, where the per-call cost outweighs
+the arithmetic, steps by one real matrix-vector product instead.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
@@ -65,9 +72,10 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import astuple, dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
+from scipy.linalg.blas import dgbmv, dgemv
 from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 # Ros2(3): the diagonal coefficient gamma, the third stage's weight, and
@@ -532,45 +540,68 @@ def etd_weights(z) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-# Coefficient sets of at most this dimension also hold the dense real
-# step matrix of ``CubicEtdrk4``: one matrix-vector product per step in
-# place of the diagonal update's four numpy calls.  At small dimension a
-# step costs call overhead, not arithmetic.  Forced steps of an
-# ``Etdrk4Run`` measured dense against diagonal at 3.0-3.4/5.8-6.5 us
-# (medians of three runs) at dimension 8, 3.9-4.2/5.8-6.1 at 32,
-# 5.2-5.4/5.8-6.5 at 48 and 7.0-7.2/6.0-6.9 at 64 (one BLAS thread,
-# 2-core Xeon): the gain narrows as the O(dim^2) product grows and is
-# gone near 60, while the matrix grows as dim^2 (37 KB at 32, 140 KB at
-# 64).
-_DENSE_DIM = 32
+# Coefficient sets of at most this state dimension (reals: one per real
+# mode, two per pair mode) also hold the dense real step matrix of
+# ``CubicEtdrk4``: one matrix-vector product per step in place of the
+# diagonal update's three or four calls.  At small dimension a step
+# costs call overhead, not arithmetic.  Forced steps of an ``Etdrk4Run``,
+# the lowest of four runs (an all-pairs and a half-real model, twice;
+# one BLAS thread, 2-core Xeon), measured dense against diagonal at
+# 1.7-1.9/2.6-3.0 us at dimension 8-32, 2.2/2.6 at 64, 3.5/2.9 at 96 and
+# 3.9/3.4 at 128: the gain narrows as the O(dim^2) product grows and is
+# gone near 90, while the matrix grows as dim^2 (37 KB at 64).
+_DENSE_DIM = 64
+
+
+def _fold(v: np.ndarray, n_real: int) -> np.ndarray:
+    """Complex modal values, [real | pairs] along the last axis, as reals.
+
+    The first n_real entries, those of the real modes, keep their real
+    part, and each pair mode's value follows as its real and imaginary
+    parts: the layout of a state, so that Re(m . y) = _fold(conj m) @ y
+    for the state y of the modal values y_c.
+    """
+    v = np.asarray(v, dtype=complex)
+    out = np.empty(v.shape[:-1] + (2 * v.shape[-1] - n_real,))
+    out[..., :n_real] = v[..., :n_real].real
+    out[..., n_real:] = np.ascontiguousarray(v[..., n_real:]).view(float)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class CubicEtdrk4:
     """ETDRK4 steps of one size h for y' = diag(lam) y + bm u(t) + g s(y)^3.
 
-    Here s(y) = Re row . y.  The cubic term is the fixed column g times
-    the cube of one scalar, and the input term the fixed column bm times
-    u(t), so each stage needs that scalar only: the stage scalars of a
-    step from y follow from the three dot products in ``rows`` @ y, and
-    the step itself is e^(h lam) y plus the rows of ``w`` weighted by the
-    stage cubes and the input values.  Build it with ``cubic_etdrk4``
-    and step it with ``advance`` or an ``Etdrk4Run``.
+    Here s(y) = Re row . y, and the modes are [real | pairs]: the first
+    n_real have a real eigenvalue (and real bm and g), so their values
+    stay real, and the rest are complex.  A state is one float vector of
+    n_real + 2 n_pairs entries: the real modes' values, then the pair
+    modes' real and imaginary parts interleaved (its tail viewed as
+    complex).  The cubic term is the fixed column g times the cube of
+    one scalar, and the input term the fixed column bm times u(t), so
+    each stage needs that scalar only: the stage scalars of a step from
+    y are the three real products ``rows`` @ y, and the step itself is
+    e^(h lam) y plus the real rows of ``w`` weighted by the stage cubes
+    and the input values.  Build it with ``cubic_etdrk4`` and step it
+    with ``advance`` or an ``Etdrk4Run``.
 
-    e : e^(h lam).  rows : (3, m), row, row e^(h lam / 2) and
-    row e^(h lam).  w : h f1 g, 2 h f2 g and h f3 g (``etd_weights``),
-    followed by h f1 bm, 2 h f2 bm and h f3 bm.  alpha, beta :
-    Re row . (h q g) and Re row . (e^(h lam / 2) h q g); gamma, delta :
-    the same with bm.  dense : for m <= _DENSE_DIM, the real
-    (2m + 3, 2m + 6) matrix that takes [y; weights], y's real and
-    imaginary parts interleaved and the six weights of w, to the next
-    state, interleaved the same way, and its three stage scalars
-    Re rows . y.  Its top 2m rows are [E | w^T], E the 2 x 2 blocks of
-    e^(h lam) acting on interleaved pairs, and its last 3 the real map
-    of ``rows`` times those.  None above _DENSE_DIM.
+    e_real, e_pairs : e^(h lam) of the real modes (floats) and of the
+    pair modes (complex).  rows : (3, dim) reals, the state layout of
+    row, row e^(h lam / 2) and row e^(h lam), so that rows @ y is
+    Re of each times y.  w : (6, dim) reals in the state layout,
+    h f1 g, 2 h f2 g and h f3 g (``etd_weights``), followed by h f1 bm,
+    2 h f2 bm and h f3 bm.  alpha, beta : Re row . (h q g) and
+    Re row . (e^(h lam / 2) h q g); gamma, delta : the same with bm.
+    dense : for dim <= _DENSE_DIM, the real (dim + 3, dim + 6) matrix
+    that takes [y; weights], the state and the six weights of w, to the
+    next state and its three stage scalars rows @ y.  Its top dim rows
+    are [E | w^T], E diagonal on the real modes and the 2 x 2 blocks of
+    e^(h lam) on the interleaved pairs, and its last 3 are ``rows``
+    times those.  None above _DENSE_DIM.
     """
 
-    e: np.ndarray
+    e_real: np.ndarray
+    e_pairs: np.ndarray
     rows: np.ndarray
     w: np.ndarray
     alpha: float
@@ -583,8 +614,9 @@ class CubicEtdrk4:
                 inputs=None) -> np.ndarray:
         """Make k steps per row of out from y; write each row's end state.
 
-        Row i of out receives the state after (i + 1) k steps, and a copy
-        of the last of them is returned (of y when out has no rows); y is
+        y is a state and out a float array of one state per row.  Row i
+        of out receives the state after (i + 1) k steps, and a copy of
+        the last of them is returned (of y when out has no rows); y is
         not written.  inputs gives (u0, uh, u1), the input at a step's
         start, middle and end, for each of the k len(out) steps in turn;
         an iterator is advanced by exactly that many.  Without inputs the
@@ -600,9 +632,10 @@ class CubicEtdrk4:
         + h f3 N(c, t + h) (Cox and Matthews 2002).  The stage arithmetic
         runs on the three stage scalars; the linear update that follows
         is one real product with ``dense`` where the kernel has it, which
-        also gives the next step's scalars, else e^(h lam) y plus a real
-        product with w, in place, and rows @ y for the next step's
-        scalars.
+        also gives the next step's scalars, else e^(h lam) y, the real
+        and the complex part each multiplied in place, plus w^T times
+        the weights, added in place by one BLAS ``dgemv``, and rows @ y
+        for the next step's scalars.
 
         Raises NonFiniteState when a stage value is not finite, which a
         step too long for the cubic term can cause; the rows completed
@@ -619,8 +652,7 @@ class CubicEtdrk4:
         u0, uh and u1 are the input at the step's start, middle and end.
         Raises NonFiniteState as ``advance`` does.
         """
-        return self.advance(y, np.empty((1, y.size), dtype=complex), 1,
-                            ((u0, uh, u1),))
+        return self.advance(y, np.empty((1, y.size)), 1, ((u0, uh, u1),))
 
 
 # The six step weights of ``Etdrk4Run``, written into a buffer in one call
@@ -630,52 +662,50 @@ _pack_weights = struct.Struct("6d").pack_into
 class Etdrk4Run:
     """One ETDRK4 run: its state, stepped by the kernels of one system.
 
-    y0 is the initial state, copied; inputs gives one (u0, uh, u1) per
-    step for the whole run, as in ``CubicEtdrk4.advance``, or is None
-    for the zero input, which then takes no part.  ``advance(kernel,
-    out, k)`` makes the run's next k len(out) steps with any kernel of
-    the system (of y0's dimension), so a run steps whole sample
-    intervals and the pieces an input jump cuts with one state, one
-    input stream and one set of buffers.  A kernel switch costs the new
-    kernel's rows @ y, which every ``advance`` starts with.
+    y0 is the initial state (a ``CubicEtdrk4`` state, one float per
+    real mode and two per pair mode), copied; inputs gives one
+    (u0, uh, u1) per step for the whole run, as in
+    ``CubicEtdrk4.advance``, or is None for the zero input, which then
+    takes no part.  ``advance(kernel, out, k)`` makes the run's next
+    k len(out) steps with any kernel of the system (of y0's dimension),
+    so a run steps whole sample intervals and the pieces an input jump
+    cuts with one state, one input stream and one set of buffers.  A
+    kernel switch costs the new kernel's rows @ y, which every
+    ``advance`` starts with.
 
     The buffers are set up here, O(dim), and a step allocates nothing:
     the stage scalars are read and the six weights written through
-    memoryviews.  Two buffers [y; weights], y's real and imaginary
-    parts interleaved, take turns: a dense step's product with one
-    writes the next state and its stage scalars into the other, whose
-    weights the next step then fills in.  A diagonal
+    memoryviews.  Two buffers [y; weights] take turns: a dense step's
+    product with one writes the next state and its stage scalars into
+    the other, whose weights the next step then fills in.  A diagonal
     step updates the state in place where it is.  ``state()`` returns a
     copy of the state; after a NonFiniteState it is the state before
     the failing step.
     """
 
     def __init__(self, y0, inputs=None):
-        m2 = 2 * np.size(y0)
+        dim = np.size(y0)
         self._nw = 3 if inputs is None else 6
         self._inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
                         else iter(inputs))
-        bufs = np.zeros((2, m2 + 6))
-        ys = [buf[:m2].view(complex) for buf in bufs]
+        bufs = np.zeros((2, dim + 6))
+        ys = [buf[:dim] for buf in bufs]
         ys[0][:] = y0
         # per buffer: the product's input, its weights, and where the
         # product goes, its scalars and the state it writes
-        self._turns = [(v[:m2 + self._nw], memoryview(v[m2:]), to[:m2 + 3],
-                        memoryview(to[m2:m2 + 3]), y_to)
+        self._turns = [(v[:dim + self._nw], memoryview(v[dim:]),
+                        to[:dim + 3], memoryview(to[dim:dim + 3]), y_to)
                        for v, to, y_to in ((bufs[0], bufs[1], ys[1]),
                                            (bufs[1], bufs[0], ys[0]))]
         self._turn = 0
         self._y = ys[0]
         self._unforced = {}
-        # the diagonal step's weights, their product with w and the stage
-        # scalars rows @ y
+        # the diagonal step's weights and the stage scalars rows @ y
         weights = np.zeros(6)
         self._weights = weights[:self._nw]
         self._weights_mv = memoryview(weights)
-        self._lin = np.empty(m2)
-        self._lin_c = self._lin.view(complex)
-        self._scalars = np.empty(3, dtype=complex)
-        self._scalars_mv = memoryview(self._scalars.view(float)[::2])
+        self._scalars = np.empty(3)
+        self._scalars_mv = memoryview(self._scalars)
 
     def state(self) -> np.ndarray:
         """A copy of the run's state."""
@@ -688,26 +718,30 @@ class Etdrk4Run:
         input stream is advanced by k len(out).  Raises NonFiniteState
         as ``CubicEtdrk4.advance`` does.
         """
-        rows, e, dense = kernel.rows, kernel.e, kernel.dense
-        dot, multiply, pack, isfinite = (np.dot, np.multiply, _pack_weights,
-                                         math.isfinite)
+        rows, dense = kernel.rows, kernel.dense
+        dot, multiply, gemv, pack, isfinite = (
+            np.dot, np.multiply, dgemv, _pack_weights, math.isfinite)
         alpha, beta, gamma, delta = (kernel.alpha, kernel.beta, kernel.gamma,
                                      kernel.delta)
         inputs, nw, y = self._inputs, self._nw, self._y
         weights, weights_mv = self._weights, self._weights_mv
-        lin, lin_c = self._lin, self._lin_c
         scalars, scalars_mv = self._scalars, self._scalars_mv
         turns, turn = self._turns, self._turn
         if dense is None:
-            # w's real and imaginary parts interleaved: a real product
-            # with the step's weights, read back as complex
-            w = kernel.w.view(float)[:nw]
+            # w^T, Fortran-ordered as BLAS reads it without a copy
+            w_t = kernel.w[:nw].T
+            # the real and the complex part of the state, each multiplied
+            # in place by its e^(h lam); an empty part takes no call
+            n_real = kernel.e_real.size
+            e_real = kernel.e_real if n_real else None
+            e_pairs = kernel.e_pairs if kernel.e_pairs.size else None
+            y_real, y_pairs = y[:n_real], y[n_real:].view(complex)
         elif nw == 3:
             # without the input's columns: a contiguous copy, which numpy
             # would otherwise make of the column slice at every product
             if kernel not in self._unforced:
                 self._unforced[kernel] = np.ascontiguousarray(
-                    dense[:, :2 * e.size + 3])
+                    dense[:, :y.size + 3])
             dense = self._unforced[kernel]
         dot(rows, y, out=scalars)
         s_y, p, r = scalars_mv
@@ -733,9 +767,13 @@ class Etdrk4Run:
                     if dense is None:
                         pack(weights_mv, 0, c_y, c_a + c_b, c_c,
                              u0, 2.0 * uh, u1)
-                        dot(weights, w, out=lin)
-                        multiply(e, y, out=y)
-                        y += lin_c
+                        if e_real is not None:
+                            multiply(e_real, y_real, out=y_real)
+                        if e_pairs is not None:
+                            multiply(e_pairs, y_pairs, out=y_pairs)
+                        # y += w^T weights in place (positional beta, y,
+                        # offx, incx, offy, incy, trans, overwrite_y)
+                        gemv(1.0, w_t, weights, 1.0, y, 0, 1, 0, 1, 0, 1)
                         dot(rows, y, out=scalars)
                         s_y, p, r = scalars_mv
                     else:
@@ -754,75 +792,87 @@ def cubic_etdrk4(lam, row, g, h: float, bm) -> CubicEtdrk4:
     """The ETDRK4 step of size h for y' = diag(lam) y + bm u + g (Re row . y)^3.
 
     lam, row, g and the input column bm are complex vectors of one
-    length.  Every call computes the coefficients afresh;
-    ``Etdrk4Table`` keeps those of a system, one set per h.  Up to
-    _DENSE_DIM modes the kernel also holds ``dense``, assembled from its
-    e, rows and w.  The kernel's arrays are read-only.
+    length, one entry per mode, the modes [real | pairs]: the leading
+    entries of lam that are real are the real modes, whose row, g and bm
+    are read as real (their imaginary parts dropped), and every later
+    entry must have a nonzero imaginary part, else ValueError.  Every
+    call computes the coefficients afresh; ``Etdrk4Table`` keeps those
+    of a system, one set per h.  Up to _DENSE_DIM reals of state the
+    kernel also holds ``dense``, assembled from its e, rows and w.  The
+    kernel's arrays are read-only.
     """
-    z = h * np.asarray(lam, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    n_real = lam.size - np.count_nonzero(lam.imag)
+    if lam.imag[:n_real].any():
+        raise ValueError("the modes with a real eigenvalue must come first")
+    row, g, bm = (np.array(v, dtype=complex) for v in (row, g, bm))
+    for v in (row, g, bm):
+        v.imag[:n_real] = 0.0
+    z = h * lam
     q, f1, f2, f3 = etd_weights(z)
     half = np.exp(0.5 * z)
     e = np.exp(z)
     hqg, hqb = h * q * g, h * q * bm
-    rows = np.array([row, row * half, row * e])
-    w = h * np.array([f1 * g, 2.0 * f2 * g, f3 * g,
-                      f1 * bm, 2.0 * f2 * bm, f3 * bm])
-    dense = _dense_step(e, rows, w) if e.size <= _DENSE_DIM else None
-    for arr in (e, rows, w, dense):
+    # Re(m . y) = _fold(conj m) @ y on states y
+    rows = _fold(np.conj([row, row * half, row * e]), n_real)
+    w = _fold(h * np.array([f1 * g, 2.0 * f2 * g, f3 * g,
+                            f1 * bm, 2.0 * f2 * bm, f3 * bm]), n_real)
+    e_real, e_pairs = e[:n_real].real.copy(), e[n_real:]
+    dense = (_dense_step(e_real, e_pairs, rows, w)
+             if rows.shape[1] <= _DENSE_DIM else None)
+    for arr in (e_real, e_pairs, rows, w, dense):
         if arr is not None:
             arr.flags.writeable = False
     return CubicEtdrk4(
-        e=e, rows=rows, w=w,
+        e_real=e_real, e_pairs=e_pairs, rows=rows, w=w,
         alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real),
         gamma=float((row @ hqb).real), delta=float((row @ (half * hqb)).real),
         dense=dense)
 
 
-def _dense_step(e, rows, w) -> np.ndarray:
+def _dense_step(e_real, e_pairs, rows, w) -> np.ndarray:
     """``CubicEtdrk4.dense`` from the kernel's e, rows and w."""
-    m2 = 2 * e.size
-    top = np.zeros((m2, m2 + 6))
-    j = np.arange(0, m2, 2)
-    top[j, j] = top[j + 1, j + 1] = e.real
-    top[j, j + 1] = -e.imag
-    top[j + 1, j] = e.imag
-    top[:, m2:] = w.view(float).T
-    return np.vstack([top, real_map(rows).T @ top])
-
-
-def real_map(m: np.ndarray) -> np.ndarray:
-    """The real map that takes a block of vectors y, one per row, to Re(m y).
-
-    The block is read as floats, real and imaginary parts interleaved;
-    Re(m y) = Re m Re y - Im m Im y, so one real GEMM with Re m^T and
-    -Im m^T interleaved the same way does it, at half the complex cost.
-    """
-    out = np.empty((2 * m.shape[1], m.shape[0]))
-    out[0::2] = m.real.T
-    out[1::2] = -m.imag.T
-    return out
+    dim = rows.shape[1]
+    top = np.zeros((dim, dim + 6))
+    i = np.arange(e_real.size)
+    top[i, i] = e_real
+    j = np.arange(e_real.size, dim, 2)
+    top[j, j] = top[j + 1, j + 1] = e_pairs.real
+    top[j, j + 1] = -e_pairs.imag
+    top[j + 1, j] = e_pairs.imag
+    top[:, dim:] = w.T
+    return np.vstack([top, rows @ top])
 
 
 # Coefficient sets an Etdrk4Table keeps; past it the oldest is dropped.
 # One square-wave system's queries meet about 62 step sizes (the sample
-# interval's and the jump pieces', at k = 1 and 2).  A set holds
-# 10 dim complex numbers (e, three rows, six columns of w): 128 KB at
-# n = 400 (dim 800), so a table holds at most 16 MB there.  A set of at
-# most _DENSE_DIM modes also holds its (2 dim + 3, 2 dim + 6) dense step,
-# about 37 KB at dim 32, so a ROM's table holds at most 5.5 MB; the FOMs'
+# interval's and the jump pieces', at k = 1 and 2).  A set holds 10 dim
+# reals (e, three rows, six rows of w), 80 dim bytes: 64 KB at n = 400
+# (dim 800), so a table holds at most 8 MB there.  A set of at most
+# _DENSE_DIM reals of state also holds its (dim + 3, dim + 6) dense step,
+# about 37 KB at dim 64, so a ROM's table holds at most 5.5 MB; the FOMs'
 # sets hold none.
 _TABLE_SETS = 128
 
 
 class Etdrk4Table:
-    """The ETDRK4 steps of one system, built once per step size.
+    """The ETDRK4 steps of one system, in real modal coordinates.
 
     The system is x' = A x + b u(t) + g (row_x . x)^3 with outputs c x,
     and modes is A's modal factor A = V diag(lam) V^-1 (a
-    ``linalg.ModalForm``); row is row_x V.  The table keeps the modal
-    vectors every run steps with: lam, row, gm = V^-1 g, bm = V^-1 b,
-    and ``out_map``, the ``real_map`` of c V.  All of them are
-    read-only.  The forced runs and the energy study step through it.
+    ``linalg.ModalForm``); row is row_x V.  A is real, so V^-1 x of a
+    real x is conjugate-symmetric: its entries at real eigenvalues are
+    real and those of each conjugate pair conjugate.  The table keeps
+    each real eigenvalue once, as a real mode, and one mode of each pair
+    (Im lam > 0), the modes ordered [real | pairs], and weights the pair
+    modes 2 in row and in the output maps, so Re(row . y) and the
+    outputs are the same sums.  A state (``modal_state``) is then
+    exactly dim reals.  The table keeps the modal vectors every run
+    steps with: lam, row, gm = V^-1 g and bm = V^-1 b over those modes,
+    and the real sampling maps, ``out_map`` (c V) and ``state_map`` (V,
+    built on first use), each taking a block of states, one per row, to
+    its samples.  All of them are read-only.  The forced runs and the
+    energy study step through it.
 
     ``kernel(h)`` returns the ``CubicEtdrk4`` of step h.  Its
     coefficients depend on h lam and these vectors only, not on the
@@ -833,14 +883,41 @@ class Etdrk4Table:
     """
 
     def __init__(self, modes, b, g, row, c):
-        self.lam = modes.eigenvalues
-        self.bm, self.gm = modes.solve(np.column_stack([b, g])).T
-        self.row = row
-        self.out_map = real_map(c @ modes.v)
-        for arr in (self.bm, self.gm, self.row, self.out_map):
+        lam = modes.eigenvalues
+        self._order = np.concatenate([np.flatnonzero(lam.imag == 0.0),
+                                      np.flatnonzero(lam.imag > 0.0)])
+        self.dim = lam.size
+        self.n_real = self.dim - np.count_nonzero(lam.imag)
+        self._weight = np.where(lam[self._order].imag > 0.0, 2.0, 1.0)
+        self._modes = modes
+        self.lam = lam[self._order]
+        self.bm, self.gm = modes.solve(np.column_stack([b, g]))[self._order].T
+        self.row = self._weight * row[self._order]
+        self.out_map = self._sampling_map(c @ modes.v)
+        for arr in (self.lam, self.bm, self.gm, self.row, self.out_map):
             arr.flags.writeable = False
         self.built = 0
         self._sets = {}
+
+    def _sampling_map(self, m: np.ndarray) -> np.ndarray:
+        """The real map taking a block of states, one per row, to Re(m y)."""
+        folded = _fold(np.conj(m[:, self._order]) * self._weight, self.n_real)
+        return np.ascontiguousarray(folded.T)
+
+    @cached_property
+    def state_map(self) -> np.ndarray:
+        """The real modal basis W, x = W y, transposed as ``out_map`` is.
+
+        Built on first use and kept: the energy study samples the state
+        through it, the forced runs never.
+        """
+        state_map = self._sampling_map(self._modes.v)
+        state_map.flags.writeable = False
+        return state_map
+
+    def modal_state(self, x) -> np.ndarray:
+        """The state of a real x: V^-1 x, folded onto the table's modes."""
+        return _fold(self._modes.solve(x)[self._order], self.n_real)
 
     def kernel(self, h: float) -> CubicEtdrk4:
         """The ETDRK4 step of size h, built on first use and kept."""

@@ -16,11 +16,13 @@ eigenvector coordinates y = V^-1 x of A (``StateSpaceSystem.modes``,
 ``ReducedSystem.modes``) e^(hA) is diagonal, and fixed-step ETDRK4
 (``ode.CubicEtdrk4``) integrates the linear part exactly, so A's stiff
 and nearly undamped modes do not set the step; the cubic term and the
-input do.  A step costs O(dim), and a model of at most ``ode._DENSE_DIM``
-modes (every ROM here) steps by one real (2 dim + 3) x (2 dim + 6)
-matrix-vector product instead: O(dim^2) arithmetic, but one numpy call
-where the O(dim) update takes four, and at such sizes the calls cost
-more than the arithmetic.
+input do.  The coordinates are real: each real eigenvalue is one real
+mode and each conjugate pair one complex mode weighted 2, so a state is
+exactly dim reals.  A step costs O(dim), and a model of at most
+``ode._DENSE_DIM`` reals of state (every ROM here) steps by one real
+(dim + 3) x (dim + 6) matrix-vector product instead: O(dim^2)
+arithmetic, but one call where the O(dim) update takes three or four,
+and at such sizes the calls cost more than the arithmetic.
 
 Every step ends on a grid sample or on one of the input's breakpoints
 (the square wave's jumps): each interval between them takes k steps of
@@ -34,22 +36,24 @@ that piece's kernel.  A smooth input is read at every stage time of a
 run in one ``eval_input`` call.  Runs are made at
 k = 1, 2, 4, ... (``ode.step_doubling``); each is compared with the run
 before it at every sample, and the first whose estimate passes rtol and
-atol is kept.  Each sample is projected to the outputs as it is made,
-so a run holds samples x outputs numbers, not samples x states.  The
-energy study (``analysis.energy_decay``) is this loop's unforced case
-from a given state, sampling the state itself in the energy norm.
+atol is kept.  Each block of samples is projected to the outputs as it
+is made, by one real GEMM with the table's output map, so a run holds
+samples x outputs numbers, not samples x states.  The energy study
+(``analysis.energy_decay``) is this loop's unforced case from a given
+state, sampling the state itself, through the table's real modal basis,
+in the energy norm.
 
 A step's coefficients depend on h and the model only, not on the input
 or the initial state, so each model keeps them in one ``ode.Etdrk4Table``
 (``StateSpaceSystem.etdrk4``, ``ReducedSystem.etdrk4``), with the modal
-vectors every run uses: a step size is built once for all of the
-model's runs and queries, and a query that differs from an earlier one
-only in the input's amplitude builds none.  A coefficient set holds
-10 dim complex numbers, 160 dim bytes (128 KB at n = 400, dim 800),
-and a table keeps at most ``ode._TABLE_SETS`` (128) of them, the oldest
-dropped first: at most 16 MB at n = 400.  A set of at most
-``ode._DENSE_DIM`` modes also holds its dense step matrix, about 37 KB
-at dim 32.
+vectors and the real sampling maps every run uses: a step size is
+built once for all of the model's runs and queries, and a query that
+differs from an earlier one only in the input's amplitude builds none.
+A coefficient set holds 10 dim reals, 80 dim bytes (64 KB at n = 400,
+dim 800), and a table keeps at most ``ode._TABLE_SETS`` (128) of them,
+the oldest dropped first: at most 8 MB at n = 400.  A set of at most
+``ode._DENSE_DIM`` reals of state also holds its dense step matrix,
+about 37 KB at dim 64.
 """
 
 from __future__ import annotations
@@ -226,17 +230,19 @@ def _sample_grid(t0: float, tf: float, rtol: float, atol: float,
 
 def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
               atol: float, y0: np.ndarray, first: np.ndarray,
-              out_map: np.ndarray, norm) -> OutputSeries:
-    """Samples of x' = A x + b u(t) + g (row_x . x)^3 on grid from V^-1 x = y0.
+              sample_map: np.ndarray, norm) -> OutputSeries:
+    """Samples of x' = A x + b u(t) + g (row_x . x)^3 on grid from state y0.
 
     system is a ``StateSpaceSystem`` or a ``ReducedSystem``; its
-    ``etdrk4`` table gives the steps.  The first sample is the caller's,
-    each later one Re(M y) with out_map the ``ode.real_map`` of M (c V
-    for the outputs, V for the state).  Each run writes its samples over
-    those of the run before, _SAMPLE_BLOCK at a time, after measuring
-    the difference in norm: per channel (np.abs) or one number per
-    sample.  It passes where that over 15 is at most rtol * scale + atol,
-    scale the largest norm of a sample, the first's included.
+    ``etdrk4`` table gives the steps, and y0 is a state of the table's
+    real modal coordinates.  The first sample is the caller's, each
+    later one y @ sample_map, with sample_map one of the table's real
+    sampling maps (``out_map`` for the outputs, ``state_map`` for the
+    state).  Each run writes its samples over those of the run before,
+    _SAMPLE_BLOCK at a time, after measuring the difference in norm: per
+    channel (np.abs) or one number per sample.  It passes where that
+    over 15 is at most rtol * scale + atol, scale the largest norm of a
+    sample, the first's included.
     """
     interval = (grid[-1] - grid[0]) / (grid.size - 1)
     starts, lengths, paths = _intervals(spec, grid, interval)
@@ -244,7 +250,7 @@ def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
     built = table.built
     values = np.empty((grid.size, first.size))
     values[0] = first
-    block = np.empty((min(_SAMPLE_BLOCK, len(paths)), y0.size), complex)
+    block = np.empty((min(_SAMPLE_BLOCK, len(paths)), y0.size))
 
     def run(k, compare):
         # the sample interval's steps serve every whole interval and a
@@ -256,8 +262,9 @@ def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
         steps = ode.Etdrk4Run(
             y0, None if spec.kind == "zero"
             else _stage_inputs(spec, starts, lengths, k))
-        scale = norm(first)
-        diff = np.zeros_like(scale)
+        if compare:
+            scale = norm(first)
+            diff = np.zeros_like(scale)
         for start in range(1, grid.size, _SAMPLE_BLOCK):
             rows = min(_SAMPLE_BLOCK, grid.size - start)
             i = 0
@@ -272,15 +279,16 @@ def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
                             steps.advance(table.kernel(piece / k),
                                           block[j:j + 1], k)
                 i += count
-            out = block[:rows].view(float) @ out_map
+            out = block[:rows] @ sample_map
             if not np.isfinite(out).all():
                 raise ode.NonFiniteState("ETDRK4 sample not finite")
             kept = values[start:start + rows]
             if compare:
                 diff = np.maximum(diff, norm(out - kept).max(axis=0))
-            scale = np.maximum(scale, norm(out).max(axis=0))
+                scale = np.maximum(scale, norm(out).max(axis=0))
             kept[...] = out
         if not compare:
+            # nothing to check against: the run only seeds the next one
             return math.inf, False
         est = diff / 15.0  # 2^4 - 1: Richardson for a fourth-order method
         return float(est.max()), bool((est <= rtol * scale + atol).all())
@@ -298,8 +306,7 @@ def _forced(system, spec: InputSpec, t0: float, tf: float, rtol: float,
     """Outputs c x of a run from x(t0) = 0, checked per channel."""
     grid = _sample_grid(t0, tf, rtol, atol, sample_count)
     table = system.etdrk4
-    return _simulate(system, spec, grid, rtol, atol,
-                     np.zeros(table.lam.size, dtype=complex),
+    return _simulate(system, spec, grid, rtol, atol, np.zeros(table.dim),
                      np.zeros(table.out_map.shape[1]), table.out_map, np.abs)
 
 

@@ -110,6 +110,31 @@ class TestComputeEnergy:
         assert abs(ep - float(exact)) <= 1e-15 * float(exact)
 
 
+    def test_bands_read_once(self, rng):
+        # the bands are read once per forms and kept; the forms they are
+        # read from are read-only, so the kept bands cannot go stale.  The
+        # energies are those of the bands read afresh, bitwise
+        params = PRESETS["exp_stab_Ex1"].params
+        forms = quadratic_forms(params, 50)
+        bands = forms.energy_bands
+        assert forms.energy_bands is bands
+        for arr in (forms.m_h, forms.k_v, forms.d_sig2, *bands):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        x = rng.standard_normal((64, 100))
+        d, v = x[:, :50], x[:, 50:]
+        off = np.diagonal(forms.k_v, 1)
+        row_sums = (np.diagonal(forms.k_v) + np.append(off, 0.0)
+                    + np.append(0.0, off))
+        cells = np.diff(d)
+        fresh = (0.5 * np.einsum("...i,i,...i->...", v,
+                                 np.diagonal(forms.m_h), v),
+                 0.5 * (np.einsum("...i,i,...i->...", d, row_sums, d)
+                        - np.einsum("...i,i,...i->...", cells, off, cells)))
+        for got, want in zip(analysis._quadratic_energies(forms, x), fresh):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestEnergyDecay:
     def test_zero_initial_data_degenerate(self):
         sys = build_system(EXAMPLE1, 10)

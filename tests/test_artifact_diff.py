@@ -39,8 +39,35 @@ def test_column_moves(tmp_path):
 def test_shape_change(tmp_path):
     old = write(tmp_path / "old.csv", "t,y\n0,1\n")
     new = write(tmp_path / "new.csv", "t,y\n0,1\n1,2\n")
-    assert artifact_diff.diff_csv(old, new) == {"identical": False,
-                                               "shape_changed": True}
+    zero = {"max_abs": 0.0, "max_rel": 0.0}
+    assert artifact_diff.diff_csv(old, new) == {
+        "identical": False, "shape_changed": True, "rows": [1, 2],
+        "columns": {"t": zero, "y": zero}}
+    # a changed header gives the counts only
+    other = write(tmp_path / "other.csv", "t,z\n0,1\n")
+    assert artifact_diff.diff_csv(old, other) == {
+        "identical": False, "shape_changed": True, "rows": [1, 1]}
+
+
+def test_rank_change_reads_moves(tmp_path):
+    # a Hankel rank that drops from 4 to 3 in hsv.csv: both row counts,
+    # and the moves of the three values both files have
+    old = write(tmp_path / "old.csv", "k,sigma,bound\n1,2.0,1.5\n2,0.5,0.5"
+                                      "\n3,0.25,0.25\n4,1e-13,2e-13\n")
+    new = write(tmp_path / "new.csv", "k,sigma,bound\n1,2.0,1.5\n2,0.5,0.5"
+                                      "\n3,0.125,0.25\n")
+    result = artifact_diff.diff_csv(old, new)
+    assert result["rows"] == [4, 3] and result["shape_changed"]
+    assert result["columns"]["sigma"] == {"max_abs": 0.125,
+                                          "max_rel": 0.0625}
+    report = {"compare": {"csv": {"hsv.csv": result}, "csv_only_old": [],
+                          "csv_only_new": [], "log_changes": []}}
+    lines, same = artifact_diff.summary(report)
+    assert not same
+    assert lines[1:] == [
+        "compare/hsv.csv: shape changed, 4 rows -> 3, columns over the "
+        "common rows",
+        "compare/hsv.csv sigma: max abs 0.125, max rel 0.0625"]
 
 
 def test_changed_log_lines_and_summary():

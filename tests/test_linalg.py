@@ -67,6 +67,31 @@ class TestEigenvalues:
         np.testing.assert_allclose(eigs, [-3.0, -2.0, -1.0], atol=1e-10)
         assert np.abs(linalg.eigenvalues(comp).imag).max() <= 1e-10
 
+    def test_no_schur_vectors(self, monkeypatch, rng):
+        # T alone, at the workspace dgees's own query returns
+        calls = []
+        real = linalg.dgees
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "dgees", recording)
+        a = rng.standard_normal((6, 6))
+        eigs = linalg.eigenvalues(a)
+        assert [call["compute_v"] for call in calls] == [0, 0]
+        assert calls[0]["lwork"] == -1 and calls[1]["lwork"] >= 3 * 6
+        assert np.array_equal(eigs, linalg.real_schur(a).eigenvalues)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            linalg.eigenvalues(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            linalg.eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_empty(self):
+        assert linalg.eigenvalues(np.zeros((0, 0))).shape == (0,)
+
     def test_conjugate_pair_symmetry(self, rng):
         for n in (3, 6, 9):
             a = rng.standard_normal((n, n))
@@ -123,13 +148,14 @@ class TestBlockEigenvalues:
     """The vectorised read-off equals the block-by-block loop bitwise."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    @pytest.mark.parametrize("n", [8, 20, 50])
+    @pytest.mark.parametrize("n", [8, 20, 50, 100])
     def test_presets_bitwise(self, name, n):
         sys = build_system(PRESETS[name].params, n)
         t = sys.schur.t
         assert np.array_equal(linalg._block_eigenvalues(t),
                               loop_eigenvalues(t))
-        # a fresh factor of the bare matrix reads the same spectrum
+        # a fresh factor of the bare matrix, T without Schur vectors,
+        # reads the same spectrum
         assert np.array_equal(linalg.eigenvalues(sys.a),
                               sys.schur.eigenvalues)
 

@@ -3,13 +3,16 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg.blas import dgemv
 
 from cablemass import ode
+from cablemass.cli import get_preset
 from cablemass.model import PhysicalParams, build_system, fom_jacobian, fom_rhs
 from cablemass.signals import square_wave
 from conftest import linear_derivatives, node_sampled
@@ -88,10 +91,10 @@ def allocating_advance(kernel, y, out, k, inputs=None):
     nw = 3 if inputs is None else 6
     inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
               else iter(inputs))
-    m2 = 2 * y.size
-    w = kernel.w.view(float)[:nw]
-    dense = None if kernel.dense is None else kernel.dense[:, :m2 + nw]
-    s_y, p, r = np.dot(kernel.rows, y).real.tolist()
+    dim, n_real = y.size, kernel.e_real.size
+    w = kernel.w[:nw]
+    dense = None if kernel.dense is None else kernel.dense[:, :dim + nw]
+    s_y, p, r = np.dot(kernel.rows, y).tolist()
     alpha, beta, gamma, delta = (kernel.alpha, kernel.beta, kernel.gamma,
                                  kernel.delta)
     for i in range(len(out)):
@@ -107,12 +110,61 @@ def allocating_advance(kernel, y, out, k, inputs=None):
             c_c = s_c * s_c * s_c
             weights = (c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1)[:nw]
             if dense is None:
-                y = kernel.e * y + np.dot(weights, w).view(complex)
-                s_y, p, r = np.dot(kernel.rows, y).real.tolist()
+                y = np.concatenate([
+                    kernel.e_real * y[:n_real],
+                    (kernel.e_pairs * y[n_real:].view(complex)).view(float)])
+                # y + w^T weights by the same BLAS call, into a new array
+                y = dgemv(1.0, w.T, np.array(weights), 1.0, y)
+                s_y, p, r = np.dot(kernel.rows, y).tolist()
             else:
-                to = np.dot(dense, np.concatenate([y.view(float), weights]))
-                y = to[:m2].view(complex)
-                s_y, p, r = to[m2:].tolist()
+                to = np.dot(dense, np.concatenate([y, weights]))
+                y = to[:dim]
+                s_y, p, r = to[dim:].tolist()
+        out[i] = y
+    return y
+
+
+def complex_kernel(lam, row, g, h, bm):
+    """The ETDRK4 step in the complex representation: every mode, complex.
+
+    The kernel ``ode.cubic_etdrk4`` made before the real modal
+    coordinates: y' = diag(lam) y + bm u + g (Re row . y)^3 over all
+    modes of A, conjugate pairs twice, with complex e, rows and w.  The
+    reference the folded kernels are checked against.
+    """
+    z = h * np.asarray(lam, dtype=complex)
+    q, f1, f2, f3 = ode.etd_weights(z)
+    half, e = np.exp(0.5 * z), np.exp(z)
+    hqg, hqb = h * q * g, h * q * bm
+    return SimpleNamespace(
+        e=e, rows=np.array([row, row * half, row * e]),
+        w=h * np.array([f1 * g, 2.0 * f2 * g, f3 * g,
+                        f1 * bm, 2.0 * f2 * bm, f3 * bm]),
+        alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real),
+        gamma=float((row @ hqb).real), delta=float((row @ (half * hqb)).real))
+
+
+def complex_advance(kernel, y, out, k, inputs=None):
+    """Steps of a ``complex_kernel``, as ``allocating_advance`` makes them."""
+    inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
+              else iter(inputs))
+    s_y, p, r = np.dot(kernel.rows, y).real.tolist()
+    alpha, beta, gamma, delta = (kernel.alpha, kernel.beta, kernel.gamma,
+                                 kernel.delta)
+    for i in range(len(out)):
+        for _ in range(k):
+            u0, uh, u1 = next(inputs)
+            c_y = s_y * s_y * s_y
+            s_a = p + alpha * c_y + gamma * u0
+            c_a = s_a * s_a * s_a
+            s_b = p + alpha * c_a + gamma * uh
+            c_b = s_b * s_b * s_b
+            s_c = (r + beta * c_y + delta * u0
+                   + alpha * (2.0 * c_b - c_y) + gamma * (2.0 * uh - u0))
+            c_c = s_c * s_c * s_c
+            weights = (c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1)
+            y = kernel.e * y + np.dot(weights, kernel.w)
+            s_y, p, r = np.dot(kernel.rows, y).real.tolist()
         out[i] = y
     return y
 
@@ -538,7 +590,7 @@ class TestCubicEtdrk4:
     def run(self, h, tf=2.0):
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                   np.array([-1.0]), h, np.zeros(1))
-        y = np.array([1.0 + 0j])
+        y = np.array([1.0])
         for _ in range(round(tf / h)):
             y = kernel.step(y)
         return y[0]
@@ -550,13 +602,14 @@ class TestCubicEtdrk4:
             assert coarse / fine >= 12.0
 
     def test_linear_part_exact(self, rng):
-        # without the cubic term a step multiplies by e^(h lambda)
+        # without the cubic term a step multiplies by e^(h lambda); six
+        # pair modes, a state of 12 reals
         lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), 0.3,
                                   np.zeros(6))
-        np.testing.assert_allclose(kernel.step(y), np.exp(0.3 * lam) * y,
-                                   rtol=1e-15)
+        np.testing.assert_allclose(kernel.step(y.view(float)).view(complex),
+                                   np.exp(0.3 * lam) * y, rtol=1e-15)
 
     def test_constant_input_exact(self, rng):
         # y' = lambda y + bm u with u constant: h (f1 + 4 f2 + f3) is
@@ -567,9 +620,9 @@ class TestCubicEtdrk4:
         h, u = 0.3, 0.7
         kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), h, bm)
         e = np.exp(h * lam)
-        np.testing.assert_allclose(kernel.step(y, u, u, u),
-                                   e * y + (e - 1.0) / lam * bm * u,
-                                   rtol=1e-14)
+        np.testing.assert_allclose(
+            kernel.step(y.view(float), u, u, u).view(complex),
+            e * y + (e - 1.0) / lam * bm * u, rtol=1e-14)
 
     def test_smooth_input_fourth_order(self):
         # y' = -y - y^3 + u(t) with u chosen so that y = sin(t) / 2
@@ -581,7 +634,7 @@ class TestCubicEtdrk4:
         for h in (0.5, 0.25, 0.125, 0.0625):
             kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                       np.array([-1.0]), h, np.array([1.0]))
-            y = np.array([0j])
+            y = np.array([0.0])
             for i in range(round(2.0 / h)):
                 y = kernel.step(y, u(i * h), u((i + 0.5) * h), u((i + 1) * h))
             errors.append(abs(y[0] - 0.5 * math.sin(2.0)))
@@ -593,17 +646,16 @@ class TestCubicEtdrk4:
         # input column; without inputs the input rows take no part.  Both
         # forms: the dense step of this small kernel, and the diagonal
         # update of one above _DENSE_DIM
-        lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
-        row, g, bm, y = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
-                         for _ in range(4))
+        lam, row, g, _, bm = TestStepForms.coefficients(rng, 2, 4)
+        y = rng.standard_normal(10)
         for dense_dim in (ode._DENSE_DIM, 0):
             monkeypatch.setattr(ode, "_DENSE_DIM", dense_dim)
             unforced = ode.cubic_etdrk4(lam, row, g, 0.3, np.zeros(6))
-            forced = ode.cubic_etdrk4(lam, row, g, 0.3, bm)
+            forced = ode.cubic_etdrk4(lam, row, g, 0.3, 10.0 * bm)
             assert (forced.dense is None) == (dense_dim == 0)
             np.testing.assert_allclose(forced.step(y), unforced.step(y),
                                        rtol=1e-14)
-            no_inputs = np.empty((1, 6), dtype=complex)
+            no_inputs = np.empty((1, 10))
             assert_bitwise(forced.advance(y, no_inputs, 1),
                            unforced.advance(y, no_inputs, 1))
 
@@ -611,19 +663,42 @@ class TestCubicEtdrk4:
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                   np.array([-1.0]), 0.5, np.zeros(1))
         with raises_quietly(ode.NonFiniteState):
-            kernel.step(np.array([1e120 + 0j]))
+            kernel.step(np.array([1e120]))
 
     def test_coefficients_read_only(self, rng):
         # a table hands one kernel to every run of its step size
-        kernel = ode.cubic_etdrk4(-rng.uniform(0.5, 5.0, 3), np.ones(3),
-                                  np.ones(3), 0.3, np.ones(3))
-        for arr in (kernel.e, kernel.rows, kernel.w, kernel.dense):
+        kernel = ode.cubic_etdrk4(*TestStepForms.coefficients(rng, 2, 3))
+        for arr in (kernel.e_real, kernel.e_pairs, kernel.rows, kernel.w,
+                    kernel.dense):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("n_real, n_pairs", [(3, 0), (0, 3), (2, 3)],
+                             ids=["real", "pairs", "mixed"])
+    def test_state_layout(self, rng, n_real, n_pairs):
+        # one float per real mode and two per pair mode, the real modes
+        # first; an empty part has empty coefficients
+        kernel = ode.cubic_etdrk4(*TestStepForms.coefficients(
+            rng, n_real, n_pairs))
+        dim = n_real + 2 * n_pairs
+        assert kernel.e_real.shape == (n_real,)
+        assert kernel.e_real.dtype == float
+        assert kernel.e_pairs.shape == (n_pairs,)
+        assert kernel.rows.shape == (3, dim) and kernel.rows.dtype == float
+        assert kernel.w.shape == (6, dim) and kernel.w.dtype == float
+        assert kernel.dense.shape == (dim + 3, dim + 6)
+
+    def test_real_modes_come_first(self):
+        with pytest.raises(ValueError, match="first"):
+            ode.cubic_etdrk4(np.array([-1.0 + 1.0j, -2.0]), np.ones(2),
+                             np.ones(2), 0.1, np.ones(2))
+
 
 class TestAdvance:
-    """Many ETDRK4 steps in one call, against one step per call."""
+    """Many ETDRK4 steps in one call, against one step per call.
+
+    The kernels have 6 pair modes: a state of 12 reals.
+    """
 
     @staticmethod
     def kernel(rng, forced):
@@ -633,19 +708,25 @@ class TestAdvance:
         return ode.cubic_etdrk4(lam, row, 0.1 * g, 0.3,
                                 bm if forced else np.zeros(6))
 
+    @staticmethod
+    def state(rng):
+        return (0.5 * (rng.standard_normal(6)
+                       + 1j * rng.standard_normal(6))).view(float)
+
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_matches_repeated_steps(self, rng, k, forced):
         kernel = self.kernel(rng, forced)
-        y0 = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        y0 = self.state(rng)
         inputs = rng.standard_normal((5 * k, 3)).tolist() if forced else None
-        out = np.full((5, 6), np.nan, dtype=complex)
+        out = np.full((5, 12), np.nan)
         end = kernel.advance(y0, out, k, inputs)
         y = y0
         for i in range(5 * k):
             y = kernel.step(y, *inputs[i]) if forced else kernel.step(y)
             if i % k == k - 1:
-                np.testing.assert_allclose(out[i // k], y, rtol=1e-15)
+                np.testing.assert_allclose(out[i // k].view(complex),
+                                           y.view(complex), rtol=1e-15)
         assert_bitwise(end, out[-1])
 
     @pytest.mark.parametrize("forced", [False, True])
@@ -653,8 +734,8 @@ class TestAdvance:
     def test_fills_exactly_its_rows(self, rng, k, forced):
         # three rows of a five-row array, and 3k inputs of a longer stream
         kernel = self.kernel(rng, forced)
-        y0 = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        out = np.full((5, 6), np.nan, dtype=complex)
+        y0 = self.state(rng)
+        out = np.full((5, 12), np.nan)
         inputs = iter(rng.standard_normal((3 * k + 1, 3)).tolist())
         kernel.advance(y0, out[:3], k, inputs if forced else None)
         assert np.isfinite(out[:3]).all()
@@ -670,24 +751,23 @@ class TestAdvance:
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                   np.array([1.0]), 0.05,
                                   np.array([1.0]) if forced else np.zeros(1))
-        out = np.full((50, 1), np.nan, dtype=complex)
+        out = np.full((50, 1), np.nan)
         inputs = [(1.0, 1.0, 1.0)] * (50 * k) if forced else None
         with raises_quietly(ode.NonFiniteState):
-            kernel.advance(np.array([1.5 + 0j]), out, k, inputs)
+            kernel.advance(np.array([1.5]), out, k, inputs)
         assert np.isfinite(out[0]).all()
         assert np.isnan(out[-1]).all()
 
     @pytest.mark.parametrize("forced", [False, True])
     def test_empty_out_returns_y(self, rng, forced):
         kernel = self.kernel(rng, forced)
-        y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        y = self.state(rng)
         inputs = iter([(1.0, 1.0, 1.0)])
-        end = kernel.advance(y, np.empty((0, 6), dtype=complex), 2,
+        end = kernel.advance(y, np.empty((0, 12)), 2,
                              inputs if forced else None)
         assert_bitwise(end, y)
         if forced:
             assert len(list(inputs)) == 1
-
 
     @staticmethod
     def kernels(rng, forced, sizes):
@@ -704,13 +784,31 @@ class TestAdvance:
     def test_matches_allocating_reference(self, rng, k, forced):
         # bitwise: the same operations on the same values, in place
         kernel = self.kernel(rng, forced)
-        y0 = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        y0 = self.state(rng)
         inputs = rng.standard_normal((5 * k, 3)).tolist() if forced else None
-        outs = [np.full((5, 6), np.nan, dtype=complex) for _ in range(2)]
+        outs = [np.full((5, 12), np.nan) for _ in range(2)]
         end = kernel.advance(y0, outs[0], k, inputs)
         ref = allocating_advance(kernel, y0, outs[1], k, inputs)
         assert_bitwise(outs[0], outs[1])
         assert_bitwise(end, ref)
+
+    @pytest.mark.parametrize("n_real, n_pairs", [(4, 0), (0, 4), (2, 3)],
+                             ids=["real", "pairs", "mixed"])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_parts_match_allocating_reference(self, rng, forced, n_real,
+                                              n_pairs):
+        # an all-real and an all-pairs system, whose update skips the
+        # empty part, and one of both
+        lam, row, g, h, bm = TestStepForms.coefficients(rng, n_real, n_pairs)
+        kernel = ode.cubic_etdrk4(lam, row, g, h,
+                                  bm if forced else np.zeros(n_real + n_pairs))
+        dim = n_real + 2 * n_pairs
+        y0 = 0.5 * rng.standard_normal(dim)
+        inputs = rng.standard_normal((20, 3)).tolist() if forced else None
+        outs = [np.full((10, dim), np.nan) for _ in range(2)]
+        kernel.advance(y0, outs[0], 2, inputs)
+        allocating_advance(kernel, y0, outs[1], 2, inputs)
+        assert_bitwise(outs[0], outs[1])
 
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -722,9 +820,9 @@ class TestAdvance:
         plan = [(whole, 3), (first, 1), (second, 1), (whole, 2),
                 (first, 1), (second, 1), (whole, 1)]
         rows = sum(count for _, count in plan)
-        y0 = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        y0 = self.state(rng)
         stream = rng.standard_normal((rows * k, 3)).tolist()
-        outs = [np.full((rows, 6), np.nan, dtype=complex) for _ in range(2)]
+        outs = [np.full((rows, 12), np.nan) for _ in range(2)]
         steps = ode.Etdrk4Run(y0, stream if forced else None)
         y, inputs, i = y0, iter(stream) if forced else None, 0
         for kernel, count in plan:
@@ -738,9 +836,9 @@ class TestAdvance:
     def test_state_belongs_to_caller(self, rng, forced):
         # advance writes neither y nor, later, the state it returned
         kernel, other = self.kernels(rng, forced, (0.3, 0.1))
-        y = 0.5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        y = self.state(rng)
         y_kept = y.copy()
-        out = np.empty((3, 6), dtype=complex)
+        out = np.empty((3, 12))
         inputs = ([(0.5, 0.5, 0.5)] * 6) if forced else None
         end = kernel.advance(y, out, 2, inputs)
         assert not np.shares_memory(end, out)
@@ -757,8 +855,8 @@ class TestAdvance:
         # stays the last row written
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                   np.array([1.0]), 0.05, np.zeros(1))
-        steps = ode.Etdrk4Run(np.array([1.5 + 0j]))
-        out = np.full((50, 1), np.nan, dtype=complex)
+        steps = ode.Etdrk4Run(np.array([1.5]))
+        out = np.full((50, 1), np.nan)
         with raises_quietly(ode.NonFiniteState):
             steps.advance(kernel, out, 1)
         last = np.flatnonzero(np.isfinite(out[:, 0]))[-1]
@@ -768,7 +866,8 @@ class TestAdvance:
 class TestAdvanceDiagonal(TestAdvance):
     """The same on the diagonal update, which kernels above _DENSE_DIM take.
 
-    TestAdvance's kernels have 6 modes and 1, so they step densely.
+    TestAdvance's kernels have 12 reals of state and 1, so they step
+    densely.
     """
 
     @pytest.fixture(autouse=True)
@@ -780,24 +879,42 @@ class TestStepForms:
     """The dense step matrix against the diagonal update of one kernel."""
 
     @staticmethod
-    def coefficients(rng, m):
-        lam = -rng.uniform(0.05, 2.0, m) + 1j * rng.uniform(-20.0, 20.0, m)
-        row, g, bm = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                      for _ in range(3))
-        return lam, row, 0.1 * g, 0.05, bm
+    def coefficients(rng, n_real, n_pairs, h=0.05):
+        """cubic_etdrk4's arguments for n_real real and n_pairs pair modes."""
+        lam = np.concatenate([-rng.uniform(0.05, 2.0, n_real),
+                              -rng.uniform(0.05, 2.0, n_pairs)
+                              + 1j * rng.uniform(1.0, 20.0, n_pairs)])
+        row, g, bm = (np.concatenate([
+            rng.standard_normal(n_real),
+            rng.standard_normal(n_pairs) + 1j * rng.standard_normal(n_pairs)])
+            for _ in range(3))
+        return lam, row, 0.1 * g, h, bm
 
-    @pytest.mark.parametrize("m", [1, 2, ode._DENSE_DIM])
+    @pytest.mark.parametrize("m", [1, 2, ode._DENSE_DIM // 2])
     def test_forms_agree(self, rng, monkeypatch, m):
-        # 200 forced steps: the two sum the same terms in another order
-        args = self.coefficients(rng, m)
+        # m pair modes
+        self.check_forms_agree(rng, monkeypatch, 0, m)
+
+    @pytest.mark.parametrize("n_real, n_pairs", [
+        (1, 0), (1, 1), (ode._DENSE_DIM, 0),
+        (ode._DENSE_DIM // 2, ode._DENSE_DIM // 4)])
+    def test_forms_agree_real_modes(self, rng, monkeypatch, n_real, n_pairs):
+        self.check_forms_agree(rng, monkeypatch, n_real, n_pairs)
+
+    def check_forms_agree(self, rng, monkeypatch, n_real, n_pairs):
+        # 200 forced steps: the two sum the same terms in another order.
+        # row over sqrt(dim) keeps s(y) of order one at every dimension
+        dim = n_real + 2 * n_pairs
+        lam, row, g, h, bm = self.coefficients(rng, n_real, n_pairs)
+        args = lam, row / math.sqrt(dim), g, h, bm
         dense = ode.cubic_etdrk4(*args)
         monkeypatch.setattr(ode, "_DENSE_DIM", 0)
         diagonal = ode.cubic_etdrk4(*args)
-        assert dense.dense.shape == (2 * m + 3, 2 * m + 6)
+        assert dense.dense.shape == (dim + 3, dim + 6)
         assert diagonal.dense is None
-        y0 = 0.5 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        y0 = 0.5 * rng.standard_normal(dim)
         inputs = rng.standard_normal((200, 3)).tolist()
-        outs = [np.full((200, m), np.nan, dtype=complex) for _ in range(2)]
+        outs = [np.full((200, dim), np.nan) for _ in range(2)]
         ends = [kernel.advance(y0, out, 1, inputs)
                 for kernel, out in zip((dense, diagonal), outs)]
         scale = np.abs(outs[1]).max()
@@ -805,6 +922,81 @@ class TestStepForms:
         assert_bitwise(ends[0], outs[0][-1])
 
     def test_dense_only_up_to_its_dimension(self, rng):
+        # the dimension counts reals of state: two per pair mode
         dim = ode._DENSE_DIM
-        assert ode.cubic_etdrk4(*self.coefficients(rng, dim)).dense is not None
-        assert ode.cubic_etdrk4(*self.coefficients(rng, dim + 1)).dense is None
+        for n_real, n_pairs, dense in ((dim, 0, True), (dim + 1, 0, False),
+                                       (0, dim // 2, True),
+                                       (1, dim // 2, False)):
+            kernel = ode.cubic_etdrk4(*self.coefficients(rng, n_real, n_pairs))
+            assert (kernel.dense is not None) == dense
+
+
+class TestRealModes:
+    """Folded runs on a system's table against the complex representation.
+
+    The table keeps each real eigenvalue once and one mode per conjugate
+    pair, weighted 2; the reference steps every mode of A in complex
+    arithmetic (``complex_kernel``).  exp_stab_Ex1 has 24 real
+    eigenvalues of 40 at n = 20, small_damp_ex5_in4 none.
+    """
+
+    @staticmethod
+    def reference(sys_, h):
+        modes = sys_.modes
+        target = np.zeros(2 * sys_.n)
+        target[sys_.nl_target_index] = sys_.nl_coeff
+        bm, gm = modes.solve(np.column_stack([sys_.b[:, 0], target])).T
+        return complex_kernel(modes.eigenvalues,
+                              modes.v[sys_.nl_state_index], gm, h, bm)
+
+    @pytest.mark.parametrize("diagonal", [False, True],
+                             ids=["dense", "diagonal"])
+    @pytest.mark.parametrize("forced", [False, True],
+                             ids=["unforced", "forced"])
+    @pytest.mark.parametrize("name", ["exp_stab_Ex1", "small_damp_ex5_in4"])
+    def test_matches_complex_reference(self, monkeypatch, name, forced,
+                                       diagonal):
+        if diagonal:
+            monkeypatch.setattr(ode, "_DENSE_DIM", 0)
+        sys_ = build_system(get_preset(name).params, 20)
+        table, modes = sys_.etdrk4, sys_.modes
+        kernel = table.kernel(0.05)
+        assert (kernel.dense is None) == diagonal
+        assert table.dim == 40
+        assert table.n_real == (24 if name == "exp_stab_Ex1" else 0)
+        if forced:
+            # a square wave of amplitude 2 from rest, held over each step
+            x0 = np.zeros(40)
+            inputs = [(u, u, u) for u in (2.0 * np.sign(
+                np.sin(0.05 * np.arange(400) + 0.01))).tolist()]
+        else:
+            # the energy study's initial data
+            grid = np.linspace(0.0, 1.0, 20)
+            x0 = np.concatenate([np.exp(grid) * np.sin(1.0 - grid),
+                                 np.cos(grid)])
+            inputs = None
+        samples = np.full((200, 40), np.nan)
+        ode.Etdrk4Run(table.modal_state(x0), inputs).advance(
+            kernel, samples, 2)
+        ref = np.full((200, 40), np.nan, dtype=complex)
+        complex_advance(self.reference(sys_, 0.05), modes.solve(x0), ref, 2,
+                        inputs)
+        for fold, unfolded in ((table.out_map, sys_.c @ modes.v),
+                               (table.state_map, modes.v)):
+            got = samples @ fold
+            want = (ref @ unfolded.T).real
+            assert np.abs(want).max() > 0.1
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_modal_state_round_trip(self):
+        # a real x, folded onto the table's modes and sampled back
+        # through its real modal basis, is x
+        sys_ = build_system(get_preset("exp_stab_Ex1").params, 20)
+        table = sys_.etdrk4
+        x = np.linspace(-1.0, 1.0, 40)
+        y = table.modal_state(x)
+        assert y.shape == (40,) and y.dtype == float
+        np.testing.assert_allclose(y @ table.state_map, x, atol=1e-12)
+        for arr in (table.lam, table.row, table.gm, table.bm, table.out_map,
+                    table.state_map):
+            assert not arr.flags.writeable

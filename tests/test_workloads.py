@@ -62,3 +62,52 @@ def test_step_forms(workloads, tmp_path):
     state = energy.setup(energy.make_inputs(0))
     energy.run_pass(state, str(tmp_path))
     assert forms(state["sys"]) == {False}
+
+
+def test_real_modal_states(workloads, tmp_path, monkeypatch):
+    # the FOMs of online and energy step states of exactly 2n reals: every
+    # run starts from one, and every coefficient set holds its vectors in
+    # that layout, one float per real mode and two per pair mode
+    from cablemass import ode
+
+    starts = []
+
+    class RecordingRun(ode.Etdrk4Run):
+        def __init__(self, y0, inputs=None):
+            starts.append(y0)
+            super().__init__(y0, inputs)
+
+    monkeypatch.setattr(ode, "Etdrk4Run", RecordingRun)
+
+    def check(system, dim):
+        table = system.etdrk4
+        assert table.dim == dim
+        assert table.n_real + 2 * (table.lam.size - table.n_real) == dim
+        assert table._sets
+        for kernel in table._sets.values():
+            assert kernel.e_real.dtype == float
+            assert kernel.e_real.size + 2 * kernel.e_pairs.size == dim
+            assert kernel.rows.shape == (3, dim) and kernel.rows.dtype == float
+            assert kernel.w.shape == (6, dim) and kernel.w.dtype == float
+
+    online = workloads.WORKLOADS["online"]
+    state = online.setup(online.make_inputs(0))
+    online.run_pass(state, str(tmp_path))
+    for (_, n), system in state["systems"].items():
+        check(system, 2 * n)
+    for entry in state["roms"].values():
+        check(entry["red"], entry["red"].r)
+    dims = {2 * n for _, n in state["systems"]} | {
+        entry["red"].r for entry in state["roms"].values()}
+    assert starts and all(y0.dtype == float and y0.ndim == 1
+                          and y0.size in dims for y0 in starts)
+
+    starts.clear()
+    energy = workloads.WORKLOADS["energy"]
+    state = energy.setup(energy.make_inputs(0))
+    energy.run_pass(state, str(tmp_path))
+    dim = 2 * state["sys"].n
+    check(state["sys"], dim)
+    assert state["sys"].etdrk4.state_map.shape == (dim, dim)
+    assert starts and all(y0.dtype == float and y0.shape == (dim,)
+                          for y0 in starts)

@@ -13,9 +13,11 @@ counts can be byte-identical.
 
 Per CSV it reports "identical" when the bytes agree, else, per column,
 the largest absolute move and that move over the column's largest
-magnitude in the old tree.  It lists every log line that changed, and
-writes the whole report as JSON (default ``artifact_diff.json``).  The
-exit status is 0 when every CSV and log line is identical, else 1.
+magnitude in the old tree.  Where the row count changed it gives both
+counts and the moves over the rows both files have.  It lists every
+log line that changed, and writes the whole report as JSON (default
+``artifact_diff.json``).  The exit status is 0 when every CSV and log
+line is identical, else 1.
 """
 
 from __future__ import annotations
@@ -66,16 +68,27 @@ def _number(text: str) -> float | None:
 
 
 def diff_csv(old: Path, new: Path) -> dict:
-    """"identical", or per column the largest absolute and relative move."""
+    """"identical", or per column the largest absolute and relative move.
+
+    When the row count changed (a Hankel rank in hsv.csv, say), the
+    result also holds both counts, as "rows": [old, new] data rows, and
+    "shape_changed"; the columns are then compared over the rows both
+    files have.  A changed header or row width gives the counts only.
+    """
     if old.read_bytes() == new.read_bytes():
         return {"identical": True}
     with old.open(newline="") as f:
         old_rows = list(csv.reader(f))
     with new.open(newline="") as f:
         new_rows = list(csv.reader(f))
-    if (old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows)
+    result = {"identical": False}
+    shape = {"shape_changed": True,
+             "rows": [len(old_rows) - 1, len(new_rows) - 1]}
+    if (old_rows[:1] != new_rows[:1]
             or any(len(a) != len(b) for a, b in zip(old_rows, new_rows))):
-        return {"identical": False, "shape_changed": True}
+        return {**result, **shape}
+    if len(old_rows) != len(new_rows):
+        result.update(shape)
     columns = {}
     for j, label in enumerate(old_rows[0]):
         pairs = [(a[j], b[j]) for a, b in zip(old_rows[1:], new_rows[1:])]
@@ -89,7 +102,8 @@ def diff_csv(old: Path, new: Path) -> dict:
             "max_abs": moved,
             "max_rel": moved / scale if scale else (0.0 if moved == 0.0
                                                     else math.inf)}
-    return {"identical": False, "columns": columns}
+    result["columns"] = columns
+    return result
 
 
 def diff_lines(old: list[str], new: list[str]) -> list[dict]:
@@ -133,7 +147,11 @@ def summary(report: dict) -> tuple[list[str], bool]:
             n_csv += 1
             n_same += result["identical"]
             if result.get("shape_changed"):
-                lines.append(f"{name}/{csv_name}: shape changed")
+                old_rows, new_rows = result["rows"]
+                lines.append(f"{name}/{csv_name}: shape changed, {old_rows} "
+                             f"rows -> {new_rows}"
+                             + (", columns over the common rows"
+                                if "columns" in result else ""))
             for label, move in result.get("columns", {}).items():
                 if move.get("text_changed"):
                     lines.append(f"{name}/{csv_name} {label}: "
