@@ -238,11 +238,13 @@ def _no_select(re, im):
 def eigenvalues(a) -> np.ndarray:
     """Eigenvalues of a square real matrix, read off its real Schur form.
 
-    LAPACK ``dgees`` computes T alone (no Schur vectors) at the
-    workspace its own query returns, the workspace ``real_schur`` runs
-    at: at that size T is bitwise the T of ``real_schur``, so the two
-    read the same spectrum.  At dgees's default minimal workspace it is
-    not.
+    LAPACK ``dgees`` computes T alone (no Schur vectors), at the
+    workspace returned by the query that ``scipy.linalg.schur``, and so
+    ``real_schur``, makes: the one with Schur vectors.  On the presets at
+    n = 100 and 200 this T is bitwise the T of ``real_schur``, so the two
+    read the same spectrum; that is an observed LAPACK property, tested
+    there, not a documented one.  At dgees's default minimal workspace
+    the two Ts differ.
 
     Raises
     ------
@@ -252,7 +254,7 @@ def eigenvalues(a) -> np.ndarray:
     a = _as_square(a)
     if a.size == 0:
         return np.empty(0, dtype=complex)
-    lwork = dgees(_no_select, a, compute_v=0, lwork=-1)[-2][0]
+    lwork = dgees(_no_select, a, lwork=-1)[-2][0]
     t, *_, info = dgees(_no_select, a, compute_v=0, lwork=int(lwork))
     if info < 0:
         raise ValueError(f"dgees: argument {-info} is invalid")

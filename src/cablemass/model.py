@@ -245,14 +245,20 @@ class QuadraticForms:
     boundary springs), d_sig2 : damping form (gamma-stiffness plus
     alpha-mass plus boundary dampings).  All symmetric PSD; m_h is
     diagonal and k_v and d_sig2 tridiagonal, and the energy norms read
-    only those bands (``energy_bands``).  The forms are read-only
-    (``quadratic_forms`` marks them so), so the bands read off them
+    only those bands (``energy_bands``).  The forms hold read-only
+    copies of the arrays they are given, so the bands read off them
     once cannot go stale.
     """
 
     m_h: np.ndarray
     k_v: np.ndarray
     d_sig2: np.ndarray
+
+    def __post_init__(self):
+        for field in ("m_h", "k_v", "d_sig2"):
+            arr = np.array(getattr(self, field), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, field, arr)
 
     @cached_property
     def energy_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -435,7 +441,5 @@ def quadratic_forms(params: PhysicalParams, n: int) -> QuadraticForms:
     d_sig2 = params.gamma * stiffness + params.alpha * np.diag(trap)
     d_sig2[0, 0] += params.alpha0
     d_sig2[-1, -1] += params.alphal
-    for arr in (m_h, k_v, d_sig2):
-        arr.flags.writeable = False
 
     return QuadraticForms(m_h=m_h, k_v=k_v, d_sig2=d_sig2)

@@ -13,8 +13,9 @@ from cablemass.analysis import (GridMismatch, accurate_prefix, compute_energy,
                                 energy_decay, local_maxima, output_error,
                                 stability_margin)
 from cablemass.cli import PRESETS, _energy_initial_data
-from cablemass.model import (DimensionMismatch, PhysicalParams, build_system,
-                             fom_jacobian, fom_rhs, quadratic_forms)
+from cablemass.model import (DimensionMismatch, PhysicalParams, QuadraticForms,
+                             build_system, fom_jacobian, fom_rhs,
+                             quadratic_forms)
 from cablemass.signals import InputSpec
 from conftest import (EXAMPLE1, EXAMPLE2_SMALL, integrate_sampled,
                       record_integrate, schur_system)
@@ -133,6 +134,19 @@ class TestComputeEnergy:
                         - np.einsum("...i,i,...i->...", cells, off, cells)))
         for got, want in zip(analysis._quadratic_energies(forms, x), fresh):
             assert got.tobytes() == want.tobytes()
+
+    def test_forms_own_read_only_copies(self):
+        # forms built from writeable arrays keep copies: a later write to
+        # the caller's arrays cannot reach the kept bands
+        k_v = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        forms = QuadraticForms(m_h=np.eye(2), k_v=k_v, d_sig2=np.eye(2))
+        bands = [b.copy() for b in forms.energy_bands]
+        k_v[0, 1] = 5.0
+        assert forms.k_v[0, 1] == -1.0
+        with pytest.raises(ValueError):
+            forms.k_v[0, 1] = 5.0
+        for got, want in zip(forms.energy_bands, bands):
+            assert np.array_equal(got, want)
 
 
 class TestEnergyDecay:
