@@ -155,6 +155,8 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
 
     Raises
     ------
+    DimensionMismatch
+        When x0 or the forms do not fit the system, before any work.
     linalg.IllConditionedModes
         When A is too close to defective for its modal factor.
     ode.StepBudget
@@ -164,6 +166,10 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     x0 = _check_state(sys, x0)
     if not np.isfinite(x0).all():
         raise ValueError("initial state has non-finite entries")
+    shapes = {form.shape for form in (forms.m_h, forms.k_v, forms.d_sig2)}
+    if shapes != {(sys.n, sys.n)}:
+        raise DimensionMismatch(f"forms must be ({sys.n}, {sys.n}) for the "
+                                f"system's n = {sys.n}, got {sorted(shapes)}")
     table = sys.etdrk4
     run = rom._simulate(
         sys, InputSpec(kind="zero"), times, rtol, atol, table.modal_state(x0),

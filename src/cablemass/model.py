@@ -20,40 +20,28 @@ where F is zero except for the cubic term -(k3/ml) d_n^3 in the
 right-mass velocity equation, and y picks out the position and
 velocity of the right mass.
 
-The model is second order: A = [[0, I], [K, G]], and F'(x) adds one
-entry to the diagonal of K.  Every stencil couples only neighbouring
-nodes except the two one-sided boundary stencils, which reach a third
-node.  Adding h/(2 m0) times the second velocity row to the first, and
-h/(2 ml) times the second-to-last to the last, cancels that third
-coefficient in the beta^2 part and the gamma part alike, so P K and P G
-are tridiagonal.  fom_jacobian returns the Jacobian in that form, an
-``ode.SecondOrderJacobian``, and the Rosenbrock integrator solves each
-of its systems through the tridiagonal velocity Schur complement in the
-[d; v] ordering.  fom_rhs multiplies by a cached CSR copy of A through
-scipy.sparse's kernel, O(n) per call instead of the dense product's
-O(n^2).  The library's own runs step in modal coordinates instead
-(``modes``), so fom_rhs and fom_jacobian serve the tests' Rosenbrock
-reference runs.
+fom_rhs and fom_jacobian evaluate the model with the dense A; they
+serve the tests' Rosenbrock reference runs, while the library's own
+runs step in modal coordinates (``modes``).
 
 A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
 frequencies; its modal factor (``StateSpaceSystem.modes``) is computed
 once for the exponential integrator of the energy study and the forced
 runs, and the ETDRK4 table both step through (``StateSpaceSystem.etdrk4``)
-once on that factor.  A, b and c are read-only, so the tridiagonal
-pieces, the CSR copy and the factors and table derived from them cannot
-go stale.
+once on that factor.  A, b and c are read-only, so the factors and
+table derived from them cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .ode import Etdrk4Table, SecondOrderJacobian
+from .ode import Etdrk4Table
 
 
 class InvalidParams(ValueError):
@@ -136,9 +124,9 @@ class StateSpaceSystem:
     Keeping the descriptor explicit is what makes the exact low-order
     evaluation in the reduced model possible.
 
-    A, b and c are read-only (``build_system`` marks them so):
-    a_second_order, a_matvec, schur, modes and etdrk4 are derived from
-    them once and kept, and an in-place write would leave them stale.
+    A, b and c are read-only (``build_system`` marks them so): schur,
+    modes and etdrk4 are derived from them once and kept, and an
+    in-place write would leave them stale.
     """
 
     n: int
@@ -150,53 +138,6 @@ class StateSpaceSystem:
     nl_target_index: int
     params: PhysicalParams
     grid: Grid
-
-    @cached_property
-    def a_second_order(self) -> SecondOrderJacobian:
-        """A as the integrator's SecondOrderJacobian (delta = 0).
-
-        Built on first use and kept: the Gramians and the spectrum need
-        only the dense A, the full-order simulations only this.  With
-        K = A[n:, :n] and G = A[n:, n:], row 0 of each gains h/(2 m0)
-        times row 1 and row n-1 gains h/(2 ml) times row n-2; the
-        third stencil coefficients this cancels are dropped, leaving
-        P K and P G tridiagonal.
-        """
-        n = self.n
-        p0 = self.grid.h / (2.0 * self.params.m0)
-        p1 = self.grid.h / (2.0 * self.params.ml)
-
-        def combined_band(m):
-            pm = m.copy()
-            pm[0] += p0 * m[1]
-            pm[-1] += p1 * m[-2]
-            band = np.zeros((3, n), order="F")  # as dgbmv reads it
-            band[0, 1:] = np.diagonal(pm, 1)
-            band[1] = np.diagonal(pm)
-            band[2, :-1] = np.diagonal(pm, -1)
-            return band
-
-        return SecondOrderJacobian(linear=self.a,
-                                   p=combined_band(np.eye(n)),
-                                   pk=combined_band(self.a[n:, :n]),
-                                   pg=combined_band(self.a[n:, n:]))
-
-    @cached_property
-    def a_matvec(self):
-        """y += A x for float arrays x, y of length 2n, for fom_rhs.
-
-        scipy.sparse's CSR kernel on the CSR arrays of A, the call that
-        ``csr_array(A) @ x`` ends in, without the dispatch around it,
-        which at these sizes costs more than the product.  Built on
-        first use and kept, like a_second_order; scipy.sparse is
-        imported here, so runs that never evaluate the full-order
-        right-hand side never load it.
-        """
-        from scipy.sparse import csr_array
-        from scipy.sparse._sparsetools import csr_matvec
-
-        a, dim = csr_array(self.a), 2 * self.n
-        return partial(csr_matvec, dim, dim, a.indptr, a.indices, a.data)
 
     @cached_property
     def schur(self) -> linalg.SchurForm:
@@ -289,7 +230,12 @@ def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
         w_x(t,0) ~ (-3 d_1 + 4 d_2 - d_3) / (2h)
         w_x(t,l) ~ ( 3 d_n - 4 d_{n-1} + d_{n-2}) / (2h)
 
-    and the input enters the left velocity row with gain 1/m0.
+    and the input enters the left velocity row with gain 1/m0.  Only
+    these two stencils reach a third node: adding h/(2 m0) times the
+    second velocity row to the first, and h/(2 ml) times the
+    second-to-last to the last, cancels it in the beta^2 and the gamma
+    part alike, so with K = A[n:, :n] and G = A[n:, n:] that row
+    combination P makes P K and P G tridiagonal.
     """
     grid = make_grid(params.l, n)
     h = grid.h
@@ -367,31 +313,20 @@ def eval_nonlinearity(sys: StateSpaceSystem, x) -> np.ndarray:
 
 
 def fom_rhs(sys: StateSpaceSystem, x, u: float) -> np.ndarray:
-    """Right-hand side A x + F(x) + B u of the full-order model.
-
-    A x goes through ``sys.a_matvec``, the kernel
-    ``scipy.sparse.csr_array(sys.a) @ x`` ends in, so it equals that
-    product bitwise.
-    """
+    """Right-hand side A x + F(x) + B u of the full-order model."""
     x = _check_state(sys, x)
-    ax = np.zeros(x.size)
-    sys.a_matvec(x, ax)
-    out = ax + sys.b[:, 0] * u
+    out = sys.a @ x + sys.b[:, 0] * u
     out[sys.nl_target_index] += sys.nl_coeff * x[sys.nl_state_index] ** 3
     return out
 
 
-def fom_jacobian(sys: StateSpaceSystem, x) -> SecondOrderJacobian:
-    """State Jacobian: A plus the single cubic derivative entry.
-
-    The cubic entry d(v_n')/d(d_n) is the SecondOrderJacobian's delta,
-    on the diagonal of K.  ``.dense()`` gives the [d; v] matrix.
-    """
+def fom_jacobian(sys: StateSpaceSystem, x) -> np.ndarray:
+    """State Jacobian, dense: A plus the one cubic entry d(v_n')/d(d_n)."""
     x = _check_state(sys, x)
-    base = sys.a_second_order
-    return SecondOrderJacobian(
-        base.linear, base.p, base.pk, base.pg,
-        delta=3.0 * sys.nl_coeff * x[sys.nl_state_index] ** 2)
+    jac = sys.a.copy()
+    jac[sys.nl_target_index, sys.nl_state_index] += (
+        3.0 * sys.nl_coeff * x[sys.nl_state_index] ** 2)
+    return jac
 
 
 def sample_initial_data(params: PhysicalParams, n: int, pos, vel) -> np.ndarray:

@@ -49,20 +49,11 @@ them in closed form.  ``integrate`` takes the caller's query times
 keeps no node, so its memory grows with the number of queries, not with
 the number of steps.
 
-The Jacobian's type picks the factorisation.  A ``SecondOrderJacobian``
-belongs to a second-order system x = [d; v] with d' = v, so
-J = [[0, I], [K, G]] and W z = b reduces exactly to the n x n velocity
-Schur complement (I - hd G - hd^2 K) z_v = b_v + hd K b_d, with
-z_d = b_d + hd z_v (Hairer and Wanner, Solving ODEs II, on second-order
-problems).  Its velocity rows come combined by a fixed P that makes P K
-and P G tridiagonal, so each step factors P (I - hd G - hd^2 K) with
-LAPACK ``dgttrf`` and each solve costs one ``dgbmv`` and one ``dgttrs``,
-O(n) in the caller's [d; v] ordering.  Any other Jacobian (the reduced
-model's small dense matrix) is factored densely by ``lu_factor`` and
-``lu_solve``, thin wrappers of LAPACK ``dgetrf``/``dgetrs``: at r <= 8 a
-step costs call overhead, not arithmetic, and the argument handling of
-``scipy.linalg.lu_factor``/``lu_solve`` takes several times longer than
-the LAPACK calls themselves.
+Each attempt factors W densely by ``lu_factor`` and solves by
+``lu_solve``, thin wrappers of LAPACK ``dgetrf``/``dgetrs``: for a
+reduced model (r <= 8) a step costs call overhead, not arithmetic, and
+the argument handling of ``scipy.linalg.lu_factor``/``lu_solve`` takes
+several times longer than the LAPACK calls themselves.
 """
 
 from __future__ import annotations
@@ -75,8 +66,8 @@ from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dgemv
-from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
+from scipy.linalg.blas import dgemv
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 # Ros2(3): the diagonal coefficient gamma, the third stage's weight, and
 # the controller's exponent, -1/3 for an error estimate that is O(h^3).
@@ -119,35 +110,6 @@ class IntegratorStats:
     def __add__(self, other: IntegratorStats) -> IntegratorStats:
         return IntegratorStats(*(a + b for a, b in zip(astuple(self),
                                                        astuple(other))))
-
-
-@dataclass(frozen=True, eq=False)
-class SecondOrderJacobian:
-    """The Jacobian of a second-order system, in tridiagonal pieces.
-
-    With x = [d; v] and d' = v, J = [[0, I], [K + delta E, G]], where
-    E = e_{n-1} e_{n-1}^T carries a state-dependent diagonal entry.
-    P = I + p0 e_0 e_1^T + p1 e_{n-1} e_{n-2}^T combines the first and
-    last velocity rows with their neighbours so that P K and P G are
-    tridiagonal; P leaves delta E where it is.  p, pk and pg hold P,
-    P K and P G in LAPACK band storage of shape (3, n),
-    ab[1 + i - j, j] = M[i, j]: row 0 the superdiagonal, row 1 the
-    diagonal, row 2 the subdiagonal.  ``linear`` is the dense
-    [[0, I], [K, G]], kept only for ``dense``.
-    """
-
-    linear: np.ndarray
-    p: np.ndarray
-    pk: np.ndarray
-    pg: np.ndarray
-    delta: float = 0.0
-
-    def dense(self) -> np.ndarray:
-        """J as a dense matrix in the [d; v] ordering."""
-        n = self.pk.shape[1]
-        jac = self.linear.copy()
-        jac[2 * n - 1, n - 1] += self.delta
-        return jac
 
 
 @dataclass(eq=False)
@@ -205,56 +167,14 @@ def lu_solve(lu_and_piv, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def _check_iteration_matrix(w, t):
-    if not np.isfinite(w).all():
-        raise NonFiniteState(f"jacobian not finite at t={t}")
-
-
 def _factor(jac, hd: float, t: float):
-    """Factor W = I - hd*J; return a solver for W z = b, or None if singular.
-
-    This is the one place where the Jacobian's type matters.  A
-    SecondOrderJacobian is factored through its tridiagonal velocity
-    Schur complement P (I - hd G - hd^2 (K + delta E)) by dgttrf, which is
-    singular exactly when W is (det P = 1); any other Jacobian is factored
-    densely.
-    """
-    if isinstance(jac, SecondOrderJacobian):
-        p, pk = jac.p, jac.pk
-        n = pk.shape[1]
-        hd2 = hd * hd
-        s = jac.pg * -hd
-        s -= hd2 * pk
-        s += p
-        s[1, n - 1] -= hd2 * jac.delta
-        _check_iteration_matrix(s, t)
-        dl, d, du, du2, ipiv, info = dgttrf(
-            s[2, :-1], s[1], s[0, 1:],
-            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info < 0:
-            raise ValueError(f"dgttrf: argument {-info} is invalid")
-        if info > 0:
-            return None
-        p0, p1, hdd = p[0, 1], p[2, n - 2], hd * jac.delta
-
-        def solve(b):
-            # y = [b_d; P b_v + hd (P K + delta E) b_d]: one dgbmv for
-            # b_v + hd P K b_d (positional incx, offx, beta, y, incy, offy:
-            # keywords cost more than the product), then P and delta E
-            y = dgbmv(n, n, 1, 1, hd, pk, b, 1, 0, 1.0, b, 1, n)
-            y[n] += p0 * b[n + 1]
-            y[-1] += p1 * b[-2] + hdd * b[n - 1]
-            zv, _ = dgttrs(dl, d, du, du2, ipiv, y[n:], overwrite_b=1)
-            y[:n] += hd * zv  # zv is y[n:], solved in place
-            return y
-
-        return solve
-
+    """Factor W = I - hd*J by LU: a solver for W z = b, or None if singular."""
     w = np.asarray(jac, dtype=float) * -hd
     # w is fresh and contiguous, so its memory-order ravel is a view; the
     # diagonal has stride n + 1 in either order
     w.ravel("K")[:: w.shape[0] + 1] += 1.0
-    _check_iteration_matrix(w, t)
+    if not np.isfinite(w).all():
+        raise NonFiniteState(f"jacobian not finite at t={t}")
     factors = lu_factor(w)
     if factors is None:
         return None
@@ -336,10 +256,8 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
         Local error is controlled to atol + rtol*|x| componentwise;
         both must be finite and > 0.  Defaults match the tolerances the
         experiments were run with.
-    jacobian : callable(t, x) -> matrix or SecondOrderJacobian
-        Exact state Jacobian of rhs.  A SecondOrderJacobian is factored
-        through its tridiagonal velocity Schur complement, a matrix
-        densely.
+    jacobian : callable(t, x) -> matrix
+        Exact state Jacobian of rhs.
     dfdt : callable(t, x) -> array
         Exact partial time derivative of rhs (zeros for an autonomous
         system).  rhs must be smooth on [t0, tf]: integrate a

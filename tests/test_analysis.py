@@ -228,7 +228,7 @@ class TestEnergyDecay:
         ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
                         method="Radau", t_eval=report.times, rtol=1e-11,
                         atol=1e-12,
-                        jac=lambda t, x: fom_jacobian(sys, x).dense())
+                        jac=lambda t, x: fom_jacobian(sys, x))
         e_ref, _, _ = compute_energy(forms, preset.params, ref.y.T)
         assert np.abs(report.e - e_ref).max() <= 1e-6 * e_ref[0]
         assert np.all(np.diff(report.e) <= 0.0)
@@ -247,7 +247,7 @@ class TestEnergyDecay:
         assert report.stats.error_estimate > 0.0
         ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
                         method="Radau", t_eval=[tf], rtol=1e-11, atol=1e-12,
-                        jac=lambda t, x: fom_jacobian(sys, x).dense())
+                        jac=lambda t, x: fom_jacobian(sys, x))
         e_ref, _, _ = compute_energy(forms, preset.params, ref.y[:, -1])
         assert abs(report.e[-1] - e_ref) <= 1e-6 * report.e[0]
 
@@ -315,6 +315,16 @@ class TestEnergyDecay:
         with pytest.raises(ValueError, match="non-finite"):
             energy_decay(sys, forms, np.full(20, np.nan), 5.0)
 
+    @pytest.mark.parametrize("forms_n", [19, 21])
+    def test_forms_of_another_size(self, forms_n):
+        # refused before the modal factor or any run is paid for
+        sys = build_system(EXAMPLE1, 20)
+        forms = quadratic_forms(EXAMPLE1, forms_n)
+        x0 = _energy_initial_data(EXAMPLE1, 20)
+        with pytest.raises(DimensionMismatch, match="forms"):
+            energy_decay(sys, forms, x0, 5.0)
+        assert "modes" not in vars(sys)
+
     def test_closer_to_reference_than_2_3_pair(self):
         # energies of an rtol-1e-11 Radau run against those of the 2(3)
         # pair at the study's rtol 1e-6 (49x farther at this size)
@@ -330,7 +340,7 @@ class TestEnergyDecay:
         grid = np.linspace(0.0, tf, count)
         ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
                         method="Radau", t_eval=grid, rtol=1e-11, atol=1e-12,
-                        jac=lambda t, x: fom_jacobian(sys, x).dense())
+                        jac=lambda t, x: fom_jacobian(sys, x))
         e_ref = energies(ref.y.T)
         _, states, _ = integrate_sampled(
             fom_rhs, fom_jacobian, sys, sys.b[:, 0], InputSpec(kind="zero"),

@@ -2,6 +2,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 from cablemass import cli
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "artifact_diff.py"
@@ -95,3 +97,55 @@ def test_runs():
     commands = [args[0] for _, args in artifact_diff.RUNS]
     assert commands.count("compare") == 9 and commands.count("energy") == 4
     assert len({name for name, _ in artifact_diff.RUNS}) == 13
+
+
+# The BLAS-thread contract: compare's artifacts at one and at two BLAS
+# threads, per preset, CSV and column, the largest move allowed over the
+# column's largest magnitude; a column not named may not move at all, and
+# neither may a log line.  OpenBLAS splits its products differently at
+# different thread counts, so the two round differently.  Measured with
+# OpenBLAS 0.3.31 on a 2-core x86-64 machine, where eigs.csv and the log
+# lines were byte-identical: hsv.csv moved by at most 1.1e-14; the ROM
+# outputs by at most 4.5e-13; the FOM outputs by 4.1e-12 at
+# small_damp_ex1_in2 and by 1.0e-7 at the near-marginal
+# small_stiff_ex5_in4 (spectral abscissa -6.8e-10), and with them
+# error.csv by 5.7e-11 and 1.0e-8.  Each bound is about ten times that.
+_HSV = {"sigma": 1e-13, "bound": 1e-13}
+THREAD_MOVES = {
+    "small_damp_ex1_in2": {
+        "hsv.csv": _HSV,
+        "outputs.csv": {"y1_fom": 1e-10, "y2_fom": 1e-10,
+                        "y1_rom": 1e-11, "y2_rom": 1e-11},
+        "error.csv": {"rel_l2": 1e-9, "rel_linf": 1e-9}},
+    "small_stiff_ex5_in4": {
+        "hsv.csv": _HSV,
+        "outputs.csv": {"y1_fom": 1e-6, "y2_fom": 1e-6,
+                        "y1_rom": 1e-11, "y2_rom": 1e-11},
+        "error.csv": {"rel_l2": 1e-7, "rel_linf": 1e-7}},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(THREAD_MOVES))
+def test_blas_thread_contract(preset, tmp_path):
+    args = ("compare", "--preset", preset, "--n", "100")
+    logs, outs = [], []
+    for threads in (1, 2):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        logs.append(artifact_diff.run_cli(TOOL.parent.parent, work, preset,
+                                          args, threads=threads))
+        outs.append(work / "out" / preset)
+    assert logs[0] == logs[1]
+    names = [sorted(p.name for p in out.glob("*.csv")) for out in outs]
+    assert names[0] == names[1] == ["eigs.csv", "error.csv", "hsv.csv",
+                                    "outputs.csv"]
+    for name in names[0]:
+        result = artifact_diff.diff_csv(outs[0] / name, outs[1] / name)
+        if result["identical"]:
+            continue
+        assert "shape_changed" not in result, name
+        allowed = THREAD_MOVES[preset].get(name, {})
+        for label, move in result["columns"].items():
+            assert not move.get("text_changed"), (name, label)
+            assert move.get("max_rel", 0.0) <= allowed.get(label, 0.0), \
+                (name, label, move)

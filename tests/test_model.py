@@ -1,11 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse import csr_array
 
-from cablemass import linalg, model, ode
+from cablemass import linalg, model
 from cablemass.cli import PRESETS
 from cablemass.model import (GridTooCoarse, InvalidParams, PhysicalParams,
                              build_system, eval_nonlinearity, fom_jacobian,
@@ -61,6 +58,16 @@ def loop_interior_rows(params, n):
     return a
 
 
+def velocity_row_combination(sys):
+    """P: h/(2 m0) times velocity row 1 onto row 0 and h/(2 ml) times row
+    n-2 onto row n-1, built from h, m0 and ml rather than read off A."""
+    n, h = sys.n, sys.grid.h
+    p = np.eye(n)
+    p[0, 1] = h / (2.0 * sys.params.m0)
+    p[n - 1, n - 2] = h / (2.0 * sys.params.ml)
+    return p
+
+
 class TestBuildSystem:
     @pytest.mark.parametrize("params", [EXAMPLE1, EXAMPLE2_SMALL, EXAMPLE3,
                                         PhysicalParams(l=2.5, beta=0.7)],
@@ -105,6 +112,20 @@ class TestBuildSystem:
             [-0.4 / 1.5 - 3.0 * 0.3 / two_h_ml,
              4.0 * 0.3 / two_h_ml, -0.3 / two_h_ml])
 
+    # n = 3 is the smallest grid, where the two boundary stencils overlap
+    @pytest.mark.parametrize("n", [3, 50, 400])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_boundary_rows_combine_tridiagonal(self, name, n):
+        # P cancels the third coefficient of both one-sided stencils:
+        # everything off the three diagonals of P K and P G is rounding
+        sys = build_system(PRESETS[name].params, n)
+        p = velocity_row_combination(sys)
+        for block in (sys.a[n:, :n], sys.a[n:, n:]):
+            pm = p @ block
+            tol = 4.0 * np.finfo(float).eps * np.abs(block).max()
+            assert np.abs(np.triu(pm, 2)).max(initial=0.0) <= tol
+            assert np.abs(np.tril(pm, -2)).max(initial=0.0) <= tol
+
     def test_block_structure(self):
         sys = build_system(EXAMPLE1, 12)
         np.testing.assert_array_equal(sys.a[:12, :12], np.zeros((12, 12)))
@@ -127,8 +148,8 @@ class TestBuildSystem:
         assert sys.nl_target_index == 13
 
     def test_cached_inputs_read_only(self):
-        # a_second_order, a_matvec and schur are derived from A once and
-        # kept, and the ETDRK4 table from A, b and c
+        # schur and modes are derived from A once and kept, and the
+        # ETDRK4 table from A, b and c
         sys = build_system(EXAMPLE1, 5)
         for arr in (sys.a, sys.b, sys.c):
             with pytest.raises(ValueError):
@@ -147,7 +168,7 @@ class TestBuildSystem:
     def test_modes_factored_once_and_lazily(self):
         # only the ETDRK4 runs need the modal factor
         sys = build_system(EXAMPLE1, 5)
-        sys.schur, sys.a_second_order, sys.a_matvec
+        sys.schur
         assert "modes" not in vars(sys)
         assert sys.modes is sys.modes
         v, lam = sys.modes.v, sys.modes.eigenvalues
@@ -221,31 +242,6 @@ class TestFomRhs:
         out = fom_rhs(sys, x, u)
         assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("n", [3, 50, 100, 400])
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_kernel_bitwise_equal_to_sparse_product(self, preset, n, rng):
-        # fom_rhs calls the kernel behind csr_array(A) @ x: the same
-        # result, bit for bit, also for a strided state
-        sys = build_system(PRESETS[preset].params, n)
-        x = rng.standard_normal(4 * n)[::2]
-        u = rng.standard_normal()
-        expected = csr_array(sys.a) @ x + sys.b[:, 0] * u
-        expected[sys.nl_target_index] += \
-            sys.nl_coeff * x[sys.nl_state_index] ** 3
-        assert fom_rhs(sys, x, u).tobytes() == expected.tobytes()
-
-    def test_sparse_a_built_lazily(self):
-        sys = build_system(EXAMPLE1, 10)
-        assert "a_matvec" not in vars(sys)
-        fom_rhs(sys, np.zeros(20), 0.0)
-        assert sys.a_matvec is vars(sys)["a_matvec"]
-        # the kept kernel applies A, column by column
-        columns = []
-        for e in np.eye(20):
-            columns.append(np.zeros(20))
-            sys.a_matvec(e, columns[-1])
-        np.testing.assert_array_equal(np.column_stack(columns), sys.a)
-
     def test_linearity_property(self, rng):
         sys = build_system(PhysicalParams(k3=0.0, gamma=0.1, alphal=0.1), 8)
         x1, x2 = rng.standard_normal((2, 16))
@@ -257,7 +253,7 @@ class TestFomRhs:
     def test_jacobian_matches_finite_differences(self, rng):
         sys = build_system(EXAMPLE1, 5)
         x = rng.standard_normal(10)
-        jac = fom_jacobian(sys, x).dense()
+        jac = fom_jacobian(sys, x)
         eps = 1e-6
         fd = np.empty((10, 10))
         for j in range(10):
@@ -268,122 +264,15 @@ class TestFomRhs:
         np.testing.assert_allclose(jac, fd, atol=1e-5)
 
 
-def dense_jacobian(sys, x):
-    """A plus the cubic entry, assembled on the [d; v] ordering."""
-    jac = sys.a.copy()
-    jac[sys.nl_target_index, sys.nl_state_index] += (
-        3.0 * sys.nl_coeff * x[sys.nl_state_index] ** 2)
-    return jac
-
-
-def velocity_row_combination(sys):
-    """P: h/(2 m0) times velocity row 1 onto row 0, h/(2 ml) times row n-2
-    onto row n-1, built from the parameters rather than the stored band."""
-    n, h = sys.n, sys.grid.h
-    p = np.eye(n)
-    p[0, 1] = h / (2.0 * sys.params.m0)
-    p[n - 1, n - 2] = h / (2.0 * sys.params.ml)
-    return p
-
-
-def unband(ab):
-    """The dense tridiagonal matrix of a (3, n) LAPACK band."""
-    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-
-
-def backward_error(w, z, b):
-    """||W z - b|| / (||W|| ||z|| + ||b||), all in the 1-norm."""
-    return (np.linalg.norm(w @ z - b, 1)
-            / (np.linalg.norm(w, 1) * np.linalg.norm(z, 1)
-               + np.linalg.norm(b, 1)))
-
-
-class TestSecondOrderJacobian:
-    # n = 3 is the smallest grid, where the two boundary stencils overlap
-    @pytest.mark.parametrize("n", [3, 50, 400])
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_velocity_blocks_tridiagonal(self, name, n):
-        sys = build_system(PRESETS[name].params, n)
-        p = velocity_row_combination(sys)
-        structured = sys.a_second_order
-        for block, band in ((sys.a[n:, :n], structured.pk),
-                            (sys.a[n:, n:], structured.pg)):
-            pm = p @ block
-            tol = 4.0 * np.finfo(float).eps * np.abs(block).max()
-            # everything off the three diagonals cancels to rounding ...
-            assert np.abs(np.triu(pm, 2)).max(initial=0.0) <= tol
-            assert np.abs(np.tril(pm, -2)).max(initial=0.0) <= tol
-            # ... and the band holds the three diagonals that remain
-            np.testing.assert_allclose(unband(band),
-                                       np.triu(np.tril(pm, 1), -1),
-                                       rtol=0.0, atol=tol)
-        np.testing.assert_array_equal(unband(structured.p), p)
-
+class TestFomJacobian:
     @pytest.mark.parametrize("n", [3, 50])
     def test_dense_form_exact(self, n, rng):
+        # A with 3 k d_n^2 added at (v_n, d_n), bitwise
         sys = build_system(EXAMPLE1, n)
         x = rng.standard_normal(2 * n)
-        np.testing.assert_array_equal(fom_jacobian(sys, x).dense(),
-                                      dense_jacobian(sys, x))
-
-    @pytest.mark.parametrize("n", [3, 50])
-    def test_solve_matches_dense(self, n, rng):
-        sys = build_system(EXAMPLE1, n)
-        x = rng.standard_normal(2 * n)
-        b = rng.standard_normal(2 * n)
-        hd = 1e-3  # h d for a step h of about 3.4e-3
-        solve = ode._factor(fom_jacobian(sys, x), hd, 0.0)
-        ref = np.linalg.solve(np.eye(2 * n) - hd * dense_jacobian(sys, x), b)
-        assert np.linalg.norm(solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("hd", [1e-6, 1e-3, 0.1, 1.0, 30.0])
-    @pytest.mark.parametrize("n", [3, 100, 400])
-    @pytest.mark.parametrize("name", ["small_stiff_ex5_in4", "exp_stab_Ex1",
-                                      "small_damp_ex5_in4"])
-    def test_solve_backward_stable(self, name, n, hd, rng):
-        sys = build_system(PRESETS[name].params, n)
-        x = rng.standard_normal(2 * n)
-        b = rng.standard_normal(2 * n)
-        z = ode._factor(fom_jacobian(sys, x), hd, 0.0)(b)
-        w = np.eye(2 * n) - hd * dense_jacobian(sys, x)
-        assert backward_error(w, z, b) <= 1e-14
-
-    def test_solve_keeps_its_input(self, rng):
-        sys = build_system(EXAMPLE1, 10)
-        b = rng.standard_normal(20)
-        kept = b.copy()
-        ode._factor(fom_jacobian(sys, np.ones(20)), 0.1, 0.0)(b)
-        np.testing.assert_array_equal(b, kept)
-
-    def test_singular(self):
-        # K = 16 I, G = 0: at hd = 0.25 the Schur complement I - hd^2 K is 0
-        n, hd = 4, 0.25
-        band = np.zeros((3, n), order="F")
-        band[1] = 16.0
-        eye = np.zeros((3, n), order="F")
-        eye[1] = 1.0
-        linear = np.block([[np.zeros((n, n)), np.eye(n)],
-                           [16.0 * np.eye(n), np.zeros((n, n))]])
-        jac = ode.SecondOrderJacobian(linear=linear, p=eye, pk=band,
-                                      pg=np.zeros((3, n), order="F"))
-        assert np.linalg.matrix_rank(np.eye(2 * n) - hd * jac.dense()) < 2 * n
-        assert ode._factor(jac, hd, 0.0) is None
-
-    @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
-    def test_nonfinite_jacobian(self, delta):
-        sys = build_system(EXAMPLE1, 10)
-        jac = replace(sys.a_second_order, delta=delta)
-        with pytest.raises(ode.NonFiniteState):
-            ode._factor(jac, 0.1, 0.0)
-
-    def test_built_lazily(self):
-        sys = build_system(EXAMPLE1, 10)
-        assert "a_second_order" not in vars(sys)
-        jac = fom_jacobian(sys, np.zeros(20))
-        assert sys.a_second_order is vars(sys)["a_second_order"]
-        # a step shares the system's pieces; only delta is its own
-        assert jac.pk is sys.a_second_order.pk
-        assert jac.pg is sys.a_second_order.pg
+        expected = sys.a.copy()
+        expected[2 * n - 1, n - 1] += 3.0 * sys.nl_coeff * x[n - 1] ** 2
+        assert fom_jacobian(sys, x).tobytes() == expected.tobytes()
 
 
 class TestInitialData:

@@ -9,8 +9,7 @@ from cablemass import analysis, balance, ode, rom
 from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import DimensionMismatch, PhysicalParams, build_system, \
     eval_nonlinearity, fom_jacobian, fom_rhs
-from cablemass.signals import eval_input, eval_input_derivative, \
-    input_preset, resolve_input
+from cablemass.signals import eval_input, input_preset, resolve_input
 from conftest import (EXAMPLE1, integrate_sampled, node_sampled,
                       record_integrate)
 
@@ -534,57 +533,3 @@ class TestStreamedSampling:
             assert states[i].tobytes() == other[j].tobytes()
         # 7 and 4 samples share t = 0, 10, 20, 30
         assert np.intersect1d(runs[1][0], runs[2][0]).size == 4
-
-
-def _fom_outputs(sys, u, du, x0, tf, rtol, atol, dense):
-    """FOM outputs on 1000 samples, through the structured or dense solve.
-
-    u is the input and du its time derivative.
-    """
-    def jac(t, x):
-        structured = fom_jacobian(sys, x)
-        return structured.dense() if dense else structured
-
-    grid = np.linspace(0.0, tf, 1000)
-    states = ode.integrate(lambda t, x: fom_rhs(sys, x, u(t)), x0, 0.0, tf,
-                           rtol=rtol, atol=atol, jacobian=jac,
-                           dfdt=lambda t, x: sys.b[:, 0] * du(t),
-                           t_eval=grid, out=np.empty((grid.size, x0.size))
-                           ).states
-    return states @ sys.c.T
-
-
-class TestSecondOrderFomPath:
-    """The FOM's velocity Schur complement solve against the dense one.
-
-    Both solve the same W = I - h d J, so the solutions differ only by
-    rounding, and on smooth runs the step controller takes the same
-    steps.  Square-wave inputs (input4) are left out on purpose: at each
-    jump the controller's accept/reject decision sits at the rtol level,
-    so rounding can flip a few of them (542 against 552 rejections on
-    small_damp_ex5_in4 at n = 200, rtol 1e-3) and the outputs then differ
-    by about 5e-3.
-    """
-
-    @staticmethod
-    def _rel_l2(structured, dense):
-        return np.linalg.norm(structured - dense) / np.linalg.norm(dense)
-
-    def test_energy_decay_run(self):
-        preset = PRESETS["exp_stab_Ex1"]
-        sys = build_system(preset.params, 40)
-        x0 = _energy_initial_data(preset.params, 40)
-        runs = [_fom_outputs(sys, lambda t: 0.0, lambda t: 0.0, x0,
-                             preset.tf, 1e-6, 1e-9, dense)
-                for dense in (False, True)]
-        assert self._rel_l2(*runs) <= 1e-10
-
-    def test_smooth_input_run(self):
-        preset = PRESETS["small_damp_ex1_in2"]
-        sys = build_system(preset.params, 40)
-        spec = resolve_input(input_preset(preset.input_name), sys)
-        runs = [_fom_outputs(sys, lambda t: eval_input(spec, t),
-                             lambda t: eval_input_derivative(spec, t),
-                             np.zeros(80), preset.tf, 1e-3, 1e-6, dense)
-                for dense in (False, True)]
-        assert self._rel_l2(*runs) <= 1e-10

@@ -45,11 +45,15 @@ RUNS = tuple([(f"compare_{p}_n100", ("compare", "--preset", p, "--n", "100"))
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_cli(tree: Path, work: Path, name: str, args) -> list[str]:
-    """Run the CLI of tree once into work/out/name; return its log lines."""
+def run_cli(tree: Path, work: Path, name: str, args,
+            threads: int = 1) -> list[str]:
+    """Run the CLI of tree once into work/out/name; return its log lines.
+
+    The run gets ``threads`` BLAS threads, one unless asked otherwise.
+    """
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("CABLEMASS_")}
-    env.update({key: "1" for key in BLAS_ENV})
+    env.update({key: str(threads) for key in BLAS_ENV})
     env["PYTHONPATH"] = str(tree / "src")
     done = subprocess.run(
         [sys.executable, "-m", "cablemass.cli", *args, "--out",
