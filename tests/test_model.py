@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cablemass import linalg, model
+from cablemass import linalg, model, ode
 from cablemass.cli import PRESETS
 from cablemass.model import (GridTooCoarse, InvalidParams, PhysicalParams,
                              build_system, eval_nonlinearity, fom_jacobian,
@@ -58,16 +58,6 @@ def loop_interior_rows(params, n):
     return a
 
 
-def velocity_row_combination(sys):
-    """P: h/(2 m0) times velocity row 1 onto row 0 and h/(2 ml) times row
-    n-2 onto row n-1, built from h, m0 and ml rather than read off A."""
-    n, h = sys.n, sys.grid.h
-    p = np.eye(n)
-    p[0, 1] = h / (2.0 * sys.params.m0)
-    p[n - 1, n - 2] = h / (2.0 * sys.params.ml)
-    return p
-
-
 class TestBuildSystem:
     @pytest.mark.parametrize("params", [EXAMPLE1, EXAMPLE2_SMALL, EXAMPLE3,
                                         PhysicalParams(l=2.5, beta=0.7)],
@@ -111,20 +101,6 @@ class TestBuildSystem:
             sys.a[5, 3:][::-1],
             [-0.4 / 1.5 - 3.0 * 0.3 / two_h_ml,
              4.0 * 0.3 / two_h_ml, -0.3 / two_h_ml])
-
-    # n = 3 is the smallest grid, where the two boundary stencils overlap
-    @pytest.mark.parametrize("n", [3, 50, 400])
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_boundary_rows_combine_tridiagonal(self, name, n):
-        # P cancels the third coefficient of both one-sided stencils:
-        # everything off the three diagonals of P K and P G is rounding
-        sys = build_system(PRESETS[name].params, n)
-        p = velocity_row_combination(sys)
-        for block in (sys.a[n:, :n], sys.a[n:, n:]):
-            pm = p @ block
-            tol = 4.0 * np.finfo(float).eps * np.abs(block).max()
-            assert np.abs(np.triu(pm, 2)).max(initial=0.0) <= tol
-            assert np.abs(np.tril(pm, -2)).max(initial=0.0) <= tol
 
     def test_block_structure(self):
         sys = build_system(EXAMPLE1, 12)
@@ -264,7 +240,43 @@ class TestFomRhs:
         np.testing.assert_allclose(jac, fd, atol=1e-5)
 
 
-class TestFomJacobian:
+def velocity_row_combination(sys):
+    """P: h/(2 m0) times velocity row 1 onto row 0 and h/(2 ml) times row
+    n-2 onto row n-1, built from h, m0 and ml rather than read off A."""
+    n, h = sys.n, sys.grid.h
+    p = np.eye(n)
+    p[0, 1] = h / (2.0 * sys.params.m0)
+    p[n - 1, n - 2] = h / (2.0 * sys.params.ml)
+    return p
+
+
+def backward_error(w, z, b):
+    """||W z - b|| / (||W|| ||z|| + ||b||), all in the 1-norm."""
+    return (np.linalg.norm(w @ z - b, 1)
+            / (np.linalg.norm(w, 1) * np.linalg.norm(z, 1)
+               + np.linalg.norm(b, 1)))
+
+
+class TestSecondOrderJacobian:
+    """The FOM's state Jacobian and the Rosenbrock solve with it."""
+
+    # n = 3 is the smallest grid, where the two boundary stencils overlap
+    @pytest.mark.parametrize("n", [3, 50, 400])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_velocity_blocks_tridiagonal(self, name, n):
+        # P cancels the third coefficient of build_system's one-sided
+        # boundary stencils: everything off the three diagonals of P K and
+        # P G is rounding, in A and in the Jacobian at a nonzero state
+        sys = build_system(PRESETS[name].params, n)
+        p = velocity_row_combination(sys)
+        jac = fom_jacobian(sys, np.ones(2 * n))
+        for m in (sys.a, jac):
+            for block in (m[n:, :n], m[n:, n:]):
+                pm = p @ block
+                tol = 4.0 * np.finfo(float).eps * np.abs(block).max()
+                assert np.abs(np.triu(pm, 2)).max(initial=0.0) <= tol
+                assert np.abs(np.tril(pm, -2)).max(initial=0.0) <= tol
+
     @pytest.mark.parametrize("n", [3, 50])
     def test_dense_form_exact(self, n, rng):
         # A with 3 k d_n^2 added at (v_n, d_n), bitwise
@@ -273,6 +285,54 @@ class TestFomJacobian:
         expected = sys.a.copy()
         expected[2 * n - 1, n - 1] += 3.0 * sys.nl_coeff * x[n - 1] ** 2
         assert fom_jacobian(sys, x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_solve_matches_dense(self, n, rng):
+        sys = build_system(EXAMPLE1, n)
+        x = rng.standard_normal(2 * n)
+        b = rng.standard_normal(2 * n)
+        hd = 1e-3  # h d for a step h of about 3.4e-3
+        solve = ode._factor(fom_jacobian(sys, x), hd, 0.0)
+        w = np.eye(2 * n) - hd * fom_jacobian(sys, x)
+        ref = np.linalg.solve(w, b)
+        assert np.linalg.norm(solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("hd", [1e-6, 1e-3, 0.1, 1.0, 30.0])
+    @pytest.mark.parametrize("n", [3, 100, 400])
+    @pytest.mark.parametrize("name", ["small_stiff_ex5_in4", "exp_stab_Ex1",
+                                      "small_damp_ex5_in4"])
+    def test_solve_backward_stable(self, name, n, hd, rng):
+        sys = build_system(PRESETS[name].params, n)
+        x = rng.standard_normal(2 * n)
+        b = rng.standard_normal(2 * n)
+        jac = fom_jacobian(sys, x)
+        z = ode._factor(jac, hd, 0.0)(b)
+        w = np.eye(2 * n) - hd * jac
+        assert backward_error(w, z, b) <= 1e-14
+
+    def test_solve_keeps_its_input(self, rng):
+        sys = build_system(EXAMPLE1, 10)
+        b = rng.standard_normal(20)
+        kept = b.copy()
+        ode._factor(fom_jacobian(sys, np.ones(20)), 0.1, 0.0)(b)
+        np.testing.assert_array_equal(b, kept)
+
+    def test_singular(self):
+        # K = 16 I, G = 0: at hd = 0.25 the Schur complement I - hd^2 K is 0
+        n, hd = 4, 0.25
+        jac = np.block([[np.zeros((n, n)), np.eye(n)],
+                        [16.0 * np.eye(n), np.zeros((n, n))]])
+        assert np.linalg.matrix_rank(np.eye(2 * n) - hd * jac) < 2 * n
+        assert ode._factor(jac, hd, 0.0) is None
+
+    @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_jacobian(self, delta):
+        # the cubic entry not finite
+        sys = build_system(EXAMPLE1, 10)
+        jac = fom_jacobian(sys, np.zeros(20))
+        jac[sys.nl_target_index, sys.nl_state_index] = delta
+        with pytest.raises(ode.NonFiniteState):
+            ode._factor(jac, 0.1, 0.0)
 
 
 class TestInitialData:
