@@ -17,9 +17,10 @@ coordinates of A (``StateSpaceSystem.modes``, folded by the system's
 pair), where e^(hA) is diagonal and a step costs O(n).  It runs the
 forced runs' loop (``rom._simulate``) with zero input from a given
 state.  Each step size h = interval / k ends every k-th step on a
-sample, so no dense output is needed, and k is
-chosen by comparing the runs at h and 2h at every sample against rtol
-and atol.
+sample, so no dense output is needed, and k is chosen by comparing the
+runs at h and 2h at every sample against rtol and atol, the run at
+k = 1 against a coarse first run of steps of two sample intervals with
+a side step to each odd sample.
 """
 
 from __future__ import annotations
@@ -144,14 +145,18 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     ``sys.etdrk4``, from V^-1 x0 folded onto the table's real modes
     (``modal_state``), with h = interval / k, so every k-th step ends on
     a sample, and samples x through the table's real modal basis
-    (``state_map``, built once per system).  Runs are made at
-    k = 1, 2, 4, ... (``ode.step_doubling``); each is compared at every
-    sample with the run before it in the
-    energy norm ||x||_E^2 = 1/2 v^T M_H v + 1/2 d^T K_V d, and the first
-    whose estimate is at most rtol * max ||x_h||_E + atol is kept.  So
-    at least two runs are made, and no sample is kept unchecked.  A run
-    whose state blows up is dropped, and the next one is compared with
-    none.  The settings are checked as the forced runs' are.
+    (``state_map``, built once per system).  A coarse first run steps
+    every second sample, each odd one by a side step from the sample
+    before it, then runs are made at k = 1, 2, 4, ...
+    (``ode.step_doubling``); each is compared at every sample with the
+    run before it in the energy norm
+    ||x||_E^2 = 1/2 v^T M_H v + 1/2 d^T K_V d, and the first whose
+    estimate is at most rtol * max ||x_h||_E + atol is kept.  So at
+    least two runs are made, and no sample is kept unchecked: sample 1
+    of the first run takes two steps of half an interval, not the one
+    step the run at k = 1 takes.  A run whose state blows up is
+    dropped, and the next one is compared with none.  The settings are
+    checked as the forced runs' are.
 
     Raises
     ------

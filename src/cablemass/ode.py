@@ -1,34 +1,37 @@
 """Stiff integrators: fixed-step ETDRK4 and an adaptive Rosenbrock method.
 
-``CubicEtdrk4`` is the fourth-order exponential time-differencing
-Runge-Kutta method of Cox and Matthews (2002, J. Comput. Phys. 176) for
-y' = diag(lambda) y + bm u(t) + g (Re row . y)^3: a model in the
-eigenvector coordinates of A (``linalg.modal_factor``) with the input
-column bm.  A is real, so those coordinates of a real state are real at
-each real eigenvalue and conjugate within each pair: a state keeps each
-real mode once, as a float, and one mode per conjugate pair, weighted 2,
-the modes ordered [real | pairs], so it is exactly n reals, one float
-vector whose tail is viewed as complex, and the real modes step in real
-arithmetic.  The linear part is integrated exactly, so a step costs
-O(n) whatever the stiffness; its stiff order is discussed by Hochbruck
-and Ostermann (2010, Acta Numerica).  It has no error estimate of its
-own: ``step_doubling`` makes runs at k = 1, 2, 4, ... steps per sample
+``CubicEtdrk4`` is the five-stage exponential Runge-Kutta method of
+stiff order 4 of Hochbruck and Ostermann (2005, SIAM J. Numer. Anal.
+43(3)) for y' = diag(lambda) y + bm u(t) + g (Re row . y)^3: a model in
+the eigenvector coordinates of A (``linalg.modal_factor``) with the
+input column bm.  A is real, so those coordinates of a real state are
+real at each real eigenvalue and conjugate within each pair: a state
+keeps each real mode once, as a float, and one mode per conjugate pair,
+weighted 2, the modes ordered [real | pairs], so it is exactly n reals,
+one float vector whose tail is viewed as complex, and the real modes
+step in real arithmetic.  The linear part is integrated exactly, so a
+step costs O(n) whatever the stiffness, and its order holds for stiff
+linear parts too, which makes the error estimate of step doubling hold
+there.  It has no error estimate of its own: ``step_doubling`` makes a
+coarse first run, then runs at k = 1, 2, 4, ... steps per sample
 interval until one agrees with the run before it to the caller's
-tolerance.  ``CubicEtdrk4.advance`` makes many steps in one call, and
-``etd_weights`` evaluates its phi-function coefficients: the closed
-forms where |h lambda| >= 1, and below that their Taylor series, whose
+tolerance.  ``CubicEtdrk4.advance`` makes many steps in one call,
+``CubicEtdrk4.step_rows`` one step from each row of a block, and
+``etd_weights`` evaluates the phi-function coefficients: the closed
+forms where |h lambda| >= 2, and below that their Taylor series, whose
 coefficients are exact rationals (on evaluating phi-functions see
 Skaflestad and Wright 2009, Appl. Numer. Math. 59).  The energy study
 and the forced FOM and ROM runs all step this way, and a system keeps
 its steps in an ``Etdrk4Table``, which folds the modal factor onto
 those modes once, with the real maps its runs sample through, and
 builds the coefficients of each step size once for all of the system's
-runs and queries.  A run keeps
-its state, input stream and buffers in one ``Etdrk4Run``, set up once,
-which steps through any of the system's kernels and allocates nothing
-per step: the O(n) update is at most four calls in place, and a model
-of at most _DENSE_DIM reals of state, where the per-call cost outweighs
-the arithmetic, steps by one real matrix-vector product instead.
+runs and queries.  A run keeps its state, input terms and buffers in
+one ``Etdrk4Run``, set up once, which steps through any of the system's
+kernels and allocates nothing per step: the input's part of each stage
+is formed for the whole run ahead (``input_terms``), the O(n) update is
+at most four calls in place, and a model of at most _DENSE_DIM reals of
+state, where the per-call cost outweighs the arithmetic, steps by one
+real matrix-vector product instead.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
@@ -63,6 +66,7 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -390,66 +394,114 @@ def integrate(rhs, x0, t0: float, tf: float, rtol: float = 1e-3,
 
 
 # etd_weights takes the closed forms at |z| >= _ETD_NEAR and their Taylor
-# series below it.  At |z| >= 1 the closed forms lose up to about a
-# hundred eps to cancellation (72 measured on |z| = 1); at |z| < 1 the
-# series' terms fall at least as fast as 1/j!, so _TAYLOR_TERMS of them
-# leave a remainder below 1e-22.
-_ETD_NEAR = 1.0
-_TAYLOR_TERMS = 22
+# series below it.  a54 vanishes at z = 0, and at |z| = 1 its closed form
+# loses about 500 eps to cancellation (1.2e-13 relative, against 50-digit
+# values), so the seam sits at |z| = 2, where every closed form keeps
+# 5e-15; at |z| < 2 the series' terms fall at least as fast as 2^j / j!,
+# so _TAYLOR_TERMS of them leave a remainder below 1e-25.
+_ETD_NEAR = 2.0
+_TAYLOR_TERMS = 32
+
+# The step's coefficients (``etd_weights``) as combinations of
+# phi_1, phi_2, phi_3 at z and at z/2, in that column order: the scheme
+# of Hochbruck and Ostermann (2005, SIAM J. Numer. Anal. 43(3)), whose
+# stages sit at c = (0, 1/2, 1/2, 1, 1/2).
+_F = Fraction
+_COMBINATIONS = (
+    (0, 0, 0, _F(1, 2), 0, 0),                          # a21
+    (0, 0, 0, _F(1, 2), -1, 0),                         # a31
+    (0, 0, 0, 0, 1, 0),                                 # a32
+    (1, -2, 0, 0, 0, 0),                                # a41
+    (0, 1, 0, 0, 0, 0),                                 # a42 = a43
+    (0, _F(-1, 4), 1, _F(1, 2), _F(-3, 4), _F(1, 2)),   # a51
+    (0, _F(1, 4), -1, 0, _F(1, 2), _F(-1, 2)),          # a52 = a53
+    (0, _F(-1, 4), 1, 0, _F(-1, 4), _F(1, 2)),          # a54
+    (1, -3, 4, 0, 0, 0),                                # b1
+    (0, -1, 4, 0, 0, 0),                                # b4
+    (0, 4, -8, 0, 0, 0),                                # b5
+)
 
 
-def _taylor_table() -> np.ndarray:
-    """Row j: the z^j coefficients of q, f1, f2 and f3, rounded once.
+def _phi_forms():
+    """The z^j Taylor coefficients and the z^3-scaled closed forms of the phis.
 
-    With phi_k(z) = sum_j z^j / (j + k)!, the combinations of
-    ``etd_weights`` have the z^j coefficients 1 / (2^(j+1) (j + 1)!),
-    (j + 1)^2 / (j + 3)!, (j + 1) / (j + 3)! and (1 - j) / (j + 3)!:
-    exact rationals, which Python's int / int rounds correctly.
+    Returns (taylor, closed), exact fractions for the six phis phi_1,
+    phi_2, phi_3 at z and at z/2: taylor[j] holds their z^j
+    coefficients, 1 / (j + k)! and 1 / (2^j (j + k)!), and closed[i] the
+    coefficients of the i-th times z^3 on the basis e^z (1, z, z^2),
+    e^(z/2) (1, z, z^2), (1, z, z^2): phi_k(z) z^3 =
+    z^(3-k) (e^z - sum_(i<k) z^i / i!), and at z/2 the same with
+    2^k z^(3-k) and (z/2)^i.
     """
-    rows = []
-    for j in range(_TAYLOR_TERMS):
-        f3 = math.factorial(j + 3)
-        rows.append([1 / (2 ** (j + 1) * math.factorial(j + 1)),
-                     (j + 1) ** 2 / f3, (j + 1) / f3, (1 - j) / f3])
-    return np.array(rows)
+    taylor = [[_F(1, 2**(j * half) * math.factorial(j + k))
+               for half in (0, 1) for k in (1, 2, 3)]
+              for j in range(_TAYLOR_TERMS)]
+    closed = []
+    for half in (0, 1):
+        for k in (1, 2, 3):
+            row = [_F(0)] * 9
+            row[3 * half + 3 - k] += 2**(k * half)
+            for i in range(k):
+                row[6 + 3 - k + i] -= _F(2**(k * half),
+                                         2**(i * half) * math.factorial(i))
+            closed.append(row)
+    return taylor, closed
 
 
-_TAYLOR = _taylor_table()
+def _coefficient_tables():
+    """``etd_weights``' two tables, each entry an exact rational rounded once.
+
+    The Taylor table's row j holds the z^j coefficient of each of the
+    step's coefficients, the closed-form table their numerators over z^3
+    on the basis of ``_phi_forms``.
+    """
+    taylor, closed = _phi_forms()
+
+    def combine(phis):
+        return np.array([[float(sum(c * phi[i] for i, c in enumerate(combo)))
+                          for combo in _COMBINATIONS] for phi in phis])
+
+    return (combine(taylor),
+            combine([[closed[i][b] for i in range(6)] for b in range(9)]).T)
 
 
-def _etd_closed_forms(z):
-    ez = np.exp(z)
-    z2 = z * z
-    z3 = z2 * z
-    return ((np.exp(0.5 * z) - 1.0) / z,
-            (-4.0 - z + ez * (4.0 - 3.0 * z + z2)) / z3,
-            (2.0 + z + ez * (z - 2.0)) / z3,
-            (-4.0 - 3.0 * z - z2 + ez * (4.0 - z)) / z3)
+_TAYLOR, _CLOSED = _coefficient_tables()
 
 
 def etd_weights(z) -> tuple[np.ndarray, ...]:
-    """ETDRK4's coefficients at z = h lambda, divided by the step h.
+    """The step's coefficients at z = h lambda, divided by the step h.
 
-    Returns (q, f1, f2, f3), complex arrays of the shape of z:
+    Returns (a21, a31, a32, a41, a42, a51, a52, a54, b1, b4, b5), complex
+    arrays of the shape of z.  With phi_(j,i) = phi_j(c_i z),
+    c = (0, 1/2, 1/2, 1, 1/2):
 
-        q  = (e^(z/2) - 1) / z,
-        f1 = (-4 - z + e^z (4 - 3z + z^2)) / z^3,
-        f2 = (2 + z + e^z (z - 2)) / z^3,
-        f3 = (-4 - 3z - z^2 + e^z (4 - z)) / z^3,
+        a21 = phi_(1,2) / 2,  a31 = phi_(1,3) / 2 - phi_(2,3),
+        a32 = phi_(2,3),
+        a41 = phi_(1,4) - 2 phi_(2,4),  a42 = a43 = phi_(2,4),
+        a52 = a53 = phi_(2,5) / 2 - phi_(3,4) + phi_(2,4) / 4 - phi_(3,5) / 2,
+        a54 = phi_(2,5) / 4 - a52,  a51 = phi_(1,5) / 2 - 2 a52 - a54,
+        b1 = phi_1 - 3 phi_2 + 4 phi_3,  b4 = 4 phi_3 - phi_2,
+        b5 = 4 phi_2 - 8 phi_3 (at z),
 
-    that is q = phi_1(z/2)/2, f1 = phi_1 - 3 phi_2 + 4 phi_3,
-    f2 = phi_2 - 2 phi_3 and f3 = 4 phi_3 - phi_2, with the limits 1/2
-    and 1/6 at z = 0.  The closed forms cancel catastrophically near 0,
-    so where |z| < 1 the four series are summed instead: the powers
-    z^0 ... z^21 by one cumulative product, then one real GEMM of the
-    coefficient table with their real and imaginary parts.
+    the stiff-order-4 scheme of Hochbruck and Ostermann (2005).  Each is
+    one combination of phi_1..phi_3 at z and z/2 (``_COMBINATIONS``).
+    Where |z| >= 2 it is evaluated in closed form, its numerator over z^3
+    a polynomial in z, e^z and e^(z/2) (one real GEMM of ``_CLOSED`` with
+    the basis' real and imaginary parts); the closed forms cancel
+    catastrophically near 0, so below that each is its Taylor series,
+    whose coefficients are exact rationals (``_TAYLOR``): the powers
+    z^0 ... z^31 by one cumulative product, then one real GEMM.
     """
     z = np.asarray(z, dtype=complex)
     near = np.abs(z) < _ETD_NEAR
     far = ~near
-    out = np.empty((4,) + z.shape, dtype=complex)
-    for o, value in zip(out, _etd_closed_forms(z[far])):
-        o[far] = value
+    out = np.empty((len(_COMBINATIONS),) + z.shape, dtype=complex)
+    zf = z[far]
+    basis = np.empty((9, zf.size), dtype=complex)
+    basis[0], basis[3], basis[6] = np.exp(zf), np.exp(0.5 * zf), 1.0
+    for i in (1, 2):
+        basis[i::3] = basis[i - 1::3] * zf
+    out[:, far] = (_CLOSED @ basis.view(float)).view(complex) / (zf * zf * zf)
     powers = np.empty((_TAYLOR_TERMS, np.count_nonzero(near)), dtype=complex)
     powers[0] = 1.0
     powers[1:] = z[near]
@@ -497,35 +549,44 @@ class CubicEtdrk4:
     modes' real and imaginary parts interleaved (its tail viewed as
     complex).  The cubic term is the fixed column g times the cube of
     one scalar, and the input term the fixed column bm times u(t), so
-    each stage needs that scalar only: the stage scalars of a step from
-    y are the three real products ``rows`` @ y, and the step itself is
-    e^(h lam) y plus the real rows of ``w`` weighted by the stage cubes
-    and the input values.  Build it with ``cubic_etdrk4`` and step it
-    with ``advance`` or an ``Etdrk4Run``.
+    each of the five stages needs that scalar only: the stage scalars
+    s1 ... s5 of a step from y are the three real products ``rows`` @ y
+    plus the earlier stages' cubes ci = si^3 weighted by ``stage`` and
+    the input's terms, and the step itself is e^(h lam) y plus the real
+    rows of ``w`` weighted by c1, c4, c5 and the input values.  Build it
+    with ``cubic_etdrk4`` and step it with ``advance``, ``step_rows`` or
+    an ``Etdrk4Run``.
 
     e_real, e_pairs : e^(h lam) of the real modes (floats) and of the
     pair modes (complex).  rows : (3, dim) reals, the state layout of
-    row, row e^(h lam / 2) and row e^(h lam), so that rows @ y is
-    Re of each times y.  w : (6, dim) reals in the state layout,
-    h f1 g, 2 h f2 g and h f3 g (``etd_weights``), followed by h f1 bm,
-    2 h f2 bm and h f3 bm.  alpha, beta : Re row . (h q g) and
-    Re row . (e^(h lam / 2) h q g); gamma, delta : the same with bm.
-    dense : for dim <= _DENSE_DIM, the real (dim + 3, dim + 6) matrix
-    that takes [y; weights], the state and the six weights of w, to the
-    next state and its three stage scalars rows @ y.  Its top dim rows
-    are [E | w^T], E diagonal on the real modes and the 2 x 2 blocks of
-    e^(h lam) on the interleaved pairs, and its last 3 are ``rows``
-    times those.  None above _DENSE_DIM.
+    row, row e^(h lam / 2) and row e^(h lam), so that rows @ y is Re of
+    each times y: s1, p and r.  w : (6, dim) reals in the state layout,
+    h b1 g, h b4 g and h b5 g (``etd_weights``), then h b1 bm, h b4 bm
+    and h b5 bm: the rows of the weights (c1, c4, c5, u0, u1, uh).
+    stage : the eight reals Re row . (h a g) of a = a21, a31, a32, a41,
+    a42, a51, a52, a54, called by those names in
+
+        s2 = p + a21 c1,   s3 = p + a31 c1 + a32 c2,
+        s4 = r + a41 c1 + a42 (c2 + c3),
+        s5 = p + a51 c1 + a52 (c2 + c3) + a54 c4,
+
+    each plus its input term.  input_map : (3, 4) reals, the same eight
+    with bm, which take a step's input (u0, uh, u1) at its start, middle
+    and end to the input terms (d2, d3, d4, d5) of s2 ... s5.  dense :
+    for dim <= _DENSE_DIM, the real (dim + 3, dim + 6) matrix that takes
+    [y; weights], the state and the six weights, to the next state and
+    its three products rows @ y.  Its top dim rows are [E | w^T], E
+    diagonal on the real modes and the 2 x 2 blocks of e^(h lam) on the
+    interleaved pairs, and its last 3 are ``rows`` times those.  None
+    above _DENSE_DIM.
     """
 
     e_real: np.ndarray
     e_pairs: np.ndarray
     rows: np.ndarray
     w: np.ndarray
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
+    stage: tuple
+    input_map: np.ndarray
     dense: np.ndarray | None = None
 
     def advance(self, y: np.ndarray, out: np.ndarray, k: int,
@@ -542,24 +603,29 @@ class CubicEtdrk4:
         rows of w.  The call makes one ``Etdrk4Run``; a run that steps
         through several kernels keeps one ``Etdrk4Run`` instead.
 
-        With N(y, t) = g s(y)^3 + bm u(t) and the stage states
-        a = e^(hL/2) y + h q N(y, t),
-        b = e^(hL/2) y + h q N(a, t + h/2) and
-        c = e^(hL/2) a + h q (2 N(b, t + h/2) - N(y, t)), a step is
-        e^(hL) y + h f1 N(y, t) + 2 h f2 (N(a, t + h/2) + N(b, t + h/2))
-        + h f3 N(c, t + h) (Cox and Matthews 2002).  The stage arithmetic
-        runs on the three stage scalars; the linear update that follows
-        is one real product with ``dense`` where the kernel has it, which
-        also gives the next step's scalars, else e^(h lam) y, the real
-        and the complex part each multiplied in place, plus w^T times
-        the weights, added in place by one BLAS ``dgemv``, and rows @ y
-        for the next step's scalars.
+        With N(y, t) = g s(y)^3 + bm u(t), stage times t + ci h and the
+        stage states Y1 = y,
+        Y2 = e^(hL/2) y + h a21 N1,
+        Y3 = e^(hL/2) y + h (a31 N1 + a32 N2),
+        Y4 = e^(hL) y + h (a41 N1 + a42 (N2 + N3)) and
+        Y5 = e^(hL/2) y + h (a51 N1 + a52 (N2 + N3) + a54 N4), a step is
+        e^(hL) y + h (b1 N1 + b4 N4 + b5 N5) (Hochbruck and Ostermann
+        2005; Ni = N(Yi, t + ci h)).  The stage arithmetic runs on the
+        stage scalars; the linear update that follows is one real
+        product with ``dense`` where the kernel has it, which also gives
+        the next step's rows @ y, else e^(h lam) y, the real and the
+        complex part each multiplied in place, plus w^T times the
+        weights, added in place by one BLAS ``dgemv``, and rows @ y for
+        the next step.
 
         Raises NonFiniteState when a stage value is not finite, which a
         step too long for the cubic term can cause; the rows completed
         before the failing step are written.
         """
-        run = Etdrk4Run(y, inputs)
+        n = k * len(out)
+        run = Etdrk4Run(y, None if inputs is None else input_terms(
+            list(itertools.islice(iter(inputs), n)), [self],
+            np.zeros(n, dtype=int)))
         run.advance(self, out, k)
         return run.state()
 
@@ -572,53 +638,120 @@ class CubicEtdrk4:
         """
         return self.advance(y, np.empty((1, y.size)), 1, ((u0, uh, u1),))
 
+    def step_rows(self, ys: np.ndarray, inputs=None) -> np.ndarray:
+        """One step from each row of ys, all rows at once; a new array.
+
+        ys is a block of states, one per row, and inputs is None (the
+        zero input) or an array of each row's (u0, uh, u1).  The stage
+        arithmetic of ``advance`` runs on arrays, one entry per row, in
+        the same order, and the update is one GEMM: of [ys | weights]
+        with ``dense`` where the kernel has it, else of the weights with
+        w, added to ys times e^(h lam).  Raises NonFiniteState when a
+        stage value of any row is not finite.
+        """
+        ys = np.asarray(ys, dtype=float)
+        a21, a31, a32, a41, a42, a51, a52, a54 = self.stage
+        s1, p, r = self.rows @ ys.T
+        d2, d3, d4, d5 = ((0.0,) * 4 if inputs is None
+                          else (np.asarray(inputs) @ self.input_map).T)
+        # an overflow gives inf, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            c1 = s1 * s1 * s1
+            s = p + a21 * c1 + d2
+            c2 = s * s * s
+            s = p + a31 * c1 + a32 * c2 + d3
+            c3 = s * s * s
+            c23 = c2 + c3
+            s = r + a41 * c1 + a42 * c23 + d4
+            c4 = s * s * s
+            s = p + a51 * c1 + a52 * c23 + a54 * c4 + d5
+            c5 = s * s * s
+        if not np.isfinite(c5).all():
+            raise NonFiniteState("ETDRK4 stage value not finite")
+        dim, nw = ys.shape[1], 3 if inputs is None else 6
+        weights = np.empty((len(ys), nw))
+        weights[:, 0], weights[:, 1], weights[:, 2] = c1, c4, c5
+        if inputs is not None:
+            weights[:, 3:] = np.asarray(inputs)[:, [0, 2, 1]]
+        if self.dense is not None:
+            return np.hstack([ys, weights]) @ self.dense[:dim, :dim + nw].T
+        n_real = self.e_real.size
+        out = weights @ self.w[:nw]
+        out[:, :n_real] += ys[:, :n_real] * self.e_real
+        out[:, n_real:].view(complex)[...] += (ys[:, n_real:].view(complex)
+                                               * self.e_pairs)
+        return out
+
+
+def input_terms(inputs, kernels, which):
+    """A forced run's input terms, formed for the whole run ahead.
+
+    inputs holds (u0, uh, u1), the input at a step's start, middle and
+    end, for each step of the run in turn; kernels lists the run's
+    kernels and which[i] is the index in it of step i's.  The input's
+    terms of a step's stage scalars are linear in its (u0, uh, u1)
+    (``CubicEtdrk4.input_map``), so all of them are formed here at
+    once, each step's from its kernel's map, not step by step in the
+    loop.  Returns the iterator an ``Etdrk4Run`` reads, one
+    (d2, d3, d4, d5, u0, u1, uh) per step: the input terms of s2 ... s5,
+    then the input's three step weights.
+    """
+    u = np.asarray(inputs, dtype=float).reshape(-1, 3)
+    maps = np.array([kernel.input_map for kernel in kernels])
+    terms = np.empty((len(u), 7))
+    terms[:, :4] = np.einsum("si,sij->sj", u, maps[which])
+    terms[:, 4:] = u[:, [0, 2, 1]]
+    return struct.iter_unpack("7d", terms)
+
 
 # The six step weights of ``Etdrk4Run``, written into a buffer in one call
 _pack_weights = struct.Struct("6d").pack_into
+# An unforced step's input terms and input weights
+_NO_INPUT = (0.0,) * 7
 
 
 class Etdrk4Run:
     """One ETDRK4 run: its state, stepped by the kernels of one system.
 
     y0 is the initial state (a ``CubicEtdrk4`` state, one float per
-    real mode and two per pair mode), copied; inputs gives one
-    (u0, uh, u1) per step for the whole run, as in
-    ``CubicEtdrk4.advance``, or is None for the zero input, which then
-    takes no part.  ``advance(kernel, out, k)`` makes the run's next
-    k len(out) steps with any kernel of the system (of y0's dimension),
-    so a run steps whole sample intervals and the pieces an input jump
-    cuts with one state, one input stream and one set of buffers.  A
-    kernel switch costs the new kernel's rows @ y, which every
-    ``advance`` starts with.
+    real mode and two per pair mode), copied; terms is the run's input
+    terms, one per step for the whole run (``input_terms``), or None
+    for the zero input, which then takes no part.
+    ``advance(kernel, out, k)`` makes the run's next k len(out) steps
+    with any kernel of the system (of y0's dimension), so a run steps
+    whole sample intervals and the pieces an input jump cuts with one
+    state, one input stream and one set of buffers; the terms must have
+    been formed with the kernel each step takes.  A kernel switch costs
+    the new kernel's rows @ y, which every ``advance`` starts with.
 
     The buffers are set up here, O(dim), and a step allocates nothing:
     the stage scalars are read and the six weights written through
     memoryviews.  Two buffers [y; weights] take turns: a dense step's
-    product with one writes the next state and its stage scalars into
-    the other, whose weights the next step then fills in.  A diagonal
-    step updates the state in place where it is.  ``state()`` returns a
-    copy of the state; after a NonFiniteState it is the state before
-    the failing step.
+    product with one writes the next state and its products rows @ y
+    into the other, whose weights the next step then fills in.  A
+    diagonal step updates the state in place where it is.  ``state()``
+    returns a copy of the state; after a NonFiniteState it is the state
+    before the failing step.
     """
 
-    def __init__(self, y0, inputs=None):
+    def __init__(self, y0, terms=None):
         dim = np.size(y0)
-        self._nw = 3 if inputs is None else 6
-        self._inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
-                        else iter(inputs))
+        self._nw = 3 if terms is None else 6
+        self._terms = itertools.repeat(_NO_INPUT) if terms is None else terms
         bufs = np.zeros((2, dim + 6))
         ys = [buf[:dim] for buf in bufs]
         ys[0][:] = y0
         # per buffer: the product's input, its weights, and where the
         # product goes, its scalars and the state it writes
         self._turns = [(v[:dim + self._nw], memoryview(v[dim:]),
-                        to[:dim + 3], memoryview(to[dim:dim + 3]), y_to)
+                        to[:dim + 3], memoryview(to[dim:dim + 3]), y_to,
+                        memoryview(y_to).cast("B"))
                        for v, to, y_to in ((bufs[0], bufs[1], ys[1]),
                                            (bufs[1], bufs[0], ys[0]))]
         self._turn = 0
         self._y = ys[0]
         self._unforced = {}
-        # the diagonal step's weights and the stage scalars rows @ y
+        # the diagonal step's weights and the products rows @ y
         weights = np.zeros(6)
         self._weights = weights[:self._nw]
         self._weights_mv = memoryview(weights)
@@ -633,18 +766,26 @@ class Etdrk4Run:
         """Make k steps of kernel per row of out; write each row's end state.
 
         Row i of out receives the state after (i + 1) k steps; the
-        input stream is advanced by k len(out).  Raises NonFiniteState
+        input terms are advanced by k len(out).  Raises NonFiniteState
         as ``CubicEtdrk4.advance`` does.
         """
-        rows, dense = kernel.rows, kernel.dense
-        dot, multiply, gemv, pack, isfinite = (
-            np.dot, np.multiply, dgemv, _pack_weights, math.isfinite)
-        alpha, beta, gamma, delta = (kernel.alpha, kernel.beta, kernel.gamma,
-                                     kernel.delta)
-        inputs, nw, y = self._inputs, self._nw, self._y
+        dense = kernel.dense
+        # bound methods and positional arguments: np.dot's dispatch and
+        # keyword arguments cost more than a small product itself
+        rows_dot, multiply, gemv, pack, isfinite = (
+            kernel.rows.dot, np.multiply, dgemv, _pack_weights, math.isfinite)
+        a21, a31, a32, a41, a42, a51, a52, a54 = kernel.stage
+        terms, nw, y = self._terms, self._nw, self._y
         weights, weights_mv = self._weights, self._weights_mv
         scalars, scalars_mv = self._scalars, self._scalars_mv
         turns, turn = self._turns, self._turn
+        if not len(out):
+            return
+        # out (C-contiguous) as one flat run of bytes: a row is written
+        # by a memoryview slice assignment, cheaper than numpy's item
+        # assignment
+        out_mv = memoryview(out).cast("B")
+        size = y.nbytes
         if dense is None:
             # w^T, Fortran-ordered as BLAS reads it without a copy
             w_t = kernel.w[:nw].T
@@ -654,54 +795,63 @@ class Etdrk4Run:
             e_real = kernel.e_real if n_real else None
             e_pairs = kernel.e_pairs if kernel.e_pairs.size else None
             y_real, y_pairs = y[:n_real], y[n_real:].view(complex)
-        elif nw == 3:
-            # without the input's columns: a contiguous copy, which numpy
-            # would otherwise make of the column slice at every product
-            if kernel not in self._unforced:
-                self._unforced[kernel] = np.ascontiguousarray(
-                    dense[:, :y.size + 3])
-            dense = self._unforced[kernel]
-        dot(rows, y, out=scalars)
-        s_y, p, r = scalars_mv
+            y_mv = memoryview(y).cast("B")
+        else:
+            y_mv = turns[1 - turn][5]
+            if nw == 3:
+                # without the input's columns: a contiguous copy, which
+                # numpy would otherwise make of the column slice at every
+                # product
+                if kernel not in self._unforced:
+                    self._unforced[kernel] = np.ascontiguousarray(
+                        dense[:, :y.size + 3])
+                dense = self._unforced[kernel]
+            dense_dot = dense.dot
+        rows_dot(y, scalars)
+        s1, p, r = scalars_mv
+        # steps left before the next row is written
+        left, end = k, 0
         try:
-            for i in range(len(out)):
-                for _ in range(k):
-                    u0, uh, u1 = next(inputs)
-                    # Python floats: a product that overflows gives inf,
-                    # not an error
-                    c_y = s_y * s_y * s_y
-                    s_a = p + alpha * c_y + gamma * u0
-                    c_a = s_a * s_a * s_a
-                    s_b = p + alpha * c_a + gamma * uh
-                    c_b = s_b * s_b * s_b
-                    s_c = (r + beta * c_y + delta * u0
-                           + alpha * (2.0 * c_b - c_y)
-                           + gamma * (2.0 * uh - u0))
-                    c_c = s_c * s_c * s_c
-                    if not isfinite(c_c):
-                        raise NonFiniteState("ETDRK4 stage value not finite")
-                    # all six weights; the input's three take part only
-                    # in a forced run
-                    if dense is None:
-                        pack(weights_mv, 0, c_y, c_a + c_b, c_c,
-                             u0, 2.0 * uh, u1)
-                        if e_real is not None:
-                            multiply(e_real, y_real, out=y_real)
-                        if e_pairs is not None:
-                            multiply(e_pairs, y_pairs, out=y_pairs)
-                        # y += w^T weights in place (positional beta, y,
-                        # offx, incx, offy, incy, trans, overwrite_y)
-                        gemv(1.0, w_t, weights, 1.0, y, 0, 1, 0, 1, 0, 1)
-                        dot(rows, y, out=scalars)
-                        s_y, p, r = scalars_mv
-                    else:
-                        v, v_weights, to, to_scalars, y_to = turns[turn]
-                        pack(v_weights, 0, c_y, c_a + c_b, c_c,
-                             u0, 2.0 * uh, u1)
-                        dot(dense, v, out=to)
-                        s_y, p, r = to_scalars
-                        y, turn = y_to, 1 - turn
-                out[i] = y
+            for _ in range(k * len(out)):
+                d2, d3, d4, d5, u0, u1, uh = next(terms)
+                # Python floats: a product that overflows gives inf,
+                # not an error
+                c1 = s1 * s1 * s1
+                s = p + a21 * c1 + d2
+                c2 = s * s * s
+                s = p + a31 * c1 + a32 * c2 + d3
+                c3 = s * s * s
+                c23 = c2 + c3
+                s = r + a41 * c1 + a42 * c23 + d4
+                c4 = s * s * s
+                s = p + a51 * c1 + a52 * c23 + a54 * c4 + d5
+                c5 = s * s * s
+                if not isfinite(c5):
+                    raise NonFiniteState("ETDRK4 stage value not finite")
+                # all six weights; the input's three take part only in a
+                # forced run
+                if dense is None:
+                    pack(weights_mv, 0, c1, c4, c5, u0, u1, uh)
+                    if e_real is not None:
+                        multiply(e_real, y_real, y_real)
+                    if e_pairs is not None:
+                        multiply(e_pairs, y_pairs, y_pairs)
+                    # y += w^T weights in place (positional beta, y,
+                    # offx, incx, offy, incy, trans, overwrite_y)
+                    gemv(1.0, w_t, weights, 1.0, y, 0, 1, 0, 1, 0, 1)
+                    rows_dot(y, scalars)
+                    s1, p, r = scalars_mv
+                else:
+                    v, v_weights, to, to_scalars, y, y_mv = turns[turn]
+                    pack(v_weights, 0, c1, c4, c5, u0, u1, uh)
+                    dense_dot(v, to)
+                    s1, p, r = to_scalars
+                    turn = 1 - turn
+                left -= 1
+                if not left:
+                    left = k
+                    start, end = end, end + size
+                    out_mv[start:end] = y_mv
         finally:
             self._turn, self._y = turn, y
 
@@ -727,25 +877,28 @@ def cubic_etdrk4(lam, row, g, h: float, bm) -> CubicEtdrk4:
     for v in (row, g, bm):
         v.imag[:n_real] = 0.0
     z = h * lam
-    q, f1, f2, f3 = etd_weights(z)
+    *a, b1, b4, b5 = etd_weights(z)
     half = np.exp(0.5 * z)
     e = np.exp(z)
-    hqg, hqb = h * q * g, h * q * bm
     # Re(m . y) = _fold(conj m) @ y on states y
     rows = _fold(np.conj([row, row * half, row * e]), n_real)
-    w = _fold(h * np.array([f1 * g, 2.0 * f2 * g, f3 * g,
-                            f1 * bm, 2.0 * f2 * bm, f3 * bm]), n_real)
+    w = _fold(h * np.array([b1 * g, b4 * g, b5 * g,
+                            b1 * bm, b4 * bm, b5 * bm]), n_real)
+    # Re row . (h a g) and Re row . (h a bm) of each stage coefficient a
+    a_g, a_bm = (((h * np.array(a) * col) @ row).real for col in (g, bm))
+    a21, a31, a32, a41, a42, a51, a52, a54 = a_bm.tolist()
+    input_map = np.array([[a21, a31, a41, a51],
+                          [0.0, a32, 2.0 * a42, 2.0 * a52],
+                          [0.0, 0.0, 0.0, a54]])
     e_real, e_pairs = e[:n_real].real.copy(), e[n_real:]
     dense = (_dense_step(e_real, e_pairs, rows, w)
              if rows.shape[1] <= _DENSE_DIM else None)
-    for arr in (e_real, e_pairs, rows, w, dense):
+    for arr in (e_real, e_pairs, rows, w, input_map, dense):
         if arr is not None:
             arr.flags.writeable = False
-    return CubicEtdrk4(
-        e_real=e_real, e_pairs=e_pairs, rows=rows, w=w,
-        alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real),
-        gamma=float((row @ hqb).real), delta=float((row @ (half * hqb)).real),
-        dense=dense)
+    return CubicEtdrk4(e_real=e_real, e_pairs=e_pairs, rows=rows, w=w,
+                       stage=tuple(a_g.tolist()), input_map=input_map,
+                       dense=dense)
 
 
 def _dense_step(e_real, e_pairs, rows, w) -> np.ndarray:
@@ -763,8 +916,10 @@ def _dense_step(e_real, e_pairs, rows, w) -> np.ndarray:
 
 
 # Coefficient sets an Etdrk4Table keeps; past it the oldest is dropped.
-# One square-wave system's queries meet about 62 step sizes (the sample
-# interval's and the jump pieces', at k = 1 and 2).  A set holds 10 dim
+# One square-wave system's queries on a 1000-sample grid meet 58 step
+# sizes on a 100-s horizon and 96 on a 300-s one (the sample interval's
+# and the jump pieces' at k = 1, those of the coarse first run's steps of
+# two intervals, and the first interval's half).  A set holds 10 dim
 # reals (e, three rows, six rows of w), 80 dim bytes: 64 KB at n = 400
 # (dim 800), so a table holds at most 8 MB there.  A set of at most
 # _DENSE_DIM reals of state also holds its (dim + 3, dim + 6) dense step,
@@ -849,34 +1004,45 @@ class Etdrk4Table:
         return kernel
 
 
-def step_doubling(run, steps_per_k: int, budget: int):
-    """Runs at k = 1, 2, 4, ... steps per unit until one passes its check.
+def step_doubling(first, run, steps_per_k: int, budget: int):
+    """A coarse first run, then runs at k = 1, 2, 4, ... until one passes.
 
-    run(k, compare) makes the run of k steps per unit, steps_per_k * k
-    steps in all, and returns (est, ok): its error estimate and whether
-    that passes the caller's tolerance.  With compare set, the run is
-    checked against the last one made before it; without, there is
-    nothing to check it against and ok must be false.  A run that raises
-    NonFiniteState is dropped, and the next one is made without compare.
-    Returns (k, n_steps, est) of the first run that passes, where
-    n_steps counts every run made.
+    first is (steps, make): make() makes a first run of that many
+    steps, coarser than the run at k = 1, which only seeds that run's
+    check.  run(k, compare) makes the run of k steps per unit,
+    steps_per_k * k steps in all, and returns (est, ok): its error
+    estimate and whether that passes the caller's tolerance.  With
+    compare set, the run is checked against the last one made before
+    it; without, there is nothing to check it against and ok must be
+    false.  A run that raises NonFiniteState, the first one included,
+    is dropped, and the next one is made without compare: after a
+    dropped first run, the run at k = 1 seeds the check of the run at
+    k = 2.  Returns (k, n_steps, est) of the first run that passes,
+    where n_steps counts the steps of every run made, the first one's
+    included.
 
     Raises StepBudget when the next run would take the steps past
     budget.
     """
-    k, n_steps, compare = 1, 0, False
+    first_steps, make_first = first
+    k, n_steps, compare = 0, 0, False
     while True:
-        steps = k * steps_per_k
+        steps = k * steps_per_k if k else first_steps
         if n_steps + steps > budget:
-            raise StepBudget(f"{k} steps per unit would exceed {budget} "
-                             f"ETDRK4 steps (after {n_steps})")
+            which = f"{k} steps per unit" if k else "the first run"
+            raise StepBudget(f"{which} would exceed {budget} ETDRK4 steps "
+                             f"(after {n_steps})")
         n_steps += steps
         try:
-            est, ok = run(k, compare)
+            if k:
+                est, ok = run(k, compare)
+            else:
+                make_first()
+                est, ok = math.inf, False
         except NonFiniteState:
             compare = False
         else:
             if ok:
                 return k, n_steps, est
             compare = True
-        k *= 2
+        k = 2 * k or 1

@@ -4,7 +4,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from cablemass import linalg, ode
+from cablemass import linalg, ode, rom
 from cablemass.model import PhysicalParams
 from cablemass.signals import (PIECEWISE_CONSTANT, breakpoints, eval_input,
                                eval_input_derivative)
@@ -195,3 +195,18 @@ def integrate_sampled(rhs_fn, jac_fn, model, b, spec, x0, t0, tf,
         stats = stats + piece.stats
         x = piece.end_state
     return grid, states, stats
+
+
+def first_run_steps(spec, grid) -> int:
+    """The steps of a sampled run's coarse first run on grid.
+
+    One per interval of the coarse grid grid[::2] (a jump cuts one in
+    two), one per piece of the side step from each even sample to the
+    odd one after it, and two per piece to sample 1.
+    """
+    interval = (grid[-1] - grid[0]) / (grid.size - 1)
+    fine = rom._intervals(spec, grid, interval)
+    coarse = (rom._intervals(spec, grid, 2.0 * interval, 2).starts.size
+              if grid.size > 2 else 0)
+    pieces = [len(path) for path in fine.paths[::2]]
+    return coarse + sum(pieces) + pieces[0]

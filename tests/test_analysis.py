@@ -195,8 +195,9 @@ class TestEnergyDecay:
 
 
     def test_fixed_etdrk4_steps(self, monkeypatch):
-        # no adaptive run: k ETDRK4 steps per sample interval for
-        # k = 1, 2, ..., and the run at k = 1 is never kept
+        # no adaptive run: a coarse first run, then k ETDRK4 steps per
+        # sample interval for k = 1, 2, ...; the run at k = 1 is checked
+        # against the first run at every sample, and kept
         sys = build_system(EXAMPLE1, 10)
         forms = quadratic_forms(EXAMPLE1, 10)
         x0 = _energy_initial_data(EXAMPLE1, 10)
@@ -204,27 +205,32 @@ class TestEnergyDecay:
         report = energy_decay(sys, forms, x0, 5.0, sample_count=101)
         assert calls == []
         stats = report.stats
-        assert stats.steps_per_sample == 2
-        assert stats.step == pytest.approx(5.0 / 200, rel=1e-15)
-        assert stats.n_steps == 100 + 200
+        assert stats.steps_per_sample == 1
+        assert stats.step == pytest.approx(5.0 / 100, rel=1e-15)
+        # 50 coarse steps, 49 side steps, 2 half steps to sample 1, and
+        # 100 steps at k = 1
+        assert stats.n_steps == 50 + 49 + 2 + 100
         # ||x||_E^2 <= E <= E(0): the default rtol and atol bound it
         assert 0.0 < stats.error_estimate <= \
             1e-6 * np.sqrt(report.e[0]) + 1e-9
         assert stats.cond_v == sys.modes.cond
-        # one coefficient set per step size tried, h and h / 2
-        assert stats.sets_built == 2
+        # one coefficient set per step size: 2h, h and h / 2
+        assert stats.sets_built == 3
 
     def test_large_amplitude_halves_the_step(self):
         # at 5x the study's initial data the cubic term sets the step:
-        # the check rejects k = 2, which the study's data passes at this
+        # the check rejects k = 1, which the study's data passes at this
         # grid, and the energies still match an rtol-1e-11 Radau run
         preset = PRESETS["exp_stab_Ex1"]
         n, tf, count = 20, 10.0, 100
         sys = build_system(preset.params, n)
         forms = quadratic_forms(preset.params, n)
-        x0 = 5.0 * _energy_initial_data(preset.params, n)
+        x0 = _energy_initial_data(preset.params, n)
+        assert energy_decay(sys, forms, x0, tf, sample_count=count) \
+            .stats.steps_per_sample == 1
+        x0 = 5.0 * x0
         report = energy_decay(sys, forms, x0, tf, sample_count=count)
-        assert report.stats.steps_per_sample >= 4
+        assert report.stats.steps_per_sample >= 2
         ref = solve_ivp(lambda t, x: fom_rhs(sys, x, 0.0), (0.0, tf), x0,
                         method="Radau", t_eval=report.times, rtol=1e-11,
                         atol=1e-12,
@@ -236,7 +242,9 @@ class TestEnergyDecay:
     def test_every_sample_checked(self):
         # one sample interval at 5x the study's initial data: a single
         # ETDRK4 step over it is 0.25 E0 off, so the sample at tf must
-        # be compared with a run at half the step before it is accepted
+        # be compared with a run at half the step before it is accepted;
+        # the first run has no coarse step here, and its two half steps
+        # to sample 1 are that check
         preset = PRESETS["exp_stab_Ex1"]
         n, tf = 20, 1.0
         sys = build_system(preset.params, n)

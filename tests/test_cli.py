@@ -15,7 +15,7 @@ from cablemass.cli import (DEFAULT_PARAMS, PRESETS, ExperimentConfig,
                            load_config, main, run_command)
 from cablemass.model import PhysicalParams
 from cablemass.signals import InputSpec, eval_input, input_preset
-from conftest import record_real_schur
+from conftest import first_run_steps, record_real_schur
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -495,12 +495,16 @@ class TestMain:
         h, est, cond = (float(match[i]) for i in (1, 4, 5))
         k, steps, built = (int(match[i]) for i in (2, 3, 6))
         # 1000 samples on [0, 5]: k steps per interval in the kept run,
-        # and one run at each smaller k = 1, 2, ... before it, each with
-        # its own step size on a fresh model
+        # one run at each smaller k = 1, 2, ... before it and the coarse
+        # first run, each with its own step sizes on a fresh model: the
+        # first run's 2h, h and h / 2, and h / k
+        grid = np.linspace(0.0, 5.0, 1000)
         assert h == pytest.approx(5.0 / 999 / k, rel=1e-5)
-        assert k >= 2 and steps == 999 * (2 * k - 1)
+        assert k == 1
+        assert steps == (first_run_steps(InputSpec(kind="zero"), grid)
+                         + 999 * (2 * k - 1))
         assert est > 0.0 and 1.0 <= cond <= linalg.MODAL_COND_MAX
-        assert built == k.bit_length()
+        assert built == 1 + max(2, k.bit_length())
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_forced_runs_log_integrator(self, tmp_path, capsys, command):
@@ -516,19 +520,25 @@ class TestMain:
             h, est, cond = (float(match[i]) for i in (1, 4, 5))
             k, steps, built = (int(match[i]) for i in (2, 3, 6))
             # 999 sample intervals on [0, 20], 3 of them cut by a jump
-            # (t = 5, 10, 15), k steps each in the kept run and one run
-            # at each smaller k = 1, 2, ... before it
+            # (t = 5, 10, 15), k steps each in the kept run, one run at
+            # each smaller k = 1, 2, ... before it and the coarse first run
+            spec, grid = input_preset("input4"), np.linspace(0.0, 20.0, 1000)
+            fine = rom._intervals(spec, grid, 20.0 / 999)
+            coarse = rom._intervals(spec, grid, 2.0 * 20.0 / 999, 2)
             assert h == pytest.approx(20.0 / 999 / k, rel=1e-5)
-            assert k >= 2 and steps == 1002 * (2 * k - 1)
+            assert k == 1 and fine.starts.size == 1002
+            assert steps == (first_run_steps(spec, grid)
+                             + 1002 * (2 * k - 1))
             assert est > 0.0 and 1.0 <= cond <= linalg.MODAL_COND_MAX
             # a fresh model builds one coefficient set per distinct step
-            # size of the runs at k = 1, 2, ..., the kept k: the sample
-            # interval's and the jump pieces' over k
-            _, lengths, _ = rom._intervals(
-                input_preset("input4"), np.linspace(0.0, 20.0, 1000),
-                20.0 / 999)
-            sizes = {length / 2**i for length in lengths.tolist()
-                     for i in range(k.bit_length())}
+            # size: those of the coarse run's intervals, of the fine
+            # intervals at k = 1, 2, ..., the kept k, and of the first
+            # interval's halves
+            sizes = ({length / 2**i for length in fine.lengths.tolist()
+                      for i in range(k.bit_length())}
+                     | set(coarse.lengths.tolist())
+                     | {length / 2 for length in fine.lengths[
+                         :fine.first[1]].tolist()})
             assert built == len(sizes)
 
     def test_bad_preset_fails(self, capsys):

@@ -81,45 +81,57 @@ def raises_quietly(error, match=None):
             yield
 
 
-def allocating_advance(kernel, y, out, k, inputs=None):
-    """``CubicEtdrk4.advance`` written with allocating numpy expressions.
+def forced_terms(kernel, inputs):
+    """The input terms of a run of one kernel, as ``CubicEtdrk4.advance``."""
+    n = len(inputs)
+    return ode.input_terms(inputs, [kernel], np.zeros(n, dtype=int))
+
+
+def stage_cubes(stage, s1, p, r, d2=0.0, d3=0.0, d4=0.0, d5=0.0):
+    """The cubes c1, c4, c5 of a step's stage scalars s1 ... s5."""
+    a21, a31, a32, a41, a42, a51, a52, a54 = stage
+    c1 = s1 * s1 * s1
+    s = p + a21 * c1 + d2
+    c2 = s * s * s
+    s = p + a31 * c1 + a32 * c2 + d3
+    c3 = s * s * s
+    s = r + a41 * c1 + a42 * (c2 + c3) + d4
+    c4 = s * s * s
+    s = p + a51 * c1 + a52 * (c2 + c3) + a54 * c4 + d5
+    return c1, c4, s * s * s
+
+
+def allocating_advance(kernel, y, out, k, terms=None):
+    """``Etdrk4Run.advance`` of one kernel, with allocating numpy expressions.
 
     The reference for the allocation-free step loop: each step builds
     its weights as a tuple, makes fresh arrays for the update and reads
-    the stage scalars back by .tolist().  Returns the last state.
+    the stage scalars back by .tolist().  terms is the run's input terms
+    (``ode.input_terms``), read as the run reads them, or None for the
+    zero input.  Returns the last state.
     """
-    nw = 3 if inputs is None else 6
-    inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
-              else iter(inputs))
+    nw = 3 if terms is None else 6
+    terms = itertools.repeat((0.0,) * 7) if terms is None else terms
     dim, n_real = y.size, kernel.e_real.size
     w = kernel.w[:nw]
     dense = None if kernel.dense is None else kernel.dense[:, :dim + nw]
-    s_y, p, r = np.dot(kernel.rows, y).tolist()
-    alpha, beta, gamma, delta = (kernel.alpha, kernel.beta, kernel.gamma,
-                                 kernel.delta)
+    s1, p, r = np.dot(kernel.rows, y).tolist()
     for i in range(len(out)):
         for _ in range(k):
-            u0, uh, u1 = next(inputs)
-            c_y = s_y * s_y * s_y
-            s_a = p + alpha * c_y + gamma * u0
-            c_a = s_a * s_a * s_a
-            s_b = p + alpha * c_a + gamma * uh
-            c_b = s_b * s_b * s_b
-            s_c = (r + beta * c_y + delta * u0
-                   + alpha * (2.0 * c_b - c_y) + gamma * (2.0 * uh - u0))
-            c_c = s_c * s_c * s_c
-            weights = (c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1)[:nw]
+            d2, d3, d4, d5, u0, u1, uh = next(terms)
+            c1, c4, c5 = stage_cubes(kernel.stage, s1, p, r, d2, d3, d4, d5)
+            weights = (c1, c4, c5, u0, u1, uh)[:nw]
             if dense is None:
                 y = np.concatenate([
                     kernel.e_real * y[:n_real],
                     (kernel.e_pairs * y[n_real:].view(complex)).view(float)])
                 # y + w^T weights by the same BLAS call, into a new array
                 y = dgemv(1.0, w.T, np.array(weights), 1.0, y)
-                s_y, p, r = np.dot(kernel.rows, y).tolist()
+                s1, p, r = np.dot(kernel.rows, y).tolist()
             else:
                 to = np.dot(dense, np.concatenate([y, weights]))
                 y = to[:dim]
-                s_y, p, r = to[dim:].tolist()
+                s1, p, r = to[dim:].tolist()
         out[i] = y
     return y
 
@@ -127,44 +139,38 @@ def allocating_advance(kernel, y, out, k, inputs=None):
 def complex_kernel(lam, row, g, h, bm):
     """The ETDRK4 step in the complex representation: every mode, complex.
 
-    The kernel ``ode.cubic_etdrk4`` made before the real modal
-    coordinates: y' = diag(lam) y + bm u + g (Re row . y)^3 over all
-    modes of A, conjugate pairs twice, with complex e, rows and w.  The
-    reference the folded kernels are checked against.
+    y' = diag(lam) y + bm u + g (Re row . y)^3 over all modes of A,
+    conjugate pairs twice, with complex e, rows and w, and each stage
+    coefficient written out from the phi-functions (``etd_weights``).
+    The reference the folded kernels are checked against.
     """
     z = h * np.asarray(lam, dtype=complex)
-    q, f1, f2, f3 = ode.etd_weights(z)
+    a21, a31, a32, a41, a42, a51, a52, a54, b1, b4, b5 = ode.etd_weights(z)
     half, e = np.exp(0.5 * z), np.exp(z)
-    hqg, hqb = h * q * g, h * q * bm
+    a = np.array([a21, a31, a32, a41, a42, a51, a52, a54])
     return SimpleNamespace(
         e=e, rows=np.array([row, row * half, row * e]),
-        w=h * np.array([f1 * g, 2.0 * f2 * g, f3 * g,
-                        f1 * bm, 2.0 * f2 * bm, f3 * bm]),
-        alpha=float((row @ hqg).real), beta=float((row @ (half * hqg)).real),
-        gamma=float((row @ hqb).real), delta=float((row @ (half * hqb)).real))
+        w=h * np.array([b1 * g, b4 * g, b5 * g, b1 * bm, b4 * bm, b5 * bm]),
+        stage=((h * a * g) @ row).real.tolist(),
+        stage_bm=((h * a * bm) @ row).real.tolist())
 
 
 def complex_advance(kernel, y, out, k, inputs=None):
-    """Steps of a ``complex_kernel``, as ``allocating_advance`` makes them."""
+    """Steps of a ``complex_kernel``, the input terms formed step by step."""
     inputs = (itertools.repeat((0.0, 0.0, 0.0)) if inputs is None
               else iter(inputs))
-    s_y, p, r = np.dot(kernel.rows, y).real.tolist()
-    alpha, beta, gamma, delta = (kernel.alpha, kernel.beta, kernel.gamma,
-                                 kernel.delta)
+    b21, b31, b32, b41, b42, b51, b52, b54 = kernel.stage_bm
+    s1, p, r = np.dot(kernel.rows, y).real.tolist()
     for i in range(len(out)):
         for _ in range(k):
             u0, uh, u1 = next(inputs)
-            c_y = s_y * s_y * s_y
-            s_a = p + alpha * c_y + gamma * u0
-            c_a = s_a * s_a * s_a
-            s_b = p + alpha * c_a + gamma * uh
-            c_b = s_b * s_b * s_b
-            s_c = (r + beta * c_y + delta * u0
-                   + alpha * (2.0 * c_b - c_y) + gamma * (2.0 * uh - u0))
-            c_c = s_c * s_c * s_c
-            weights = (c_y, c_a + c_b, c_c, u0, 2.0 * uh, u1)
+            c1, c4, c5 = stage_cubes(
+                kernel.stage, s1, p, r, b21 * u0, b31 * u0 + b32 * uh,
+                b41 * u0 + 2.0 * b42 * uh,
+                b51 * u0 + 2.0 * b52 * uh + b54 * u1)
+            weights = (c1, c4, c5, u0, u1, uh)
             y = kernel.e * y + np.dot(weights, kernel.w)
-            s_y, p, r = np.dot(kernel.rows, y).real.tolist()
+            s1, p, r = np.dot(kernel.rows, y).real.tolist()
         out[i] = y
     return y
 
@@ -511,59 +517,80 @@ class TestStreamedSamples:
                           t_eval=[0.0, 1.0], out=np.empty((3, 2)))
 
 
+def scheme_coefficients(phi):
+    """The step's coefficients from phi(j, c) = phi_j(c z), as etd_weights
+    orders them: Hochbruck and Ostermann's (2005) a21 ... a54, b1, b4, b5.
+    """
+    a52 = (phi(2, 0.5) / 2 - phi(3, 1) + phi(2, 1) / 4 - phi(3, 0.5) / 2)
+    a54 = phi(2, 0.5) / 4 - a52
+    return [phi(1, 0.5) / 2, phi(1, 0.5) / 2 - phi(2, 0.5), phi(2, 0.5),
+            phi(1, 1) - 2 * phi(2, 1), phi(2, 1),
+            phi(1, 0.5) / 2 - 2 * a52 - a54, a52, a54,
+            phi(1, 1) - 3 * phi(2, 1) + 4 * phi(3, 1),
+            4 * phi(3, 1) - phi(2, 1), 4 * phi(2, 1) - 8 * phi(3, 1)]
+
+
 class TestEtdWeights:
-    """ETDRK4's phi-function coefficients against 50-digit references."""
+    """The stiff-order-4 step's coefficients against 50-digit references."""
 
     @staticmethod
     def reference(z):
         with mpmath.workdps(50):
             z = mpmath.mpc(z)
-            if z == 0:
-                return [0.5, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0]
-            e = mpmath.exp(z)
-            return [complex(v) for v in (
-                (mpmath.exp(z / 2) - 1) / z,
-                (-4 - z + e * (4 - 3 * z + z**2)) / z**3,
-                (2 + z + e * (z - 2)) / z**3,
-                (-4 - 3 * z - z**2 + e * (4 - z)) / z**3)]
+
+            def phi(j, c):
+                x = c * z
+                if x == 0:
+                    return mpmath.mpf(1) / mpmath.factorial(j)
+                return (mpmath.exp(x) - sum(x**i / mpmath.factorial(i)
+                                            for i in range(j))) / x**j
+
+            return [complex(v) for v in scheme_coefficients(phi)]
 
     @pytest.mark.parametrize("z", [
         0.0, 1e-8, -1e-8, 1e-8j, 1e-8 * np.exp(2j),
-        # |z| near 1, where the contour and the closed forms meet
+        # |z| near 1 and 2; the series and the closed forms meet at 2
         1.0, -1.0, 1j, -1j, 0.999, 1.001, -0.999, -1.001j, np.exp(2.1j),
         0.999 * np.exp(-0.7j), 1.001 * np.exp(2.5j),
+        2.0, -2.0, 2j, 1.999, -2.001, 2.0 * np.exp(2.1j),
+        1.999 * np.exp(-0.7j), 2.001 * np.exp(2.5j),
         -4000.0 * 0.05, -3.0, 5j, 30j, 0.5j,
-        -0.01 + 5j, -1e-3 + 1j, -1e-3 + 0.5j, -0.01 + 30j])
+        -0.01 + 5j, -1e-3 + 1j, -1e-3 + 0.5j, -1e-3 + 2j, -0.01 + 30j])
     def test_matches_50_digits(self, z):
         got = ode.etd_weights(np.array([z]))
         for value, ref in zip(got, self.reference(z)):
             assert abs(value[0] - ref) <= 1e-13 * abs(ref)
 
+    def test_classical_limit(self):
+        # at z = 0 the step is classical RK4 with c = (0, 1/2, 1/2, 1, 1/2):
+        # a31, a41 and a54 are O(z), exactly 0 there, as the series gives
+        got = [value[0] for value in ode.etd_weights(np.zeros(1))]
+        assert got == [0.5, 0.0, 0.5, 0.0, 0.5, 0.25, 0.125, 0.0,
+                       1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0]
+
     def test_taylor_table_is_exact(self):
-        # each entry is the exact rational combination of the phi_k
-        # coefficients 1 / (j + k)!, rounded once
+        # each entry is the exact rational combination of the phi_k(c z)
+        # coefficients c^j / (j + k)!, rounded once
         for j, row in enumerate(ode._TAYLOR.tolist()):
-            p1, p2, p3 = (Fraction(1, math.factorial(j + k))
-                          for k in (1, 2, 3))
-            assert row == [float(p1 / 2 ** (j + 1)),
-                           float(p1 - 3 * p2 + 4 * p3),
-                           float(p2 - 2 * p3), float(4 * p3 - p2)]
+            exact = scheme_coefficients(lambda k, c: Fraction(c) ** j
+                                        / math.factorial(j + k))
+            assert row == [float(v) for v in exact]
 
     def test_taylor_branch_matches_50_digits(self):
-        # seeded points inside the unit disc, where the series is summed:
-        # 200 uniform in area and 40 in the annulus next to the seam
+        # seeded points inside the disc |z| < 2, where the series is
+        # summed: 200 uniform in area and 40 in the annulus next to the seam
         rng = np.random.default_rng(20260421)
-        radius = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 200)),
-                                 rng.uniform(0.95, 1.0, 40)])
+        radius = 2.0 * np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 200)),
+                                       rng.uniform(0.95, 1.0, 40)])
         z = radius * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 240))
-        assert (np.abs(z) < 1.0).all()
+        assert (np.abs(z) < 2.0).all()
         self.check(z)
 
     def test_seam_matches_50_digits(self):
-        # |z| = 1 -+ 1e-12: the series just inside, the closed forms just
+        # |z| = 2 -+ 1e-12: the series just inside, the closed forms just
         # outside
         theta = 2.0 * math.pi * (np.arange(24) + 0.25) / 24
-        for radius in (1.0 - 1e-12, 1.0 + 1e-12):
+        for radius in (2.0 - 1e-12, 2.0 + 1e-12):
             self.check(radius * np.exp(1j * theta))
 
     def check(self, z):
@@ -596,8 +623,10 @@ class TestCubicEtdrk4:
         return y[0]
 
     def test_fourth_order(self):
+        # the first halving from h = 0.5 reads 11.3, before the error is
+        # in its asymptotic regime; from h = 0.25 on it reads 15.4-16.6
         errors = [abs(self.run(h) - self.exact(2.0))
-                  for h in (0.5, 0.25, 0.125, 0.0625)]
+                  for h in (0.25, 0.125, 0.0625, 0.03125)]
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
 
@@ -612,7 +641,7 @@ class TestCubicEtdrk4:
                                    np.exp(0.3 * lam) * y, rtol=1e-15)
 
     def test_constant_input_exact(self, rng):
-        # y' = lambda y + bm u with u constant: h (f1 + 4 f2 + f3) is
+        # y' = lambda y + bm u with u constant: h (b1 + b4 + b5) is
         # h phi_1, so a step is exact
         lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
         bm = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -788,7 +817,9 @@ class TestAdvance:
         inputs = rng.standard_normal((5 * k, 3)).tolist() if forced else None
         outs = [np.full((5, 12), np.nan) for _ in range(2)]
         end = kernel.advance(y0, outs[0], k, inputs)
-        ref = allocating_advance(kernel, y0, outs[1], k, inputs)
+        ref = allocating_advance(kernel, y0, outs[1], k,
+                                 forced_terms(kernel, inputs) if forced
+                                 else None)
         assert_bitwise(outs[0], outs[1])
         assert_bitwise(end, ref)
 
@@ -807,7 +838,8 @@ class TestAdvance:
         inputs = rng.standard_normal((20, 3)).tolist() if forced else None
         outs = [np.full((10, dim), np.nan) for _ in range(2)]
         kernel.advance(y0, outs[0], 2, inputs)
-        allocating_advance(kernel, y0, outs[1], 2, inputs)
+        allocating_advance(kernel, y0, outs[1], 2,
+                           forced_terms(kernel, inputs) if forced else None)
         assert_bitwise(outs[0], outs[1])
 
     @pytest.mark.parametrize("forced", [False, True])
@@ -815,19 +847,23 @@ class TestAdvance:
     def test_kernel_switches_match_call_per_piece(self, rng, k, forced):
         # as at square-wave jumps: whole intervals of one step size, each
         # jump's interval in two pieces of their own sizes, one input
-        # stream and one state through all of them
-        whole, first, second = self.kernels(rng, forced, (0.3, 0.1, 0.2))
-        plan = [(whole, 3), (first, 1), (second, 1), (whole, 2),
-                (first, 1), (second, 1), (whole, 1)]
+        # stream and one state through all of them; the input terms are
+        # formed once for the whole run, each step's with its kernel
+        kernels = self.kernels(rng, forced, (0.3, 0.1, 0.2))
+        plan = [(0, 3), (1, 1), (2, 1), (0, 2), (1, 1), (2, 1), (0, 1)]
         rows = sum(count for _, count in plan)
         y0 = self.state(rng)
-        stream = rng.standard_normal((rows * k, 3)).tolist()
+        stream = rng.standard_normal((rows * k, 3))
+        which = np.repeat([i for i, count in plan for _ in range(count)], k)
+        terms = [ode.input_terms(stream, kernels, which) if forced else None
+                 for _ in range(2)]
         outs = [np.full((rows, 12), np.nan) for _ in range(2)]
-        steps = ode.Etdrk4Run(y0, stream if forced else None)
-        y, inputs, i = y0, iter(stream) if forced else None, 0
-        for kernel, count in plan:
-            steps.advance(kernel, outs[0][i:i + count], k)
-            y = allocating_advance(kernel, y, outs[1][i:i + count], k, inputs)
+        steps = ode.Etdrk4Run(y0, terms[0])
+        y, i = y0, 0
+        for index, count in plan:
+            steps.advance(kernels[index], outs[0][i:i + count], k)
+            y = allocating_advance(kernels[index], y, outs[1][i:i + count], k,
+                                   terms[1])
             i += count
         assert_bitwise(outs[0], outs[1])
         assert_bitwise(steps.state(), y)
@@ -873,6 +909,81 @@ class TestAdvanceDiagonal(TestAdvance):
     @pytest.fixture(autouse=True)
     def diagonal(self, monkeypatch):
         monkeypatch.setattr(ode, "_DENSE_DIM", 0)
+
+
+class TestStepRows:
+    """One step from each row of a block, against the run's step."""
+
+    @pytest.mark.parametrize("diagonal", [False, True],
+                             ids=["dense", "diagonal"])
+    @pytest.mark.parametrize("forced", [False, True],
+                             ids=["unforced", "forced"])
+    def test_block_of_one_matches_run(self, rng, monkeypatch, forced,
+                                      diagonal):
+        if diagonal:
+            monkeypatch.setattr(ode, "_DENSE_DIM", 0)
+        lam, row, g, h, bm = TestStepForms.coefficients(rng, 2, 3, h=0.3)
+        kernel = ode.cubic_etdrk4(lam, row, g, h, bm)
+        assert (kernel.dense is None) == diagonal
+        for _ in range(20):
+            y = rng.standard_normal(8)
+            u = rng.standard_normal(3)
+            if forced:
+                want = kernel.step(y, *u)
+                got = kernel.step_rows(y[None], u[None])
+            else:
+                want = kernel.advance(y, np.empty((1, 8)), 1)
+                got = kernel.step_rows(y[None])
+            assert got.shape == (1, 8)
+            assert np.abs(got[0] - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_rows_are_independent(self, rng, forced):
+        # each row of a block steps as it would alone
+        kernel = ode.cubic_etdrk4(*TestStepForms.coefficients(rng, 2, 3))
+        ys = rng.standard_normal((7, 8))
+        inputs = rng.standard_normal((7, 3)) if forced else None
+        block = kernel.step_rows(ys, inputs)
+        for i in range(7):
+            alone = kernel.step_rows(
+                ys[i:i + 1], None if inputs is None else inputs[i:i + 1])
+            np.testing.assert_allclose(block[i], alone[0], rtol=1e-15,
+                                       atol=1e-15 * np.abs(alone).max())
+
+    def test_overflow_raises(self):
+        kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
+                                  np.array([-1.0]), 0.5, np.zeros(1))
+        with raises_quietly(ode.NonFiniteState):
+            kernel.step_rows(np.array([[0.5], [1e120]]))
+
+
+class TestInputTerms:
+    """A forced run's input terms, formed ahead for each step's kernel."""
+
+    def test_per_step_products(self, rng):
+        # (d2, d3, d4, d5) of each step from its kernel's input map, then
+        # its (u0, u1, uh), as the stage arithmetic reads them
+        kernels = TestAdvance.kernels(rng, True, (0.3, 0.1, 0.2))
+        which = rng.integers(0, 3, 40)
+        u = rng.standard_normal((40, 3))
+        terms = list(ode.input_terms(u, kernels, which))
+        assert len(terms) == 40
+        for (u0, uh, u1), i, got in zip(u.tolist(), which.tolist(), terms):
+            m = kernels[i].input_map.tolist()
+            want = [u0 * m[0][j] + uh * m[1][j] + u1 * m[2][j]
+                    for j in range(4)]
+            np.testing.assert_allclose(got[:4], want, rtol=1e-15,
+                                       atol=1e-15 * max(map(abs, want)))
+            assert got[4:] == (u0, u1, uh)
+
+    def test_input_map_layout(self, rng):
+        # u0 enters every stage, uh stages 3 to 5 (twice in 4 and 5, for
+        # the two stages at the midpoint), u1 only stage 5
+        kernel = TestAdvance.kernel(rng, True)
+        m = kernel.input_map
+        assert m.shape == (3, 4) and not m.flags.writeable
+        assert m[1, 0] == m[2, 0] == m[2, 1] == m[2, 2] == 0.0
+        assert (m[0] != 0.0).all() and (m[1, 1:] != 0.0).all()
 
 
 class TestStepForms:
@@ -980,8 +1091,8 @@ class TestRealModes:
                                  np.cos(grid)])
             inputs = None
         samples = np.full((200, 40), np.nan)
-        ode.Etdrk4Run(table.modal_state(x0), inputs).advance(
-            kernel, samples, 2)
+        ode.Etdrk4Run(table.modal_state(x0), inputs and forced_terms(
+            kernel, inputs)).advance(kernel, samples, 2)
         ref = np.full((200, 40), np.nan, dtype=complex)
         complex_advance(self.reference(sys_, 0.05), modes.solve(x0), ref, 2,
                         inputs)

@@ -9,9 +9,10 @@ from cablemass import analysis, balance, ode, rom
 from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import DimensionMismatch, PhysicalParams, build_system, \
     eval_nonlinearity, fom_jacobian, fom_rhs
-from cablemass.signals import eval_input, input_preset, resolve_input
-from conftest import (EXAMPLE1, integrate_sampled, node_sampled,
-                      record_integrate)
+from cablemass.signals import (breakpoints, eval_input, input_preset,
+                               resolve_input)
+from conftest import (EXAMPLE1, first_run_steps, integrate_sampled,
+                      node_sampled, record_integrate)
 
 
 @pytest.fixture(scope="module")
@@ -148,12 +149,17 @@ class TestSimulate:
 
 
 def fixed_k(monkeypatch, k):
-    """Make the forced runs keep the run at k, checked against k / 2."""
-    def doubling(run, steps_per_k, budget):
+    """Make the forced runs keep the run at k, checked against k / 2.
+
+    The run at k = 1 is checked against the coarse first run.
+    """
+    def doubling(first, run, steps_per_k, budget):
         if k > 1:
             run(k // 2, False)
-        est, _ = run(k, k > 1)
-        return k, steps_per_k * (k + k // 2), est
+        else:
+            first[1]()
+        est, _ = run(k, True)
+        return k, steps_per_k * (k + k // 2) if k > 1 else first[0], est
 
     monkeypatch.setattr(ode, "step_doubling", doubling)
 
@@ -167,8 +173,10 @@ class TestPiecewise:
         # value on it
         spec = input_preset("input4")
         interval = 100.0 / 999
-        starts, lengths, paths = rom._intervals(
-            spec, np.linspace(0.0, 100.0, 1000), interval)
+        intervals = rom._intervals(spec, np.linspace(0.0, 100.0, 1000),
+                                   interval)
+        starts, lengths, paths = (intervals.starts, intervals.lengths,
+                                  intervals.paths)
         jumps = 5.0 * np.arange(1, 20)
         assert np.isin(jumps, starts).all()
         inside = (jumps[:, None] > starts) & \
@@ -182,8 +190,16 @@ class TestPiecewise:
         assert sum(len(path) for path in paths) == starts.size == 1018
         np.testing.assert_array_equal(lengths[lengths != interval],
                                       [p for path in cut for p in path])
+        # each path's intervals, and the step size of each interval
+        np.testing.assert_array_equal(
+            intervals.whole, [path == (None,) for path in paths])
+        np.testing.assert_array_equal(np.diff(intervals.first),
+                                      [len(path) for path in paths])
+        np.testing.assert_array_equal(intervals.sizes[intervals.which],
+                                      lengths)
+        np.testing.assert_array_equal(intervals.sizes, np.unique(lengths))
         for k in (1, 4):
-            held = np.array(rom._stage_inputs(spec, starts, lengths, k))
+            held = rom._stage_inputs(spec, starts, lengths, k)
             value = 0.1 * (-1.0) ** np.floor(starts / 5.0)
             np.testing.assert_array_equal(
                 held, np.repeat(value, 3 * k).reshape(-1, 3))
@@ -197,16 +213,38 @@ class TestPiecewise:
         assert rom._intervals(replace(spec, scale=2.5), grid,
                               100.0 / 999) is kept
         smooth = rom._intervals(input_preset("input1"), grid, 100.0 / 999)
-        assert smooth[0].size == 999 and set(smooth[2]) == {(None,)}
+        assert smooth.starts.size == 999 and set(smooth.paths) == {(None,)}
         coarse = rom._intervals(spec, np.linspace(0.0, 100.0, 112),
                                 100.0 / 111)
-        assert coarse is not kept and len(coarse[2]) == 111
-        for arr in (*kept[:2], *smooth[:2]):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        assert coarse is not kept and len(coarse.paths) == 111
+        for intervals in (kept, smooth):
+            for arr in (intervals.starts, intervals.lengths, intervals.whole,
+                        intervals.first, intervals.sizes, intervals.which):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    @pytest.mark.parametrize("tf, count", [(20.0, 30), (100.0, 216),
+                                           (100.0, 1000), (100.0, 1001)])
+    def test_coarse_grid_times_exact(self, tf, count):
+        # the coarse first run's intervals end on grid[::2] bitwise, which
+        # np.linspace(t0, grid[-1 or -2], ...) misses by an ulp at these
+        # counts, and cut no piece much shorter than the grid's own (an
+        # ulp off a jump, that would be a 2e-15 piece)
+        spec = input_preset("input4")
+        grid = np.linspace(0.0, tf, count)
+        coarse = rom._intervals(spec, grid, 2.0 * tf / (count - 1), 2)
+        ends = coarse.starts[coarse.first[1:-1]]
+        assert ends.size == len(coarse.paths) - 1
+        np.testing.assert_array_equal(ends, grid[2:-1:2][:ends.size])
+        jumps = breakpoints(spec, 0.0, grid[::2][-1])
+        assert np.isin(jumps, coarse.starts).all()
+        fine = rom._intervals(spec, grid, tf / (count - 1))
+        assert coarse.lengths.min() >= 0.5 * fine.lengths.min()
 
     def test_smooth_input_one_call(self, reduced_n20, monkeypatch):
-        # one eval_input call per run, at every stage time of the run
+        # one eval_input call per run, at every stage time of the run:
+        # the run at k = 1, whose inputs the side steps share, the coarse
+        # run, the two half steps to sample 1, then k = 2, 4, ...
         sys, _, red = reduced_n20
         calls = []
 
@@ -218,28 +256,32 @@ class TestPiecewise:
         series = rom.simulate_rom(
             red, resolve_input(input_preset("input2"), sys), 0.0, 100.0)
         k = series.stats.steps_per_sample
-        assert len(calls) == k.bit_length()  # the runs at 1, 2, ..., k
-        for i, times in enumerate(calls):
-            h = (100.0 / 999) / 2**i
-            assert times.shape == (999, 2 * 2**i + 1)
-            np.testing.assert_allclose(
-                times, series.times[:-1, None] + 0.5 * h
-                * np.arange(2 * 2**i + 1), rtol=0.0, atol=1e-12)
+        assert k == 1
+        h = 100.0 / 999
+        starts = series.times[:-1, None]
+        assert len(calls) == 3
+        for times, want in zip(calls, (
+                starts + 0.5 * h * np.arange(3),
+                series.times[:998:2, None] + h * np.arange(3),
+                starts[:1] + 0.25 * h * np.arange(5))):
+            assert times.shape == want.shape
+            np.testing.assert_allclose(times, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("model", ["rom", "fom"])
     def test_stats_summed(self, reduced_n20, model):
-        # n_steps counts the steps of every run made: k per interval at
-        # k = 1, 2, ... up to the kept run's k
+        # n_steps counts the steps of every run made: the coarse first
+        # run's, then k per interval at k = 1, 2, ... up to the kept k
         sys, _, red = reduced_n20
         spec = input_preset("input4")
         if model == "rom":
             series = rom.simulate_rom(red, spec, 0.0, 30.0)
         else:
             series = rom.simulate_fom(sys, spec, 0.0, 30.0)
-        starts, _, _ = rom._intervals(spec, series.times, 30.0 / 999)
+        starts = rom._intervals(spec, series.times, 30.0 / 999).starts
         s = series.stats
-        assert s.steps_per_sample >= 2
-        assert s.n_steps == starts.size * (2 * s.steps_per_sample - 1)
+        assert s.steps_per_sample == 1
+        assert s.n_steps == (first_run_steps(spec, series.times)
+                             + starts.size * (2 * s.steps_per_sample - 1))
         assert s.step == 30.0 / 999 / s.steps_per_sample
 
     def test_breakpoint_samples_are_stored_states(self, reduced_n20):
@@ -248,9 +290,9 @@ class TestPiecewise:
         # the grid 0, 0.5, ..., 100 at the shared times
         _, _, red = reduced_n20
         spec = input_preset("input4")
-        starts, _, paths = rom._intervals(
-            spec, np.linspace(0.0, 100.0, 21), 5.0)
-        assert starts.size == 20 and set(paths) == {(None,)}
+        intervals = rom._intervals(spec, np.linspace(0.0, 100.0, 21), 5.0)
+        assert intervals.starts.size == 20
+        assert set(intervals.paths) == {(None,)}
         coarse = rom.simulate_rom(red, spec, 0.0, 100.0, sample_count=21)
         fine = rom.simulate_rom(red, spec, 0.0, 100.0, sample_count=201)
         np.testing.assert_array_equal(fine.times[::10], coarse.times)
@@ -282,7 +324,7 @@ class TestEtdrk4Runs:
             series = rom.simulate_fom(sys, spec, 0.0, 20.0)
         assert calls == []
         s = series.stats
-        assert s.steps_per_sample >= 2
+        assert s.steps_per_sample == 1
         scale = np.abs(series.values).max(axis=0)
         assert 0.0 < s.error_estimate <= (1e-3 * scale + 1e-6).min()
         modes = red.modes if model == "rom" else sys.modes
@@ -320,25 +362,31 @@ class TestEtdrk4Runs:
 
     def test_blowup_dropped(self, reduced_n20, monkeypatch):
         # 10x the square wave over 5-s sample intervals: one step per
-        # interval overflows, so the run at k = 1 is dropped and the run
-        # at k = 2 is compared with none
+        # interval overflows, so the coarse first run and the run at
+        # k = 1 are dropped, and the run at k = 2 is compared with none
         _, _, red = reduced_n20
         spec = replace(input_preset("input4"), scale=10.0)
         made = []
         real = ode.step_doubling
 
-        def logged(run, steps_per_k, budget):
+        def logged(first, run, steps_per_k, budget):
+            def first_logged():
+                made.append(("first", None))
+                return first[1]()
+
             def run_logged(k, compare):
                 made.append((k, compare))
                 return run(k, compare)
-            return real(run_logged, steps_per_k, budget)
+            return real((first[0], first_logged), run_logged, steps_per_k,
+                        budget)
 
         monkeypatch.setattr(ode, "step_doubling", logged)
         series = rom.simulate_rom(red, spec, 0.0, 20.0, sample_count=5)
         k = series.stats.steps_per_sample
-        assert made[:2] == [(1, False), (2, False)]
-        assert made[2:] == [(2**i, True) for i in range(2, k.bit_length())]
-        assert series.stats.n_steps == 4 * (2 * k - 1)
+        assert made[:3] == [("first", None), (1, False), (2, False)]
+        assert made[3:] == [(2**i, True) for i in range(2, k.bit_length())]
+        assert series.stats.n_steps == (first_run_steps(spec, series.times)
+                                        + 4 * (2 * k - 1))
         assert np.isfinite(series.values).all()
         monkeypatch.setattr(ode, "step_doubling", real)
         fixed_k(monkeypatch, 4 * k)
@@ -392,6 +440,175 @@ class TestEtdrk4Runs:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 1000 * 400 * 8 / 4
+
+
+class TestStiffEstimate:
+    """The estimate contract on small_stiff_ex5_in4 at n = 50.
+
+    Its FOM has real eigenvalues down to -949 here and its input is a
+    square wave, where a step of stiff order 2 makes the /15 estimate
+    too small: Cox and Matthews' ETDRK4 leaves these FOM outputs 1.3x
+    (rtol 1e-5) and 2.0x (rtol 1e-6) their tolerance off.
+    """
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        preset = PRESETS["small_stiff_ex5_in4"]
+        sys = build_system(preset.params, 50)
+        p, q = balance.gramians(sys)
+        bal = balance.square_root_transform(p, q, preset.r)
+        return preset, {"fom": (sys, rom.simulate_fom),
+                        "rom": (balance.reduce(sys, bal), rom.simulate_rom)}
+
+    @pytest.mark.parametrize("rtol", [1e-5, 1e-6])
+    @pytest.mark.parametrize("model", ["fom", "rom"])
+    def test_outputs_within_tolerance(self, models, monkeypatch, model,
+                                      rtol):
+        # every output within rtol * scale + atol of a fixed k = 32 run
+        preset, systems = models
+        system, simulate = systems[model]
+        spec = input_preset(preset.input_name)
+        atol = 1e-9
+        series = simulate(system, spec, 0.0, preset.tf, rtol=rtol, atol=atol)
+        fixed_k(monkeypatch, 32)
+        ref = simulate(system, spec, 0.0, preset.tf, rtol=rtol,
+                       atol=atol).values
+        scale = np.abs(series.values).max(axis=0)
+        assert (np.abs(series.values - ref) <= rtol * scale + atol).all()
+
+
+def seed_only(monkeypatch):
+    """Make the forced runs return the coarse first run's samples."""
+    def doubling(first, run, steps_per_k, budget):
+        first[1]()
+        return 1, first[0], 0.0
+
+    monkeypatch.setattr(ode, "step_doubling", doubling)
+
+
+class TestCoarseFirstRun:
+    """The first run: steps of two sample intervals, and a side step to
+    each odd sample.  Square-wave runs on [0, 20] of the 4-mode ROM and
+    its 40-state FOM.
+    """
+
+    @staticmethod
+    def runs(reduced_n20, monkeypatch, model, count):
+        """(kept series, its first run's samples, a k = 16 reference)."""
+        sys, _, red = reduced_n20
+        system, simulate = ((red, rom.simulate_rom) if model == "rom"
+                            else (sys, rom.simulate_fom))
+        spec = input_preset("input4")
+        kept = simulate(system, spec, 0.0, 20.0, sample_count=count)
+        seed_only(monkeypatch)
+        first = simulate(system, spec, 0.0, 20.0, sample_count=count).values
+        fixed_k(monkeypatch, 16)
+        ref = simulate(system, spec, 0.0, 20.0, sample_count=count).values
+        return kept, first, ref
+
+    @pytest.mark.parametrize("count", [2, 3, 1000, 1001])
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_sample_counts(self, reduced_n20, monkeypatch, model, count):
+        # an odd interval count ends on a side step, an even one on a
+        # coarse step; 2 samples make no coarse step at all.  The first
+        # run writes every sample, and the kept run is within its
+        # tolerance of the reference at every sample
+        kept, first, ref = self.runs(reduced_n20, monkeypatch, model, count)
+        scale = np.abs(kept.values).max(axis=0)
+        assert (np.abs(first - ref) <= 0.1 * scale).all()
+        assert (np.abs(kept.values - ref) <= 1e-3 * scale + 1e-6).all()
+        intervals = rom._intervals(input_preset("input4"), kept.times,
+                                   20.0 / (count - 1))
+        k = kept.stats.steps_per_sample
+        assert kept.stats.n_steps == (first_run_steps(input_preset("input4"),
+                                                      kept.times)
+                                      + intervals.starts.size * (2 * k - 1))
+        if count >= 1000:
+            assert k == 1
+            assert (np.abs(first - ref) <= 1e-3 * scale + 1e-6).all()
+
+    @pytest.mark.parametrize("count, on_grid, cut", [
+        # 101 samples put t = 5 and 15 on odd samples: the fine grid is
+        # cut nowhere and the coarse grid at both
+        (101, True, 2),
+        # 98 put t = 5, 10 and 15 inside the intervals of side steps
+        (98, False, 3)])
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_jumps(self, reduced_n20, monkeypatch, model, count, on_grid,
+                   cut):
+        spec = input_preset("input4")
+        grid = np.linspace(0.0, 20.0, count)
+        interval = 20.0 / (count - 1)
+        fine = rom._intervals(spec, grid, interval)
+        coarse = rom._intervals(spec, grid, 2.0 * interval, 2)
+        jumps = np.array([5.0, 10.0, 15.0])
+        assert np.isin(jumps, grid).all() == on_grid
+        cut_side = [i for i in range(0, count - 1, 2) if not fine.whole[i]]
+        cut_coarse = np.flatnonzero(~coarse.whole).tolist()
+        if on_grid:
+            assert fine.whole.all() and len(cut_coarse) == cut
+        else:
+            assert len(cut_side) == cut
+        kept, first, ref = self.runs(reduced_n20, monkeypatch, model, count)
+        scale = np.abs(ref).max(axis=0)
+        tol = 1e-3 * scale + 1e-6
+        assert kept.stats.steps_per_sample == 1
+        assert (np.abs(kept.values - ref) <= tol).all()
+        # the first run holds the square wave's value on each piece
+        assert (np.abs(first - ref) <= 0.01 * tol).all()
+
+    def test_fallback_after_nonfinite_first_run(self, reduced_n20,
+                                                monkeypatch):
+        # a NonFiniteState in the first run's side steps drops it: the
+        # run at k = 1 only seeds the check of the run at k = 2, as a
+        # fixed k = 2 makes it
+        _, _, red = reduced_n20
+        spec = input_preset("input4")
+
+        def failing(self, ys, inputs=None):
+            raise ode.NonFiniteState("side step")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ode.CubicEtdrk4, "step_rows", failing)
+            series = rom.simulate_rom(red, spec, 0.0, 20.0)
+        fixed_k(monkeypatch, 2)
+        ref = rom.simulate_rom(red, spec, 0.0, 20.0)
+        assert series.stats.steps_per_sample == 2
+        assert series.values.tobytes() == ref.values.tobytes()
+        intervals = rom._intervals(spec, series.times, 20.0 / 999)
+        assert series.stats.n_steps == (first_run_steps(spec, series.times)
+                                        + 3 * intervals.starts.size)
+
+    def test_step_budget_counts_first_run(self, reduced_n20, monkeypatch):
+        # the budget is charged the coarse steps and the side steps
+        _, _, red = reduced_n20
+        spec = input_preset("input4")
+        grid = np.linspace(0.0, 20.0, 1000)
+        first = first_run_steps(spec, grid)
+        fine = rom._intervals(spec, grid, 20.0 / 999).starts.size
+        for budget, passes in ((first - 1, False), (first + fine - 1, False),
+                               (first + fine, True)):
+            monkeypatch.setattr(rom, "_STEP_BUDGET", budget)
+            if passes:
+                stats = rom.simulate_rom(red, spec, 0.0, 20.0).stats
+                assert stats.n_steps == budget
+            else:
+                with pytest.raises(ode.StepBudget):
+                    rom.simulate_rom(red, spec, 0.0, 20.0)
+
+    @pytest.mark.parametrize("model", ["rom", "fom"])
+    def test_repeated_query_builds_nothing(self, reduced_n20, model):
+        # the coefficient sets and both interval sets of a query are kept
+        sys, _, red = reduced_n20
+        system, simulate = ((red, rom.simulate_rom) if model == "rom"
+                            else (sys, rom.simulate_fom))
+        spec = input_preset("input4")
+        first = simulate(system, spec, 0.0, 17.0)
+        misses = rom._grid_intervals.cache_info().misses
+        again = simulate(system, replace(spec, scale=0.5), 0.0, 17.0)
+        assert again.stats.sets_built == 0
+        assert rom._grid_intervals.cache_info().misses == misses
+        assert again.stats.n_steps == first.stats.n_steps
 
 
 class TestEtdrk4Table:
