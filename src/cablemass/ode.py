@@ -15,7 +15,7 @@ linear parts too, which makes the error estimate of step doubling hold
 there.  It has no error estimate of its own: ``step_doubling`` makes a
 coarse first run, then runs at k = 1, 2, 4, ... steps per sample
 interval until one agrees with the run before it to the caller's
-tolerance.  ``CubicEtdrk4.advance`` makes many steps in one call,
+tolerance.  ``Etdrk4Run.advance`` makes many steps in one call,
 ``CubicEtdrk4.step_rows`` one step from each row of a block, and
 ``etd_weights`` evaluates the phi-function coefficients: the closed
 forms where |h lambda| >= 2, and below that their Taylor series, whose
@@ -554,8 +554,8 @@ class CubicEtdrk4:
     plus the earlier stages' cubes ci = si^3 weighted by ``stage`` and
     the input's terms, and the step itself is e^(h lam) y plus the real
     rows of ``w`` weighted by c1, c4, c5 and the input values.  Build it
-    with ``cubic_etdrk4`` and step it with ``advance``, ``step_rows`` or
-    an ``Etdrk4Run``.
+    with ``cubic_etdrk4`` and step it with an ``Etdrk4Run`` or
+    ``step_rows``.
 
     e_real, e_pairs : e^(h lam) of the real modes (floats) and of the
     pair modes (complex).  rows : (3, dim) reals, the state layout of
@@ -589,62 +589,13 @@ class CubicEtdrk4:
     input_map: np.ndarray
     dense: np.ndarray | None = None
 
-    def advance(self, y: np.ndarray, out: np.ndarray, k: int,
-                inputs=None) -> np.ndarray:
-        """Make k steps per row of out from y; write each row's end state.
-
-        y is a state and out a float array of one state per row.  Row i
-        of out receives the state after (i + 1) k steps, and a copy of
-        the last of them is returned (of y when out has no rows); y is
-        not written.  inputs gives (u0, uh, u1), the input at a step's
-        start, middle and end, for each of the k len(out) steps in turn;
-        an iterator is advanced by exactly that many.  Without inputs the
-        input is 0 and takes no part: a step adds only the three cubic
-        rows of w.  The call makes one ``Etdrk4Run``; a run that steps
-        through several kernels keeps one ``Etdrk4Run`` instead.
-
-        With N(y, t) = g s(y)^3 + bm u(t), stage times t + ci h and the
-        stage states Y1 = y,
-        Y2 = e^(hL/2) y + h a21 N1,
-        Y3 = e^(hL/2) y + h (a31 N1 + a32 N2),
-        Y4 = e^(hL) y + h (a41 N1 + a42 (N2 + N3)) and
-        Y5 = e^(hL/2) y + h (a51 N1 + a52 (N2 + N3) + a54 N4), a step is
-        e^(hL) y + h (b1 N1 + b4 N4 + b5 N5) (Hochbruck and Ostermann
-        2005; Ni = N(Yi, t + ci h)).  The stage arithmetic runs on the
-        stage scalars; the linear update that follows is one real
-        product with ``dense`` where the kernel has it, which also gives
-        the next step's rows @ y, else e^(h lam) y, the real and the
-        complex part each multiplied in place, plus w^T times the
-        weights, added in place by one BLAS ``dgemv``, and rows @ y for
-        the next step.
-
-        Raises NonFiniteState when a stage value is not finite, which a
-        step too long for the cubic term can cause; the rows completed
-        before the failing step are written.
-        """
-        n = k * len(out)
-        run = Etdrk4Run(y, None if inputs is None else input_terms(
-            list(itertools.islice(iter(inputs), n)), [self],
-            np.zeros(n, dtype=int)))
-        run.advance(self, out, k)
-        return run.state()
-
-    def step(self, y: np.ndarray, u0: float = 0.0, uh: float = 0.0,
-             u1: float = 0.0) -> np.ndarray:
-        """The state one step of h after y: ``advance`` by one step.
-
-        u0, uh and u1 are the input at the step's start, middle and end.
-        Raises NonFiniteState as ``advance`` does.
-        """
-        return self.advance(y, np.empty((1, y.size)), 1, ((u0, uh, u1),))
-
     def step_rows(self, ys: np.ndarray, inputs=None) -> np.ndarray:
         """One step from each row of ys, all rows at once; a new array.
 
         ys is a block of states, one per row, and inputs is None (the
         zero input) or an array of each row's (u0, uh, u1).  The stage
-        arithmetic of ``advance`` runs on arrays, one entry per row, in
-        the same order, and the update is one GEMM: of [ys | weights]
+        arithmetic of ``Etdrk4Run.advance`` runs on arrays, one entry per
+        row, in the same order, and the update is one GEMM: of [ys | weights]
         with ``dense`` where the kernel has it, else of the weights with
         w, added to ys times e^(h lam).  Raises NonFiniteState when a
         stage value of any row is not finite.
@@ -766,8 +717,19 @@ class Etdrk4Run:
         """Make k steps of kernel per row of out; write each row's end state.
 
         Row i of out receives the state after (i + 1) k steps; the
-        input terms are advanced by k len(out).  Raises NonFiniteState
-        as ``CubicEtdrk4.advance`` does.
+        input terms are advanced by k len(out).  With N(y, t) =
+        g s(y)^3 + bm u(t), stage times t + ci h and the stage states
+        Y1 = y, Y2 = e^(hL/2) y + h a21 N1,
+        Y3 = e^(hL/2) y + h (a31 N1 + a32 N2),
+        Y4 = e^(hL) y + h (a41 N1 + a42 (N2 + N3)) and
+        Y5 = e^(hL/2) y + h (a51 N1 + a52 (N2 + N3) + a54 N4), a step is
+        e^(hL) y + h (b1 N1 + b4 N4 + b5 N5) (Hochbruck and Ostermann
+        2005; Ni = N(Yi, t + ci h)), in the stage scalars and weights of
+        ``CubicEtdrk4``.
+
+        Raises NonFiniteState when a stage value is not finite, which a
+        step too long for the cubic term can cause; the rows completed
+        before the failing step are written.
         """
         dense = kernel.dense
         # bound methods and positional arguments: np.dot's dispatch and

@@ -98,8 +98,8 @@ _SAMPLE_BLOCK = 128
 # Interval sets (one per jump set and grid) that _intervals keeps, the
 # least recently used dropped first.  A query uses two, its grid's and
 # the coarse first run's every second time (4 in a benchmark ``online``
-# pass).  A set of 1000 samples holds about 94 KB (tracemalloc) and one
-# of 500 about 47 KB, so the cache at most 0.75 MB.
+# pass).  A square-wave set of 1000 samples holds 35-40 KB (tracemalloc;
+# 50-300 s) and its coarse run's 18-22 KB, so the cache at most 0.32 MB.
 _INTERVAL_SETS = 8
 
 
@@ -174,21 +174,20 @@ class _Intervals(NamedTuple):
 
     Interval j starts at starts[j] and has length lengths[j]; one
     between two grid times has the nominal sample interval as its
-    length, so all of them share one step size.  paths holds, for each
-    grid time after the first, the intervals that lead to it from the
-    grid time before, one entry each: None for a whole sample interval,
-    else the piece's length (two pieces where a jump falls in between);
-    whole[i] is path i == (None,), cuts lists the other paths' indices,
-    and path i's intervals are first[i] to first[i + 1].  sizes are the
-    distinct lengths, and which[j] the index in sizes of lengths[j]: the
-    step sizes of a run.
+    length, so all of them share one step size.  Path i, the intervals
+    from grid time i to grid time i + 1, is intervals first[i] to
+    first[i + 1]: one whole sample interval where whole[i], else the
+    pieces that the jumps in between cut it into.  cuts lists the paths
+    that are not whole, and pieces[m] the piece lengths of path cuts[m].
+    sizes are the distinct lengths, and which[j] the index in sizes of
+    lengths[j]: the step sizes of a run.
     """
 
     starts: np.ndarray
     lengths: np.ndarray
-    paths: tuple
     whole: np.ndarray
     cuts: tuple
+    pieces: tuple
     first: np.ndarray
     sizes: np.ndarray
     which: np.ndarray
@@ -215,27 +214,30 @@ def _intervals(spec: InputSpec, grid: np.ndarray, interval: float,
 @lru_cache(maxsize=_INTERVAL_SETS)
 def _grid_intervals(jumps: tuple, t0: float, tf: float, count: int,
                     interval: float, stride: int) -> _Intervals:
-    """``_intervals`` of np.linspace(t0, tf, count)[::stride] and jumps."""
+    """``_intervals`` of np.linspace(t0, tf, count)[::stride] and jumps.
+
+    np.linspace puts a grid time up to an ulp of tf off its exact value
+    (5.000000000000002 for 5), so a jump within 4 ulps of tf of a grid
+    time is taken onto it, where it would cut a piece that short.
+    """
     grid = np.linspace(t0, tf, count)[::stride]
-    knots = np.union1d(grid, jumps)
-    on_grid = np.isin(knots, grid)
+    jumps = np.array(jumps, dtype=float)
+    j = np.clip(np.searchsorted(grid, jumps), 1, grid.size - 1)
+    near = np.where(jumps - grid[j - 1] < grid[j] - jumps, grid[j - 1],
+                    grid[j])
+    snap = np.abs(near - jumps) <= 4.0 * np.spacing(max(abs(t0), abs(tf)))
+    knots = np.union1d(grid, np.where(snap, near, jumps))
+    first = np.searchsorted(knots, grid)
+    whole = np.diff(first) == 1
     lengths = np.diff(knots)
-    whole = on_grid[:-1] & on_grid[1:]
-    lengths[whole] = interval
-    paths, path = [], []
-    for length, is_whole, ends_on_sample in zip(
-            lengths.tolist(), whole.tolist(), on_grid[1:].tolist()):
-        path.append(None if is_whole else length)
-        if ends_on_sample:
-            paths.append(tuple(path))
-            path = []
+    lengths[first[:-1][whole]] = interval
+    cuts = tuple(np.flatnonzero(~whole).tolist())
     sizes, which = np.unique(lengths, return_inverse=True)
-    whole = np.array([path == (None,) for path in paths], dtype=bool)
     out = _Intervals(
-        starts=knots[:-1], lengths=lengths, paths=tuple(paths), whole=whole,
-        cuts=tuple(np.flatnonzero(~whole).tolist()),
-        first=np.cumsum([0] + [len(path) for path in paths]),
-        sizes=sizes, which=which)
+        starts=knots[:-1], lengths=lengths, whole=whole, cuts=cuts,
+        pieces=tuple(tuple(lengths[first[i]:first[i + 1]].tolist())
+                     for i in cuts),
+        first=first, sizes=sizes, which=which)
     for arr in (out.starts, out.lengths, out.whole, out.first, out.sizes,
                 out.which):
         arr.flags.writeable = False
@@ -334,11 +336,11 @@ def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
         # interval's kernel serves each stretch of whole intervals, and
         # a piece cut by a jump takes the kernel of its length
         i, cuts = i0, intervals.cuts
-        inside = cuts[bisect_left(cuts, i0):bisect_left(cuts, i0 + len(out))]
-        for cut in inside:
+        lo, hi = bisect_left(cuts, i0), bisect_left(cuts, i0 + len(out))
+        for cut, pieces in zip(cuts[lo:hi], intervals.pieces[lo:hi]):
             steps.advance(whole, out[i - i0:cut - i0], k)
             # every piece writes the row; the last one ends on it
-            for piece in intervals.paths[cut]:
+            for piece in pieces:
                 steps.advance(table.kernel(piece / k),
                               out[cut - i0:cut - i0 + 1], k)
             i = cut + 1

@@ -208,5 +208,5 @@ def first_run_steps(spec, grid) -> int:
     fine = rom._intervals(spec, grid, interval)
     coarse = (rom._intervals(spec, grid, 2.0 * interval, 2).starts.size
               if grid.size > 2 else 0)
-    pieces = [len(path) for path in fine.paths[::2]]
-    return coarse + sum(pieces) + pieces[0]
+    pieces = np.diff(fine.first)[::2]
+    return coarse + int(pieces.sum() + pieces[0])

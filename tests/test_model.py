@@ -210,7 +210,7 @@ class TestFomRhs:
         np.testing.assert_allclose(fom_rhs(sys, x, u), expected, atol=1e-14)
 
     @pytest.mark.parametrize("n", [3, 4, 50, 200])
-    def test_sparse_product_matches_dense(self, n, rng):
+    def test_matches_linear_part_plus_nonlinearity(self, n, rng):
         sys = build_system(PhysicalParams(k3=2.0, gamma=0.1, alphal=0.1), n)
         x = rng.standard_normal(2 * n)
         u = rng.standard_normal()

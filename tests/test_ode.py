@@ -82,9 +82,23 @@ def raises_quietly(error, match=None):
 
 
 def forced_terms(kernel, inputs):
-    """The input terms of a run of one kernel, as ``CubicEtdrk4.advance``."""
+    """The input terms of a run of one kernel, one (u0, uh, u1) per step."""
     n = len(inputs)
     return ode.input_terms(inputs, [kernel], np.zeros(n, dtype=int))
+
+
+def kernel_steps(kernel, y, out=None, k=1, inputs=None):
+    """k steps of kernel per row of out from y, by one ``Etdrk4Run``.
+
+    out defaults to one row: one step.  inputs holds each step's
+    (u0, uh, u1), or is None for the zero input, which then takes no
+    part.  Returns the run's end state.
+    """
+    out = np.empty((1, np.size(y))) if out is None else out
+    run = ode.Etdrk4Run(y, None if inputs is None
+                        else forced_terms(kernel, inputs))
+    run.advance(kernel, out, k)
+    return run.state()
 
 
 def stage_cubes(stage, s1, p, r, d2=0.0, d3=0.0, d4=0.0, d5=0.0):
@@ -288,7 +302,7 @@ class TestIntegrate:
         with raises_quietly(ode.NonFiniteState, match="blew up"):
             run(rhs, np.array([1.0]), 0.0, 1.0, **DECAY)
 
-    def test_nonfinite_stage_banded(self):
+    def test_nonfinite_stage_fom(self):
         sys = build_system(PhysicalParams(gamma=0.1, alphal=0.1), 4)
 
         def rhs(t, x):
@@ -619,7 +633,7 @@ class TestCubicEtdrk4:
                                   np.array([-1.0]), h, np.zeros(1))
         y = np.array([1.0])
         for _ in range(round(tf / h)):
-            y = kernel.step(y)
+            y = kernel_steps(kernel, y)
         return y[0]
 
     def test_fourth_order(self):
@@ -637,8 +651,9 @@ class TestCubicEtdrk4:
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), 0.3,
                                   np.zeros(6))
-        np.testing.assert_allclose(kernel.step(y.view(float)).view(complex),
-                                   np.exp(0.3 * lam) * y, rtol=1e-15)
+        np.testing.assert_allclose(
+            kernel_steps(kernel, y.view(float)).view(complex),
+            np.exp(0.3 * lam) * y, rtol=1e-15)
 
     def test_constant_input_exact(self, rng):
         # y' = lambda y + bm u with u constant: h (b1 + b4 + b5) is
@@ -650,7 +665,8 @@ class TestCubicEtdrk4:
         kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), h, bm)
         e = np.exp(h * lam)
         np.testing.assert_allclose(
-            kernel.step(y.view(float), u, u, u).view(complex),
+            kernel_steps(kernel, y.view(float),
+                         inputs=[(u, u, u)]).view(complex),
             e * y + (e - 1.0) / lam * bm * u, rtol=1e-14)
 
     def test_smooth_input_fourth_order(self):
@@ -665,7 +681,8 @@ class TestCubicEtdrk4:
                                       np.array([-1.0]), h, np.array([1.0]))
             y = np.array([0.0])
             for i in range(round(2.0 / h)):
-                y = kernel.step(y, u(i * h), u((i + 0.5) * h), u((i + 1) * h))
+                y = kernel_steps(kernel, y, inputs=[
+                    (u(i * h), u((i + 0.5) * h), u((i + 1) * h))])
             errors.append(abs(y[0] - 0.5 * math.sin(2.0)))
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine >= 12.0
@@ -682,17 +699,17 @@ class TestCubicEtdrk4:
             unforced = ode.cubic_etdrk4(lam, row, g, 0.3, np.zeros(6))
             forced = ode.cubic_etdrk4(lam, row, g, 0.3, 10.0 * bm)
             assert (forced.dense is None) == (dense_dim == 0)
-            np.testing.assert_allclose(forced.step(y), unforced.step(y),
-                                       rtol=1e-14)
-            no_inputs = np.empty((1, 10))
-            assert_bitwise(forced.advance(y, no_inputs, 1),
-                           unforced.advance(y, no_inputs, 1))
+            zero = [(0.0, 0.0, 0.0)]
+            np.testing.assert_allclose(
+                kernel_steps(forced, y, inputs=zero),
+                kernel_steps(unforced, y, inputs=zero), rtol=1e-14)
+            assert_bitwise(kernel_steps(forced, y), kernel_steps(unforced, y))
 
     def test_overflowing_stage_raises(self):
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                   np.array([-1.0]), 0.5, np.zeros(1))
         with raises_quietly(ode.NonFiniteState):
-            kernel.step(np.array([1e120]))
+            kernel_steps(kernel, np.array([1e120]))
 
     def test_coefficients_read_only(self, rng):
         # a table hands one kernel to every run of its step size
@@ -724,7 +741,7 @@ class TestCubicEtdrk4:
 
 
 class TestAdvance:
-    """Many ETDRK4 steps in one call, against one step per call.
+    """Many ETDRK4 steps in one ``Etdrk4Run.advance``, against one per run.
 
     The kernels have 6 pair modes: a state of 12 reals.
     """
@@ -749,10 +766,11 @@ class TestAdvance:
         y0 = self.state(rng)
         inputs = rng.standard_normal((5 * k, 3)).tolist() if forced else None
         out = np.full((5, 12), np.nan)
-        end = kernel.advance(y0, out, k, inputs)
+        end = kernel_steps(kernel, y0, out, k, inputs)
         y = y0
         for i in range(5 * k):
-            y = kernel.step(y, *inputs[i]) if forced else kernel.step(y)
+            y = kernel_steps(kernel, y,
+                             inputs=inputs[i:i + 1] if forced else None)
             if i % k == k - 1:
                 np.testing.assert_allclose(out[i // k].view(complex),
                                            y.view(complex), rtol=1e-15)
@@ -761,16 +779,18 @@ class TestAdvance:
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_fills_exactly_its_rows(self, rng, k, forced):
-        # three rows of a five-row array, and 3k inputs of a longer stream
+        # three rows of a five-row array, and the terms of 3k steps of a
+        # longer stream
         kernel = self.kernel(rng, forced)
         y0 = self.state(rng)
         out = np.full((5, 12), np.nan)
-        inputs = iter(rng.standard_normal((3 * k + 1, 3)).tolist())
-        kernel.advance(y0, out[:3], k, inputs if forced else None)
+        inputs = rng.standard_normal((3 * k + 1, 3))
+        terms = forced_terms(kernel, inputs) if forced else None
+        ode.Etdrk4Run(y0, terms).advance(kernel, out[:3], k)
         assert np.isfinite(out[:3]).all()
         assert np.isnan(out[3:]).all()
         if forced:
-            assert len(list(inputs)) == 1
+            assert len(list(terms)) == 1
 
     @pytest.mark.parametrize("forced", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -783,7 +803,7 @@ class TestAdvance:
         out = np.full((50, 1), np.nan)
         inputs = [(1.0, 1.0, 1.0)] * (50 * k) if forced else None
         with raises_quietly(ode.NonFiniteState):
-            kernel.advance(np.array([1.5]), out, k, inputs)
+            kernel_steps(kernel, np.array([1.5]), out, k, inputs)
         assert np.isfinite(out[0]).all()
         assert np.isnan(out[-1]).all()
 
@@ -791,12 +811,12 @@ class TestAdvance:
     def test_empty_out_returns_y(self, rng, forced):
         kernel = self.kernel(rng, forced)
         y = self.state(rng)
-        inputs = iter([(1.0, 1.0, 1.0)])
-        end = kernel.advance(y, np.empty((0, 12)), 2,
-                             inputs if forced else None)
-        assert_bitwise(end, y)
+        terms = forced_terms(kernel, [(1.0, 1.0, 1.0)]) if forced else None
+        run = ode.Etdrk4Run(y, terms)
+        run.advance(kernel, np.empty((0, 12)), 2)
+        assert_bitwise(run.state(), y)
         if forced:
-            assert len(list(inputs)) == 1
+            assert len(list(terms)) == 1
 
     @staticmethod
     def kernels(rng, forced, sizes):
@@ -816,7 +836,7 @@ class TestAdvance:
         y0 = self.state(rng)
         inputs = rng.standard_normal((5 * k, 3)).tolist() if forced else None
         outs = [np.full((5, 12), np.nan) for _ in range(2)]
-        end = kernel.advance(y0, outs[0], k, inputs)
+        end = kernel_steps(kernel, y0, outs[0], k, inputs)
         ref = allocating_advance(kernel, y0, outs[1], k,
                                  forced_terms(kernel, inputs) if forced
                                  else None)
@@ -837,7 +857,7 @@ class TestAdvance:
         y0 = 0.5 * rng.standard_normal(dim)
         inputs = rng.standard_normal((20, 3)).tolist() if forced else None
         outs = [np.full((10, dim), np.nan) for _ in range(2)]
-        kernel.advance(y0, outs[0], 2, inputs)
+        kernel_steps(kernel, y0, outs[0], 2, inputs)
         allocating_advance(kernel, y0, outs[1], 2,
                            forced_terms(kernel, inputs) if forced else None)
         assert_bitwise(outs[0], outs[1])
@@ -870,21 +890,21 @@ class TestAdvance:
 
     @pytest.mark.parametrize("forced", [False, True])
     def test_state_belongs_to_caller(self, rng, forced):
-        # advance writes neither y nor, later, the state it returned
+        # a run writes neither its y0 nor, later, the state it returned
         kernel, other = self.kernels(rng, forced, (0.3, 0.1))
         y = self.state(rng)
         y_kept = y.copy()
         out = np.empty((3, 12))
         inputs = ([(0.5, 0.5, 0.5)] * 6) if forced else None
-        end = kernel.advance(y, out, 2, inputs)
+        end = kernel_steps(kernel, y, out, 2, inputs)
         assert not np.shares_memory(end, out)
         end_kept = end.copy()
         for model_kernel in (kernel, other, kernel):
-            model_kernel.advance(end, out, 2, inputs)
-            model_kernel.advance(y, out, 2, inputs)
+            kernel_steps(model_kernel, end, out, 2, inputs)
+            kernel_steps(model_kernel, y, out, 2, inputs)
         assert_bitwise(y, y_kept)
         assert_bitwise(end, end_kept)
-        assert_bitwise(kernel.advance(y, out, 2, inputs), end_kept)
+        assert_bitwise(kernel_steps(kernel, y, out, 2, inputs), end_kept)
 
     def test_run_keeps_state_before_failing_step(self):
         # y' = -y + y^3 from 1.5 blows up near t = 0.29; the run's state
@@ -929,10 +949,10 @@ class TestStepRows:
             y = rng.standard_normal(8)
             u = rng.standard_normal(3)
             if forced:
-                want = kernel.step(y, *u)
+                want = kernel_steps(kernel, y, inputs=[u])
                 got = kernel.step_rows(y[None], u[None])
             else:
-                want = kernel.advance(y, np.empty((1, 8)), 1)
+                want = kernel_steps(kernel, y)
                 got = kernel.step_rows(y[None])
             assert got.shape == (1, 8)
             assert np.abs(got[0] - want).max() <= 1e-15 * np.abs(want).max()
@@ -1030,7 +1050,7 @@ class TestStepForms:
         y0 = 0.5 * rng.standard_normal(dim)
         inputs = rng.standard_normal((200, 3)).tolist()
         outs = [np.full((200, dim), np.nan) for _ in range(2)]
-        ends = [kernel.advance(y0, out, 1, inputs)
+        ends = [kernel_steps(kernel, y0, out, 1, inputs)
                 for kernel, out in zip((dense, diagonal), outs)]
         scale = np.abs(outs[1]).max()
         assert np.abs(outs[0] - outs[1]).max() <= 1e-13 * scale

@@ -164,6 +164,37 @@ def fixed_k(monkeypatch, k):
     monkeypatch.setattr(ode, "step_doubling", doubling)
 
 
+def loop_intervals(spec, grid, interval, stride=1):
+    """``rom._intervals`` as a loop over every interval builds it.
+
+    The reference for the construction from the grid times' places
+    among the knots: each interval joins the path it ends, a whole
+    sample interval as None and a piece as its length, and a path closes
+    at each grid time.
+    """
+    times = grid[::stride]
+    knots = np.union1d(times, breakpoints(spec, grid[0], times[-1]))
+    on_grid = np.isin(knots, times)
+    lengths = np.diff(knots)
+    whole = on_grid[:-1] & on_grid[1:]
+    lengths[whole] = interval
+    paths, path = [], []
+    for length, is_whole, ends_on_sample in zip(
+            lengths.tolist(), whole.tolist(), on_grid[1:].tolist()):
+        path.append(None if is_whole else length)
+        if ends_on_sample:
+            paths.append(tuple(path))
+            path = []
+    sizes, which = np.unique(lengths, return_inverse=True)
+    cuts = tuple(i for i, path in enumerate(paths) if path != (None,))
+    return rom._Intervals(
+        starts=knots[:-1], lengths=lengths,
+        whole=np.array([path == (None,) for path in paths]), cuts=cuts,
+        pieces=tuple(paths[i] for i in cuts),
+        first=np.cumsum([0] + [len(path) for path in paths]),
+        sizes=sizes, which=which)
+
+
 class TestPiecewise:
     """Simulations step between the input's breakpoints."""
 
@@ -175,8 +206,8 @@ class TestPiecewise:
         interval = 100.0 / 999
         intervals = rom._intervals(spec, np.linspace(0.0, 100.0, 1000),
                                    interval)
-        starts, lengths, paths = (intervals.starts, intervals.lengths,
-                                  intervals.paths)
+        starts, lengths, first = (intervals.starts, intervals.lengths,
+                                  intervals.first)
         jumps = 5.0 * np.arange(1, 20)
         assert np.isin(jumps, starts).all()
         inside = (jumps[:, None] > starts) & \
@@ -184,17 +215,18 @@ class TestPiecewise:
         assert not inside.any()
         # no jump falls on a grid time, so 19 sample intervals are cut
         # in two, and those pieces are the only other step sizes
-        assert len(paths) == 999
-        cut = [path for path in paths if path != (None,)]
-        assert len(cut) == 19 and all(len(path) == 2 for path in cut)
-        assert sum(len(path) for path in paths) == starts.size == 1018
+        counts = np.diff(first)
+        assert counts.size == 999
+        cut = np.flatnonzero(counts != 1)
+        assert cut.size == 19 and (counts[cut] == 2).all()
+        assert first[-1] == starts.size == 1018
+        pieces = [lengths[first[i]:first[i + 1]].tolist() for i in cut]
         np.testing.assert_array_equal(lengths[lengths != interval],
-                                      [p for path in cut for p in path])
+                                      [p for path in pieces for p in path])
         # each path's intervals, and the step size of each interval
-        np.testing.assert_array_equal(
-            intervals.whole, [path == (None,) for path in paths])
-        np.testing.assert_array_equal(np.diff(intervals.first),
-                                      [len(path) for path in paths])
+        np.testing.assert_array_equal(intervals.whole, counts == 1)
+        assert intervals.cuts == tuple(cut.tolist())
+        assert intervals.pieces == tuple(map(tuple, pieces))
         np.testing.assert_array_equal(intervals.sizes[intervals.which],
                                       lengths)
         np.testing.assert_array_equal(intervals.sizes, np.unique(lengths))
@@ -213,10 +245,11 @@ class TestPiecewise:
         assert rom._intervals(replace(spec, scale=2.5), grid,
                               100.0 / 999) is kept
         smooth = rom._intervals(input_preset("input1"), grid, 100.0 / 999)
-        assert smooth.starts.size == 999 and set(smooth.paths) == {(None,)}
+        assert smooth.starts.size == 999 and smooth.whole.all()
+        assert smooth.cuts == smooth.pieces == ()
         coarse = rom._intervals(spec, np.linspace(0.0, 100.0, 112),
                                 100.0 / 111)
-        assert coarse is not kept and len(coarse.paths) == 111
+        assert coarse is not kept and coarse.whole.size == 111
         for intervals in (kept, smooth):
             for arr in (intervals.starts, intervals.lengths, intervals.whole,
                         intervals.first, intervals.sizes, intervals.which):
@@ -234,12 +267,49 @@ class TestPiecewise:
         grid = np.linspace(0.0, tf, count)
         coarse = rom._intervals(spec, grid, 2.0 * tf / (count - 1), 2)
         ends = coarse.starts[coarse.first[1:-1]]
-        assert ends.size == len(coarse.paths) - 1
+        assert ends.size == coarse.whole.size - 1
         np.testing.assert_array_equal(ends, grid[2:-1:2][:ends.size])
         jumps = breakpoints(spec, 0.0, grid[::2][-1])
         assert np.isin(jumps, coarse.starts).all()
         fine = rom._intervals(spec, grid, tf / (count - 1))
         assert coarse.lengths.min() >= 0.5 * fine.lengths.min()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("tf, count", [(20.0, 30), (100.0, 21),
+                                           (100.0, 216), (100.0, 1000),
+                                           (300.0, 1000), (300.0, 1001)])
+    def test_matches_loop_reference(self, tf, count, stride):
+        # the intervals from the grid times' places among the knots are
+        # those of a loop over every interval, on grids whose jumps lie
+        # on grid times (100.0-21) or well away from them
+        spec = input_preset("input4")
+        grid = np.linspace(0.0, tf, count)
+        interval = stride * tf / (count - 1)
+        got = rom._intervals(spec, grid, interval, stride)
+        want = loop_intervals(spec, grid, interval, stride)
+        assert want.lengths.min() >= 0.01 * interval
+        for name in ("starts", "lengths", "whole", "first", "sizes",
+                     "which"):
+            got_arr, want_arr = getattr(got, name), getattr(want, name)
+            assert got_arr.dtype == want_arr.dtype, name
+            np.testing.assert_array_equal(got_arr, want_arr, err_msg=name)
+        assert got.cuts == want.cuts and got.pieces == want.pieces
+        # every jump cuts a path, but on the grid of step 5
+        assert got.cuts or (count, stride) == (21, 1)
+
+    @pytest.mark.parametrize("tf", [20.0, 300.0])
+    def test_no_sliver_pieces(self, tf):
+        # np.linspace puts some grid times an ulp off a jump (at 117
+        # samples on [0, 20], 5.000000000000002 for 5): no piece that
+        # short is cut, on the fine grid nor on every second time
+        spec = input_preset("input4")
+        for count in range(3, 400):
+            grid = np.linspace(0.0, tf, count)
+            for stride in (1, 2):
+                interval = stride * tf / (count - 1)
+                intervals = rom._intervals(spec, grid, interval, stride)
+                assert intervals.lengths.min() >= 1e-9 * interval, \
+                    (count, stride)
 
     def test_smooth_input_one_call(self, reduced_n20, monkeypatch):
         # one eval_input call per run, at every stage time of the run:
@@ -292,7 +362,7 @@ class TestPiecewise:
         spec = input_preset("input4")
         intervals = rom._intervals(spec, np.linspace(0.0, 100.0, 21), 5.0)
         assert intervals.starts.size == 20
-        assert set(intervals.paths) == {(None,)}
+        assert intervals.whole.all() and intervals.cuts == ()
         coarse = rom.simulate_rom(red, spec, 0.0, 100.0, sample_count=21)
         fine = rom.simulate_rom(red, spec, 0.0, 100.0, sample_count=201)
         np.testing.assert_array_equal(fine.times[::10], coarse.times)

@@ -32,9 +32,7 @@ def fixed_k_outputs(simulate, system, spec, tf: float, k: int) -> np.ndarray:
     """The outputs of the run at k steps per sample interval alone."""
     real = ode.step_doubling
 
-    def only_k(*args):
-        # the run callback is step_doubling's third argument from the end
-        run = args[-3]
+    def only_k(first, run, steps_per_k, budget):
         run(k, False)
         return k, 0, 0.0
 
