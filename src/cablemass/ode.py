@@ -31,7 +31,8 @@ kernels and allocates nothing per step: the input's part of each stage
 is formed for the whole run ahead (``input_terms``), the O(n) update is
 at most four calls in place, and a model of at most _DENSE_DIM reals of
 state, where the per-call cost outweighs the arithmetic, steps by one
-real matrix-vector product instead.
+real matrix-vector product instead.  ``step_rows`` takes the O(n)
+update for every model: its one GEMM serves a whole block.
 
 ``integrate`` runs the modified Rosenbrock 2(3) pair of Shampine and
 Reichelt (1997; the method class behind MATLAB's ode23s): a linearly
@@ -589,22 +590,22 @@ class CubicEtdrk4:
     input_map: np.ndarray
     dense: np.ndarray | None = None
 
-    def step_rows(self, ys: np.ndarray, inputs=None) -> np.ndarray:
+    def step_rows(self, ys: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """One step from each row of ys, all rows at once; a new array.
 
-        ys is a block of states, one per row, and inputs is None (the
-        zero input) or an array of each row's (u0, uh, u1).  The stage
+        ys is a block of states, one per row, and inputs an array of each
+        row's (u0, uh, u1), zeros for the zero input.  The stage
         arithmetic of ``Etdrk4Run.advance`` runs on arrays, one entry per
-        row, in the same order, and the update is one GEMM: of [ys | weights]
-        with ``dense`` where the kernel has it, else of the weights with
-        w, added to ys times e^(h lam).  Raises NonFiniteState when a
-        stage value of any row is not finite.
+        row, in the same order, and the update is one GEMM of the six
+        weights with w, added to ys times e^(h lam), for every kernel:
+        a ROM query measured no faster with a GEMM by ``dense``.  Raises
+        NonFiniteState when a stage value of any row is not finite.
         """
         ys = np.asarray(ys, dtype=float)
+        inputs = np.asarray(inputs, dtype=float)
         a21, a31, a32, a41, a42, a51, a52, a54 = self.stage
         s1, p, r = self.rows @ ys.T
-        d2, d3, d4, d5 = ((0.0,) * 4 if inputs is None
-                          else (np.asarray(inputs) @ self.input_map).T)
+        d2, d3, d4, d5 = (inputs @ self.input_map).T
         # an overflow gives inf, which the check below reports
         with np.errstate(over="ignore", invalid="ignore"):
             c1 = s1 * s1 * s1
@@ -619,15 +620,11 @@ class CubicEtdrk4:
             c5 = s * s * s
         if not np.isfinite(c5).all():
             raise NonFiniteState("ETDRK4 stage value not finite")
-        dim, nw = ys.shape[1], 3 if inputs is None else 6
-        weights = np.empty((len(ys), nw))
+        weights = np.empty((len(ys), 6))
         weights[:, 0], weights[:, 1], weights[:, 2] = c1, c4, c5
-        if inputs is not None:
-            weights[:, 3:] = np.asarray(inputs)[:, [0, 2, 1]]
-        if self.dense is not None:
-            return np.hstack([ys, weights]) @ self.dense[:dim, :dim + nw].T
+        weights[:, 3:] = inputs[:, [0, 2, 1]]
         n_real = self.e_real.size
-        out = weights @ self.w[:nw]
+        out = weights @ self.w
         out[:, :n_real] += ys[:, :n_real] * self.e_real
         out[:, n_real:].view(complex)[...] += (ys[:, n_real:].view(complex)
                                                * self.e_pairs)
@@ -687,6 +684,9 @@ class Etdrk4Run:
 
     def __init__(self, y0, terms=None):
         dim = np.size(y0)
+        # an unforced diagonal step leaves the input's weights out: with
+        # them energy_decay (exp_stab_Ex1, n = 100) measured 9 % slower
+        # and its energies moved by 1.5e-15
         self._nw = 3 if terms is None else 6
         self._terms = itertools.repeat(_NO_INPUT) if terms is None else terms
         bufs = np.zeros((2, dim + 6))
@@ -752,7 +752,8 @@ class Etdrk4Run:
             # w^T, Fortran-ordered as BLAS reads it without a copy
             w_t = kernel.w[:nw].T
             # the real and the complex part of the state, each multiplied
-            # in place by its e^(h lam); an empty part takes no call
+            # in place by its e^(h lam); an empty part takes no call (with
+            # it a query of small_damp_ex5_in4's FOM, no real mode, +7 %)
             n_real = kernel.e_real.size
             e_real = kernel.e_real if n_real else None
             e_pairs = kernel.e_pairs if kernel.e_pairs.size else None
@@ -761,9 +762,9 @@ class Etdrk4Run:
         else:
             y_mv = turns[1 - turn][5]
             if nw == 3:
-                # without the input's columns: a contiguous copy, which
-                # numpy would otherwise make of the column slice at every
-                # product
+                # a contiguous copy without the input's columns: with the
+                # whole matrix, as fast, energy_decay's energies moved by
+                # 6e-15 (exp_stab_Ex1, n = 20; 998 of 1000 CSV rows differ)
                 if kernel not in self._unforced:
                     self._unforced[kernel] = np.ascontiguousarray(
                         dense[:, :y.size + 3])

@@ -932,7 +932,11 @@ class TestAdvanceDiagonal(TestAdvance):
 
 
 class TestStepRows:
-    """One step from each row of a block, against the run's step."""
+    """One step from each row of a block, against the run's step.
+
+    step_rows takes the diagonal form for every kernel, so against a
+    dense kernel's run it meets the other form.
+    """
 
     @pytest.mark.parametrize("diagonal", [False, True],
                              ids=["dense", "diagonal"])
@@ -953,7 +957,7 @@ class TestStepRows:
                 got = kernel.step_rows(y[None], u[None])
             else:
                 want = kernel_steps(kernel, y)
-                got = kernel.step_rows(y[None])
+                got = kernel.step_rows(y[None], np.zeros((1, 3)))
             assert got.shape == (1, 8)
             assert np.abs(got[0] - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -962,11 +966,10 @@ class TestStepRows:
         # each row of a block steps as it would alone
         kernel = ode.cubic_etdrk4(*TestStepForms.coefficients(rng, 2, 3))
         ys = rng.standard_normal((7, 8))
-        inputs = rng.standard_normal((7, 3)) if forced else None
+        inputs = rng.standard_normal((7, 3)) if forced else np.zeros((7, 3))
         block = kernel.step_rows(ys, inputs)
         for i in range(7):
-            alone = kernel.step_rows(
-                ys[i:i + 1], None if inputs is None else inputs[i:i + 1])
+            alone = kernel.step_rows(ys[i:i + 1], inputs[i:i + 1])
             np.testing.assert_allclose(block[i], alone[0], rtol=1e-15,
                                        atol=1e-15 * np.abs(alone).max())
 
@@ -974,7 +977,7 @@ class TestStepRows:
         kernel = ode.cubic_etdrk4(np.array([-1.0]), np.array([1.0]),
                                   np.array([-1.0]), 0.5, np.zeros(1))
         with raises_quietly(ode.NonFiniteState):
-            kernel.step_rows(np.array([[0.5], [1e120]]))
+            kernel.step_rows(np.array([[0.5], [1e120]]), np.zeros((2, 3)))
 
 
 class TestInputTerms:

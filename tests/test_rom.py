@@ -8,7 +8,7 @@ import pytest
 from cablemass import analysis, balance, ode, rom
 from cablemass.cli import PRESETS, _energy_initial_data
 from cablemass.model import DimensionMismatch, PhysicalParams, build_system, \
-    eval_nonlinearity, fom_jacobian, fom_rhs
+    eval_nonlinearity, fom_jacobian, fom_rhs, quadratic_forms
 from cablemass.signals import (breakpoints, eval_input, input_preset,
                                resolve_input)
 from conftest import (EXAMPLE1, first_run_steps, integrate_sampled,
@@ -482,6 +482,33 @@ class TestEtdrk4Runs:
             rom.simulate_rom(red, input_preset("input1"),
                              **{"t0": 0.0, "tf": 5.0, **kwargs})
 
+    @staticmethod
+    def counted_run(reduced_n20, model, count):
+        """A 5-s run of count samples: the ROM's, the FOM's or the energy's."""
+        sys, _, red = reduced_n20
+        if model == "energy":
+            return analysis.energy_decay(
+                sys, quadratic_forms(EXAMPLE1, 20),
+                _energy_initial_data(EXAMPLE1, 20), 5.0, sample_count=count)
+        simulate, system = ((rom.simulate_rom, red) if model == "rom"
+                            else (rom.simulate_fom, sys))
+        return simulate(system, input_preset("input1"), 0.0, 5.0,
+                        sample_count=count)
+
+    @pytest.mark.parametrize("count", [20.5, np.float64(20.0)])
+    @pytest.mark.parametrize("model", ["rom", "fom", "energy"])
+    def test_non_integral_sample_count(self, reduced_n20, monkeypatch,
+                                       model, count):
+        # refused by the settings check, before any run
+        monkeypatch.setattr(rom, "_simulate", None)
+        with pytest.raises(ValueError, match="sample_count"):
+            self.counted_run(reduced_n20, model, count)
+
+    @pytest.mark.parametrize("model", ["rom", "fom", "energy"])
+    def test_numpy_integer_sample_count(self, reduced_n20, model):
+        run = self.counted_run(reduced_n20, model, np.int64(20))
+        assert run.times.shape == (20,)
+
     @pytest.mark.parametrize("span", [(0.0, np.inf), (-np.inf, 5.0),
                                       (np.nan, 5.0), (0.0, np.nan)])
     @pytest.mark.parametrize("model", ["rom", "fom"])
@@ -556,6 +583,14 @@ def seed_only(monkeypatch):
     monkeypatch.setattr(ode, "step_doubling", doubling)
 
 
+# The defect test_coarse_grid_within_tolerance pins until it is mended
+COARSE_GRID_DEFECT = (
+    "rom._simulate: the coarse first run's check trusts (2h, h) to be in "
+    "the 16-fold range and sees at an odd sample the k = 1 run's error "
+    "at the even sample before, so on grids far coarser than the "
+    "dynamics the kept k = 1 run is off by more than its tolerance")
+
+
 class TestCoarseFirstRun:
     """The first run: steps of two sample intervals, and a side step to
     each odd sample.  Square-wave runs on [0, 20] of the 4-mode ROM and
@@ -626,6 +661,20 @@ class TestCoarseFirstRun:
         assert (np.abs(kept.values - ref) <= tol).all()
         # the first run holds the square wave's value on each piece
         assert (np.abs(first - ref) <= 0.01 * tol).all()
+
+    @pytest.mark.parametrize("count", [
+        *(pytest.param(count, marks=pytest.mark.xfail(
+            raises=AssertionError, strict=True, reason=COARSE_GRID_DEFECT))
+          for count in (8, 10, 13)),
+        20, 40])
+    def test_coarse_grid_within_tolerance(self, reduced_n20, monkeypatch,
+                                          count):
+        # the kept run within its default tolerance of a k = 16 run; on
+        # grids far coarser than the dynamics it reads 6.7x, 7.8x and
+        # 1.5x the tolerance at 8, 10 and 13 samples, 0.11x at 20
+        kept, _, ref = self.runs(reduced_n20, monkeypatch, "rom", count)
+        scale = np.abs(kept.values).max(axis=0)
+        assert (np.abs(kept.values - ref) <= 1e-3 * scale + 1e-6).all()
 
     def test_fallback_after_nonfinite_first_run(self, reduced_n20,
                                                 monkeypatch):
