@@ -15,7 +15,7 @@ of the work runs as matrix products.
 A system is factored once: ``StateSpaceSystem.schur`` caches a read-only
 factor, and the spectrum, both Gramians and the input-2 frequencies all
 read it.  ``solve_lyapunov`` factors a bare matrix, and ``eigenvalues``
-computes the triangular factor T of one without its Schur vectors.
+takes the spectrum of one from LAPACK's eigenvalue driver ``dgeev``.
 
 ``modal_factor`` diagonalises A = V diag(lambda) V^-1 for the exponential
 integrator of the energy study and the forced FOM and ROM runs, which
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgees, dtrsyl, zgecon, zgetrf, zgetrs
+from scipy.linalg.lapack import dtrsyl, zgecon, zgetrf, zgetrs
 
 
 class NonConvergence(RuntimeError):
@@ -230,21 +230,11 @@ def _block_eigenvalues(t: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def _no_select(re, im):
-    """dgees's eigenvalue selector, unused: nothing is reordered."""
-    return None
-
-
 def eigenvalues(a) -> np.ndarray:
-    """Eigenvalues of a square real matrix, read off its real Schur form.
+    """Eigenvalues of a square real matrix, by LAPACK ``dgeev``.
 
-    LAPACK ``dgees`` computes T alone (no Schur vectors), at the
-    workspace returned by the query that ``scipy.linalg.schur``, and so
-    ``real_schur``, makes: the one with Schur vectors.  On the presets at
-    n = 100 and 200 this T is bitwise the T of ``real_schur``, so the two
-    read the same spectrum; that is an observed LAPACK property, tested
-    there, not a documented one.  At dgees's default minimal workspace
-    the two Ts differ.
+    The array is complex even when every eigenvalue is real.  The values
+    match the spectrum of ``real_schur`` to rounding, not bitwise.
 
     Raises
     ------
@@ -252,15 +242,10 @@ def eigenvalues(a) -> np.ndarray:
         If the QR iteration fails to converge (pathological input).
     """
     a = _as_square(a)
-    if a.size == 0:
-        return np.empty(0, dtype=complex)
-    lwork = dgees(_no_select, a, lwork=-1)[-2][0]
-    t, *_, info = dgees(_no_select, a, compute_v=0, lwork=int(lwork))
-    if info < 0:
-        raise ValueError(f"dgees: argument {-info} is invalid")
-    if info > 0:  # pragma: no cover - LAPACK budget
-        raise NonConvergence("dgees: the QR iteration did not converge")
-    return _block_eigenvalues(t)
+    try:
+        return scipy.linalg.eigvals(a, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK budget
+        raise NonConvergence(str(exc)) from exc
 
 
 def svd(m) -> SvdResult:
