@@ -12,9 +12,9 @@ reported as the decay rate.
 
 The unforced study (``energy_decay``) steps the full-order model
 x' = A x + w c (v . x)^3 with fixed-step ETDRK4 in the real eigenvector
-coordinates of A (``StateSpaceSystem.modes``, folded by the system's
-``etdrk4`` table to one mode per real eigenvalue and one per conjugate
-pair), where e^(hA) is diagonal and a step costs O(n).  It runs the
+coordinates of A (``sys.etdrk4.modes``: the system's ``etdrk4`` table
+factors A and folds them to one mode per real eigenvalue and one per
+conjugate pair), where e^(hA) is diagonal and a step costs O(n).  It runs the
 forced runs' loop (``rom._simulate``) with zero input from a given
 state.  Each step size h = interval / k ends every k-th step on a
 sample, so no dense output is needed, and k is chosen by comparing the
@@ -139,7 +139,7 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     the sampled states, and fits log E by least squares over
     [_FIT_SKIP * tf, tf] (the initial transient is skipped).
 
-    In y = V^-1 x (``sys.modes``) the model reads
+    In y = V^-1 x (``sys.etdrk4.modes``) the model reads
     y' = diag(lambda) y + g (Re row . y)^3, and the forced runs' loop
     (``rom._simulate``) steps it with zero input, through
     ``sys.etdrk4``, from V^-1 x0 folded onto the table's real modes
@@ -177,7 +177,7 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
                                 f"system's n = {sys.n}, got {sorted(shapes)}")
     table = sys.etdrk4
     run = rom._simulate(
-        sys, InputSpec(kind="zero"), times, rtol, atol, table.modal_state(x0),
+        table, InputSpec(kind="zero"), times, rtol, atol, table.modal_state(x0),
         x0, table.state_map,
         lambda x: np.sqrt(np.add(*_quadratic_energies(forms, x))))
     e, ek, ep = compute_energy(forms, sys.params, run.values)

@@ -72,8 +72,8 @@ class ReducedSystem:
     full-order vector.
 
     A_r, B_r, C_r and both weight vectors are read-only (``reduce``
-    marks them so): modes and etdrk4 are derived from them once and
-    kept, and an in-place write would leave them stale.
+    marks them so): etdrk4 is derived from them once and kept, and an
+    in-place write would leave it stale.
     """
 
     ar: np.ndarray
@@ -85,29 +85,20 @@ class ReducedSystem:
     r: int
 
     @cached_property
-    def modes(self) -> linalg.ModalForm:
-        """The eigendecomposition of A_r, computed on first use and kept.
-
-        Only the forced runs step in modal coordinates, so ``reduce``
-        never pays for it.  Raises ``linalg.IllConditionedModes`` where
-        A_r is nearly defective.
-        """
-        return linalg.modal_factor(self.ar)
-
-    @cached_property
     def etdrk4(self) -> Etdrk4Table:
-        """The forced runs' ETDRK4 steps on ``modes``, built on first use.
+        """The forced runs' ETDRK4 steps, built on first use.
 
-        In real modal coordinates, r reals of state (one per real
-        eigenvalue of A_r, two per conjugate pair), so each of its steps
-        is one real (r + 3) x (r + 6) matrix-vector product.
-        ``rom.simulate_rom`` steps through it: each step size's
-        coefficients are built once and kept for every later query.
+        The table factors A_r and keeps the factor (``etdrk4.modes``),
+        so ``reduce`` never pays for it.  In real modal coordinates, r
+        reals of state (one per real eigenvalue of A_r, two per conjugate
+        pair), so each of its steps is one real (r + 3) x (r + 6)
+        matrix-vector product.  ``rom.simulate_rom`` steps through it:
+        each step size's coefficients are built once and kept for every
+        later query.
         """
-        modes = self.modes
-        return Etdrk4Table(modes, self.br[:, 0],
+        return Etdrk4Table(self.ar, self.br[:, 0],
                            self.nl_coeff * self.nl_out_weights,
-                           self.nl_in_weights @ modes.v, self.cr)
+                           self.nl_in_weights, self.cr)
 
 
 def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:

@@ -367,11 +367,17 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
     Each stage logs one line.  The output directory is made only when
     there is an artifact to write.  Returns a dict mapping artifact
     names to file paths, in stage order.
+
+    The energy study starts at t = 0, so a run that wants it raises
+    ValidationError("t0") for t0 != 0, before any work.
     """
     log = log or (lambda msg: None)
     wanted = set(SUBCOMMANDS[command][1])
     if command == "compare" and cfg.energy_study:
         wanted.add("energy")
+    if "energy" in wanted and cfg.t0 != 0.0:
+        raise ValidationError("t0", "the energy study starts at t = 0, "
+                                    f"got t0 = {cfg.t0}")
     if wanted:
         os.makedirs(cfg.out_dir, exist_ok=True)
     written = {}
@@ -387,9 +393,8 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
     log(f"input kind: {cfg.input.kind}, r={cfg.r}, horizon [{cfg.t0}, {cfg.tf}]")
 
     if "eigs" in wanted:
-        eigs = sys_.schur.eigenvalues
-        write("eigs", write_eigs_csv, eigs)
-        log(f"stability margin: {eigs.real.max():.6g}")
+        write("eigs", write_eigs_csv, sys_.schur.eigenvalues)
+        log(f"stability margin: {analysis.stability_margin(sys_):.6g}")
 
     if wanted & {"hsv", "outputs", "error"}:
         p, q = balance.gramians(sys_)

@@ -19,10 +19,10 @@ takes the spectrum of one from LAPACK's eigenvalue driver ``dgeev``.
 
 ``modal_factor`` diagonalises A = V diag(lambda) V^-1 for the exponential
 integrator of the energy study and the forced FOM and ROM runs, which
-step in the coordinates y = V^-1 x, folded to real ones
-(``StateSpaceSystem.modes`` and ``ReducedSystem.modes`` cache it).  V is
-kept as its LU factors, and its condition number is estimated from them
-by LAPACK ``zgecon``.
+step in the coordinates y = V^-1 x, folded to real ones: each model's
+ETDRK4 table (``ode.Etdrk4Table``) factors its A and keeps the factor
+(``sys.etdrk4.modes``).  V is kept as its LU factors, and its condition
+number is estimated from them by LAPACK ``zgecon``.
 """
 
 from __future__ import annotations

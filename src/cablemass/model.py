@@ -22,15 +22,14 @@ velocity of the right mass.
 
 fom_rhs and fom_jacobian evaluate the model with the dense A; they
 serve the tests' Rosenbrock reference runs, while the library's own
-runs step in modal coordinates (``modes``).
+runs step in modal coordinates.
 
 A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
-frequencies; its modal factor (``StateSpaceSystem.modes``) is computed
-once for the exponential integrator of the energy study and the forced
-runs, and the ETDRK4 table both step through (``StateSpaceSystem.etdrk4``)
-once on that factor.  A, b and c are read-only, so the factors and
-table derived from them cannot go stale.
+frequencies.  The energy study and the forced runs step through one
+ETDRK4 table (``StateSpaceSystem.etdrk4``), built once, which factors A
+and keeps the modal factor (``sys.etdrk4.modes``).  A, b and c are
+read-only, so the factors and table derived from them cannot go stale.
 """
 
 from __future__ import annotations
@@ -124,9 +123,9 @@ class StateSpaceSystem:
     Keeping the descriptor explicit is what makes the exact low-order
     evaluation in the reduced model possible.
 
-    A, b and c are read-only (``build_system`` marks them so): schur,
-    modes and etdrk4 are derived from them once and kept, and an
-    in-place write would leave them stale.
+    A, b and c are read-only (``build_system`` marks them so): schur
+    and etdrk4 are derived from them once and kept, and an in-place
+    write would leave them stale.
     """
 
     n: int
@@ -150,31 +149,22 @@ class StateSpaceSystem:
         return linalg.real_schur(self.a)
 
     @cached_property
-    def modes(self) -> linalg.ModalForm:
-        """The eigendecomposition of A, computed on first use and kept.
-
-        The energy study and the forced runs step in modal
-        coordinates; the balancing never pays for it.  Raises
-        ``linalg.IllConditionedModes`` where A is nearly defective.
-        """
-        return linalg.modal_factor(self.a)
-
-    @cached_property
     def etdrk4(self) -> Etdrk4Table:
-        """The ETDRK4 steps on ``modes``, in real modal coordinates.
+        """The ETDRK4 steps in real modal coordinates, built on first use.
 
-        Built on first use: 2n reals of state, one per real eigenvalue
-        of A and two per conjugate pair.  ``rom.simulate_fom`` and
-        ``analysis.energy_decay`` step through it: each step size's
+        The table factors A and keeps the factor (``etdrk4.modes``), so
+        the balancing never pays for it: 2n reals of state, one per real
+        eigenvalue of A and two per conjugate pair.  ``rom.simulate_fom``
+        and ``analysis.energy_decay`` step through it: each step size's
         coefficients are built once and kept for every later run of
         either, and so are the output map and, once the energy study
         asks for it, the real modal basis it samples the state through.
         """
-        modes = self.modes
-        target = np.zeros(2 * self.n)
+        dim = 2 * self.n
+        target, row = np.zeros(dim), np.zeros(dim)
         target[self.nl_target_index] = self.nl_coeff
-        return Etdrk4Table(modes, self.b[:, 0], target,
-                           modes.v[self.nl_state_index], self.c)
+        row[self.nl_state_index] = 1.0
+        return Etdrk4Table(self.a, self.b[:, 0], target, row, self.c)
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,6 +74,8 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dgetrf, dgetrs
 
+from . import linalg
+
 # Ros2(3): the diagonal coefficient gamma, the third stage's weight, and
 # the controller's exponent, -1/3 for an error estimate that is O(h^3).
 _D = 1.0 / (2.0 + math.sqrt(2.0))
@@ -894,16 +896,16 @@ _TABLE_SETS = 128
 class Etdrk4Table:
     """The ETDRK4 steps of one system, in real modal coordinates.
 
-    The system is x' = A x + b u(t) + g (row_x . x)^3 with outputs c x,
-    and modes is A's modal factor A = V diag(lam) V^-1 (a
-    ``linalg.ModalForm``); row is row_x V.  A is real, so V^-1 x of a
-    real x is conjugate-symmetric: its entries at real eigenvalues are
-    real and those of each conjugate pair conjugate.  The table keeps
-    each real eigenvalue once, as a real mode, and one mode of each pair
-    (Im lam > 0), the modes ordered [real | pairs], and weights the pair
-    modes 2 in row and in the output maps, so Re(row . y) and the
-    outputs are the same sums.  A state (``modal_state``) is then
-    exactly dim reals.  The table keeps the modal vectors every run
+    The system is x' = A x + b u(t) + g (row_x . x)^3 with outputs c x.
+    The table factors A = V diag(lam) V^-1 once (``linalg.modal_factor``)
+    and keeps the factor as ``modes``; the cubic row is row_x V.  A is
+    real, so V^-1 x of a real x is conjugate-symmetric: its entries at
+    real eigenvalues are real and those of each conjugate pair
+    conjugate.  The table keeps each real eigenvalue once, as a real
+    mode, and one mode of each pair (Im lam > 0), the modes ordered
+    [real | pairs], and weights the pair modes 2 in row and in the
+    output maps, so Re(row . y) and the outputs are the same sums.  A
+    state (``modal_state``) is then exactly dim reals.  The table keeps the modal vectors every run
     steps with: lam, row, gm = V^-1 g and bm = V^-1 b over those modes,
     and the real sampling maps, ``out_map`` (c V) and ``state_map`` (V,
     built on first use), each taking a block of states, one per row, to
@@ -918,17 +920,17 @@ class Etdrk4Table:
     dropped first; ``built`` counts the sets ever built.
     """
 
-    def __init__(self, modes, b, g, row, c):
+    def __init__(self, a, b, g, row_x, c):
+        self.modes = modes = linalg.modal_factor(a)
         lam = modes.eigenvalues
         self._order = np.concatenate([np.flatnonzero(lam.imag == 0.0),
                                       np.flatnonzero(lam.imag > 0.0)])
         self.dim = lam.size
         self.n_real = self.dim - np.count_nonzero(lam.imag)
         self._weight = np.where(lam[self._order].imag > 0.0, 2.0, 1.0)
-        self._modes = modes
         self.lam = lam[self._order]
         self.bm, self.gm = modes.solve(np.column_stack([b, g]))[self._order].T
-        self.row = self._weight * row[self._order]
+        self.row = self._weight * (row_x @ modes.v)[self._order]
         self.out_map = self._sampling_map(c @ modes.v)
         for arr in (self.lam, self.bm, self.gm, self.row, self.out_map):
             arr.flags.writeable = False
@@ -947,13 +949,13 @@ class Etdrk4Table:
         Built on first use and kept: the energy study samples the state
         through it, the forced runs never.
         """
-        state_map = self._sampling_map(self._modes.v)
+        state_map = self._sampling_map(self.modes.v)
         state_map.flags.writeable = False
         return state_map
 
     def modal_state(self, x) -> np.ndarray:
         """The state of a real x: V^-1 x, folded onto the table's modes."""
-        return _fold(self._modes.solve(x)[self._order], self.n_real)
+        return _fold(self.modes.solve(x)[self._order], self.n_real)
 
     def kernel(self, h: float) -> CubicEtdrk4:
         """The ETDRK4 step of size h, built on first use and kept."""

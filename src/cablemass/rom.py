@@ -12,8 +12,8 @@ Both models read x' = A x + b u(t) + g (v . x)^3: a constant linear
 part, the input column b, and a cubic term read through one functional
 v and written along one column g (the FOM's nl_state_index and
 nl_target_index, the ROM's nl_in_weights and nl_out_weights).  In the
-eigenvector coordinates y = V^-1 x of A (``StateSpaceSystem.modes``,
-``ReducedSystem.modes``) e^(hA) is diagonal, and fixed-step ETDRK4
+eigenvector coordinates y = V^-1 x of A (``sys.etdrk4.modes``, which
+each model's table factors) e^(hA) is diagonal, and fixed-step ETDRK4
 (``ode.CubicEtdrk4``) integrates the linear part exactly, so A's stiff
 and nearly undamped modes do not set the step; the cubic term and the
 input do.  The coordinates are real: each real eigenvalue is one real
@@ -282,19 +282,19 @@ def _sample_grid(t0: float, tf: float, rtol: float, atol: float,
     return np.linspace(t0, tf, sample_count)
 
 
-def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
-              atol: float, y0: np.ndarray, first: np.ndarray,
+def _simulate(table: ode.Etdrk4Table, spec: InputSpec, grid: np.ndarray,
+              rtol: float, atol: float, y0: np.ndarray, first: np.ndarray,
               sample_map: np.ndarray, norm) -> OutputSeries:
     """Samples of x' = A x + b u(t) + g (row_x . x)^3 on grid from state y0.
 
-    system is a ``StateSpaceSystem`` or a ``ReducedSystem``; its
-    ``etdrk4`` table gives the steps, and y0 is a state of the table's
-    real modal coordinates.  The first sample is the caller's, each
-    later one y @ sample_map, with sample_map one of the table's real
-    sampling maps (``out_map`` for the outputs, ``state_map`` for the
-    state).  The coarse first run writes every sample: the even ones by
-    steps of two sample intervals, and each odd one by one step of one
-    interval from the even sample before it, the side steps of a block
+    table is a ``StateSpaceSystem``'s or a ``ReducedSystem``'s
+    ``etdrk4``: it gives the steps and cond(V) (``table.modes.cond``), and
+    y0 is a state of its real modal coordinates.  The first sample is the
+    caller's, each later one y @ sample_map, with sample_map one of the
+    table's real sampling maps (``out_map`` for the outputs, ``state_map``
+    for the state).  The coarse first run writes every sample: the even
+    ones by steps of two sample intervals, and each odd one by one step of
+    one interval from the even sample before it, the side steps of a block
     all made in one ``CubicEtdrk4.step_rows`` call.  Each later run
     writes its samples over those of the run before, _SAMPLE_BLOCK at a
     time, after measuring the difference in norm: per channel (np.abs)
@@ -304,7 +304,6 @@ def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
     """
     interval = (grid[-1] - grid[0]) / (grid.size - 1)
     fine = _intervals(spec, grid, interval)
-    table = system.etdrk4
     built = table.built
     values = np.empty((grid.size, first.size))
     values[0] = first
@@ -440,7 +439,7 @@ def _simulate(system, spec: InputSpec, grid: np.ndarray, rtol: float,
                                         len(fine.starts), _STEP_BUDGET)
     stats = Etdrk4Stats(step=interval / k, steps_per_sample=k,
                         n_steps=n_steps, error_estimate=est,
-                        cond_v=system.modes.cond,
+                        cond_v=table.modes.cond,
                         sets_built=table.built - built)
     return OutputSeries(times=grid, values=values, stats=stats)
 
@@ -450,7 +449,7 @@ def _forced(system, spec: InputSpec, t0: float, tf: float, rtol: float,
     """Outputs c x of a run from x(t0) = 0, checked per channel."""
     grid = _sample_grid(t0, tf, rtol, atol, sample_count)
     table = system.etdrk4
-    return _simulate(system, spec, grid, rtol, atol, np.zeros(table.dim),
+    return _simulate(table, spec, grid, rtol, atol, np.zeros(table.dim),
                      np.zeros(table.out_map.shape[1]), table.out_map, np.abs)
 
 

@@ -213,7 +213,7 @@ class TestEnergyDecay:
         # ||x||_E^2 <= E <= E(0): the default rtol and atol bound it
         assert 0.0 < stats.error_estimate <= \
             1e-6 * np.sqrt(report.e[0]) + 1e-9
-        assert stats.cond_v == sys.modes.cond
+        assert stats.cond_v == sys.etdrk4.modes.cond
         # one coefficient set per step size: 2h, h and h / 2
         assert stats.sets_built == 3
 

@@ -88,6 +88,19 @@ def test_changed_log_lines_and_summary():
         ["1 of 1 CSVs byte-identical, 0 log lines changed"], True)
 
 
+def test_failed_run_exits_2(tmp_path, capsys):
+    # a run that fails is not a moved artifact: exit 2, and no report
+    broken = tmp_path / "broken"
+    package = broken / "src" / "cablemass"
+    package.mkdir(parents=True)
+    write(package / "__init__.py", "raise ImportError('broken tree')\n")
+    report = tmp_path / "report.json"
+    assert artifact_diff.main([str(broken), str(broken),
+                               "--json", str(report)]) == 2
+    assert "broken tree" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_runs():
     # compare on every preset at n = 100, energy on two presets at n = 100
     # and 200: 9 x 4 CSVs, two energy.csv from compare, and 4 more

@@ -187,10 +187,9 @@ class TestReduce:
                                    bal.sr[:, sys.nl_target_index], atol=0)
         assert red.nl_coeff == sys.nl_coeff
 
-    def test_modes_factored_once_and_lazily(self, example1_n20, monkeypatch):
-        # reduce leaves the modal factor to the forced runs, which
-        # factor A_r once and share read-only arrays
-        sys, p, q = example1_n20
+    def test_modes_factored_once_and_lazily(self, monkeypatch):
+        # the balancing never factors into modes: each model's ETDRK4
+        # table factors its A once, on first use, into read-only arrays
         shapes = []
         real = linalg.modal_factor
 
@@ -199,10 +198,14 @@ class TestReduce:
             return real(a)
 
         monkeypatch.setattr(linalg, "modal_factor", recording)
+        sys = build_system(EXAMPLE1, 20)
+        p, q = gramians(sys)
         red = reduce(sys, square_root_transform(p, q, 4))
-        assert shapes == [] and "modes" not in vars(red)
-        modes = red.modes
-        assert red.modes is modes and shapes == [(4, 4)]
+        assert shapes == [] and "etdrk4" not in vars(red)
+        modes = red.etdrk4.modes
+        assert red.etdrk4.modes is modes and shapes == [(4, 4)]
+        sys.etdrk4, sys.etdrk4
+        assert shapes == [(4, 4), (40, 40)]
         for arr in (red.ar, modes.eigenvalues, modes.v, modes.lu, modes.piv):
             assert not arr.flags.writeable
         v, lam = modes.v, modes.eigenvalues

@@ -577,3 +577,28 @@ class TestMain:
         cfg = load_config(None, cli_overrides={"preset": "small_stiff_ex5_in4",
                                                "tf": 12.5}, env={})
         assert cfg.tf == 12.5
+
+    @pytest.mark.parametrize("command, extra", [
+        ("energy", ""), ("compare", "energy_study = true")],
+        ids=["energy", "compare-energy_study"])
+    def test_energy_study_rejects_nonzero_t0(self, tmp_path, capsys, command,
+                                             extra):
+        # the energy study starts at t = 0: a later t0 is refused before
+        # any work, and no output directory is made
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(tiny_config(tmp_path / "run", preset="exp_stab_Ex1",
+                                        tf=20.0, extra=f"t0 = 10\n{extra}"))
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert "t0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_forced_runs_keep_t0(self, tmp_path):
+        # without the energy study, compare runs on [t0, tf]
+        cfg_path = tmp_path / "cfg.ini"
+        cfg_path.write_text(tiny_config(tmp_path / "run", tf=20.0,
+                                        extra="t0 = 10"))
+        assert main(["compare", "--config", str(cfg_path)]) == 0
+        data = np.genfromtxt(tmp_path / "run" / "outputs.csv", delimiter=",",
+                             names=True)
+        assert data["t"][0] == 10.0 and data["t"][-1] == 20.0
+        assert not (tmp_path / "run" / "energy.csv").exists()

@@ -396,5 +396,5 @@ class TestModalFactor:
 
     @pytest.mark.parametrize("name", ["exp_stab_Ex1", "exp_stability2"])
     def test_energy_presets_well_conditioned(self, name):
-        form = build_system(PRESETS[name].params, 100).modes
+        form = build_system(PRESETS[name].params, 100).etdrk4.modes
         assert form.cond <= 1e5

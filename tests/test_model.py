@@ -141,13 +141,23 @@ class TestBuildSystem:
         rel = np.linalg.norm(sys.schur.q @ sys.schur.t @ sys.schur.q.T - sys.a)
         assert rel <= 1e-12 * np.linalg.norm(sys.a)
 
-    def test_modes_factored_once_and_lazily(self):
-        # only the ETDRK4 runs need the modal factor
+    def test_modes_factored_once_and_lazily(self, monkeypatch):
+        # only the ETDRK4 runs need the modal factor: the system's table
+        # factors A once, on first use, and the Schur factor never does
+        shapes = []
+        real = linalg.modal_factor
+
+        def recording(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(linalg, "modal_factor", recording)
         sys = build_system(EXAMPLE1, 5)
         sys.schur
-        assert "modes" not in vars(sys)
-        assert sys.modes is sys.modes
-        v, lam = sys.modes.v, sys.modes.eigenvalues
+        assert shapes == [] and "etdrk4" not in vars(sys)
+        modes = sys.etdrk4.modes
+        assert sys.etdrk4.modes is modes and shapes == [(10, 10)]
+        v, lam = modes.v, modes.eigenvalues
         rel = np.linalg.norm(v @ np.diag(lam) @ np.linalg.inv(v) - sys.a)
         assert rel <= 1e-12 * np.linalg.norm(sys.a)
 

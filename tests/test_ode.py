@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg.blas import dgemv
 
 from cablemass import ode
-from cablemass.cli import get_preset
+from cablemass.cli import PRESETS, get_preset
 from cablemass.model import PhysicalParams, build_system, fom_jacobian, fom_rhs
 from cablemass.signals import square_wave
 from conftest import linear_derivatives, node_sampled
@@ -1080,7 +1080,7 @@ class TestRealModes:
 
     @staticmethod
     def reference(sys_, h):
-        modes = sys_.modes
+        modes = sys_.etdrk4.modes
         target = np.zeros(2 * sys_.n)
         target[sys_.nl_target_index] = sys_.nl_coeff
         bm, gm = modes.solve(np.column_stack([sys_.b[:, 0], target])).T
@@ -1097,7 +1097,8 @@ class TestRealModes:
         if diagonal:
             monkeypatch.setattr(ode, "_DENSE_DIM", 0)
         sys_ = build_system(get_preset(name).params, 20)
-        table, modes = sys_.etdrk4, sys_.modes
+        table = sys_.etdrk4
+        modes = table.modes
         kernel = table.kernel(0.05)
         assert (kernel.dense is None) == diagonal
         assert table.dim == 40
@@ -1138,3 +1139,17 @@ class TestRealModes:
         for arr in (table.lam, table.row, table.gm, table.bm, table.out_map,
                     table.state_map):
             assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_state_row_is_the_v_row(self, name):
+        # the table forms the cubic row from the FOM's one-hot state row:
+        # row V is row nl_state_index of V, in the table's mode order
+        # and weighted 2 on the pair modes
+        sys_ = build_system(PRESETS[name].params, 20)
+        table = sys_.etdrk4
+        lam = table.modes.eigenvalues
+        order = np.concatenate([np.flatnonzero(lam.imag == 0.0),
+                                np.flatnonzero(lam.imag > 0.0)])
+        weight = np.where(lam[order].imag > 0.0, 2.0, 1.0)
+        assert np.array_equal(
+            table.row, weight * table.modes.v[sys_.nl_state_index][order])

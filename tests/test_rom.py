@@ -397,7 +397,7 @@ class TestEtdrk4Runs:
         assert s.steps_per_sample == 1
         scale = np.abs(series.values).max(axis=0)
         assert 0.0 < s.error_estimate <= (1e-3 * scale + 1e-6).min()
-        modes = red.modes if model == "rom" else sys.modes
+        modes = (red if model == "rom" else sys).etdrk4.modes
         assert s.cond_v == modes.cond
 
     @pytest.mark.parametrize("input_name", ["input1", "input4"])

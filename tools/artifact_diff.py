@@ -17,7 +17,8 @@ magnitude in the old tree.  Where the row count changed it gives both
 counts and the moves over the rows both files have.  It lists every
 log line that changed, and writes the whole report as JSON (default
 ``artifact_diff.json``).  The exit status is 0 when every CSV and log
-line is identical, else 1.
+line is identical, 1 when any moved, and 2 when a run fails (no report
+is written then).
 """
 
 from __future__ import annotations
@@ -187,7 +188,11 @@ def main(argv=None) -> int:
     parser.add_argument("--json", type=Path, default=Path("artifact_diff.json"),
                         help="where the report is written")
     args = parser.parse_args(argv)
-    report = compare_trees(args.old.resolve(), args.new.resolve())
+    try:
+        report = compare_trees(args.old.resolve(), args.new.resolve())
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     args.json.write_text(json.dumps(report, indent=1) + "\n")
     lines, same = summary(report)
     print("\n".join(lines))
