@@ -6,9 +6,10 @@ form applied to the displacements plus the quartic boundary term
 
     E = 1/2 v^T M_H v + 1/2 d^T K_V d + (k3/4) d_n^4.
 
-For a dissipative parameter set the unforced energy is nonincreasing,
-and its logarithm decays asymptotically linearly; the fitted slope is
-reported as the decay rate.
+For a dissipative parameter set the unforced energy is nonincreasing
+(A is built from these forms: dE/dt = -v^T D_sig2 v), and its logarithm
+decays asymptotically linearly; the fitted slope is reported as the
+decay rate, and the largest rise between samples checks the first.
 
 The unforced study (``energy_decay``) steps the full-order model
 x' = A x + w c (v . x)^3 with fixed-step ETDRK4 in the real eigenvector
@@ -54,9 +55,11 @@ class EnergyReport:
 
     fitted_rate is the least-squares slope of log E over the fit
     window; fit_r2 is the coefficient of determination of that fit.
-    degenerate flags a run whose energy was identically zero (rate
-    reported as 0).  stats tells how the samples were integrated; its
-    error_estimate is in the energy norm.
+    max_rise is the largest relative rise between consecutive samples,
+    max_i (E_(i+1) - E_i) / E_i, and 0 when E never rises.  degenerate
+    flags a run whose energy was identically zero (rate reported as 0).
+    stats tells how the samples were integrated; its error_estimate is
+    in the energy norm.
     """
 
     times: np.ndarray
@@ -65,6 +68,7 @@ class EnergyReport:
     ep: np.ndarray
     fitted_rate: float
     fit_r2: float
+    max_rise: float
     degenerate: bool
     stats: Etdrk4Stats
 
@@ -183,8 +187,11 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     e, ek, ep = compute_energy(forms, sys.params, run.values)
     fit = _decay_fit(times, e, _FIT_SKIP * tf)
     rate, r2 = (0.0, 0.0) if fit is None else fit
+    rise = np.divide(np.diff(e), e[:-1], out=np.zeros(e.size - 1),
+                     where=e[:-1] > 0.0)
     return EnergyReport(times=times, e=e, ek=ek, ep=ep, fitted_rate=rate,
-                        fit_r2=r2, degenerate=fit is None, stats=run.stats)
+                        fit_r2=r2, max_rise=float(rise.max(initial=0.0)),
+                        degenerate=fit is None, stats=run.stats)
 
 
 def _decay_fit(times, e, t_start: float) -> tuple[float, float] | None:

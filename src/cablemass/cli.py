@@ -421,11 +421,16 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
     if "energy" in wanted:
         forms = quadratic_forms(cfg.params, cfg.n)
         x0 = _energy_initial_data(cfg.params, cfg.n)
+        rtol = min(cfg.rtol, 1e-6)
         report = analysis.energy_decay(
-            sys_, forms, x0, cfg.tf, rtol=min(cfg.rtol, 1e-6),
-            atol=min(cfg.atol, 1e-9), sample_count=cfg.sample_count)
+            sys_, forms, x0, cfg.tf, rtol=rtol, atol=min(cfg.atol, 1e-9),
+            sample_count=cfg.sample_count)
         write("energy", write_energy_csv, report)
-        log(f"fitted decay rate {report.fitted_rate:.6g} (R2={report.fit_r2:.4f})")
+        flag = (f", above rtol {rtol:.3g}: WARNING, the energy is not monotone"
+                if report.max_rise > rtol else "")
+        log(f"fitted decay rate {report.fitted_rate:.6g} "
+            f"(R2={report.fit_r2:.4f}), largest energy rise "
+            f"{report.max_rise:.3g}{flag}")
         log(_integrator_line("energy", report.stats))
 
     return written

@@ -8,17 +8,19 @@ stiffening spring.  Displacement compatibility ties the cable ends to
 the oscillator positions, so the boundary nodes double as the mass
 coordinates.
 
-Interior nodes use second-order centered differences; the oscillator
-equations use second-order one-sided differences for the cable traces
-w_x(t,0) and w_x(t,l), which keeps second-order accuracy without ghost
-nodes.  With d the nodal displacements and v the nodal velocities, the
-state is x = [d; v] and the system reads
+Three quadratic forms on the nodal values define the discretization
+(``quadratic_forms``): the mass form M_H, the potential form K_V and the
+damping form D_sig2 of lumped-mass linear elements, a summation-by-parts
+closure in which each boundary mass carries its half cell h/2 of cable.
+With d the nodal displacements and v the nodal velocities, the state is
+x = [d; v] and the system reads
 
     x' = A x + F(x) + B u,     y = C x,
 
-where F is zero except for the cubic term -(k3/ml) d_n^3 in the
+where F is zero except for the cubic term -(k3/(M_H)_nn) d_n^3 in the
 right-mass velocity equation, and y picks out the position and
-velocity of the right mass.
+velocity of the right mass.  The energy of ``analysis`` obeys
+dE/dt = -v^T D_sig2 v + v_1 u exactly.
 
 fom_rhs and fom_jacobian evaluate the model with the dense A; they
 serve the tests' Rosenbrock reference runs, while the library's own
@@ -52,7 +54,7 @@ class InvalidParams(ValueError):
 
 
 class GridTooCoarse(ValueError):
-    """Fewer than 3 nodes: the one-sided boundary stencils need 3."""
+    """Fewer than 3 nodes: the grid keeps one cable node between the masses."""
 
 
 class DimensionMismatch(ValueError):
@@ -206,67 +208,67 @@ class QuadraticForms:
         return np.diagonal(self.m_h), row_sums, off
 
 
-def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
-    """Assemble the 2n-state finite-difference system.
+def _form_bands(params: PhysicalParams, h: float, n: int):
+    """The bands of the three energy forms on n nodes of spacing h.
 
-    Interior rows (i = 2..n-1):
+    (m, k_diag, k_off, d_diag, d_off): the diagonal of M_H (trapezoid
+    weights h*(1/2, 1, ..., 1, 1/2) plus m0, ml at the ends) and the
+    diagonal and first off-diagonal of the tridiagonal K_V and D_sig2:
+    the cell-difference stiffness sum_j (w_(j+1) - w_j)^2 / h times
+    beta^2 and gamma, D_sig2 plus alpha times the trapezoid weights, and
+    the boundary springs and dampings at the ends.
+    """
+    trap = np.full(n, h)
+    trap[0] = trap[-1] = 0.5 * h
+    stiff = np.full(n, 2.0 / h)
+    stiff[0] = stiff[-1] = 1.0 / h
+    b2 = params.beta**2
+
+    m, k_diag = trap.copy(), b2 * stiff
+    d_diag = params.gamma * stiff + params.alpha * trap
+    ends = ((m, params.m0, params.ml), (k_diag, params.k0, params.kl),
+            (d_diag, params.alpha0, params.alphal))
+    for band, left, right in ends:
+        band[0] += left
+        band[-1] += right
+    return (m, k_diag, np.full(n - 1, b2 * (-1.0 / h)), d_diag,
+            np.full(n - 1, params.gamma * (-1.0 / h)))
+
+
+def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
+    """Assemble the 2n-state system from the energy forms.
+
+    A = [[0, I], [-M_H^-1 K_V, -M_H^-1 D_sig2]], the input column is
+    e_1 / (M_H)_11 in the v_1 row and the cubic coefficient is
+    -k3 / (M_H)_nn, all read off the bands ``quadratic_forms`` builds
+    too (``_form_bands``).  M_H is diagonal, so both velocity blocks are
+    tridiagonal.  Interior rows (i = 2..n-1) are the centered differences
 
         v_i' = (gamma/h^2)(v_{i+1} - 2 v_i + v_{i-1})
              + (beta^2/h^2)(d_{i+1} - 2 d_i + d_{i-1}) - alpha v_i
 
-    Boundary rows discretize the oscillator equations with the
-    second-order one-sided stencils
+    and each boundary row is its oscillator's equation with the half
+    cell h/2 of cable next to the mass moving with it:
 
-        w_x(t,0) ~ (-3 d_1 + 4 d_2 - d_3) / (2h)
-        w_x(t,l) ~ ( 3 d_n - 4 d_{n-1} + d_{n-2}) / (2h)
+        (m0 + h/2) v_1' = -k0 d_1 - alpha0 v_1 + (beta^2/h)(d_2 - d_1)
+                          + (gamma/h)(v_2 - v_1) - (h/2) alpha v_1 + u.
 
-    and the input enters the left velocity row with gain 1/m0.  Only
-    these two stencils reach a third node: adding h/(2 m0) times the
-    second velocity row to the first, and h/(2 ml) times the
-    second-to-last to the last, cancels it in the beta^2 and the gamma
-    part alike, so with K = A[n:, :n] and G = A[n:, n:] that row
-    combination P makes P K and P G tridiagonal.
+    With H = blkdiag(K_V, M_H), sym(H A) = blkdiag(0, -D_sig2), so the
+    unforced energy obeys dE/dt = -v^T D_sig2 v <= 0 exactly.
     """
     grid = make_grid(params.l, n)
-    h = grid.h
-    b2 = params.beta**2
-    g = params.gamma
+    m, k_diag, k_off, d_diag, d_off = _form_bands(params, grid.h, n)
 
     a = np.zeros((2 * n, 2 * n))
-    nodes = np.arange(n)
-    a[nodes, n + nodes] = 1.0
-
-    # interior centered differences, all rows at once; += on the zero
-    # entries keeps each a signed +0.0 where a coefficient is -0.0
-    i = nodes[1:-1]
-    row = n + i
-    a[row, i - 1] += b2 / h**2
-    a[row, i] += -2.0 * b2 / h**2
-    a[row, i + 1] += b2 / h**2
-    a[row, n + i - 1] += g / h**2
-    a[row, n + i] += -2.0 * g / h**2 - params.alpha
-    a[row, n + i + 1] += g / h**2
-
-    # left oscillator: m0 v1' = -k0 d1 - alpha0 v1 + trace force + u
-    row = n
-    a[row, 0] = -params.k0 / params.m0 - 3.0 * b2 / (2.0 * h * params.m0)
-    a[row, 1] = 4.0 * b2 / (2.0 * h * params.m0)
-    a[row, 2] = -b2 / (2.0 * h * params.m0)
-    a[row, n + 0] = -3.0 * g / (2.0 * h * params.m0) - params.alpha0 / params.m0
-    a[row, n + 1] = 4.0 * g / (2.0 * h * params.m0)
-    a[row, n + 2] = -g / (2.0 * h * params.m0)
-
-    # right oscillator (cubic term stays out of A)
-    row = 2 * n - 1
-    a[row, n - 1] = -params.kl / params.ml - 3.0 * b2 / (2.0 * h * params.ml)
-    a[row, n - 2] = 4.0 * b2 / (2.0 * h * params.ml)
-    a[row, n - 3] = -b2 / (2.0 * h * params.ml)
-    a[row, 2 * n - 1] = -params.alphal / params.ml - 3.0 * g / (2.0 * h * params.ml)
-    a[row, 2 * n - 2] = 4.0 * g / (2.0 * h * params.ml)
-    a[row, 2 * n - 3] = -g / (2.0 * h * params.ml)
+    _set_band(a, 0, n, np.ones(n))
+    # row i of each velocity block is row i of its form over -m_i
+    for col, diag, off in ((0, k_diag, k_off), (n, d_diag, d_off)):
+        _set_band(a, n, col, -diag / m)
+        _set_band(a, n + 1, col, -off / m[1:])
+        _set_band(a, n, col + 1, -off / m[:-1])
 
     b = np.zeros((2 * n, 1))
-    b[n, 0] = 1.0 / params.m0
+    b[n, 0] = 1.0 / m[0]
 
     c = np.zeros((2, 2 * n))
     c[0, n - 1] = 1.0  # right-mass position
@@ -279,7 +281,7 @@ def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
         a=a,
         b=b,
         c=c,
-        nl_coeff=-params.k3 / params.ml,
+        nl_coeff=-params.k3 / m[-1],
         nl_state_index=n - 1,
         nl_target_index=2 * n - 1,
         params=params,
@@ -295,7 +297,7 @@ def _check_state(sys: StateSpaceSystem, x) -> np.ndarray:
 
 
 def eval_nonlinearity(sys: StateSpaceSystem, x) -> np.ndarray:
-    """Nonlinear term F(x): zero except -(k3/ml) d_n^3 in the v_n row."""
+    """Nonlinear term F(x): zero except -(k3/(M_H)_nn) d_n^3 in the v_n row."""
     x = _check_state(sys, x)
     out = np.zeros_like(x)
     out[sys.nl_target_index] = sys.nl_coeff * x[sys.nl_state_index] ** 3
@@ -336,35 +338,18 @@ def sample_initial_data(params: PhysicalParams, n: int, pos, vel) -> np.ndarray:
 
 
 def quadratic_forms(params: PhysicalParams, n: int) -> QuadraticForms:
-    """Trapezoid-rule discretizations of the model's quadratic forms.
-
-    The mass form applies trapezoid weights h*(1/2, 1, ..., 1, 1/2) and
-    adds m0, ml at the endpoints.  The stiffness quadrature sums cell
-    differences, sum_j (w_{j+1} - w_j)^2 / h, a second-order companion
-    of the trapezoid mass form.
-    """
+    """The model's three quadratic forms, dense (bands: ``_form_bands``)."""
     grid = make_grid(params.l, n)
-    h = grid.h
+    m, k_diag, k_off, d_diag, d_off = _form_bands(params, grid.h, n)
+    k_v, d_sig2 = np.diag(k_diag), np.diag(d_diag)
+    for form, off in ((k_v, k_off), (d_sig2, d_off)):
+        _set_band(form, 0, 1, off)
+        _set_band(form, 1, 0, off)
+    return QuadraticForms(m_h=np.diag(m), k_v=k_v, d_sig2=d_sig2)
 
-    trap = np.full(n, h)
-    trap[0] = trap[-1] = 0.5 * h
 
-    diff = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    diff[idx, idx] = -1.0
-    diff[idx, idx + 1] = 1.0
-    stiffness = diff.T @ diff / h
-
-    m_h = np.diag(trap)
-    m_h[0, 0] += params.m0
-    m_h[-1, -1] += params.ml
-
-    k_v = params.beta**2 * stiffness
-    k_v[0, 0] += params.k0
-    k_v[-1, -1] += params.kl
-
-    d_sig2 = params.gamma * stiffness + params.alpha * np.diag(trap)
-    d_sig2[0, 0] += params.alpha0
-    d_sig2[-1, -1] += params.alphal
-
-    return QuadraticForms(m_h=m_h, k_v=k_v, d_sig2=d_sig2)
+def _set_band(a: np.ndarray, row: int, col: int, values: np.ndarray) -> None:
+    """Write values down the diagonal of the square a from (row, col) on."""
+    step = a.shape[1] + 1
+    start = row * a.shape[1] + col
+    a.reshape(-1)[start:start + values.size * step:step] = values

@@ -89,12 +89,15 @@ def test_criterion_03_hyperbolic_oscillatory_decay():
     forms = quadratic_forms(EXAMPLE2_SMALL, 100)
     x0 = _energy_initial_data(EXAMPLE2_SMALL, 100)
     rep = analysis.energy_decay(sys, forms, x0, 100.0, rtol=1e-4, atol=1e-7)
-    maxima = rep.e[local_maxima(rep.e)]
-    maxima_decreasing = bool(np.all(np.diff(maxima) < 0.0))
+    # E never rises, and its loss per sample oscillates with the waves
+    maxima = local_maxima(-np.diff(rep.e))
+    monotone = rep.max_rise <= 1e-12
     decayed = rep.e[-1] < rep.e[0]
-    report(3, f"hyperbolic case: margin {margin:.4g} < 0, {maxima.size} "
-              f"local maxima strictly decreasing, energy decayed",
-           margin < 0.0 and maxima_decreasing and decayed)
+    report(3, f"hyperbolic case: margin {margin:.4g} < 0, energy "
+              f"nonincreasing (largest rise {rep.max_rise:.2g}), "
+              f"{maxima.size} >= 10 local maxima of the loss per sample, "
+              f"energy decayed",
+           margin < 0.0 and monotone and maxima.size >= 10 and decayed)
 
 
 def test_criterion_04_balancing_algebra():

@@ -103,13 +103,19 @@ def test_failed_run_exits_2(tmp_path, capsys):
 
 def test_runs():
     # compare on every preset at n = 100, energy on two presets at n = 100
-    # and 200: 9 x 4 CSVs, two energy.csv from compare, and 4 more
+    # and 200 and on the coarse grids exp_stability2 n = 50 and
+    # exp_stab_Ex1 n = 10: 9 x 4 CSVs, two energy.csv from compare, and 6
+    # more
     assert artifact_diff.PRESETS == tuple(cli.PRESETS)
     assert set(artifact_diff.ENERGY_PRESETS) == {
         name for name, preset in cli.PRESETS.items() if preset.energy_study}
     commands = [args[0] for _, args in artifact_diff.RUNS]
-    assert commands.count("compare") == 9 and commands.count("energy") == 4
-    assert len({name for name, _ in artifact_diff.RUNS}) == 13
+    assert commands.count("compare") == 9 and commands.count("energy") == 6
+    assert len({name for name, _ in artifact_diff.RUNS}) == 15
+    assert ("energy_exp_stability2_n50", ("energy", "--preset",
+            "exp_stability2", "--n", "50")) in artifact_diff.RUNS
+    assert ("energy_exp_stab_Ex1_n10", ("energy", "--preset", "exp_stab_Ex1",
+            "--n", "10")) in artifact_diff.RUNS
 
 
 # The BLAS-thread contract: compare's artifacts at one and at two BLAS

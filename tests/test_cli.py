@@ -2,14 +2,14 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cablemass import cli, linalg, rom
+from cablemass import analysis, cli, linalg, rom
 from cablemass.cli import (DEFAULT_PARAMS, PRESETS, ExperimentConfig,
                            ParseError, ValidationError, get_preset,
                            load_config, main, run_command)
@@ -505,6 +505,26 @@ class TestMain:
                          + 999 * (2 * k - 1))
         assert est > 0.0 and 1.0 <= cond <= linalg.MODAL_COND_MAX
         assert built == 1 + max(2, k.bit_length())
+
+    @pytest.mark.parametrize("rise,flagged", [(0.0, False), (1e-6, False),
+                                              (3.05e-4, True)])
+    def test_energy_rise_flagged(self, tmp_path, capsys, monkeypatch, rise,
+                                 flagged):
+        # the rate line logs the report's largest rise, and flags one
+        # above the study's rtol, min(rtol, 1e-6)
+        real = analysis.energy_decay
+
+        def rising(*args, **kwargs):
+            return replace(real(*args, **kwargs), max_rise=rise)
+
+        monkeypatch.setattr(analysis, "energy_decay", rising)
+        assert main(["energy", "--preset", "exp_stability2", "--n", "10",
+                     "--tf", "5", "--out", str(tmp_path)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("fitted decay rate"))
+        assert line.endswith(f"largest energy rise {rise:.3g}" + (
+            ", above rtol 1e-06: WARNING, the energy is not monotone"
+            if flagged else ""))
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_forced_runs_log_integrator(self, tmp_path, capsys, command):

@@ -41,20 +41,31 @@ class TestGrid:
             make_grid(1.0, 2)
 
 
-def loop_interior_rows(params, n):
-    """Reference: the interior stencil of A assembled row by row."""
+def loop_rows_from_forms(params, n):
+    """Reference: A assembled row by row from the dense energy forms.
+
+    Row i of each velocity block is row i of K_V or D_sig2 over
+    -(M_H)_ii, over the form's three diagonals only.
+    """
+    forms = quadratic_forms(params, n)
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    for i in range(n):
+        for j in range(max(i - 1, 0), min(i + 2, n)):
+            a[n + i, j] = -forms.k_v[i, j] / forms.m_h[i, i]
+            a[n + i, n + j] = -forms.d_sig2[i, j] / forms.m_h[i, i]
+    return a
+
+
+def centered_rows(params, n):
+    """The centered second-order differences of the interior rows."""
     h = params.l / (n - 1)
     b2, g = params.beta**2, params.gamma
     a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
     for i in range(1, n - 1):
-        row = n + i
-        a[row, i - 1] += b2 / h**2
-        a[row, i] += -2.0 * b2 / h**2
-        a[row, i + 1] += b2 / h**2
-        a[row, n + i - 1] += g / h**2
-        a[row, n + i] += -2.0 * g / h**2 - params.alpha
-        a[row, n + i + 1] += g / h**2
+        a[n + i, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) * b2 / h**2
+        a[n + i, n + i - 1:n + i + 2] = (np.array([1.0, -2.0, 1.0]) * g / h**2
+                                         - [0.0, params.alpha, 0.0])
     return a
 
 
@@ -64,11 +75,15 @@ class TestBuildSystem:
                              ids=["example1", "example2", "example3", "l2.5"])
     @pytest.mark.parametrize("n", [3, 4, 20, 101])
     def test_interior_rows_match_loop(self, params, n):
-        # bitwise, signed zeros included: gamma = 0 gives -0.0 coefficients
+        # bitwise, signed zeros included, against the forms; the interior
+        # rows are the centered differences up to rounding
         a = build_system(params, n).a
-        ref = loop_interior_rows(params, n)
-        rows = np.r_[0:n, n + 1:2 * n - 1]
-        assert a[rows].tobytes() == ref[rows].tobytes()
+        ref = loop_rows_from_forms(params, n)
+        assert a.tobytes() == ref.tobytes()
+        rows = np.r_[n + 1:2 * n - 1]
+        scale = np.abs(a[rows]).max()
+        np.testing.assert_allclose(a[rows], centered_rows(params, n)[rows],
+                                   rtol=0.0, atol=1e-14 * scale)
 
     def test_interior_stencil_n3(self):
         # n=3, l=1: h=1/2, beta^2/h^2 = 4
@@ -76,31 +91,44 @@ class TestBuildSystem:
         np.testing.assert_allclose(sys.a[4, :3], [4.0, -8.0, 4.0])
 
     def test_left_boundary_stencil_n3(self):
-        # 2h = 1: coefficients (-k0 - 3, 4, -1) / m0
+        # h = 1/2: the mass m0 + h/2 = 1.25 carries -(k0 + 1/h) d1 + d2/h,
+        # and the row reaches no third node
         sys = build_system(PhysicalParams(k0=1.0, gamma=0.0), 3)
-        np.testing.assert_allclose(sys.a[3, :3], [-4.0, 4.0, -1.0])
+        np.testing.assert_allclose(sys.a[3, :3], [-3.0 / 1.25, 2.0 / 1.25, 0.0])
+        assert sys.a[3, 2] == 0.0 and sys.a[3, 5] == 0.0
 
     def test_boundary_rows_general(self):
-        # frozen from the one-sided stencil formulas with h=1/2
+        # frozen from the lumped boundary masses with h=1/2: m0 + h/2 =
+        # 2.25 and ml + h/2 = 1.75 carry the boundary rows of K_V and
+        # D_sig2 (beta^2/h = 2, gamma/h = 0.6, alpha h/2 = 0.05)
         p = PhysicalParams(m0=2.0, ml=1.5, k0=0.7, kl=2.0, beta=1.0,
                            gamma=0.3, alpha=0.2, alpha0=0.25, alphal=0.4)
         sys = build_system(p, 3)
-        two_h_m0 = 2.0 * 0.5 * 2.0
         np.testing.assert_allclose(
-            sys.a[3, :3],
-            [-0.7 / 2.0 - 3.0 / two_h_m0, 4.0 / two_h_m0, -1.0 / two_h_m0])
+            sys.a[3, :3], [-(2.0 + 0.7) / 2.25, 2.0 / 2.25, 0.0])
         np.testing.assert_allclose(
-            sys.a[3, 3:],
-            [-3.0 * 0.3 / two_h_m0 - 0.25 / 2.0,
-             4.0 * 0.3 / two_h_m0, -0.3 / two_h_m0])
-        two_h_ml = 2.0 * 0.5 * 1.5
+            sys.a[3, 3:], [-(0.6 + 0.05 + 0.25) / 2.25, 0.6 / 2.25, 0.0])
         np.testing.assert_allclose(
-            sys.a[5, :3][::-1],
-            [-2.0 / 1.5 - 3.0 / two_h_ml, 4.0 / two_h_ml, -1.0 / two_h_ml])
+            sys.a[5, :3][::-1], [-(2.0 + 2.0) / 1.75, 2.0 / 1.75, 0.0])
         np.testing.assert_allclose(
-            sys.a[5, 3:][::-1],
-            [-0.4 / 1.5 - 3.0 * 0.3 / two_h_ml,
-             4.0 * 0.3 / two_h_ml, -0.3 / two_h_ml])
+            sys.a[5, 3:][::-1], [-(0.6 + 0.05 + 0.4) / 1.75, 0.6 / 1.75, 0.0])
+        assert sys.a[3, 2] == sys.a[3, 5] == sys.a[5, 0] == sys.a[5, 3] == 0.0
+
+    @pytest.mark.parametrize("n", [3, 50, 200])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_energy_is_a_lyapunov_function(self, name, n):
+        # with H = blkdiag(K_V, M_H), sym(H A) = blkdiag(0, -D_sig2) up to
+        # rounding on the forms' three diagonals, at most 6 entries a row,
+        # so its largest eigenvalue is at most 6 times that rounding
+        params = PRESETS[name].params
+        sys, forms = build_system(params, n), quadratic_forms(params, n)
+        h = scipy.linalg.block_diag(forms.k_v, forms.m_h)
+        ha = h @ sys.a
+        sym = 0.5 * (ha + ha.T)
+        expected = scipy.linalg.block_diag(np.zeros((n, n)), -forms.d_sig2)
+        tol = 4.0 * np.finfo(float).eps * np.abs(ha).max()
+        assert np.abs(sym - expected).max() <= tol
+        assert np.linalg.eigvalsh(sym).max() <= 6.0 * tol
 
     def test_block_structure(self):
         sys = build_system(EXAMPLE1, 12)
@@ -108,18 +136,23 @@ class TestBuildSystem:
         np.testing.assert_array_equal(sys.a[:12, 12:], np.eye(12))
 
     def test_input_and_output_maps(self):
+        # the input column is e_1 / (M_H)_11: h = 1/4, m0 + h/2 = 2.125
         p = PhysicalParams(m0=2.0)
         sys = build_system(p, 5)
         expected_b = np.zeros((10, 1))
-        expected_b[5, 0] = 0.5
-        np.testing.assert_array_equal(sys.b, expected_b)
+        expected_b[5, 0] = 1.0 / quadratic_forms(p, 5).m_h[0, 0]
+        assert sys.b.tobytes() == expected_b.tobytes()
+        assert sys.b[5, 0] == pytest.approx(1.0 / 2.125)
         assert sys.c.shape == (2, 10)
         assert sys.c[0, 4] == 1.0 and sys.c[1, 9] == 1.0
         assert np.count_nonzero(sys.c) == 2
 
     def test_nonlinearity_descriptor(self):
-        sys = build_system(PhysicalParams(k3=2.0, ml=1.5), 7)
-        assert sys.nl_coeff == pytest.approx(-2.0 / 1.5)
+        # -k3 / (M_H)_nn: h = 1/6, ml + h/2 = 19/12
+        p = PhysicalParams(k3=2.0, ml=1.5)
+        sys = build_system(p, 7)
+        assert sys.nl_coeff == -2.0 / quadratic_forms(p, 7).m_h[-1, -1]
+        assert sys.nl_coeff == pytest.approx(-24.0 / 19.0)
         assert sys.nl_state_index == 6
         assert sys.nl_target_index == 13
 
@@ -179,11 +212,12 @@ class TestNonlinearity:
                                       np.zeros(20))
 
     def test_cubic_value(self):
+        # -k3 d_n^3 / (ml + h/2) with h = 1/3: -8 / (5/3)
         sys = build_system(PhysicalParams(k3=1.0, ml=1.5), 4)
         x = np.zeros(8)
         x[3] = 2.0  # d_n
         out = eval_nonlinearity(sys, x)
-        assert out[7] == pytest.approx(-16.0 / 3.0)
+        assert out[7] == pytest.approx(-24.0 / 5.0)
         assert np.count_nonzero(out) == 1
 
     def test_linear_variant_identically_zero(self, rng):
@@ -206,10 +240,11 @@ class TestFomRhs:
                                       np.zeros(12))
 
     def test_input_column(self):
+        # 1 / (m0 + h/2) with h = 1/5
         sys = build_system(PhysicalParams(m0=4.0), 6)
         out = fom_rhs(sys, np.zeros(12), 1.0)
         expected = np.zeros(12)
-        expected[6] = 0.25
+        expected[6] = 1.0 / 4.1
         np.testing.assert_allclose(out, expected)
 
     def test_matrix_multiply_oracle_linear(self, rng):
@@ -250,16 +285,6 @@ class TestFomRhs:
         np.testing.assert_allclose(jac, fd, atol=1e-5)
 
 
-def velocity_row_combination(sys):
-    """P: h/(2 m0) times velocity row 1 onto row 0 and h/(2 ml) times row
-    n-2 onto row n-1, built from h, m0 and ml rather than read off A."""
-    n, h = sys.n, sys.grid.h
-    p = np.eye(n)
-    p[0, 1] = h / (2.0 * sys.params.m0)
-    p[n - 1, n - 2] = h / (2.0 * sys.params.ml)
-    return p
-
-
 def backward_error(w, z, b):
     """||W z - b|| / (||W|| ||z|| + ||b||), all in the 1-norm."""
     return (np.linalg.norm(w @ z - b, 1)
@@ -270,22 +295,24 @@ def backward_error(w, z, b):
 class TestSecondOrderJacobian:
     """The FOM's state Jacobian and the Rosenbrock solve with it."""
 
-    # n = 3 is the smallest grid, where the two boundary stencils overlap
+    # n = 3 is the smallest grid, where the two boundary rows share a node
     @pytest.mark.parametrize("n", [3, 50, 400])
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_velocity_blocks_tridiagonal(self, name, n):
-        # P cancels the third coefficient of build_system's one-sided
-        # boundary stencils: everything off the three diagonals of P K and
-        # P G is rounding, in A and in the Jacobian at a nonzero state
-        sys = build_system(PRESETS[name].params, n)
-        p = velocity_row_combination(sys)
+        # the velocity blocks are -M_H^-1 K_V and -M_H^-1 D_sig2, exactly
+        # (the dense quotient has -0.0 where A keeps +0.0), with nothing
+        # off their three diagonals, in A and in the Jacobian at a
+        # nonzero state
+        params = PRESETS[name].params
+        sys, forms = build_system(params, n), quadratic_forms(params, n)
+        mass = np.diagonal(forms.m_h)[:, None]
+        assert np.array_equal(sys.a[n:, :n], -forms.k_v / mass)
+        assert np.array_equal(sys.a[n:, n:], -forms.d_sig2 / mass)
         jac = fom_jacobian(sys, np.ones(2 * n))
         for m in (sys.a, jac):
             for block in (m[n:, :n], m[n:, n:]):
-                pm = p @ block
-                tol = 4.0 * np.finfo(float).eps * np.abs(block).max()
-                assert np.abs(np.triu(pm, 2)).max(initial=0.0) <= tol
-                assert np.abs(np.tril(pm, -2)).max(initial=0.0) <= tol
+                assert not np.triu(block, 2).any()
+                assert not np.tril(block, -2).any()
 
     @pytest.mark.parametrize("n", [3, 50])
     def test_dense_form_exact(self, n, rng):
@@ -343,6 +370,59 @@ class TestSecondOrderJacobian:
         jac[sys.nl_target_index, sys.nl_state_index] = delta
         with pytest.raises(ode.NonFiniteState):
             ode._factor(jac, 0.1, 0.0)
+
+
+def transfer_tridiagonal(sys, s):
+    """C (s I - A)^-1 B, solved with A's velocity blocks as three bands.
+
+    With K = A[n:, :n] and G = A[n:, n:], d = (s^2 I - s G - K)^-1 b_v
+    and v = s d; only the three diagonals of K and G are read, so the
+    result is right only if no row of A reaches a third node.
+    """
+    n = sys.n
+    k, g = sys.a[n:, :n], sys.a[n:, n:]
+    bands = np.zeros((3, n), dtype=complex)
+    bands[0, 1:] = -(s * np.diagonal(g, 1) + np.diagonal(k, 1))
+    bands[1] = s * s - s * np.diagonal(g) - np.diagonal(k)
+    bands[2, :-1] = -(s * np.diagonal(g, -1) + np.diagonal(k, -1))
+    d = scipy.linalg.solve_banded((1, 1), bands, sys.b[n:, 0].astype(complex))
+    return sys.c[:, :n] @ d + sys.c[:, n:] @ (s * d)
+
+
+class TestConvergence:
+    """Second-order convergence of the FOM's transfer function."""
+
+    @pytest.mark.parametrize("name", ["exp_stab_Ex1", "exp_stability2",
+                                      "small_damp_ex5_in4",
+                                      "small_stiff_ex5_in4"])
+    def test_transfer_function_second_order(self, name):
+        # the error is the largest over the frequencies, which omega = 1
+        # or 5 sets: at omega = 0.1 the linear elements are nearly exact
+        # (the static response is linear in x), and the error there, 2e-10
+        # to 6e-8 of |G| at n = 100 and 200, meets the rounding of the
+        # n = 1600 reference on the softly sprung presets
+        params = PRESETS[name].params
+        points = 1j * np.array([0.1, 1.0, 5.0])
+        ref = build_system(params, 1600)
+        g_ref = np.array([transfer_tridiagonal(ref, s) for s in points])
+        del ref
+        errors = []
+        for n in (25, 50, 100, 200):
+            sys = build_system(params, n)
+            for block in (sys.a[n:, :n], sys.a[n:, n:]):
+                assert not np.triu(block, 2).any()
+                assert not np.tril(block, -2).any()
+            g = np.array([transfer_tridiagonal(sys, s) for s in points])
+            errors.append(np.abs(g - g_ref).max())
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+    def test_banded_solve_matches_dense(self):
+        sys = build_system(PRESETS["exp_stability2"].params, 25)
+        for s in 1j * np.array([0.1, 1.0, 5.0]):
+            dense = sys.c @ np.linalg.solve(s * np.eye(50) - sys.a, sys.b[:, 0])
+            np.testing.assert_allclose(transfer_tridiagonal(sys, s), dense,
+                                       rtol=1e-10)
 
 
 class TestInitialData:

@@ -5,8 +5,10 @@
 Each tree is a checkout of this repository (the old one can be a
 ``git worktree`` of the parent commit).  For each tree the script runs
 the CLI from that tree's ``src/``: ``compare`` on every preset at
-n = 100, and ``energy`` on the two energy presets at n = 100 and 200,
-42 CSVs in all.  Every run is its own subprocess with one BLAS thread
+n = 100, ``energy`` on the two energy presets at n = 100 and 200, and
+``energy`` on the coarse grids where a boundary closure that does not
+dissipate the energy shows first (``exp_stability2`` at n = 50,
+``exp_stab_Ex1`` at n = 10), 44 CSVs in all.  Every run is its own subprocess with one BLAS thread
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1):
 the artifacts depend on the BLAS thread count, so only runs at equal
 counts can be byte-identical.
@@ -38,11 +40,15 @@ PRESETS = ("exp_stab_Ex1", "exp_stability2", "small_damp_ex1_in2",
            "small_damp_ex5_in4", "small_stiff_ex2_in1", "small_stiff_ex1_in4",
            "small_stiff_ex5_in4", "small_all_ex3_in2", "small_all_ex3_in4")
 ENERGY_PRESETS = ("exp_stab_Ex1", "exp_stability2")
+# energy runs: each energy preset at n = 100 and 200, and the coarse grids
+# where a boundary closure that does not dissipate the energy shows first
+ENERGY_GRIDS = ([(p, n) for p in ENERGY_PRESETS for n in (100, 200)]
+                + [("exp_stability2", 50), ("exp_stab_Ex1", 10)])
 # (run name, CLI arguments): every run writes into out/<run name>
 RUNS = tuple([(f"compare_{p}_n100", ("compare", "--preset", p, "--n", "100"))
               for p in PRESETS]
              + [(f"energy_{p}_n{n}", ("energy", "--preset", p, "--n", str(n)))
-                for p in ENERGY_PRESETS for n in (100, 200)])
+                for p, n in ENERGY_GRIDS])
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
