@@ -14,9 +14,9 @@ decay rate, and the largest rise between samples checks the first.
 The unforced study (``energy_decay``) steps the full-order model
 x' = A x + w c (v . x)^3 with fixed-step ETDRK4 in the real eigenvector
 coordinates of A (``sys.etdrk4.modes``: the system's ``etdrk4`` table
-factors A and folds them to one mode per real eigenvalue and one per
-conjugate pair), where e^(hA) is diagonal and a step costs O(n).  It runs the
-forced runs' loop (``rom._simulate``) with zero input from a given
+factors A into a real V, one column per real eigenvalue and two per
+conjugate pair), where e^(hA) is block-diagonal and a step costs O(n).
+It runs the forced runs' loop (``rom._simulate``) with zero input from a given
 state.  Each step size h = interval / k ends every k-th step on a
 sample, so no dense output is needed, and k is chosen by comparing the
 runs at h and 2h at every sample against rtol and atol, the run at
@@ -143,13 +143,13 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     the sampled states, and fits log E by least squares over
     [_FIT_SKIP * tf, tf] (the initial transient is skipped).
 
-    In y = V^-1 x (``sys.etdrk4.modes``) the model reads
-    y' = diag(lambda) y + g (Re row . y)^3, and the forced runs' loop
-    (``rom._simulate``) steps it with zero input, through
-    ``sys.etdrk4``, from V^-1 x0 folded onto the table's real modes
-    (``modal_state``), with h = interval / k, so every k-th step ends on
-    a sample, and samples x through the table's real modal basis
-    (``state_map``, built once per system).  A coarse first run steps
+    In the real y = V^-1 x (``sys.etdrk4.modes``) the model reads
+    y' = D y + g (row . y)^3, D block-diagonal, and the forced runs'
+    loop (``rom._simulate``) steps it with zero input, through
+    ``sys.etdrk4``, from y0 = V^-1 x0 (``modal_state``), with
+    h = interval / k, so every k-th step ends on a sample, and samples
+    x = V y through the table's real modal basis (``state_map``, a view
+    of V).  A coarse first run steps
     every second sample, each odd one by a side step from the sample
     before it, then runs are made at k = 1, 2, 4, ...
     (``ode.step_doubling``); each is compared at every sample with the

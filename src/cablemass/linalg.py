@@ -17,12 +17,13 @@ factor, and the spectrum, both Gramians and the input-2 frequencies all
 read it.  ``solve_lyapunov`` factors a bare matrix, and ``eigenvalues``
 takes the spectrum of one from LAPACK's eigenvalue driver ``dgeev``.
 
-``modal_factor`` diagonalises A = V diag(lambda) V^-1 for the exponential
-integrator of the energy study and the forced FOM and ROM runs, which
-step in the coordinates y = V^-1 x, folded to real ones: each model's
-ETDRK4 table (``ode.Etdrk4Table``) factors its A and keeps the factor
-(``sys.etdrk4.modes``).  V is kept as its LU factors, and its condition
-number is estimated from them by LAPACK ``zgecon``.
+``modal_factor`` block-diagonalises A = V D V^-1, V the real
+eigenvector matrix of LAPACK ``dgeev``, for the exponential integrator
+of the energy study and the forced FOM and ROM runs, which step in
+y = V^-1 x: each model's ETDRK4 table (``ode.Etdrk4Table``) factors its
+A and keeps the factor (``sys.etdrk4.modes``).  V is kept with its LU
+factors (``dgetrf``), from which ``dgecon`` estimates its condition
+number.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dtrsyl, zgecon, zgetrf, zgetrs
+from scipy.linalg.lapack import (dgecon, dgeev, dgeev_lwork, dgetrf, dgetrs,
+                                 dtrsyl)
 
 
 class NonConvergence(RuntimeError):
@@ -74,8 +76,8 @@ LYAP_BACKWARD_TOL = 1e-12
 _TRSYL_LEAF = 64
 # Largest 1-norm condition number of the eigenvector matrix modal_factor
 # accepts.  The change of basis x -> V^-1 x -> x can lose about cond * eps
-# relative, 2e-8 here.  The finite-difference models measure 4.6e3 to
-# 2.4e5 at n = 100 to 400.
+# relative, 2e-8 here.  The finite-difference models measure 3.7e3 to
+# 2.1e5 at n = 100 to 400.
 MODAL_COND_MAX = 1e8
 
 
@@ -135,16 +137,17 @@ class SvdResult:
 
 @dataclass(frozen=True, eq=False)
 class ModalForm:
-    """Eigendecomposition A = V diag(eigenvalues) V^-1 of a real matrix.
+    """Real block-diagonalisation A = V D V^-1 of a real matrix.
 
-    V (``v``, unit columns) is kept with its LU factors (``lu``, ``piv``,
-    LAPACK ``zgetrf`` form), from which ``solve`` applies V^-1; cond is
-    the ``zgecon`` estimate of its 1-norm condition number.  The arrays
-    are read-only.  Complex-conjugate eigenvalues come with conjugate
-    eigenvectors, so V^-1 x of a real x is conjugate-symmetric.  V stays
-    complex, with a column for every mode: ``ode.Etdrk4Table`` folds it
-    onto real modal coordinates, one mode per real eigenvalue and one per
-    conjugate pair.
+    V (``v``, Fortran order) holds a unit eigenvector for each of the
+    ``n_real`` real eigenvalues, then for each conjugate pair (Im lambda
+    > 0, unit eigenvector u + i w) the columns u and -w, so that x = V y
+    and the pair's y_j + i y_(j+1) evolves as e^(lambda t): D has the
+    block [[Re lambda, -Im lambda], [Im lambda, Re lambda]].
+    ``eigenvalues`` has lambda, conj(lambda) on a pair's columns.  V is
+    kept with its LU factors (``lu``, ``piv``, ``dgetrf`` form), from
+    which ``solve`` applies V^-1; cond is the ``dgecon`` estimate of its
+    1-norm condition number.  The arrays are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -152,17 +155,18 @@ class ModalForm:
     lu: np.ndarray
     piv: np.ndarray
     cond: float
+    n_real: int
 
     def solve(self, b) -> np.ndarray:
-        """V^-1 b for a vector or a matrix b, by ``zgetrs``."""
-        z, info = zgetrs(self.lu, self.piv, np.asarray(b, dtype=complex))
+        """V^-1 b for a vector or a matrix b, by ``dgetrs``."""
+        x, info = dgetrs(self.lu, self.piv, np.asarray(b, dtype=float))
         if info < 0:
-            raise ValueError(f"zgetrs: argument {-info} is invalid")
-        return z
+            raise ValueError(f"dgetrs: argument {-info} is invalid")
+        return x
 
 
 def modal_factor(a) -> ModalForm:
-    """Eigenvalues, eigenvectors and the LU of the eigenvector matrix of A.
+    """The real eigenvector matrix of A (``dgeev``) and its LU factors.
 
     Raises
     ------
@@ -174,18 +178,27 @@ def modal_factor(a) -> ModalForm:
         nearly defective A).
     """
     a = _as_square(a)
-    try:
-        eigs, v = scipy.linalg.eig(a)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK budget
-        raise NonConvergence(str(exc)) from exc
-    lu, piv, info = zgetrf(v)
+    # the queried workspace: the wrapper's default minimal one measured
+    # 1.2 and 1.3 times slower at orders 400 and 800
+    work, _ = dgeev_lwork(len(a), compute_vl=0)
+    wr, wi, _, vr, info = dgeev(a, compute_vl=0, lwork=int(work))
+    if info:  # pragma: no cover - LAPACK budget
+        raise NonConvergence(f"dgeev: QR iteration failed (info {info})")
+    # dgeev gives a pair's Im > 0 eigenvalue first, with the columns Re v
+    # and Im v: the real eigenvalues go first, and Im v is negated
+    real, pairs = np.flatnonzero(wi == 0.0), np.flatnonzero(wi > 0.0)
+    order = np.concatenate([real, np.stack([pairs, pairs + 1], 1).ravel()])
+    v = vr[:, order]
+    v[:, real.size + 1::2] *= -1.0
+    eigs = (wr + 1j * wi)[order]
+    lu, piv, info = dgetrf(v)
     if info < 0:
-        raise ValueError(f"zgetrf: argument {-info} is invalid")
+        raise ValueError(f"dgetrf: argument {-info} is invalid")
     cond = math.inf
     if info == 0:
-        rcond, info = zgecon(lu, np.abs(v).sum(axis=0).max(), norm="1")
+        rcond, info = dgecon(lu, np.abs(v).sum(axis=0).max(), norm="1")
         if info < 0:
-            raise ValueError(f"zgecon: argument {-info} is invalid")
+            raise ValueError(f"dgecon: argument {-info} is invalid")
         if rcond > 0.0:
             cond = 1.0 / rcond
     if not cond <= MODAL_COND_MAX:
@@ -194,7 +207,8 @@ def modal_factor(a) -> ModalForm:
             f"{MODAL_COND_MAX:.0e}")
     for arr in (eigs, v, lu, piv):
         arr.flags.writeable = False
-    return ModalForm(eigenvalues=eigs, v=v, lu=lu, piv=piv, cond=float(cond))
+    return ModalForm(eigenvalues=eigs, v=v, lu=lu, piv=piv, cond=float(cond),
+                     n_real=real.size)
 
 
 def real_schur(a) -> SchurForm:

@@ -30,7 +30,7 @@ A system's real Schur factor (``StateSpaceSystem.schur``) is computed
 once and shared by the spectrum, the Gramians and the input-2
 frequencies.  The energy study and the forced runs step through one
 ETDRK4 table (``StateSpaceSystem.etdrk4``), built once, which factors A
-and keeps the modal factor (``sys.etdrk4.modes``).  A, b and c are
+and keeps the real modal factor (``sys.etdrk4.modes``).  A, b and c are
 read-only, so the factors and table derived from them cannot go stale.
 """
 
@@ -159,8 +159,8 @@ class StateSpaceSystem:
         eigenvalue of A and two per conjugate pair.  ``rom.simulate_fom``
         and ``analysis.energy_decay`` step through it: each step size's
         coefficients are built once and kept for every later run of
-        either, and so are the output map and, once the energy study
-        asks for it, the real modal basis it samples the state through.
+        either, and so are the output map and the real modal basis V
+        the energy study samples the state through.
         """
         dim = 2 * self.n
         target, row = np.zeros(dim), np.zeros(dim)

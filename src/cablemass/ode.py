@@ -2,19 +2,19 @@
 
 ``CubicEtdrk4`` is the five-stage exponential Runge-Kutta method of
 stiff order 4 of Hochbruck and Ostermann (2005, SIAM J. Numer. Anal.
-43(3)) for y' = diag(lambda) y + bm u(t) + g (Re row . y)^3: a model in
-the eigenvector coordinates of A (``linalg.modal_factor``) with the
-input column bm.  A is real, so those coordinates of a real state are
-real at each real eigenvalue and conjugate within each pair: a state
-keeps each real mode once, as a float, and one mode per conjugate pair,
-weighted 2, the modes ordered [real | pairs], so it is exactly n reals,
-one float vector whose tail is viewed as complex, and the real modes
-step in real arithmetic.  The linear part is integrated exactly, so a
-step costs O(n) whatever the stiffness, and its order holds for stiff
-linear parts too, which makes the error estimate of step doubling hold
-there.  It has no error estimate of its own: ``step_doubling`` makes a
-coarse first run, then runs at k = 1, 2, 4, ... steps per sample
-interval until one agrees with the run before it to the caller's
+43(3)) for y' = D y + bm u(t) + g (row . y)^3: a model in the real
+eigenvector coordinates y = V^-1 x of A (``linalg.modal_factor``) with
+the input column bm.  V has one column per real eigenvalue and two per
+conjugate pair, the modes ordered [real | pairs], so a state is exactly
+n reals, one float vector: a real mode's value, then each pair's two
+values, whose complex view evolves as e^(lambda t) under the linear
+part D.  The real modes step in real arithmetic and the pair tail,
+viewed as complex, in complex.  The linear part is integrated
+exactly, so a step costs O(n) whatever the stiffness, and its order
+holds for stiff linear parts too, which makes the error estimate of
+step doubling hold there.  It has no error estimate of its own:
+``step_doubling`` makes a coarse first run, then runs at
+k = 1, 2, 4, ... steps per sample interval until one agrees with the run before it to the caller's
 tolerance.  ``Etdrk4Run.advance`` makes many steps in one call,
 ``CubicEtdrk4.step_rows`` one step from each row of a block, and
 ``etd_weights`` evaluates the phi-function coefficients: the closed
@@ -22,9 +22,9 @@ forms where |h lambda| >= 2, and below that their Taylor series, whose
 coefficients are exact rationals (on evaluating phi-functions see
 Skaflestad and Wright 2009, Appl. Numer. Math. 59).  The energy study
 and the forced FOM and ROM runs all step this way, and a system keeps
-its steps in an ``Etdrk4Table``, which folds the modal factor onto
-those modes once, with the real maps its runs sample through, and
-builds the coefficients of each step size once for all of the system's
+its steps in an ``Etdrk4Table``, which keeps the modal factor, the
+modal vectors and the real maps its runs sample through, and builds
+the coefficients of each step size once for all of the system's
 runs and queries.  A run keeps its state, input terms and buffers in
 one ``Etdrk4Run``, set up once, which steps through any of the system's
 kernels and allocates nothing per step: the input's part of each stage
@@ -68,7 +68,6 @@ import struct
 from bisect import bisect_left
 from dataclasses import astuple, dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dgemv
@@ -531,8 +530,7 @@ def _fold(v: np.ndarray, n_real: int) -> np.ndarray:
 
     The first n_real entries, those of the real modes, keep their real
     part, and each pair mode's value follows as its real and imaginary
-    parts: the layout of a state, so that Re(m . y) = _fold(conj m) @ y
-    for the state y of the modal values y_c.
+    parts: the layout of a state.
     """
     v = np.asarray(v, dtype=complex)
     out = np.empty(v.shape[:-1] + (2 * v.shape[-1] - n_real,))
@@ -543,14 +541,15 @@ def _fold(v: np.ndarray, n_real: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CubicEtdrk4:
-    """ETDRK4 steps of one size h for y' = diag(lam) y + bm u(t) + g s(y)^3.
+    """ETDRK4 steps of one size h for y' = D y + bm u(t) + g s(y)^3.
 
-    Here s(y) = Re row . y, and the modes are [real | pairs]: the first
-    n_real have a real eigenvalue (and real bm and g), so their values
-    stay real, and the rest are complex.  A state is one float vector of
-    n_real + 2 n_pairs entries: the real modes' values, then the pair
-    modes' real and imaginary parts interleaved (its tail viewed as
-    complex).  The cubic term is the fixed column g times the cube of
+    Here s(y) = row . y, and the modes are [real | pairs]: the first
+    n_real have a real eigenvalue, and D is diagonal on them, and each
+    pair mode's two values, viewed as one complex value, are multiplied
+    by its eigenvalue.  A state is one float vector of n_real + 2 n_pairs
+    entries: the real modes' values, then the pair modes' interleaved
+    (its tail viewed as complex), and row, g and bm are real vectors in
+    that layout.  The cubic term is the fixed column g times the cube of
     one scalar, and the input term the fixed column bm times u(t), so
     each of the five stages needs that scalar only: the stage scalars
     s1 ... s5 of a step from y are the three real products ``rows`` @ y
@@ -561,13 +560,13 @@ class CubicEtdrk4:
     ``step_rows``.
 
     e_real, e_pairs : e^(h lam) of the real modes (floats) and of the
-    pair modes (complex).  rows : (3, dim) reals, the state layout of
-    row, row e^(h lam / 2) and row e^(h lam), so that rows @ y is Re of
-    each times y: s1, p and r.  w : (6, dim) reals in the state layout,
-    h b1 g, h b4 g and h b5 g (``etd_weights``), then h b1 bm, h b4 bm
-    and h b5 bm: the rows of the weights (c1, c4, c5, u0, u1, uh).
-    stage : the eight reals Re row . (h a g) of a = a21, a31, a32, a41,
-    a42, a51, a52, a54, called by those names in
+    pair modes (complex).  rows : (3, dim) reals, row and row times
+    e^(h D / 2) and e^(h D), so that rows @ y gives s1, p and r.  w :
+    (6, dim) reals in the state layout, h b1 g, h b4 g and h b5 g
+    (``etd_weights``), then h b1 bm, h b4 bm and h b5 bm: the rows of
+    the weights (c1, c4, c5, u0, u1, uh).  stage : the eight reals
+    row . (h a g) of a = a21, a31, a32, a41, a42, a51, a52, a54, called
+    by those names in
 
         s2 = p + a21 c1,   s3 = p + a31 c1 + a32 c2,
         s4 = r + a41 c1 + a42 (c2 + c3),
@@ -822,42 +821,45 @@ class Etdrk4Run:
 
 
 def cubic_etdrk4(lam, row, g, h: float, bm) -> CubicEtdrk4:
-    """The ETDRK4 step of size h for y' = diag(lam) y + bm u + g (Re row . y)^3.
+    """The ETDRK4 step of size h for y' = D y + bm u + g (row . y)^3.
 
-    lam, row, g and the input column bm are complex vectors of one
-    length, one entry per mode, the modes [real | pairs]: the leading
-    entries of lam that are real are the real modes, whose row, g and bm
-    are read as real (their imaginary parts dropped), and every later
-    entry must have a nonzero imaginary part, else ValueError.  Every
-    call computes the coefficients afresh; ``Etdrk4Table`` keeps those
-    of a system, one set per h.  Up to _DENSE_DIM reals of state the
-    kernel also holds ``dense``, assembled from its e, rows and w.  The
-    kernel's arrays are read-only.
+    lam holds one complex eigenvalue per mode, the modes [real | pairs]:
+    its leading real entries are the real modes, and every later entry
+    must have a nonzero imaginary part, else ValueError.  row, g and the
+    input column bm are real vectors in the state layout, one real per
+    real mode and two per pair mode: row samples the cubic's argument
+    from a state, and the pair tails of g and bm, viewed as complex, are
+    the pair modes' columns.  Every call computes the coefficients
+    afresh; ``Etdrk4Table`` keeps those of a system, one set per h.  Up
+    to _DENSE_DIM reals of state the kernel also holds ``dense``,
+    assembled from its e, rows and w.  The kernel's arrays are read-only.
     """
     lam = np.asarray(lam, dtype=complex)
     n_real = lam.size - np.count_nonzero(lam.imag)
     if lam.imag[:n_real].any():
         raise ValueError("the modes with a real eigenvalue must come first")
-    row, g, bm = (np.array(v, dtype=complex) for v in (row, g, bm))
-    for v in (row, g, bm):
-        v.imag[:n_real] = 0.0
+    row, g, bm = (np.ascontiguousarray(v, dtype=float) for v in (row, g, bm))
+    # per mode: the real modes' values, then the pair tail as complex
+    row_m, g, bm = (np.concatenate([v[:n_real], v[n_real:].view(complex)])
+                    for v in (row, g, bm))
     z = h * lam
     *a, b1, b4, b5 = etd_weights(z)
-    half = np.exp(0.5 * z)
-    e = np.exp(z)
-    # Re(m . y) = _fold(conj m) @ y on states y
-    rows = _fold(np.conj([row, row * half, row * e]), n_real)
+    half, e = np.exp(0.5 * z), np.exp(z)
+    # row . (e^(h lam) y) is (e^(h lam)^T row) . y, and the transpose of
+    # a pair's multiplication by e^(h lam) multiplies by its conjugate
+    rows = _fold(row_m * np.conj([np.ones_like(z), half, e]), n_real)
     w = _fold(h * np.array([b1 * g, b4 * g, b5 * g,
                             b1 * bm, b4 * bm, b5 * bm]), n_real)
-    # Re row . (h a g) and Re row . (h a bm) of each stage coefficient a
-    a_g, a_bm = (((h * np.array(a) * col) @ row).real for col in (g, bm))
+    # row . (h a g) and row . (h a bm) of each stage coefficient a
+    a_g, a_bm = (_fold(h * np.array(a) * col, n_real) @ row
+                 for col in (g, bm))
     a21, a31, a32, a41, a42, a51, a52, a54 = a_bm.tolist()
     input_map = np.array([[a21, a31, a41, a51],
                           [0.0, a32, 2.0 * a42, 2.0 * a52],
                           [0.0, 0.0, 0.0, a54]])
     e_real, e_pairs = e[:n_real].real.copy(), e[n_real:]
     dense = (_dense_step(e_real, e_pairs, rows, w)
-             if rows.shape[1] <= _DENSE_DIM else None)
+             if row.size <= _DENSE_DIM else None)
     for arr in (e_real, e_pairs, rows, w, input_map, dense):
         if arr is not None:
             arr.flags.writeable = False
@@ -886,9 +888,10 @@ def _dense_step(e_real, e_pairs, rows, w) -> np.ndarray:
 # and the jump pieces' at k = 1, those of the coarse first run's steps of
 # two intervals, and the first interval's half).  A set holds 10 dim
 # reals (e, three rows, six rows of w), 80 dim bytes: 64 KB at n = 400
-# (dim 800), so a table holds at most 8 MB there.  A set of at most
+# (dim 800), so the sets take at most 8.4 MB there (tracemalloc), beside
+# the 10.3 MB of the table's real V and its LU.  A set of at most
 # _DENSE_DIM reals of state also holds its (dim + 3, dim + 6) dense step,
-# about 37 KB at dim 64, so a ROM's table holds at most 5.5 MB; the FOMs'
+# about 37 KB at dim 64, so a ROM's table holds at most 5.9 MB; the FOMs'
 # sets hold none.
 _TABLE_SETS = 128
 
@@ -897,20 +900,17 @@ class Etdrk4Table:
     """The ETDRK4 steps of one system, in real modal coordinates.
 
     The system is x' = A x + b u(t) + g (row_x . x)^3 with outputs c x.
-    The table factors A = V diag(lam) V^-1 once (``linalg.modal_factor``)
-    and keeps the factor as ``modes``; the cubic row is row_x V.  A is
-    real, so V^-1 x of a real x is conjugate-symmetric: its entries at
-    real eigenvalues are real and those of each conjugate pair
-    conjugate.  The table keeps each real eigenvalue once, as a real
-    mode, and one mode of each pair (Im lam > 0), the modes ordered
-    [real | pairs], and weights the pair modes 2 in row and in the
-    output maps, so Re(row . y) and the outputs are the same sums.  A
-    state (``modal_state``) is then exactly dim reals.  The table keeps the modal vectors every run
-    steps with: lam, row, gm = V^-1 g and bm = V^-1 b over those modes,
-    and the real sampling maps, ``out_map`` (c V) and ``state_map`` (V,
-    built on first use), each taking a block of states, one per row, to
-    its samples.  All of them are read-only.  The forced runs and the
-    energy study step through it.
+    The table factors A = V D V^-1 once (``linalg.modal_factor``) and
+    keeps the factor as ``modes``: V's columns are real and already in
+    the modes' order, [real | pairs], one per real eigenvalue and two
+    per conjugate pair, so a state is y = V^-1 x (``modal_state``),
+    exactly dim reals, and x = V y.  The table keeps the modal vectors
+    every run steps with: lam, one eigenvalue per mode (Im lam > 0 for
+    a pair), the cubic row row_x V, and gm = V^-1 g and bm = V^-1 b, all
+    in the state layout; and the real sampling maps ``out_map``
+    ((c V)^T) and ``state_map`` (V^T, a view of V), each taking a block
+    of states, one per row, to its samples.  All of them are read-only.
+    The forced runs and the energy study step through it.
 
     ``kernel(h)`` returns the ``CubicEtdrk4`` of step h.  Its
     coefficients depend on h lam and these vectors only, not on the
@@ -922,40 +922,21 @@ class Etdrk4Table:
 
     def __init__(self, a, b, g, row_x, c):
         self.modes = modes = linalg.modal_factor(a)
-        lam = modes.eigenvalues
-        self._order = np.concatenate([np.flatnonzero(lam.imag == 0.0),
-                                      np.flatnonzero(lam.imag > 0.0)])
-        self.dim = lam.size
-        self.n_real = self.dim - np.count_nonzero(lam.imag)
-        self._weight = np.where(lam[self._order].imag > 0.0, 2.0, 1.0)
-        self.lam = lam[self._order]
-        self.bm, self.gm = modes.solve(np.column_stack([b, g]))[self._order].T
-        self.row = self._weight * (row_x @ modes.v)[self._order]
-        self.out_map = self._sampling_map(c @ modes.v)
+        self.dim, self.n_real = modes.v.shape[0], modes.n_real
+        self.lam = modes.eigenvalues[np.r_[:self.n_real,
+                                           self.n_real:self.dim:2]]
+        self.bm, self.gm = modes.solve(np.column_stack([b, g])).T
+        self.row = row_x @ modes.v
+        self.out_map = (c @ modes.v).T
         for arr in (self.lam, self.bm, self.gm, self.row, self.out_map):
             arr.flags.writeable = False
+        self.state_map = modes.v.T
         self.built = 0
         self._sets = {}
 
-    def _sampling_map(self, m: np.ndarray) -> np.ndarray:
-        """The real map taking a block of states, one per row, to Re(m y)."""
-        folded = _fold(np.conj(m[:, self._order]) * self._weight, self.n_real)
-        return np.ascontiguousarray(folded.T)
-
-    @cached_property
-    def state_map(self) -> np.ndarray:
-        """The real modal basis W, x = W y, transposed as ``out_map`` is.
-
-        Built on first use and kept: the energy study samples the state
-        through it, the forced runs never.
-        """
-        state_map = self._sampling_map(self.modes.v)
-        state_map.flags.writeable = False
-        return state_map
-
     def modal_state(self, x) -> np.ndarray:
-        """The state of a real x: V^-1 x, folded onto the table's modes."""
-        return _fold(self.modes.solve(x)[self._order], self.n_real)
+        """The state of a real x: V^-1 x."""
+        return self.modes.solve(x)
 
     def kernel(self, h: float) -> CubicEtdrk4:
         """The ETDRK4 step of size h, built on first use and kept."""

@@ -12,12 +12,12 @@ Both models read x' = A x + b u(t) + g (v . x)^3: a constant linear
 part, the input column b, and a cubic term read through one functional
 v and written along one column g (the FOM's nl_state_index and
 nl_target_index, the ROM's nl_in_weights and nl_out_weights).  In the
-eigenvector coordinates y = V^-1 x of A (``sys.etdrk4.modes``, which
-each model's table factors) e^(hA) is diagonal, and fixed-step ETDRK4
-(``ode.CubicEtdrk4``) integrates the linear part exactly, so A's stiff
-and nearly undamped modes do not set the step; the cubic term and the
-input do.  The coordinates are real: each real eigenvalue is one real
-mode and each conjugate pair one complex mode weighted 2, so a state is
+real eigenvector coordinates y = V^-1 x of A (``sys.etdrk4.modes``,
+which each model's table factors) e^(hA) is block-diagonal, and
+fixed-step ETDRK4 (``ode.CubicEtdrk4``) integrates the linear part
+exactly, so A's stiff and nearly undamped modes do not set the step;
+the cubic term and the input do.  V has a real column per real
+eigenvalue and two per conjugate pair (Re v and -Im v), so a state is
 exactly dim reals.  A step costs O(dim), and a model of at most
 ``ode._DENSE_DIM`` reals of state (every ROM here) steps by one real
 (dim + 3) x (dim + 6) matrix-vector product instead: O(dim^2)
@@ -63,7 +63,8 @@ built once for all of the model's runs and queries, and a query that
 differs from an earlier one only in the input's amplitude builds none.
 A coefficient set holds 10 dim reals, 80 dim bytes (64 KB at n = 400,
 dim 800), and a table keeps at most ``ode._TABLE_SETS`` (128) of them,
-the oldest dropped first: at most 8 MB at n = 400.  A set of at most
+the oldest dropped first: at most 8.4 MB at n = 400, beside the modal
+factor's real V and its LU, 2 dim^2 reals (10.3 MB).  A set of at most
 ``ode._DENSE_DIM`` reals of state also holds its dense step matrix,
 about 37 KB at dim 64.
 """

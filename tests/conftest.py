@@ -29,6 +29,21 @@ def random_stable(rng, n, margin=0.5):
     return a - shift * np.eye(n)
 
 
+def modal_blocks(form) -> np.ndarray:
+    """The real block-diagonal D of a modal factor, A V = V D.
+
+    Diagonal on the real eigenvalues, and for each pair lambda,
+    conj(lambda) on columns j, j + 1 the block [[a, -b], [b, a]] with
+    lambda = a + i b, b > 0: the pair's columns are Re v and -Im v.
+    """
+    lam = form.eigenvalues
+    d = np.diag(lam.real)
+    j = np.arange(form.n_real, lam.size, 2)
+    d[j, j + 1] = -lam[j].imag
+    d[j + 1, j] = lam[j].imag
+    return d
+
+
 def schur_system(a, **matrices):
     """A stand-in system: A, its real Schur factor and any other matrices.
 

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.linalg.blas import dgemv
 
@@ -156,7 +157,7 @@ def complex_kernel(lam, row, g, h, bm):
     y' = diag(lam) y + bm u + g (Re row . y)^3 over all modes of A,
     conjugate pairs twice, with complex e, rows and w, and each stage
     coefficient written out from the phi-functions (``etd_weights``).
-    The reference the folded kernels are checked against.
+    The reference the real kernels are checked against.
     """
     z = h * np.asarray(lam, dtype=complex)
     a21, a31, a32, a41, a42, a51, a52, a54, b1, b4, b5 = ode.etd_weights(z)
@@ -649,8 +650,8 @@ class TestCubicEtdrk4:
         # pair modes, a state of 12 reals
         lam = -rng.uniform(0.0, 5.0, 6) + 1j * rng.uniform(-50.0, 50.0, 6)
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), 0.3,
-                                  np.zeros(6))
+        kernel = ode.cubic_etdrk4(lam, np.ones(12), np.zeros(12), 0.3,
+                                  np.zeros(12))
         np.testing.assert_allclose(
             kernel_steps(kernel, y.view(float)).view(complex),
             np.exp(0.3 * lam) * y, rtol=1e-15)
@@ -662,7 +663,8 @@ class TestCubicEtdrk4:
         bm = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         h, u = 0.3, 0.7
-        kernel = ode.cubic_etdrk4(lam, np.ones(6), np.zeros(6), h, bm)
+        kernel = ode.cubic_etdrk4(lam, np.ones(12), np.zeros(12), h,
+                                  bm.view(float))
         e = np.exp(h * lam)
         np.testing.assert_allclose(
             kernel_steps(kernel, y.view(float),
@@ -696,7 +698,7 @@ class TestCubicEtdrk4:
         y = rng.standard_normal(10)
         for dense_dim in (ode._DENSE_DIM, 0):
             monkeypatch.setattr(ode, "_DENSE_DIM", dense_dim)
-            unforced = ode.cubic_etdrk4(lam, row, g, 0.3, np.zeros(6))
+            unforced = ode.cubic_etdrk4(lam, row, g, 0.3, np.zeros(10))
             forced = ode.cubic_etdrk4(lam, row, g, 0.3, 10.0 * bm)
             assert (forced.dense is None) == (dense_dim == 0)
             zero = [(0.0, 0.0, 0.0)]
@@ -751,8 +753,9 @@ class TestAdvance:
         lam = -rng.uniform(0.5, 5.0, 6) + 1j * rng.uniform(-20.0, 20.0, 6)
         row, g, bm = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
                       for _ in range(3))
-        return ode.cubic_etdrk4(lam, row, 0.1 * g, 0.3,
-                                bm if forced else np.zeros(6))
+        return ode.cubic_etdrk4(lam, row.conj().view(float),
+                                0.1 * g.view(float), 0.3,
+                                bm.view(float) if forced else np.zeros(12))
 
     @staticmethod
     def state(rng):
@@ -824,8 +827,9 @@ class TestAdvance:
         lam = -rng.uniform(0.5, 5.0, 6) + 1j * rng.uniform(-20.0, 20.0, 6)
         row, g, bm = (rng.standard_normal(6) + 1j * rng.standard_normal(6)
                       for _ in range(3))
-        return [ode.cubic_etdrk4(lam, row, 0.1 * g, h,
-                                 bm if forced else np.zeros(6))
+        return [ode.cubic_etdrk4(lam, row.conj().view(float),
+                                 0.1 * g.view(float), h,
+                                 bm.view(float) if forced else np.zeros(12))
                 for h in sizes]
 
     @pytest.mark.parametrize("forced", [False, True])
@@ -851,9 +855,9 @@ class TestAdvance:
         # an all-real and an all-pairs system, whose update skips the
         # empty part, and one of both
         lam, row, g, h, bm = TestStepForms.coefficients(rng, n_real, n_pairs)
-        kernel = ode.cubic_etdrk4(lam, row, g, h,
-                                  bm if forced else np.zeros(n_real + n_pairs))
         dim = n_real + 2 * n_pairs
+        kernel = ode.cubic_etdrk4(lam, row, g, h,
+                                  bm if forced else np.zeros(dim))
         y0 = 0.5 * rng.standard_normal(dim)
         inputs = rng.standard_normal((20, 3)).tolist() if forced else None
         outs = [np.full((10, dim), np.nan) for _ in range(2)]
@@ -1014,7 +1018,11 @@ class TestStepForms:
 
     @staticmethod
     def coefficients(rng, n_real, n_pairs, h=0.05):
-        """cubic_etdrk4's arguments for n_real real and n_pairs pair modes."""
+        """cubic_etdrk4's arguments for n_real real and n_pairs pair modes.
+
+        Drawn as complex modal values, the cubic's argument Re(row . y),
+        then laid out as states are: n_real + 2 n_pairs reals each.
+        """
         lam = np.concatenate([-rng.uniform(0.05, 2.0, n_real),
                               -rng.uniform(0.05, 2.0, n_pairs)
                               + 1j * rng.uniform(1.0, 20.0, n_pairs)])
@@ -1022,7 +1030,8 @@ class TestStepForms:
             rng.standard_normal(n_real),
             rng.standard_normal(n_pairs) + 1j * rng.standard_normal(n_pairs)])
             for _ in range(3))
-        return lam, row, 0.1 * g, h, bm
+        return (lam, ode._fold(row.conj(), n_real),
+                0.1 * ode._fold(g, n_real), h, ode._fold(bm, n_real))
 
     @pytest.mark.parametrize("m", [1, 2, ode._DENSE_DIM // 2])
     def test_forms_agree(self, rng, monkeypatch, m):
@@ -1070,22 +1079,24 @@ class TestStepForms:
 
 
 class TestRealModes:
-    """Folded runs on a system's table against the complex representation.
+    """Runs on a system's real modal table against the complex representation.
 
-    The table keeps each real eigenvalue once and one mode per conjugate
-    pair, weighted 2; the reference steps every mode of A in complex
-    arithmetic (``complex_kernel``).  exp_stab_Ex1 has 24 real
-    eigenvalues of 40 at n = 20, small_damp_ex5_in4 none.
+    The table steps in the coordinates of the real eigenvector matrix of
+    A, one real mode per real eigenvalue and a pair of reals per
+    conjugate pair; the reference steps every mode of A in complex
+    arithmetic (``complex_kernel``), on A's complex eigenvectors from
+    ``scipy.linalg.eig``.  exp_stab_Ex1 has 24 real eigenvalues of 40 at
+    n = 20, small_damp_ex5_in4 none.
     """
 
     @staticmethod
     def reference(sys_, h):
-        modes = sys_.etdrk4.modes
+        """The complex kernel of step h, and A's complex eigenvectors."""
+        lam, v = scipy.linalg.eig(sys_.a)
         target = np.zeros(2 * sys_.n)
         target[sys_.nl_target_index] = sys_.nl_coeff
-        bm, gm = modes.solve(np.column_stack([sys_.b[:, 0], target])).T
-        return complex_kernel(modes.eigenvalues,
-                              modes.v[sys_.nl_state_index], gm, h, bm)
+        bm, gm = np.linalg.solve(v, np.column_stack([sys_.b[:, 0], target])).T
+        return complex_kernel(lam, v[sys_.nl_state_index], gm, h, bm), v
 
     @pytest.mark.parametrize("diagonal", [False, True],
                              ids=["dense", "diagonal"])
@@ -1098,7 +1109,6 @@ class TestRealModes:
             monkeypatch.setattr(ode, "_DENSE_DIM", 0)
         sys_ = build_system(get_preset(name).params, 20)
         table = sys_.etdrk4
-        modes = table.modes
         kernel = table.kernel(0.05)
         assert (kernel.dense is None) == diagonal
         assert table.dim == 40
@@ -1118,18 +1128,18 @@ class TestRealModes:
         ode.Etdrk4Run(table.modal_state(x0), inputs and forced_terms(
             kernel, inputs)).advance(kernel, samples, 2)
         ref = np.full((200, 40), np.nan, dtype=complex)
-        complex_advance(self.reference(sys_, 0.05), modes.solve(x0), ref, 2,
-                        inputs)
-        for fold, unfolded in ((table.out_map, sys_.c @ modes.v),
-                               (table.state_map, modes.v)):
-            got = samples @ fold
-            want = (ref @ unfolded.T).real
+        complex_ref, v = self.reference(sys_, 0.05)
+        complex_advance(complex_ref, np.linalg.solve(v, x0), ref, 2, inputs)
+        for sampling, basis in ((table.out_map, sys_.c @ v),
+                                (table.state_map, v)):
+            got = samples @ sampling
+            want = (ref @ basis.T).real
             assert np.abs(want).max() > 0.1
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_modal_state_round_trip(self):
-        # a real x, folded onto the table's modes and sampled back
-        # through its real modal basis, is x
+        # a real x, taken to the table's modes and sampled back through
+        # its real modal basis, is x
         sys_ = build_system(get_preset("exp_stab_Ex1").params, 20)
         table = sys_.etdrk4
         x = np.linspace(-1.0, 1.0, 40)
@@ -1143,13 +1153,20 @@ class TestRealModes:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_state_row_is_the_v_row(self, name):
         # the table forms the cubic row from the FOM's one-hot state row:
-        # row V is row nl_state_index of V, in the table's mode order
-        # and weighted 2 on the pair modes
+        # row V is row nl_state_index of V, whose columns are in the
+        # table's mode order
         sys_ = build_system(PRESETS[name].params, 20)
         table = sys_.etdrk4
-        lam = table.modes.eigenvalues
-        order = np.concatenate([np.flatnonzero(lam.imag == 0.0),
-                                np.flatnonzero(lam.imag > 0.0)])
-        weight = np.where(lam[order].imag > 0.0, 2.0, 1.0)
-        assert np.array_equal(
-            table.row, weight * table.modes.v[sys_.nl_state_index][order])
+        assert np.array_equal(table.row,
+                              table.modes.v[sys_.nl_state_index])
+
+    def test_table_keeps_two_real_matrices(self):
+        # the n = 200 FOM's table: V and its LU, dim^2 reals each, and a
+        # state map that is a view of V, not a copy
+        sys_ = build_system(get_preset("small_damp_ex5_in4").params, 200)
+        table = sys_.etdrk4
+        modes = table.modes
+        assert table.dim == 400
+        assert (modes.v.nbytes + modes.lu.nbytes
+                <= 1.01 * 2 * table.dim ** 2 * 8)
+        assert np.shares_memory(table.state_map, modes.v)

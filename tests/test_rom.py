@@ -539,11 +539,19 @@ class TestEtdrk4Runs:
         assert peaks[1] - peaks[0] <= 1000 * 400 * 8 / 4
 
 
-class TestStiffEstimate:
-    """The estimate contract on small_stiff_ex5_in4 at n = 50.
+# The defect test_kept_run_within_tolerance pins until it is mended
+STIFF_GRID_DEFECT = (
+    "rom._simulate: on small_stiff_ex5_in4's own 1000-sample grid the "
+    "k = 1 run passes its check against the coarse first run, yet is "
+    "3.39x (ROM, rtol 2e-5) and 9.26x (FOM at n = 100, rtol 1e-4) its "
+    "tolerance off a k = 32 run")
 
-    Its FOM has real eigenvalues down to -949 here and its input is a
-    square wave, where a step of stiff order 2 makes the /15 estimate
+
+class TestStiffEstimate:
+    """The estimate contract on small_stiff_ex5_in4 at n = 50 and 100.
+
+    Its FOM has real eigenvalues down to -949 at n = 50 and its input is
+    a square wave, where a step of stiff order 2 makes the /15 estimate
     too small: Cox and Matthews' ETDRK4 leaves these FOM outputs 1.3x
     (rtol 1e-5) and 2.0x (rtol 1e-6) their tolerance off.
     """
@@ -551,19 +559,20 @@ class TestStiffEstimate:
     @pytest.fixture(scope="class")
     def models(self):
         preset = PRESETS["small_stiff_ex5_in4"]
-        sys = build_system(preset.params, 50)
-        p, q = balance.gramians(sys)
-        bal = balance.square_root_transform(p, q, preset.r)
-        return preset, {"fom": (sys, rom.simulate_fom),
-                        "rom": (balance.reduce(sys, bal), rom.simulate_rom)}
+        out = {}
+        for n in (50, 100):
+            sys = build_system(preset.params, n)
+            p, q = balance.gramians(sys)
+            bal = balance.square_root_transform(p, q, preset.r)
+            out["fom", n] = sys, rom.simulate_fom
+            out["rom", n] = balance.reduce(sys, bal), rom.simulate_rom
+        return preset, out
 
-    @pytest.mark.parametrize("rtol", [1e-5, 1e-6])
-    @pytest.mark.parametrize("model", ["fom", "rom"])
-    def test_outputs_within_tolerance(self, models, monkeypatch, model,
-                                      rtol):
+    @staticmethod
+    def check(models, monkeypatch, model, n, rtol):
         # every output within rtol * scale + atol of a fixed k = 32 run
         preset, systems = models
-        system, simulate = systems[model]
+        system, simulate = systems[model, n]
         spec = input_preset(preset.input_name)
         atol = 1e-9
         series = simulate(system, spec, 0.0, preset.tf, rtol=rtol, atol=atol)
@@ -572,6 +581,26 @@ class TestStiffEstimate:
                        atol=atol).values
         scale = np.abs(series.values).max(axis=0)
         assert (np.abs(series.values - ref) <= rtol * scale + atol).all()
+
+    @pytest.mark.parametrize("rtol", [1e-5, 1e-6])
+    @pytest.mark.parametrize("model", ["fom", "rom"])
+    def test_outputs_within_tolerance(self, models, monkeypatch, model,
+                                      rtol):
+        # [rom-1e-05] keeps k = 2 only because the k = 1 estimate is
+        # 1.42x its tolerance
+        self.check(models, monkeypatch, model, 50, rtol)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason=STIFF_GRID_DEFECT)
+    @pytest.mark.parametrize("model, n, rtol", [
+        ("rom", 50, 2e-5), ("rom", 100, 2e-5), ("fom", 100, 1e-4)])
+    def test_kept_run_within_tolerance(self, models, monkeypatch, model, n,
+                                       rtol):
+        # the k = 1 run is kept, its estimate 0.70x (ROM) and 0.87x (FOM)
+        # its tolerance, and misses by 3.39x and 9.26x; with 2 dt |lam|
+        # at most 0.72 on the ROM, no guard on the step against the
+        # modes' time scales would refuse it
+        self.check(models, monkeypatch, model, n, rtol)
 
 
 def seed_only(monkeypatch):
