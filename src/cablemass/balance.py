@@ -14,9 +14,10 @@ with S_r T_r = I_r.  The diagonal of S holds the Hankel singular
 values, and truncating after r of them bounds the transfer-function
 error in the H-infinity norm by twice the discarded tail.
 
-Both Gramians are solved on the system's one real Schur factor of A,
-the same read-only factor its spectrum is read from; stability is
-checked once for the pair, on that factor's eigenvalues.
+Both Gramians are solved by ``linalg.solve_lyapunov`` on the system's
+one real Schur factor of A, the same read-only factor its spectrum is
+read from; stability is checked on that factor's cached spectrum, each
+solve.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ class ReducedSystem:
 def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     """Controllability and observability Gramians of the linear part.
 
-    Both Lyapunov equations are solved on the system's one real Schur
-    factor of A (``sys.schur``), which the spectrum shares.
+    Two ``linalg.solve_lyapunov`` calls on the system's one real Schur
+    factor of A (``sys.schur``), which the spectrum shares; Q's passes
+    ``trans=True``.  Each checks its W for symmetry before it solves.
 
     Raises
     ------
@@ -114,10 +116,9 @@ def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     linalg.SingularBlock, linalg.LyapunovResidual
         As for linalg.solve_lyapunov.
     """
-    form = sys.schur
-    linalg.check_stable(form)
-    p = linalg._lyapunov_on_schur(sys.a, form, sys.b @ sys.b.T)
-    q = linalg._lyapunov_on_schur(sys.a, form, sys.c.T @ sys.c, trans=True)
+    p = linalg.solve_lyapunov(sys.a, sys.b @ sys.b.T, schur=sys.schur)
+    q = linalg.solve_lyapunov(sys.a, sys.c.T @ sys.c, schur=sys.schur,
+                              trans=True)
     return p, q
 
 

@@ -14,8 +14,9 @@ of the work runs as matrix products.
 
 A system is factored once: ``StateSpaceSystem.schur`` caches a read-only
 factor, and the spectrum, both Gramians and the input-2 frequencies all
-read it.  ``solve_lyapunov`` factors a bare matrix, and ``eigenvalues``
-takes the spectrum of one from LAPACK's eigenvalue driver ``dgeev``.
+read it: ``solve_lyapunov`` takes the caller's factor (``schur=``) and
+factors a bare matrix itself, and ``eigenvalues`` takes the spectrum of
+a bare matrix from LAPACK's eigenvalue driver ``dgeev``.
 
 ``modal_factor`` block-diagonalises A = V D V^-1, V the real
 eigenvector matrix of LAPACK ``dgeev``, for the exponential integrator
@@ -367,25 +368,56 @@ def _trlyap(t: np.ndarray, c: np.ndarray, trans: bool) -> None:
     c[k:, :k] = c12.T
 
 
-def check_stable(form: SchurForm) -> None:
-    """Raise UnstableSystem unless every eigenvalue has negative real part."""
-    eigs = form.eigenvalues
+def solve_lyapunov(a, w, *, schur: SchurForm | None = None,
+                   trans: bool = False) -> np.ndarray:
+    """Solve op(A) P + P op(A)^T + W = 0 for stable A and symmetric PSD W.
+
+    op(A) is A, or A^T when trans.  Bartels-Stewart on the real Schur
+    factor of A: the caller's ``schur`` (A's, not checked beyond its
+    order) when given, else one computed here; stability is checked on
+    that factor's cached spectrum.  The
+    quasi-triangular equation is solved by the recursive blocked method
+    of Jonsson and Kagstrom (ACM TOMS 28(4), 2002): the factor is split
+    between two diagonal blocks, the halves are solved recursively, the
+    coupling block by one LAPACK ``dtrsyl`` call, and the remaining terms
+    by matrix products; blocks of order up to 64 go to ``dtrsyl`` whole,
+    and the lower blocks of P are filled by symmetry.  One
+    residual-correction pass reuses the factor when the residual exceeds
+    1e-11 relative to ||W|| (two solves at most: a third never lowered
+    the residual).
+
+    Raises
+    ------
+    ValueError
+        If A or W is not a finite square matrix of one order, or
+        ``schur`` is of another order (before any work).
+    NotSymmetric
+        If W is not symmetric to 1e-10 (relative, Frobenius norms).
+    UnstableSystem
+        If any eigenvalue of A has nonnegative real part (the Gramian
+        does not exist).
+    SingularBlock
+        If ``dtrsyl`` meets a near-singular sum of two eigenvalues.
+    LyapunovResidual
+        If the normwise backward error ||op(A) P + P op(A)^T + W|| /
+        (2 ||A|| ||P|| + ||W||) (Frobenius norms) exceeds LYAP_BACKWARD_TOL.
+    """
+    a = _as_square(a, "A")
+    w = _as_square(w, "W")
+    if a.shape != w.shape:
+        raise ValueError(f"shape mismatch: A {a.shape} vs W {w.shape}")
+    if schur is not None and schur.t.shape != a.shape:
+        raise ValueError(f"Schur factor of order {schur.t.shape[0]} for A "
+                         f"of order {a.shape[0]}")
+    _check_symmetric(w, "W")
+    if schur is None:
+        schur = real_schur(a)
+    eigs = schur.eigenvalues
     if eigs.size and eigs.real.max() >= 0.0:
         raise UnstableSystem(
             f"eigenvalue with real part {eigs.real.max():.3e} >= 0")
-
-
-def _lyapunov_on_schur(a: np.ndarray, form: SchurForm, w: np.ndarray,
-                       trans: bool = False) -> np.ndarray:
-    """Solve op(A) P + P op(A)^T + W = 0 given A = Q T Q^T.
-
-    op(A) is A, or A^T when trans, so both Gramians share one factor.
-    W must be symmetric: the recursive solve fills the lower off-diagonal
-    blocks of the solution by symmetry.  The caller checks stability
-    (``check_stable``), once for all solves on the factor.
-    """
-    q = form.q
-    t = np.asfortranarray(form.t)
+    q = schur.q
+    t = np.asfortranarray(schur.t)
     op_a = a.T if trans else a
     wnorm = np.linalg.norm(w)
     p = np.zeros_like(w)
@@ -408,39 +440,3 @@ def _lyapunov_on_schur(a: np.ndarray, form: SchurForm, w: np.ndarray,
         raise LyapunovResidual(f"backward error {rnorm / denom:.3e} exceeds "
                                f"{LYAP_BACKWARD_TOL:.0e}")
     return p
-
-
-def solve_lyapunov(a, w) -> np.ndarray:
-    """Solve A P + P A^T + W = 0 for stable A and symmetric PSD W.
-
-    Bartels-Stewart on the real Schur factor of A.  The quasi-triangular
-    equation is solved by the recursive blocked method of Jonsson and
-    Kagstrom (ACM TOMS 28(4), 2002): the factor is split between two
-    diagonal blocks, the halves are solved recursively, the coupling
-    block by one LAPACK ``dtrsyl`` call, and the remaining terms by
-    matrix products; blocks of order up to 64 go to ``dtrsyl`` whole.
-    One residual-correction pass reuses the Schur factor when the
-    residual exceeds 1e-11 relative to ||W|| (two solves at most: a
-    third never lowered the residual).
-
-    Raises
-    ------
-    NotSymmetric
-        If W is not symmetric to 1e-10 (relative, Frobenius norms).
-    UnstableSystem
-        If any eigenvalue of A has nonnegative real part (the Gramian
-        does not exist).
-    SingularBlock
-        If ``dtrsyl`` meets a near-singular sum of two eigenvalues.
-    LyapunovResidual
-        If the normwise backward error ||A P + P A^T + W|| /
-        (2 ||A|| ||P|| + ||W||) (Frobenius norms) exceeds LYAP_BACKWARD_TOL.
-    """
-    a = _as_square(a, "A")
-    w = _as_square(w, "W")
-    if a.shape != w.shape:
-        raise ValueError(f"shape mismatch: A {a.shape} vs W {w.shape}")
-    _check_symmetric(w, "W")
-    form = real_schur(a)
-    check_stable(form)
-    return _lyapunov_on_schur(a, form, w)

@@ -311,6 +311,29 @@ class TestSolveLyapunov:
         with pytest.raises(linalg.NotSymmetric):
             linalg.solve_lyapunov(a, rng.standard_normal((5, 5)))
 
+    def test_rejects_factor_of_another_order(self, rng, monkeypatch):
+        a = random_stable(rng, 5)
+        calls = record_dtrsyl(monkeypatch)
+        with pytest.raises(ValueError, match="order 4"):
+            linalg.solve_lyapunov(a, np.eye(5),
+                                  schur=linalg.real_schur(a[:4, :4]))
+        assert calls == []
+
+    def test_unstable_factor_rejected(self):
+        a = np.array([[0.5, 1.0], [0.0, -1.0]])
+        with pytest.raises(linalg.UnstableSystem):
+            linalg.solve_lyapunov(a, np.eye(2), schur=linalg.real_schur(a))
+
+    def test_trans_factors_a_itself(self, rng):
+        # without a factor, trans=True still factors A and solves
+        # A^T P + P A + W = 0
+        a = random_stable(rng, 12)
+        g = rng.standard_normal((12, 2))
+        w = g @ g.T
+        ref = scipy.linalg.solve_continuous_lyapunov(a.T, -w)
+        p = linalg.solve_lyapunov(a, w, trans=True)
+        assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
+
 
 class TestRecursiveLyapunov:
     """Orders above the dtrsyl leaf take the recursive blocked path."""
@@ -324,7 +347,8 @@ class TestRecursiveLyapunov:
         w = g @ g.T
         op_a = a.T if trans else a
         ref = scipy.linalg.solve_continuous_lyapunov(op_a, -w)
-        p = linalg._lyapunov_on_schur(a, linalg.real_schur(a), w, trans)
+        p = linalg.solve_lyapunov(a, w, schur=linalg.real_schur(a),
+                                  trans=trans)
         assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("trans", [False, True])

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cablemass import ode
-from conftest import linear_derivatives
+from cablemass import balance, ode
+from cablemass.model import build_system
+from conftest import EXAMPLE1, linear_derivatives
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -44,3 +45,19 @@ def test_integrate_result_carries_traced_stats():
     assert info((), result) == {"steps": s.n_steps, "rejected": s.n_rejected,
                                 "rhs": s.n_rhs, "lu": s.n_lu}
     assert s.n_steps > 0 and s.n_rhs > 0 and s.n_lu > 0
+
+
+def test_gramians_trace_two_solves_on_the_cached_factor():
+    # both Gramians reach the traced linalg.solve_lyapunov, on sys.schur,
+    # which the untraced reference call has already computed
+    sys = build_system(EXAMPLE1, 40)
+    p_ref, q_ref = balance.gramians(sys)
+    tracer = _load_tracing().Tracer()
+    with tracer.patched():
+        p, q = balance.gramians(sys)
+    names = tracer.names
+    (root,) = [i for i, name in enumerate(names) if name == "balance.gramians"]
+    assert [names[i] for i, parent in enumerate(tracer.parents)
+            if parent == root] == ["linalg.solve_lyapunov"] * 2
+    assert "linalg.real_schur" not in names
+    assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
