@@ -16,8 +16,10 @@ error in the H-infinity norm by twice the discarded tail.
 
 Both Gramians are solved by ``linalg.solve_lyapunov`` on the system's
 one real Schur factor of A, the same read-only factor its spectrum is
-read from; stability is checked on that factor's cached spectrum, each
-solve.
+read from, given B and C^T, the factors of their right-hand sides;
+stability is checked on that factor's cached spectrum, each solve.
+Each Gramian is factored by pivoted Cholesky (``linalg.psd_factor``),
+which keeps one column per pivot above LAPACK's default tolerance.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     """Controllability and observability Gramians of the linear part.
 
     Two ``linalg.solve_lyapunov`` calls on the system's one real Schur
-    factor of A (``sys.schur``), which the spectrum shares; Q's passes
-    ``trans=True``.  Each checks its W for symmetry before it solves.
+    factor of A (``sys.schur``), which the spectrum shares: P's with the
+    factor B of B B^T, Q's with C^T and ``trans=True``.
 
     Raises
     ------
@@ -116,14 +118,13 @@ def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     linalg.SingularBlock, linalg.LyapunovResidual
         As for linalg.solve_lyapunov.
     """
-    p = linalg.solve_lyapunov(sys.a, sys.b @ sys.b.T, schur=sys.schur)
-    q = linalg.solve_lyapunov(sys.a, sys.c.T @ sys.c, schur=sys.schur,
-                              trans=True)
+    p = linalg.solve_lyapunov(sys.a, sys.b, schur=sys.schur)
+    q = linalg.solve_lyapunov(sys.a, sys.c.T, schur=sys.schur, trans=True)
     return p, q
 
 
 def _hankel_svd(p, q):
-    """Factors P = U U^T, Q = L L^T and the SVD of L^T U."""
+    """Pivoted-Cholesky factors P = U U^T, Q = L L^T and the SVD of L^T U."""
     u = linalg.psd_factor(p)
     l = linalg.psd_factor(q)
     return u, l, linalg.svd(l.T @ u)

@@ -1,16 +1,18 @@
 """Dense linear-algebra kernels for balancing and the energy study.
 
-Factorizations (real Schur, SVD, symmetric eigendecomposition) are
-delegated to LAPACK through scipy/numpy.  The continuous Lyapunov
-equation is solved by the Bartels-Stewart method (R. H. Bartels and
-G. W. Stewart, "Solution of the matrix equation AX + XB = C", Comm. ACM
-15(9), 1972): reduce the coefficient matrix to real Schur form, then
-solve the quasi-triangular Lyapunov equation.  That solve is recursive
-and blocked (I. Jonsson and B. Kagstrom, "Recursive blocked algorithms
-for solving triangular systems - Part I: one-sided and coupled Sylvester-
-type matrix equations", ACM TOMS 28(4), 2002): it halves the triangular
-factor until the blocks are small enough for LAPACK ``xTRSYL``, so most
-of the work runs as matrix products.
+Factorizations (real Schur, SVD, pivoted Cholesky) are delegated to
+LAPACK through scipy/numpy; ``psd_factor`` factors a Gramian by
+``dpstrf``.  The continuous Lyapunov equation, with its right-hand side
+given as W = G G^T, is solved by the Bartels-Stewart method (R. H.
+Bartels and G. W. Stewart, "Solution of the matrix equation AX + XB =
+C", Comm. ACM 15(9), 1972): reduce the coefficient matrix to real Schur
+form, then solve the quasi-triangular Lyapunov equation.  That solve is
+recursive and blocked (I. Jonsson and B. Kagstrom, "Recursive blocked
+algorithms for solving triangular systems - Part I: one-sided and
+coupled Sylvester-type matrix equations", ACM TOMS 28(4), 2002): it
+halves the triangular factor, and the larger side of each Sylvester
+equation that couples two halves, until the blocks are small enough for
+LAPACK ``xTRSYL``, so most of the work runs as matrix products.
 
 A system is factored once: ``StateSpaceSystem.schur`` caches a read-only
 factor, and the spectrum, both Gramians and the input-2 frequencies all
@@ -36,7 +38,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import (dgecon, dgeev, dgeev_lwork, dgetrf, dgetrs,
-                                 dtrsyl)
+                                 dpotrf, dpstrf, dtrsyl)
 
 
 class NonConvergence(RuntimeError):
@@ -67,14 +69,15 @@ class IllConditionedModes(ValueError):
     """A's eigenvector matrix is too ill-conditioned to change basis by."""
 
 
-# Relative eigenvalue threshold below which psd_factor drops a mode.
-PSD_RANK_DROP = 1e-12
 # Most negative eigenvalue tolerated by psd_factor, relative to the largest.
 PSD_NEG_TOL = 1e-8
 # Largest backward error of a Lyapunov solution (see solve_lyapunov).
 LYAP_BACKWARD_TOL = 1e-12
-# Largest order that the recursive Lyapunov solver hands to dtrsyl whole.
+# Largest order that the recursive Lyapunov and Sylvester solves hand to
+# dtrsyl whole.
 _TRSYL_LEAF = 64
+# Rows per block of _check_symmetric's norm of M - M^T.
+_SYM_BLOCK = 64
 # Largest 1-norm condition number of the eigenvector matrix modal_factor
 # accepts.  The change of basis x -> V^-1 x -> x can lose about cond * eps
 # relative, 2e-8 here.  The finite-difference models measure 3.7e3 to
@@ -282,35 +285,65 @@ def svd(m) -> SvdResult:
 def psd_factor(p) -> np.ndarray:
     """Rank-revealing factor F of a symmetric PSD matrix, P = F F^T.
 
-    Computed from the symmetric eigendecomposition.  Eigenvalues below
-    ``PSD_RANK_DROP`` times the largest are truncated, so F has one
-    column per numerically significant mode.  Gramians of lightly
-    damped systems are routinely semidefinite, which is why this is
-    preferred over a Cholesky factorization.
+    Cholesky with diagonal pivoting, LAPACK ``dpstrf`` at its default
+    tolerance: the factorization stops at the first pivot below n u
+    max_i P_ii (u the unit roundoff), so F has one column per pivot
+    taken, the numerical rank of P.  Gramians of lightly damped
+    systems are routinely semidefinite, which is why the pivoted form
+    is used.  ``dpstrf`` stops at a small pivot and does not see a
+    negative eigenvalue behind it, so P is checked once more: one
+    Cholesky factorization (``dpotrf``) of P + PSD_NEG_TOL * lambda_max
+    * I, lambda_max = ||F||_2^2, must succeed.  A zero P has a factor
+    with no columns.
 
     Raises
     ------
     NotPsd
         If P is not symmetric to 1e-10 (relative; raised as the subclass
         NotSymmetric) or has a negative eigenvalue beyond
-        ``PSD_NEG_TOL`` times the largest magnitude.
+        ``PSD_NEG_TOL`` times lambda_max (any negative eigenvalue when
+        no diagonal entry of P is positive).
     """
     p = _as_square(p, "P")
     _check_symmetric(p, "P")
-    w, v = np.linalg.eigh(0.5 * (p + p.T))
-    scale = np.max(np.abs(w)) if w.size else 0.0
-    if scale == 0.0:
-        return np.zeros((p.shape[0], 0))
-    if w[0] < -PSD_NEG_TOL * scale:
-        raise NotPsd(f"negative eigenvalue {w[0]:.3e} beyond tolerance")
-    keep = w > PSD_RANK_DROP * scale
-    return v[:, keep] * np.sqrt(w[keep])
+    n = p.shape[0]
+    # P^T equals P to 1e-10 (checked above) and, for a row-major P, is in
+    # LAPACK's column-major order: no transposing copy
+    c, piv, rank, info = dpstrf(p.T, lower=1)
+    if info < 0:
+        raise ValueError(f"dpstrf: argument {-info} is invalid")
+    # P[piv, piv] = L L^T, L lower trapezoidal of width rank
+    f = np.zeros((n, rank))
+    f[piv - 1] = np.tril(c[:, :rank])
+    if rank == 0:
+        if np.any(p):  # nonzero, with no positive diagonal entry
+            raise NotPsd("no positive pivot in a nonzero matrix")
+        return f
+    # ||F||_2^2 is the largest eigenvalue of the rank x rank F^T F
+    lam_max = np.linalg.eigvalsh(f.T @ f)[-1]
+    shifted = np.array(p.T, order="F")
+    shifted.flat[::n + 1] += PSD_NEG_TOL * lam_max
+    _, info = dpotrf(shifted, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise NotPsd("negative eigenvalue beyond tolerance")
+    return f
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> None:
-    """Raise NotSymmetric unless ||M - M^T|| <= 1e-10 ||M|| (Frobenius)."""
+    """Raise NotSymmetric unless ||M - M^T|| <= 1e-10 ||M|| (Frobenius).
+
+    ||M - M^T|| is summed over blocks of ``_SYM_BLOCK`` rows from the
+    diagonal rightwards, so no temporary larger than one block is made.
+    """
     mnorm = np.linalg.norm(m)
-    if mnorm > 0 and np.linalg.norm(m - m.T) > 1e-10 * mnorm:
+    sq = 0.0
+    for i in range(0, m.shape[0], _SYM_BLOCK):
+        j = i + _SYM_BLOCK
+        d = m[i:j, i:].copy()
+        d -= m[i:, i:j].T
+        # right of the diagonal block, d holds each pair (k, l) once
+        sq += 2.0 * np.vdot(d, d) - np.vdot(d[:, :j - i], d[:, :j - i])
+    if mnorm > 0 and math.sqrt(sq) > 1e-10 * mnorm:
         raise NotSymmetric(f"{name} is not symmetric")
 
 
@@ -328,30 +361,71 @@ def _trsyl(a: np.ndarray, b: np.ndarray, c: np.ndarray, trana: str,
     return x
 
 
+def _split(t: np.ndarray) -> int:
+    """A split point of quasi-triangular T near its middle, between blocks."""
+    k = t.shape[0] // 2
+    if t[k, k - 1] != 0.0:  # never split a 2x2 block
+        k += 1
+    return k
+
+
+def _trsylv(a: np.ndarray, b: np.ndarray, c: np.ndarray, trana: str,
+            tranb: str) -> None:
+    """Overwrite C with X solving op(A) X + X op(B) = C.
+
+    A and B are quasi-triangular, and op(A) is A, or A^T when trana is
+    "T" (op(B) likewise).  Recursive blocked solve (Jonsson and Kagstrom
+    2002): the larger of A and B is split between two diagonal blocks,
+    the two half-size equations are solved in turn and coupled by one
+    matrix product.  When both orders are at most ``_TRSYL_LEAF``, one
+    dtrsyl call solves the equation.
+    """
+    m, n = a.shape[0], b.shape[0]
+    if max(m, n) <= _TRSYL_LEAF:
+        c[...] = _trsyl(a, b, c, trana, tranb)
+        return
+    if n > m:
+        # X^T solves op(B)^T X^T + X^T op(A)^T = C^T: split B as A
+        flip = {"N": "T", "T": "N"}
+        _trsylv(b, a, c.T, flip[tranb], flip[trana])
+        return
+    k = _split(a)
+    a11, a12, a22 = a[:k, :k], a[:k, k:], a[k:, k:]
+    c1, c2 = c[:k], c[k:]
+    if trana == "T":
+        # A11^T X1 + X1 op(B) = C1 first, then X2
+        _trsylv(a11, b, c1, trana, tranb)
+        c2 -= a12.T @ c1
+        _trsylv(a22, b, c2, trana, tranb)
+    else:
+        # A22 X2 + X2 op(B) = C2 first, then X1
+        _trsylv(a22, b, c2, trana, tranb)
+        c1 -= a12 @ c2
+        _trsylv(a11, b, c1, trana, tranb)
+
+
 def _trlyap(t: np.ndarray, c: np.ndarray, trans: bool) -> None:
     """Overwrite symmetric C with Y solving op(T) Y + Y op(T)^T = C.
 
     T is quasi-triangular and op(T) is T, or T^T when trans.  Recursive
     blocked Bartels-Stewart (Jonsson and Kagstrom 2002): split T between
-    two diagonal blocks, solve the two half-size Lyapunov equations
-    recursively and the Sylvester equation for Y12 with one dtrsyl, and
-    apply the coupling terms as matrix products.  Orders up to
-    ``_TRSYL_LEAF`` go to dtrsyl whole.
+    two diagonal blocks, solve the two half-size Lyapunov equations and
+    the Sylvester equation for Y12 recursively (``_trsylv``), and apply
+    the coupling terms as matrix products.  Orders up to ``_TRSYL_LEAF``
+    go to dtrsyl whole.
     """
     n = t.shape[0]
     if n <= _TRSYL_LEAF:
         c[...] = _trsyl(t, t, c, *(("T", "N") if trans else ("N", "T")))
         return
-    k = n // 2
-    if t[k, k - 1] != 0.0:  # never split a 2x2 block
-        k += 1
+    k = _split(t)
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
     c11, c12, c22 = c[:k, :k], c[:k, k:], c[k:, k:]
     if trans:
         # T11^T Y11 + Y11 T11 = C11 first, then Y12, then Y22.
         _trlyap(t11, c11, True)
         c12 -= c11 @ t12
-        c12[...] = _trsyl(t11, t22, c12, "T", "N")
+        _trsylv(t11, t22, c12, "T", "N")
         x = t12.T @ c12
         c22 -= x
         c22 -= x.T
@@ -360,7 +434,7 @@ def _trlyap(t: np.ndarray, c: np.ndarray, trans: bool) -> None:
         # T22 Y22 + Y22 T22^T = C22 first, then Y12, then Y11.
         _trlyap(t22, c22, False)
         c12 -= t12 @ c22
-        c12[...] = _trsyl(t11, t22, c12, "N", "T")
+        _trsylv(t11, t22, c12, "N", "T")
         x = t12 @ c12.T
         c11 -= x
         c11 -= x.T
@@ -368,31 +442,32 @@ def _trlyap(t: np.ndarray, c: np.ndarray, trans: bool) -> None:
     c[k:, :k] = c12.T
 
 
-def solve_lyapunov(a, w, *, schur: SchurForm | None = None,
+def solve_lyapunov(a, g, *, schur: SchurForm | None = None,
                    trans: bool = False) -> np.ndarray:
-    """Solve op(A) P + P op(A)^T + W = 0 for stable A and symmetric PSD W.
+    """Solve op(A) P + P op(A)^T + W = 0 for stable A and W = G G^T.
 
-    op(A) is A, or A^T when trans.  Bartels-Stewart on the real Schur
-    factor of A: the caller's ``schur`` (A's, not checked beyond its
-    order) when given, else one computed here; stability is checked on
-    that factor's cached spectrum.  The
-    quasi-triangular equation is solved by the recursive blocked method
-    of Jonsson and Kagstrom (ACM TOMS 28(4), 2002): the factor is split
-    between two diagonal blocks, the halves are solved recursively, the
-    coupling block by one LAPACK ``dtrsyl`` call, and the remaining terms
-    by matrix products; blocks of order up to 64 go to ``dtrsyl`` whole,
-    and the lower blocks of P are filled by symmetry.  One
-    residual-correction pass reuses the factor when the residual exceeds
-    1e-11 relative to ||W|| (two solves at most: a third never lowered
-    the residual).
+    op(A) is A, or A^T when trans; G is n x m, any m (the Gramians pass
+    B and C^T).  Bartels-Stewart on the real Schur factor A = Q T Q^T:
+    the caller's ``schur`` (A's, not checked beyond its order) when
+    given, else one computed here; stability is checked on that
+    factor's cached spectrum.  The first pass transforms W as
+    (Q^T G)(Q^T G)^T, a rank-m product.  The quasi-triangular equation
+    is solved by the recursive blocked method of Jonsson and Kagstrom
+    (ACM TOMS 28(4), 2002): the factor is split between two diagonal
+    blocks, the halves are solved recursively, and so is the Sylvester
+    equation that couples them, whose larger side is split in turn;
+    the coupling terms are matrix products, equations whose orders are
+    at most 64 go to LAPACK ``dtrsyl`` whole, and the lower blocks of
+    P are filled by symmetry.  One residual-correction pass reuses the
+    factor when the residual exceeds 1e-11 relative to ||W|| (two
+    solves at most: a third never lowered the residual).
 
     Raises
     ------
     ValueError
-        If A or W is not a finite square matrix of one order, or
-        ``schur`` is of another order (before any work).
-    NotSymmetric
-        If W is not symmetric to 1e-10 (relative, Frobenius norms).
+        If A is not a finite square matrix, G not a finite matrix with
+        A's row count, or ``schur`` is of another order (before any
+        work).
     UnstableSystem
         If any eigenvalue of A has nonnegative real part (the Gramian
         does not exist).
@@ -403,13 +478,12 @@ def solve_lyapunov(a, w, *, schur: SchurForm | None = None,
         (2 ||A|| ||P|| + ||W||) (Frobenius norms) exceeds LYAP_BACKWARD_TOL.
     """
     a = _as_square(a, "A")
-    w = _as_square(w, "W")
-    if a.shape != w.shape:
-        raise ValueError(f"shape mismatch: A {a.shape} vs W {w.shape}")
+    g = as_matrix(g, "G")
+    if g.shape[0] != a.shape[0]:
+        raise ValueError(f"shape mismatch: A {a.shape} vs G {g.shape}")
     if schur is not None and schur.t.shape != a.shape:
         raise ValueError(f"Schur factor of order {schur.t.shape[0]} for A "
                          f"of order {a.shape[0]}")
-    _check_symmetric(w, "W")
     if schur is None:
         schur = real_schur(a)
     eigs = schur.eigenvalues
@@ -419,11 +493,14 @@ def solve_lyapunov(a, w, *, schur: SchurForm | None = None,
     q = schur.q
     t = np.asfortranarray(schur.t)
     op_a = a.T if trans else a
+    w = g @ g.T
     wnorm = np.linalg.norm(w)
     p = np.zeros_like(w)
-    resid = w
-    for _ in range(2):
-        y = q.T @ resid @ q
+    qg = q.T @ g
+    y = qg @ qg.T
+    for correction in (False, True):
+        if correction:
+            y = q.T @ resid @ q
         _trlyap(t, y, trans)
         p -= q @ y @ q.T
         p += p.T

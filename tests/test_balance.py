@@ -69,8 +69,8 @@ class TestGramians:
 
     def test_shared_schur_matches_separate_solves(self, example1_n20):
         sys, p, q = example1_n20
-        p_ref = linalg.solve_lyapunov(sys.a, sys.b @ sys.b.T)
-        q_ref = linalg.solve_lyapunov(sys.a.T, sys.c.T @ sys.c)
+        p_ref = linalg.solve_lyapunov(sys.a, sys.b)
+        q_ref = linalg.solve_lyapunov(sys.a.T, sys.c.T)
         assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
         assert np.linalg.norm(q - q_ref) <= 1e-10 * np.linalg.norm(q_ref)
 
@@ -91,7 +91,7 @@ class TestGramians:
         sys = build_system(get_preset("small_damp_ex5_in4").params, 200)
         calls = record_dtrsyl(monkeypatch)
         p, q = gramians(sys)
-        assert calls and max(max(c) for c in calls) < 400
+        assert calls and max(max(len(a), len(b)) for a, b in calls) < 400
         for a, gram, w in ((sys.a, p, sys.b @ sys.b.T),
                            (sys.a.T, q, sys.c.T @ sys.c)):
             resid = np.linalg.norm(a @ gram + gram @ a.T + w)
@@ -136,8 +136,8 @@ class TestSquareRootTransform:
 
     def test_full_rank_balances(self):
         sys = random_full_rank_system()
-        p = linalg.solve_lyapunov(sys.a, sys.b @ sys.b.T)
-        q = linalg.solve_lyapunov(sys.a.T, sys.c.T @ sys.c)
+        p = linalg.solve_lyapunov(sys.a, sys.b)
+        q = linalg.solve_lyapunov(sys.a.T, sys.c.T)
         hsv = hankel_values(p, q)
         bal = square_root_transform(p, q, len(hsv))
         np.testing.assert_allclose(bal.sr @ p @ bal.sr.T, np.diag(hsv),
@@ -263,8 +263,8 @@ class TestTransferFunction:
 
     def test_similarity_invariance(self):
         sys = random_full_rank_system()
-        p = linalg.solve_lyapunov(sys.a, sys.b @ sys.b.T)
-        q = linalg.solve_lyapunov(sys.a.T, sys.c.T @ sys.c)
+        p = linalg.solve_lyapunov(sys.a, sys.b)
+        q = linalg.solve_lyapunov(sys.a.T, sys.c.T)
         hsv = hankel_values(p, q)
         red = reduce(sys, square_root_transform(p, q, len(hsv)))
         for w in np.logspace(-2, 3, 20):

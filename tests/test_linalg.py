@@ -16,6 +16,25 @@ def lightly_damped_oscillators(rng):
     return q @ scipy.linalg.block_diag(*blocks) @ q.T
 
 
+def paired_blocks(rng, n):
+    """Upper quasi-triangular T (Fortran order), 2x2 blocks on rows (0, 1),
+    (2, 3), ...: eigenvalues -1 - i/n +- i, so no two sum to near zero."""
+    t = np.triu(rng.standard_normal((n, n)), 2) / np.sqrt(n)
+    for i in range(0, n, 2):
+        d = -1.0 - i / n
+        t[i:i + 2, i:i + 2] = [[d, 2.0], [-0.5, d]]
+    return np.asfortranarray(t)
+
+
+def diagonal_rows(block, t):
+    """Rows (start, stop) of Fortran T that its diagonal-block view covers."""
+    offset = (block.__array_interface__["data"][0]
+              - t.__array_interface__["data"][0]) // t.itemsize
+    start, rem = divmod(offset, t.shape[0] + 1)
+    assert rem == 0 and 0 <= start and start + block.shape[0] <= t.shape[0]
+    return start, start + block.shape[0]
+
+
 class TestRealSchur:
     def test_already_triangular(self):
         form = linalg.real_schur(np.diag([-1.0, -2.0]))
@@ -215,7 +234,7 @@ class TestPsdFactor:
     def test_lyapunov_sourced(self, rng):
         a = random_stable(rng, 10)
         g = rng.standard_normal((10, 2))
-        p = linalg.solve_lyapunov(a, g @ g.T)
+        p = linalg.solve_lyapunov(a, g)
         f = linalg.psd_factor(p)
         rel = np.linalg.norm(f @ f.T - p) / np.linalg.norm(p)
         assert rel <= 1e-8
@@ -228,21 +247,57 @@ class TestPsdFactor:
         with pytest.raises(linalg.NotPsd):
             linalg.psd_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("lam_min, raises", [(-2e-8, True),
+                                                 (-5e-9, False)])
+    def test_negative_eigenvalue_tolerance(self, rng, lam_min, raises):
+        # lambda_max = 1: PSD_NEG_TOL = 1e-8 lies between the two
+        u = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        lam = np.array([1.0, 0.5, 0.2, 0.1, 1e-2, 1e-3, 1e-4, lam_min])
+        p = u @ np.diag(lam) @ u.T
+        p = 0.5 * (p + p.T)
+        if raises:
+            with pytest.raises(linalg.NotPsd):
+                linalg.psd_factor(p)
+        else:
+            linalg.psd_factor(p)
+
+    def test_rejects_negative_definite(self, rng):
+        g = rng.standard_normal((5, 5))
+        with pytest.raises(linalg.NotPsd):
+            linalg.psd_factor(-(g @ g.T) - np.eye(5))
+
+    def test_zero_matrix_has_no_columns(self):
+        f = linalg.psd_factor(np.zeros((4, 4)))
+        assert f.shape == (4, 0)
+
+    def test_rank_deficient_gramian(self, rng):
+        # the input reaches only the first 10 of 20 states, so P has
+        # rank 10, in random orthogonal coordinates
+        a = scipy.linalg.block_diag(random_stable(rng, 10),
+                                    random_stable(rng, 10))
+        g = np.concatenate([rng.standard_normal((10, 1)), np.zeros((10, 1))])
+        q = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+        p = linalg.solve_lyapunov(q @ a @ q.T, q @ g)
+        f = linalg.psd_factor(p)
+        assert f.shape[1] == 10
+        assert np.linalg.norm(p - f @ f.T) <= 1e-8 * np.linalg.norm(p)
+
 
 class TestSolveLyapunov:
     def test_scalar(self):
-        p = linalg.solve_lyapunov([[-1.0]], [[2.0]])
+        p = linalg.solve_lyapunov([[-1.0]], [[np.sqrt(2.0)]])
         np.testing.assert_allclose(p, [[1.0]], atol=1e-14)
 
     def test_decoupled_diagonal(self):
-        p = linalg.solve_lyapunov(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0]))
+        p = linalg.solve_lyapunov(np.diag([-1.0, -2.0]),
+                                  np.diag([np.sqrt(2.0), 2.0]))
         np.testing.assert_allclose(p, np.eye(2), atol=1e-14)
 
     def test_residual_oracle_random(self, rng):
         a = random_stable(rng, 10)
         g = rng.standard_normal((10, 3))
         w = g @ g.T
-        p = linalg.solve_lyapunov(a, w)
+        p = linalg.solve_lyapunov(a, g)
         resid = np.linalg.norm(a @ p + p @ a.T + w) / np.linalg.norm(w)
         assert resid <= 1e-10
 
@@ -251,7 +306,7 @@ class TestSolveLyapunov:
             a = random_stable(rng, n, margin=0.2)
             g = rng.standard_normal((n, n))
             w = g @ g.T
-            p = linalg.solve_lyapunov(a, w)
+            p = linalg.solve_lyapunov(a, g)
             assert np.linalg.norm(p - p.T) <= 1e-12 * np.linalg.norm(p)
             resid = np.linalg.norm(a @ p + p @ a.T + w) / np.linalg.norm(w)
             assert resid <= 1e-10
@@ -267,7 +322,7 @@ class TestSolveLyapunov:
         a = q @ a @ q.T
         g = rng.standard_normal((6, 1))
         w = g @ g.T
-        p = linalg.solve_lyapunov(a, w)
+        p = linalg.solve_lyapunov(a, g)
         resid = np.linalg.norm(a @ p + p @ a.T + w) / np.linalg.norm(w)
         assert resid <= 1e-10
 
@@ -292,7 +347,7 @@ class TestSolveLyapunov:
         g = rng.standard_normal((a.shape[0], 2))
         w = g @ g.T
         ref = scipy.linalg.solve_continuous_lyapunov(a, -w)
-        p = linalg.solve_lyapunov(a, w)
+        p = linalg.solve_lyapunov(a, g)
         assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_near_singular_eigenvalue_sum(self):
@@ -306,10 +361,20 @@ class TestSolveLyapunov:
         with pytest.raises(linalg.LyapunovResidual):
             linalg.solve_lyapunov(a, np.eye(5))
 
-    def test_rejects_asymmetric_rhs(self, rng):
+    def test_rejects_factor_of_another_row_count(self, rng, monkeypatch):
         a = random_stable(rng, 5)
-        with pytest.raises(linalg.NotSymmetric):
-            linalg.solve_lyapunov(a, rng.standard_normal((5, 5)))
+        calls = record_dtrsyl(monkeypatch)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            linalg.solve_lyapunov(a, np.ones((4, 1)))
+        assert calls == []
+
+    def test_wide_factor(self, rng):
+        # G may have more columns than rows
+        a = random_stable(rng, 9)
+        g = rng.standard_normal((9, 12))
+        ref = scipy.linalg.solve_continuous_lyapunov(a, -g @ g.T)
+        p = linalg.solve_lyapunov(a, g)
+        assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_rejects_factor_of_another_order(self, rng, monkeypatch):
         a = random_stable(rng, 5)
@@ -331,7 +396,7 @@ class TestSolveLyapunov:
         g = rng.standard_normal((12, 2))
         w = g @ g.T
         ref = scipy.linalg.solve_continuous_lyapunov(a.T, -w)
-        p = linalg.solve_lyapunov(a, w, trans=True)
+        p = linalg.solve_lyapunov(a, g, trans=True)
         assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -347,7 +412,7 @@ class TestRecursiveLyapunov:
         w = g @ g.T
         op_a = a.T if trans else a
         ref = scipy.linalg.solve_continuous_lyapunov(op_a, -w)
-        p = linalg.solve_lyapunov(a, w, schur=linalg.real_schur(a),
+        p = linalg.solve_lyapunov(a, g, schur=linalg.real_schur(a),
                                   trans=trans)
         assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -356,17 +421,17 @@ class TestRecursiveLyapunov:
         # 2x2 blocks on rows (0, 1), (2, 3), ...: the midpoint 65 of
         # order 130 falls inside the block on rows (64, 65)
         n = 130
-        t = np.triu(rng.standard_normal((n, n)), 2) / np.sqrt(n)
-        for i in range(0, n, 2):
-            d = -1.0 - i / n
-            t[i:i + 2, i:i + 2] = [[d, 2.0], [-0.5, d]]
+        t = paired_blocks(rng, n)
         g = rng.standard_normal((n, n))
         c = g @ g.T
         calls = record_dtrsyl(monkeypatch)
         y = c.copy()
-        linalg._trlyap(np.asfortranarray(t), y, trans)
-        # the top-level coupling solve sees T11 of order 66, T22 of 64
-        assert [call for call in calls if sum(call) == n] == [(66, 64)]
+        linalg._trlyap(t, y, trans)
+        rows = {diagonal_rows(block, t) for call in calls for block in call}
+        # every block dtrsyl sees starts and ends between 2x2 blocks,
+        # and the top-level split sits after the block on rows (64, 65)
+        assert all(start % 2 == 0 and stop % 2 == 0 for start, stop in rows)
+        assert (66, 130) in rows
         op_t = t.T if trans else t
         resid = op_t @ y + y @ op_t.T - c
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(c)
@@ -377,6 +442,32 @@ class TestRecursiveLyapunov:
         eigs[where] = -1e-20
         with pytest.raises(linalg.SingularBlock):
             linalg.solve_lyapunov(np.diag(eigs), np.eye(100))
+
+
+class TestRecursiveSylvester:
+    """op(A) X + X op(B) = C: the Lyapunov couplings' op pairs (T, N) and
+    (N, T), and (N, N) and (T, T)."""
+
+    @pytest.mark.parametrize("m, n", [(130, 150), (150, 130)])
+    @pytest.mark.parametrize("trana, tranb", [("T", "N"), ("N", "T"),
+                                              ("N", "N"), ("T", "T")])
+    def test_matches_scipy(self, rng, monkeypatch, m, n, trana, tranb):
+        # both midpoints, 65 and 75, fall inside 2x2 blocks
+        a, b = paired_blocks(rng, m), paired_blocks(rng, n)
+        c = rng.standard_normal((m, n))
+        calls = record_dtrsyl(monkeypatch)
+        x = c.copy()
+        linalg._trsylv(a, b, x, trana, tranb)
+        ref = scipy.linalg.solve_sylvester(a.T if trana == "T" else a,
+                                           b.T if tranb == "T" else b, c)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        # no leaf is larger than _TRSYL_LEAF or splits a 2x2 block
+        assert len(calls) > 1
+        for block in (block for call in calls for block in call):
+            start, stop = diagonal_rows(block, a if np.shares_memory(block, a)
+                                        else b)
+            assert start % 2 == 0 and stop % 2 == 0
+            assert stop - start <= linalg._TRSYL_LEAF
 
 
 class TestModalFactor:
