@@ -12,7 +12,9 @@ algorithms for solving triangular systems - Part I: one-sided and
 coupled Sylvester-type matrix equations", ACM TOMS 28(4), 2002): it
 halves the triangular factor, and the larger side of each Sylvester
 equation that couples two halves, until the blocks are small enough for
-LAPACK ``xTRSYL``, so most of the work runs as matrix products.
+LAPACK ``xTRSYL``, so most of the work runs as matrix products.  It
+solves one orientation, T Y + Y T^T = C: the transposed equation (the
+observability Gramian) runs on the order-reversed factor of A^T.
 
 A system is factored once: ``StateSpaceSystem.schur`` caches a read-only
 factor, and the spectrum, both Gramians and the input-2 frequencies all
@@ -347,10 +349,9 @@ def _check_symmetric(m: np.ndarray, name: str) -> None:
         raise NotSymmetric(f"{name} is not symmetric")
 
 
-def _trsyl(a: np.ndarray, b: np.ndarray, c: np.ndarray, trana: str,
-           tranb: str) -> np.ndarray:
-    """LAPACK dtrsyl: X with op(A) X + X op(B) = C, its scale divided out."""
-    x, scale, info = dtrsyl(a, b, c, trana, tranb)
+def _trsyl(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """LAPACK dtrsyl: X with A X + X B^T = C, its scale divided out."""
+    x, scale, info = dtrsyl(a, b, c, "N", "T")
     if info < 0:
         raise ValueError(f"dtrsyl: argument {-info} is invalid")
     if info == 1:
@@ -369,77 +370,68 @@ def _split(t: np.ndarray) -> int:
     return k
 
 
-def _trsylv(a: np.ndarray, b: np.ndarray, c: np.ndarray, trana: str,
-            tranb: str) -> None:
-    """Overwrite C with X solving op(A) X + X op(B) = C.
+def _trsylv(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """Overwrite C with X solving A X + X B^T = C.
 
-    A and B are quasi-triangular, and op(A) is A, or A^T when trana is
-    "T" (op(B) likewise).  Recursive blocked solve (Jonsson and Kagstrom
-    2002): the larger of A and B is split between two diagonal blocks,
-    the two half-size equations are solved in turn and coupled by one
-    matrix product.  When both orders are at most ``_TRSYL_LEAF``, one
-    dtrsyl call solves the equation.
+    A and B are upper quasi-triangular.  Recursive blocked solve
+    (Jonsson and Kagstrom 2002): the larger of A and B is split between
+    two diagonal blocks, the two half-size equations are solved in turn
+    and coupled by one matrix product.  When both orders are at most
+    ``_TRSYL_LEAF``, one dtrsyl call solves the equation.
     """
     m, n = a.shape[0], b.shape[0]
     if max(m, n) <= _TRSYL_LEAF:
-        c[...] = _trsyl(a, b, c, trana, tranb)
+        c[...] = _trsyl(a, b, c)
         return
     if n > m:
-        # X^T solves op(B)^T X^T + X^T op(A)^T = C^T: split B as A
-        flip = {"N": "T", "T": "N"}
-        _trsylv(b, a, c.T, flip[tranb], flip[trana])
+        # X^T solves B X^T + X^T A^T = C^T: split B as A
+        _trsylv(b, a, c.T)
         return
     k = _split(a)
     a11, a12, a22 = a[:k, :k], a[:k, k:], a[k:, k:]
     c1, c2 = c[:k], c[k:]
-    if trana == "T":
-        # A11^T X1 + X1 op(B) = C1 first, then X2
-        _trsylv(a11, b, c1, trana, tranb)
-        c2 -= a12.T @ c1
-        _trsylv(a22, b, c2, trana, tranb)
-    else:
-        # A22 X2 + X2 op(B) = C2 first, then X1
-        _trsylv(a22, b, c2, trana, tranb)
-        c1 -= a12 @ c2
-        _trsylv(a11, b, c1, trana, tranb)
+    # A22 X2 + X2 B^T = C2 first, then X1
+    _trsylv(a22, b, c2)
+    c1 -= a12 @ c2
+    _trsylv(a11, b, c1)
 
 
-def _trlyap(t: np.ndarray, c: np.ndarray, trans: bool) -> None:
-    """Overwrite symmetric C with Y solving op(T) Y + Y op(T)^T = C.
+def _trlyap(t: np.ndarray, c: np.ndarray) -> None:
+    """Overwrite symmetric C with Y solving T Y + Y T^T = C.
 
-    T is quasi-triangular and op(T) is T, or T^T when trans.  Recursive
-    blocked Bartels-Stewart (Jonsson and Kagstrom 2002): split T between
-    two diagonal blocks, solve the two half-size Lyapunov equations and
-    the Sylvester equation for Y12 recursively (``_trsylv``), and apply
-    the coupling terms as matrix products.  Orders up to ``_TRSYL_LEAF``
-    go to dtrsyl whole.
+    T is upper quasi-triangular.  Recursive blocked Bartels-Stewart
+    (Jonsson and Kagstrom 2002): split T between two diagonal blocks,
+    solve the two half-size Lyapunov equations and the Sylvester
+    equation for Y12 recursively (``_trsylv``), and apply the coupling
+    terms as matrix products.  Orders up to ``_TRSYL_LEAF`` go to
+    dtrsyl whole.
     """
     n = t.shape[0]
     if n <= _TRSYL_LEAF:
-        c[...] = _trsyl(t, t, c, *(("T", "N") if trans else ("N", "T")))
+        c[...] = _trsyl(t, t, c)
         return
     k = _split(t)
     t11, t12, t22 = t[:k, :k], t[:k, k:], t[k:, k:]
     c11, c12, c22 = c[:k, :k], c[:k, k:], c[k:, k:]
-    if trans:
-        # T11^T Y11 + Y11 T11 = C11 first, then Y12, then Y22.
-        _trlyap(t11, c11, True)
-        c12 -= c11 @ t12
-        _trsylv(t11, t22, c12, "T", "N")
-        x = t12.T @ c12
-        c22 -= x
-        c22 -= x.T
-        _trlyap(t22, c22, True)
-    else:
-        # T22 Y22 + Y22 T22^T = C22 first, then Y12, then Y11.
-        _trlyap(t22, c22, False)
-        c12 -= t12 @ c22
-        _trsylv(t11, t22, c12, "N", "T")
-        x = t12 @ c12.T
-        c11 -= x
-        c11 -= x.T
-        _trlyap(t11, c11, False)
+    # T22 Y22 + Y22 T22^T = C22 first, then Y12, then Y11
+    _trlyap(t22, c22)
+    c12 -= t12 @ c22
+    _trsylv(t11, t22, c12)
+    x = t12 @ c12.T
+    c11 -= x
+    c11 -= x.T
+    _trlyap(t11, c11)
     c[k:, :k] = c12.T
+
+
+def _transposed_factor(schur: SchurForm) -> tuple[np.ndarray, np.ndarray]:
+    """A^T = (Q J)(J T^T J)(Q J)^T from A = Q T Q^T, J the order reversal.
+
+    J T^T J is upper quasi-triangular and keeps T's standardized 2x2
+    blocks, at mirrored rows.  Both factors are Fortran-ordered copies.
+    """
+    return (np.asfortranarray(schur.q[:, ::-1]),
+            np.asfortranarray(schur.t.T[::-1, ::-1]))
 
 
 def solve_lyapunov(a, g, *, schur: SchurForm | None = None,
@@ -450,7 +442,9 @@ def solve_lyapunov(a, g, *, schur: SchurForm | None = None,
     B and C^T).  Bartels-Stewart on the real Schur factor A = Q T Q^T:
     the caller's ``schur`` (A's, not checked beyond its order) when
     given, else one computed here; stability is checked on that
-    factor's cached spectrum.  The first pass transforms W as
+    factor's cached spectrum.  When trans, the solve runs on A^T's
+    factor (``_transposed_factor``), so both orientations take one
+    path.  The first pass transforms W as
     (Q^T G)(Q^T G)^T, a rank-m product.  The quasi-triangular equation
     is solved by the recursive blocked method of Jonsson and Kagstrom
     (ACM TOMS 28(4), 2002): the factor is split between two diagonal
@@ -490,25 +484,27 @@ def solve_lyapunov(a, g, *, schur: SchurForm | None = None,
     if eigs.size and eigs.real.max() >= 0.0:
         raise UnstableSystem(
             f"eigenvalue with real part {eigs.real.max():.3e} >= 0")
-    q = schur.q
-    t = np.asfortranarray(schur.t)
-    op_a = a.T if trans else a
-    w = g @ g.T
-    wnorm = np.linalg.norm(w)
-    p = np.zeros_like(w)
+    q, t, op_a = schur.q, np.asfortranarray(schur.t), a
+    if trans:
+        (q, t), op_a = _transposed_factor(schur), a.T
+    wnorm = np.linalg.norm(g @ g.T)
+    p = np.zeros(a.shape)
     qg = q.T @ g
     y = qg @ qg.T
+    # Y's buffer takes each n x n product in turn, W = G G^T included, so
+    # that across the passes only P, Y and the factors stay allocated.
     for correction in (False, True):
         if correction:
-            y = q.T @ resid @ q
-        _trlyap(t, y, trans)
-        p -= q @ y @ q.T
+            np.matmul(q.T @ resid, q, out=y)
+        _trlyap(t, y)
+        np.matmul(q @ y, q.T, out=y)
+        p -= y
         p += p.T
         p *= 0.5
         # P is symmetric, so op(A) P + P op(A)^T = X + X^T with X = op(A) P.
         resid = op_a @ p
         resid += resid.T
-        resid += w
+        resid += np.matmul(g, g.T, out=y)
         rnorm = np.linalg.norm(resid)
         if rnorm <= 1e-11 * max(wnorm, 1e-300):
             break

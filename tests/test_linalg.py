@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 
 from cablemass import linalg
-from cablemass.cli import PRESETS
+from cablemass.cli import PRESETS, get_preset
 from cablemass.model import build_system
 from conftest import modal_blocks, random_stable, record_dtrsyl
 
@@ -399,6 +401,55 @@ class TestSolveLyapunov:
         p = linalg.solve_lyapunov(a, g, trans=True)
         assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("trans, arrays", [(False, 4.5), (True, 6.5)])
+    def test_peak_allocation(self, trans, arrays):
+        # across both passes only P, Y, the residual and one product are
+        # n x n, plus the reversed Q and T of a trans solve: 4.21 and 6.22
+        # n x n arrays measured here (the near-marginal preset takes the
+        # correction pass)
+        sys_ = build_system(get_preset("small_stiff_ex5_in4").params, 100)
+        schur = sys_.schur
+        schur.eigenvalues  # cached before the measurement
+        g = sys_.c.T if trans else sys_.b
+        tracemalloc.start()
+        try:
+            linalg.solve_lyapunov(sys_.a, g, schur=schur, trans=trans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * sys_.a.nbytes
+
+
+class TestTransposedFactor:
+    """Q J and J T^T J, the factor trans=True solves on, J the reversal."""
+
+    def test_factors_a_transposed(self, rng):
+        # order 12: 2x2 blocks on rows (1, 2), (5, 6) and (9, 10), the
+        # one on (5, 6) across the midpoint 6; 1x1 blocks elsewhere
+        n = 12
+        t = np.triu(rng.standard_normal((n, n)))
+        np.fill_diagonal(t, -rng.uniform(0.5, 2.0, n))
+        for i in (1, 5, 9):
+            b, c = rng.uniform(0.5, 2.0, 2)
+            t[i:i + 2, i:i + 2] = [[t[i, i], b], [-c, t[i, i]]]
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        a = q @ t @ q.T
+        schur = linalg.SchurForm(q=q, t=t)
+        qr, tr = linalg._transposed_factor(schur)
+        assert np.linalg.norm(qr @ tr @ qr.T - a.T) <= (
+            1e-14 * np.linalg.norm(a))
+        # upper quasi-triangular, with each standardized block
+        # [[a, b], [c, a]], b c < 0, at its mirrored rows
+        assert not np.any(np.tril(tr, -2))
+        starts = np.flatnonzero(np.diagonal(tr, -1))
+        np.testing.assert_array_equal(starts, [1, 5, 9])
+        assert np.all(tr[starts, starts] == tr[starts + 1, starts + 1])
+        assert np.all(tr[starts, starts + 1] * tr[starts + 1, starts] < 0)
+        # the same eigenvalues, in reverse order (a pair's sign of Im
+        # first, as in T)
+        np.testing.assert_array_equal(linalg._block_eigenvalues(tr),
+                                      np.conj(schur.eigenvalues[::-1]))
+
 
 class TestRecursiveLyapunov:
     """Orders above the dtrsyl leaf take the recursive blocked path."""
@@ -419,21 +470,29 @@ class TestRecursiveLyapunov:
     @pytest.mark.parametrize("trans", [False, True])
     def test_split_outside_2x2_block(self, rng, monkeypatch, trans):
         # 2x2 blocks on rows (0, 1), (2, 3), ...: the midpoint 65 of
-        # order 130 falls inside the block on rows (64, 65)
+        # order 130 falls inside the block on rows (64, 65), in T and in
+        # the reversed factor that trans=True solves on
         n = 130
         t = paired_blocks(rng, n)
         g = rng.standard_normal((n, n))
         c = g @ g.T
         calls = record_dtrsyl(monkeypatch)
-        y = c.copy()
-        linalg._trlyap(t, y, trans)
-        rows = {diagonal_rows(block, t) for call in calls for block in call}
+        if trans:
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            a = q @ t @ q.T
+            y = linalg.solve_lyapunov(
+                a, g, schur=linalg.SchurForm(q=q, t=t), trans=True)
+            resid = a.T @ y + y @ a + c
+        else:
+            y = c.copy()
+            linalg._trlyap(t, y)
+            resid = t @ y + y @ t.T - c
         # every block dtrsyl sees starts and ends between 2x2 blocks,
         # and the top-level split sits after the block on rows (64, 65)
+        rows = {diagonal_rows(block, block.base) for call in calls
+                for block in call}
         assert all(start % 2 == 0 and stop % 2 == 0 for start, stop in rows)
         assert (66, 130) in rows
-        op_t = t.T if trans else t
-        resid = op_t @ y + y @ op_t.T - c
         assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(c)
 
     @pytest.mark.parametrize("where", [0, -1])
@@ -445,21 +504,17 @@ class TestRecursiveLyapunov:
 
 
 class TestRecursiveSylvester:
-    """op(A) X + X op(B) = C: the Lyapunov couplings' op pairs (T, N) and
-    (N, T), and (N, N) and (T, T)."""
+    """A X + X B^T = C, the one equation the Lyapunov couplings solve."""
 
     @pytest.mark.parametrize("m, n", [(130, 150), (150, 130)])
-    @pytest.mark.parametrize("trana, tranb", [("T", "N"), ("N", "T"),
-                                              ("N", "N"), ("T", "T")])
-    def test_matches_scipy(self, rng, monkeypatch, m, n, trana, tranb):
+    def test_matches_scipy(self, rng, monkeypatch, m, n):
         # both midpoints, 65 and 75, fall inside 2x2 blocks
         a, b = paired_blocks(rng, m), paired_blocks(rng, n)
         c = rng.standard_normal((m, n))
         calls = record_dtrsyl(monkeypatch)
         x = c.copy()
-        linalg._trsylv(a, b, x, trana, tranb)
-        ref = scipy.linalg.solve_sylvester(a.T if trana == "T" else a,
-                                           b.T if tranb == "T" else b, c)
+        linalg._trsylv(a, b, x)
+        ref = scipy.linalg.solve_sylvester(a, b.T, c)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         # no leaf is larger than _TRSYL_LEAF or splits a 2x2 block
         assert len(calls) > 1
