@@ -14,10 +14,10 @@ with S_r T_r = I_r.  The diagonal of S holds the Hankel singular
 values, and truncating after r of them bounds the transfer-function
 error in the H-infinity norm by twice the discarded tail.
 
-Both Gramians are solved by ``linalg.solve_lyapunov`` on the system's
-one real Schur factor of A, the same read-only factor its spectrum is
-read from, given B and C^T, the factors of their right-hand sides;
-stability is checked on that factor's cached spectrum, each solve.
+Both Gramians are solved by ``linalg.solve_lyapunov`` from the system's
+one read-only real Schur factor of A, which its spectrum shares: P on
+that factor with B, Q for A^T on its reversed copy
+(``SchurForm.transposed()``) with C^T.
 Each Gramian is factored by pivoted Cholesky (``linalg.psd_factor``),
 which keeps one column per pivot above LAPACK's default tolerance.
 """
@@ -107,9 +107,9 @@ class ReducedSystem:
 def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
     """Controllability and observability Gramians of the linear part.
 
-    Two ``linalg.solve_lyapunov`` calls on the system's one real Schur
-    factor of A (``sys.schur``), which the spectrum shares: P's with the
-    factor B of B B^T, Q's with C^T and ``trans=True``.
+    Two ``linalg.solve_lyapunov`` calls from the system's one real Schur
+    factor of A (``sys.schur``): P's on it with B, Q's for A^T on its
+    reversed copy ``sys.schur.transposed()`` with C^T.
 
     Raises
     ------
@@ -119,7 +119,7 @@ def gramians(sys: StateSpaceSystem) -> tuple[np.ndarray, np.ndarray]:
         As for linalg.solve_lyapunov.
     """
     p = linalg.solve_lyapunov(sys.a, sys.b, schur=sys.schur)
-    q = linalg.solve_lyapunov(sys.a, sys.c.T, schur=sys.schur, trans=True)
+    q = linalg.solve_lyapunov(sys.a.T, sys.c.T, schur=sys.schur.transposed())
     return p, q
 
 

@@ -401,7 +401,12 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
         bal = balance.square_root_transform(p, q, cfg.r)
         red = balance.reduce(sys_, bal)
         write("hsv", write_hsv_csv, bal.hsv)
-        log(f"retained r={cfg.r}, error bound {balance.error_bound(bal.hsv, cfg.r):.6g}")
+        # at r = rank < dim the tail is cut off, not resolved
+        rank, dim = bal.hsv.size, sys_.a.shape[0]
+        bound = (f"unresolved: r is the numerical Hankel rank {rank} of "
+                 f"{dim} states" if cfg.r == rank < dim
+                 else f"{balance.error_bound(bal.hsv, cfg.r):.6g}")
+        log(f"retained r={cfg.r}, error bound {bound}")
 
     if wanted & {"outputs", "error"}:
         spec = signals.resolve_input(cfg.input, sys_, mode=cfg.input2_mode)

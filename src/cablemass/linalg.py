@@ -13,14 +13,14 @@ coupled Sylvester-type matrix equations", ACM TOMS 28(4), 2002): it
 halves the triangular factor, and the larger side of each Sylvester
 equation that couples two halves, until the blocks are small enough for
 LAPACK ``xTRSYL``, so most of the work runs as matrix products.  It
-solves one orientation, T Y + Y T^T = C: the transposed equation (the
-observability Gramian) runs on the order-reversed factor of A^T.
+solves one equation, A P + P A^T + G G^T = 0, always on a factor of A
+that the caller passes: the observability Gramian is that equation for
+A^T, on ``SchurForm.transposed()``, the order-reversed factor of A^T.
 
 A system is factored once: ``StateSpaceSystem.schur`` caches a read-only
 factor, and the spectrum, both Gramians and the input-2 frequencies all
-read it: ``solve_lyapunov`` takes the caller's factor (``schur=``) and
-factors a bare matrix itself, and ``eigenvalues`` takes the spectrum of
-a bare matrix from LAPACK's eigenvalue driver ``dgeev``.
+read it; ``eigenvalues`` takes the spectrum of a bare matrix from
+LAPACK's eigenvalue driver ``dgeev``.
 
 ``modal_factor`` block-diagonalises A = V D V^-1, V the real
 eigenvector matrix of LAPACK ``dgeev``, for the exponential integrator
@@ -126,6 +126,18 @@ class SchurForm:
         eigs = _block_eigenvalues(self.t)
         eigs.flags.writeable = False
         return eigs
+
+    def transposed(self) -> SchurForm:
+        """The factor A^T = (Q J)(J T^T J)(Q J)^T, J the order reversal.
+
+        J T^T J is upper quasi-triangular with T's standardized 2x2
+        blocks at mirrored rows.  Read-only Fortran copies, not kept.
+        """
+        q = np.asfortranarray(self.q[:, ::-1])
+        t = np.asfortranarray(self.t.T[::-1, ::-1])
+        q.flags.writeable = False
+        t.flags.writeable = False
+        return SchurForm(q=q, t=t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,37 +436,23 @@ def _trlyap(t: np.ndarray, c: np.ndarray) -> None:
     c[k:, :k] = c12.T
 
 
-def _transposed_factor(schur: SchurForm) -> tuple[np.ndarray, np.ndarray]:
-    """A^T = (Q J)(J T^T J)(Q J)^T from A = Q T Q^T, J the order reversal.
+def solve_lyapunov(a, g, *, schur: SchurForm) -> np.ndarray:
+    """Solve A P + P A^T + W = 0 for stable A and W = G G^T.
 
-    J T^T J is upper quasi-triangular and keeps T's standardized 2x2
-    blocks, at mirrored rows.  Both factors are Fortran-ordered copies.
-    """
-    return (np.asfortranarray(schur.q[:, ::-1]),
-            np.asfortranarray(schur.t.T[::-1, ::-1]))
-
-
-def solve_lyapunov(a, g, *, schur: SchurForm | None = None,
-                   trans: bool = False) -> np.ndarray:
-    """Solve op(A) P + P op(A)^T + W = 0 for stable A and W = G G^T.
-
-    op(A) is A, or A^T when trans; G is n x m, any m (the Gramians pass
-    B and C^T).  Bartels-Stewart on the real Schur factor A = Q T Q^T:
-    the caller's ``schur`` (A's, not checked beyond its order) when
-    given, else one computed here; stability is checked on that
-    factor's cached spectrum.  When trans, the solve runs on A^T's
-    factor (``_transposed_factor``), so both orientations take one
-    path.  The first pass transforms W as
-    (Q^T G)(Q^T G)^T, a rank-m product.  The quasi-triangular equation
-    is solved by the recursive blocked method of Jonsson and Kagstrom
-    (ACM TOMS 28(4), 2002): the factor is split between two diagonal
-    blocks, the halves are solved recursively, and so is the Sylvester
-    equation that couples them, whose larger side is split in turn;
-    the coupling terms are matrix products, equations whose orders are
-    at most 64 go to LAPACK ``dtrsyl`` whole, and the lower blocks of
-    P are filled by symmetry.  One residual-correction pass reuses the
-    factor when the residual exceeds 1e-11 relative to ||W|| (two
-    solves at most: a third never lowered the residual).
+    G is n x m, any m (the Gramians pass B and C^T).  Bartels-Stewart
+    on the caller's real Schur factor A = Q T Q^T (``schur``, not
+    checked beyond its order; ``SchurForm.transposed()`` gives A^T's);
+    stability is checked on that factor's spectrum.  The first pass
+    transforms W as (Q^T G)(Q^T G)^T, a rank-m product.  The
+    quasi-triangular equation is solved by the recursive blocked method
+    of Jonsson and Kagstrom (ACM TOMS 28(4), 2002): the factor is split
+    between two diagonal blocks, the halves are solved recursively, and
+    so is the Sylvester equation that couples them, whose larger side
+    is split in turn; the coupling terms are matrix products, equations
+    whose orders are at most 64 go to LAPACK ``dtrsyl`` whole, and the
+    lower blocks of P are filled by symmetry.  One residual-correction
+    pass reuses the factor when the residual exceeds 1e-11 relative to
+    ||W|| (two solves at most: a third never lowered the residual).
 
     Raises
     ------
@@ -468,25 +466,21 @@ def solve_lyapunov(a, g, *, schur: SchurForm | None = None,
     SingularBlock
         If ``dtrsyl`` meets a near-singular sum of two eigenvalues.
     LyapunovResidual
-        If the normwise backward error ||op(A) P + P op(A)^T + W|| /
+        If the normwise backward error ||A P + P A^T + W|| /
         (2 ||A|| ||P|| + ||W||) (Frobenius norms) exceeds LYAP_BACKWARD_TOL.
     """
     a = _as_square(a, "A")
     g = as_matrix(g, "G")
     if g.shape[0] != a.shape[0]:
         raise ValueError(f"shape mismatch: A {a.shape} vs G {g.shape}")
-    if schur is not None and schur.t.shape != a.shape:
+    if schur.t.shape != a.shape:
         raise ValueError(f"Schur factor of order {schur.t.shape[0]} for A "
                          f"of order {a.shape[0]}")
-    if schur is None:
-        schur = real_schur(a)
     eigs = schur.eigenvalues
     if eigs.size and eigs.real.max() >= 0.0:
         raise UnstableSystem(
             f"eigenvalue with real part {eigs.real.max():.3e} >= 0")
-    q, t, op_a = schur.q, np.asfortranarray(schur.t), a
-    if trans:
-        (q, t), op_a = _transposed_factor(schur), a.T
+    q, t = schur.q, np.asfortranarray(schur.t)
     wnorm = np.linalg.norm(g @ g.T)
     p = np.zeros(a.shape)
     qg = q.T @ g
@@ -501,8 +495,8 @@ def solve_lyapunov(a, g, *, schur: SchurForm | None = None,
         p -= y
         p += p.T
         p *= 0.5
-        # P is symmetric, so op(A) P + P op(A)^T = X + X^T with X = op(A) P.
-        resid = op_a @ p
+        # P is symmetric, so A P + P A^T = X + X^T with X = A P.
+        resid = a @ p
         resid += resid.T
         resid += np.matmul(g, g.T, out=y)
         rnorm = np.linalg.norm(resid)

@@ -55,6 +55,11 @@ def schur_system(a, **matrices):
     return SimpleNamespace(a=a, schur=linalg.real_schur(a), **matrices)
 
 
+def lyapunov(a, g):
+    """linalg.solve_lyapunov for A P + P A^T + G G^T = 0 on A's own factor."""
+    return linalg.solve_lyapunov(a, g, schur=linalg.real_schur(a))
+
+
 def record_dtrsyl(monkeypatch):
     """Patch linalg.dtrsyl to log its A and B, as the views it is given."""
     calls = []

@@ -7,8 +7,8 @@ from cablemass.balance import (PlateauSplit, RankDeficient, SingularShift,
                                square_root_transform, transfer_function)
 from cablemass.cli import get_preset
 from cablemass.model import DimensionMismatch, build_system
-from conftest import (EXAMPLE1, modal_blocks, record_dtrsyl, record_real_schur,
-                      schur_system)
+from conftest import (EXAMPLE1, lyapunov, modal_blocks, record_dtrsyl,
+                      record_real_schur, schur_system)
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +63,29 @@ class TestGramians:
     def test_shares_the_system_factor(self, monkeypatch):
         sys = build_system(EXAMPLE1, 10)
         calls = record_real_schur(monkeypatch)
+        solves = []
+        real_solve = linalg.solve_lyapunov
+
+        def recording(a, g, *, schur):
+            solves.append((a, schur))
+            return real_solve(a, g, schur=schur)
+
+        monkeypatch.setattr(linalg, "solve_lyapunov", recording)
         gramians(sys)
+        # both Gramians together factor A once
+        assert calls == [20]
+        # P on sys.schur; Q for A^T on the reversed factor
+        (a_p, schur_p), (a_q, schur_q) = solves
+        assert a_p is sys.a and schur_p is sys.schur
+        assert np.shares_memory(a_q, sys.a) and np.array_equal(a_q, sys.a.T)
+        np.testing.assert_array_equal(schur_q.q, sys.schur.q[:, ::-1])
         signals.resolve_input(signals.input_preset("input2"), sys)
         assert calls == [20]
 
     def test_shared_schur_matches_separate_solves(self, example1_n20):
         sys, p, q = example1_n20
-        p_ref = linalg.solve_lyapunov(sys.a, sys.b)
-        q_ref = linalg.solve_lyapunov(sys.a.T, sys.c.T)
+        p_ref = lyapunov(sys.a, sys.b)
+        q_ref = lyapunov(sys.a.T, sys.c.T)
         assert np.linalg.norm(p - p_ref) <= 1e-10 * np.linalg.norm(p_ref)
         assert np.linalg.norm(q - q_ref) <= 1e-10 * np.linalg.norm(q_ref)
 
@@ -136,8 +151,8 @@ class TestSquareRootTransform:
 
     def test_full_rank_balances(self):
         sys = random_full_rank_system()
-        p = linalg.solve_lyapunov(sys.a, sys.b)
-        q = linalg.solve_lyapunov(sys.a.T, sys.c.T)
+        p = lyapunov(sys.a, sys.b)
+        q = lyapunov(sys.a.T, sys.c.T)
         hsv = hankel_values(p, q)
         bal = square_root_transform(p, q, len(hsv))
         np.testing.assert_allclose(bal.sr @ p @ bal.sr.T, np.diag(hsv),
@@ -263,8 +278,8 @@ class TestTransferFunction:
 
     def test_similarity_invariance(self):
         sys = random_full_rank_system()
-        p = linalg.solve_lyapunov(sys.a, sys.b)
-        q = linalg.solve_lyapunov(sys.a.T, sys.c.T)
+        p = lyapunov(sys.a, sys.b)
+        q = lyapunov(sys.a.T, sys.c.T)
         hsv = hankel_values(p, q)
         red = reduce(sys, square_root_transform(p, q, len(hsv)))
         for w in np.logspace(-2, 3, 20):

@@ -455,6 +455,20 @@ class TestMain:
                      "--r", "30", "--out", str(tmp_path)]) == 1
         assert "exceeds numerical rank" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset, bound", [
+        # Hankel rank 4 of 200 states at n = 100: no resolved tail at
+        # r = 4, though that ROM's rel_l2 is 0.51
+        ("small_stiff_ex5_in4",
+         "unresolved: r is the numerical Hankel rank 4 of 200 states"),
+        # rank 19: the resolved tail's bound, as before
+        ("exp_stab_Ex1", "0.153827")],
+        ids=["small_stiff_ex5_in4", "exp_stab_Ex1"])
+    def test_balance_logs_error_bound(self, tmp_path, capsys, preset, bound):
+        assert main(["balance", "--preset", preset, "--r", "4",
+                     "--out", str(tmp_path)]) == 0
+        assert f"retained r=4, error bound {bound}" in (
+            capsys.readouterr().out.splitlines())
+
     def test_eigs_subcommand(self, tmp_path, capsys):
         code = main(["eigs", "--preset", "exp_stab_Ex1", "--n", "20",
                      "--out", str(tmp_path)])

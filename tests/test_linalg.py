@@ -8,7 +8,7 @@ import scipy.optimize
 from cablemass import linalg
 from cablemass.cli import PRESETS, get_preset
 from cablemass.model import build_system
-from conftest import modal_blocks, random_stable, record_dtrsyl
+from conftest import lyapunov, modal_blocks, random_stable, record_dtrsyl
 
 
 def lightly_damped_oscillators(rng):
@@ -236,7 +236,7 @@ class TestPsdFactor:
     def test_lyapunov_sourced(self, rng):
         a = random_stable(rng, 10)
         g = rng.standard_normal((10, 2))
-        p = linalg.solve_lyapunov(a, g)
+        p = lyapunov(a, g)
         f = linalg.psd_factor(p)
         rel = np.linalg.norm(f @ f.T - p) / np.linalg.norm(p)
         assert rel <= 1e-8
@@ -279,7 +279,7 @@ class TestPsdFactor:
                                     random_stable(rng, 10))
         g = np.concatenate([rng.standard_normal((10, 1)), np.zeros((10, 1))])
         q = np.linalg.qr(rng.standard_normal((20, 20)))[0]
-        p = linalg.solve_lyapunov(q @ a @ q.T, q @ g)
+        p = lyapunov(q @ a @ q.T, q @ g)
         f = linalg.psd_factor(p)
         assert f.shape[1] == 10
         assert np.linalg.norm(p - f @ f.T) <= 1e-8 * np.linalg.norm(p)
@@ -287,19 +287,18 @@ class TestPsdFactor:
 
 class TestSolveLyapunov:
     def test_scalar(self):
-        p = linalg.solve_lyapunov([[-1.0]], [[np.sqrt(2.0)]])
+        p = lyapunov([[-1.0]], [[np.sqrt(2.0)]])
         np.testing.assert_allclose(p, [[1.0]], atol=1e-14)
 
     def test_decoupled_diagonal(self):
-        p = linalg.solve_lyapunov(np.diag([-1.0, -2.0]),
-                                  np.diag([np.sqrt(2.0), 2.0]))
+        p = lyapunov(np.diag([-1.0, -2.0]), np.diag([np.sqrt(2.0), 2.0]))
         np.testing.assert_allclose(p, np.eye(2), atol=1e-14)
 
     def test_residual_oracle_random(self, rng):
         a = random_stable(rng, 10)
         g = rng.standard_normal((10, 3))
         w = g @ g.T
-        p = linalg.solve_lyapunov(a, g)
+        p = lyapunov(a, g)
         resid = np.linalg.norm(a @ p + p @ a.T + w) / np.linalg.norm(w)
         assert resid <= 1e-10
 
@@ -308,7 +307,7 @@ class TestSolveLyapunov:
             a = random_stable(rng, n, margin=0.2)
             g = rng.standard_normal((n, n))
             w = g @ g.T
-            p = linalg.solve_lyapunov(a, g)
+            p = lyapunov(a, g)
             assert np.linalg.norm(p - p.T) <= 1e-12 * np.linalg.norm(p)
             resid = np.linalg.norm(a @ p + p @ a.T + w) / np.linalg.norm(w)
             assert resid <= 1e-10
@@ -324,20 +323,20 @@ class TestSolveLyapunov:
         a = q @ a @ q.T
         g = rng.standard_normal((6, 1))
         w = g @ g.T
-        p = linalg.solve_lyapunov(a, g)
+        p = lyapunov(a, g)
         resid = np.linalg.norm(a @ p + p @ a.T + w) / np.linalg.norm(w)
         assert resid <= 1e-10
 
     def test_unstable_rejected(self):
         with pytest.raises(linalg.UnstableSystem):
-            linalg.solve_lyapunov([[1.0]], [[1.0]])
+            lyapunov([[1.0]], [[1.0]])
 
     def test_marginal_rejected(self):
         with pytest.raises(linalg.UnstableSystem):
-            linalg.solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+            lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 
     def test_zero_rhs(self):
-        p = linalg.solve_lyapunov(np.diag([-1.0, -2.0]), np.zeros((2, 2)))
+        p = lyapunov(np.diag([-1.0, -2.0]), np.zeros((2, 2)))
         np.testing.assert_allclose(p, np.zeros((2, 2)), atol=1e-15)
 
     @pytest.mark.parametrize("make_a", [
@@ -349,25 +348,25 @@ class TestSolveLyapunov:
         g = rng.standard_normal((a.shape[0], 2))
         w = g @ g.T
         ref = scipy.linalg.solve_continuous_lyapunov(a, -w)
-        p = linalg.solve_lyapunov(a, g)
+        p = lyapunov(a, g)
         assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_near_singular_eigenvalue_sum(self):
         # T_11 + T_11 = -2e-20: dtrsyl perturbs it and reports info = 1
         with pytest.raises(linalg.SingularBlock):
-            linalg.solve_lyapunov(np.diag([-1e-20, -1.0]), np.eye(2))
+            lyapunov(np.diag([-1e-20, -1.0]), np.eye(2))
 
     def test_backward_error_contract_enforced(self, rng, monkeypatch):
         a = random_stable(rng, 5)
         monkeypatch.setattr(linalg, "LYAP_BACKWARD_TOL", 0.0)
         with pytest.raises(linalg.LyapunovResidual):
-            linalg.solve_lyapunov(a, np.eye(5))
+            lyapunov(a, np.eye(5))
 
     def test_rejects_factor_of_another_row_count(self, rng, monkeypatch):
         a = random_stable(rng, 5)
         calls = record_dtrsyl(monkeypatch)
         with pytest.raises(ValueError, match="shape mismatch"):
-            linalg.solve_lyapunov(a, np.ones((4, 1)))
+            lyapunov(a, np.ones((4, 1)))
         assert calls == []
 
     def test_wide_factor(self, rng):
@@ -375,7 +374,7 @@ class TestSolveLyapunov:
         a = random_stable(rng, 9)
         g = rng.standard_normal((9, 12))
         ref = scipy.linalg.solve_continuous_lyapunov(a, -g @ g.T)
-        p = linalg.solve_lyapunov(a, g)
+        p = lyapunov(a, g)
         assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_rejects_factor_of_another_order(self, rng, monkeypatch):
@@ -391,29 +390,20 @@ class TestSolveLyapunov:
         with pytest.raises(linalg.UnstableSystem):
             linalg.solve_lyapunov(a, np.eye(2), schur=linalg.real_schur(a))
 
-    def test_trans_factors_a_itself(self, rng):
-        # without a factor, trans=True still factors A and solves
-        # A^T P + P A + W = 0
-        a = random_stable(rng, 12)
-        g = rng.standard_normal((12, 2))
-        w = g @ g.T
-        ref = scipy.linalg.solve_continuous_lyapunov(a.T, -w)
-        p = linalg.solve_lyapunov(a, g, trans=True)
-        assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("trans, arrays", [(False, 4.5), (True, 6.5)])
-    def test_peak_allocation(self, trans, arrays):
+    @pytest.mark.parametrize("transposed, arrays", [(False, 4.5), (True, 6.5)])
+    def test_peak_allocation(self, transposed, arrays):
         # across both passes only P, Y, the residual and one product are
-        # n x n, plus the reversed Q and T of a trans solve: 4.21 and 6.22
-        # n x n arrays measured here (the near-marginal preset takes the
-        # correction pass)
+        # n x n, plus the reversed Q and T that transposed() makes for the
+        # A^T solve: 4.21 and 6.22 n x n arrays measured here (the
+        # near-marginal preset takes the correction pass)
         sys_ = build_system(get_preset("small_stiff_ex5_in4").params, 100)
         schur = sys_.schur
         schur.eigenvalues  # cached before the measurement
-        g = sys_.c.T if trans else sys_.b
+        a, g = (sys_.a.T, sys_.c.T) if transposed else (sys_.a, sys_.b)
         tracemalloc.start()
         try:
-            linalg.solve_lyapunov(sys_.a, g, schur=schur, trans=trans)
+            linalg.solve_lyapunov(
+                a, g, schur=schur.transposed() if transposed else schur)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -421,9 +411,10 @@ class TestSolveLyapunov:
 
 
 class TestTransposedFactor:
-    """Q J and J T^T J, the factor trans=True solves on, J the reversal."""
+    """SchurForm.transposed(): Q J and J T^T J, J the order reversal."""
 
-    def test_factors_a_transposed(self, rng):
+    @pytest.fixture
+    def schur(self, rng):
         # order 12: 2x2 blocks on rows (1, 2), (5, 6) and (9, 10), the
         # one on (5, 6) across the midpoint 6; 1x1 blocks elsewhere
         n = 12
@@ -433,9 +424,12 @@ class TestTransposedFactor:
             b, c = rng.uniform(0.5, 2.0, 2)
             t[i:i + 2, i:i + 2] = [[t[i, i], b], [-c, t[i, i]]]
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        a = q @ t @ q.T
-        schur = linalg.SchurForm(q=q, t=t)
-        qr, tr = linalg._transposed_factor(schur)
+        return linalg.SchurForm(q=q, t=t)
+
+    def test_factors_a_transposed(self, schur):
+        a = schur.q @ schur.t @ schur.q.T
+        rev = schur.transposed()
+        qr, tr = rev.q, rev.t
         assert np.linalg.norm(qr @ tr @ qr.T - a.T) <= (
             1e-14 * np.linalg.norm(a))
         # upper quasi-triangular, with each standardized block
@@ -447,41 +441,62 @@ class TestTransposedFactor:
         assert np.all(tr[starts, starts + 1] * tr[starts + 1, starts] < 0)
         # the same eigenvalues, in reverse order (a pair's sign of Im
         # first, as in T)
-        np.testing.assert_array_equal(linalg._block_eigenvalues(tr),
+        np.testing.assert_array_equal(rev.eigenvalues,
                                       np.conj(schur.eigenvalues[::-1]))
+
+    def test_read_only_fortran_copies(self, schur):
+        rev = schur.transposed()
+        for arr in (rev.q, rev.t):
+            assert arr.flags.f_contiguous and not arr.flags.writeable
+            assert not np.shares_memory(arr, schur.q)
+            assert not np.shares_memory(arr, schur.t)
+        # made on each call, not kept
+        assert schur.transposed() is not rev
+
+    def test_involution(self, schur):
+        back = schur.transposed().transposed()
+        np.testing.assert_array_equal(back.q, schur.q)
+        np.testing.assert_array_equal(back.t, schur.t)
+
+    def test_same_spectrum(self, schur):
+        rev = schur.transposed()
+        np.testing.assert_array_equal(np.sort(rev.eigenvalues),
+                                      np.sort(schur.eigenvalues))
 
 
 class TestRecursiveLyapunov:
     """Orders above the dtrsyl leaf take the recursive blocked path."""
 
     @pytest.mark.parametrize("n", [70, 129, 200])
-    @pytest.mark.parametrize("trans", [False, True])
-    def test_matches_scipy(self, rng, n, trans):
-        # a shifted Gaussian matrix: most eigenvalues are complex pairs
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_scipy(self, rng, n, transposed):
+        # a shifted Gaussian matrix: most eigenvalues are complex pairs;
+        # A^T is solved on the reversed factor of A
         a = random_stable(rng, n)
         g = rng.standard_normal((n, 2))
         w = g @ g.T
-        op_a = a.T if trans else a
-        ref = scipy.linalg.solve_continuous_lyapunov(op_a, -w)
-        p = linalg.solve_lyapunov(a, g, schur=linalg.real_schur(a),
-                                  trans=trans)
+        schur = linalg.real_schur(a)
+        if transposed:
+            a, schur = a.T, schur.transposed()
+        ref = scipy.linalg.solve_continuous_lyapunov(a, -w)
+        p = linalg.solve_lyapunov(a, g, schur=schur)
         assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("trans", [False, True])
-    def test_split_outside_2x2_block(self, rng, monkeypatch, trans):
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_split_outside_2x2_block(self, rng, monkeypatch, transposed):
         # 2x2 blocks on rows (0, 1), (2, 3), ...: the midpoint 65 of
         # order 130 falls inside the block on rows (64, 65), in T and in
-        # the reversed factor that trans=True solves on
+        # the reversed factor that A^T is solved on
         n = 130
         t = paired_blocks(rng, n)
         g = rng.standard_normal((n, n))
         c = g @ g.T
         calls = record_dtrsyl(monkeypatch)
-        if trans:
+        if transposed:
             q = np.linalg.qr(rng.standard_normal((n, n)))[0]
             a = q @ t @ q.T
             y = linalg.solve_lyapunov(
-                a, g, schur=linalg.SchurForm(q=q, t=t), trans=True)
+                a.T, g, schur=linalg.SchurForm(q=q, t=t).transposed())
             resid = a.T @ y + y @ a + c
         else:
             y = c.copy()
@@ -500,7 +515,7 @@ class TestRecursiveLyapunov:
         eigs = -np.linspace(1.0, 2.0, 100)
         eigs[where] = -1e-20
         with pytest.raises(linalg.SingularBlock):
-            linalg.solve_lyapunov(np.diag(eigs), np.eye(100))
+            lyapunov(np.diag(eigs), np.eye(100))
 
 
 class TestRecursiveSylvester:

@@ -48,8 +48,9 @@ def test_integrate_result_carries_traced_stats():
 
 
 def test_gramians_trace_two_solves_on_the_cached_factor():
-    # both Gramians reach the traced linalg.solve_lyapunov, on sys.schur,
-    # which the untraced reference call has already computed
+    # both Gramians reach the traced linalg.solve_lyapunov, on sys.schur
+    # and its reversed copy, which the untraced reference call has
+    # already factored
     sys = build_system(EXAMPLE1, 40)
     p_ref, q_ref = balance.gramians(sys)
     tracer = _load_tracing().Tracer()
