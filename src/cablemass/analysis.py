@@ -4,12 +4,14 @@ The discrete energy mirrors the continuous one: kinetic energy is the
 mass form applied to the velocities, potential energy is the stiffness
 form applied to the displacements plus the quartic boundary term
 
-    E = 1/2 v^T M_H v + 1/2 d^T K_V d + (k3/4) d_n^4.
+    E = 1/2 v^T M_H v + 1/2 d^T K_V d + (k3/4) d_n^4,
 
-For a dissipative parameter set the unforced energy is nonincreasing
-(A is built from these forms: dE/dt = -v^T D_sig2 v), and its logarithm
-decays asymptotically linearly; the fitted slope is reported as the
-decay rate, and the largest rise between samples checks the first.
+the forms read in place as their bands (``model.QuadraticForms``), so a
+state costs O(n) and no n x n form is built.  For a dissipative
+parameter set the unforced energy is nonincreasing (A is built from
+these forms: dE/dt = -v^T D_sig2 v), and its logarithm decays
+asymptotically linearly; the fitted slope is reported as the decay rate,
+and the largest rise between samples checks the first.
 
 The unforced study (``energy_decay``) steps the full-order model
 x' = A x + w c (v . x)^3 with fixed-step ETDRK4 in the real eigenvector
@@ -93,10 +95,9 @@ class ErrorMetrics:
 def _quadratic_energies(forms: QuadraticForms, x: np.ndarray):
     """1/2 v^T M_H v and 1/2 d^T K_V d of a state, or of each row of x.
 
-    Read off the bands the forms have (``QuadraticForms.energy_bands``,
-    kept per forms): the diagonal of M_H and the diagonal and first
-    off-diagonal of the symmetric K_V, so a state costs O(n).  With
-    K_V's off-diagonal o and row sums s,
+    Read off the bands in place, so a state costs O(n): the diagonal of
+    M_H, and K_V's off-diagonal o and row sums s (``k_row_sums``, kept
+    per forms), with
 
         d^T K_V d = sum_i s_i d_i^2 - sum_i o_i (d_(i+1) - d_i)^2,
 
@@ -105,7 +106,7 @@ def _quadratic_energies(forms: QuadraticForms, x: np.ndarray):
     full accuracy.  The interior row sums are computed exactly (Sterbenz's
     lemma), so their rounding adds no spurious term.
     """
-    mass, row_sums, off = forms.energy_bands
+    mass, row_sums, off = forms.m_diag, forms.k_row_sums, forms.k_off
     n = mass.size
     d, v = x[..., :n], x[..., n:]
     # np.diff's subtraction, without its per-call overhead
@@ -113,6 +114,16 @@ def _quadratic_energies(forms: QuadraticForms, x: np.ndarray):
     return (0.5 * np.einsum("...i,i,...i->...", v, mass, v),
             0.5 * (np.einsum("...i,i,...i->...", d, row_sums, d)
                    - np.einsum("...i,i,...i->...", cells, off, cells)))
+
+
+def _check_forms(forms: QuadraticForms, n: int) -> None:
+    """Raise DimensionMismatch unless the bands' lengths are n and n - 1."""
+    got = [band.shape for band in (forms.m_diag, forms.k_diag, forms.k_off,
+                                   forms.d_diag, forms.d_off)]
+    if got != [(n,), (n,), (n - 1,), (n,), (n - 1,)]:
+        raise DimensionMismatch(f"forms for n = {n} need bands (m_diag, "
+                                f"k_diag, k_off, d_diag, d_off) of lengths "
+                                f"n and n - 1, got {got}")
 
 
 def compute_energy(forms: QuadraticForms, params: PhysicalParams, x):
@@ -123,7 +134,8 @@ def compute_energy(forms: QuadraticForms, params: PhysicalParams, x):
     of length k.
     """
     x = np.asarray(x, dtype=float)
-    n = forms.m_h.shape[0]
+    n = forms.m_diag.size
+    _check_forms(forms, n)
     if x.ndim not in (1, 2) or x.shape[-1] != 2 * n:
         raise DimensionMismatch(
             f"states must have shape ({2 * n},) or (k, {2 * n}), "
@@ -175,10 +187,7 @@ def energy_decay(sys: StateSpaceSystem, forms: QuadraticForms, x0,
     x0 = _check_state(sys, x0)
     if not np.isfinite(x0).all():
         raise ValueError("initial state has non-finite entries")
-    shapes = {form.shape for form in (forms.m_h, forms.k_v, forms.d_sig2)}
-    if shapes != {(sys.n, sys.n)}:
-        raise DimensionMismatch(f"forms must be ({sys.n}, {sys.n}) for the "
-                                f"system's n = {sys.n}, got {sorted(shapes)}")
+    _check_forms(forms, sys.n)
     table = sys.etdrk4
     run = rom._simulate(
         table, InputSpec(kind="zero"), times, rtol, atol, table.modal_state(x0),

@@ -12,6 +12,8 @@ Three quadratic forms on the nodal values define the discretization
 (``quadratic_forms``): the mass form M_H, the potential form K_V and the
 damping form D_sig2 of lumped-mass linear elements, a summation-by-parts
 closure in which each boundary mass carries its half cell h/2 of cable.
+M_H is diagonal and K_V and D_sig2 tridiagonal, and the forms are kept
+as those bands (``QuadraticForms``), which A and the energy both read.
 With d the nodal displacements and v the nodal velocities, the state is
 x = [d; v] and the system reads
 
@@ -171,52 +173,47 @@ class StateSpaceSystem:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticForms:
-    """Discrete quadratic forms used by the energy diagnostics.
+    """The three energy forms, symmetric PSD, as their bands.
 
-    m_h : mass form (trapezoid weights plus the boundary masses),
-    k_v : potential form (beta^2 cell-difference stiffness plus the
-    boundary springs), d_sig2 : damping form (gamma-stiffness plus
-    alpha-mass plus boundary dampings).  All symmetric PSD; m_h is
-    diagonal and k_v and d_sig2 tridiagonal, and the energy norms read
-    only those bands (``energy_bands``).  The forms hold read-only
-    copies of the arrays they are given, so the bands read off them
-    once cannot go stale.
+    m_diag : diagonal of the mass form M_H (trapezoid weights plus the
+    boundary masses); k_diag, k_off : diagonal and first off-diagonal of
+    the potential form K_V (beta^2 cell-difference stiffness plus the
+    boundary springs); d_diag, d_off : those of the damping form D_sig2
+    (gamma-stiffness plus alpha-mass plus boundary dampings).  M_H is
+    diagonal and K_V and D_sig2 tridiagonal, so no other entry is kept.
+    A's velocity rows and the energy norms read these bands.  They are
+    read-only copies of the arrays given, so k_row_sums cannot go stale.
     """
 
-    m_h: np.ndarray
-    k_v: np.ndarray
-    d_sig2: np.ndarray
+    m_diag: np.ndarray
+    k_diag: np.ndarray
+    k_off: np.ndarray
+    d_diag: np.ndarray
+    d_off: np.ndarray
 
     def __post_init__(self):
-        for field in ("m_h", "k_v", "d_sig2"):
+        for field in ("m_diag", "k_diag", "k_off", "d_diag", "d_off"):
             arr = np.array(getattr(self, field), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, field, arr)
 
     @cached_property
-    def energy_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(diagonal of m_h, row sums of k_v, first off-diagonal of k_v).
-
-        Read off the forms on first use and kept, read-only: the energy
-        norms (``analysis.compute_energy``) need only these.
-        """
-        off = np.diagonal(self.k_v, 1)
-        row_sums = (np.diagonal(self.k_v) + np.append(off, 0.0)
-                    + np.append(0.0, off))
+    def k_row_sums(self) -> np.ndarray:
+        """K_V's row sums for the energy norms, formed once, read-only."""
+        row_sums = (self.k_diag + np.append(self.k_off, 0.0)
+                    + np.append(0.0, self.k_off))
         row_sums.flags.writeable = False
-        # np.diagonal's views of the read-only forms are read-only
-        return np.diagonal(self.m_h), row_sums, off
+        return row_sums
 
 
-def _form_bands(params: PhysicalParams, h: float, n: int):
-    """The bands of the three energy forms on n nodes of spacing h.
+def _form_bands(params: PhysicalParams, h: float, n: int) -> QuadraticForms:
+    """The three energy forms on n nodes of spacing h, as their bands.
 
-    (m, k_diag, k_off, d_diag, d_off): the diagonal of M_H (trapezoid
-    weights h*(1/2, 1, ..., 1, 1/2) plus m0, ml at the ends) and the
-    diagonal and first off-diagonal of the tridiagonal K_V and D_sig2:
-    the cell-difference stiffness sum_j (w_(j+1) - w_j)^2 / h times
-    beta^2 and gamma, D_sig2 plus alpha times the trapezoid weights, and
-    the boundary springs and dampings at the ends.
+    M_H's diagonal holds the trapezoid weights h*(1/2, 1, ..., 1, 1/2)
+    plus m0, ml at the ends; K_V and D_sig2 are the cell-difference
+    stiffness sum_j (w_(j+1) - w_j)^2 / h times beta^2 and gamma, D_sig2
+    plus alpha times the trapezoid weights, and the boundary springs and
+    dampings at the ends.
     """
     trap = np.full(n, h)
     trap[0] = trap[-1] = 0.5 * h
@@ -231,8 +228,9 @@ def _form_bands(params: PhysicalParams, h: float, n: int):
     for band, left, right in ends:
         band[0] += left
         band[-1] += right
-    return (m, k_diag, np.full(n - 1, b2 * (-1.0 / h)), d_diag,
-            np.full(n - 1, params.gamma * (-1.0 / h)))
+    off = -1.0 / h
+    return QuadraticForms(m, k_diag, np.full(n - 1, b2 * off), d_diag,
+                          np.full(n - 1, params.gamma * off))
 
 
 def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
@@ -240,8 +238,9 @@ def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
 
     A = [[0, I], [-M_H^-1 K_V, -M_H^-1 D_sig2]], the input column is
     e_1 / (M_H)_11 in the v_1 row and the cubic coefficient is
-    -k3 / (M_H)_nn, all read off the bands ``quadratic_forms`` builds
-    too (``_form_bands``).  M_H is diagonal, so both velocity blocks are
+    -k3 / (M_H)_nn, all read off the forms' bands (``_form_bands``, the
+    ``QuadraticForms`` that ``quadratic_forms`` returns too).  M_H is
+    diagonal, so both velocity blocks are
     tridiagonal.  Interior rows (i = 2..n-1) are the centered differences
 
         v_i' = (gamma/h^2)(v_{i+1} - 2 v_i + v_{i-1})
@@ -257,12 +256,14 @@ def build_system(params: PhysicalParams, n: int) -> StateSpaceSystem:
     unforced energy obeys dE/dt = -v^T D_sig2 v <= 0 exactly.
     """
     grid = make_grid(params.l, n)
-    m, k_diag, k_off, d_diag, d_off = _form_bands(params, grid.h, n)
+    forms = _form_bands(params, grid.h, n)
+    m = forms.m_diag
 
     a = np.zeros((2 * n, 2 * n))
     _set_band(a, 0, n, np.ones(n))
     # row i of each velocity block is row i of its form over -m_i
-    for col, diag, off in ((0, k_diag, k_off), (n, d_diag, d_off)):
+    for col, diag, off in ((0, forms.k_diag, forms.k_off),
+                           (n, forms.d_diag, forms.d_off)):
         _set_band(a, n, col, -diag / m)
         _set_band(a, n + 1, col, -off / m[1:])
         _set_band(a, n, col + 1, -off / m[:-1])
@@ -338,14 +339,8 @@ def sample_initial_data(params: PhysicalParams, n: int, pos, vel) -> np.ndarray:
 
 
 def quadratic_forms(params: PhysicalParams, n: int) -> QuadraticForms:
-    """The model's three quadratic forms, dense (bands: ``_form_bands``)."""
-    grid = make_grid(params.l, n)
-    m, k_diag, k_off, d_diag, d_off = _form_bands(params, grid.h, n)
-    k_v, d_sig2 = np.diag(k_diag), np.diag(d_diag)
-    for form, off in ((k_v, k_off), (d_sig2, d_off)):
-        _set_band(form, 0, 1, off)
-        _set_band(form, 1, 0, off)
-    return QuadraticForms(m_h=np.diag(m), k_v=k_v, d_sig2=d_sig2)
+    """The three energy forms on n nodes: the bands A is built from."""
+    return _form_bands(params, make_grid(params.l, n).h, n)
 
 
 def _set_band(a: np.ndarray, row: int, col: int, values: np.ndarray) -> None:

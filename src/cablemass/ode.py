@@ -702,7 +702,6 @@ class Etdrk4Run:
                                            (bufs[1], bufs[0], ys[0]))]
         self._turn = 0
         self._y = ys[0]
-        self._unforced = {}
         # the diagonal step's weights and the products rows @ y
         weights = np.zeros(6)
         self._weights = weights[:self._nw]
@@ -762,15 +761,10 @@ class Etdrk4Run:
             y_mv = memoryview(y).cast("B")
         else:
             y_mv = turns[1 - turn][5]
-            if nw == 3:
-                # a contiguous copy without the input's columns: with the
-                # whole matrix, as fast, energy_decay's energies moved by
-                # 6e-15 (exp_stab_Ex1, n = 20; 998 of 1000 CSV rows differ)
-                if kernel not in self._unforced:
-                    self._unforced[kernel] = np.ascontiguousarray(
-                        dense[:, :y.size + 3])
-                dense = self._unforced[kernel]
-            dense_dot = dense.dot
+            # a view without the input's columns when the run is unforced:
+            # with the whole matrix energy_decay's energies moved by 6e-15
+            # (exp_stab_Ex1, n = 20; 998 of 1000 CSV rows differ)
+            dense_dot = dense[:, :y.size + nw].dot
         rows_dot(y, scalars)
         s1, p, r = scalars_mv
         # steps left before the next row is written

@@ -44,6 +44,25 @@ def modal_blocks(form) -> np.ndarray:
     return d
 
 
+def dense_forms(forms):
+    """(M_H, K_V, D_sig2) as n x n matrices, built from the forms' bands.
+
+    The tests' dense view of ``model.QuadraticForms``, which keeps only
+    the diagonal of M_H and the diagonal and first off-diagonal of K_V
+    and D_sig2; every entry off those bands is 0.
+    """
+    n = forms.m_diag.size
+    i = np.arange(n - 1)
+    mats = []
+    for diag, off in ((forms.m_diag, np.zeros(n - 1)),
+                      (forms.k_diag, forms.k_off),
+                      (forms.d_diag, forms.d_off)):
+        mat = np.diag(diag)
+        mat[i, i + 1] = mat[i + 1, i] = off
+        mats.append(mat)
+    return tuple(mats)
+
+
 def schur_system(a, **matrices):
     """A stand-in system: A, its real Schur factor and any other matrices.
 

@@ -17,8 +17,8 @@ from cablemass.model import (DimensionMismatch, PhysicalParams, QuadraticForms,
                              build_system, fom_jacobian, fom_rhs,
                              quadratic_forms)
 from cablemass.signals import InputSpec
-from conftest import (EXAMPLE1, EXAMPLE2_SMALL, integrate_sampled,
-                      record_integrate, schur_system)
+from conftest import (EXAMPLE1, EXAMPLE2_SMALL, dense_forms,
+                      integrate_sampled, record_integrate, schur_system)
 
 
 def series(times, values):
@@ -48,7 +48,8 @@ class TestComputeEnergy:
         x[29] = 1.0  # d_n = 1
         _, _, ep = compute_energy(forms, params, x)
         d = x[:30]
-        assert ep - 0.5 * d @ forms.k_v @ d == pytest.approx(0.25)
+        k_v = dense_forms(forms)[1]
+        assert ep - 0.5 * d @ k_v @ d == pytest.approx(0.25)
 
     def test_sum_identity(self, rng):
         forms = quadratic_forms(EXAMPLE1, 25)
@@ -76,16 +77,14 @@ class TestComputeEnergy:
     @pytest.mark.parametrize("preset", ["exp_stab_Ex1", "small_damp_ex5_in4",
                                         "small_stiff_ex5_in4"])
     def test_banded_norms_match_dense(self, rng, preset, n):
-        # the norms read M_H's diagonal and K_V's three bands, which are
-        # all the forms have
+        # the norms read M_H's diagonal and K_V's three bands, against
+        # the dense matrices built from those bands
         forms = quadratic_forms(PRESETS[preset].params, n)
-        assert np.array_equal(forms.m_h, np.diag(np.diagonal(forms.m_h)))
-        assert not np.triu(forms.k_v, 2).any()
-        assert np.array_equal(forms.k_v, forms.k_v.T)
+        m_h, k_v, _ = dense_forms(forms)
         x = rng.standard_normal((8, 2 * n))
         d, v = x[:, :n], x[:, n:]
-        dense = (0.5 * np.einsum("ki,ki->k", v @ forms.m_h, v),
-                 0.5 * np.einsum("ki,ki->k", d @ forms.k_v, d))
+        dense = (0.5 * np.einsum("ki,ki->k", v @ m_h, v),
+                 0.5 * np.einsum("ki,ki->k", d @ k_v, d))
         for got, want in zip(analysis._quadratic_energies(forms, x), dense):
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
         for got, want in zip(analysis._quadratic_energies(forms, x[0]),
@@ -101,8 +100,9 @@ class TestComputeEnergy:
         # exact sum over the bands of the same floats
         params = PRESETS[preset].params
         forms = quadratic_forms(params, n)
+        k_v = dense_forms(forms)[1]
         d = _energy_initial_data(params, n)[:n]
-        exact = sum(Fraction(d[i]) * Fraction(forms.k_v[i, j])
+        exact = sum(Fraction(d[i]) * Fraction(k_v[i, j])
                     * Fraction(d[j])
                     for i in range(n) for j in range(max(0, i - 1),
                                                      min(n, i + 2))) / 2
@@ -112,24 +112,25 @@ class TestComputeEnergy:
 
 
     def test_bands_read_once(self, rng):
-        # the bands are read once per forms and kept; the forms they are
-        # read from are read-only, so the kept bands cannot go stale.  The
-        # energies are those of the bands read afresh, bitwise
+        # K_V's row sums are formed once per forms and kept; the bands
+        # they are formed from are read-only, so the kept sums cannot go
+        # stale.  The energies are those of the row sums formed afresh,
+        # bitwise
         params = PRESETS["exp_stab_Ex1"].params
         forms = quadratic_forms(params, 50)
-        bands = forms.energy_bands
-        assert forms.energy_bands is bands
-        for arr in (forms.m_h, forms.k_v, forms.d_sig2, *bands):
+        row_sums = forms.k_row_sums
+        assert forms.k_row_sums is row_sums
+        for arr in (forms.m_diag, forms.k_diag, forms.k_off, forms.d_diag,
+                    forms.d_off, row_sums):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         x = rng.standard_normal((64, 100))
         d, v = x[:, :50], x[:, 50:]
-        off = np.diagonal(forms.k_v, 1)
-        row_sums = (np.diagonal(forms.k_v) + np.append(off, 0.0)
+        off = forms.k_off
+        row_sums = (forms.k_diag + np.append(off, 0.0)
                     + np.append(0.0, off))
         cells = np.diff(d)
-        fresh = (0.5 * np.einsum("...i,i,...i->...", v,
-                                 np.diagonal(forms.m_h), v),
+        fresh = (0.5 * np.einsum("...i,i,...i->...", v, forms.m_diag, v),
                  0.5 * (np.einsum("...i,i,...i->...", d, row_sums, d)
                         - np.einsum("...i,i,...i->...", cells, off, cells)))
         for got, want in zip(analysis._quadratic_energies(forms, x), fresh):
@@ -137,16 +138,17 @@ class TestComputeEnergy:
 
     def test_forms_own_read_only_copies(self):
         # forms built from writeable arrays keep copies: a later write to
-        # the caller's arrays cannot reach the kept bands
-        k_v = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        forms = QuadraticForms(m_h=np.eye(2), k_v=k_v, d_sig2=np.eye(2))
-        bands = [b.copy() for b in forms.energy_bands]
-        k_v[0, 1] = 5.0
-        assert forms.k_v[0, 1] == -1.0
+        # the caller's arrays cannot reach the kept row sums
+        k_diag, k_off = np.array([2.0, 2.0]), np.array([-1.0])
+        forms = QuadraticForms(m_diag=np.ones(2), k_diag=k_diag, k_off=k_off,
+                               d_diag=np.ones(2), d_off=np.zeros(1))
+        row_sums = forms.k_row_sums.copy()
+        k_diag[0] = k_off[0] = 5.0
+        assert forms.k_diag[0] == 2.0 and forms.k_off[0] == -1.0
         with pytest.raises(ValueError):
-            forms.k_v[0, 1] = 5.0
-        for got, want in zip(forms.energy_bands, bands):
-            assert np.array_equal(got, want)
+            forms.k_off[0] = 5.0
+        assert np.array_equal(forms.k_row_sums, row_sums)
+        assert np.array_equal(row_sums, [1.0, 1.0])
 
 
 class TestEnergyDecay:
@@ -360,6 +362,18 @@ class TestEnergyDecay:
         with pytest.raises(DimensionMismatch, match="forms"):
             energy_decay(sys, forms, x0, 5.0)
         assert "modes" not in vars(sys)
+
+    @pytest.mark.parametrize("band", ["k_off", "d_off"])
+    def test_off_diagonal_of_another_length(self, band):
+        # diagonals of the system's n, one off-diagonal of n entries: the
+        # band lengths are checked, not only the node count
+        sys = build_system(EXAMPLE1, 20)
+        forms = replace(quadratic_forms(EXAMPLE1, 20),
+                        **{band: np.full(20, -1.0)})
+        x0 = _energy_initial_data(EXAMPLE1, 20)
+        with pytest.raises(DimensionMismatch, match="forms"):
+            energy_decay(sys, forms, x0, 5.0)
+        assert "etdrk4" not in vars(sys)
 
     def test_closer_to_reference_than_2_3_pair(self):
         # energies of an rtol-1e-11 Radau run against those of the 2(3)

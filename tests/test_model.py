@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,8 @@ from cablemass.model import (GridTooCoarse, InvalidParams, PhysicalParams,
                              build_system, eval_nonlinearity, fom_jacobian,
                              fom_rhs, make_grid, quadratic_forms,
                              sample_initial_data)
-from conftest import EXAMPLE1, EXAMPLE2_SMALL, EXAMPLE3, modal_blocks
+from conftest import (EXAMPLE1, EXAMPLE2_SMALL, EXAMPLE3, dense_forms,
+                      modal_blocks)
 
 
 class TestPhysicalParams:
@@ -47,13 +50,13 @@ def loop_rows_from_forms(params, n):
     Row i of each velocity block is row i of K_V or D_sig2 over
     -(M_H)_ii, over the form's three diagonals only.
     """
-    forms = quadratic_forms(params, n)
+    m_h, k_v, d_sig2 = dense_forms(quadratic_forms(params, n))
     a = np.zeros((2 * n, 2 * n))
     a[:n, n:] = np.eye(n)
     for i in range(n):
         for j in range(max(i - 1, 0), min(i + 2, n)):
-            a[n + i, j] = -forms.k_v[i, j] / forms.m_h[i, i]
-            a[n + i, n + j] = -forms.d_sig2[i, j] / forms.m_h[i, i]
+            a[n + i, j] = -k_v[i, j] / m_h[i, i]
+            a[n + i, n + j] = -d_sig2[i, j] / m_h[i, i]
     return a
 
 
@@ -121,11 +124,12 @@ class TestBuildSystem:
         # rounding on the forms' three diagonals, at most 6 entries a row,
         # so its largest eigenvalue is at most 6 times that rounding
         params = PRESETS[name].params
-        sys, forms = build_system(params, n), quadratic_forms(params, n)
-        h = scipy.linalg.block_diag(forms.k_v, forms.m_h)
+        sys = build_system(params, n)
+        m_h, k_v, d_sig2 = dense_forms(quadratic_forms(params, n))
+        h = scipy.linalg.block_diag(k_v, m_h)
         ha = h @ sys.a
         sym = 0.5 * (ha + ha.T)
-        expected = scipy.linalg.block_diag(np.zeros((n, n)), -forms.d_sig2)
+        expected = scipy.linalg.block_diag(np.zeros((n, n)), -d_sig2)
         tol = 4.0 * np.finfo(float).eps * np.abs(ha).max()
         assert np.abs(sym - expected).max() <= tol
         assert np.linalg.eigvalsh(sym).max() <= 6.0 * tol
@@ -140,7 +144,7 @@ class TestBuildSystem:
         p = PhysicalParams(m0=2.0)
         sys = build_system(p, 5)
         expected_b = np.zeros((10, 1))
-        expected_b[5, 0] = 1.0 / quadratic_forms(p, 5).m_h[0, 0]
+        expected_b[5, 0] = 1.0 / dense_forms(quadratic_forms(p, 5))[0][0, 0]
         assert sys.b.tobytes() == expected_b.tobytes()
         assert sys.b[5, 0] == pytest.approx(1.0 / 2.125)
         assert sys.c.shape == (2, 10)
@@ -151,7 +155,8 @@ class TestBuildSystem:
         # -k3 / (M_H)_nn: h = 1/6, ml + h/2 = 19/12
         p = PhysicalParams(k3=2.0, ml=1.5)
         sys = build_system(p, 7)
-        assert sys.nl_coeff == -2.0 / quadratic_forms(p, 7).m_h[-1, -1]
+        m_h = dense_forms(quadratic_forms(p, 7))[0]
+        assert sys.nl_coeff == -2.0 / m_h[-1, -1]
         assert sys.nl_coeff == pytest.approx(-24.0 / 19.0)
         assert sys.nl_state_index == 6
         assert sys.nl_target_index == 13
@@ -305,10 +310,11 @@ class TestSecondOrderJacobian:
         # off their three diagonals, in A and in the Jacobian at a
         # nonzero state
         params = PRESETS[name].params
-        sys, forms = build_system(params, n), quadratic_forms(params, n)
-        mass = np.diagonal(forms.m_h)[:, None]
-        assert np.array_equal(sys.a[n:, :n], -forms.k_v / mass)
-        assert np.array_equal(sys.a[n:, n:], -forms.d_sig2 / mass)
+        sys = build_system(params, n)
+        m_h, k_v, d_sig2 = dense_forms(quadratic_forms(params, n))
+        mass = np.diagonal(m_h)[:, None]
+        assert np.array_equal(sys.a[n:, :n], -k_v / mass)
+        assert np.array_equal(sys.a[n:, n:], -d_sig2 / mass)
         jac = fom_jacobian(sys, np.ones(2 * n))
         for m in (sys.a, jac):
             for block in (m[n:, :n], m[n:, n:]):
@@ -452,25 +458,35 @@ class TestInitialData:
 
 class TestQuadraticForms:
     def test_no_damping_gives_zero_form(self):
-        forms = quadratic_forms(PhysicalParams(), 9)
-        np.testing.assert_array_equal(forms.d_sig2, np.zeros((9, 9)))
+        d_sig2 = dense_forms(quadratic_forms(PhysicalParams(), 9))[2]
+        np.testing.assert_array_equal(d_sig2, np.zeros((9, 9)))
 
     def test_constant_vector_v_form(self):
-        forms = quadratic_forms(PhysicalParams(k0=1.0, kl=1.0), 17)
+        k_v = dense_forms(quadratic_forms(PhysicalParams(k0=1.0, kl=1.0),
+                                          17))[1]
         c = 1.7
         w = np.full(17, c)
-        assert w @ forms.k_v @ w == pytest.approx(2.0 * c**2)
+        assert w @ k_v @ w == pytest.approx(2.0 * c**2)
 
     def test_symmetric_psd(self):
-        forms = quadratic_forms(EXAMPLE2_SMALL, 15)
-        for mat in (forms.m_h, forms.k_v, forms.d_sig2):
-            assert np.linalg.norm(mat - mat.T) <= 1e-12 * max(
-                np.linalg.norm(mat), 1.0)
+        # symmetric by construction: each form stores one off-diagonal
+        for mat in dense_forms(quadratic_forms(EXAMPLE2_SMALL, 15)):
             assert np.linalg.eigvalsh(mat).min() >= -1e-12 * max(
                 np.linalg.norm(mat), 1.0)
 
+    def test_no_dense_form_built(self):
+        # five bands of at most 400 floats: no 400 x 400 matrix (1.28 MB)
+        params = PRESETS["exp_stab_Ex1"].params
+        tracemalloc.start()
+        try:
+            model.quadratic_forms(params, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_example2_h_elliptic(self):
         # viscous damping everywhere: damping form coercive in the mass form
-        forms = quadratic_forms(EXAMPLE2_SMALL, 40)
-        gen = scipy.linalg.eigh(forms.d_sig2, forms.m_h, eigvals_only=True)
+        m_h, _, d_sig2 = dense_forms(quadratic_forms(EXAMPLE2_SMALL, 40))
+        gen = scipy.linalg.eigh(d_sig2, m_h, eigvals_only=True)
         assert gen.min() > 0.0
