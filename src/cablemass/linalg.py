@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels for balancing and the energy study.
 
 Factorizations (real Schur, SVD, pivoted Cholesky) are delegated to
-LAPACK through scipy/numpy; ``psd_factor`` factors a Gramian by
-``dpstrf``.  The continuous Lyapunov equation, with its right-hand side
-given as W = G G^T, is solved by the Bartels-Stewart method (R. H.
+LAPACK through scipy/numpy: ``real_schur`` keeps the eigenvalues
+``dgees`` computes with the factor, and ``psd_factor`` factors a Gramian
+by ``dpstrf``.  The continuous Lyapunov equation, with its right-hand
+side given as W = G G^T, is solved by the Bartels-Stewart method (R. H.
 Bartels and G. W. Stewart, "Solution of the matrix equation AX + XB =
 C", Comm. ACM 15(9), 1972): reduce the coefficient matrix to real Schur
 form, then solve the quasi-triangular Lyapunov equation.  That solve is
@@ -18,9 +19,9 @@ that the caller passes: the observability Gramian is that equation for
 A^T, on ``SchurForm.transposed()``, the order-reversed factor of A^T.
 
 A system is factored once: ``StateSpaceSystem.schur`` caches a read-only
-factor, and the spectrum, both Gramians and the input-2 frequencies all
-read it; ``eigenvalues`` takes the spectrum of a bare matrix from
-LAPACK's eigenvalue driver ``dgeev``.
+factor, and the spectrum (its ``dgees`` eigenvalues), both Gramians and
+the input-2 frequencies all read it; ``eigenvalues`` takes the spectrum
+of a bare matrix from LAPACK's eigenvalue driver ``dgeev``.
 
 ``modal_factor`` block-diagonalises A = V D V^-1, V the real
 eigenvector matrix of LAPACK ``dgeev``, for the exponential integrator
@@ -35,12 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import (dgecon, dgeev, dgeev_lwork, dgetrf, dgetrs,
-                                 dpotrf, dpstrf, dtrsyl)
+from scipy.linalg.lapack import (dgecon, dgees, dgeev, dgeev_lwork, dgetrf,
+                                 dgetrs, dpotrf, dpstrf, dtrsyl)
 
 
 class NonConvergence(RuntimeError):
@@ -106,38 +106,33 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchurForm:
-    """Real Schur decomposition A = Q T Q^T.
+    """Real Schur decomposition A = Q T Q^T, with A's eigenvalues.
 
     Q is orthogonal and T is quasi-upper-triangular with 1x1 blocks for
-    real eigenvalues and 2x2 blocks for complex-conjugate pairs.  Both
-    are read-only: one factor is shared by every consumer of a system's
-    spectrum, so a reordering (``dtrsen``) must work on a copy.
+    real eigenvalues and 2x2 blocks for complex-conjugate pairs; the
+    eigenvalues (``dgees``'s) follow its blocks, a pair's Im > 0 value
+    first.  All three are read-only: one factor is shared by every
+    consumer of a system's spectrum, so a reordering (``dtrsen``) must
+    work on a copy.
     """
 
     q: np.ndarray
     t: np.ndarray
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of A in the order of the blocks of T (read-only).
-
-        Read off T once per factor and kept.
-        """
-        eigs = _block_eigenvalues(self.t)
-        eigs.flags.writeable = False
-        return eigs
+    eigenvalues: np.ndarray
 
     def transposed(self) -> SchurForm:
         """The factor A^T = (Q J)(J T^T J)(Q J)^T, J the order reversal.
 
         J T^T J is upper quasi-triangular with T's standardized 2x2
-        blocks at mirrored rows.  Read-only Fortran copies, not kept.
+        blocks at mirrored rows; the eigenvalues are conjugated and
+        reversed.  Read-only Fortran copies, not kept.
         """
         q = np.asfortranarray(self.q[:, ::-1])
         t = np.asfortranarray(self.t.T[::-1, ::-1])
-        q.flags.writeable = False
-        t.flags.writeable = False
-        return SchurForm(q=q, t=t)
+        eigs = np.conj(self.eigenvalues[::-1])
+        for arr in (q, t, eigs):
+            arr.flags.writeable = False
+        return SchurForm(q=q, t=t, eigenvalues=eigs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +225,11 @@ def modal_factor(a) -> ModalForm:
 
 
 def real_schur(a) -> SchurForm:
-    """Real Schur decomposition of a square matrix.
+    """Real Schur decomposition of a square matrix, by LAPACK ``dgees``.
+
+    Q and T are ``scipy.linalg.schur``'s bitwise (one workspace query,
+    then one call), and the eigenvalues wr + i wi are computed with T;
+    an empty matrix, which ``dgees`` rejects, has empty factors.
 
     Raises
     ------
@@ -238,28 +237,24 @@ def real_schur(a) -> SchurForm:
         If the QR iteration fails to converge (pathological input).
     """
     a = _as_square(a)
-    try:
-        t, q = scipy.linalg.schur(a, output="real")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK budget
-        raise NonConvergence(str(exc)) from exc
-    q.flags.writeable = False
-    t.flags.writeable = False
-    return SchurForm(q=q, t=t)
+    if a.size == 0:
+        q, t = np.empty((0, 0)), np.empty((0, 0))
+        wr = wi = np.empty(0)
+    else:
+        lwork = int(dgees(_no_select, a, lwork=-1)[-2][0])
+        t, _, wr, wi, q, _, info = dgees(_no_select, a, lwork=lwork)
+        if info < 0:
+            raise ValueError(f"dgees: argument {-info} is invalid")
+        if info:  # pragma: no cover - LAPACK budget
+            raise NonConvergence(f"dgees: QR iteration failed (info {info})")
+    eigs = wr + 1j * wi
+    for arr in (q, t, eigs):
+        arr.flags.writeable = False
+    return SchurForm(q=q, t=t, eigenvalues=eigs)
 
 
-def _block_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues read off the diagonal blocks of a real Schur factor.
-
-    LAPACK standardizes each 2x2 block to [[a, b], [c, a]] with b c < 0,
-    so its pair is a +- i sqrt(-b c), in the order of the blocks on the
-    diagonal of T.
-    """
-    eigs = np.diagonal(t).astype(complex)
-    starts = np.flatnonzero(np.diagonal(t, -1))
-    w = np.sqrt(-t[starts, starts + 1] * t[starts + 1, starts])
-    eigs.imag[starts] = w
-    eigs.imag[starts + 1] = -w
-    return eigs
+def _no_select(wr, wi):  # pragma: no cover - dgees never calls it unsorted
+    return 0
 
 
 def eigenvalues(a) -> np.ndarray:

@@ -146,9 +146,9 @@ class StateSpaceSystem:
     def schur(self) -> linalg.SchurForm:
         """The real Schur factor of A, computed on first use and kept.
 
-        The one factor of this system: the spectrum, both Gramians and
-        the input-2 frequencies are read off it.
-        Its Q, T and eigenvalues are read-only.
+        The one factor of this system: the spectrum (``dgees``'s, kept
+        with Q and T), both Gramians and the input-2 frequencies are
+        read off it.  Its Q, T and eigenvalues are read-only.
         """
         return linalg.real_schur(self.a)
 

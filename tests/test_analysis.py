@@ -309,7 +309,7 @@ class TestEnergyDecay:
         x0 = _energy_initial_data(EXAMPLE1, 10)
         with pytest.raises(ValueError, match="rtol and atol"):
             energy_decay(sys, forms, x0, 5.0, **tol)
-        assert "modes" not in vars(sys)
+        assert "etdrk4" not in vars(sys)
 
     @pytest.mark.parametrize("tf", [np.inf, np.nan, 0.0, -1.0])
     def test_bad_horizon(self, tf):
@@ -318,7 +318,7 @@ class TestEnergyDecay:
         x0 = _energy_initial_data(EXAMPLE1, 10)
         with pytest.raises(ValueError, match="t0 < tf"):
             energy_decay(sys, forms, x0, tf)
-        assert "modes" not in vars(sys)
+        assert "etdrk4" not in vars(sys)
 
     def test_repeated_calls_build_nothing(self):
         # the second study on a system steps through the coefficient
@@ -361,7 +361,7 @@ class TestEnergyDecay:
         x0 = _energy_initial_data(EXAMPLE1, 20)
         with pytest.raises(DimensionMismatch, match="forms"):
             energy_decay(sys, forms, x0, 5.0)
-        assert "modes" not in vars(sys)
+        assert "etdrk4" not in vars(sys)
 
     @pytest.mark.parametrize("band", ["k_off", "d_off"])
     def test_off_diagonal_of_another_length(self, band):

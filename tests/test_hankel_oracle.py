@@ -2,11 +2,17 @@
 
 ``data/hankel_oracle.json`` holds the Hankel values of every preset's
 FOM at n = 10 and 20, computed by ``tools/hankel_oracle.py`` in mpmath
-at 60 digits from the same double-precision A, b and c.  Errors are
-taken over sigma_1.  Each bound is about ten times the largest error
-measured at n = 10 and 20 with the pivoted-Cholesky factors (one BLAS
-thread); the eigendecomposition factors they replaced measured up to
-1.2e-9 (``small_all_ex3_in2``) and missed up to 8 of the resolved values.
+at 60 digits from the same double-precision A, b and c.
+
+``test_hankel_values_match_oracle`` takes errors over sigma_1.  Each
+bound is about ten times the largest error measured at n = 10 and 20
+with the pivoted-Cholesky factors (one BLAS thread); the
+eigendecomposition factors they replaced measured up to 1.2e-9
+(``small_all_ex3_in2``) and missed up to 8 of the resolved values.
+
+``test_hankel_values_per_value`` takes each value's error over itself,
+with one fixed bound for every preset; the cases the library misses are
+strict xfails that quote the measured error.
 """
 
 import json
@@ -76,3 +82,50 @@ def test_hankel_values_match_oracle(name, n):
     true_bound = 2.0 * sigma[preset.r:].sum()
     assert abs(error_bound(hsv, preset.r) - true_bound) \
         <= bound_tol * sigma[0]
+
+
+# Every value above PER_VALUE_FLOOR * sigma_1 is resolved and within
+# PER_VALUE_RTOL of itself, and so is the preset-r error bound.  On
+# small_stiff_ex5_in4 the floor is taken over sigma_3: its top pair is
+# the near-marginal mode.
+PER_VALUE_RTOL = 1e-6
+PER_VALUE_FLOOR = 1e-9
+# (preset, n): the largest relative error measured (one BLAS thread) of a
+# value above the floor, and of the bound where it also misses
+PER_VALUE_MISSES = {
+    ("exp_stab_Ex1", 10): "value error 3.0e-6",
+    ("exp_stab_Ex1", 20): "value error 3.0e-6",
+    ("small_damp_ex1_in2", 20): "value error 5.0e-6",
+    ("small_damp_ex5_in4", 20): "value error 1.4e-5, bound error 3.4e-5",
+    ("small_stiff_ex1_in4", 10): "value error 1.1e-5",
+    ("small_stiff_ex1_in4", 20): "value error 1.7e-4",
+    ("small_stiff_ex5_in4", 10):
+        "8 of 14 values above the floor unresolved, bound error 5.4e-2",
+    ("small_stiff_ex5_in4", 20):
+        "9 of 15 values above the floor unresolved, bound error 2.2e-1",
+    ("small_all_ex3_in2", 10): "value error 1.2e-6",
+    ("small_all_ex3_in2", 20): "value error 3.0e-5",
+    ("small_all_ex3_in4", 10): "value error 1.2e-6",
+    ("small_all_ex3_in4", 20): "value error 3.0e-5",
+}
+PER_VALUE_CASES = [
+    pytest.param(name, n, id=f"{name}-{n}", marks=[pytest.mark.xfail(
+        raises=AssertionError, strict=True, reason=PER_VALUE_MISSES[name, n])]
+        if (name, n) in PER_VALUE_MISSES else [])
+    for name, n in CASES]
+
+
+@pytest.mark.parametrize("name, n", PER_VALUE_CASES)
+def test_hankel_values_per_value(name, n):
+    preset = get_preset(name)
+    sys = build_system(preset.params, n)
+    p, q = gramians(sys)
+    hsv = square_root_transform(p, q, preset.r).hsv
+    sigma = oracle_values(name, n)
+    ref = sigma[2] if name == "small_stiff_ex5_in4" else sigma[0]
+    above = sigma[sigma > PER_VALUE_FLOOR * ref]
+    assert above.size <= hsv.size
+    assert np.all(np.abs(hsv[:above.size] - above) <= PER_VALUE_RTOL * above)
+    true_bound = 2.0 * sigma[preset.r:].sum()
+    assert abs(error_bound(hsv, preset.r) - true_bound) \
+        <= PER_VALUE_RTOL * true_bound

@@ -69,6 +69,31 @@ class TestRealSchur:
         with pytest.raises(ValueError):
             linalg.real_schur(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_empty_matrix(self, monkeypatch):
+        # dgees rejects order 0, so it is not called
+        monkeypatch.setattr(linalg, "dgees", None)
+        form = linalg.real_schur(np.zeros((0, 0)))
+        assert form.q.shape == form.t.shape == (0, 0)
+        assert form.eigenvalues.shape == (0,)
+        assert form.eigenvalues.dtype == complex
+
+    def test_one_query_one_call(self, rng, monkeypatch):
+        # as scipy.linalg.schur: a workspace query, then the call with
+        # the queried size
+        a = rng.standard_normal((30, 30))
+        lworks = []
+        real = linalg.dgees
+
+        def recording(select, a, lwork):
+            lworks.append(lwork)
+            return real(select, a, lwork=lwork)
+
+        monkeypatch.setattr(linalg, "dgees", recording)
+        form = linalg.real_schur(a)
+        queried = int(real(linalg._no_select, a, lwork=-1)[-2][0])
+        assert lworks == [-1, queried]
+        assert_block_eigenvalues(form)
+
 
 class TestEigenvalues:
     def test_diagonal(self):
@@ -169,28 +194,54 @@ def standardized_t(rng, blocks):
     return t
 
 
+def assert_block_eigenvalues(form):
+    """The eigenvalues of a factor against the diagonal blocks of its T.
+
+    Real parts are T's diagonal bitwise, a 2x2 block's pair is conjugate
+    (Im > 0 first) and a 1x1 block's value real, and each imaginary part
+    is within 2 ulp of the block-by-block loop's.
+    """
+    eigs, t = form.eigenvalues, form.t
+    assert np.array_equal(eigs.real, np.diagonal(t))
+    starts = np.flatnonzero(np.diagonal(t, -1))
+    assert np.all(eigs.imag[starts] > 0.0)
+    assert np.array_equal(eigs.imag[starts + 1], -eigs.imag[starts])
+    assert np.count_nonzero(eigs.imag) == 2 * starts.size
+    ref = loop_eigenvalues(t).imag
+    assert np.all(np.abs(eigs.imag - ref) <= 2.0 * np.spacing(np.abs(ref)))
+
+
 class TestBlockEigenvalues:
-    """The vectorised read-off equals the block-by-block loop bitwise."""
+    """real_schur keeps dgees's eigenvalues of the diagonal blocks of T."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     @pytest.mark.parametrize("n", [8, 20, 50, 100])
     def test_presets_bitwise(self, name, n):
         sys = build_system(PRESETS[name].params, n)
-        t = sys.schur.t
-        assert np.array_equal(linalg._block_eigenvalues(t),
-                              loop_eigenvalues(t))
+        assert_block_eigenvalues(sys.schur)
+        # T and Q are scipy.linalg.schur's, bitwise
+        t, q = scipy.linalg.schur(sys.a, output="real")
+        assert np.array_equal(sys.schur.t, t)
+        assert np.array_equal(sys.schur.q, q)
 
     @pytest.mark.parametrize("blocks", [[1] * 7, [2] * 4, [1, 2, 2, 1, 1, 2]],
                              ids=["1x1", "2x2", "mixed"])
     def test_hand_built_bitwise(self, rng, blocks):
-        t = standardized_t(rng, blocks)
-        eigs = linalg._block_eigenvalues(t)
-        assert np.array_equal(eigs, loop_eigenvalues(t))
-        assert np.count_nonzero(eigs.imag) == 2 * blocks.count(2)
+        form = linalg.real_schur(standardized_t(rng, blocks))
+        assert_block_eigenvalues(form)
+        assert np.count_nonzero(form.eigenvalues.imag) == 2 * blocks.count(2)
+
+    def test_extreme_block(self):
+        # the pair -1 +- 1e200 i, whose block's product b c overflows:
+        # LAPACK takes sqrt|b| sqrt|c|
+        a = np.array([[-1.0, 1e200], [-1e200, -1.0]])
+        eigs = linalg.real_schur(a).eigenvalues
+        np.testing.assert_allclose(eigs.imag, [1e200, -1e200], rtol=1e-15)
+        np.testing.assert_allclose(eigs.real, [-1.0, -1.0], rtol=1e-15)
 
     def test_read_once_per_factor(self):
         form = linalg.real_schur(np.diag([-1.0, -2.0]))
-        assert form.eigenvalues is form.eigenvalues
+        np.testing.assert_array_equal(form.eigenvalues, [-1.0, -2.0])
         with pytest.raises(ValueError):
             form.eigenvalues[0] = 0.0
 
@@ -398,7 +449,6 @@ class TestSolveLyapunov:
         # near-marginal preset takes the correction pass)
         sys_ = build_system(get_preset("small_stiff_ex5_in4").params, 100)
         schur = sys_.schur
-        schur.eigenvalues  # cached before the measurement
         a, g = (sys_.a.T, sys_.c.T) if transposed else (sys_.a, sys_.b)
         tracemalloc.start()
         try:
@@ -424,7 +474,7 @@ class TestTransposedFactor:
             b, c = rng.uniform(0.5, 2.0, 2)
             t[i:i + 2, i:i + 2] = [[t[i, i], b], [-c, t[i, i]]]
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        return linalg.SchurForm(q=q, t=t)
+        return linalg.SchurForm(q=q, t=t, eigenvalues=loop_eigenvalues(t))
 
     def test_factors_a_transposed(self, schur):
         a = schur.q @ schur.t @ schur.q.T
@@ -495,8 +545,9 @@ class TestRecursiveLyapunov:
         if transposed:
             q = np.linalg.qr(rng.standard_normal((n, n)))[0]
             a = q @ t @ q.T
-            y = linalg.solve_lyapunov(
-                a.T, g, schur=linalg.SchurForm(q=q, t=t).transposed())
+            schur = linalg.SchurForm(q=q, t=t,
+                                     eigenvalues=loop_eigenvalues(t))
+            y = linalg.solve_lyapunov(a.T, g, schur=schur.transposed())
             resid = a.T @ y + y @ a + c
         else:
             y = c.copy()
