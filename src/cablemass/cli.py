@@ -39,8 +39,16 @@ from .model import (InvalidParams, PhysicalParams, build_system,
 from .signals import InputSpec, InvalidInput
 
 ENV_PREFIX = "CABLEMASS_"
-#: Flags that may also be supplied as CABLEMASS_<NAME> environment variables.
-ENV_KEYS = ("config", "preset", "r", "out", "n", "tf")
+#: CLI flag -> (metavar, help); each is also a CABLEMASS_<NAME> variable.
+_FLAGS = {
+    "config": ("PATH", "config file (INI)"),
+    "preset": ("NAME", "named experiment preset"),
+    "r": ("INT", "reduced order"),
+    "n": ("INT", "node count"),
+    "tf": ("REAL", "final time"),
+    "out": ("DIR", "output directory"),
+}
+ENV_KEYS = tuple(_FLAGS)
 
 # Fixed simulation parameters shared by every experiment:
 # l = 1, m0 = 1, ml = 1.5, k3 = 1, beta = 1.
@@ -232,6 +240,8 @@ def load_config(path=None, cli_overrides=None, env=None) -> ExperimentConfig:
     Precedence, lowest to highest: package defaults, named preset,
     config file, CABLEMASS_* environment variables, CLI flags.  The
     file is ``path``, else the ``config`` flag, else CABLEMASS_CONFIG.
+    ``_EXPERIMENT``'s parser converts a flag's string as it does a
+    variable's and a file value, so a bad value fails alike from each.
 
     Raises
     ------
@@ -259,7 +269,7 @@ def load_config(path=None, cli_overrides=None, env=None) -> ExperimentConfig:
     name = overrides.pop("preset", None) or file_preset
     preset = get_preset(name) if name else _NO_PRESET
     cfg = ExperimentConfig(
-        params=preset.params, input=signals.input_preset(preset.input_name),
+        params=preset.params, input=InputSpec(kind=preset.input_name),
         r=preset.r, tf=preset.tf, energy_study=preset.energy_study,
         preset=preset.name if name else None)
 
@@ -268,9 +278,7 @@ def load_config(path=None, cli_overrides=None, env=None) -> ExperimentConfig:
         cfg.params = replace(cfg.params, **{
             f: _parse_float(f, raw)
             for f, raw in sections.get("params", {}).items()})
-        if "kind" in given:
-            cfg.input = signals.input_preset(given.pop("kind"))
-        cfg.input = replace(cfg.input, **{
+        cfg.input = InputSpec(kind=given.pop("kind", cfg.input.kind), **{
             f: _parse_float(f, raw) for f, raw in given.items()})
     except (InvalidParams, InvalidInput) as exc:
         raise ValidationError(exc.field, str(exc)) from exc
@@ -301,9 +309,16 @@ def write_eigs_csv(path, eigs):
                np.column_stack([eigs.real, eigs.imag])[order].tolist())
 
 
-def write_hsv_csv(path, hsv):
-    rows = [(i + 1, sigma, balance.error_bound(hsv, i + 1))
-            for i, sigma in enumerate(hsv.tolist())]
+def _bound(hsv, r: int, states: int | None) -> float:
+    """The error bound at r, nan at r = rank < states: a cut-off tail."""
+    if states is not None and r == hsv.size < states:
+        return math.nan
+    return balance.error_bound(hsv, r)
+
+
+def write_hsv_csv(path, hsv, states=None):
+    rows = [(r, sigma, _bound(hsv, r, states))
+            for r, sigma in enumerate(hsv.tolist(), start=1)]
     _write_csv(path, ("index", "sigma", "bound"), rows,
                ("%d", "%.17g", "%.17g"))
 
@@ -400,13 +415,12 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
         p, q = balance.gramians(sys_)
         bal = balance.square_root_transform(p, q, cfg.r)
         red = balance.reduce(sys_, bal)
-        write("hsv", write_hsv_csv, bal.hsv)
-        # at r = rank < dim the tail is cut off, not resolved
-        rank, dim = bal.hsv.size, sys_.a.shape[0]
-        bound = (f"unresolved: r is the numerical Hankel rank {rank} of "
-                 f"{dim} states" if cfg.r == rank < dim
-                 else f"{balance.error_bound(bal.hsv, cfg.r):.6g}")
-        log(f"retained r={cfg.r}, error bound {bound}")
+        dim = sys_.a.shape[0]
+        write("hsv", write_hsv_csv, bal.hsv, dim)
+        bound = _bound(bal.hsv, cfg.r, dim)
+        log(f"retained r={cfg.r}, error bound " + (
+            f"unresolved: r is the numerical Hankel rank {cfg.r} of {dim} "
+            "states" if math.isnan(bound) else f"{bound:.6g}"))
 
     if wanted & {"outputs", "error"}:
         spec = signals.resolve_input(cfg.input, sys_, mode=cfg.input2_mode)
@@ -443,14 +457,8 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="config file (INI)")
-    common.add_argument("--preset", metavar="NAME",
-                        help="named experiment preset")
-    common.add_argument("--r", type=int, metavar="INT", help="reduced order")
-    common.add_argument("--n", type=int, metavar="INT", help="node count")
-    common.add_argument("--tf", type=float, metavar="REAL",
-                        help="final time")
-    common.add_argument("--out", metavar="DIR", help="output directory")
+    for key, (metavar, help_text) in _FLAGS.items():
+        common.add_argument(f"--{key}", metavar=metavar, help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="cablemass",

@@ -9,9 +9,9 @@ Four oscillating input families drive the left mass:
     input3: u(t) = c1 sin(m t) + c2 cos(nfreq t)
     input4: u(t) = 0.1 square(0.2 pi t)
 
-plus the zero input for unforced energy studies.  The square wave is
-+1 where sin > 0, -1 where sin < 0 and 0 at the crossings, so input4
-takes values in {+0.1, 0, -0.1} exactly.
+plus the zero input for unforced energy studies; ``KINDS`` holds these
+five names.  The square wave is +1 where sin > 0, -1 where sin < 0 and
+0 at the crossings, so input4 takes values in {+0.1, 0, -0.1} exactly.
 
 The square wave jumps at its ``breakpoints`` t = 5k and is constant in
 between; a simulation ends a step on every jump, never steps across one.
@@ -29,22 +29,13 @@ import numpy as np
 
 from .model import StateSpaceSystem
 
-KINDS = ("sine1", "eig_cos2", "sin_cos3", "square4", "zero")
+KINDS = ("input1", "input2", "input3", "input4", "zero")
 
 #: Kinds whose input is constant between its breakpoints.
-PIECEWISE_CONSTANT = ("square4", "zero")
+PIECEWISE_CONSTANT = ("input4", "zero")
 
 # Half period of the square wave: input4 jumps at t = 5k.
 _SQUARE_HALF_PERIOD = 5.0
-
-#: Mapping of config-facing preset names to input kinds.
-INPUT_PRESETS = {
-    "input1": "sine1",
-    "input2": "eig_cos2",
-    "input3": "sin_cos3",
-    "input4": "square4",
-    "zero": "zero",
-}
 
 
 class InvalidInput(ValueError):
@@ -59,14 +50,15 @@ class InvalidInput(ValueError):
 class InputSpec:
     """One forcing input.
 
-    c1, c2, m, nfreq parameterize the sin_cos3 kind (the model study
-    never pinned these constants; the defaults here are just a mild
-    two-tone signal).  a, b are the eig_cos2 frequencies, given both or
-    neither; unset, they stay None until resolved against a concrete
-    system.  scale multiplies the whole signal.
+    kind is one of ``KINDS``: input1..input4 or zero.  c1, c2, m, nfreq
+    parameterize input3 (the model study never pinned these constants;
+    the defaults here are just a mild two-tone signal).  a, b are the
+    input2 frequencies, given both or neither; unset, they stay None
+    until resolved against a concrete system.  scale multiplies the
+    whole signal.
     """
 
-    kind: str = "sine1"
+    kind: str = "input1"
     c1: float = 0.05
     c2: float = 0.05
     m: float = 1.0
@@ -95,12 +87,8 @@ class InputSpec:
 
 
 def input_preset(name: str) -> InputSpec:
-    """InputSpec for a named preset ("input1".."input4", "zero")."""
-    try:
-        kind = INPUT_PRESETS[name]
-    except KeyError:
-        raise InvalidInput("kind", f"unknown input preset {name!r}") from None
-    return InputSpec(kind=kind)
+    """InputSpec(kind=name), every other field at its default."""
+    return InputSpec(kind=name)
 
 
 def square_wave(s):
@@ -110,7 +98,7 @@ def square_wave(s):
 
 def _check_resolved(spec: InputSpec) -> None:
     if spec.a is None:
-        raise ValueError("eig_cos2 frequencies are unresolved; call "
+        raise ValueError("input2 frequencies are unresolved; call "
                          "input2_frequencies against a system first")
 
 
@@ -122,14 +110,14 @@ def _zeros_like(t):
 
 def eval_input(spec: InputSpec, t):
     """Evaluate the input at time t (scalar or array)."""
-    if spec.kind == "sine1":
+    if spec.kind == "input1":
         value = 0.1 * np.sin(0.2 * np.pi * t)
-    elif spec.kind == "eig_cos2":
+    elif spec.kind == "input2":
         _check_resolved(spec)
         value = 0.02 * np.cos(spec.a * t) + 0.03 * np.cos(spec.b * t)
-    elif spec.kind == "sin_cos3":
+    elif spec.kind == "input3":
         value = spec.c1 * np.sin(spec.m * t) + spec.c2 * np.cos(spec.nfreq * t)
-    elif spec.kind == "square4":
+    elif spec.kind == "input4":
         value = 0.1 * square_wave(0.2 * np.pi * t)
     else:  # zero
         value = _zeros_like(t)
@@ -142,16 +130,16 @@ def eval_input_derivative(spec: InputSpec, t):
     The square wave's derivative is 0 between its breakpoints; at a
     breakpoint it does not exist and 0 is returned as well.
     """
-    if spec.kind == "sine1":
+    if spec.kind == "input1":
         value = 0.1 * 0.2 * np.pi * np.cos(0.2 * np.pi * t)
-    elif spec.kind == "eig_cos2":
+    elif spec.kind == "input2":
         _check_resolved(spec)
         value = (-0.02 * spec.a * np.sin(spec.a * t)
                  - 0.03 * spec.b * np.sin(spec.b * t))
-    elif spec.kind == "sin_cos3":
+    elif spec.kind == "input3":
         value = (spec.c1 * spec.m * np.cos(spec.m * t)
                  - spec.c2 * spec.nfreq * np.sin(spec.nfreq * t))
-    else:  # square4 between its jumps, zero
+    else:  # input4 between its jumps, zero
         value = _zeros_like(t)
     return spec.scale * value
 
@@ -162,7 +150,7 @@ def breakpoints(spec: InputSpec, t0: float, tf: float) -> np.ndarray:
     Only the square wave has any: t = 5k.  The endpoints are never
     listed, even when they sit on a jump.
     """
-    if spec.kind != "square4":
+    if spec.kind != "input4":
         return np.empty(0)
     k = np.arange(np.floor(t0 / _SQUARE_HALF_PERIOD) + 1.0,
                   np.ceil(tf / _SQUARE_HALF_PERIOD))
@@ -184,7 +172,7 @@ def dominant_modes(sys: StateSpaceSystem, count: int = 2) -> np.ndarray:
 
 def input2_frequencies(sys: StateSpaceSystem,
                        mode: str = "literal") -> tuple[float, float]:
-    """Forcing frequencies (a, b) for the eig_cos2 input.
+    """Forcing frequencies (a, b) for input2.
 
     mode="literal" (default) reads the frequencies off the two largest
     real parts of the eigenvalues of A, which gives slow near-constant
@@ -206,8 +194,8 @@ def input2_frequencies(sys: StateSpaceSystem,
 
 def resolve_input(spec: InputSpec, sys: StateSpaceSystem,
                   mode: str = "literal") -> InputSpec:
-    """Fill in the eig_cos2 frequencies of spec from a concrete system."""
-    if spec.kind != "eig_cos2" or spec.a is not None:
+    """Fill in the input2 frequencies of spec from a concrete system."""
+    if spec.kind != "input2" or spec.a is not None:
         return spec
     a, b = input2_frequencies(sys, mode=mode)
     return replace(spec, a=a, b=b)

@@ -38,6 +38,18 @@ def test_column_moves(tmp_path):
         artifact_diff.diff_csv(zero, new)["columns"]["y"]["max_rel"])
 
 
+def test_nan_moves(tmp_path):
+    # a bound that goes 0 -> nan (or back) moved by infinity, wherever
+    # its row sits; nan on both sides did not move
+    rows = "index,sigma,bound\n1,2.0,0.5\n2,0.25,{}\n3,0.125,nan\n"
+    old = write(tmp_path / "old.csv", rows.format("0"))
+    new = write(tmp_path / "new.csv", rows.format("nan"))
+    for a, b in ((old, new), (new, old)):
+        moves = artifact_diff.diff_csv(a, b)["columns"]
+        assert moves["bound"] == {"max_abs": math.inf, "max_rel": math.inf}
+        assert moves["sigma"] == {"max_abs": 0.0, "max_rel": 0.0}
+
+
 def test_shape_change(tmp_path):
     old = write(tmp_path / "old.csv", "t,y\n0,1\n")
     new = write(tmp_path / "new.csv", "t,y\n0,1\n1,2\n")

@@ -89,7 +89,7 @@ class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None, env={})
         assert cfg.n == 100
-        assert cfg.input.kind == "sine1"
+        assert cfg.input.kind == "input1"
         assert (cfg.params.l, cfg.params.m0, cfg.params.ml,
                 cfg.params.k3, cfg.params.beta) == (1.0, 1.0, 1.5, 1.0, 1.0)
         assert cfg.r == 4
@@ -100,7 +100,7 @@ class TestLoadConfig:
         path = tmp_path / "empty.ini"
         path.write_text("")
         cfg = load_config(path, env={})
-        assert cfg.n == 100 and cfg.input.kind == "sine1"
+        assert cfg.n == 100 and cfg.input.kind == "input1"
 
     def test_preset_resolution(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -109,7 +109,7 @@ class TestLoadConfig:
         p = cfg.params
         assert (p.gamma, p.alphal, p.k0, p.kl) == (0.001, 0.1, 0.1, 0.1)
         assert (p.alpha, p.alpha0) == (0.0, 0.0)
-        assert cfg.input.kind == "eig_cos2"
+        assert cfg.input.kind == "input2"
         assert cfg.preset == "small_damp_ex1_in2"
 
     def test_params_section_overrides_preset(self, tmp_path):
@@ -196,7 +196,7 @@ class TestLoadConfig:
     def test_env_preset(self):
         cfg = load_config(None, env={"CABLEMASS_PRESET": "small_stiff_ex5_in4"})
         assert cfg.tf == 300.0
-        assert cfg.input.kind == "square4"
+        assert cfg.input.kind == "input4"
 
     def test_process_environment_is_default(self, monkeypatch):
         monkeypatch.setenv("CABLEMASS_N", "37")
@@ -257,7 +257,7 @@ class TestLoadConfig:
         assert cfg.preset == "small_damp_ex1_in2"
         assert (cfg.n, cfg.r, cfg.sample_count) == (100, 4, 1000)
         assert cfg.out_dir == "results" and not cfg.energy_study
-        assert cfg.params.gamma == 0.1 and cfg.input.kind == "sine1"
+        assert cfg.params.gamma == 0.1 and cfg.input.kind == "input1"
         # the example sets every [experiment] and [params] key
         sections = cli._read_ini(path)
         assert set(sections["experiment"]) == set(cli._EXPERIMENT)
@@ -269,7 +269,7 @@ class TestLoadConfig:
         path = tmp_path / "c.ini"
         path.write_text("[input]\nkind = input3\nc1 = 0.1\nscale = 2.0\n")
         cfg = load_config(path, env={})
-        assert cfg.input.kind == "sin_cos3"
+        assert cfg.input.kind == "input3"
         assert cfg.input.c1 == 0.1
         assert eval_input(cfg.input, 0.0) == pytest.approx(2.0 * 0.05)
 
@@ -469,6 +469,26 @@ class TestMain:
         assert f"retained r=4, error bound {bound}" in (
             capsys.readouterr().out.splitlines())
 
+    @pytest.mark.parametrize("preset, rank", [
+        # Hankel rank 6 of 40 states: the tail past it was cut off
+        ("small_stiff_ex5_in4", 6),
+        # full rank: the last bound is resolved, 0
+        ("exp_stability2", 40)])
+    def test_hsv_unresolved_bound_is_nan(self, tmp_path, capsys, preset,
+                                         rank):
+        for r in (4, rank):
+            assert main(["balance", "--preset", preset, "--n", "20", "--r",
+                         str(r), "--out", str(tmp_path)]) == 0
+            bound = np.genfromtxt(tmp_path / "hsv.csv", delimiter=",",
+                                  names=True)["bound"]
+            assert bound.size == rank and np.all(np.isfinite(bound[:-1]))
+            assert np.isnan(bound[-1]) if rank < 40 else bound[-1] == 0.0
+        # the log line at r = rank reads the same helper
+        line = capsys.readouterr().out.splitlines()[-2]
+        assert line.startswith(f"retained r={rank}, error bound ")
+        assert line.endswith(f"rank {rank} of 40 states" if rank < 40
+                             else " 0")
+
     def test_eigs_subcommand(self, tmp_path, capsys):
         code = main(["eigs", "--preset", "exp_stab_Ex1", "--n", "20",
                      "--out", str(tmp_path)])
@@ -479,7 +499,7 @@ class TestMain:
     def test_build_subcommand(self, capsys):
         assert main(["build", "--preset", "small_damp_ex5_in4", "--n", "25"]) == 0
         out = capsys.readouterr().out
-        assert "n=25" in out and "square4" in out
+        assert "n=25" in out and "input kind: input4" in out
 
     def test_compare_subcommand(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
@@ -578,6 +598,24 @@ class TestMain:
     def test_bad_preset_fails(self, capsys):
         assert main(["eigs", "--preset", "nonsense"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_bad_flag_fails_as_variable(self, monkeypatch, capsys):
+        # a flag's string is parsed where the variable's is
+        monkeypatch.delenv("CABLEMASS_N", raising=False)
+        assert main(["build", "--preset", "exp_stab_Ex1", "--n", "abc"]) == 1
+        flag = capsys.readouterr().err
+        monkeypatch.setenv("CABLEMASS_N", "abc")
+        assert main(["build", "--preset", "exp_stab_Ex1"]) == 1
+        assert capsys.readouterr().err == flag == \
+            "error: 'n' must be an integer, got 'abc'\n"
+
+    def test_help_lists_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["build", "--help"])
+        out = capsys.readouterr().out
+        for flag in ("--config PATH", "--preset NAME", "--r INT", "--n INT",
+                     "--tf REAL", "--out DIR"):
+            assert flag in out
 
     def test_config_from_process_environment(self, tmp_path, monkeypatch,
                                              capsys):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from cablemass import signals
+from cablemass.cli import PRESETS
 from cablemass.model import build_system
 from cablemass.signals import (InputSpec, InvalidInput, breakpoints,
                                dominant_modes, eval_input, eval_input_derivative,
@@ -40,7 +41,7 @@ class TestEvalInput:
         assert square_wave(0.0) == 0.0
 
     def test_input3_amplitude_bound(self, rng):
-        spec = InputSpec(kind="sin_cos3", c1=0.2, c2=-0.3, m=1.7, nfreq=0.4,
+        spec = InputSpec(kind="input3", c1=0.2, c2=-0.3, m=1.7, nfreq=0.4,
                          scale=2.0)
         t = rng.uniform(0.0, 50.0, size=200)
         assert np.all(np.abs(eval_input(spec, t)) <= 2.0 * (0.2 + 0.3) + 1e-15)
@@ -50,7 +51,7 @@ class TestEvalInput:
             eval_input(input_preset("input2"), 1.0)
 
     def test_input2_value(self):
-        spec = InputSpec(kind="eig_cos2", a=2.0, b=5.0)
+        spec = InputSpec(kind="input2", a=2.0, b=5.0)
         t = 0.7
         assert eval_input(spec, t) == pytest.approx(
             0.02 * np.cos(2.0 * t) + 0.03 * np.cos(5.0 * t))
@@ -59,7 +60,7 @@ class TestEvalInput:
         assert eval_input(input_preset("zero"), 3.3) == 0.0
 
     def test_scale(self):
-        spec = InputSpec(kind="sine1", scale=0.5)
+        spec = InputSpec(kind="input1", scale=0.5)
         assert eval_input(spec, 2.5) == pytest.approx(0.05)
 
     def test_unknown_kind(self):
@@ -72,7 +73,7 @@ class TestEvalInput:
 
     def test_negative_frequency_rejected(self):
         with pytest.raises(ValueError):
-            InputSpec(kind="sin_cos3", m=-1.0)
+            InputSpec(kind="input3", m=-1.0)
 
     @pytest.mark.parametrize("given,unset", [({"a": 0.3}, "b"),
                                              ({"b": 1.7}, "a")],
@@ -80,25 +81,28 @@ class TestEvalInput:
     def test_one_input2_frequency_rejected(self, given, unset):
         # resolve_input would otherwise overwrite the one that was set
         with pytest.raises(InvalidInput) as err:
-            InputSpec(kind="eig_cos2", **given)
+            InputSpec(kind="input2", **given)
         assert err.value.field == unset
 
 
 # one spec per kind, each with a non-unit scale
 SPECS = (
-    InputSpec(kind="sine1", scale=0.7),
-    InputSpec(kind="eig_cos2", a=0.3, b=1.7, scale=1.3),
-    InputSpec(kind="sin_cos3", c1=0.2, c2=-0.3, m=1.7, nfreq=0.4, scale=2.0),
-    InputSpec(kind="square4", scale=0.5),
+    InputSpec(kind="input1", scale=0.7),
+    InputSpec(kind="input2", a=0.3, b=1.7, scale=1.3),
+    InputSpec(kind="input3", c1=0.2, c2=-0.3, m=1.7, nfreq=0.4, scale=2.0),
+    InputSpec(kind="input4", scale=0.5),
     InputSpec(kind="zero", scale=3.0),
 )
+# the specs' test ids, kept from the kinds' earlier names so that a test
+# keeps its id from run to run
+SPEC_IDS = ("sine1", "eig_cos2", "sin_cos3", "square4", "zero")
 
 
 class TestInputDerivative:
     # smooth points: none on a square-wave jump (t = 5k)
     T = np.array([0.3, 1.7, 3.2, 7.1, 13.9, 42.2, 88.8])
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_matches_central_difference(self, spec):
         h = 1e-5
         fd = (eval_input(spec, self.T + h) - eval_input(spec, self.T - h)) \
@@ -106,7 +110,7 @@ class TestInputDerivative:
         np.testing.assert_allclose(eval_input_derivative(spec, self.T), fd,
                                    rtol=1e-6, atol=1e-12)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_scale_applied(self, spec):
         unit = eval_input_derivative(replace(spec, scale=1.0), self.T)
         np.testing.assert_array_equal(eval_input_derivative(spec, self.T),
@@ -146,9 +150,9 @@ class TestBreakpoints:
         np.testing.assert_array_equal(left, -right)
         assert np.all(left != 0.0)
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
     def test_only_the_square_wave_jumps(self, spec):
-        expected = 19 if spec.kind == "square4" else 0
+        expected = 19 if spec.kind == "input4" else 0
         assert breakpoints(spec, 0.0, 100.0).size == expected
 
 
@@ -203,11 +207,32 @@ class TestInput2Frequencies:
         assert spec.a is not None and spec.b is not None
         # already-resolved specs pass through untouched
         assert resolve_input(spec, sys) is spec
-        assert resolve_input(input_preset("input1"), sys).kind == "sine1"
+        assert resolve_input(input_preset("input1"), sys).kind == "input1"
 
 
 class TestPresetNames:
     def test_catalog(self):
-        assert set(signals.INPUT_PRESETS) == \
+        assert set(signals.KINDS) == \
             {"input1", "input2", "input3", "input4", "zero"}
-        assert input_preset("input3").kind == "sin_cos3"
+        assert input_preset("input3").kind == "input3"
+
+
+class TestKinds:
+    """Every kind has its own signal: none falls through to zero."""
+
+    @pytest.mark.parametrize("kind", signals.KINDS)
+    def test_forced_unless_zero(self, kind):
+        spec = resolve_input(InputSpec(kind=kind), build_system(EXAMPLE1, 10))
+        forced = np.any(eval_input(spec, np.linspace(0.0, 20.0, 401)) != 0.0)
+        assert forced == (kind != "zero")
+
+    def test_preset_inputs_are_kinds(self):
+        assert {p.input_name for p in PRESETS.values()} <= set(signals.KINDS)
+
+    @pytest.mark.parametrize("make", [InputSpec, input_preset],
+                             ids=["InputSpec", "input_preset"])
+    def test_old_name_refused(self, make):
+        # input4's earlier name is no kind
+        with pytest.raises(InvalidInput) as err:
+            make("square4")
+        assert err.value.field == "kind"

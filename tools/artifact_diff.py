@@ -15,9 +15,10 @@ counts can be byte-identical.
 
 Per CSV it reports "identical" when the bytes agree, else, per column,
 the largest absolute move and that move over the column's largest
-magnitude in the old tree.  Where the row count changed it gives both
-counts and the moves over the rows both files have.  It lists every
-log line that changed, and writes the whole report as JSON (default
+magnitude in the old tree; a cell that is NaN on one side only moved by
+infinity.  Where the row count changed it gives both counts and the
+moves over the rows both files have.  It lists every log line that
+changed, and writes the whole report as JSON (default
 ``artifact_diff.json``).  The exit status is 0 when every CSV and log
 line is identical, 1 when any moved, and 2 when a run fails (no report
 is written then).
@@ -78,6 +79,13 @@ def _number(text: str) -> float | None:
         return None
 
 
+def _move(a: float, b: float) -> float:
+    """|b - a|: 0 where both are NaN, infinite where one only is."""
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    return abs(b - a)
+
+
 def diff_csv(old: Path, new: Path) -> dict:
     """"identical", or per column the largest absolute and relative move.
 
@@ -107,8 +115,9 @@ def diff_csv(old: Path, new: Path) -> dict:
         if any(a is None or b is None for a, b in values):
             columns[label] = {"text_changed": sum(a != b for a, b in pairs)}
             continue
-        moved = max((abs(b - a) for a, b in values), default=0.0)
-        scale = max((abs(a) for a, _ in values), default=0.0)
+        moved = max((_move(a, b) for a, b in values), default=0.0)
+        scale = max((abs(a) for a, _ in values if not math.isnan(a)),
+                    default=0.0)
         columns[label] = {
             "max_abs": moved,
             "max_rel": moved / scale if scale else (0.0 if moved == 0.0
