@@ -3,9 +3,10 @@
 Four oscillating input families drive the left mass:
 
     input1: u(t) = 0.1 sin(0.2 pi t)
-    input2: u(t) = 0.02 cos(a t) + 0.03 cos(b t), frequencies taken
-            from the two slowest-decaying eigenvalue pairs of A, read
-            off the system's shared Schur factor
+    input2: u(t) = 0.02 cos(a t) + 0.03 cos(b t), a and b the
+            magnitudes of the real parts of the two slowest-decaying
+            eigenvalue pairs of A, read off the system's shared Schur
+            factor
     input3: u(t) = c1 sin(m t) + c2 cos(nfreq t)
     input4: u(t) = 0.1 square(0.2 pi t)
 
@@ -170,32 +171,22 @@ def dominant_modes(sys: StateSpaceSystem, count: int = 2) -> np.ndarray:
     return reps[order][:count]
 
 
-def input2_frequencies(sys: StateSpaceSystem,
-                       mode: str = "literal") -> tuple[float, float]:
+def input2_frequencies(sys: StateSpaceSystem) -> tuple[float, float]:
     """Forcing frequencies (a, b) for input2.
 
-    mode="literal" (default) reads the frequencies off the two largest
-    real parts of the eigenvalues of A, which gives slow near-constant
-    cosines whose beating grows the response before the damping pulls
-    it back.  mode="imag" instead takes the absolute imaginary parts of
-    those dominant eigenvalues, i.e. forcing at the two slowest-decaying
-    resonances.  Either way the magnitudes are returned, since cos is
-    even.
+    The magnitudes of the two largest real parts of the eigenvalues of
+    A: slow near-constant cosines whose beating grows the response
+    before the damping pulls it back.
     """
-    if mode not in ("imag", "literal"):
-        raise ValueError(f"input2_mode must be 'imag' or 'literal', got {mode!r}")
     modes = dominant_modes(sys, count=2)
     if modes.size < 2:
         raise ValueError("system has fewer than two eigenvalue pairs")
-    if mode == "imag":
-        return float(abs(modes[0].imag)), float(abs(modes[1].imag))
     return float(abs(modes[0].real)), float(abs(modes[1].real))
 
 
-def resolve_input(spec: InputSpec, sys: StateSpaceSystem,
-                  mode: str = "literal") -> InputSpec:
+def resolve_input(spec: InputSpec, sys: StateSpaceSystem) -> InputSpec:
     """Fill in the input2 frequencies of spec from a concrete system."""
     if spec.kind != "input2" or spec.a is not None:
         return spec
-    a, b = input2_frequencies(sys, mode=mode)
+    a, b = input2_frequencies(sys)
     return replace(spec, a=a, b=b)

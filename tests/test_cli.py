@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cablemass
 from cablemass import analysis, cli, linalg, rom
 from cablemass.cli import (DEFAULT_PARAMS, PRESETS, ExperimentConfig,
                            ParseError, ValidationError, get_preset,
@@ -44,7 +45,7 @@ CAPTIONS = {
 }
 
 
-def tiny_config(out_dir, preset="example1_input2_smalldamp", n=20, r=4,
+def tiny_config(out_dir, preset="small_damp_ex1_in2", n=20, r=4,
                 tf=5.0, extra=""):
     return f"""
 [experiment]
@@ -70,10 +71,6 @@ class TestPresets:
             for field, value in fields.items():
                 assert getattr(params, field) == value, (name, field)
 
-    def test_alias(self):
-        assert get_preset("example1_input2_smalldamp") is \
-            PRESETS["small_damp_ex1_in2"]
-
     def test_unknown_preset(self):
         with pytest.raises(ValidationError) as err:
             get_preset("example9")
@@ -85,6 +82,34 @@ class TestPresets:
         assert not PRESETS["small_damp_ex1_in2"].energy_study
 
 
+def _load_text(tmp_path, text):
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    return load_config(path, env={})
+
+
+@pytest.mark.parametrize("attempt, error, name", [
+    (lambda tmp: _load_text(tmp, "[experiment]\nt0 = 0.0\n"),
+     ValidationError, "t0"),
+    (lambda tmp: _load_text(tmp, "[experiment]\ninput2_mode = literal\n"),
+     ValidationError, "input2_mode"),
+    (lambda tmp: load_config(None, cli_overrides={
+        "preset": "example1_input2_smalldamp"}, env={}),
+     ValidationError, "preset"),
+    (lambda tmp: cablemass.get_preset, AttributeError, "get_preset"),
+    (lambda tmp: cablemass.integrate, AttributeError, "integrate")],
+    ids=["t0", "input2_mode", "preset_alias", "root_get_preset",
+         "root_integrate"])
+def test_removed_spelling_refused(tmp_path, attempt, error, name):
+    # a removed config key, preset alias or root re-export fails and
+    # names what was asked for
+    with pytest.raises(error) as err:
+        attempt(tmp_path)
+    if error is ValidationError:
+        assert err.value.field == name
+    assert name in str(err.value)
+
+
 class TestLoadConfig:
     def test_defaults_without_file(self):
         cfg = load_config(None, env={})
@@ -94,7 +119,6 @@ class TestLoadConfig:
                 cfg.params.k3, cfg.params.beta) == (1.0, 1.0, 1.5, 1.0, 1.0)
         assert cfg.r == 4
         assert cfg.rtol == 1e-3 and cfg.atol == 1e-6
-        assert cfg.input2_mode == "literal"
 
     def test_empty_file_is_defaults(self, tmp_path):
         path = tmp_path / "empty.ini"
@@ -104,7 +128,7 @@ class TestLoadConfig:
 
     def test_preset_resolution(self, tmp_path):
         path = tmp_path / "c.ini"
-        path.write_text("[experiment]\npreset = example1_input2_smalldamp\n")
+        path.write_text("[experiment]\npreset = small_damp_ex1_in2\n")
         cfg = load_config(path, env={})
         p = cfg.params
         assert (p.gamma, p.alphal, p.k0, p.kl) == (0.001, 0.1, 0.1, 0.1)
@@ -176,9 +200,8 @@ class TestLoadConfig:
         assert str(err.value).startswith(field)
 
     @pytest.mark.parametrize("field,value", [
-        ("n", "2"), ("t0", "nan"), ("t0", "-inf"), ("tf", "inf"),
-        ("tf", "nan"), ("rtol", "nan"), ("rtol", "inf"), ("atol", "nan"),
-        ("atol", "inf")])
+        ("n", "2"), ("tf", "inf"), ("tf", "nan"), ("rtol", "nan"),
+        ("rtol", "inf"), ("atol", "nan"), ("atol", "inf")])
     def test_invariant_checks(self, tmp_path, field, value):
         path = tmp_path / "c.ini"
         path.write_text(f"[experiment]\n{field} = {value}\n")
@@ -595,6 +618,24 @@ class TestMain:
                          :fine.first[1]].tolist()})
             assert built == len(sizes)
 
+    @pytest.mark.parametrize("command, refused", [
+        ("build", False), ("eigs", False), ("balance", True),
+        ("simulate", True), ("compare", True), ("energy", False)])
+    def test_order_above_state_dimension(self, tmp_path, capsys, command,
+                                         refused):
+        # small_damp_ex5_in4 keeps r = 8 > 2n = 6 states: a run that
+        # balances refuses it before any work; the others ignore r
+        out = tmp_path / "run"
+        status = main([command, "--preset", "small_damp_ex5_in4", "--n", "3",
+                       "--tf", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        if refused:
+            assert status == 1 and not out.exists()
+            assert err == ("error: r = 8 exceeds the state dimension "
+                           "2n = 6\n")
+        else:
+            assert status == 0 and err == ""
+
     def test_bad_preset_fails(self, capsys):
         assert main(["eigs", "--preset", "nonsense"]) == 1
         assert "error" in capsys.readouterr().err
@@ -649,28 +690,3 @@ class TestMain:
         cfg = load_config(None, cli_overrides={"preset": "small_stiff_ex5_in4",
                                                "tf": 12.5}, env={})
         assert cfg.tf == 12.5
-
-    @pytest.mark.parametrize("command, extra", [
-        ("energy", ""), ("compare", "energy_study = true")],
-        ids=["energy", "compare-energy_study"])
-    def test_energy_study_rejects_nonzero_t0(self, tmp_path, capsys, command,
-                                             extra):
-        # the energy study starts at t = 0: a later t0 is refused before
-        # any work, and no output directory is made
-        cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(tiny_config(tmp_path / "run", preset="exp_stab_Ex1",
-                                        tf=20.0, extra=f"t0 = 10\n{extra}"))
-        assert main([command, "--config", str(cfg_path)]) == 1
-        assert "t0" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    def test_forced_runs_keep_t0(self, tmp_path):
-        # without the energy study, compare runs on [t0, tf]
-        cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(tiny_config(tmp_path / "run", tf=20.0,
-                                        extra="t0 = 10"))
-        assert main(["compare", "--config", str(cfg_path)]) == 0
-        data = np.genfromtxt(tmp_path / "run" / "outputs.csv", delimiter=",",
-                             names=True)
-        assert data["t"][0] == 10.0 and data["t"][-1] == 20.0
-        assert not (tmp_path / "run" / "energy.csv").exists()

@@ -179,20 +179,12 @@ class TestDominantModes:
 
 
 class TestInput2Frequencies:
-    def test_literal_and_imag_readings(self):
+    def test_reads_largest_real_parts(self):
         a = scipy.linalg.block_diag(
             np.array([[-0.1, 2.0], [-2.0, -0.1]]),
             np.array([[-0.5, 7.0], [-7.0, -0.5]]))
-        sys = schur_system(a)
-        assert input2_frequencies(sys, mode="literal") == \
+        assert input2_frequencies(schur_system(a)) == \
             (pytest.approx(0.1), pytest.approx(0.5))
-        assert input2_frequencies(sys, mode="imag") == \
-            (pytest.approx(2.0), pytest.approx(7.0))
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            input2_frequencies(schur_system(np.diag([-1.0, -2.0])),
-                               mode="largest")
 
     def test_example1_deterministic(self):
         sys = build_system(EXAMPLE1, 100)
