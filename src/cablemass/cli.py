@@ -9,12 +9,14 @@ run writes flat CSV artifacts:
                  the cumulative error bound
     outputs.csv  FOM and ROM outputs on the comparison grid
     error.csv    relative L2/Linf error per channel and combined
-    energy.csv   unforced energy history (energy studies only)
+    energy.csv   unforced energy history (``energy`` only)
 
 Every subcommand runs one pipeline: build, spectrum, Gramians + balance
-+ reduce, FOM + ROM, error, energy.  ``SUBCOMMANDS`` names the artifacts
-each writes, and it runs only the stages those need (so ``balance``
-checks r as ``compare`` does).  Every run starts from rest at t = 0.
++ reduce, FOM + ROM, error, energy.  ``SUBCOMMANDS`` alone names the
+artifacts each writes, and it runs only the stages those need (so
+``balance`` checks r as ``compare`` does).  Every stage runs before the
+first file is written, so a run that fails leaves its output directory
+as it was.  Every run starts from rest at t = 0.
 Floats are written with 17 significant digits so runs with identical
 configs produce byte-identical files at equal BLAS thread counts; across
 counts the modal solve moves by up to 6.3e-12 (one against two
@@ -82,12 +84,11 @@ class Preset:
     input_name: str
     r: int = 4
     tf: float = 100.0
-    energy_study: bool = False
 
 
-def _preset(name, input_name, r=4, tf=100.0, energy_study=False, **damping):
+def _preset(name, input_name, r=4, tf=100.0, **damping):
     return Preset(name=name, params=PhysicalParams(**_FIXED, **damping),
-                  input_name=input_name, r=r, tf=tf, energy_study=energy_study)
+                  input_name=input_name, r=r, tf=tf)
 
 
 #: Catalog of the study scenarios (damping parameter set x input).
@@ -95,10 +96,10 @@ PRESETS = {
     p.name: p for p in (
         # Kelvin-Voigt + right-boundary damping, unit springs: the
         # stability/energy-decay study.
-        _preset("exp_stab_Ex1", "zero", tf=50.0, energy_study=True,
+        _preset("exp_stab_Ex1", "zero", tf=50.0,
                 gamma=0.1, alphal=0.1, k0=1.0, kl=1.0),
         # hyperbolic case: viscous damping only, everything small
-        _preset("exp_stability2", "zero", tf=100.0, energy_study=True,
+        _preset("exp_stability2", "zero", tf=100.0,
                 gamma=0.0, alpha=0.01, alpha0=0.01, alphal=0.01,
                 k0=0.01, kl=0.01),
         # small damping scenarios
@@ -148,7 +149,6 @@ class ExperimentConfig:
     atol: float = 1e-6
     sample_count: int = 1000
     out_dir: str = "out"
-    energy_study: bool = False
     preset: str | None = None
 
 
@@ -157,7 +157,7 @@ def _parser(convert, kind):
     def parse(field, raw):
         try:
             return convert(raw)
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError):
             raise ValidationError(
                 field, f"{field!r} must be {kind}, got {raw!r}") from None
     return parse
@@ -166,8 +166,6 @@ def _parser(convert, kind):
 _parse_str = _parser(str, "a string")
 _parse_int = _parser(int, "an integer")
 _parse_float = _parser(float, "a number")
-_parse_bool = _parser(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[
-    str(raw).strip().lower()], "a boolean")
 
 #: [experiment] key or override -> (ExperimentConfig attribute, parser).
 _EXPERIMENT = {
@@ -179,7 +177,6 @@ _EXPERIMENT = {
     "atol": ("atol", _parse_float),
     "sample_count": ("sample_count", _parse_int),
     "out": ("out_dir", _parse_str),
-    "energy_study": ("energy_study", _parse_bool),
 }
 
 
@@ -258,8 +255,7 @@ def load_config(path=None, cli_overrides=None, env=None) -> ExperimentConfig:
     preset = get_preset(name) if name else _NO_PRESET
     cfg = ExperimentConfig(
         params=preset.params, input=InputSpec(kind=preset.input_name),
-        r=preset.r, tf=preset.tf, energy_study=preset.energy_study,
-        preset=preset.name if name else None)
+        r=preset.r, tf=preset.tf, preset=preset.name if name else None)
 
     given = sections.get("input", {})
     try:
@@ -342,14 +338,14 @@ def _energy_initial_data(params, n):
         vel=np.cos)
 
 
-#: Subcommand -> (help text, artifacts it writes).  ``compare`` also
-#: writes "energy" when the config asks for the energy study.
+#: Subcommand -> (help text, artifacts it writes); nothing else decides
+#: what a command writes.
 SUBCOMMANDS = {
     "build": ("validate the config and report system dimensions", ()),
     "eigs": ("write the eigenvalues of A (eigs.csv)", ("eigs",)),
     "balance": ("write the Hankel singular values (hsv.csv)", ("hsv",)),
     "simulate": ("write FOM and ROM outputs (outputs.csv)", ("outputs",)),
-    "compare": ("run the full experiment (all artifacts)",
+    "compare": ("compare FOM and ROM (eigs, hsv, outputs and error.csv)",
                 ("eigs", "hsv", "outputs", "error")),
     "energy": ("write the unforced energy history (energy.csv)", ("energy",)),
 }
@@ -365,30 +361,22 @@ def _integrator_line(label: str, stats) -> str:
 
 
 def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
-    """Run the stages a subcommand's artifacts need, in pipeline order.
+    """Run the stages a subcommand's artifacts need, then write those.
 
-    Each stage logs one line.  The output directory is made only when
-    there is an artifact to write.  Returns a dict mapping artifact
-    names to file paths, in stage order.
+    Each stage logs one line.  Nothing is written until every stage has
+    run, so a run that raises makes no directory and touches no file;
+    ``build`` makes none either.  Returns a dict mapping artifact names
+    to file paths, in stage order.
 
     A run that balances raises ValidationError("r") for r above the
     state dimension 2n, before any work.
     """
     log = log or (lambda msg: None)
     wanted = set(SUBCOMMANDS[command][1])
-    if command == "compare" and cfg.energy_study:
-        wanted.add("energy")
     if wanted & {"hsv", "outputs", "error"} and cfg.r > 2 * cfg.n:
         raise ValidationError("r", f"r = {cfg.r} exceeds the state "
                                    f"dimension 2n = {2 * cfg.n}")
-    if wanted:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    written = {}
-
-    def write(name, writer, *data):
-        if name in wanted:
-            written[name] = os.path.join(cfg.out_dir, f"{name}.csv")
-            writer(written[name], *data)
+    made = {}  # artifact name -> (writer, data), in stage order
 
     sys_ = build_system(cfg.params, cfg.n)
     log(f"preset: {cfg.preset or '(none)'}")
@@ -396,7 +384,7 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
     log(f"input kind: {cfg.input.kind}, r={cfg.r}, horizon [0.0, {cfg.tf}]")
 
     if "eigs" in wanted:
-        write("eigs", write_eigs_csv, sys_.schur.eigenvalues)
+        made["eigs"] = (write_eigs_csv, sys_.schur.eigenvalues)
         log(f"stability margin: {analysis.stability_margin(sys_):.6g}")
 
     if wanted & {"hsv", "outputs", "error"}:
@@ -404,7 +392,7 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
         bal = balance.square_root_transform(p, q, cfg.r)
         red = balance.reduce(sys_, bal)
         dim = sys_.a.shape[0]
-        write("hsv", write_hsv_csv, bal.hsv, dim)
+        made["hsv"] = (write_hsv_csv, bal.hsv, dim)
         bound = _bound(bal.hsv, cfg.r, dim)
         log(f"retained r={cfg.r}, error bound " + (
             f"unresolved: r is the numerical Hankel rank {cfg.r} of {dim} "
@@ -418,11 +406,11 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
         rom_series = rom.simulate_rom(red, spec, 0.0, cfg.tf, rtol=cfg.rtol,
                                       atol=cfg.atol, sample_count=cfg.sample_count)
         log(_integrator_line("ROM", rom_series.stats))
-        write("outputs", write_outputs_csv, fom_series, rom_series)
+        made["outputs"] = (write_outputs_csv, fom_series, rom_series)
 
     if "error" in wanted:
         metrics = analysis.output_error(fom_series, rom_series)
-        write("error", write_error_csv, metrics)
+        made["error"] = (write_error_csv, metrics)
         log(f"FOM vs ROM rel_l2={metrics.rel_l2:.6g} rel_linf={metrics.rel_linf:.6g}")
 
     if "energy" in wanted:
@@ -432,7 +420,7 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
         report = analysis.energy_decay(
             sys_, forms, x0, cfg.tf, rtol=rtol, atol=min(cfg.atol, 1e-9),
             sample_count=cfg.sample_count)
-        write("energy", write_energy_csv, report)
+        made["energy"] = (write_energy_csv, report)
         flag = (f", above rtol {rtol:.3g}: WARNING, the energy is not monotone"
                 if report.max_rise > rtol else "")
         log(f"fitted decay rate {report.fitted_rate:.6g} "
@@ -440,6 +428,13 @@ def run_command(command: str, cfg: ExperimentConfig, log=None) -> dict:
             f"{report.max_rise:.3g}{flag}")
         log(_integrator_line("energy", report.stats))
 
+    if wanted:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    written = {}
+    for name, (writer, *data) in made.items():
+        if name in wanted:
+            written[name] = os.path.join(cfg.out_dir, f"{name}.csv")
+            writer(written[name], *data)
     return written
 
 

@@ -480,8 +480,11 @@ def solve_lyapunov(a, g, *, schur: SchurForm) -> np.ndarray:
     p = np.zeros(a.shape)
     qg = q.T @ g
     y = qg @ qg.T
-    # Y's buffer takes each n x n product in turn, W = G G^T included, so
-    # that across the passes only P, Y and the factors stay allocated.
+    # Y's buffer takes each n x n product in turn, W = G G^T included.
+    # P, Y, the residual and the factors live across the passes, and
+    # q @ y, q.T @ resid, p += p.T and resid += resid.T each allocate an
+    # n x n temporary (1.28 MB at n = 400).  A change to these moves the
+    # offline set-up samples (ROADMAP, "Considered and set aside").
     for correction in (False, True):
         if correction:
             np.matmul(q.T @ resid, q, out=y)

@@ -114,13 +114,13 @@ def test_failed_run_exits_2(tmp_path, capsys):
 
 
 def test_runs():
-    # compare on every preset at n = 100, energy on two presets at n = 100
-    # and 200 and on the coarse grids exp_stability2 n = 50 and
-    # exp_stab_Ex1 n = 10: 9 x 4 CSVs, two energy.csv from compare, and 6
-    # more
+    # compare on every preset at n = 100, energy on the two unforced
+    # presets at n = 100 and 200 and on the coarse grids exp_stability2
+    # n = 50 and exp_stab_Ex1 n = 10: 9 x 4 CSVs and 6 energy.csv
     assert artifact_diff.PRESETS == tuple(cli.PRESETS)
     assert set(artifact_diff.ENERGY_PRESETS) == {
-        name for name, preset in cli.PRESETS.items() if preset.energy_study}
+        name for name, preset in cli.PRESETS.items()
+        if preset.input_name == "zero"}
     commands = [args[0] for _, args in artifact_diff.RUNS]
     assert commands.count("compare") == 9 and commands.count("energy") == 6
     assert len({name for name, _ in artifact_diff.RUNS}) == 15

@@ -76,10 +76,11 @@ class TestPresets:
             get_preset("example9")
         assert err.value.field == "preset"
 
-    def test_energy_presets_flagged(self):
-        assert PRESETS["exp_stab_Ex1"].energy_study
-        assert PRESETS["exp_stability2"].energy_study
-        assert not PRESETS["small_damp_ex1_in2"].energy_study
+    def test_energy_presets_unforced(self):
+        # the two stability presets, and only they, run input zero
+        assert {name for name, preset in PRESETS.items()
+                if preset.input_name == "zero"} == {"exp_stab_Ex1",
+                                                     "exp_stability2"}
 
 
 def _load_text(tmp_path, text):
@@ -93,13 +94,15 @@ def _load_text(tmp_path, text):
      ValidationError, "t0"),
     (lambda tmp: _load_text(tmp, "[experiment]\ninput2_mode = literal\n"),
      ValidationError, "input2_mode"),
+    (lambda tmp: _load_text(tmp, "[experiment]\nenergy_study = true\n"),
+     ValidationError, "energy_study"),
     (lambda tmp: load_config(None, cli_overrides={
         "preset": "example1_input2_smalldamp"}, env={}),
      ValidationError, "preset"),
     (lambda tmp: cablemass.get_preset, AttributeError, "get_preset"),
     (lambda tmp: cablemass.integrate, AttributeError, "integrate")],
-    ids=["t0", "input2_mode", "preset_alias", "root_get_preset",
-         "root_integrate"])
+    ids=["t0", "input2_mode", "energy_study", "preset_alias",
+         "root_get_preset", "root_integrate"])
 def test_removed_spelling_refused(tmp_path, attempt, error, name):
     # a removed config key, preset alias or root re-export fails and
     # names what was asked for
@@ -279,7 +282,7 @@ class TestLoadConfig:
         cfg = load_config(path, env={})
         assert cfg.preset == "small_damp_ex1_in2"
         assert (cfg.n, cfg.r, cfg.sample_count) == (100, 4, 1000)
-        assert cfg.out_dir == "results" and not cfg.energy_study
+        assert cfg.out_dir == "results"
         assert cfg.params.gamma == 0.1 and cfg.input.kind == "input1"
         # the example sets every [experiment] and [params] key
         sections = cli._read_ini(path)
@@ -355,7 +358,7 @@ class TestCsvFormat:
 
 
 class TestRunExperiment:
-    """Artifacts of one full ``compare`` run."""
+    """Artifacts of full ``compare`` runs and of one ``energy`` run."""
 
     def test_artifact_files_exist(self, artifacts):
         paths, out, _ = artifacts
@@ -406,9 +409,9 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             params=DEFAULT_PARAMS, input=cli.signals.input_preset("zero"),
             n=20, r=4, tf=5.0, rtol=1e-4, atol=1e-7, sample_count=80,
-            out_dir=str(tmp_path), energy_study=True)
-        paths = run_command("compare", cfg)
-        assert "energy" in paths
+            out_dir=str(tmp_path))
+        paths = run_command("energy", cfg)
+        assert set(paths) == {"energy"}
         data = np.genfromtxt(paths["energy"], delimiter=",", names=True)
         assert len(data) == 80
         e = data["E"]
@@ -436,14 +439,14 @@ class TestRunExperiment:
 
 @pytest.fixture(scope="module")
 def compare_dirs(tmp_path_factory):
-    """compare's artifacts at n = 20, energy study on, one dir per preset."""
+    """compare's and energy's artifacts at n = 20, one dir per preset."""
     dirs = {}
     for preset in ("exp_stab_Ex1", "small_damp_ex1_in2"):
         root = tmp_path_factory.mktemp(preset)
         cfg_path = root / "cfg.ini"
-        cfg_path.write_text(tiny_config(root / "run", preset=preset,
-                                        extra="energy_study = true"))
-        assert main(["compare", "--config", str(cfg_path)]) == 0
+        cfg_path.write_text(tiny_config(root / "run", preset=preset))
+        for command in ("compare", "energy"):
+            assert main([command, "--config", str(cfg_path)]) == 0
         dirs[preset] = root / "run"
     return dirs
 
@@ -456,10 +459,9 @@ class TestMain:
     def test_subcommand_writes_compare_files(self, compare_dirs, tmp_path,
                                              capsys, preset, command, files):
         # each subcommand writes exactly its own artifacts, byte for byte
-        # the files compare writes for the same config
+        # the files compare and energy write for the same config
         cfg_path = tmp_path / "cfg.ini"
-        cfg_path.write_text(tiny_config(tmp_path / "run", preset=preset,
-                                        extra="energy_study = true"))
+        cfg_path.write_text(tiny_config(tmp_path / "run", preset=preset))
         assert main([command, "--config", str(cfg_path)]) == 0
         assert {f.name for f in (tmp_path / "run").iterdir()} == files
         for name in files:
@@ -635,6 +637,29 @@ class TestMain:
                            "2n = 6\n")
         else:
             assert status == 0 and err == ""
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=["fresh", "existing"])
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, existing):
+        # small_stiff_ex5_in4 at n = 20 has Hankel rank 6: r = 7 is
+        # refused after the spectrum and Gramian stages have run, and
+        # neither makes the output directory nor touches a file in it
+        out = tmp_path / "run"
+        if existing:
+            assert main(["eigs", "--preset", "small_damp_ex5_in4", "--n",
+                         "20", "--out", str(out)]) == 0
+            before = (out / "eigs.csv").read_bytes()
+            mtime = (out / "eigs.csv").stat().st_mtime_ns
+        capsys.readouterr()
+        assert main(["compare", "--preset", "small_stiff_ex5_in4", "--n",
+                     "20", "--r", "7", "--out", str(out)]) == 1
+        assert "exceeds numerical rank 6" in capsys.readouterr().err
+        if existing:
+            assert [f.name for f in out.iterdir()] == ["eigs.csv"]
+            assert (out / "eigs.csv").read_bytes() == before
+            assert (out / "eigs.csv").stat().st_mtime_ns == mtime
+        else:
+            assert not out.exists()
 
     def test_bad_preset_fails(self, capsys):
         assert main(["eigs", "--preset", "nonsense"]) == 1

@@ -8,10 +8,10 @@ the CLI from that tree's ``src/``: ``compare`` on every preset at
 n = 100, ``energy`` on the two energy presets at n = 100 and 200, and
 ``energy`` on the coarse grids where a boundary closure that does not
 dissipate the energy shows first (``exp_stability2`` at n = 50,
-``exp_stab_Ex1`` at n = 10), 44 CSVs in all.  Every run is its own subprocess with one BLAS thread
-(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1):
-the artifacts depend on the BLAS thread count, so only runs at equal
-counts can be byte-identical.
+``exp_stab_Ex1`` at n = 10), 42 CSVs in all.  Every run is its own
+subprocess with one BLAS thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS set to 1): the artifacts depend on the BLAS thread
+count, so only runs at equal counts can be byte-identical.
 
 Per CSV it reports "identical" when the bytes agree, else, per column,
 the largest absolute move and that move over the column's largest
