@@ -7,12 +7,15 @@ Four oscillating input families drive the left mass:
             magnitudes of the real parts of the two slowest-decaying
             eigenvalue pairs of A, read off the system's shared Schur
             factor
-    input3: u(t) = c1 sin(m t) + c2 cos(nfreq t)
+    input3: u(t) = 0.05 sin(t) + 0.05 cos(2t)
     input4: u(t) = 0.1 square(0.2 pi t)
 
 plus the zero input for unforced energy studies; ``KINDS`` holds these
-five names.  The square wave is +1 where sin > 0, -1 where sin < 0 and
-0 at the crossings, so input4 takes values in {+0.1, 0, -0.1} exactly.
+five names.  Each is one fixed formula, scaled by ``InputSpec.scale``.
+The study never pinned input3's constants; these are just a mild
+two-tone signal.  The square wave is +1 where sin > 0, -1 where sin < 0
+and 0 at the crossings, so input4 takes values in {+0.1, 0, -0.1}
+exactly.
 
 The square wave jumps at its ``breakpoints`` t = 5k and is constant in
 between; a simulation ends a step on every jump, never steps across one.
@@ -51,19 +54,15 @@ class InvalidInput(ValueError):
 class InputSpec:
     """One forcing input.
 
-    kind is one of ``KINDS``: input1..input4 or zero.  c1, c2, m, nfreq
-    parameterize input3 (the model study never pinned these constants;
-    the defaults here are just a mild two-tone signal).  a, b are the
-    input2 frequencies, given both or neither; unset, they stay None
-    until resolved against a concrete system.  scale multiplies the
+    kind is one of ``KINDS``: input1..input4 or zero, each one fixed
+    formula (input3 is 0.05 sin(t) + 0.05 cos(2t): the model study never
+    pinned its constants, so it is just a mild two-tone signal).  a, b
+    are the input2 frequencies, given both or neither; unset, they stay
+    None until resolved against a concrete system.  scale multiplies the
     whole signal.
     """
 
     kind: str = "input1"
-    c1: float = 0.05
-    c2: float = 0.05
-    m: float = 1.0
-    nfreq: float = 2.0
     a: float | None = None
     b: float | None = None
     scale: float = 1.0
@@ -71,12 +70,8 @@ class InputSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidInput("kind", f"unknown input kind {self.kind!r}")
-        for name in ("c1", "c2", "m", "nfreq", "scale"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidInput(name, f"{name} must be finite")
-        for name in ("m", "nfreq"):
-            if getattr(self, name) < 0.0:
-                raise InvalidInput(name, f"{name} must be nonnegative")
+        if not np.isfinite(self.scale):
+            raise InvalidInput("scale", "scale must be finite")
         for name in ("a", "b"):
             value = getattr(self, name)
             if value is not None and (not np.isfinite(value) or value < 0.0):
@@ -117,7 +112,7 @@ def eval_input(spec: InputSpec, t):
         _check_resolved(spec)
         value = 0.02 * np.cos(spec.a * t) + 0.03 * np.cos(spec.b * t)
     elif spec.kind == "input3":
-        value = spec.c1 * np.sin(spec.m * t) + spec.c2 * np.cos(spec.nfreq * t)
+        value = 0.05 * np.sin(t) + 0.05 * np.cos(2.0 * t)
     elif spec.kind == "input4":
         value = 0.1 * square_wave(0.2 * np.pi * t)
     else:  # zero
@@ -138,8 +133,7 @@ def eval_input_derivative(spec: InputSpec, t):
         value = (-0.02 * spec.a * np.sin(spec.a * t)
                  - 0.03 * spec.b * np.sin(spec.b * t))
     elif spec.kind == "input3":
-        value = (spec.c1 * spec.m * np.cos(spec.m * t)
-                 - spec.c2 * spec.nfreq * np.sin(spec.nfreq * t))
+        value = 0.05 * np.cos(t) - 0.1 * np.sin(2.0 * t)
     else:  # input4 between its jumps, zero
         value = _zeros_like(t)
     return spec.scale * value
@@ -158,30 +152,20 @@ def breakpoints(spec: InputSpec, t0: float, tf: float) -> np.ndarray:
     return _SQUARE_HALF_PERIOD * k
 
 
-def dominant_modes(sys: StateSpaceSystem, count: int = 2) -> np.ndarray:
-    """Eigenvalues with the largest real parts, one per conjugate pair.
-
-    Real eigenvalues and the upper-half-plane member of each complex
-    pair are kept, sorted by decreasing real part.  They are read off
-    the system's shared Schur factor (``sys.schur``).
-    """
-    eigs = sys.schur.eigenvalues
-    reps = eigs[eigs.imag >= 0.0]
-    order = np.lexsort((-np.abs(reps.imag), -reps.real))
-    return reps[order][:count]
-
-
 def input2_frequencies(sys: StateSpaceSystem) -> tuple[float, float]:
     """Forcing frequencies (a, b) for input2.
 
     The magnitudes of the two largest real parts of the eigenvalues of
-    A: slow near-constant cosines whose beating grows the response
-    before the damping pulls it back.
+    A, one per conjugate pair (real eigenvalues and the upper-half-plane
+    member of each pair), read off the system's shared Schur factor
+    (``sys.schur``): slow near-constant cosines whose beating grows the
+    response before the damping pulls it back.
     """
-    modes = dominant_modes(sys, count=2)
-    if modes.size < 2:
+    eigs = sys.schur.eigenvalues
+    real = np.sort(eigs.real[eigs.imag >= 0.0])
+    if real.size < 2:
         raise ValueError("system has fewer than two eigenvalue pairs")
-    return float(abs(modes[0].real)), float(abs(modes[1].real))
+    return float(abs(real[-1])), float(abs(real[-2]))
 
 
 def resolve_input(spec: InputSpec, sys: StateSpaceSystem) -> InputSpec:

@@ -96,13 +96,21 @@ def _load_text(tmp_path, text):
      ValidationError, "input2_mode"),
     (lambda tmp: _load_text(tmp, "[experiment]\nenergy_study = true\n"),
      ValidationError, "energy_study"),
+    (lambda tmp: _load_text(tmp, "[input]\nkind = input3\nc1 = 0.1\n"),
+     ValidationError, "c1"),
+    (lambda tmp: _load_text(tmp, "[input]\nkind = input3\nc2 = 0.1\n"),
+     ValidationError, "c2"),
+    (lambda tmp: _load_text(tmp, "[input]\nkind = input3\nm = 1.0\n"),
+     ValidationError, "m"),
+    (lambda tmp: _load_text(tmp, "[input]\nkind = input3\nnfreq = 2.0\n"),
+     ValidationError, "nfreq"),
     (lambda tmp: load_config(None, cli_overrides={
         "preset": "example1_input2_smalldamp"}, env={}),
      ValidationError, "preset"),
     (lambda tmp: cablemass.get_preset, AttributeError, "get_preset"),
     (lambda tmp: cablemass.integrate, AttributeError, "integrate")],
-    ids=["t0", "input2_mode", "energy_study", "preset_alias",
-         "root_get_preset", "root_integrate"])
+    ids=["t0", "input2_mode", "energy_study", "c1", "c2", "m", "nfreq",
+         "preset_alias", "root_get_preset", "root_integrate"])
 def test_removed_spelling_refused(tmp_path, attempt, error, name):
     # a removed config key, preset alias or root re-export fails and
     # names what was asked for
@@ -189,11 +197,11 @@ class TestLoadConfig:
         assert err.value.field == "kind"
 
     @pytest.mark.parametrize("text,field", [
-        ("kind = input3\nc1 = 0.1\nm = -1\n", "m"),
-        ("c2 = 0.2\nnfreq = -2\n", "nfreq"),
-        ("c1 = 0.1\nscale = inf\n", "scale"),
+        ("kind = input3\nscale = nan\n", "scale"),
+        ("kind = input3\nscale = -inf\n", "scale"),
+        ("kind = input3\nscale = inf\n", "scale"),
         ("kind = input2\na = 0.3\n", "b")],
-        ids=["m", "nfreq", "scale", "a_without_b"])
+        ids=["scale_nan", "scale_minus_inf", "scale", "a_without_b"])
     def test_bad_input_value_named(self, tmp_path, text, field):
         path = tmp_path / "c.ini"
         path.write_text("[input]\n" + text)
@@ -293,10 +301,10 @@ class TestLoadConfig:
 
     def test_input_section(self, tmp_path):
         path = tmp_path / "c.ini"
-        path.write_text("[input]\nkind = input3\nc1 = 0.1\nscale = 2.0\n")
+        path.write_text("[input]\nkind = input3\nscale = 2.0\n")
         cfg = load_config(path, env={})
         assert cfg.input.kind == "input3"
-        assert cfg.input.c1 == 0.1
+        assert cfg.input.scale == 2.0
         assert eval_input(cfg.input, 0.0) == pytest.approx(2.0 * 0.05)
 
 

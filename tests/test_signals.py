@@ -8,7 +8,7 @@ from cablemass import signals
 from cablemass.cli import PRESETS
 from cablemass.model import build_system
 from cablemass.signals import (InputSpec, InvalidInput, breakpoints,
-                               dominant_modes, eval_input, eval_input_derivative,
+                               eval_input, eval_input_derivative,
                                input2_frequencies, input_preset, resolve_input,
                                square_wave)
 from conftest import EXAMPLE1, schur_system
@@ -41,10 +41,22 @@ class TestEvalInput:
         assert square_wave(0.0) == 0.0
 
     def test_input3_amplitude_bound(self, rng):
-        spec = InputSpec(kind="input3", c1=0.2, c2=-0.3, m=1.7, nfreq=0.4,
-                         scale=2.0)
+        spec = InputSpec(kind="input3", scale=2.0)
         t = rng.uniform(0.0, 50.0, size=200)
-        assert np.all(np.abs(eval_input(spec, t)) <= 2.0 * (0.2 + 0.3) + 1e-15)
+        assert np.all(np.abs(eval_input(spec, t)) <= 2.0 * (0.05 + 0.05) + 1e-15)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_input3_pinned(self, scale):
+        # the arithmetic of input3's former default constants, written out
+        c1, c2, m, nfreq = 0.05, 0.05, 1.0, 2.0
+        t = np.linspace(0.0, 50.0, 401)
+        spec = InputSpec(kind="input3", scale=scale)
+        np.testing.assert_array_equal(
+            eval_input(spec, t),
+            scale * (c1 * np.sin(m * t) + c2 * np.cos(nfreq * t)))
+        np.testing.assert_array_equal(
+            eval_input_derivative(spec, t),
+            scale * (c1 * m * np.cos(m * t) - c2 * nfreq * np.sin(nfreq * t)))
 
     def test_input2_requires_resolution(self):
         with pytest.raises(ValueError):
@@ -72,8 +84,9 @@ class TestEvalInput:
             input_preset("input9")
 
     def test_negative_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            InputSpec(kind="input3", m=-1.0)
+        with pytest.raises(InvalidInput) as err:
+            InputSpec(kind="input2", a=-1.0, b=1.0)
+        assert err.value.field == "a"
 
     @pytest.mark.parametrize("given,unset", [({"a": 0.3}, "b"),
                                              ({"b": 1.7}, "a")],
@@ -89,7 +102,7 @@ class TestEvalInput:
 SPECS = (
     InputSpec(kind="input1", scale=0.7),
     InputSpec(kind="input2", a=0.3, b=1.7, scale=1.3),
-    InputSpec(kind="input3", c1=0.2, c2=-0.3, m=1.7, nfreq=0.4, scale=2.0),
+    InputSpec(kind="input3", scale=2.0),
     InputSpec(kind="input4", scale=0.5),
     InputSpec(kind="zero", scale=3.0),
 )
@@ -157,25 +170,32 @@ class TestBreakpoints:
 
 
 class TestDominantModes:
+    """The modes whose real parts ``input2_frequencies`` returns."""
+
+    PAIRS = scipy.linalg.block_diag(  # eigenvalues -0.1 +/- 2i, -0.5 +/- 7i
+        np.array([[-0.1, 2.0], [-2.0, -0.1]]),
+        np.array([[-0.5, 7.0], [-7.0, -0.5]]))
+
     def test_real_spectrum(self):
-        modes = dominant_modes(schur_system(np.diag([-1.0, -2.0, -3.0])),
-                               count=2)
-        np.testing.assert_allclose(sorted(modes.real), [-2.0, -1.0], atol=1e-12)
+        a = np.diag([-3.0, -1.0, -2.0])
+        assert input2_frequencies(schur_system(a)) == \
+            (pytest.approx(1.0), pytest.approx(2.0))
 
     def test_complex_pair_ordering(self):
-        # eigenvalues -0.1 +/- 2i and -0.5 +/- 7i
-        a = scipy.linalg.block_diag(
-            np.array([[-0.1, 2.0], [-2.0, -0.1]]),
-            np.array([[-0.5, 7.0], [-7.0, -0.5]]))
-        modes = dominant_modes(schur_system(a), count=2)
-        assert modes[0] == pytest.approx(-0.1 + 2.0j, abs=1e-12)
-        assert modes[1] == pytest.approx(-0.5 + 7.0j, abs=1e-12)
+        # the slower-decaying pair first, whatever the block order
+        a = self.PAIRS[::-1, ::-1]
+        assert input2_frequencies(schur_system(a)) == \
+            (pytest.approx(0.1), pytest.approx(0.5))
 
     def test_one_representative_per_pair(self):
-        a = scipy.linalg.block_diag(
-            np.array([[-0.1, 2.0], [-2.0, -0.1]]),
-            np.array([[-0.5, 7.0], [-7.0, -0.5]]))
-        assert dominant_modes(schur_system(a), count=4).size == 2
+        # b is the real mode's, not the pair's conjugate member
+        a = scipy.linalg.block_diag(self.PAIRS[:2, :2], [[-0.3]])
+        assert input2_frequencies(schur_system(a)) == \
+            (pytest.approx(0.1), pytest.approx(0.3))
+
+    def test_one_pair_refused(self):
+        with pytest.raises(ValueError, match="fewer than two"):
+            input2_frequencies(schur_system(self.PAIRS[:2, :2]))
 
 
 class TestInput2Frequencies:

@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     preset = get_preset(args.preset)
     sys_ = model.build_system(preset.params, args.n)
-    spec = signals.resolve_input(signals.input_preset(preset.input_name),
+    spec = signals.resolve_input(signals.InputSpec(kind=preset.input_name),
                                  sys_)
     if args.model == "fom":
         system, simulate = sys_, rom.simulate_fom
